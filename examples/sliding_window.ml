@@ -49,7 +49,7 @@ let () =
         Trace.generate ~r:(model ()) ~s:(model ()) ~rng:(Rng.create (40 + i))
           ~length)
   in
-  let lifetime = Baselines.Of_window { width = Window.width window } in
+  let lifetime = Baselines.Of_window window in
   let policies =
     [
       ("RAND", fun () -> Baselines.rand ~rng:(Rng.create 6) ~lifetime ());

@@ -40,8 +40,8 @@ let policy case =
   | "PROB" -> Baselines.prob ()
   | "LIFE" ->
     let lifetime =
-      match case.window with
-      | Some width -> Baselines.Of_window { width }
+      match window case with
+      | Some w -> Baselines.Of_window w
       | None -> Config.lifetime tower
     in
     Baselines.life ~lifetime ()

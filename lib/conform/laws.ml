@@ -33,7 +33,8 @@ let value_shift_policies window seed =
     [
       ( "LIFE",
         fun () ->
-          Baselines.life ~lifetime:(Baselines.Of_window { width }) () );
+          Baselines.life ~lifetime:(Baselines.Of_window (Window.create ~width)) ()
+      );
     ]
   | None -> []
 

@@ -56,18 +56,18 @@ let join_sim_violation ~validate case =
 
 let join_sim_indexed =
   Check.of_violation ~name:"oracle:join-sim/indexed-vs-listscan"
-    ~kind:Check.Oracle ~fast:"Join_sim.run (indexed, array-native when available)"
+    ~kind:Check.Oracle ~fast:"Join_sim.run (indexed buffer step)"
     ~reference:"Ref_sim naive list scan" ~gen:(fun ~seed i -> gen_case ~seed i)
     (join_sim_violation ~validate:false)
 
-let join_sim_list_path =
-  Check.of_violation ~name:"oracle:join-sim/validated-list-vs-listscan"
+let join_sim_validated =
+  Check.of_violation ~name:"oracle:join-sim/validated-vs-listscan"
     ~kind:Check.Oracle
-    ~fast:"Join_sim.run ~validate:true (list path, Join_index counting)"
+    ~fast:"Join_sim.run ~validate:true (per-step buffer validation)"
     ~reference:"Ref_sim naive list scan" ~gen:(fun ~seed i -> gen_case ~seed i)
     (join_sim_violation ~validate:true)
 
-(* --- keep_top vs keep_top_spec -------------------------------------- *)
+(* --- the selection routine vs keep_top_spec ------------------------- *)
 
 let tuples_equal a b =
   List.length a = List.length b && List.for_all2 Tuple.equal a b
@@ -76,62 +76,75 @@ let render_selection ts =
   String.concat ";"
     (List.map (fun (t : Tuple.t) -> string_of_int t.Tuple.uid) ts)
 
+(* One scored step over random candidates: the last two arrive, the rest
+   are the cache.  The kept tuples must equal the spec's, best-first, and
+   the recorded diff must name exactly the dropped ones. *)
+let selection_violation rng =
+  let n = 2 + Rng.int rng 40 in
+  let tuple k =
+    Tuple.make
+      ~side:(if Rng.bool rng then Tuple.R else Tuple.S)
+      ~value:(Rng.int rng 9 - 4)
+      ~arrival:k
+  in
+  let candidates = List.init n tuple in
+  let cached = List.filteri (fun j _ -> j < n - 2) candidates in
+  let r = List.nth candidates (n - 2) and s = List.nth candidates (n - 1) in
+  (* Half the cases keep fewer than half the candidates: the bounded-heap
+     branch (n > 2 · capacity). *)
+  let capacity =
+    if Rng.bool rng then Rng.int rng (n / 2) else Rng.int rng (n + 2)
+  in
+  (* Coarse score buckets collapse many candidates onto equal scores, so
+     the tie-break decides; bucket 0 is optionally dead. *)
+  let modulus = 1 + Rng.int rng 4 and dead = Rng.bool rng in
+  let score (t : Tuple.t) =
+    let b = ((t.Tuple.value mod modulus) + modulus) mod modulus in
+    if dead && b = 0 then Float.neg_infinity else float_of_int b
+  in
+  let spec = Ref_sim.keep_top_spec ~capacity ~score candidates in
+  let fast = Option.get (Baselines.prob_model ~partner_prob:score ()).Policy.fast in
+  let src = Policy.of_tuples cached and dst = Policy.buffer () in
+  fast ~src ~dst ~now:0 ~r ~s ~capacity;
+  let got = Policy.tuples dst in
+  let kept (t : Tuple.t) = List.exists (Tuple.equal t) spec in
+  let dropped =
+    List.filter_map
+      (fun (j, t) -> if kept t then None else Some j)
+      (List.mapi (fun j t -> (j, t)) cached)
+  in
+  let evicted =
+    List.sort Int.compare
+      (List.init dst.Policy.evicted_n (fun e -> dst.Policy.evicted.(e)))
+  in
+  let where = Printf.sprintf "(cap %d, %d cands)" capacity n in
+  if not (tuples_equal got spec) then
+    Some
+      (Printf.sprintf "kept [%s] <> spec [%s] %s" (render_selection got)
+         (render_selection spec) where)
+  else if
+    evicted <> dropped
+    || dst.Policy.kept_r <> kept r
+    || dst.Policy.kept_s <> kept s
+  then Some ("recorded diff disagrees with the kept set " ^ where)
+  else None
+
 let keep_top_check =
   Check.make ~name:"oracle:keep-top/bounded-vs-sort" ~kind:Check.Oracle
-    ~fast:"Policy.keep_top / Policy.select_top (bounded selection)"
-    ~reference:"Policy.keep_top_spec (full stable sort)"
+    ~fast:"Policy.scored step (adaptive sort / bounded heap) and its diff"
+    ~reference:"Ref_sim.keep_top_spec (full stable sort)"
     (fun ~seed ~count ->
       let rng = Rng.create (seed + 17) in
-      let sel = Policy.selector () in
       let failure = ref None in
       let i = ref 0 in
       while !failure = None && !i < count do
-        let n = 1 + Rng.int rng 40 in
-        let tuple k =
-          Tuple.make
-            ~side:(if Rng.bool rng then Tuple.R else Tuple.S)
-            ~value:(Rng.int rng 9 - 4)
-            ~arrival:k
-        in
-        let candidates = List.init n tuple in
-        let capacity = Rng.int rng (n + 2) in
-        (* Score families exercising ties: coarse buckets collapse many
-           candidates onto equal scores, so the tie-break path decides. *)
-        let modulus = 1 + Rng.int rng 4 in
-        let score (t : Tuple.t) =
-          float_of_int (((t.Tuple.value mod modulus) + modulus) mod modulus)
-        in
-        let tie = Policy.newer_first in
-        let spec = Policy.keep_top_spec ~capacity ~score ~tie candidates in
-        let fast = Policy.keep_top ~capacity ~score ~tie candidates in
-        if not (tuples_equal fast spec) then
-          failure :=
-            Some
-              (Printf.sprintf "keep_top [%s] <> spec [%s] (cap %d, %d cands)"
-                 (render_selection fast) (render_selection spec) capacity n)
-        else begin
-          let cached, arrivals =
-            let k = Rng.int rng (n + 1) in
-            (List.filteri (fun j _ -> j < k) candidates,
-             List.filteri (fun j _ -> j >= k) candidates)
-          in
-          let merged =
-            Policy.select_top sel ~capacity ~score ~tie ~cached ~arrivals
-          in
-          if not (tuples_equal merged spec) then
-            failure :=
-              Some
-                (Printf.sprintf
-                   "select_top [%s] <> spec [%s] (cap %d, %d cands)"
-                   (render_selection merged) (render_selection spec) capacity
-                   n)
-        end;
+        failure := selection_violation rng;
         incr i
       done;
       match !failure with
       | None ->
         Check.Pass
-          { cases = count; note = "bounded selection == full stable sort" }
+          { cases = count; note = "one selection routine == full stable sort" }
       | Some detail -> Check.Fail { detail; case = None })
 
 (* --- FlowExpect: warm handle vs fresh solves, Ssp vs Scaling --------- *)
@@ -443,7 +456,7 @@ let mcmf_check =
 let all =
   [
     join_sim_indexed;
-    join_sim_list_path;
+    join_sim_validated;
     keep_top_check;
     flow_expect_check;
     h1_check;

@@ -2,12 +2,14 @@
     engine paired with an independent reference implementation.
 
     - [oracle:join-sim/indexed-vs-listscan] — the engine's default run
-      (array-native fast path + incremental {!Ssj_engine.Join_index})
-      vs the naive list-scan simulator {!Ref_sim}; shrinkable.
-    - [oracle:join-sim/validated-list-vs-listscan] — the engine's
-      validated list path vs the same reference; shrinkable.
-    - [oracle:keep-top/bounded-vs-sort] — bounded selection
-      ([keep_top], [select_top]) vs the full-stable-sort spec.
+      (buffer step + incremental {!Ssj_engine.Join_index}) vs the naive
+      list-scan simulator {!Ref_sim}; shrinkable.
+    - [oracle:join-sim/validated-vs-listscan] — the same run with
+      per-step validation on vs the same reference; shrinkable.
+    - [oracle:keep-top/bounded-vs-sort] — the one selection routine
+      behind {!Ssj_core.Policy.scored} (adaptive sort and bounded heap,
+      tie-heavy scores) and its recorded diff vs
+      {!Ref_sim.keep_top_spec}.
     - [oracle:flow-expect/warm-vs-fresh] — warm-started
       {!Ssj_core.Flow_expect.decide} vs fresh per-step solves
       (bit-equal), plus the [`Scaling] backend within tolerance.

@@ -53,6 +53,21 @@ let run ~trace ~policy ~capacity ?(warmup = 0) ?window ?(band = 0) () =
   done;
   { total_results = !total; counted_results = !counted }
 
+(* Stable full sort of the scored candidates, best-first, ties to the
+   newer tuple; keep the prefix. *)
+let keep_top_spec ~capacity ~score candidates =
+  if capacity <= 0 then []
+  else begin
+    let scored = List.map (fun t -> (score t, t)) candidates in
+    let ordered =
+      List.sort
+        (fun (sa, (ta : Tuple.t)) (sb, (tb : Tuple.t)) ->
+          match Float.compare sb sa with 0 -> Int.compare tb.uid ta.uid | c -> c)
+        scored
+    in
+    List.filteri (fun i _ -> i < capacity) ordered |> List.map snd
+  end
+
 let run_case case =
   run ~trace:(Case.trace case) ~policy:(Case.policy case)
     ~capacity:case.Case.capacity ~warmup:(Case.warmup case)

@@ -7,8 +7,8 @@
     the cache is the policy's selection list, match counting is a plain
     fold per arrival, and every selection is checked with
     {!Ssj_core.Policy.validate_join_selection} (raising [Failure] on a
-    violation).  Always takes the policy's [select] path — never
-    [fast]. *)
+    violation).  Always calls the policy's list [select] — for a scored
+    policy a list adapter over its step. *)
 
 type result = { total_results : int; counted_results : int }
 
@@ -25,3 +25,15 @@ val run :
 val run_case : Case.t -> result
 (** {!run} with the case's trace, fresh policy, warm-up, window and
     band. *)
+
+val keep_top_spec :
+  capacity:int ->
+  score:(Ssj_stream.Tuple.t -> float) ->
+  Ssj_stream.Tuple.t list ->
+  Ssj_stream.Tuple.t list
+(** Reference selection: the [capacity] highest-scored candidates,
+    best-first, by full stable sort; score ties go to the newer tuple
+    (higher uid).  [score] is called once per candidate, in list order.
+    The oracle for the engine's one selection routine
+    ({!Ssj_core.Policy.scored}), which must agree exactly whenever the
+    uids are distinct. *)

@@ -33,33 +33,25 @@ let heeb ?name ~r ~s ~l ~band () =
     | None -> Printf.sprintf "HEEB-band(%d)" band
   in
   let r_pred = ref r and s_pred = ref s in
-  let sel = Policy.selector () in
-  let select ~now:_ ~cached ~arrivals ~capacity =
-    List.iter
-      (fun (t : Tuple.t) ->
-        match t.Tuple.side with
-        | Tuple.R -> r_pred := !r_pred.Predictor.observe t.Tuple.value
-        | Tuple.S -> s_pred := !s_pred.Predictor.observe t.Tuple.value)
-      arrivals;
-    let score (t : Tuple.t) =
-      let partner =
-        match t.Tuple.side with Tuple.R -> !s_pred | Tuple.S -> !r_pred
-      in
-      hvalue ~partner ~l ~value:t.Tuple.value ~band
-    in
-    Policy.select_top sel ~capacity ~score ~tie:Policy.newer_first ~cached
-      ~arrivals
+  let note (t : Tuple.t) =
+    match t.Tuple.side with
+    | Tuple.R -> r_pred := !r_pred.Predictor.observe t.Tuple.value
+    | Tuple.S -> s_pred := !s_pred.Predictor.observe t.Tuple.value
   in
-  Policy.make_join ~name select
+  let observe ~r ~s =
+    note r;
+    note s
+  in
+  Policy.scored ~name ~observe (fun ~now:_ ~n ~uids ~values ~scores ->
+      for i = 0 to n - 1 do
+        let partner = if uids.(i) land 1 = 0 then !s_pred else !r_pred in
+        scores.(i) <- hvalue ~partner ~l ~value:values.(i) ~band
+      done)
 
 let prob_model ~r_dist ~s_dist ~band () =
-  let score (t : Tuple.t) =
-    let partner = match t.Tuple.side with Tuple.R -> s_dist | Tuple.S -> r_dist in
-    match_prob partner ~value:t.Tuple.value ~band
-  in
-  let sel = Policy.selector () in
-  let select ~now:_ ~cached ~arrivals ~capacity =
-    Policy.select_top sel ~capacity ~score ~tie:Policy.newer_first ~cached
-      ~arrivals
-  in
-  Policy.make_join ~name:(Printf.sprintf "PROB-band(%d)" band) select
+  Policy.scored ~name:(Printf.sprintf "PROB-band(%d)" band)
+    (fun ~now:_ ~n ~uids ~values ~scores ->
+      for i = 0 to n - 1 do
+        let partner = if uids.(i) land 1 = 0 then s_dist else r_dist in
+        scores.(i) <- match_prob partner ~value:values.(i) ~band
+      done)

@@ -9,20 +9,21 @@ type lifetime =
   | Trend of { r_add : int; s_add : int; speed : int }
       (** Linear-trend streams: remaining = (value + add_side)/speed − now
           (see {!Ssj_workload.Config.lifetime} for the constants). *)
-  | Of_window of { width : int }
-      (** Sliding window: remaining = arrival + width − now. *)
+  | Of_window of Window.t
+      (** Sliding window: {!Ssj_stream.Window.remaining_lifetime}. *)
   | Fn of (now:int -> Tuple.t -> int)
 
-let remaining lt ~now (t : Tuple.t) =
+(* [remaining] on the buffer representation; reconstructs a tuple only
+   for the fully general [Fn] case. *)
+let remaining_uv lt ~now ~uid ~value =
   match lt with
   | Trend { r_add; s_add; speed } ->
-    ((match t.side with
-     | Tuple.R -> t.value + r_add
-     | Tuple.S -> t.value + s_add)
-    / speed)
-    - now
-  | Of_window { width } -> t.arrival + width - now
-  | Fn f -> f ~now t
+    ((value + (if uid land 1 = 0 then r_add else s_add)) / speed) - now
+  | Of_window w -> Window.remaining_at w ~now ~arrival:(uid asr 1)
+  | Fn f -> f ~now (Tuple.of_uid ~uid ~value)
+
+let remaining lt ~now (t : Tuple.t) =
+  remaining_uv lt ~now ~uid:t.uid ~value:t.value
 
 (* History frequency tracker: counts of each value seen per side.  Backed
    by dense counter arrays — stream values follow a trend, so the
@@ -39,253 +40,111 @@ module History = struct
     | Tuple.R -> t.r_counts
     | Tuple.S -> t.s_counts
 
-  let observe t (tuple : Tuple.t) =
-    Ssj_prob.Dtab.add (table t tuple.side) tuple.value 1
-
-  (* Frequency of the tuple's value in the *partner* stream's history. *)
-  let partner_count t (tuple : Tuple.t) =
-    Ssj_prob.Dtab.get (table t (Tuple.partner tuple.side)) tuple.value
+  let observe t ~(r : Tuple.t) ~(s : Tuple.t) =
+    Ssj_prob.Dtab.add (table t r.side) r.value 1;
+    Ssj_prob.Dtab.add (table t s.side) s.value 1
 end
 
-(* Each policy builds one score closure per step (it captures [now]), not
-   one per candidate; dead tuples (lifetime <= 0) score below every live
-   tuple without consuming the scorer — RAND's RNG stream depends on it.
+(* The candidates' remaining lifetimes, into a per-policy int scratch
+   (one specialised loop per step, so the scoring loops below test
+   death with one integer compare).  The common [Trend] lifetime with
+   [speed = 1] skips the division. *)
+let remaining_into lt (buf : int array ref) ~now ~n ~uids ~values =
+  if Array.length !buf < n then buf := Array.make (max 16 (2 * n)) 0;
+  let rems = !buf in
+  (match lt with
+  | Trend { r_add; s_add; speed = 1 } ->
+    for i = 0 to n - 1 do
+      Array.unsafe_set rems i
+        (Array.unsafe_get values i
+        + (if Array.unsafe_get uids i land 1 = 0 then r_add else s_add)
+        - now)
+    done
+  | lt ->
+    for i = 0 to n - 1 do
+      Array.unsafe_set rems i
+        (remaining_uv lt ~now ~uid:(Array.unsafe_get uids i)
+           ~value:(Array.unsafe_get values i))
+    done);
+  rems
 
-   The [fast] implementations score with an explicit loop over the
-   buffer's unboxed uid/value arrays (uid = 2·arrival + side bit, so the
-   arrays carry the whole tuple), then handle the R and S arrivals as
-   scalars — matching the list path's cached-then-arrivals order draw
-   for draw.  The common [Trend] lifetime with [speed = 1] folds the
-   death test into one integer compare. *)
-
-(* [remaining] on the buffer representation; reconstructs a tuple only
-   for the fully general [Fn] case (the reconstruction is exact: uid
-   determines side and arrival). *)
-let remaining_uv lt ~now ~uid ~value =
-  match lt with
-  | Trend { r_add; s_add; speed } ->
-    ((value + (if uid land 1 = 0 then r_add else s_add)) / speed) - now
-  | Of_window { width } -> (uid asr 1) + width - now
-  | Fn f ->
-    let side = if uid land 1 = 0 then Tuple.R else Tuple.S in
-    f ~now (Tuple.make ~side ~value ~arrival:(uid asr 1))
-
+(* Dead tuples (lifetime <= 0) score below every live tuple without
+   consuming the scorer — RAND's RNG stream depends on it. *)
 let rand ~rng ?lifetime () =
-  let sel = Policy.selector () in
-  let score_at now =
+  let kernel =
     match lifetime with
-    | None -> fun _ -> Ssj_prob.Rng.float rng 1.0
-    | Some lt ->
-      fun t ->
-        if remaining lt ~now t <= 0 then Float.neg_infinity
-        else Ssj_prob.Rng.float rng 1.0
-  in
-  let select ~now ~cached ~arrivals ~capacity =
-    Policy.select_top sel ~capacity ~score:(score_at now)
-      ~tie:Policy.newer_first ~cached ~arrivals
-  in
-  let fast ~src ~dst ~now ~r ~s ~capacity =
-    if capacity <= 0 then Policy.clear dst
-    else begin
-      let n0 = src.Policy.n in
-      let n = n0 + 2 in
-      let scores, uids = Policy.scratch sel n in
-      let su = src.Policy.uids and sv = src.Policy.values in
-      (match lifetime with
-      | None ->
-        for i = 0 to n0 - 1 do
-          Array.unsafe_set uids i (Array.unsafe_get su i);
+    | None ->
+      fun ~now:_ ~n ~uids:_ ~values:_ ~scores ->
+        for i = 0 to n - 1 do
           Array.unsafe_set scores i (Ssj_prob.Rng.float rng 1.0)
         done
-      | Some (Trend { r_add; s_add; speed = 1 }) ->
-        (* value + add − now <= 0  <=>  value <= now − add *)
-        let dead_r = now - r_add and dead_s = now - s_add in
-        for i = 0 to n0 - 1 do
-          let u = Array.unsafe_get su i in
-          Array.unsafe_set uids i u;
-          let dead = if u land 1 = 0 then dead_r else dead_s in
+    | Some lt ->
+      let buf = ref [||] in
+      fun ~now ~n ~uids ~values ~scores ->
+        let rems = remaining_into lt buf ~now ~n ~uids ~values in
+        for i = 0 to n - 1 do
           Array.unsafe_set scores i
-            (if Array.unsafe_get sv i <= dead then Float.neg_infinity
+            (if Array.unsafe_get rems i <= 0 then Float.neg_infinity
              else Ssj_prob.Rng.float rng 1.0)
         done
-      | Some lt ->
-        for i = 0 to n0 - 1 do
-          let u = Array.unsafe_get su i in
-          Array.unsafe_set uids i u;
-          Array.unsafe_set scores i
-            (if
-               remaining_uv lt ~now ~uid:u ~value:(Array.unsafe_get sv i)
-               <= 0
-             then Float.neg_infinity
-             else Ssj_prob.Rng.float rng 1.0)
-        done);
-      let score_arrival (t : Tuple.t) =
-        match lifetime with
-        | Some lt when remaining lt ~now t <= 0 -> Float.neg_infinity
-        | Some _ | None -> Ssj_prob.Rng.float rng 1.0
-      in
-      uids.(n0) <- r.Tuple.uid;
-      scores.(n0) <- score_arrival r;
-      uids.(n0 + 1) <- s.Tuple.uid;
-      scores.(n0 + 1) <- score_arrival s;
-      Policy.select_prescored sel ~capacity ~src ~dst r s
-    end
   in
-  Policy.make_join ~name:"RAND" ~fast select
+  Policy.scored ~name:"RAND" kernel
 
+(* PROB and LIFE count a candidate against the *partner* side's history:
+   R candidates (uid bit 0) against the S counts and vice versa. *)
 let prob ?lifetime () =
   let history = History.create () in
-  let sel = Policy.selector () in
-  let score_at now =
+  let r_tab = history.History.s_counts and s_tab = history.History.r_counts in
+  let kernel =
     match lifetime with
-    | None -> fun t -> float_of_int (History.partner_count history t)
+    | None ->
+      fun ~now:_ ~n ~uids ~values ~scores ->
+        for i = 0 to n - 1 do
+          Array.unsafe_set scores i
+            (float_of_int
+               (Ssj_prob.Dtab.get
+                  (if Array.unsafe_get uids i land 1 = 0 then r_tab else s_tab)
+                  (Array.unsafe_get values i)))
+        done
     | Some lt ->
-      fun t ->
-        if remaining lt ~now t <= 0 then Float.neg_infinity
-        else float_of_int (History.partner_count history t)
-  in
-  let select ~now ~cached ~arrivals ~capacity =
-    List.iter (History.observe history) arrivals;
-    Policy.select_top sel ~capacity ~score:(score_at now)
-      ~tie:Policy.newer_first ~cached ~arrivals
-  in
-  let fast ~src ~dst ~now ~r ~s ~capacity =
-    History.observe history r;
-    History.observe history s;
-    if capacity <= 0 then Policy.clear dst
-    else begin
-      let n0 = src.Policy.n in
-      let n = n0 + 2 in
-      let scores, uids = Policy.scratch sel n in
-      let su = src.Policy.uids and sv = src.Policy.values in
-      (* Partner-side history table: R candidates (bit 0) count against
-         the S history and vice versa. *)
-      let r_tab = history.History.s_counts
-      and s_tab = history.History.r_counts in
-      (match lifetime with
-      | None ->
-        for i = 0 to n0 - 1 do
-          let u = Array.unsafe_get su i in
-          Array.unsafe_set uids i u;
-          let tab = if u land 1 = 0 then r_tab else s_tab in
+      let buf = ref [||] in
+      fun ~now ~n ~uids ~values ~scores ->
+        let rems = remaining_into lt buf ~now ~n ~uids ~values in
+        for i = 0 to n - 1 do
           Array.unsafe_set scores i
-            (float_of_int (Ssj_prob.Dtab.get tab (Array.unsafe_get sv i)))
-        done
-      | Some (Trend { r_add; s_add; speed = 1 }) ->
-        let dead_r = now - r_add and dead_s = now - s_add in
-        for i = 0 to n0 - 1 do
-          let u = Array.unsafe_get su i in
-          Array.unsafe_set uids i u;
-          let v = Array.unsafe_get sv i in
-          let bit = u land 1 in
-          let dead = if bit = 0 then dead_r else dead_s in
-          Array.unsafe_set scores i
-            (if v <= dead then Float.neg_infinity
-             else
-               float_of_int
-                 (Ssj_prob.Dtab.get (if bit = 0 then r_tab else s_tab) v))
-        done
-      | Some lt ->
-        for i = 0 to n0 - 1 do
-          let u = Array.unsafe_get su i in
-          Array.unsafe_set uids i u;
-          let v = Array.unsafe_get sv i in
-          Array.unsafe_set scores i
-            (if remaining_uv lt ~now ~uid:u ~value:v <= 0 then
-               Float.neg_infinity
+            (if Array.unsafe_get rems i <= 0 then Float.neg_infinity
              else
                float_of_int
                  (Ssj_prob.Dtab.get
-                    (if u land 1 = 0 then r_tab else s_tab)
-                    v))
-        done);
-      let score_arrival (t : Tuple.t) =
-        match lifetime with
-        | Some lt when remaining lt ~now t <= 0 -> Float.neg_infinity
-        | Some _ | None -> float_of_int (History.partner_count history t)
-      in
-      uids.(n0) <- r.Tuple.uid;
-      scores.(n0) <- score_arrival r;
-      uids.(n0 + 1) <- s.Tuple.uid;
-      scores.(n0 + 1) <- score_arrival s;
-      Policy.select_prescored sel ~capacity ~src ~dst r s
-    end
+                    (if Array.unsafe_get uids i land 1 = 0 then r_tab
+                     else s_tab)
+                    (Array.unsafe_get values i)))
+        done
   in
-  Policy.make_join ~name:"PROB" ~fast select
+  Policy.scored ~name:"PROB" ~observe:(History.observe history) kernel
 
 let life ~lifetime () =
   let history = History.create () in
-  let sel = Policy.selector () in
-  let score_at now t =
-    let rem = remaining lifetime ~now t in
-    if rem <= 0 then Float.neg_infinity
-    else float_of_int (History.partner_count history t) *. float_of_int rem
+  let r_tab = history.History.s_counts and s_tab = history.History.r_counts in
+  let buf = ref [||] in
+  let kernel ~now ~n ~uids ~values ~scores =
+    let rems = remaining_into lifetime buf ~now ~n ~uids ~values in
+    for i = 0 to n - 1 do
+      let rem = Array.unsafe_get rems i in
+      Array.unsafe_set scores i
+        (if rem <= 0 then Float.neg_infinity
+         else
+           float_of_int
+             (Ssj_prob.Dtab.get
+                (if Array.unsafe_get uids i land 1 = 0 then r_tab else s_tab)
+                (Array.unsafe_get values i))
+           *. float_of_int rem)
+    done
   in
-  let select ~now ~cached ~arrivals ~capacity =
-    List.iter (History.observe history) arrivals;
-    Policy.select_top sel ~capacity ~score:(score_at now)
-      ~tie:Policy.newer_first ~cached ~arrivals
-  in
-  let fast ~src ~dst ~now ~r ~s ~capacity =
-    History.observe history r;
-    History.observe history s;
-    if capacity <= 0 then Policy.clear dst
-    else begin
-      let n0 = src.Policy.n in
-      let n = n0 + 2 in
-      let scores, uids = Policy.scratch sel n in
-      let su = src.Policy.uids and sv = src.Policy.values in
-      let r_tab = history.History.s_counts
-      and s_tab = history.History.r_counts in
-      (match lifetime with
-      | Trend { r_add; s_add; speed = 1 } ->
-        for i = 0 to n0 - 1 do
-          let u = Array.unsafe_get su i in
-          Array.unsafe_set uids i u;
-          let v = Array.unsafe_get sv i in
-          let bit = u land 1 in
-          let rem = v + (if bit = 0 then r_add else s_add) - now in
-          Array.unsafe_set scores i
-            (if rem <= 0 then Float.neg_infinity
-             else
-               float_of_int
-                 (Ssj_prob.Dtab.get (if bit = 0 then r_tab else s_tab) v)
-               *. float_of_int rem)
-        done
-      | lt ->
-        for i = 0 to n0 - 1 do
-          let u = Array.unsafe_get su i in
-          Array.unsafe_set uids i u;
-          let v = Array.unsafe_get sv i in
-          let rem = remaining_uv lt ~now ~uid:u ~value:v in
-          Array.unsafe_set scores i
-            (if rem <= 0 then Float.neg_infinity
-             else
-               float_of_int
-                 (Ssj_prob.Dtab.get
-                    (if u land 1 = 0 then r_tab else s_tab)
-                    v)
-               *. float_of_int rem)
-        done);
-      let score_arrival (t : Tuple.t) =
-        let rem = remaining lifetime ~now t in
-        if rem <= 0 then Float.neg_infinity
-        else
-          float_of_int (History.partner_count history t) *. float_of_int rem
-      in
-      uids.(n0) <- r.Tuple.uid;
-      scores.(n0) <- score_arrival r;
-      uids.(n0 + 1) <- s.Tuple.uid;
-      scores.(n0 + 1) <- score_arrival s;
-      Policy.select_prescored sel ~capacity ~src ~dst r s
-    end
-  in
-  Policy.make_join ~name:"LIFE" ~fast select
+  Policy.scored ~name:"LIFE" ~observe:(History.observe history) kernel
 
 let prob_model ~partner_prob () =
-  let sel = Policy.selector () in
-  let select ~now:_ ~cached ~arrivals ~capacity =
-    Policy.select_top sel ~capacity ~score:partner_prob ~tie:Policy.newer_first
-      ~cached ~arrivals
-  in
-  Policy.make_join ~name:"PROB-model" select
+  Policy.scored ~name:"PROB-model" (fun ~now:_ ~n ~uids ~values ~scores ->
+      for i = 0 to n - 1 do
+        scores.(i) <- partner_prob (Tuple.of_uid ~uid:uids.(i) ~value:values.(i))
+      done)

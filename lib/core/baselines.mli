@@ -15,8 +15,8 @@ type lifetime =
   | Trend of { r_add : int; s_add : int; speed : int }
       (** Linear-trend streams: remaining = (value + add_side)/speed − now
           (see {!Ssj_workload.Config.lifetime} for the constants). *)
-  | Of_window of { width : int }
-      (** Sliding window: remaining = arrival + width − now. *)
+  | Of_window of Ssj_stream.Window.t
+      (** Sliding window: {!Ssj_stream.Window.remaining_lifetime}. *)
   | Fn of (now:int -> Ssj_stream.Tuple.t -> int)
       (** Fully general estimator. *)
 (** Remaining number of steps during which a tuple can still produce

@@ -23,23 +23,12 @@ type joining_state = {
   memo : Ssj_prob.Ftab.t;
 }
 
-let partner_pred st = function
-  | Tuple.R -> st.s_pred
-  | Tuple.S -> st.r_pred
-
-let direct_h st ~l (t : Tuple.t) =
-  Hvalue.joining ~partner:(partner_pred st t.side) ~l ~value:t.value
-
-(* Buffer-representation twin: [bit] is the uid's side bit (R = 0). *)
-let direct_h_bit st ~l ~bit ~value =
+(* [bit] is the candidate's uid side bit (R = 0): an R tuple joins the
+   S stream's future arrivals and vice versa. *)
+let direct_h st ~l ~bit ~value =
   Hvalue.joining
     ~partner:(if bit = 0 then st.s_pred else st.r_pred)
     ~l ~value
-
-(* `Memo_trend` memo key: trend-relative offset with the side in the low
-   bit.  Bijective with the old (side, offset) pair, but a machine int. *)
-let memo_key side offset =
-  (offset lsl 1) lor (match side with Tuple.R -> 0 | Tuple.S -> 1)
 
 let fresh_state ~r ~s =
   {
@@ -49,12 +38,22 @@ let fresh_state ~r ~s =
     memo = Ssj_prob.Ftab.create ~size:128 ();
   }
 
-(* Drop incremental state of evicted tuples: build the kept-uid set once
-   and sweep, instead of the former [Hashtbl.copy] + [List.mem] pass
-   that cost O(|hvals| * |kept|) per step. *)
-let prune_hvals hvals kept =
+let observe_tuple st (t : Tuple.t) =
+  match t.side with
+  | Tuple.R -> st.r_pred <- st.r_pred.Predictor.observe t.value
+  | Tuple.S -> st.s_pred <- st.s_pred.Predictor.observe t.value
+
+let observe_both st ~r ~s =
+  observe_tuple st r;
+  observe_tuple st s
+
+(* Drop incremental state of every uid the step did not keep: build the
+   kept-uid set once and sweep. *)
+let prune_hvals hvals (kept : Policy.buffer) =
   let keep = Hashtbl.create 64 in
-  List.iter (fun (t : Tuple.t) -> Hashtbl.replace keep t.uid ()) kept;
+  for i = 0 to kept.n - 1 do
+    Hashtbl.replace keep kept.uids.(i) ()
+  done;
   let stale =
     Hashtbl.fold
       (fun uid _ acc -> if Hashtbl.mem keep uid then acc else uid :: acc)
@@ -73,186 +72,109 @@ let joining ?name ~r ~s ~l ?(mode = `Direct) () =
     | m -> m
   in
   let st = fresh_state ~r ~s in
-  let sel = Policy.selector () in
   let name =
     match name with
     | Some n -> n
     | None -> Printf.sprintf "HEEB(%s)" l.Lfun.name
   in
-  let observe (t : Tuple.t) =
-    match t.side with
-    | Tuple.R -> st.r_pred <- st.r_pred.Predictor.observe t.value
-    | Tuple.S -> st.s_pred <- st.s_pred.Predictor.observe t.value
-  in
-  (* [priors] are the one-step laws Pr{X_{now} = v} *before* observing
-     today's arrivals — needed only by the Corollary 3 incremental update,
-     so the other modes skip building them. *)
-  let score_with ~now ~priors (t : Tuple.t) =
-    match mode with
-    | `Direct -> direct_h st ~l t
-    | `Memo_trend speed ->
-      let key = memo_key t.side (t.value - (speed * now)) in
-      (* H values are finite sums of probability-weighted L values and
-         never NaN, so NaN doubles as the absence marker. *)
-      let h = Ssj_prob.Ftab.find_default st.memo key Float.nan in
-      if Float.is_nan h then begin
-        let h = direct_h st ~l t in
-        Ssj_prob.Ftab.set st.memo key h;
-        h
-      end
-      else h
-    | `Incremental { alpha; refresh_every } ->
-      let recompute () =
-        let h = direct_h st ~l t in
-        Hashtbl.replace st.hvals t.uid (h, now);
-        h
-      in
-      if t.arrival = now then recompute ()
-      else begin
-        match Hashtbl.find_opt st.hvals t.uid with
-        | None -> recompute ()
-        | Some (h_prev, at) ->
-          if now - at >= refresh_every then recompute ()
-          else begin
-            let prior_r, prior_s =
-              match priors with Some p -> p | None -> assert false
-            in
-            let prior =
-              match t.side with
-              | Tuple.R -> prior_s (* an R tuple joins S arrivals *)
-              | Tuple.S -> prior_r
-            in
-            let p_now = Ssj_prob.Pmf.prob prior t.value in
-            let h = Hvalue.step_joining_exp ~alpha ~h_prev ~p_now in
-            Hashtbl.replace st.hvals t.uid (h, at);
-            h
-          end
-      end
-  in
-  let select ~now ~cached ~arrivals ~capacity =
-    let priors =
-      match mode with
-      | `Incremental _ ->
-        Some (st.r_pred.Predictor.pmf 1, st.s_pred.Predictor.pmf 1)
-      | `Direct | `Memo_trend _ -> None
+  match mode with
+  | `Direct ->
+    Policy.scored ~name ~observe:(observe_both st)
+      (fun ~now:_ ~n ~uids ~values ~scores ->
+        for i = 0 to n - 1 do
+          Array.unsafe_set scores i
+            (direct_h st ~l ~bit:(Array.unsafe_get uids i land 1)
+               ~value:(Array.unsafe_get values i))
+        done)
+  | `Memo_trend speed ->
+    (* H depends only on the trend-relative offset: the memo key is the
+       offset with the side in the low bit, and a memo hit — one table
+       probe per candidate — is the per-step steady state.  H values are
+       finite sums of probability-weighted L values and never NaN, so
+       NaN doubles as the absence marker. *)
+    Policy.scored ~name ~observe:(observe_both st)
+      (fun ~now ~n ~uids ~values ~scores ->
+        let shift = speed * now in
+        for i = 0 to n - 1 do
+          let bit = Array.unsafe_get uids i land 1 in
+          let value = Array.unsafe_get values i in
+          let key = ((value - shift) lsl 1) lor bit in
+          let h = Ssj_prob.Ftab.find_default st.memo key Float.nan in
+          let h =
+            if Float.is_nan h then begin
+              let h = direct_h st ~l ~bit ~value in
+              Ssj_prob.Ftab.set st.memo key h;
+              h
+            end
+            else h
+          in
+          Array.unsafe_set scores i h
+        done)
+  | `Incremental { alpha; refresh_every } ->
+    (* The Corollary 3 update needs the one-step laws Pr{X_now = v}
+       *before* today's arrivals are observed. *)
+    let before_r = ref r and before_s = ref s in
+    let observe ~r ~s =
+      before_r := st.r_pred;
+      before_s := st.s_pred;
+      observe_both st ~r ~s
     in
-    List.iter observe arrivals;
-    let kept =
-      Policy.select_top sel ~capacity ~score:(score_with ~now ~priors)
-        ~tie:Policy.newer_first ~cached ~arrivals
+    let kernel ~now ~n ~uids ~values ~scores =
+      let prior_r = !before_r.Predictor.pmf 1
+      and prior_s = !before_s.Predictor.pmf 1 in
+      for i = 0 to n - 1 do
+        let uid = uids.(i) and value = values.(i) in
+        let bit = uid land 1 in
+        let recompute () =
+          let h = direct_h st ~l ~bit ~value in
+          Hashtbl.replace st.hvals uid (h, now);
+          h
+        in
+        scores.(i) <-
+          (if uid asr 1 = now then recompute ()
+           else
+             match Hashtbl.find_opt st.hvals uid with
+             | None -> recompute ()
+             | Some (h_prev, at) ->
+               if now - at >= refresh_every then recompute ()
+               else begin
+                 (* an R tuple joins S arrivals *)
+                 let prior = if bit = 0 then prior_s else prior_r in
+                 let p_now = Ssj_prob.Pmf.prob prior value in
+                 let h = Hvalue.step_joining_exp ~alpha ~h_prev ~p_now in
+                 Hashtbl.replace st.hvals uid (h, at);
+                 h
+               end)
+      done
     in
-    (* Drop incremental state of evicted tuples. *)
-    (match mode with
-    | `Incremental _ -> prune_hvals st.hvals kept
-    | `Direct | `Memo_trend _ -> ());
-    kept
-  in
-  let fast =
-    match mode with
-    | `Incremental _ -> None (* needs the kept list for state pruning *)
-    | `Memo_trend speed ->
-      (* Specialized scoring loop: the memo hit — one table probe per
-         candidate — is the per-step steady state, so it runs without
-         the generic path's per-candidate closure call. *)
-      Some
-        (fun ~src ~dst ~now ~r ~s ~capacity ->
-          observe r;
-          observe s;
-          if capacity <= 0 then Policy.clear dst
-          else begin
-            let n0 = src.Policy.n in
-            let n = n0 + 2 in
-            let scores, uids = Policy.scratch sel n in
-            let su = src.Policy.uids and sv = src.Policy.values in
-            let shift = speed * now in
-            for i = 0 to n0 - 1 do
-              let u = Array.unsafe_get su i in
-              Array.unsafe_set uids i u;
-              let bit = u land 1 in
-              let value = Array.unsafe_get sv i in
-              let key = ((value - shift) lsl 1) lor bit in
-              let h = Ssj_prob.Ftab.find_default st.memo key Float.nan in
-              let h =
-                if Float.is_nan h then begin
-                  let h = direct_h_bit st ~l ~bit ~value in
-                  Ssj_prob.Ftab.set st.memo key h;
-                  h
-                end
-                else h
-              in
-              Array.unsafe_set scores i h
-            done;
-            let score_arrival (t : Tuple.t) =
-              let key = memo_key t.side (t.value - shift) in
-              let h = Ssj_prob.Ftab.find_default st.memo key Float.nan in
-              if Float.is_nan h then begin
-                let h = direct_h st ~l t in
-                Ssj_prob.Ftab.set st.memo key h;
-                h
-              end
-              else h
-            in
-            uids.(n0) <- r.Tuple.uid;
-            scores.(n0) <- score_arrival r;
-            uids.(n0 + 1) <- s.Tuple.uid;
-            scores.(n0 + 1) <- score_arrival s;
-            Policy.select_prescored sel ~capacity ~src ~dst r s
-          end)
-    | `Direct ->
-      Some
-        (fun ~src ~dst ~now ~r ~s ~capacity ->
-          observe r;
-          observe s;
-          if capacity <= 0 then Policy.clear dst
-          else begin
-            let n0 = src.Policy.n in
-            let n = n0 + 2 in
-            let scores, uids = Policy.scratch sel n in
-            let su = src.Policy.uids and sv = src.Policy.values in
-            for i = 0 to n0 - 1 do
-              let u = Array.unsafe_get su i in
-              Array.unsafe_set uids i u;
-              Array.unsafe_set scores i
-                (direct_h_bit st ~l ~bit:(u land 1)
-                   ~value:(Array.unsafe_get sv i))
-            done;
-            let score = score_with ~now ~priors:None in
-            uids.(n0) <- r.Tuple.uid;
-            scores.(n0) <- score r;
-            uids.(n0 + 1) <- s.Tuple.uid;
-            scores.(n0 + 1) <- score s;
-            Policy.select_prescored sel ~capacity ~src ~dst r s
-          end)
-  in
-  Policy.make_join ~name ?fast select
+    Policy.scored ~name ~observe
+      ~after:(fun ~now:_ ~src:_ ~dst -> prune_hvals st.hvals dst)
+      kernel
 
 let joining_curves ?name ~h_r_tuples ~h_s_tuples () =
   let r_last = ref None and s_last = ref None in
-  let sel = Policy.selector () in
   let name = Option.value ~default:"HEEB(h1)" name in
-  let select ~now:_ ~cached ~arrivals ~capacity =
-    List.iter
-      (fun (t : Tuple.t) ->
-        match t.side with
-        | Tuple.R -> r_last := Some t.value
-        | Tuple.S -> s_last := Some t.value)
-      arrivals;
-    let score (t : Tuple.t) =
-      match t.side with
-      | Tuple.R -> (
-        (* R tuples join future S arrivals: offset against S's position. *)
-        match !s_last with
-        | None -> 0.0
-        | Some x -> Interp.Curve.eval h_r_tuples (float_of_int (t.value - x)))
-      | Tuple.S -> (
-        match !r_last with
-        | None -> 0.0
-        | Some x -> Interp.Curve.eval h_s_tuples (float_of_int (t.value - x)))
-    in
-    Policy.select_top sel ~capacity ~score ~tie:Policy.newer_first ~cached
-      ~arrivals
+  let note (t : Tuple.t) =
+    match t.side with
+    | Tuple.R -> r_last := Some t.value
+    | Tuple.S -> s_last := Some t.value
   in
-  Policy.make_join ~name select
+  let observe ~r ~s =
+    note r;
+    note s
+  in
+  Policy.scored ~name ~observe (fun ~now:_ ~n ~uids ~values ~scores ->
+      for i = 0 to n - 1 do
+        (* R tuples join future S arrivals: offset against S's position. *)
+        let is_r = uids.(i) land 1 = 0 in
+        scores.(i) <-
+          (match if is_r then !s_last else !r_last with
+          | None -> 0.0
+          | Some x ->
+            Interp.Curve.eval
+              (if is_r then h_r_tuples else h_s_tuples)
+              (float_of_int (values.(i) - x)))
+      done)
 
 let joining_adaptive ?name ?(initial_lifetime = 5.0) ?(smoothing = 0.05) ~r ~s
     () =
@@ -262,49 +184,30 @@ let joining_adaptive ?name ?(initial_lifetime = 5.0) ?(smoothing = 0.05) ~r ~s
   if smoothing <= 0.0 || smoothing > 1.0 then
     invalid_arg "Heeb.joining_adaptive: smoothing outside (0, 1]";
   let st = fresh_state ~r ~s in
-  let sel = Policy.selector () in
   let lifetime = ref initial_lifetime in
-  let admitted_at : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let select ~now ~cached ~arrivals ~capacity =
-    List.iter
-      (fun (t : Tuple.t) ->
-        match t.Tuple.side with
-        | Tuple.R -> st.r_pred <- st.r_pred.Predictor.observe t.Tuple.value
-        | Tuple.S -> st.s_pred <- st.s_pred.Predictor.observe t.Tuple.value)
-      arrivals;
+  let kernel ~now:_ ~n ~uids ~values ~scores =
     let alpha = Lfun.alpha_for_lifetime (Float.max 1.01 !lifetime) in
     let l = Lfun.exp_ ~alpha in
-    let kept =
-      Policy.select_top sel ~capacity ~score:(direct_h st ~l)
-        ~tie:Policy.newer_first ~cached ~arrivals
-    in
-    (* Update the lifetime estimate from this step's evictions, and track
-       new admissions.  The kept-uid set is built once per step; the
-       former [List.exists] per cached tuple cost O(k^2). *)
-    let kept_set = Hashtbl.create 64 in
-    List.iter
-      (fun (t : Tuple.t) -> Hashtbl.replace kept_set t.Tuple.uid ())
-      kept;
-    let kept_uid uid = Hashtbl.mem kept_set uid in
-    List.iter
-      (fun (t : Tuple.t) ->
-        if not (kept_uid t.Tuple.uid) then begin
-          (match Hashtbl.find_opt admitted_at t.Tuple.uid with
-          | Some at ->
-            let residence = float_of_int (max 1 (now - at)) in
-            lifetime :=
-              ((1.0 -. smoothing) *. !lifetime) +. (smoothing *. residence)
-          | None -> ());
-          Hashtbl.remove admitted_at t.Tuple.uid
-        end)
-      cached;
-    List.iter
-      (fun (t : Tuple.t) ->
-        if kept_uid t.Tuple.uid then Hashtbl.replace admitted_at t.Tuple.uid now)
-      arrivals;
-    kept
+    for i = 0 to n - 1 do
+      scores.(i) <- direct_h st ~l ~bit:(uids.(i) land 1) ~value:values.(i)
+    done
   in
-  Policy.make_join ~name select
+  (* Update the lifetime estimate from this step's evictions, in cache
+     order.  A tuple enters the cache only in its arrival step, so its
+     residence time is [now - arrival]. *)
+  let after ~now ~(src : Policy.buffer) ~(dst : Policy.buffer) =
+    for i = 0 to src.n - 1 do
+      let evicted = ref false in
+      for e = 0 to dst.evicted_n - 1 do
+        if dst.evicted.(e) = i then evicted := true
+      done;
+      if !evicted then begin
+        let residence = float_of_int (max 1 (now - (src.uids.(i) asr 1))) in
+        lifetime := ((1.0 -. smoothing) *. !lifetime) +. (smoothing *. residence)
+      end
+    done
+  in
+  Policy.scored ~name ~observe:(observe_both st) ~after kernel
 
 (* ------------------------------------------------------------------ *)
 (* Caching                                                             *)
@@ -320,6 +223,20 @@ let caching_direct_h pred ~l value =
     in
     Hvalue.caching_markov ~kernel ~start ~l ~value
   | Some _ | None -> Hvalue.caching_independent ~reference:pred ~l ~value
+
+(* The caching policies' selection: score the candidates (the fetched
+   [value] first on a miss, then the cache) in order, keep the
+   [capacity] best, best-first, ties to the larger value. *)
+let keep_best ~capacity ~score ~cached ~value ~hit =
+  let candidates = if hit then cached else value :: cached in
+  let scored = List.map (fun v -> (score v, v)) candidates in
+  let ordered =
+    List.sort
+      (fun (sa, va) (sb, vb) ->
+        match Float.compare sb sa with 0 -> Int.compare vb va | c -> c)
+      scored
+  in
+  List.filteri (fun i _ -> i < capacity) ordered |> List.map snd
 
 (* Same sweep as [prune_hvals], keyed by cached value instead of uid. *)
 let prune_cached_hvals hvals kept =
@@ -375,14 +292,7 @@ let caching ?name ~reference ~l ?(mode = `Direct) () =
             end
         end
     in
-    let candidates = if hit then cached else value :: cached in
-    let scored = List.map (fun v -> (score v, v)) candidates in
-    let ordered =
-      List.sort (fun (sa, va) (sb, vb) ->
-          match Float.compare sb sa with 0 -> Int.compare vb va | c -> c)
-        scored
-    in
-    let kept = List.filteri (fun i _ -> i < capacity) ordered |> List.map snd in
+    let kept = keep_best ~capacity ~score ~cached ~value ~hit in
     (match mode with
     | `Incremental _ -> prune_cached_hvals hvals kept
     | `Direct | `Memo_trend _ -> ());
@@ -395,14 +305,7 @@ let caching_fn ?name ~h () =
   let access ~now ~cached ~value ~hit ~capacity =
     (* The history x̄_{t0} includes the reference just observed, so the
        conditioning value for h2(v_x, x_{t0}) is today's [value]. *)
-    let score v = h ~now ~last:value ~value:v in
-    let candidates = if hit then cached else value :: cached in
-    let scored = List.map (fun v -> (score v, v)) candidates in
-    let ordered =
-      List.sort (fun (sa, va) (sb, vb) ->
-          match Float.compare sb sa with 0 -> Int.compare vb va | c -> c)
-        scored
-    in
-    List.filteri (fun i _ -> i < capacity) ordered |> List.map snd
+    keep_best ~capacity ~score:(fun v -> h ~now ~last:value ~value:v) ~cached
+      ~value ~hit
   in
   { Policy.cname = name; access }

@@ -16,9 +16,12 @@
       by offset and each distinct offset is computed once per run;
     - curve/surface lookups from {!Precompute} for random walks and AR(1).
 
+    The joining variants are {!Policy.scored} policies: each is one
+    scoring kernel over the step's candidates.
+
     Predictors passed to the constructors must be positioned *before* the
-    first simulated arrival (their [time] is [now − 1] when [select] is
-    first called with [now]); the policy observes every arrival itself. *)
+    first simulated arrival (their [time] is [now − 1] when the policy
+    first steps at [now]); the policy observes every arrival itself. *)
 
 type mode =
   [ `Direct

@@ -37,17 +37,15 @@ let observe_selection (scores : float array) (sorted : int array) ~n ~k
   if k < sorted_n && scores.(sorted.(k - 1)) = scores.(sorted.(k)) then
     Obs.Counter.incr m_boundary_ties
 
-(* Engine-owned cache buffer for the array-native fast path: the current
-   cache contents, best-first, as parallel int arrays
-   [uids.(0 .. n-1)] / [values.(0 .. n-1)].  The uid encodes the rest of
-   the tuple (uid = 2·arrival + side bit), so two unboxed arrays carry
-   the whole cache: scoring loops read sequential machine ints and the
-   per-step rewrite of the selection never touches the pointer write
-   barrier.  The remaining fields describe the step that produced the
-   contents — the previous cache's diff against them — so the join index
-   can be maintained in O(changes) instead of rescanning both caches.
-   [evicted_n = -1] means the diff was not computed (heap-selection
-   path) and the caller must fall back to a full two-sided sweep. *)
+(* Engine-owned cache buffer: the current cache contents, best-first, as
+   parallel int arrays [uids.(0 .. n-1)] / [values.(0 .. n-1)].  The uid
+   encodes the rest of the tuple (uid = 2·arrival + side bit), so two
+   unboxed arrays carry the whole cache: scoring loops read sequential
+   machine ints and the per-step rewrite of the selection never touches
+   the pointer write barrier.  The remaining fields describe the step
+   that produced the contents — the previous cache's diff against them —
+   so the join index can be maintained in O(changes) instead of
+   rescanning both caches. *)
 type buffer = {
   mutable uids : int array;
   mutable values : int array;
@@ -65,17 +63,39 @@ let buffer () =
     values = [||];
     n = 0;
     evicted = [||];
-    evicted_n = -1;
+    evicted_n = 0;
     kept_r = false;
     kept_s = false;
   }
 
-(* Empty-selection step: what a fast path records when capacity <= 0. *)
-let clear (dst : buffer) =
-  dst.n <- 0;
-  dst.evicted_n <- 0;
-  dst.kept_r <- false;
-  dst.kept_s <- false
+(* Room for [n] entries and [n] evictions; the old contents are
+   dropped. *)
+let reserve (b : buffer) n =
+  if Array.length b.uids < n then begin
+    let cap = max 16 (2 * n) in
+    b.uids <- Array.make cap 0;
+    b.values <- Array.make cap 0;
+    b.evicted <- Array.make cap 0
+  end
+
+(* Write [ts] as the contents of [b], in list order. *)
+let write_tuples (b : buffer) ts =
+  let n = List.length ts in
+  reserve b n;
+  List.iteri
+    (fun i (t : Tuple.t) ->
+      b.uids.(i) <- t.uid;
+      b.values.(i) <- t.value)
+    ts;
+  b.n <- n
+
+let of_tuples ts =
+  let b = buffer () in
+  write_tuples b ts;
+  b
+
+let tuples (b : buffer) =
+  List.init b.n (fun i -> Tuple.of_uid ~uid:b.uids.(i) ~value:b.values.(i))
 
 type fast_select =
   src:buffer ->
@@ -97,7 +117,30 @@ type join = {
   fast : fast_select option;
 }
 
-let make_join ~name ?fast select = { name; select; fast }
+let make_join ~name select = { name; select; fast = None }
+
+(* A plan-based policy's [select] as a buffer step: the cache goes out as
+   tuples and the plan comes back in the order the policy returned it.
+   The diff is the cached positions whose uid the plan dropped; plans
+   are small (FlowExpect, scripted tests), so a list scan per cached
+   tuple is enough.  An invalid plan still yields a well-formed buffer,
+   so the engine's validator reports it. *)
+let fast_of_select select ~src ~dst ~now ~(r : Tuple.t) ~(s : Tuple.t)
+    ~capacity =
+  let kept = select ~now ~cached:(tuples src) ~arrivals:[ r; s ] ~capacity in
+  reserve dst (max (List.length kept) src.n);
+  write_tuples dst kept;
+  let mem uid = List.exists (fun (t : Tuple.t) -> t.uid = uid) kept in
+  dst.kept_r <- mem r.uid;
+  dst.kept_s <- mem s.uid;
+  let en = ref 0 in
+  for i = 0 to src.n - 1 do
+    if not (mem src.uids.(i)) then begin
+      dst.evicted.(!en) <- i;
+      incr en
+    end
+  done;
+  dst.evicted_n <- !en
 
 type cache = {
   cname : string;
@@ -123,39 +166,19 @@ let validate_join_selection ~cached ~arrivals ~capacity result =
     if dup sorted then Error "selection contains duplicates" else Ok ()
   end
 
-let newer_first a b = Int.compare b.Tuple.uid a.Tuple.uid
-
-(* Reference implementation: full sort of the scored candidates.  Kept as
-   the oracle for the property tests of the bounded-selection version
-   below; both return the survivors best-first and agree exactly whenever
-   (score, tie) is a total order — which every shipped policy guarantees
-   (ties fall back to distinct uids). *)
-let keep_top_spec ~capacity ~score ~tie candidates =
-  if capacity <= 0 then []
-  else begin
-    let scored = List.map (fun t -> (score t, t)) candidates in
-    let ordered =
-      List.sort
-        (fun (sa, ta) (sb, tb) ->
-          match Float.compare sb sa with 0 -> tie ta tb | c -> c)
-        scored
-    in
-    List.filteri (fun i _ -> i < capacity) ordered |> List.map snd
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Bounded selection with reusable scratch                             *)
+(* Scored policies: one scoring kernel, one selection routine          *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-policy scratch buffers: candidates, their scores (unboxed float
-   array) and uids live in flat arrays reused across steps, so a
-   selection allocates only the result list.  A selector belongs to one
-   policy instance and must not be shared across domains — the parallel
-   runner builds one policy (hence one selector) per trace. *)
+(* Per-policy scratch: the step's candidates (cache, then the R and S
+   arrivals) as unboxed uid/value/score arrays reused across steps, plus
+   the sort's work arrays.  A selector belongs to one policy instance and
+   must not be shared across domains — the parallel runner builds one
+   policy (hence one selector) per trace. *)
 type selector = {
-  mutable items : Tuple.t array;
-  mutable scores : float array;
   mutable uids : int array;
+  mutable values : int array;
+  mutable scores : float array;
   mutable order : int array;
   mutable scratch : int array;
   mutable runs : int array; (* run boundaries, length >= n + 1 *)
@@ -164,56 +187,31 @@ type selector = {
 
 let selector () =
   {
-    items = [||];
-    scores = [||];
     uids = [||];
+    values = [||];
+    scores = [||];
     order = [||];
     scratch = [||];
     runs = [||];
     heap = [||];
   }
 
-let dummy = Tuple.make ~side:Tuple.R ~value:0 ~arrival:0
-
-(* Growth preserves the filled prefix of items/scores/uids: [fill] below
-   grows mid-stream, once the candidate count outruns the buffers. *)
 let ensure sel n =
-  let old = Array.length sel.items in
-  if old < n then begin
-    let cap = max 16 (max n (2 * old)) in
-    let items = Array.make cap dummy
-    and scores = Array.make cap 0.0
-    and uids = Array.make cap 0 in
-    Array.blit sel.items 0 items 0 old;
-    Array.blit sel.scores 0 scores 0 old;
-    Array.blit sel.uids 0 uids 0 old;
-    sel.items <- items;
-    sel.scores <- scores;
-    sel.uids <- uids;
+  if Array.length sel.uids < n then begin
+    let cap = max 16 (2 * n) in
+    sel.uids <- Array.make cap 0;
+    sel.values <- Array.make cap 0;
+    sel.scores <- Array.make cap 0.0;
     sel.order <- Array.make cap 0;
     sel.scratch <- Array.make cap 0;
     sel.runs <- Array.make (cap + 1) 0
   end
 
-(* Append the list's tuples (and their uids and scores) starting at slot
-   [i]; returns the next free slot.  Scores are computed left-to-right,
-   so a stateful [score] (RAND's RNG draws) sees the candidates in the
-   same order as the spec's [List.map].  Top-level recursion to avoid a
-   per-call closure. *)
-let rec fill sel (score : Tuple.t -> float) i = function
-  | [] -> i
-  | (t : Tuple.t) :: rest ->
-    if i >= Array.length sel.items then ensure sel (i + 1);
-    Array.unsafe_set sel.items i t;
-    Array.unsafe_set sel.uids i t.Tuple.uid;
-    Array.unsafe_set sel.scores i (score t);
-    fill sel score (i + 1) rest
-
 (* [before scores uids a b]: candidate index [a] strictly precedes [b] in
    best-first order — higher score first, then higher (newer) uid.  This
-   is exactly [Float.compare s_b s_a < 0 || (= 0 && newer_first a b < 0)]
-   with Float.compare's total order (NaN below every number) spelled out
-   as monomorphic float tests, so the sort below runs without closure
+   is exactly [Float.compare s_b s_a < 0 || (= 0 && uid_a > uid_b)] with
+   Float.compare's total order (NaN below every number) spelled out as
+   monomorphic float tests, so the sort below runs without closure
    dispatch or boxing. *)
 let before (scores : float array) (uids : int array) (a : int) (b : int) =
   let sa = Array.unsafe_get scores a and sb = Array.unsafe_get scores b in
@@ -357,14 +355,6 @@ let sort_candidates (scores : float array) (uids : int array)
     !src
   end
 
-let rec build_result (items : Tuple.t array) (order : int array) i acc =
-  if i < 0 then acc
-  else
-    build_result items order (i - 1)
-      (Array.unsafe_get items (Array.unsafe_get order i) :: acc)
-
-let result_of_prefix items order k = build_result items order (k - 1) []
-
 (* Best-first indices of the top [capacity] of [n] filled candidates:
    returns the array holding them (prefix of length [min n capacity]).
    Assumes [n > 0], [capacity > 0] and [ensure sel n] done. *)
@@ -422,103 +412,108 @@ let top_indices sel (scores : float array) (uids : int array) n capacity =
     sort_candidates scores uids heap sel.scratch sel.runs capacity
   end
 
-let select_top sel ~capacity ~score ~tie ~cached ~arrivals =
-  if capacity <= 0 then []
-  else if tie != newer_first then
-    (* The optimized path bakes the newer-first tie into its comparison;
-       any other comparator takes the reference implementation.  Every
-       in-repo policy passes [newer_first]. *)
-    keep_top_spec ~capacity ~score ~tie (cached @ arrivals)
+(* Record dropped candidate [idx] in [dst]'s diff; returns the new
+   eviction count.  Top level, so the loops below allocate no closure. *)
+let drop (dst : buffer) ~n0 en idx =
+  if idx < n0 then begin
+    Array.unsafe_set dst.evicted en idx;
+    en + 1
+  end
   else begin
-    (* Candidate order is cached-then-arrivals with scores computed
-       left-to-right — exactly the spec's [List.map score] over
-       [cached @ arrivals], so stateful scores (RAND's RNG draws) see
-       the same sequence. *)
-    let n_cached = fill sel score 0 cached in
-    let n = fill sel score n_cached arrivals in
-    if n = 0 then []
-    else begin
-      let sorted = top_indices sel sel.scores sel.uids n capacity in
-      let k = if n < capacity then n else capacity in
-      if Obs.on () then
-        observe_selection sel.scores sorted ~n ~k
-          ~sorted_n:(if n <= 2 * capacity then n else capacity);
-      result_of_prefix sel.items sorted k
-    end
+    if idx = n0 then dst.kept_r <- false else dst.kept_s <- false;
+    en
   end
 
-let keep_top ~capacity ~score ~tie candidates =
-  if tie == newer_first then
-    select_top (selector ()) ~capacity ~score ~tie ~cached:candidates
-      ~arrivals:[]
-  else keep_top_spec ~capacity ~score ~tie candidates
-
-(* Scratch accessor for policies that fill the score/uid arrays with a
-   specialized loop (no per-candidate closure call) before calling
-   {!select_prescored}.  Ensures room for [n] candidates. *)
-let scratch sel n =
-  ensure sel n;
-  (sel.scores, sel.uids)
-
-(* Selection tail shared by the policies' scoring loops: candidate [i]
-   is [src.uids/values.(i)] for [i < src.n], then [r], then [s] —
-   positional, so a step writes only machine ints (no pointer stores,
-   no write barrier).  Requires [capacity > 0] and the first
-   [src.n + 2] slots of the scratch pair filled in that order. *)
-let select_prescored sel ~capacity ~(src : buffer) ~(dst : buffer)
-    (r : Tuple.t) (s : Tuple.t) =
-  let n0 = src.n in
+(* The one selection routine: keep the best [capacity] of the [n0 + 2]
+   scored candidates in [sel] (cache positions [0 .. n0-1], then R, then
+   S), write them best-first into [dst] and record the step's diff.
+   Requires [capacity > 0]. *)
+let select_prescored sel ~capacity ~n0 ~(dst : buffer) =
   let n = n0 + 2 in
-  let scores = sel.scores and uids = sel.uids in
-  let svalues = src.values in
-  begin
-    let sorted = top_indices sel scores uids n capacity in
-    let k = if n < capacity then n else capacity in
-    if Obs.on () then
-      observe_selection scores sorted ~n ~k
-        ~sorted_n:(if n <= 2 * capacity then n else capacity);
-    if Array.length dst.uids < k then begin
-      let cap = max 16 (2 * k) in
-      dst.uids <- Array.make cap 0;
-      dst.values <- Array.make cap 0
-    end;
-    let out_u = dst.uids and out_v = dst.values in
-    dst.kept_r <- false;
-    dst.kept_s <- false;
+  let scores = sel.scores and uids = sel.uids and values = sel.values in
+  let sorted = top_indices sel scores uids n capacity in
+  let k = if n < capacity then n else capacity in
+  if Obs.on () then
+    observe_selection scores sorted ~n ~k
+      ~sorted_n:(if n <= 2 * capacity then n else capacity);
+  reserve dst n;
+  let out_u = dst.uids and out_v = dst.values in
+  for j = 0 to k - 1 do
+    let idx = Array.unsafe_get sorted j in
+    Array.unsafe_set out_u j (Array.unsafe_get uids idx);
+    Array.unsafe_set out_v j (Array.unsafe_get values idx)
+  done;
+  dst.n <- k;
+  dst.kept_r <- true;
+  dst.kept_s <- true;
+  let en = ref 0 in
+  if n <= 2 * capacity then
+    (* Full-sort path: [sorted] holds all [n] candidates, so its suffix
+       is exactly the dropped set — in the steady state two tuples. *)
+    for j = k to n - 1 do
+      en := drop dst ~n0 !en (Array.unsafe_get sorted j)
+    done
+  else begin
+    (* Heap path: only the survivors were ordered; mark them in the
+       (here unused) [order] array and sweep the candidates once. *)
+    let mark = sel.order in
+    Array.fill mark 0 n 0;
     for j = 0 to k - 1 do
-      let idx = Array.unsafe_get sorted j in
-      (* The scratch uids already hold every candidate's uid. *)
-      Array.unsafe_set out_u j (Array.unsafe_get uids idx);
-      let v =
-        if idx < n0 then Array.unsafe_get svalues idx
-        else if idx = n0 then begin
-          dst.kept_r <- true;
-          r.Tuple.value
-        end
-        else begin
-          dst.kept_s <- true;
-          s.Tuple.value
-        end
-      in
-      Array.unsafe_set out_v j v
+      Array.unsafe_set mark (Array.unsafe_get sorted j) 1
     done;
-    dst.n <- k;
-    if n <= 2 * capacity then begin
-      (* Full-sort path: [sorted] holds all [n] candidates, so its suffix
-         is exactly the dropped set — in the steady state two tuples, and
-         the join index can be maintained in O(diff). *)
-      if Array.length dst.evicted < n - k then
-        dst.evicted <- Array.make (max 16 (2 * (n - k))) 0;
-      let ev = dst.evicted in
-      let en = ref 0 in
-      for j = k to n - 1 do
-        let idx = Array.unsafe_get sorted j in
-        if idx < n0 then begin
-          Array.unsafe_set ev !en idx;
-          incr en
-        end
+    for idx = 0 to n - 1 do
+      if Array.unsafe_get mark idx = 0 then en := drop dst ~n0 !en idx
+    done
+  end;
+  dst.evicted_n <- !en
+
+type kernel =
+  now:int -> n:int -> uids:int array -> values:int array -> scores:float array ->
+  unit
+
+let scored ~name ?observe ?after (kernel : kernel) =
+  let sel = selector () in
+  let fast ~(src : buffer) ~(dst : buffer) ~now ~(r : Tuple.t) ~(s : Tuple.t)
+      ~capacity =
+    (match observe with Some f -> f ~r ~s | None -> ());
+    let n0 = src.n in
+    if capacity <= 0 then begin
+      (* Empty selection: every cached tuple and both arrivals drop. *)
+      reserve dst n0;
+      for i = 0 to n0 - 1 do
+        dst.evicted.(i) <- i
       done;
-      dst.evicted_n <- !en
+      dst.evicted_n <- n0;
+      dst.n <- 0;
+      dst.kept_r <- false;
+      dst.kept_s <- false
     end
-    else dst.evicted_n <- -1 (* heap path: dropped set not enumerated *)
-  end
+    else begin
+      let n = n0 + 2 in
+      ensure sel n;
+      let su = src.uids and sv = src.values in
+      let cu = sel.uids and cv = sel.values in
+      for i = 0 to n0 - 1 do
+        Array.unsafe_set cu i (Array.unsafe_get su i);
+        Array.unsafe_set cv i (Array.unsafe_get sv i)
+      done;
+      sel.uids.(n0) <- r.uid;
+      sel.values.(n0) <- r.value;
+      sel.uids.(n0 + 1) <- s.uid;
+      sel.values.(n0 + 1) <- s.value;
+      kernel ~now ~n ~uids:sel.uids ~values:sel.values ~scores:sel.scores;
+      select_prescored sel ~capacity ~n0 ~dst
+    end;
+    match after with Some f -> f ~now ~src ~dst | None -> ()
+  in
+  (* List callers (the reference simulator, tests) step through the same
+     code on a buffer built from the list. *)
+  let select ~now ~cached ~arrivals ~capacity =
+    match arrivals with
+    | [ r; s ] ->
+      let dst = buffer () in
+      fast ~src:(of_tuples cached) ~dst ~now ~r ~s ~capacity;
+      tuples dst
+    | _ -> invalid_arg "Policy.scored: a step takes two arrivals, R then S"
+  in
+  { name; select; fast = Some fast }

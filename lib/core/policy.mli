@@ -1,9 +1,9 @@
 (** The unified cache-replacement-policy interface — Section 3.3's
     algorithm signature made executable.
 
-    A policy is a stateful decision procedure.  The simulator calls
-    [select] exactly once per time step, in time order, with the current
-    cache contents and the new arrivals; the policy returns the new cache
+    A policy is a stateful decision procedure.  The simulator steps it
+    exactly once per time step, in time order, with the current cache
+    contents and the new arrivals; the policy decides the new cache
     contents (a subset of cached ∪ arrivals of size ≤ capacity).  State
     (history counts, predictors, incremental H values) lives inside the
     closure.
@@ -21,23 +21,24 @@ type buffer = {
   mutable kept_r : bool;
   mutable kept_s : bool;
 }
-(** Engine-owned cache buffer for the array-native fast path: current
-    cache contents, best-first, as parallel unboxed arrays
-    [uids.(0 .. n-1)] / [values.(0 .. n-1)].  The uid encodes the rest
-    of the tuple ([uid = 2·arrival + side] with side R = 0, S = 1), so
-    the two int arrays carry the whole cache without pointer stores.
-    The remaining fields report the diff of the step that produced the
-    contents — [evicted.(0 .. evicted_n-1)] are the *positions in the
-    previous buffer* of the cached tuples dropped, [kept_r]/[kept_s]
-    whether each arrival entered — letting the engine maintain its join
-    index in O(changes).  [evicted_n = -1] means the diff was not
-    computed and the caller must compare the two buffers itself. *)
+(** Engine-owned cache buffer: current cache contents, best-first, as
+    parallel unboxed arrays [uids.(0 .. n-1)] / [values.(0 .. n-1)].
+    The uid encodes the rest of the tuple ([uid = 2·arrival + side] with
+    side R = 0, S = 1), so the two int arrays carry the whole cache
+    without pointer stores.  The remaining fields report the diff of the
+    step that produced the contents — [evicted.(0 .. evicted_n-1)] are
+    the *positions in the previous buffer* of the cached tuples dropped,
+    [kept_r]/[kept_s] whether each arrival entered — letting the engine
+    maintain its join index in O(changes).  Every step records it. *)
 
 val buffer : unit -> buffer
 
-val clear : buffer -> unit
-(** Record an empty selection step (what a fast path does when
-    [capacity <= 0]): no contents, empty diff. *)
+val of_tuples : Ssj_stream.Tuple.t list -> buffer
+(** A buffer holding the tuples in list order, with an empty diff. *)
+
+val tuples : buffer -> Ssj_stream.Tuple.t list
+(** The buffer's contents as tuples, in buffer order — exact, via
+    {!Ssj_stream.Tuple.of_uid}. *)
 
 type fast_select =
   src:buffer ->
@@ -47,10 +48,8 @@ type fast_select =
   s:Ssj_stream.Tuple.t ->
   capacity:int ->
   unit
-(** Array-native step: read the cache from [src], write the new selection
-    (best-first) into [dst].  Must decide exactly as the policy's [select]
-    would on the same state — the simulator picks one path per run and the
-    test suite cross-checks them. *)
+(** One engine step: read the cache from [src], write the new selection
+    into [dst] together with its diff. *)
 
 type join = {
   name : string;
@@ -61,17 +60,77 @@ type join = {
     capacity:int ->
     Ssj_stream.Tuple.t list;
   fast : fast_select option;
-      (** allocation-free per-step variant; [None] falls back to [select] *)
+      (** the buffer step; [None] for plan-based policies, which the
+          engine runs through {!fast_of_select} *)
 }
+(** A joining policy.  Two shapes exist:
+
+    - {e scored} ({!scored}): give each candidate a score, keep the
+      [capacity] best.  [fast] is the policy; [select] is a list adapter
+      over it for list-based callers.
+    - {e plan-based} ({!make_join}): [select] returns the new cache
+      contents directly (FlowExpect, scripted test policies).
+
+    [select ~now ~cached ~arrivals ~capacity] returns a subset of
+    [cached ∪ arrivals] of size ≤ [capacity]; scored policies require
+    [arrivals = [r; s]]. *)
 
 val make_join :
-  name:string -> ?fast:fast_select ->
+  name:string ->
   (now:int ->
   cached:Ssj_stream.Tuple.t list ->
   arrivals:Ssj_stream.Tuple.t list ->
   capacity:int ->
   Ssj_stream.Tuple.t list) ->
   join
+(** A plan-based policy ([fast = None]). *)
+
+val fast_of_select :
+  (now:int ->
+  cached:Ssj_stream.Tuple.t list ->
+  arrivals:Ssj_stream.Tuple.t list ->
+  capacity:int ->
+  Ssj_stream.Tuple.t list) ->
+  fast_select
+(** A plan-based policy's [select] as an engine step: the cache is
+    passed as tuples and the plan is written back in the order the
+    policy returned it, with the diff against [src]: the cached
+    positions whose uid the plan dropped, and whether each arrival
+    entered. *)
+
+type kernel =
+  now:int ->
+  n:int ->
+  uids:int array ->
+  values:int array ->
+  scores:float array ->
+  unit
+(** A scored policy's scoring: fill [scores.(0 .. n-1)] for the
+    candidates [uids/values.(0 .. n-1)] — the cached tuples first, then
+    the R arrival, then the S arrival.  One call per step, so the loop
+    over candidates runs without a closure call or float boxing per
+    candidate.  Stateful kernels (RAND's draws) see the candidates in
+    that order. *)
+
+val scored :
+  name:string ->
+  ?observe:(r:Ssj_stream.Tuple.t -> s:Ssj_stream.Tuple.t -> unit) ->
+  ?after:(now:int -> src:buffer -> dst:buffer -> unit) ->
+  kernel ->
+  join
+(** [scored ~name ?observe ?after kernel] is the one way to write a
+    scored policy.  Each step:
+
+    + [observe ~r ~s] sees the two arrivals (history, predictors);
+    + with [capacity > 0], the candidates are copied into scratch
+      arrays, [kernel] scores them and the [capacity] best are kept,
+      best-first: higher score first, ties to the newer (higher) uid;
+    + [after ~now ~src ~dst] sees the result (state pruning, learning
+      from evictions).
+
+    The step records the exact diff.  Scratch
+    arrays belong to the policy instance; do not share one across
+    domains. *)
 
 type cache = {
   cname : string;
@@ -91,78 +150,3 @@ val validate_join_selection :
   (unit, string) result
 (** Simulator-side sanity check: result ⊆ candidates, no duplicates,
     within capacity. *)
-
-val keep_top :
-  capacity:int ->
-  score:(Ssj_stream.Tuple.t -> float) ->
-  tie:(Ssj_stream.Tuple.t -> Ssj_stream.Tuple.t -> int) ->
-  Ssj_stream.Tuple.t list ->
-  Ssj_stream.Tuple.t list
-(** Shared helper: keep the [capacity] candidates with the highest score,
-    best-first; [tie] is a comparator breaking score ties (negative means
-    the first argument is preferred, i.e. kept ahead of the second).
-    [score] is called exactly once per candidate, in list order, so
-    stateful scores (e.g. RAND's RNG draws) behave deterministically.
-    Implemented as a bounded selection — a size-[capacity] heap when the
-    candidate set is much larger than the capacity, a flat array sort
-    otherwise — and agrees exactly with {!keep_top_spec} whenever
-    (score, tie) induces a total order. *)
-
-val keep_top_spec :
-  capacity:int ->
-  score:(Ssj_stream.Tuple.t -> float) ->
-  tie:(Ssj_stream.Tuple.t -> Ssj_stream.Tuple.t -> int) ->
-  Ssj_stream.Tuple.t list ->
-  Ssj_stream.Tuple.t list
-(** Reference implementation of {!keep_top} by full stable sort; the
-    oracle for the property tests.  O(n log n) and allocation-heavy —
-    use {!keep_top} everywhere else. *)
-
-type selector
-(** Reusable scratch buffers for {!select_top}.  A selector belongs to a
-    single policy instance (policies already own per-instance state) and
-    must not be shared across domains; the parallel runner instantiates
-    one policy — hence one selector — per trace. *)
-
-val selector : unit -> selector
-
-val select_top :
-  selector ->
-  capacity:int ->
-  score:(Ssj_stream.Tuple.t -> float) ->
-  tie:(Ssj_stream.Tuple.t -> Ssj_stream.Tuple.t -> int) ->
-  cached:Ssj_stream.Tuple.t list ->
-  arrivals:Ssj_stream.Tuple.t list ->
-  Ssj_stream.Tuple.t list
-(** [select_top sel ~capacity ~score ~tie ~cached ~arrivals] equals
-    [keep_top ~capacity ~score ~tie (cached @ arrivals)] but reuses
-    [sel]'s buffers and skips the list append, allocating only the
-    result list.  The per-step workhorse of every scored policy.
-
-    When [tie] is (physically) {!newer_first} — true of every in-repo
-    policy — selection runs on a closure-free adaptive merge sort over
-    unboxed score/uid arrays; any other comparator falls back to
-    {!keep_top_spec}.  Results are identical either way. *)
-
-val scratch : selector -> int -> float array * int array
-(** [scratch sel n] makes room for [n] candidates and returns the
-    (scores, uids) scratch pair.  For policies whose {!fast_select}
-    scores with a specialized loop — no per-candidate closure call or
-    float boxing — before handing over to {!select_prescored}.  The
-    arrays are invalidated by the next [scratch] call that grows them. *)
-
-val select_prescored :
-  selector ->
-  capacity:int ->
-  src:buffer ->
-  dst:buffer ->
-  Ssj_stream.Tuple.t ->
-  Ssj_stream.Tuple.t ->
-  unit
-(** Selection tail behind every {!fast_select}: requires [capacity > 0]
-    and slots [0 .. src.n + 1] of the {!scratch} pair filled with the
-    candidates' scores and uids — [src]'s contents first, then the two
-    arrivals, in that order (the same order the list path scores in). *)
-
-val newer_first : Ssj_stream.Tuple.t -> Ssj_stream.Tuple.t -> int
-(** Standard tie-break: prefer later arrivals (deterministic). *)

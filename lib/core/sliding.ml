@@ -3,35 +3,33 @@ open Ssj_model
 
 let heeb ?name ~r ~s ~alpha ~window () =
   let base = Lfun.exp_ ~alpha in
+  let width = Window.width window in
   let r_pred = ref r and s_pred = ref s in
-  let sel = Policy.selector () in
   let name =
     match name with
     | Some n -> n
-    | None -> Printf.sprintf "HEEB-W(a=%.3g,w=%d)" alpha (Window.width window)
+    | None -> Printf.sprintf "HEEB-W(a=%.3g,w=%d)" alpha width
   in
-  let select ~now ~cached ~arrivals ~capacity =
-    List.iter
-      (fun (t : Tuple.t) ->
-        match t.Tuple.side with
-        | Tuple.R -> r_pred := !r_pred.Predictor.observe t.Tuple.value
-        | Tuple.S -> s_pred := !s_pred.Predictor.observe t.Tuple.value)
-      arrivals;
-    let score (t : Tuple.t) =
-      let remaining = Window.remaining_lifetime window ~now t in
-      if remaining <= 0 then Float.neg_infinity
-      else begin
-        let l = Lfun.windowed base ~remaining in
-        let partner =
-          match t.Tuple.side with Tuple.R -> !s_pred | Tuple.S -> !r_pred
-        in
-        Hvalue.joining ~partner ~l ~value:t.Tuple.value
-      end
-    in
-    Policy.select_top sel ~capacity ~score ~tie:Policy.newer_first ~cached
-      ~arrivals
+  let note (t : Tuple.t) =
+    match t.Tuple.side with
+    | Tuple.R -> r_pred := !r_pred.Predictor.observe t.Tuple.value
+    | Tuple.S -> s_pred := !s_pred.Predictor.observe t.Tuple.value
   in
-  Policy.make_join ~name select
+  let observe ~r ~s =
+    note r;
+    note s
+  in
+  Policy.scored ~name ~observe (fun ~now ~n ~uids ~values ~scores ->
+      for i = 0 to n - 1 do
+        let remaining = Window.remaining_at window ~now ~arrival:(uids.(i) asr 1) in
+        scores.(i) <-
+          (if remaining <= 0 then Float.neg_infinity
+           else
+             let partner = if uids.(i) land 1 = 0 then !s_pred else !r_pred in
+             Hvalue.joining ~partner
+               ~l:(Lfun.windowed base ~remaining)
+               ~value:values.(i))
+      done)
 
 let stationary_score ~alpha ~p ~remaining_lifetime =
   if remaining_lifetime <= 0 then 0.0

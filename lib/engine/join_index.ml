@@ -1,16 +1,14 @@
 open Ssj_stream
 
-(* Per-uid state packed into one word: [stamp lsl 2 | in_cache lsl 1 |
-   counted].  "counted" means in the cache AND inside the window, i.e.
-   contributing to the value-count tables.  One flat array keeps the
-   per-step diff down to a single load/store per tuple. *)
+(* [counted.(uid) = 1] iff the tuple is in the cache AND inside the
+   window, i.e. contributing to the value-count tables.  One flat array
+   keeps the per-step diff down to a single load/store per tuple. *)
 type t = {
   band : int;
   window : Window.t option;
   counts_r : Ssj_prob.Itab.t; (* value -> # counted R tuples *)
   counts_s : Ssj_prob.Itab.t;
-  mutable state : int array;
-  mutable gen : int;
+  mutable counted : int array;
   expiry : Tuple.t Queue.t; (* counted tuples in arrival order; window only *)
 }
 
@@ -24,12 +22,12 @@ let create ?window ?(band = 0) ~length () =
     window;
     counts_r = Ssj_prob.Itab.create ~size:256 ();
     counts_s = Ssj_prob.Itab.create ~size:256 ();
-    state = Array.make cap 0;
-    gen = 0;
+    counted = Array.make cap 0;
     expiry = Queue.create ();
   }
 
 let counts t = function Tuple.R -> t.counts_r | Tuple.S -> t.counts_s
+let counts_bit t bit = if bit = 0 then t.counts_r else t.counts_s
 
 (* Conformance fault hook: shifts the band probe window by a constant,
    turning the O(band) counting path into an off-by-[skew] fast-path bug
@@ -44,21 +42,20 @@ end
 
 let grow t uid =
   if uid < 0 then invalid_arg "Join_index: negative uid";
-  let cap = Array.length t.state in
+  let cap = Array.length t.counted in
   let cap' = max (uid + 1) (2 * cap) in
-  let state = Array.make cap' 0 in
-  Array.blit t.state 0 state 0 cap;
-  t.state <- state
+  let counted = Array.make cap' 0 in
+  Array.blit t.counted 0 counted 0 cap;
+  t.counted <- counted
 
 let rec expire t w ~now =
   if not (Queue.is_empty t.expiry) then begin
     let (tuple : Tuple.t) = Queue.peek t.expiry in
     if not (Window.inside w ~now tuple) then begin
       ignore (Queue.pop t.expiry);
-      (let st = t.state in
-       let w = Array.unsafe_get st tuple.uid in
-       if w land 1 = 1 then begin
-         Array.unsafe_set st tuple.uid (w lxor 1);
+      (let st = t.counted in
+       if Array.unsafe_get st tuple.uid = 1 then begin
+         Array.unsafe_set st tuple.uid 0;
          Ssj_prob.Itab.decr (counts t tuple.side) tuple.value
        end);
       expire t w ~now
@@ -78,120 +75,21 @@ let matches t ~now (arrival : Tuple.t) =
     !acc
   end
 
-(* Pass 1 over [next]: restamp survivors, count additions.  Additions are
-   this step's arrivals, so entering the expiry queue in call order keeps
-   it sorted by arrival time.  Top-level recursion: a local [let rec]
-   capturing [t] would allocate a closure per step. *)
-let rec stamp_pass t tag = function
-  | [] -> ()
-  | (tuple : Tuple.t) :: rest ->
-    let uid = tuple.uid in
-    if uid < 0 || uid >= Array.length t.state then grow t uid;
-    let st = t.state in
-    let w = Array.unsafe_get st uid in
-    if w land 2 = 0 then begin
-      Array.unsafe_set st uid (tag lor 3);
-      Ssj_prob.Itab.add (counts t tuple.side) tuple.value 1;
-      match t.window with
-      | Some _ -> Queue.push tuple t.expiry
-      | None -> ()
-    end
-    else Array.unsafe_set st uid (tag lor (w land 3));
-    stamp_pass t tag rest
-
-(* Pass 2 over [prev]: anything not restamped was evicted.  Every [prev]
-   tuple was a [next] tuple of an earlier update, so its uid is already
-   within [t.state]; the bound check only guards API misuse. *)
-let rec sweep_pass t gen = function
-  | [] -> ()
-  | (tuple : Tuple.t) :: rest ->
-    let uid = tuple.uid in
-    let st = t.state in
-    if uid >= 0 && uid < Array.length st then begin
-      let w = Array.unsafe_get st uid in
-      if w asr 2 <> gen then begin
-        Array.unsafe_set st uid 0;
-        if w land 1 = 1 then
-          Ssj_prob.Itab.decr (counts t tuple.side) tuple.value
-      end
-    end;
-    sweep_pass t gen rest
-
-let update t ~prev ~next =
-  let gen = t.gen + 1 in
-  t.gen <- gen;
-  stamp_pass t (gen lsl 2) next;
-  sweep_pass t gen prev
-
-(* Buffer twins of the two passes, for the engine's fast path: the cache
-   arrives as parallel uid/value int arrays (uid = 2·arrival + side bit).
-   Same stamping discipline, same table updates; a tuple is
-   reconstructed — exactly, the uid determines side and arrival — only
-   when an addition enters the expiry queue. *)
-let counts_bit t bit = if bit = 0 then t.counts_r else t.counts_s
-
-let stamp_soa t tag (uids : int array) (values : int array) n =
-  for i = 0 to n - 1 do
-    let uid = Array.unsafe_get uids i in
-    if uid < 0 || uid >= Array.length t.state then grow t uid;
-    let st = t.state in
-    let w = Array.unsafe_get st uid in
-    if w land 2 = 0 then begin
-      Array.unsafe_set st uid (tag lor 3);
-      let value = Array.unsafe_get values i in
-      Ssj_prob.Itab.add (counts_bit t (uid land 1)) value 1;
-      match t.window with
-      | Some _ ->
-        let side = if uid land 1 = 0 then Tuple.R else Tuple.S in
-        Queue.push (Tuple.make ~side ~value ~arrival:(uid asr 1)) t.expiry
-      | None -> ()
-    end
-    else Array.unsafe_set st uid (tag lor (w land 3))
-  done
-
-let sweep_soa t gen (uids : int array) (values : int array) n =
-  for i = 0 to n - 1 do
-    let uid = Array.unsafe_get uids i in
-    let st = t.state in
-    if uid >= 0 && uid < Array.length st then begin
-      let w = Array.unsafe_get st uid in
-      if w asr 2 <> gen then begin
-        Array.unsafe_set st uid 0;
-        if w land 1 = 1 then
-          Ssj_prob.Itab.decr
-            (counts_bit t (uid land 1))
-            (Array.unsafe_get values i)
-      end
-    end
-  done
-
-let update_arrays t ~prev_uids ~prev_values ~prev_n ~next_uids ~next_values
-    ~next_n =
-  let gen = t.gen + 1 in
-  t.gen <- gen;
-  stamp_soa t (gen lsl 2) next_uids next_values next_n;
-  sweep_soa t gen prev_uids prev_values prev_n
-
-(* O(diff) maintenance for callers that know exactly what changed (the
-   selection fast path): [insert] a newly cached arrival, [remove_id] an
-   evicted cache member.  Interchangeable step-by-step with {!update} —
-   the generation stamps the sweeps rely on stay consistent because
-   [insert] writes stamp 0 and every stamped pass restamps survivors. *)
+(* O(diff) maintenance from the step's diff: [insert] a newly cached
+   arrival, [remove_id] an evicted cache member.  Arrivals are inserted
+   in step order, so the expiry queue stays sorted by arrival time. *)
 let insert t (tuple : Tuple.t) =
   let uid = tuple.uid in
-  if uid < 0 || uid >= Array.length t.state then grow t uid;
-  Array.unsafe_set t.state uid 3;
+  if uid < 0 || uid >= Array.length t.counted then grow t uid;
+  Array.unsafe_set t.counted uid 1;
   Ssj_prob.Itab.add (counts t tuple.side) tuple.value 1;
   match t.window with Some _ -> Queue.push tuple t.expiry | None -> ()
 
 let remove_id t ~uid ~value =
-  let st = t.state in
-  if uid >= 0 && uid < Array.length st then begin
-    let w = Array.unsafe_get st uid in
+  let st = t.counted in
+  (* Uncount only if still counted: window expiry may already have
+     cleared the flag while the tuple sat in the cache. *)
+  if uid >= 0 && uid < Array.length st && Array.unsafe_get st uid = 1 then begin
     Array.unsafe_set st uid 0;
-    (* Uncount only if still counted: window expiry may already have
-       cleared the bit while the tuple sat in the cache. *)
-    if w land 1 = 1 then Ssj_prob.Itab.decr (counts_bit t (uid land 1)) value
+    Ssj_prob.Itab.decr (counts_bit t (uid land 1)) value
   end
-
-let remove t (tuple : Tuple.t) = remove_id t ~uid:tuple.uid ~value:tuple.value

@@ -26,8 +26,7 @@ let () =
 
 (* Soft per-run timeout: a run whose trace asks for more steps than the
    supervisor budgeted is aborted here rather than allowed to burn a
-   whole sweep's wall-clock.  Checked at the top of every step on both
-   join paths. *)
+   whole sweep's wall-clock.  Checked at the top of every step. *)
 let[@inline] check_budget ~policy ~budget ~now =
   match budget with
   | Some b when now >= b ->
@@ -66,15 +65,22 @@ let matches_in_cache ?window ?(band = 0) ~now cache (arrival : Tuple.t) =
       else acc)
     0 cache
 
-let r_share cache =
-  match cache with
-  | [] -> 0.0
-  | _ ->
-    let r =
-      List.length (List.filter (fun t -> t.Tuple.side = Tuple.R) cache)
-    in
-    float_of_int r /. float_of_int (List.length cache)
+(* Fraction of the cache held by R tuples (uid side bit 0). *)
+let r_share (b : Policy.buffer) =
+  if b.n = 0 then 0.0
+  else begin
+    let r = ref 0 in
+    for i = 0 to b.n - 1 do
+      if b.uids.(i) land 1 = 0 then incr r
+    done;
+    float_of_int !r /. float_of_int b.n
+  end
 
+(* The one step loop.  The cache lives in two engine-owned buffers
+   ping-ponged each step, so the loop itself allocates nothing; a
+   plan-based policy runs through [Policy.fast_of_select].  Validation,
+   the decision log and share sampling are per-step observers of the
+   buffers. *)
 let run_internal ~trace ~policy ~capacity ?(warmup = 0) ?window ?band
     ?record_share ?(validate = false) ?step_budget ~log () =
   let tlen = Trace.length trace in
@@ -82,106 +88,57 @@ let run_internal ~trace ~policy ~capacity ?(warmup = 0) ?window ?band
     match log with true -> Some (Array.make tlen []) | false -> None
   in
   let index = Join_index.create ?window ?band ~length:tlen () in
+  let name = policy.Policy.name in
+  let step =
+    match policy.Policy.fast with
+    | Some fast -> fast
+    | None -> Policy.fast_of_select policy.Policy.select
+  in
   let total = ref 0 and counted = ref 0 in
   let shares = ref [] in
-  (match policy.Policy.fast with
-  | Some fast when (not validate) && (not log) && record_share = None ->
-    (* Array-native path: the cache lives in two engine-owned buffers
-       ping-ponged each step, so the hot loop allocates nothing. *)
-    let src = ref (Policy.buffer ()) and dst = ref (Policy.buffer ()) in
-    for now = 0 to tlen - 1 do
-      check_budget ~policy:policy.Policy.name ~budget:step_budget ~now;
-      let r_t, s_t = Trace.arrivals trace now in
-      let produced =
-        Join_index.matches index ~now r_t + Join_index.matches index ~now s_t
-      in
-      total := !total + produced;
-      if now >= warmup then counted := !counted + produced;
-      let src_b = !src and dst_b = !dst in
-      fast ~src:src_b ~dst:dst_b ~now ~r:r_t ~s:s_t ~capacity;
-      (let en = dst_b.Policy.evicted_n in
-       if en >= 0 then begin
-         (* The policy reported the exact step diff (at most two entries
-            either way in the steady state).  Evictions are positions in
-            the previous buffer. *)
-         if dst_b.Policy.kept_r then Join_index.insert index r_t;
-         if dst_b.Policy.kept_s then Join_index.insert index s_t;
-         let ev = dst_b.Policy.evicted in
-         let su = src_b.Policy.uids and sv = src_b.Policy.values in
-         for e = 0 to en - 1 do
-           let pos = Array.unsafe_get ev e in
-           Join_index.remove_id index
-             ~uid:(Array.unsafe_get su pos)
-             ~value:(Array.unsafe_get sv pos)
-         done
-       end
-       else
-         Join_index.update_arrays index ~prev_uids:src_b.Policy.uids
-           ~prev_values:src_b.Policy.values ~prev_n:src_b.Policy.n
-           ~next_uids:dst_b.Policy.uids ~next_values:dst_b.Policy.values
-           ~next_n:dst_b.Policy.n);
-      if Obs.on () then begin
-        let en = dst_b.Policy.evicted_n in
-        let evicted =
-          if en >= 0 then en
-          else
-            (* Heap-selection path: the diff was not enumerated, but the
-               cached-tuple eviction count follows from the sizes. *)
-            src_b.Policy.n
-            - (dst_b.Policy.n
-              - (if dst_b.Policy.kept_r then 1 else 0)
-              - (if dst_b.Policy.kept_s then 1 else 0))
-        in
-        observe_step ~now ~warmup ~produced ~occupancy:dst_b.Policy.n ~evicted
-      end;
-      src := dst_b;
-      dst := src_b
-    done
-  | Some _ | None ->
-    let cache = ref [] in
-    for now = 0 to tlen - 1 do
-      check_budget ~policy:policy.Policy.name ~budget:step_budget ~now;
-      let r_t, s_t = Trace.arrivals trace now in
-      let produced =
-        Join_index.matches index ~now r_t + Join_index.matches index ~now s_t
-      in
-      total := !total + produced;
-      if now >= warmup then counted := !counted + produced;
-      let arrivals = [ r_t; s_t ] in
-      let selection =
-        policy.Policy.select ~now ~cached:!cache ~arrivals ~capacity
-      in
-      if validate then begin
-        match
-          Policy.validate_join_selection ~cached:!cache ~arrivals ~capacity
-            selection
-        with
-        | Ok () -> ()
-        | Error msg ->
-          failwith
-            (Printf.sprintf "policy %s at t=%d: %s" policy.Policy.name now msg)
-      end;
-      if Obs.on () then begin
-        let nsel = List.length selection in
-        let kept_arrivals =
-          List.fold_left
-            (fun acc (t : Tuple.t) ->
-              if t.Tuple.uid = r_t.Tuple.uid || t.Tuple.uid = s_t.Tuple.uid
-              then acc + 1
-              else acc)
-            0 selection
-        in
-        let evicted = List.length !cache - (nsel - kept_arrivals) in
-        observe_step ~now ~warmup ~produced ~occupancy:nsel ~evicted
-      end;
-      Join_index.update index ~prev:!cache ~next:selection;
-      cache := selection;
-      (match decisions with Some d -> d.(now) <- selection | None -> ());
-      match record_share with
-      | Some every when every > 0 && now mod every = 0 ->
-        shares := (now, r_share !cache) :: !shares
-      | Some _ | None -> ()
-    done);
+  let src = ref (Policy.buffer ()) and dst = ref (Policy.buffer ()) in
+  for now = 0 to tlen - 1 do
+    check_budget ~policy:name ~budget:step_budget ~now;
+    let r_t, s_t = Trace.arrivals trace now in
+    let produced =
+      Join_index.matches index ~now r_t + Join_index.matches index ~now s_t
+    in
+    total := !total + produced;
+    if now >= warmup then counted := !counted + produced;
+    let src_b = !src and dst_b = !dst in
+    step ~src:src_b ~dst:dst_b ~now ~r:r_t ~s:s_t ~capacity;
+    if validate then begin
+      match
+        Policy.validate_join_selection ~cached:(Policy.tuples src_b)
+          ~arrivals:[ r_t; s_t ] ~capacity (Policy.tuples dst_b)
+      with
+      | Ok () -> ()
+      | Error msg -> failwith (Printf.sprintf "policy %s at t=%d: %s" name now msg)
+    end;
+    (* The step's diff: at most two entries either way in the steady
+       state.  Evictions are positions in the previous buffer. *)
+    if dst_b.Policy.kept_r then Join_index.insert index r_t;
+    if dst_b.Policy.kept_s then Join_index.insert index s_t;
+    let en = dst_b.Policy.evicted_n in
+    let ev = dst_b.Policy.evicted in
+    let su = src_b.Policy.uids and sv = src_b.Policy.values in
+    for e = 0 to en - 1 do
+      let pos = Array.unsafe_get ev e in
+      Join_index.remove_id index ~uid:(Array.unsafe_get su pos)
+        ~value:(Array.unsafe_get sv pos)
+    done;
+    if Obs.on () then
+      observe_step ~now ~warmup ~produced ~occupancy:dst_b.Policy.n ~evicted:en;
+    (match decisions with
+    | Some d -> d.(now) <- Policy.tuples dst_b
+    | None -> ());
+    (match record_share with
+    | Some every when every > 0 && now mod every = 0 ->
+      shares := (now, r_share dst_b) :: !shares
+    | Some _ | None -> ());
+    src := dst_b;
+    dst := src_b
+  done;
   ( {
       total_results = !total;
       counted_results = !counted;

@@ -35,9 +35,10 @@ val run :
   result
 (** [warmup] defaults to 0; [band] (default 0 = equijoin) switches to band
     semantics, matching tuples with [|v1 − v2| ≤ band]; [validate]
-    (default false) checks every selection returned by the policy and
-    raises [Failure] on a violation — used by the test suite, skipped in
-    benchmarks.  [step_budget] (default unlimited) aborts the run with
+    (default false) checks every step's selection against the cache and
+    the two arrivals and raises [Failure "policy <name> at t=<step>:
+    <violation>"] — used by the test suite, skipped in benchmarks.
+    [step_budget] (default unlimited) aborts the run with
     {!Step_budget_exceeded} once that many steps have executed — the
     supervised runner's per-run soft timeout. *)
 

@@ -9,6 +9,9 @@ let make ~side ~value ~arrival =
   let uid = (2 * arrival) + (match side with R -> 0 | S -> 1) in
   { side; value; arrival; uid }
 
+let of_uid ~uid ~value =
+  { side = (if uid land 1 = 0 then R else S); value; arrival = uid asr 1; uid }
+
 let compare a b = Int.compare a.uid b.uid
 let equal a b = a.uid = b.uid
 

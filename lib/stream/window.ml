@@ -6,5 +6,6 @@ let create ~width =
 
 let width t = t.width
 let inside t ~now tuple = tuple.Tuple.arrival >= now - t.width
-let remaining_lifetime t ~now tuple = tuple.Tuple.arrival + t.width - now
+let remaining_at t ~now ~arrival = arrival + t.width - now
+let remaining_lifetime t ~now tuple = remaining_at t ~now ~arrival:tuple.Tuple.arrival
 let unbounded = { width = max_int / 4 }

@@ -18,6 +18,10 @@ val inside : t -> now:int -> Tuple.t -> bool
 val remaining_lifetime : t -> now:int -> Tuple.t -> int
 (** [l(x)]; 0 or negative means expired. *)
 
+val remaining_at : t -> now:int -> arrival:int -> int
+(** [l(x)] from the arrival time alone, for callers holding a uid
+    rather than a tuple. *)
+
 val unbounded : t
 (** Regular join semantics expressed as an (effectively) infinite window —
     lets window-aware heuristics run unchanged on unwindowed problems. *)

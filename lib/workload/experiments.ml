@@ -650,7 +650,7 @@ let window_extension ?(out = std) opts =
           ~rng:(Rng.create (opts.seed + (811 * i)))
           ~length:opts.length)
   in
-  let lifetime = Baselines.Of_window { width = Window.width window } in
+  let lifetime = Baselines.Of_window window in
   let capacity = opts.capacity in
   let policies =
     [

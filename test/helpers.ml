@@ -19,3 +19,14 @@ let monte_carlo ~trials f =
     if f () then incr hits
   done;
   float_of_int !hits /. float_of_int trials
+
+(* The engine's one selection routine, driven through a scored policy
+   whose score is [score]: the last two candidates arrive, the rest are
+   the cache.  Needs at least two candidates. *)
+let keep_top ~capacity ~score candidates =
+  let policy = Ssj_core.Baselines.prob_model ~partner_prob:score () in
+  match List.rev candidates with
+  | s :: r :: rest ->
+    policy.Ssj_core.Policy.select ~now:0 ~cached:(List.rev rest)
+      ~arrivals:[ r; s ] ~capacity
+  | [ _ ] | [] -> invalid_arg "Helpers.keep_top: fewer than two candidates"

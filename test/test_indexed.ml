@@ -1,7 +1,8 @@
 (* Properties of the optimised simulation core against its reference
-   implementations: bounded selection vs full sort, the incremental join
-   index vs the naive cache scan, the buffer fast path vs the list path,
-   and the parallel runner vs sequential execution. *)
+   implementations: the selection routine vs full sort, the incremental
+   join index vs the naive cache scan, the buffer step vs the same
+   policy run as a plan over lists, and the parallel runner vs
+   sequential execution. *)
 
 open Ssj_prob
 open Ssj_stream
@@ -13,10 +14,10 @@ open Helpers
 let tup side value arrival = Tuple.make ~side ~value ~arrival
 let uids = List.map (fun t -> t.Tuple.uid)
 
-(* --- keep_top vs keep_top_spec -------------------------------------- *)
+(* --- the selection routine vs keep_top_spec ------------------------- *)
 
 (* Scores drawn from a small table so ties are frequent; candidates get
-   distinct arrivals, so (score, newer_first) is a total order and the
+   distinct arrivals, so (score, newer first) is a total order and the
    two implementations must agree exactly.  Sizes up to 60 against
    capacities up to 12 exercise all three regimes: n <= capacity, the
    flat-sort path, and the bounded-heap path (n > 2 * capacity). *)
@@ -25,38 +26,31 @@ let score_table = [| Float.neg_infinity; 0.0; 0.0; 1.0; 2.5; 7.0 |]
 let gen_keep_top =
   QCheck2.Gen.(
     pair (int_range 0 12)
-      (list_size (int_range 0 60) (pair (int_range 0 5) bool)))
+      (list_size (int_range 2 60) (pair (int_range 0 5) bool)))
 
 let keep_top_agrees (capacity, specs) =
-  let candidates =
+  let tuples =
     List.mapi
-      (fun i (s, side) ->
-        (tup (if side then Tuple.R else Tuple.S) s i, score_table.(s)))
+      (fun i (s, side) -> tup (if side then Tuple.R else Tuple.S) s i)
       specs
   in
-  let tuples = List.map fst candidates in
   let score t = score_table.(t.Tuple.value) in
-  let fast = Policy.keep_top ~capacity ~score ~tie:Policy.newer_first tuples in
-  let spec =
-    Policy.keep_top_spec ~capacity ~score ~tie:Policy.newer_first tuples
-  in
-  uids fast = uids spec
+  uids (keep_top ~capacity ~score tuples)
+  = uids (Ssj_conform.Ref_sim.keep_top_spec ~capacity ~score tuples)
 
 (* --- Join_index vs matches_in_cache --------------------------------- *)
 
 (* Drive a random cache evolution (subset of cached + arrivals, capacity
-   8) and check, at every step, that the incrementally maintained index
-   counts exactly what a naive scan of the current cache counts — for
-   both maintenance APIs: the diffing [update] and the explicit
-   [insert]/[remove] pair the engine fast path uses. *)
+   8), maintain the index from each step's diff with [insert]/[remove_id]
+   as the engine does, and check at every step that it counts exactly
+   what a naive scan of the current cache counts. *)
 let gen_evolution =
   QCheck2.Gen.(
     quad (int_range 0 9999) (int_range 0 3) (int_range 0 2) (int_range 5 40))
 
 let index_agrees (seed, wcode, band, steps) =
   let window = if wcode = 0 then None else Some (Window.create ~width:(3 * wcode)) in
-  let by_update = Join_index.create ?window ~band ~length:steps () in
-  let by_diff = Join_index.create ?window ~band ~length:steps () in
+  let index = Join_index.create ?window ~band ~length:steps () in
   let rng = Rng.create seed in
   let cache = ref [] in
   let ok = ref true in
@@ -64,9 +58,8 @@ let index_agrees (seed, wcode, band, steps) =
     let r = tup Tuple.R (Rng.int rng 9 - 4) now in
     let s = tup Tuple.S (Rng.int rng 9 - 4) now in
     let agrees t =
-      let naive = Join_sim.matches_in_cache ?window ~band ~now !cache t in
-      Join_index.matches by_update ~now t = naive
-      && Join_index.matches by_diff ~now t = naive
+      Join_index.matches index ~now t
+      = Join_sim.matches_in_cache ?window ~band ~now !cache t
     in
     if not (agrees r && agrees s) then ok := false;
     let next =
@@ -74,22 +67,21 @@ let index_agrees (seed, wcode, band, steps) =
         (fun i _ -> i < 8)
         (List.filter (fun _ -> Rng.float rng 1.0 < 0.7) (!cache @ [ r; s ]))
     in
-    Join_index.update by_update ~prev:!cache ~next;
     List.iter
       (fun t ->
         if not (List.exists (Tuple.equal t) !cache) then
-          Join_index.insert by_diff t)
+          Join_index.insert index t)
       next;
     List.iter
-      (fun t ->
+      (fun (t : Tuple.t) ->
         if not (List.exists (Tuple.equal t) next) then
-          Join_index.remove by_diff t)
+          Join_index.remove_id index ~uid:t.uid ~value:t.value)
       !cache;
     cache := next
   done;
   !ok
 
-(* --- fast path vs list path ----------------------------------------- *)
+(* --- scored step vs the same policy run as a plan ------------------- *)
 
 let tower = Config.tower ()
 
@@ -97,23 +89,26 @@ let tower_trace length seed =
   let r, s = Config.predictors tower in
   Trace.generate ~r ~s ~rng:(Rng.create seed) ~length
 
-(* [validate:true] forces the allocating list path (and checks every
-   selection on the way); the default run takes the buffer fast path.
-   Fresh policy instances with the same seed draw the same randomness,
-   so both executions must produce identical counts.  Capacity 1 keeps
-   the candidate set above twice the capacity, covering the heap
-   selection and the index's whole-buffer rescan. *)
+(* The scored step against the same policy run as a plan: with
+   [fast = None] the engine steps its list [select] (a list adapter over
+   the same step) through [Policy.fast_of_select], which rebuilds tuples
+   and computes the diff from the returned plan, with every selection
+   validated.  Fresh policy instances with the same seed draw
+   the same randomness, so both executions must produce identical
+   counts.  Capacity 1 keeps the candidate set above twice the capacity,
+   covering the bounded-heap selection. *)
 let test_fast_matches_list () =
   let trace = tower_trace 400 5 in
   List.iter
     (fun (capacity, window, band) ->
       List.iter
         (fun (name, mk) ->
-          let run validate =
-            Join_sim.run ~trace ~policy:(mk ()) ~capacity ~warmup:40 ?window
-              ~band ~validate ()
+          let run policy validate =
+            Join_sim.run ~trace ~policy ~capacity ~warmup:40 ?window ~band
+              ~validate ()
           in
-          let fast = run false and slow = run true in
+          let fast = run (mk ()) false
+          and slow = run { (mk ()) with Policy.fast = None } true in
           let label =
             Printf.sprintf "%s cap=%d band=%d%s" name capacity band
               (match window with None -> "" | Some _ -> " win")

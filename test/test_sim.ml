@@ -61,16 +61,42 @@ let test_window_blocks_expired () =
   in
   check_int "inside window" 1 result.Join_sim.total_results
 
+(* Each kind of invalid selection fails the validated run with a message
+   naming the policy, the step and the violation. *)
 let test_validation_catches_cheating () =
   let t = trace [ 1; 2 ] [ 3; 4 ] in
+  let r0 = Tuple.make ~side:Tuple.R ~value:1 ~arrival:0 in
+  let s0 = Tuple.make ~side:Tuple.S ~value:3 ~arrival:0 in
+  let r1 = Tuple.make ~side:Tuple.R ~value:2 ~arrival:1 in
   let alien = Tuple.make ~side:Tuple.R ~value:99 ~arrival:77 in
-  let policy = scripted [ [ alien ]; [] ] in
-  (try
-     ignore (Join_sim.run ~trace:t ~policy ~capacity:1 ~validate:true ());
-     Alcotest.fail "expected validation failure"
-   with Failure msg ->
-     check_bool "mentions the policy" true
-       (String.length msg > 0))
+  let contains ~sub msg =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun (label, decisions, capacity, violation) ->
+      match
+        Join_sim.run ~trace:t ~policy:(scripted decisions) ~capacity
+          ~validate:true ()
+      with
+      | _ -> Alcotest.failf "%s: expected a validation failure" label
+      | exception Failure msg ->
+        List.iter
+          (fun sub ->
+            if not (contains ~sub msg) then
+              Alcotest.failf "%s: message %S lacks %S" label msg sub)
+          [ "policy scripted at t=1: "; violation ])
+    [
+      ("over capacity", [ [ r0 ]; [ r0; r1 ] ], 1, "size 2 exceeds capacity 1");
+      ( "stranger",
+        [ [ r0 ]; [ alien ] ],
+        1,
+        "neither cached nor arriving" );
+      ("duplicate", [ [ r0; s0 ]; [ r0; r0 ] ], 2, "duplicates");
+    ]
 
 let test_recount_agrees () =
   let cfg = Ssj_workload.Config.tower () in

@@ -63,7 +63,7 @@ let test_windowed_heeb_runs_under_window_semantics () =
       .total_results
   in
   let h = run heeb in
-  let lifetime = Baselines.Of_window { width = Window.width window } in
+  let lifetime = Baselines.Of_window window in
   let p = run (Baselines.prob ~lifetime ()) in
   check_bool "windowed HEEB >= PROB here" true (h >= p)
 
@@ -99,8 +99,7 @@ let test_qcheck_windowed_run =
       let policies =
         [
           (fun () -> Baselines.prob ());
-          (fun () ->
-            Baselines.life ~lifetime:(Baselines.Of_window { width }) ());
+          (fun () -> Baselines.life ~lifetime:(Baselines.Of_window window) ());
         ]
       in
       List.for_all
