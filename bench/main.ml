@@ -1,28 +1,21 @@
-(* Benchmark & reproduction harness.
+(* Benchmark & reproduction harness.  `dune exec bench/main.exe`:
 
-   Running `dune exec bench/main.exe` produces two things:
+   1. times the tracked fig8 sweep (all joining policies on shared TOWER
+      traces, capacity 25, best of 5), exits 1 if its means coincide or
+      drift from the golden digests, and re-runs it with the obs gate on
+      for per-policy metric snapshots;
+   2. runs the robustness pass: the fault x policy degradation grid,
+      regime switches, and a supervised sweep with one deliberate crash;
+   3. reproduces every figure table (Figures 6-19, Sections 3.4 and 7,
+      the extension studies): the numbers in EXPERIMENTS.md;
+   4. times the kernel behind each figure with bechamel.
 
-   1. The full figure-reproduction pass: one table per figure of the
-      paper's evaluation section (Figures 6-19) plus the worked examples
-      (Sections 3.4 and 7) and the extension studies.  These are the
-      numbers recorded in EXPERIMENTS.md.
-
-   2. A bechamel section timing the computational kernel behind each
-      figure (one Test.make per figure): HEEB scoring steps, FlowExpect's
-      per-step min-cost flow, the OPT-offline solve, precomputation DPs
-      and the bicubic surface lookup.
-
-   3. A wall-clock timing of the fixed Figure-8-style sweep (all joining
-      policies on shared TOWER traces), written together with the kernel
-      times to BENCH_joining.json — the regression-tracking artifact.
-
-   Scale can be tuned through SSJ_BENCH_RUNS / SSJ_BENCH_LEN to reach the
-   paper's 50 x 5000 (defaults keep the full pass at a few minutes);
-   SSJ_BENCH_FIGURES=0 skips the figure pass, SSJ_BENCH_KERNELS=0 the
-   bechamel kernel pass (the artifact then carries an empty kernels_ns),
-   SSJ_JOBS sets the runner's domain count.  SSJ_CHECKPOINT /
-   SSJ_RETRIES / SSJ_STEP_BUDGET reach the supervision demo of the
-   robustness pass. *)
+   Everything measured lands in BENCH_joining.json (schema 4); its
+   baseline.kernels_ns, the CI kernel-gate anchors, is carried unchanged
+   from the artifact being overwritten.  Env knobs: SSJ_BENCH_RUNS /
+   SSJ_BENCH_LEN (default: the paper's 50 x 5000; malformed values are
+   rejected), SSJ_BENCH_FIGURES=0 / SSJ_BENCH_KERNELS=0 skip passes 3 /
+   4, SSJ_JOBS, and SSJ_CHECKPOINT / SSJ_RETRIES for the demo. *)
 
 open Bechamel
 open Toolkit
@@ -33,16 +26,12 @@ open Ssj_core
 open Ssj_engine
 open Ssj_workload
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> (try int_of_string v with _ -> default)
-  | None -> default
-
 let opts =
+  let env name default = Ssj_prob.Parallel.env_int name ~min:1 ~default in
   {
     Experiments.default with
-    Experiments.runs = env_int "SSJ_BENCH_RUNS" Experiments.default.Experiments.runs;
-    length = env_int "SSJ_BENCH_LEN" Experiments.default.Experiments.length;
+    runs = env "SSJ_BENCH_RUNS" Experiments.default.runs;
+    length = env "SSJ_BENCH_LEN" Experiments.default.length;
   }
 
 (* --- bechamel micro-benchmarks -------------------------------------- *)
@@ -61,10 +50,10 @@ let bench_fig6_kernel () =
         (Precompute.walk_caching_curve ~step ~drift:2
            ~l:(Lfun.exp_ ~alpha:10.0) ~lo:(-10) ~hi:10 ~horizon:128 ()))
 
-let bench_sim policy_of length =
-  let trace = tower_trace length 7 in
+let bench_sim ?(capacity = 10) ?(seed = 7) policy_of length =
+  let trace = tower_trace length seed in
   Staged.stage (fun () ->
-      ignore (Join_sim.run ~trace ~policy:(policy_of ()) ~capacity:10 ()))
+      ignore (Join_sim.run ~trace ~policy:(policy_of ()) ~capacity ()))
 
 let bench_fig13_kernel () =
   let reference =
@@ -145,12 +134,7 @@ let micro_tests =
            (fun () -> Baselines.prob ~lifetime:(Config.lifetime tower) ())
            500);
       Test.make ~name:"fig9-12:HEEB-cap20-500-steps"
-        (let trace = tower_trace 500 8 in
-         Staged.stage (fun () ->
-             ignore
-               (Join_sim.run ~trace
-                  ~policy:(Factory.trend_heeb tower ())
-                  ~capacity:20 ())));
+        (bench_sim ~capacity:20 ~seed:8 (Factory.trend_heeb tower) 500);
       Test.make ~name:"fig13:HEEB-h2-365-days" (bench_fig13_kernel ());
       Test.make ~name:"fig13:h2-surface-build" (bench_fig13_surface_build ());
       Test.make ~name:"fig15:bicubic-eval" (bench_fig15_kernel ());
@@ -199,57 +183,16 @@ let run_micro () =
 (* --- fig8-style wall-clock sweep ------------------------------------ *)
 
 module Obs = Ssj_obs.Obs
+module Json = Ssj_obs.Json
 
-(* The tracked policy sweep runs at capacity 25 — the saturating
+(* The tracked policy sweep runs at capacity 25, the saturating
    configuration.  Under TOWER lifetimes the live-tuple population
-   averages ~25 (an R tuple lives value+15-now ≈ 14±10 steps, an S tuple
-   value+11-now ≈ 11±15), so the previous capacity-50 sweep never had to
-   evict a live tuple: every policy kept the full live set, the
-   remaining slots were filled with dead tuples by the shared newest-uid
-   tie-break, and all four means coincided at 4039.6600 — a benchmark
-   blind to policy regressions.  At capacity 25 the cache is pinned at
-   capacity for >99% of steps (join_sim.occupancy) with ~2 live-or-dead
-   evictions per step, and the four policies separate. *)
+   averages ~25, so at capacity 50 no policy ever had to evict a live
+   tuple and all four means coincided (4039.6600, EXPERIMENTS.md).  At
+   capacity 25 the cache is pinned at capacity for >99% of steps
+   (join_sim.occupancy) with ~2 evictions per step, and the four
+   policies separate. *)
 let sweep_capacity = 25
-
-(* The old degenerate configuration, still run once per bench pass: its
-   wall-clock is directly comparable with the previously checked-in
-   artifact (the obs layer's disabled-overhead measure) and its
-   still-coincident means document why it was replaced. *)
-let legacy_capacity = 50
-
-(* The seed tree (pre-optimisation) runs the legacy capacity-50 sweep —
-   all four joining policies on the shared full-scale TOWER traces — in
-   5.530 s on the reference host; recorded so BENCH_joining.json carries
-   the speedup alongside the absolute time.  Only meaningful at the
-   canonical 50 x 5000 scale. *)
-let legacy_baseline_wall_s = 5.530
-
-(* The previous checked-in BENCH_joining.json (before the observability
-   layer): legacy-sweep wall and the degenerate policy block, emitted
-   verbatim under the artifact's "baseline" key. *)
-let prev_legacy_wall_s = 1.564
-
-let prev_legacy_policies =
-  [ ("RAND", 4039.6600, 47.0586); ("PROB", 4039.6600, 47.0586);
-    ("LIFE", 4039.6600, 47.0586); ("HEEB", 4039.6600, 47.0586) ]
-
-(* Pre-fast-kernels wall of the legacy sweep, kept because the CI kernel
-   gate anchors on the pre-optimisation numbers below. *)
-let prev_wall_s = 1.643
-
-let prev_kernels_ns =
-  [
-    ("kernels/fig13:HEEB-h2-365-days", 522291656.0);
-    ("kernels/fig15:bicubic-eval", 553.9);
-    ("kernels/fig19:flowexpect-step-l20", 914343.0);
-    ("kernels/fig19:flowexpect-step-l5", 76818.0);
-    ("kernels/fig6:walk-caching-DP", 1990194.3);
-    ("kernels/fig8:HEEB-500-steps", 240569.1);
-    ("kernels/fig8:PROB-500-steps", 192611.3);
-    ("kernels/fig9-12:HEEB-cap20-500-steps", 457547.5);
-    ("kernels/opt-offline:mcmf-500-steps", 893791.8);
-  ]
 
 type sweep = {
   runs : int;
@@ -261,32 +204,18 @@ type sweep = {
   summaries : Runner.summary list;
 }
 
-(* Per-policy obs snapshots plus the overhead measurements folded into
-   the artifact's "obs" block. *)
-type obs_pass = {
-  env_enabled : bool;
-  enabled_wall_s : float;
-  per_policy : (string * string) list; (* label, snapshot JSON *)
-}
-
 let canonical sweep = sweep.runs = 50 && sweep.length = 5000
 
-let shared_traces ~runs ~length =
-  Array.init runs (fun i ->
-      let r, s = Config.predictors tower in
-      Trace.generate ~r ~s ~rng:(Rng.create (42 + (1009 * i))) ~length)
-
-let sweep_setup ~capacity =
+let setup =
+  let capacity = sweep_capacity in
   { Runner.capacity; warmup = Runner.default_warmup ~capacity; window = None }
 
-let run_sweep ~label ~capacity ~reps traces =
-  let runs = Array.length traces in
-  let length = if runs = 0 then 0 else Trace.length traces.(0) in
-  let setup = sweep_setup ~capacity in
+let run_sweep traces =
+  let runs = opts.runs and length = opts.length in
   let jobs = Parallel.default_jobs () in
   (* The sweep is deterministic (fresh policies, fixed trace seeds), so
-     repetitions measure the same computation; report the best of [reps]
-     to shed first-iteration warm-up, like the bechamel section does. *)
+     repetitions measure the same computation; report the best of 5 to
+     shed first-iteration warm-up, like the bechamel section does. *)
   let measure () =
     let t0 = Unix.gettimeofday () in
     let summaries =
@@ -296,30 +225,22 @@ let run_sweep ~label ~capacity ~reps traces =
     in
     (Unix.gettimeofday () -. t0, summaries)
   in
-  let measured = List.init reps (fun _ -> measure ()) in
+  let measured = List.init 5 (fun _ -> measure ()) in
   let wall_reps = List.map fst measured in
   let wall_s = List.fold_left Float.min Float.infinity wall_reps in
   let summaries = snd (List.hd measured) in
-  let sweep =
-    { runs; length; sweep_capacity = capacity; jobs; wall_s; wall_reps;
-      summaries }
-  in
-  Format.printf "@.== %s wall-clock (%d runs x %d, capacity %d, %d job%s) \
-                 ==@."
-    label runs length capacity jobs
+  Format.printf "@.== fig8 sweep wall-clock (%d runs x %d, capacity %d, %d \
+                 job%s) ==@."
+    runs length sweep_capacity jobs
     (if jobs = 1 then "" else "s");
   List.iter
     (fun s ->
       Format.printf "  %-6s mean=%.2f stddev=%.2f@." s.Runner.label
         s.Runner.mean s.Runner.stddev)
     summaries;
-  Format.printf "  wall: %.3f s (best of %s)" wall_s
+  Format.printf "  wall: %.3f s (best of %s)@." wall_s
     (String.concat "/" (List.map (Printf.sprintf "%.3f") wall_reps));
-  if capacity = legacy_capacity && canonical sweep then
-    Format.printf " (seed baseline %.3f s, %.2fx)" legacy_baseline_wall_s
-      (legacy_baseline_wall_s /. wall_s);
-  Format.printf "@.";
-  sweep
+  { runs; length; sweep_capacity; jobs; wall_s; wall_reps; summaries }
 
 (* A benchmark whose policy dimension has collapsed must never be
    checked in silently again: if every policy produced the same mean (to
@@ -373,23 +294,52 @@ let fail_if_drifted sweep =
           [ ("mean", s.Runner.mean); ("stddev", s.Runner.stddev) ])
       sweep.summaries
 
+(* A policy's artifact row: its name, then its numbers at 4 decimals. *)
+let named name fields =
+  Json.Object
+    (("name", Json.String name)
+    :: List.map (fun (k, v) -> (k, Json.fixed 4 v)) fields)
+
+let sweep_json sweep =
+  let policy s =
+    named s.Runner.label
+      [ ("mean", s.Runner.mean); ("stddev", s.Runner.stddev) ]
+  in
+  Json.Object
+    [
+      ("runs", Json.int sweep.runs);
+      ("length", Json.int sweep.length);
+      ("capacity", Json.int sweep.sweep_capacity);
+      ("jobs", Json.int sweep.jobs);
+      ("wall_s", Json.fixed 3 sweep.wall_s);
+      ("wall_s_reps", Json.Array (List.map (Json.fixed 3) sweep.wall_reps));
+      ("policies", Json.Array (List.map policy sweep.summaries));
+    ]
+
 let obs_events_file = "OBS_events.jsonl"
 
 (* Re-run the tracked sweep with the obs gate forced on: one rep, policy
-   at a time, snapshotting the metric registry per policy.  Also the
-   enabled-overhead measurement, and a determinism gate — the observed
-   means must be bit-identical to the timed (gate-off) pass. *)
+   at a time, resetting the process-global metric registry before each
+   policy so its snapshot isolates that policy's engine activity.  Also
+   the enabled-overhead measurement, and a determinism gate: the
+   observed means must be bit-identical to the timed (gate-off) pass.
+   Returns the artifact's "obs" block. *)
 let run_obs_pass sweep traces =
   let env_enabled = Obs.on () in
   (try Sys.remove obs_events_file with Sys_error _ -> ());
   Obs.set_event_sink (`Path obs_events_file);
   Obs.set_enabled true;
-  let setup = sweep_setup ~capacity:sweep.sweep_capacity in
   let t0 = Unix.gettimeofday () in
   let observed =
-    Runner.compare_joining_observed ~setup ~traces
-      ~policies:(Factory.trend_policies tower ~seed:42 ())
-      ~jobs:sweep.jobs ()
+    List.map
+      (fun policy ->
+        Obs.reset ();
+        let summaries =
+          Runner.compare_joining ~setup ~traces ~policies:[ policy ]
+            ~include_opt:false ~jobs:sweep.jobs ()
+        in
+        (List.hd summaries, Obs.snapshot ()))
+      (Factory.trend_policies tower ~seed:42 ())
   in
   let enabled_wall_s = Unix.gettimeofday () -. t0 in
   Obs.set_enabled env_enabled;
@@ -402,31 +352,24 @@ let run_obs_pass sweep traces =
         exit 1
       end)
     sweep.summaries observed;
+  let overhead = 100.0 *. ((enabled_wall_s /. sweep.wall_s) -. 1.0) in
   Format.printf
     "  obs pass: %.3f s with SSJ_OBS forced on (%+.1f%% vs %.3f s off); \
      events in %s@."
-    enabled_wall_s
-    (100.0 *. ((enabled_wall_s /. sweep.wall_s) -. 1.0))
-    sweep.wall_s obs_events_file;
-  {
-    env_enabled;
-    enabled_wall_s;
-    per_policy =
-      List.map
-        (fun (s, views) -> (s.Runner.label, Obs.json_of_snapshot views))
-        observed;
-  }
+    enabled_wall_s overhead sweep.wall_s obs_events_file;
+  let per_policy (s, views) = (s.Runner.label, Obs.json_of_snapshot views) in
+  Json.Object
+    [
+      ("env_enabled", Json.Bool env_enabled);
+      ("events_file", Json.String obs_events_file);
+      ("enabled_wall_s", Json.fixed 3 enabled_wall_s);
+      ("enabled_overhead_pct", Json.fixed 1 overhead);
+      ("per_policy", Json.Object (List.map per_policy observed));
+    ]
 
 (* --- robustness: fault grid + supervision demo ---------------------- *)
 
 module Fault = Ssj_fault.Fault
-
-type robustness_artifact = {
-  report : Experiments.robustness_report;
-  demo : Runner.supervised;
-  demo_runs : int;
-  fault_counters : string; (* obs snapshot JSON of a forced-on fault pass *)
-}
 
 (* The grid's clean row re-runs the tracked sweep through the fault
    plumbing at severity zero; anything but bit-identical means/stddevs
@@ -463,6 +406,7 @@ let fail_unless_regime_finite report =
         row.Experiments.cells)
     (report.Experiments.rows @ report.Experiments.regime)
 
+(* Returns the artifact's "robustness" block. *)
 let run_robustness_pass sweep traces =
   let t0 = Unix.gettimeofday () in
   let report = Experiments.robustness_grid ~capacity:sweep.sweep_capacity opts in
@@ -493,7 +437,6 @@ let run_robustness_pass sweep traces =
   let supervision =
     { (Runner.supervision_from_env ()) with Runner.retries = 1 }
   in
-  let setup = sweep_setup ~capacity:sweep.sweep_capacity in
   let heeb = Factory.trend_heeb tower in
   (* Crash run 3, or the last run when the sweep is smaller — the demo
      must always have one failure to salvage around, at any scale. *)
@@ -515,15 +458,14 @@ let run_robustness_pass sweep traces =
   in
   let fault_counters = Obs.json_of_snapshot (Obs.snapshot ()) in
   Obs.set_enabled env_enabled;
-  (match supervision.Runner.checkpoint with
-  | Some ckpt -> Checkpoint.close ckpt
-  | None -> ());
+  Option.iter Checkpoint.close supervision.Runner.checkpoint;
   let sal = demo.Runner.salvaged and nfail = List.length demo.Runner.failures in
-  if nfail = 0 || Float.is_nan demo.Runner.summary.Runner.mean then begin
+  let mean = demo.Runner.summary.Runner.mean in
+  if nfail = 0 || Float.is_nan mean then begin
     Format.eprintf
       "ERROR: supervision demo expected 1 recorded failure and a finite \
        salvaged mean (got %d failures, mean %f)@."
-      nfail demo.Runner.summary.Runner.mean;
+      nfail mean;
     exit 1
   end;
   Format.printf
@@ -533,167 +475,83 @@ let run_robustness_pass sweep traces =
     (List.length report.Experiments.regime)
     (Unix.gettimeofday () -. t0)
     sal (sal + nfail) nfail demo.Runner.checkpoint_hits;
-  { report; demo; demo_runs = Array.length traces; fault_counters }
-
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let out_robustness_block oc rb =
-  let out fmt = Printf.fprintf oc fmt in
-  let report = rb.report in
-  out "    \"capacity\": %d,\n    \"runs\": %d,\n    \"length\": %d,\n"
-    report.Experiments.grid_capacity report.Experiments.grid_runs
-    report.Experiments.grid_length;
-  out "    \"clean_matches_sweep\": true,\n";
-  let out_rows name rows =
-    out "    %S: [\n" name;
-    List.iteri
-      (fun i (row : Experiments.robustness_row) ->
-        out "      {\"fault\": %s, \"policies\": [" (json_string row.fault);
-        List.iteri
-          (fun j (c : Experiments.robustness_cell) ->
-            out "%s{\"name\": %S, \"mean\": %.4f, \"degradation\": %.4f}"
-              (if j = 0 then "" else ", ")
-              c.Experiments.policy c.Experiments.mean c.Experiments.degradation)
-          row.Experiments.cells;
-        out "]}%s\n" (if i = List.length rows - 1 then "" else ","))
-      rows;
-    out "    ],\n"
+  let row (row : Experiments.robustness_row) =
+    let cell (c : Experiments.robustness_cell) =
+      named c.Experiments.policy
+        [
+          ("mean", c.Experiments.mean);
+          ("degradation", c.Experiments.degradation);
+        ]
+    in
+    Json.Object
+      [
+        ("fault", Json.String row.Experiments.fault);
+        ("policies", Json.Array (List.map cell row.Experiments.cells));
+      ]
   in
-  out_rows "grid" report.Experiments.rows;
-  out_rows "regime" report.Experiments.regime;
-  out "    \"supervision_demo\": {\n";
-  out "      \"runs\": %d,\n      \"salvaged\": %d,\n" rb.demo_runs
-    rb.demo.Runner.salvaged;
-  out "      \"checkpoint_hits\": %d,\n" rb.demo.Runner.checkpoint_hits;
-  out "      \"mean\": %.4f,\n" rb.demo.Runner.summary.Runner.mean;
-  out "      \"mean_is_finite\": %b,\n"
-    (Float.is_finite rb.demo.Runner.summary.Runner.mean);
-  out "      \"failures\": [\n";
-  List.iteri
-    (fun i (f : Runner.failure) ->
-      out
-        "        {\"policy\": %s, \"run\": %d, \"attempts\": %d, \"error\": \
-         %s}%s\n"
-        (json_string f.Runner.policy) f.Runner.run f.Runner.attempts
-        (json_string f.Runner.error)
-        (if i = List.length rb.demo.Runner.failures - 1 then "" else ","))
-    rb.demo.Runner.failures;
-  out "      ]\n    },\n";
-  out "    \"fault_counters\": %s\n" rb.fault_counters
+  let failure { Runner.policy; run; attempts; error; _ } =
+    Json.Object
+      [
+        ("policy", Json.String policy); ("run", Json.int run);
+        ("attempts", Json.int attempts); ("error", Json.String error);
+      ]
+  in
+  Json.Object
+    [
+      ("capacity", Json.int report.Experiments.grid_capacity);
+      ("runs", Json.int report.Experiments.grid_runs);
+      ("length", Json.int report.Experiments.grid_length);
+      ("clean_matches_sweep", Json.Bool true);
+      ("grid", Json.Array (List.map row report.Experiments.rows));
+      ("regime", Json.Array (List.map row report.Experiments.regime));
+      ( "supervision_demo",
+        Json.Object
+          [
+            ("runs", Json.int (Array.length traces));
+            ("salvaged", Json.int sal);
+            ("checkpoint_hits", Json.int demo.Runner.checkpoint_hits);
+            ("mean", Json.fixed 4 mean);
+            ("mean_is_finite", Json.Bool (Float.is_finite mean));
+            ("failures", Json.Array (List.map failure demo.Runner.failures));
+          ] );
+      ("fault_counters", fault_counters);
+    ]
 
-let out_sweep_block oc ~indent sweep ~baseline_wall =
-  let out fmt = Printf.fprintf oc fmt in
-  let pad = String.make indent ' ' in
-  out "%s\"runs\": %d,\n%s\"length\": %d,\n%s\"capacity\": %d,\n" pad
-    sweep.runs pad sweep.length pad sweep.sweep_capacity;
-  out "%s\"jobs\": %d,\n%s\"wall_s\": %.3f,\n" pad sweep.jobs pad sweep.wall_s;
-  out "%s\"wall_s_reps\": [%s],\n" pad
-    (String.concat ", " (List.map (Printf.sprintf "%.3f") sweep.wall_reps));
-  (* Schema stability: both fields are always present; null whenever the
-     configuration has no recorded reference (non-canonical scale, or a
-     sweep configuration introduced by this artifact). *)
-  (match baseline_wall with
-  | Some b ->
-    out "%s\"baseline_wall_s\": %.3f,\n" pad b;
-    out "%s\"speedup\": %.2f,\n" pad (b /. sweep.wall_s)
-  | None ->
-    out "%s\"baseline_wall_s\": null,\n" pad;
-    out "%s\"speedup\": null,\n" pad);
-  out "%s\"policies\": [\n" pad;
-  List.iteri
-    (fun i s ->
-      out "%s  {\"name\": %S, \"mean\": %.4f, \"stddev\": %.4f}%s\n" pad
-        s.Runner.label s.Runner.mean s.Runner.stddev
-        (if i = List.length sweep.summaries - 1 then "" else ","))
-    sweep.summaries;
-  out "%s]" pad
+(* --- BENCH_joining.json (schema 4) ----------------------------------- *)
 
-let write_json path sweep legacy obs robustness kernels =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"schema_version\": 3,\n";
-  out "  \"benchmark\": \"fig8-style joining sweep (TOWER, seed 42)\",\n";
-  out "  \"sweep\": {\n";
-  out_sweep_block oc ~indent:4 sweep ~baseline_wall:None;
-  out "\n  },\n";
-  out "  \"legacy_sweep\": {\n";
-  out "    \"note\": \"previous (degenerate) configuration: capacity 50 \
-       never saturates with live tuples, all policy means coincide by \
-       design; kept for wall-clock continuity\",\n";
-  out_sweep_block oc ~indent:4 legacy
-    ~baseline_wall:(if canonical legacy then Some legacy_baseline_wall_s
-                    else None);
-  out "\n  },\n";
-  out "  \"obs\": {\n";
-  out "    \"env_enabled\": %b,\n" obs.env_enabled;
-  out "    \"events_file\": %S,\n" obs_events_file;
-  out "    \"enabled_wall_s\": %.3f,\n" obs.enabled_wall_s;
-  out "    \"enabled_overhead_pct\": %.1f,\n"
-    (100.0 *. ((obs.enabled_wall_s /. sweep.wall_s) -. 1.0));
-  (* Disabled overhead: the legacy sweep is byte-for-byte the workload
-     the previous (pre-obs) artifact timed, so its fresh gate-off wall
-     against that recorded wall measures what the dormant
-     instrumentation costs (plus host noise). *)
-  (match canonical legacy with
-  | true ->
-    out "    \"disabled_wall_vs_prev_pct\": %.1f,\n"
-      (100.0 *. ((legacy.wall_s /. prev_legacy_wall_s) -. 1.0))
-  | false -> out "    \"disabled_wall_vs_prev_pct\": null,\n");
-  out "    \"per_policy\": {\n";
-  List.iteri
-    (fun i (label, json) ->
-      out "      %S: %s%s\n" label json
-        (if i = List.length obs.per_policy - 1 then "" else ","))
-    obs.per_policy;
-  out "    }\n  },\n";
-  out "  \"robustness\": {\n";
-  out_robustness_block oc robustness;
-  out "  },\n";
-  out "  \"kernels_ns\": {\n";
-  List.iteri
-    (fun i (name, ns) ->
-      out "    %S: %.1f%s\n" name ns
-        (if i = List.length kernels - 1 then "" else ","))
-    kernels;
-  out "  },\n";
-  out "  \"baseline\": {\n";
-  out "    \"note\": \"kernels: pre-fast-kernels run (the CI gate anchor); \
-       degenerate_sweep: the previous checked-in capacity-50 sweep\",\n";
-  out "    \"wall_s\": %.3f,\n" prev_wall_s;
-  out "    \"degenerate_sweep\": {\n";
-  out "      \"capacity\": %d,\n      \"wall_s\": %.3f,\n" legacy_capacity
-    prev_legacy_wall_s;
-  out "      \"policies\": [\n";
-  List.iteri
-    (fun i (name, mean, stddev) ->
-      out "        {\"name\": %S, \"mean\": %.4f, \"stddev\": %.4f}%s\n" name
-        mean stddev
-        (if i = List.length prev_legacy_policies - 1 then "" else ","))
-    prev_legacy_policies;
-  out "      ]\n    },\n";
-  out "    \"kernels_ns\": {\n";
-  List.iteri
-    (fun i (name, ns) ->
-      out "      %S: %.1f%s\n" name ns
-        (if i = List.length prev_kernels_ns - 1 then "" else ","))
-    prev_kernels_ns;
-  out "    }\n  }\n}\n";
-  close_out oc;
-  Format.printf "wrote %s@." path
+let artifact_path = "BENCH_joining.json"
+
+(* The CI kernel gate compares fresh kernel times against anchors taken
+   before the fast kernels landed.  They are data, not code: carried
+   byte for byte from the artifact about to be overwritten. *)
+let carried_kernel_anchors () =
+  let anchors j =
+    Option.bind (Json.member "baseline" j) (Json.member "kernels_ns")
+  in
+  match Result.map anchors (Json.of_file artifact_path) with
+  | Ok (Some (Json.Object anchors)) -> anchors
+  | Ok _ | Error _ ->
+    Format.printf "baseline: no kernel anchors in %s to carry@." artifact_path;
+    []
+
+let write_json ~sweep ~obs ~robustness ~kernels =
+  let ns (name, ns) = (name, Json.fixed 1 ns) in
+  let anchors = Json.Object (carried_kernel_anchors ()) in
+  let artifact =
+    Json.Object
+      [
+        ("schema_version", Json.int 4);
+        ("benchmark", Json.String "fig8-style joining sweep (TOWER, seed 42)");
+        ("sweep", sweep_json sweep);
+        ("obs", obs);
+        ("robustness", robustness);
+        ("kernels_ns", Json.Object (List.map ns kernels));
+        ("baseline", Json.Object [ ("kernels_ns", anchors) ]);
+      ]
+  in
+  Out_channel.with_open_text artifact_path (fun oc ->
+      output_string oc (Json.pretty artifact));
+  Format.printf "wrote %s@." artifact_path
 
 let () =
   Format.printf
@@ -703,16 +561,11 @@ let () =
                  with SSJ_BENCH_RUNS / SSJ_BENCH_LEN.@."
     opts.Experiments.runs opts.Experiments.length;
   let traces =
-    shared_traces ~runs:opts.Experiments.runs ~length:opts.Experiments.length
+    Array.init opts.runs (fun i -> tower_trace opts.length (42 + (1009 * i)))
   in
-  let sweep = run_sweep ~label:"fig8 sweep" ~capacity:sweep_capacity ~reps:5
-      traces
-  in
+  let sweep = run_sweep traces in
   fail_if_degenerate sweep;
   fail_if_drifted sweep;
-  let legacy =
-    run_sweep ~label:"legacy sweep" ~capacity:legacy_capacity ~reps:5 traces
-  in
   let obs = run_obs_pass sweep traces in
   let robustness = run_robustness_pass sweep traces in
   (match Sys.getenv_opt "SSJ_BENCH_FIGURES" with
@@ -725,5 +578,5 @@ let () =
       []
     | _ -> run_micro ()
   in
-  write_json "BENCH_joining.json" sweep legacy obs robustness kernels;
+  write_json ~sweep ~obs ~robustness ~kernels;
   Format.printf "@.done.@."

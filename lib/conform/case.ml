@@ -62,144 +62,77 @@ let to_string case = Format.asprintf "%a" pp case
 
 (* --- repro JSON ---------------------------------------------------- *)
 
-(* Hand-rolled like {!Ssj_engine.Checkpoint}: the repo carries no JSON
-   dependency, and the format is one flat object per file.  Strings are
-   sanitised on write so a substring scan is enough to read them back. *)
+module Json = Ssj_obs.Json
 
 let schema_version = 1
 
-let sanitize s =
-  String.map (fun c -> if c = '"' || c = '\n' || c = '\r' then '_' else c) s
-
-let int_array_to_json a =
-  "["
-  ^ String.concat ", " (Array.to_list (Array.map string_of_int a))
-  ^ "]"
+let ints a = Json.Array (Array.to_list (Array.map Json.int a))
 
 let save ~check ~detail case ~filename =
-  let oc = open_out filename in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\"ssj_repro_schema\": %d, \"check\": \"%s\", \"policy\": \"%s\", \
-         \"seed\": %d, \"capacity\": %d, \"band\": %d, \"window\": %s, \
-         \"r\": %s, \"s\": %s, \"detail\": \"%s\"}\n"
-        schema_version (sanitize check) (sanitize case.policy) case.seed
-        case.capacity case.band
-        (match case.window with None -> "null" | Some w -> string_of_int w)
-        (int_array_to_json case.r_values)
-        (int_array_to_json case.s_values)
-        (sanitize detail))
-
-let find_marker text marker =
-  let mlen = String.length marker and tlen = String.length text in
-  let rec find i =
-    if i + mlen > tlen then None
-    else if String.sub text i mlen = marker then Some (i + mlen)
-    else find (i + 1)
+  let json =
+    Json.Object
+      [
+        ("ssj_repro_schema", Json.int schema_version);
+        ("check", Json.String check);
+        ("policy", Json.String case.policy);
+        ("seed", Json.int case.seed);
+        ("capacity", Json.int case.capacity);
+        ("band", Json.int case.band);
+        ("window", Option.fold ~none:Json.Null ~some:Json.int case.window);
+        ("r", ints case.r_values);
+        ("s", ints case.s_values);
+        ("detail", Json.String detail);
+      ]
   in
-  find 0
-
-let int_field text field =
-  match find_marker text (Printf.sprintf "\"%s\":" field) with
-  | None -> None
-  | Some start ->
-    let tlen = String.length text in
-    let start = ref start in
-    while !start < tlen && text.[!start] = ' ' do incr start done;
-    let stop = ref !start in
-    if !stop < tlen && text.[!stop] = '-' then incr stop;
-    while !stop < tlen && text.[!stop] >= '0' && text.[!stop] <= '9' do
-      incr stop
-    done;
-    int_of_string_opt (String.sub text !start (!stop - !start))
-
-let string_field text field =
-  match find_marker text (Printf.sprintf "\"%s\": \"" field) with
-  | None -> None
-  | Some start -> (
-    match String.index_from_opt text start '"' with
-    | None -> None
-    | Some stop -> Some (String.sub text start (stop - start)))
-
-let int_array_field text field =
-  match find_marker text (Printf.sprintf "\"%s\": [" field) with
-  | None -> None
-  | Some start -> (
-    match String.index_from_opt text start ']' with
-    | None -> None
-    | Some stop ->
-      let body = String.sub text start (stop - start) in
-      let parts =
-        String.split_on_char ',' body
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-      in
-      let ints = List.filter_map int_of_string_opt parts in
-      if List.length ints = List.length parts then
-        Some (Array.of_list ints)
-      else None)
-
-let null_or_int_field text field =
-  match find_marker text (Printf.sprintf "\"%s\":" field) with
-  | None -> None
-  | Some start ->
-    let tlen = String.length text in
-    let start = ref start in
-    while !start < tlen && text.[!start] = ' ' do incr start done;
-    if !start + 4 <= tlen && String.sub text !start 4 = "null" then
-      Some None
-    else (
-      match int_field text field with
-      | Some v -> Some (Some v)
-      | None -> None)
+  Out_channel.with_open_text filename (fun oc ->
+      output_string oc (Json.to_string json ^ "\n"))
 
 type repro = { case : t; check : string; detail : string }
 
 let load ~filename =
-  match open_in filename with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let n = in_channel_length ic in
-        let text = really_input_string ic n in
-        match int_field text "ssj_repro_schema" with
-        | None -> Error "not a repro file (no ssj_repro_schema field)"
-        | Some v when v > schema_version ->
-          Error
-            (Printf.sprintf "repro schema %d newer than supported %d" v
-               schema_version)
-        | Some _ -> (
-          match
-            ( string_field text "check",
-              string_field text "policy",
-              int_field text "seed",
-              int_field text "capacity",
-              int_field text "band",
-              null_or_int_field text "window",
-              int_array_field text "r",
-              int_array_field text "s" )
-          with
-          | ( Some check,
-              Some policy,
-              Some seed,
-              Some capacity,
-              Some band,
-              Some window,
-              Some r_values,
-              Some s_values )
-            when Array.length r_values = Array.length s_values ->
-            let detail =
-              match string_field text "detail" with Some d -> d | None -> ""
-            in
-            Ok
-              {
-                case =
-                  { r_values; s_values; capacity; band; window; policy; seed };
-                check;
-                detail;
-              }
-          | _ -> Error "malformed repro file (missing or inconsistent fields)"))
+  let ( let* ) = Result.bind in
+  let* json = Json.of_file filename in
+  let field key as_ = Option.bind (Json.member key json) as_ in
+  let required key as_ =
+    Option.to_result (field key as_)
+      ~none:(Printf.sprintf "malformed repro file (field %S)" key)
+  in
+  let int_array j =
+    Option.bind (Json.as_list j) (fun items ->
+        let ints = List.filter_map Json.as_int items in
+        if List.length ints = List.length items then Some (Array.of_list ints)
+        else None)
+  in
+  let null_or_int = function
+    | Json.Null -> Some None
+    | j -> Option.map Option.some (Json.as_int j)
+  in
+  let* schema =
+    Option.to_result (field "ssj_repro_schema" Json.as_int)
+      ~none:"not a repro file (no ssj_repro_schema field)"
+  in
+  let* () =
+    if schema <= schema_version then Ok ()
+    else
+      Error
+        (Printf.sprintf "repro schema %d newer than supported %d" schema
+           schema_version)
+  in
+  let* check = required "check" Json.as_string in
+  let* policy = required "policy" Json.as_string in
+  let* seed = required "seed" Json.as_int in
+  let* capacity = required "capacity" Json.as_int in
+  let* band = required "band" Json.as_int in
+  let* window = required "window" null_or_int in
+  let* r_values = required "r" int_array in
+  let* s_values = required "s" int_array in
+  if Array.length r_values <> Array.length s_values then
+    Error "malformed repro file (r and s lengths differ)"
+  else
+    let detail = Option.value ~default:"" (field "detail" Json.as_string) in
+    Ok
+      {
+        case = { r_values; s_values; capacity; band; window; policy; seed };
+        check;
+        detail;
+      }

@@ -42,18 +42,10 @@ val to_string : t -> string
 
 (** {2 Repro files}
 
-    One flat JSON object per file, written and parsed by hand exactly
-    like {!Ssj_engine.Checkpoint}'s records (the repo carries no JSON
-    dependency).  [check] and [detail] strings are sanitised of quotes
-    and newlines on write. *)
+    One JSON object per file, written and read through
+    {!Ssj_obs.Json}; every string field round-trips exactly. *)
 
 val schema_version : int
-
-val find_marker : string -> string -> int option
-(** [find_marker text marker] is the index just past the first
-    occurrence of [marker] in [text] — the substring-scan primitive the
-    repro parser is built on (the repo carries no JSON library), shared
-    with the golden artifact cross-check. *)
 
 val save : check:string -> detail:string -> t -> filename:string -> unit
 

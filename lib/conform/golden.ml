@@ -127,133 +127,77 @@ let print_digests out digests =
 (* --- comparison ------------------------------------------------------ *)
 
 let compare_digests ~what ~expected actual =
-  if expected = [] then
-    Check.Fail
-      {
-        detail =
-          Printf.sprintf
-            "%s: no expected digests recorded (regenerate with `sjoin check \
-             --print-golden`)"
-            what;
-        case = None;
-      }
-  else begin
-    let mismatch = ref None in
-    List.iter
-      (fun e ->
-        if !mismatch = None then
-          match List.find_opt (fun a -> a.key = e.key) actual with
-          | None ->
-            mismatch := Some (Printf.sprintf "%s: key %s not recomputed" what e.key)
-          | Some a when a.hex <> e.hex ->
-            mismatch :=
-              Some
-                (Printf.sprintf "%s: %s drifted — expected %s, got %s" what
-                   e.key e.hex a.hex)
-          | Some _ -> ())
-      expected;
-    (if !mismatch = None && List.length actual <> List.length expected then
-       mismatch :=
-         Some
-           (Printf.sprintf "%s: %d digests recomputed, %d expected" what
-              (List.length actual) (List.length expected)));
-    match !mismatch with
-    | None ->
-      Check.Pass
-        {
-          cases = List.length expected;
-          note = "hex digests match bit-for-bit";
-        }
-    | Some detail -> Check.Fail { detail; case = None }
-  end
+  let drift e =
+    match List.find_opt (fun a -> a.key = e.key) actual with
+    | None -> Some (Printf.sprintf "%s: key %s not recomputed" what e.key)
+    | Some a when a.hex <> e.hex ->
+      Some
+        (Printf.sprintf "%s: %s drifted — expected %s, got %s" what e.key
+           e.hex a.hex)
+    | Some _ -> None
+  in
+  let mismatch =
+    if expected = [] then
+      Some
+        (Printf.sprintf
+           "%s: no expected digests recorded (regenerate with `sjoin check \
+            --print-golden`)"
+           what)
+    else
+      match List.find_map drift expected with
+      | None when List.length actual <> List.length expected ->
+        Some
+          (Printf.sprintf "%s: %d digests recomputed, %d expected" what
+             (List.length actual) (List.length expected))
+      | found -> found
+  in
+  match mismatch with
+  | None ->
+    Check.Pass
+      { cases = List.length expected; note = "hex digests match bit-for-bit" }
+  | Some detail -> Check.Fail { detail; case = None }
 
 (* --- artifact cross-check -------------------------------------------- *)
 
 (* The tracked BENCH_joining.json rounds the sweep means to 4 decimals;
    the digest values must round to exactly those strings, tying the
-   golden hex floats to the published artifact.  Substring scan of the
-   "sweep" block only (the legacy and robustness blocks also carry
-   policy arrays). *)
+   golden hex floats to the published artifact. *)
 let artifact_means ~filename =
-  match open_in filename with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let n = in_channel_length ic in
-        let text = really_input_string ic n in
-        let section text start stop =
-          match (Case.find_marker text start, Case.find_marker text stop) with
-          | Some a, Some b when a < b -> Some (String.sub text a (b - a))
-          | _ -> None
-        in
-        match section text "\"sweep\"" "\"legacy_sweep\"" with
-        | None -> Error "no sweep block before legacy_sweep"
-        | Some block ->
-          let rec collect acc text =
-            match Case.find_marker text "{\"name\": \"" with
-            | None -> List.rev acc
-            | Some start -> (
-              let rest =
-                String.sub text start (String.length text - start)
-              in
-              match
-                (String.index_opt rest '"', Case.find_marker rest "\"mean\":")
-              with
-              | Some q, Some m -> (
-                let name = String.sub rest 0 q in
-                let tail = String.sub rest m (String.length rest - m) in
-                let stop = ref 0 in
-                while
-                  !stop < String.length tail
-                  && (let c = tail.[!stop] in
-                      c = ' ' || c = '-' || c = '.' || (c >= '0' && c <= '9'))
-                do
-                  incr stop
-                done;
-                match
-                  float_of_string_opt (String.trim (String.sub tail 0 !stop))
-                with
-                | Some mean -> collect ((name, mean) :: acc) tail
-                | None -> List.rev acc)
-              | _ -> List.rev acc)
-          in
-          Ok (collect [] block))
+  let module Json = Ssj_obs.Json in
+  let entry p =
+    match (Json.member "name" p, Json.member "mean" p) with
+    | Some (Json.String name), Some mean ->
+      Option.map (fun mean -> (name, mean)) (Json.as_float mean)
+    | _ -> None
+  in
+  match Json.of_file filename with
+  | Error msg -> Error msg
+  | Ok json -> (
+    match Option.bind (Json.member "sweep" json) (Json.member "policies") with
+    | Some (Json.Array (_ :: _ as policies)) ->
+      let means = List.filter_map entry policies in
+      if List.length means = List.length policies then Ok means
+      else Error "sweep.policies entry without a name and a numeric mean"
+    | _ -> Error "no sweep.policies to cross-check")
 
 let check_artifact ~filename digests =
+  let mismatch (name, mean) =
+    let key = Printf.sprintf "fig8/cap%d/%s/mean" sweep_capacity name in
+    match List.find_opt (fun d -> d.key = key) digests with
+    | None -> Some (Printf.sprintf "artifact policy %s has no digest" name)
+    | Some d ->
+      let v = float_of_string d.hex in
+      if Printf.sprintf "%.4f" v = Printf.sprintf "%.4f" mean then None
+      else
+        Some
+          (Printf.sprintf "artifact %s mean %.4f <> digest %s (%.4f)" name
+             mean d.hex v)
+  in
   match artifact_means ~filename with
   | Error msg ->
-    Check.Fail
-      { detail = Printf.sprintf "%s: %s" filename msg; case = None }
-  | Ok [] ->
-    Check.Fail
-      {
-        detail = Printf.sprintf "%s: no sweep policies parsed" filename;
-        case = None;
-      }
-  | Ok means ->
-    let mismatch = ref None in
-    List.iter
-      (fun (name, mean) ->
-        if !mismatch = None then
-          let key =
-            Printf.sprintf "fig8/cap%d/%s/mean" sweep_capacity name
-          in
-          match List.find_opt (fun d -> d.key = key) digests with
-          | None ->
-            mismatch :=
-              Some (Printf.sprintf "artifact policy %s has no digest" name)
-          | Some d ->
-            let v = float_of_string d.hex in
-            if Printf.sprintf "%.4f" v <> Printf.sprintf "%.4f" mean then
-              mismatch :=
-                Some
-                  (Printf.sprintf
-                     "artifact %s mean %.4f <> digest %s (%.4f)" name mean
-                     d.hex v))
-      means;
-    (match !mismatch with
+    Check.Fail { detail = Printf.sprintf "%s: %s" filename msg; case = None }
+  | Ok means -> (
+    match List.find_map mismatch means with
     | None ->
       Check.Pass
         {

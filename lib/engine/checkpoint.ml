@@ -1,8 +1,4 @@
-(* Records are one JSON object per line; only the "key" and "hex" fields
-   are read back (the decimal "value" is for humans and jq).  Parsing is
-   a small substring scan rather than a JSON dependency: keys are
-   runner-generated (labels, integers, '|' separators — sanitised of
-   quotes and newlines on write), hex floats are [%h] output. *)
+module Json = Ssj_obs.Json
 
 (* Header schema: the first non-empty line of a checkpoint written by
    this binary is {"ssj_checkpoint_schema": N}.  Headerless files are the
@@ -37,97 +33,47 @@ type t = {
   mu : Mutex.t;
 }
 
-let sanitize_key key =
-  String.map (fun c -> if c = '"' || c = '\n' || c = '\r' then '_' else c) key
-
-(* Extract the string value of ["field": "..."] from [line], if any. *)
-let string_field line field =
-  let marker = Printf.sprintf "\"%s\": \"" field in
-  let mlen = String.length marker in
-  let llen = String.length line in
-  let rec find i =
-    if i + mlen > llen then None
-    else if String.sub line i mlen = marker then Some (i + mlen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start -> (
-    match String.index_from_opt line start '"' with
-    | None -> None (* torn line: opened the value, never closed it *)
-    | Some stop -> Some (String.sub line start (stop - start)))
-
-let parse_line line =
-  match (string_field line "key", string_field line "hex") with
-  | Some key, Some hex -> (
-    match float_of_string_opt hex with
-    | Some v -> Some (key, v)
-    | None -> None)
+(* A record line: {"key": ..., "hex": "%h", "value": ...}; only "key"
+   and "hex" are read back (the decimal "value" is for humans and jq). *)
+let parse_record j =
+  match (Json.member "key" j, Json.member "hex" j) with
+  | Some (Json.String key), Some (Json.String hex) ->
+    Option.map (fun v -> (key, v)) (float_of_string_opt hex)
   | _ -> None
 
-(* Extract the integer value of ["field": 123] from [line], if any. *)
-let int_field line field =
-  let marker = Printf.sprintf "\"%s\":" field in
-  let mlen = String.length marker in
-  let llen = String.length line in
-  let rec find i =
-    if i + mlen > llen then None
-    else if String.sub line i mlen = marker then Some (i + mlen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-    let start = ref start in
-    while !start < llen && line.[!start] = ' ' do incr start done;
-    let stop = ref !start in
-    if !stop < llen && line.[!stop] = '-' then incr stop;
-    while !stop < llen && line.[!stop] >= '0' && line.[!stop] <= '9' do
-      incr stop
-    done;
-    int_of_string_opt (String.sub line !start (!stop - !start))
-
-let header_schema line = int_field line "ssj_checkpoint_schema"
+let header_schema j =
+  Option.bind (Json.member "ssj_checkpoint_schema" j) Json.as_int
 
 (* Returns [Error] when the file's header declares a newer schema;
    otherwise fills the table from the record lines. *)
 let load_existing t =
-  match open_in t.path with
+  match In_channel.with_open_bin t.path In_channel.input_all with
   | exception Sys_error _ -> Ok ()
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let first_content = ref true in
-        let rejected = ref None in
-        (try
-           while !rejected = None do
-             let line = input_line ic in
-             if String.trim line <> "" then begin
-               let is_header = !first_content && header_schema line <> None in
-               (if is_header then
-                  match header_schema line with
-                  | Some v when v > schema_version ->
-                    rejected :=
-                      Some
-                        (Schema_newer
-                           {
-                             path = t.path;
-                             found = v;
-                             supported = schema_version;
-                           })
-                  | Some _ | None -> ()
-                else
-                  match parse_line line with
-                  | Some (key, v) ->
-                    Hashtbl.replace t.table key v;
-                    t.loaded <- t.loaded + 1
-                  | None -> t.corrupt <- t.corrupt + 1);
-               first_content := false
-             end
-           done
-         with End_of_file -> ());
-        match !rejected with Some e -> Error e | None -> Ok ())
+  | text -> (
+    let lines =
+      String.split_on_char '\n' text
+      |> List.filter (fun line -> String.trim line <> "")
+      |> List.map (fun line -> Result.to_option (Json.of_string line))
+    in
+    let header, records =
+      match lines with
+      | Some first :: rest when header_schema first <> None ->
+        (header_schema first, rest)
+      | _ -> (None, lines)
+    in
+    match header with
+    | Some found when found > schema_version ->
+      Error (Schema_newer { path = t.path; found; supported = schema_version })
+    | _ ->
+      List.iter
+        (fun line ->
+          match Option.bind line parse_record with
+          | Some (key, v) ->
+            Hashtbl.replace t.table key v;
+            t.loaded <- t.loaded + 1
+          | None -> t.corrupt <- t.corrupt + 1)
+        records;
+      Ok ())
 
 let create_result ~path =
   let t =
@@ -140,7 +86,7 @@ let create_result ~path =
       mu = Mutex.create ();
     }
   in
-  match load_existing t with Ok () -> Ok t | Error e -> Error e
+  Result.map (fun () -> t) (load_existing t)
 
 let create ~path =
   match create_result ~path with Ok t -> t | Error e -> raise (Rejected e)
@@ -156,57 +102,59 @@ let corrupt_lines t = t.corrupt
 
 let find t ~key =
   Mutex.lock t.mu;
-  let v = Hashtbl.find_opt t.table (sanitize_key key) in
+  let v = Hashtbl.find_opt t.table key in
   Mutex.unlock t.mu;
   v
 
-(* A killed writer can leave the file without a final newline (a torn
-   record); appending straight after it would weld the next record onto
-   the torn one and corrupt both. *)
-let ends_mid_line path =
+(* The file's last byte, [None] when it is missing or empty.  A killed
+   writer can leave the file without a final newline (a torn record);
+   appending straight after it would weld the next record onto the torn
+   one and corrupt both. *)
+let last_byte path =
   match open_in_bin path with
-  | exception Sys_error _ -> false
+  | exception Sys_error _ -> None
   | ic ->
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () ->
         let n = in_channel_length ic in
-        n > 0
-        &&
-        (seek_in ic (n - 1);
-         input_char ic <> '\n'))
+        if n = 0 then None
+        else begin
+          seek_in ic (n - 1);
+          Some (input_char ic)
+        end)
 
-let file_size path =
-  match open_in_bin path with
-  | exception Sys_error _ -> 0
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> in_channel_length ic)
+let output_line oc j = output_string oc (Json.to_string j ^ "\n")
 
 let channel t =
   match t.oc with
   | Some oc -> oc
   | None ->
-    let heal = ends_mid_line t.path in
-    let fresh = file_size t.path = 0 in
+    let last = last_byte t.path in
     let oc = open_out_gen [ Open_append; Open_creat ] 0o644 t.path in
-    if heal then output_char oc '\n';
-    if fresh then
-      Printf.fprintf oc "{\"ssj_checkpoint_schema\": %d}\n" schema_version;
+    (match last with
+    | None ->
+      output_line oc
+        (Json.Object [ ("ssj_checkpoint_schema", Json.int schema_version) ])
+    | Some '\n' -> ()
+    | Some _ -> output_char oc '\n');
     t.oc <- Some oc;
     oc
 
 let record t ~key v =
-  let key = sanitize_key key in
   Mutex.lock t.mu;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mu)
     (fun () ->
       Hashtbl.replace t.table key v;
       let oc = channel t in
-      Printf.fprintf oc "{\"key\": \"%s\", \"hex\": \"%h\", \"value\": %.4f}\n"
-        key v v;
+      output_line oc
+        (Json.Object
+           [
+             ("key", Json.String key);
+             ("hex", Json.String (Printf.sprintf "%h" v));
+             ("value", Json.fixed 4 v);
+           ]);
       flush oc)
 
 let close t =

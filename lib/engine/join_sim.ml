@@ -42,7 +42,7 @@ let observe_step ~now ~warmup ~produced ~occupancy ~evicted =
   Obs.Histogram.observe m_occupancy occupancy;
   if now = warmup then
     Obs.event ~name:"join_sim.warmup_boundary"
-      [ ("t", Obs.I now); ("occupancy", Obs.I occupancy) ]
+      Ssj_obs.Json.[ ("t", int now); ("occupancy", int occupancy) ]
 
 type result = {
   total_results : int;

@@ -28,100 +28,7 @@ type joining_setup = {
 
 let default_warmup ~capacity = 4 * capacity
 
-let compare_joining ~setup ~traces ~policies ?(include_opt = true) ?jobs () =
-  let { capacity; warmup; window } = setup in
-  let opt =
-    if include_opt then begin
-      let per_run =
-        Parallel.map ?jobs
-          (fun trace ->
-            float_of_int
-              (Opt_offline.max_results_from ~trace ~capacity ~start:warmup ()))
-          traces
-      in
-      [ summarize ~label:"OPT-OFFLINE" per_run ]
-    end
-    else []
-  in
-  let evaluated =
-    List.map
-      (fun (label, make) ->
-        let per_run =
-          Parallel.map ?jobs
-            (fun trace ->
-              let policy = make () in
-              let result =
-                Join_sim.run ~trace ~policy ~capacity ~warmup ?window ()
-              in
-              float_of_int result.Join_sim.counted_results)
-            traces
-        in
-        summarize ~label per_run)
-      policies
-  in
-  opt @ evaluated
-
-let compare_joining_observed ~setup ~traces ~policies ?jobs () =
-  (* Evaluate the policies one at a time, resetting the metric registry
-     between them, so each snapshot isolates one policy's engine
-     activity (counters are process-global).  Selections are identical
-     to {!compare_joining}'s — only the grouping differs. *)
-  List.map
-    (fun (label, make) ->
-      Ssj_obs.Obs.reset ();
-      let summary =
-        match
-          compare_joining ~setup ~traces ~policies:[ (label, make) ]
-            ~include_opt:false ?jobs ()
-        with
-        | [ s ] -> s
-        | _ -> assert false
-      in
-      (summary, Ssj_obs.Obs.snapshot ()))
-    policies
-
-let compare_caching ~capacity ~warmup ~references ~policies
-    ?(include_lfd = true) ?(metric = `Misses) ?jobs () =
-  let pick (r : Cache_sim.result) =
-    match metric with
-    | `Hits -> float_of_int r.Cache_sim.counted_hits
-    | `Misses -> float_of_int r.Cache_sim.counted_misses
-  in
-  let lfd =
-    if include_lfd then begin
-      let per_run =
-        Parallel.map ?jobs
-          (fun reference ->
-            let policy = Classic.lfd ~reference in
-            pick (Cache_sim.run ~reference ~policy ~capacity ~warmup ()))
-          references
-      in
-      [ summarize ~label:"LFD" per_run ]
-    end
-    else []
-  in
-  let evaluated =
-    List.map
-      (fun (label, make) ->
-        let per_run =
-          Parallel.map ?jobs
-            (fun reference ->
-              let policy = make () in
-              pick (Cache_sim.run ~reference ~policy ~capacity ~warmup ()))
-            references
-        in
-        summarize ~label per_run)
-      policies
-  in
-  lfd @ evaluated
-
-let share_trace ~trace ~policy ~capacity ~every =
-  let result =
-    Join_sim.run ~trace ~policy ~capacity ~record_share:every ()
-  in
-  result.Join_sim.share_samples
-
-(* ---- Supervised execution ---------------------------------------- *)
+(* ---- The per-run loop --------------------------------------------- *)
 
 let m_run_failures = Obs.Counter.create "runner.run_failures"
 let m_run_retries = Obs.Counter.create "runner.run_retries"
@@ -135,27 +42,11 @@ type failure = {
   backtrace : string;
 }
 
-type supervision = {
-  retries : int;
-  step_budget : int option;
-  checkpoint : Checkpoint.t option;
-}
-
-let default_supervision = { retries = 1; step_budget = None; checkpoint = None }
-
-let env_int name =
-  match Sys.getenv_opt name with
-  | None | Some "" -> None
-  | Some s -> int_of_string_opt (String.trim s)
+type supervision = { retries : int; checkpoint : Checkpoint.t option }
 
 let supervision_from_env () =
   {
-    retries =
-      (match env_int "SSJ_RETRIES" with Some r when r >= 0 -> r | _ -> 1);
-    step_budget =
-      (match env_int "SSJ_STEP_BUDGET" with
-      | Some b when b > 0 -> Some b
-      | _ -> None);
+    retries = Ssj_prob.Parallel.env_int "SSJ_RETRIES" ~min:0 ~default:1;
     checkpoint = Checkpoint.from_env ();
   }
 
@@ -170,72 +61,63 @@ type supervised = {
    [Parallel.try_map]'s per-slot capture. *)
 exception Run_failed of failure
 
-let run_supervised ~label ?(supervision = default_supervision)
-    ?(ckpt_context = "") ?jobs f arr =
+let failure ~label ~run ~attempts e bt =
+  {
+    policy = label;
+    run;
+    attempts;
+    error = Printexc.to_string e;
+    backtrace = Printexc.raw_backtrace_to_string bt;
+  }
+
+let run_supervised ~label ?supervision ?(ckpt_context = "") ?jobs f arr =
+  let retries = Option.fold supervision ~none:0 ~some:(fun s -> s.retries) in
+  let checkpoint = Option.bind supervision (fun s -> s.checkpoint) in
+  let supervised = Option.is_some supervision in
   let hits = Atomic.make 0 in
   let key run = Printf.sprintf "%s|%s|%d" ckpt_context label run in
-  let worker run x =
-    let k = key run in
-    let recorded =
-      match supervision.checkpoint with
-      | Some ckpt -> Checkpoint.find ckpt ~key:k
-      | None -> None
-    in
-    match recorded with
+  let worker (run, x) =
+    let recorded c = Checkpoint.find c ~key:(key run) in
+    match Option.bind checkpoint recorded with
     | Some v ->
       Atomic.incr hits;
       Obs.Counter.incr m_checkpoint_hits;
       v
     | None ->
-      let attempts_max = 1 + max 0 supervision.retries in
       let rec go attempt =
         match f run x with
         | v ->
-          (match supervision.checkpoint with
-          | Some ckpt -> Checkpoint.record ckpt ~key:k v
-          | None -> ());
+          Option.iter (fun c -> Checkpoint.record c ~key:(key run) v)
+            checkpoint;
           v
-        | exception e ->
+        | exception e when supervised ->
           let bt = Printexc.get_raw_backtrace () in
-          if attempt < attempts_max then begin
+          if attempt <= retries then begin
             Obs.Counter.incr m_run_retries;
             go (attempt + 1)
           end
           else begin
             Obs.Counter.incr m_run_failures;
-            raise
-              (Run_failed
-                 {
-                   policy = label;
-                   run;
-                   attempts = attempt;
-                   error = Printexc.to_string e;
-                   backtrace = Printexc.raw_backtrace_to_string bt;
-                 })
+            raise (Run_failed (failure ~label ~run ~attempts:attempt e bt))
           end
       in
       go 1
   in
   let indexed = Array.mapi (fun i x -> (i, x)) arr in
-  let slots = Parallel.try_map ?jobs (fun (i, x) -> worker i x) indexed in
+  let slots =
+    if supervised then Parallel.try_map ?jobs worker indexed
+    else Array.map Result.ok (Parallel.map ?jobs worker indexed)
+  in
   let completed = ref [] and failures = ref [] in
   Array.iteri
-    (fun i slot ->
+    (fun run slot ->
       match slot with
       | Ok v -> completed := v :: !completed
       | Error (Run_failed fl, _) -> failures := fl :: !failures
       | Error (e, bt) ->
-        (* Exceptions raised outside the retry loop (e.g. during spawn)
+        (* Exceptions raised outside the retry loop (a checkpoint write)
            still become manifest entries rather than vanishing. *)
-        failures :=
-          {
-            policy = label;
-            run = i;
-            attempts = 1;
-            error = Printexc.to_string e;
-            backtrace = Printexc.raw_backtrace_to_string bt;
-          }
-          :: !failures)
+        failures := failure ~label ~run ~attempts:1 e bt :: !failures)
     slots;
   let per_run = Array.of_list (List.rev !completed) in
   {
@@ -245,23 +127,46 @@ let run_supervised ~label ?(supervision = default_supervision)
     checkpoint_hits = Atomic.get hits;
   }
 
-let compare_joining_supervised ~setup ~traces ~policies
-    ?(supervision = default_supervision) ?ckpt_context ?jobs () =
-  let { capacity; warmup; window } = setup in
-  let ckpt_context =
-    match ckpt_context with
-    | Some c -> c
-    | None -> Printf.sprintf "cap%d" capacity
-  in
+(* ---- Policy lineups over the loop ---------------------------------- *)
+
+let lineup ?jobs items entries =
   List.map
-    (fun (label, make) ->
-      run_supervised ~label ~supervision ~ckpt_context ?jobs
-        (fun _run trace ->
-          let policy = make () in
-          let result =
-            Join_sim.run ~trace ~policy ~capacity ~warmup ?window
-              ?step_budget:supervision.step_budget ()
-          in
-          float_of_int result.Join_sim.counted_results)
-        traces)
-    policies
+    (fun (label, f) ->
+      (run_supervised ~label ?jobs (fun _ x -> f x) items).summary)
+    entries
+
+let compare_joining ~setup ~traces ~policies ?(include_opt = true) ?jobs () =
+  let { capacity; warmup; window } = setup in
+  let opt trace =
+    float_of_int
+      (Opt_offline.max_results_from ~trace ~capacity ~start:warmup ())
+  in
+  let simulate make trace =
+    let result =
+      Join_sim.run ~trace ~policy:(make ()) ~capacity ~warmup ?window ()
+    in
+    float_of_int result.Join_sim.counted_results
+  in
+  lineup ?jobs traces
+    ((if include_opt then [ ("OPT-OFFLINE", opt) ] else [])
+    @ List.map (fun (label, make) -> (label, simulate make)) policies)
+
+let compare_caching ~capacity ~warmup ~references ~policies
+    ?(include_lfd = true) ?jobs () =
+  let misses policy reference =
+    let result = Cache_sim.run ~reference ~policy ~capacity ~warmup () in
+    float_of_int result.Cache_sim.counted_misses
+  in
+  let lfd reference = misses (Classic.lfd ~reference) reference in
+  lineup ?jobs references
+    ((if include_lfd then [ ("LFD", lfd) ] else [])
+    @ List.map
+        (fun (label, make) ->
+          (label, fun reference -> misses (make ()) reference))
+        policies)
+
+let share_trace ~trace ~policy ~capacity ~every =
+  let result =
+    Join_sim.run ~trace ~policy ~capacity ~record_share:every ()
+  in
+  result.Join_sim.share_samples

@@ -201,57 +201,29 @@ let reset () =
         Atomic.set s.s_ns 0)
     ms
 
-(* --- JSON ----------------------------------------------------------- *)
-
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_of_snapshot views =
-  let buf = Buffer.create 1024 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i view ->
-      if i > 0 then Buffer.add_string buf ", ";
-      match view with
-      | Counter_v { name; value } ->
-        Buffer.add_string buf (Printf.sprintf "\"%s\": %d" (escape name) value)
-      | Histogram_v { name; count; sum; min_v; max_v; width; buckets } ->
-        Buffer.add_string buf
-          (Printf.sprintf "\"%s\": {\"count\": %d, \"sum\": %d" (escape name)
-             count sum);
-        if count > 0 then
-          Buffer.add_string buf
-            (Printf.sprintf ", \"min\": %d, \"max\": %d" min_v max_v);
-        Buffer.add_string buf (Printf.sprintf ", \"bucket_width\": %d" width);
-        Buffer.add_string buf ", \"buckets\": {";
-        List.iteri
-          (fun j (lo, n) ->
-            if j > 0 then Buffer.add_string buf ", ";
-            Buffer.add_string buf (Printf.sprintf "\"%d\": %d" lo n))
-          buckets;
-        Buffer.add_string buf "}}"
-      | Span_v { name; calls; total_ns } ->
-        Buffer.add_string buf
-          (Printf.sprintf "\"%s\": {\"calls\": %d, \"total_ns\": %d}"
-             (escape name) calls total_ns))
-    views;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let ints = List.map (fun (k, v) -> (k, Json.int v)) in
+  let metric = function
+    | Counter_v { name; value } -> (name, Json.int value)
+    | Span_v { name; calls; total_ns } ->
+      (name, Json.Object (ints [ ("calls", calls); ("total_ns", total_ns) ]))
+    | Histogram_v { name; count; sum; min_v; max_v; width; buckets } ->
+      let extremes =
+        if count = 0 then [] else [ ("min", min_v); ("max", max_v) ]
+      in
+      let buckets = List.map (fun (lo, n) -> (string_of_int lo, n)) buckets in
+      ( name,
+        Json.Object
+          (ints
+             ([ ("count", count); ("sum", sum) ]
+             @ extremes
+             @ [ ("bucket_width", width) ])
+          @ [ ("buckets", Json.Object (ints buckets)) ]) )
+  in
+  Json.Object (List.map metric views)
 
 (* --- JSONL events --------------------------------------------------- *)
 
-type field = I of int | F of float | S of string | B of bool
 type sink = [ `Null | `Path of string | `Channel of out_channel ]
 
 let sink : sink ref =
@@ -296,20 +268,8 @@ let event ~name fields =
     (match channel_of_sink () with
     | None -> ()
     | Some oc ->
-      let buf = Buffer.create 128 in
-      Buffer.add_string buf (Printf.sprintf "{\"event\": \"%s\"" (escape name));
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_string buf (Printf.sprintf ", \"%s\": " (escape k));
-          Buffer.add_string buf
-            (match v with
-            | I n -> string_of_int n
-            | F x -> Printf.sprintf "%.6g" x
-            | S s -> Printf.sprintf "\"%s\"" (escape s)
-            | B b -> if b then "true" else "false"))
-        fields;
-      Buffer.add_string buf "}\n";
-      Buffer.output_buffer oc buf;
+      let line = Json.Object (("event", Json.String name) :: fields) in
+      output_string oc (Json.to_string line ^ "\n");
       flush oc);
     Mutex.unlock sink_mu
   end

@@ -105,17 +105,11 @@ val reset : unit -> unit
     per-policy bench snapshots reset between policies so each snapshot
     isolates one policy's engine activity. *)
 
-val json_of_snapshot : view list -> string
+val json_of_snapshot : view list -> Json.t
 (** One JSON object: counters as numbers, histograms and spans as
     nested objects.  Keys are metric names, in registration order. *)
 
 (** {1 JSONL events} *)
-
-type field =
-  | I of int
-  | F of float
-  | S of string
-  | B of bool
 
 type sink = [ `Null | `Path of string | `Channel of out_channel ]
 
@@ -124,7 +118,7 @@ val set_event_sink : sink -> unit
     [SSJ_OBS_FILE=p] is set, else [`Null].  [`Path] opens lazily in
     append mode on first emission. *)
 
-val event : name:string -> (string * field) list -> unit
+val event : name:string -> (string * Json.t) list -> unit
 (** Append one JSON line [{"event": name, ...fields}] to the sink when
     the gate is on; no-op (and no I/O) when off or the sink is [`Null].
     Writes are serialised across domains. *)

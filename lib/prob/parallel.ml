@@ -7,13 +7,18 @@
    for any job count and any scheduling.  Items must be independent: the
    runner guarantees this by constructing a fresh policy per trace. *)
 
-let default_jobs () =
-  match Sys.getenv_opt "SSJ_JOBS" with
-  | None | Some "" -> Domain.recommended_domain_count ()
+let env_int name ~min ~default =
+  match Sys.getenv_opt name with
+  | None | Some "" -> default
   | Some s -> (
     match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | _ -> invalid_arg "SSJ_JOBS must be a positive integer")
+    | Some n when n >= min -> n
+    | _ ->
+      invalid_arg
+        (Printf.sprintf "%s must be an integer >= %d, got %S" name min s))
+
+let default_jobs () =
+  env_int "SSJ_JOBS" ~min:1 ~default:(Domain.recommended_domain_count ())
 
 (* Run [count - 1] spawned copies of [worker] plus one on the calling
    domain, and join every domain that was actually spawned on every exit

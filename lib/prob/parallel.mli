@@ -6,9 +6,17 @@
     land in their input slot, so the output is bit-identical to the
     sequential [Array.map] for any job count. *)
 
+val env_int : string -> min:int -> default:int -> int
+(** [env_int name ~min ~default] reads an integer environment variable:
+    [default] when unset or empty, otherwise the (trimmed) value, which
+    must parse as an integer [>= min].  Anything else raises
+    [Invalid_argument] naming the variable — a typo must not silently
+    become the default.  Every integer knob ([SSJ_JOBS], [SSJ_RETRIES],
+    [SSJ_BENCH_RUNS], [SSJ_BENCH_LEN]) goes through it. *)
+
 val default_jobs : unit -> int
-(** Worker count from the [SSJ_JOBS] environment variable if set (must
-    be a positive integer), otherwise
+(** Worker count from the [SSJ_JOBS] environment variable if set (an
+    integer [>= 1], read by {!env_int}), otherwise
     [Domain.recommended_domain_count ()]. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array

@@ -99,14 +99,17 @@ let test_repro_round_trip () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Case.save ~check:"oracle:join-sim/indexed-vs-listscan"
-        ~detail:"fast 3 <> ref 2" case ~filename:path;
+      (* Strings round-trip exactly, quotes, backslashes and newlines
+         included. *)
+      let awkward = "fast 3 <> ref 2: \"band\" \\ skew\nsecond line" in
+      Case.save ~check:"oracle:join-sim/indexed-vs-listscan" ~detail:awkward
+        case ~filename:path;
       match Case.load ~filename:path with
       | Error msg -> Alcotest.fail msg
       | Ok { Case.case = c; check; detail } ->
         Alcotest.(check string)
           "check" "oracle:join-sim/indexed-vs-listscan" check;
-        Alcotest.(check string) "detail" "fast 3 <> ref 2" detail;
+        Alcotest.(check string) "detail" awkward detail;
         Helpers.check_bool "case equal" true (c = case))
 
 let test_shrink_minimizes_synthetic () =
@@ -175,9 +178,30 @@ let test_artifact_cross_check () =
           };
         ]
       in
-      match Golden.check_artifact ~filename:path drifted with
+      (match Golden.check_artifact ~filename:path drifted with
       | Check.Pass _ -> Alcotest.fail "drifted rounding must fail"
-      | Check.Fail _ -> ())
+      | Check.Fail _ -> ());
+      (* The reader follows .sweep.policies, not the text layout: other
+         key orders and no legacy block pass. *)
+      let reordered =
+        write
+          "{\"schema_version\": 4, \"sweep\": {\"policies\": [{\"mean\": \
+           4066.2200, \"stddev\": 1.0, \"name\": \"RAND\"}, {\"stddev\": 2.0, \
+           \"name\": \"PROB\", \"mean\": 4117.9000}], \"runs\": 50}}"
+      in
+      (match Golden.check_artifact ~filename:reordered digests with
+      | Check.Pass { cases; _ } -> Helpers.check_int "reordered keys" 2 cases
+      | Check.Fail { detail; _ } -> Alcotest.fail detail);
+      Sys.remove reordered;
+      (* No sweep block: a failure that names the file. *)
+      let sweepless = write "{\"schema_version\": 4, \"robustness\": {}}" in
+      (match Golden.check_artifact ~filename:sweepless digests with
+      | Check.Pass _ -> Alcotest.fail "an artifact without a sweep must fail"
+      | Check.Fail { detail; _ } ->
+        Helpers.check_bool "failure names the file" true
+          (String.length detail >= String.length sweepless
+          && String.sub detail 0 (String.length sweepless) = sweepless));
+      Sys.remove sweepless)
 
 let test_compare_digests () =
   let d key hex = { Golden.key; hex } in

@@ -3,6 +3,7 @@ open Ssj_engine
 open Ssj_workload
 open Helpers
 module Obs = Ssj_obs.Obs
+module Json = Ssj_obs.Json
 
 (* The suite flips the process-global gate; every test restores it. *)
 let with_gate enabled f =
@@ -85,11 +86,9 @@ let test_reset_and_snapshot () =
       | _ -> Alcotest.fail "counter missing after reset");
       (* Snapshots keep zero-valued metrics: shape is run-stable. *)
       check_bool "json has the key" true
-        (let json = Obs.json_of_snapshot (Obs.snapshot ()) in
-         let sub = "\"test.reset_counter\"" in
-         let n = String.length json and m = String.length sub in
-         let rec scan i = i + m <= n && (String.sub json i m = sub || scan (i + 1)) in
-         scan 0))
+        (Json.member "test.reset_counter"
+           (Obs.json_of_snapshot (Obs.snapshot ()))
+        = Some (Json.int 0)))
 
 let test_summarize_empty () =
   let s = Runner.summarize ~label:"empty" [||] in
@@ -139,6 +138,37 @@ let test_heeb_beats_rand_when_saturated () =
     true
     (mean "HEEB" > mean "RAND")
 
+let test_json_round_trip () =
+  let awkward = "q\"uote \\ back\nline\ttab \001 caf\xc3\xa9" in
+  let value =
+    Json.Object
+      [
+        ("s", Json.String awkward);
+        ("n", Json.fixed 4 4066.22);
+        ("nan", Json.fixed 4 Float.nan);
+        ("a", Json.Array [ Json.int (-3); Json.Null; Json.Bool true ]);
+        ("empty", Json.Object []);
+      ]
+  in
+  let text = Json.to_string value in
+  check_bool "one line" true (not (String.contains text '\n'));
+  check_bool "compact round trip" true (Json.of_string text = Ok value);
+  check_bool "pretty round trip" true
+    (Json.of_string (Json.pretty value) = Ok value);
+  check_bool "number keeps its literal" true
+    (Json.member "n" value = Some (Json.Number "4066.2200"));
+  check_bool "non-finite becomes null" true
+    (Json.member "nan" value = Some Json.Null);
+  check_bool "unicode escapes decode to UTF-8" true
+    (Json.of_string {|"\u00e9\ud83d\ude00"|}
+    = Ok (Json.String "\xc3\xa9\xf0\x9f\x98\x80"));
+  List.iter
+    (fun bad ->
+      check_bool (Printf.sprintf "rejects %S" bad) true
+        (Result.is_error (Json.of_string bad)))
+    [ ""; "{"; "[1,]"; "{\"a\" 1}"; "01"; "1."; "\"\n\""; "\"\\x\""; "[1] 2";
+      "\"\\ud800\""; "tru"; "{\"a\": 1,}" ]
+
 let suite =
   [
     Alcotest.test_case "counter basic" `Quick test_counter_basic;
@@ -148,6 +178,8 @@ let suite =
       test_histogram_disabled_noop;
     Alcotest.test_case "span accumulates" `Quick test_span_accumulates;
     Alcotest.test_case "reset + snapshot" `Quick test_reset_and_snapshot;
+    Alcotest.test_case "Json: exact round trip, strict reader" `Quick
+      test_json_round_trip;
     Alcotest.test_case "summarize of empty runs" `Quick test_summarize_empty;
     Alcotest.test_case "SSJ_OBS=1 does not change results" `Quick
       test_obs_does_not_change_results;

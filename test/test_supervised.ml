@@ -13,8 +13,23 @@ let tower_trace ~length ~seed =
   let r, s = Config.predictors tower in
   Trace.generate ~r ~s ~rng:(Rng.create seed) ~length
 
-let no_supervision =
-  { Runner.retries = 0; step_budget = None; checkpoint = None }
+let no_supervision = { Runner.retries = 0; checkpoint = None }
+
+(* The joining lineup under supervision: one [run_supervised] sweep per
+   policy, [step_budget] threaded into each run. *)
+let supervised_lineup ?step_budget ~setup ~traces ~policies () =
+  List.map
+    (fun (label, make) ->
+      Runner.run_supervised ~label ~supervision:no_supervision
+        (fun _run trace ->
+          let { Runner.capacity; warmup; window } = setup in
+          let result =
+            Join_sim.run ~trace ~policy:(make ()) ~capacity ~warmup ?window
+              ?step_budget ()
+          in
+          float_of_int result.Join_sim.counted_results)
+        traces)
+    policies
 
 (* --- Parallel error paths ------------------------------------------- *)
 
@@ -100,10 +115,7 @@ let test_supervised_matches_plain () =
   let plain =
     Runner.compare_joining ~setup ~traces ~policies ~include_opt:false ()
   in
-  let supervised =
-    Runner.compare_joining_supervised ~setup ~traces ~policies
-      ~supervision:no_supervision ()
-  in
+  let supervised = supervised_lineup ~setup ~traces ~policies () in
   List.iter2
     (fun (p : Runner.summary) (s : Runner.supervised) ->
       Helpers.check_int "no failures" 0 (List.length s.Runner.failures);
@@ -116,11 +128,7 @@ let test_step_budget () =
   let traces = Array.init 3 (fun i -> tower_trace ~length:100 ~seed:(80 + i)) in
   let setup = { Runner.capacity = 5; warmup = 20; window = None } in
   let policies = Factory.trend_policies tower ~seed:7 () in
-  let tight =
-    Runner.compare_joining_supervised ~setup ~traces ~policies
-      ~supervision:{ no_supervision with Runner.step_budget = Some 40 }
-      ()
-  in
+  let tight = supervised_lineup ~step_budget:40 ~setup ~traces ~policies () in
   List.iter
     (fun (s : Runner.supervised) ->
       Helpers.check_int "every run aborted" 3 (List.length s.Runner.failures);
@@ -139,11 +147,7 @@ let test_step_budget () =
       Helpers.check_float "mean zero" 0.0 s.Runner.summary.Runner.mean)
     tight;
   (* A budget that covers the whole trace changes nothing. *)
-  let roomy =
-    Runner.compare_joining_supervised ~setup ~traces ~policies
-      ~supervision:{ no_supervision with Runner.step_budget = Some 100 }
-      ()
-  in
+  let roomy = supervised_lineup ~step_budget:100 ~setup ~traces ~policies () in
   let plain =
     Runner.compare_joining ~setup ~traces ~policies ~include_opt:false ()
   in
@@ -310,9 +314,26 @@ let test_supervision_from_env () =
   let sup = Runner.supervision_from_env () in
   (* In the test environment none of the variables are set. *)
   Helpers.check_int "default retries" 1 sup.Runner.retries;
-  Helpers.check_bool "no default budget" true (sup.Runner.step_budget = None);
   Helpers.check_bool "no default checkpoint" true
     (sup.Runner.checkpoint = None)
+
+let test_supervision_from_env_rejects () =
+  (* A typo in SSJ_RETRIES must fail loudly, naming the variable, not
+     silently become the default. *)
+  let saved = Sys.getenv_opt "SSJ_RETRIES" in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "SSJ_RETRIES" (Option.value saved ~default:""))
+    (fun () ->
+      Unix.putenv "SSJ_RETRIES" "abc";
+      match Runner.supervision_from_env () with
+      | _ -> Alcotest.fail "SSJ_RETRIES=abc must be rejected"
+      | exception Invalid_argument msg ->
+        Helpers.check_bool "message names the variable" true
+          (String.length msg >= 11 && String.sub msg 0 11 = "SSJ_RETRIES"));
+  let value v = Option.value v ~default:"" in
+  Helpers.check_bool "environment restored" true
+    (value (Sys.getenv_opt "SSJ_RETRIES") = value saved)
 
 let suite =
   [
@@ -332,4 +353,6 @@ let suite =
       test_checkpoint_schema;
     Alcotest.test_case "supervision_from_env defaults" `Quick
       test_supervision_from_env;
+    Alcotest.test_case "supervision_from_env rejects malformed SSJ_RETRIES"
+      `Quick test_supervision_from_env_rejects;
   ]
