@@ -1,21 +1,20 @@
-(* Benchmark & reproduction harness.  `dune exec bench/main.exe`:
+(* Benchmark harness.  `dune exec bench/main.exe`:
 
-   1. times the tracked fig8 sweep (all joining policies on shared TOWER
-      traces, capacity 25, best of 5), exits 1 if its means coincide or
-      drift from the golden digests, and re-runs it with the obs gate on
-      for per-policy metric snapshots;
+   1. times the tracked fig8 sweep ({!Ssj_conform.Golden}'s TOWER traces,
+      capacity 25, trend lineup; best of 5), exits 1 if its means
+      coincide or drift from the golden digests, and re-runs it with the
+      obs gate on for per-policy metric snapshots;
    2. runs the robustness pass: the fault x policy degradation grid,
       regime switches, and a supervised sweep with one deliberate crash;
-   3. reproduces every figure table (Figures 6-19, Sections 3.4 and 7,
-      the extension studies): the numbers in EXPERIMENTS.md;
-   4. times the kernel behind each figure with bechamel.
+   3. times the kernel behind each figure with bechamel.
 
+   The figure tables themselves (EXPERIMENTS.md) come from `sjoin all`.
    Everything measured lands in BENCH_joining.json (schema 4); its
    baseline.kernels_ns, the CI kernel-gate anchors, is carried unchanged
    from the artifact being overwritten.  Env knobs: SSJ_BENCH_RUNS /
    SSJ_BENCH_LEN (default: the paper's 50 x 5000; malformed values are
-   rejected), SSJ_BENCH_FIGURES=0 / SSJ_BENCH_KERNELS=0 skip passes 3 /
-   4, SSJ_JOBS, and SSJ_CHECKPOINT / SSJ_RETRIES for the demo. *)
+   rejected), SSJ_BENCH_KERNELS=0 skips pass 3, SSJ_JOBS, and
+   SSJ_CHECKPOINT / SSJ_RETRIES for the demo. *)
 
 open Bechamel
 open Toolkit
@@ -184,31 +183,16 @@ let run_micro () =
 
 module Obs = Ssj_obs.Obs
 module Json = Ssj_obs.Json
-
-(* The tracked policy sweep runs at capacity 25, the saturating
-   configuration.  Under TOWER lifetimes the live-tuple population
-   averages ~25, so at capacity 50 no policy ever had to evict a live
-   tuple and all four means coincided (4039.6600, EXPERIMENTS.md).  At
-   capacity 25 the cache is pinned at capacity for >99% of steps
-   (join_sim.occupancy) with ~2 evictions per step, and the four
-   policies separate. *)
-let sweep_capacity = 25
+module Golden = Ssj_conform.Golden
 
 type sweep = {
   runs : int;
   length : int;
-  sweep_capacity : int;
   jobs : int;
   wall_s : float; (* best of [wall_reps] *)
   wall_reps : float list;
   summaries : Runner.summary list;
 }
-
-let canonical sweep = sweep.runs = 50 && sweep.length = 5000
-
-let setup =
-  let capacity = sweep_capacity in
-  { Runner.capacity; warmup = Runner.default_warmup ~capacity; window = None }
 
 let run_sweep traces =
   let runs = opts.runs and length = opts.length in
@@ -219,9 +203,8 @@ let run_sweep traces =
   let measure () =
     let t0 = Unix.gettimeofday () in
     let summaries =
-      Runner.compare_joining ~setup ~traces
-        ~policies:(Factory.trend_policies tower ~seed:42 ())
-        ~include_opt:false ~jobs ()
+      Runner.compare_joining ~setup:Golden.sweep_setup ~traces
+        ~policies:(Golden.sweep_lineup ()) ~include_opt:false ~jobs ()
     in
     (Unix.gettimeofday () -. t0, summaries)
   in
@@ -231,7 +214,7 @@ let run_sweep traces =
   let summaries = snd (List.hd measured) in
   Format.printf "@.== fig8 sweep wall-clock (%d runs x %d, capacity %d, %d \
                  job%s) ==@."
-    runs length sweep_capacity jobs
+    runs length Golden.sweep_capacity jobs
     (if jobs = 1 then "" else "s");
   List.iter
     (fun s ->
@@ -240,7 +223,7 @@ let run_sweep traces =
     summaries;
   Format.printf "  wall: %.3f s (best of %s)@." wall_s
     (String.concat "/" (List.map (Printf.sprintf "%.3f") wall_reps));
-  { runs; length; sweep_capacity; jobs; wall_s; wall_reps; summaries }
+  { runs; length; jobs; wall_s; wall_reps; summaries }
 
 (* A benchmark whose policy dimension has collapsed must never be
    checked in silently again: if every policy produced the same mean (to
@@ -257,7 +240,7 @@ let fail_if_degenerate sweep =
        discriminating eviction — see join_sim.occupancy and \
        policy.boundary_score_ties under SSJ_OBS=1.@."
       (List.length sweep.summaries)
-      first sweep.sweep_capacity sweep.runs sweep.length;
+      first Golden.sweep_capacity sweep.runs sweep.length;
     exit 1
   | _ -> ()
 
@@ -265,34 +248,19 @@ let fail_if_degenerate sweep =
    conformance golden digests; fail before rewriting the artifact if any
    number moved, and point at the registry that attributes the drift. *)
 let fail_if_drifted sweep =
-  if canonical sweep then
-    List.iter
-      (fun s ->
-        List.iter
-          (fun (field, v) ->
-            let key =
-              Printf.sprintf "fig8/cap%d/%s/%s" sweep.sweep_capacity
-                s.Runner.label field
-            in
-            match
-              List.find_opt
-                (fun d -> d.Ssj_conform.Golden.key = key)
-                Ssj_conform.Golden.expected_fig8
-            with
-            | None -> ()
-            | Some d ->
-              let hex = Printf.sprintf "%h" v in
-              if hex <> d.Ssj_conform.Golden.hex then begin
-                Format.eprintf
-                  "ERROR: canonical sweep drifted from golden digest %s: \
-                   expected %s, got %s.@.Run `sjoin check --all` to \
-                   attribute the drift, `sjoin check --print-golden` to \
-                   re-pin it deliberately.@."
-                  key d.Ssj_conform.Golden.hex hex;
-                exit 1
-              end)
-          [ ("mean", s.Runner.mean); ("stddev", s.Runner.stddev) ])
-      sweep.summaries
+  let canonical =
+    sweep.runs = Golden.canonical_runs
+    && sweep.length = Golden.canonical_length
+  in
+  match if canonical then Golden.fig8_drift sweep.summaries else None with
+  | None -> ()
+  | Some (expected, got) ->
+    Format.eprintf
+      "ERROR: canonical sweep drifted from golden digest %s: expected %s, \
+       got %s.@.Run `sjoin check --all` to attribute the drift, `sjoin \
+       check --print-golden` to re-pin it deliberately.@."
+      expected.Golden.key expected.Golden.hex got.Golden.hex;
+    exit 1
 
 (* A policy's artifact row: its name, then its numbers at 4 decimals. *)
 let named name fields =
@@ -309,7 +277,7 @@ let sweep_json sweep =
     [
       ("runs", Json.int sweep.runs);
       ("length", Json.int sweep.length);
-      ("capacity", Json.int sweep.sweep_capacity);
+      ("capacity", Json.int Golden.sweep_capacity);
       ("jobs", Json.int sweep.jobs);
       ("wall_s", Json.fixed 3 sweep.wall_s);
       ("wall_s_reps", Json.Array (List.map (Json.fixed 3) sweep.wall_reps));
@@ -335,11 +303,11 @@ let run_obs_pass sweep traces =
       (fun policy ->
         Obs.reset ();
         let summaries =
-          Runner.compare_joining ~setup ~traces ~policies:[ policy ]
-            ~include_opt:false ~jobs:sweep.jobs ()
+          Runner.compare_joining ~setup:Golden.sweep_setup ~traces
+            ~policies:[ policy ] ~include_opt:false ~jobs:sweep.jobs ()
         in
         (List.hd summaries, Obs.snapshot ()))
-      (Factory.trend_policies tower ~seed:42 ())
+      (Golden.sweep_lineup ())
   in
   let enabled_wall_s = Unix.gettimeofday () -. t0 in
   Obs.set_enabled env_enabled;
@@ -409,7 +377,9 @@ let fail_unless_regime_finite report =
 (* Returns the artifact's "robustness" block. *)
 let run_robustness_pass sweep traces =
   let t0 = Unix.gettimeofday () in
-  let report = Experiments.robustness_grid ~capacity:sweep.sweep_capacity opts in
+  let report =
+    Experiments.robustness_grid ~capacity:Golden.sweep_capacity opts
+  in
   fail_unless_clean_matches sweep report;
   fail_unless_regime_finite report;
   Experiments.print_robustness_grid report;
@@ -450,8 +420,9 @@ let run_robustness_pass sweep traces =
             (Printf.sprintf "injected demo crash: run %d always fails"
                crash_run);
         let result =
-          Join_sim.run ~trace ~policy:(heeb ()) ~capacity:setup.Runner.capacity
-            ~warmup:setup.Runner.warmup ()
+          Join_sim.run ~trace ~policy:(heeb ())
+            ~capacity:Golden.sweep_setup.Runner.capacity
+            ~warmup:Golden.sweep_setup.Runner.warmup ()
         in
         float_of_int result.Join_sim.counted_results)
       traces
@@ -561,16 +532,14 @@ let () =
                  with SSJ_BENCH_RUNS / SSJ_BENCH_LEN.@."
     opts.Experiments.runs opts.Experiments.length;
   let traces =
-    Array.init opts.runs (fun i -> tower_trace opts.length (42 + (1009 * i)))
+    Golden.sweep_traces ~runs:opts.Experiments.runs
+      ~length:opts.Experiments.length
   in
   let sweep = run_sweep traces in
   fail_if_degenerate sweep;
   fail_if_drifted sweep;
   let obs = run_obs_pass sweep traces in
   let robustness = run_robustness_pass sweep traces in
-  (match Sys.getenv_opt "SSJ_BENCH_FIGURES" with
-  | Some "0" -> Format.printf "(figure pass skipped: SSJ_BENCH_FIGURES=0)@."
-  | _ -> Experiments.all opts);
   let kernels =
     match Sys.getenv_opt "SSJ_BENCH_KERNELS" with
     | Some "0" ->

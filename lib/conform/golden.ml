@@ -1,5 +1,3 @@
-open Ssj_prob
-open Ssj_stream
 open Ssj_engine
 open Ssj_workload
 
@@ -13,45 +11,45 @@ type digest = { key : string; hex : string }
 
 let hex v = Printf.sprintf "%h" v
 
-(* Canonical tracked-sweep scale (bench/main.ml's run_sweep on the
-   shared TOWER traces). *)
+(* The tracked sweep: TOWER traces seeded [42 + 1009 i], capacity 25
+   (the saturating configuration: at 50 the cache outgrows TOWER's ~25
+   live tuples and every policy ties), default warm-up, the trend lineup
+   at seed 42, no OPT.  Canonical scale 50 x 5000. *)
 let canonical_runs = 50
 let canonical_length = 5000
 let sweep_capacity = 25
 
-let fig8_digests ~runs ~length () =
-  let tower = Config.tower () in
-  let traces =
-    Array.init runs (fun i ->
-        let r, s = Config.predictors tower in
-        Trace.generate ~r ~s ~rng:(Rng.create (42 + (1009 * i))) ~length)
-  in
-  let setup =
-    {
-      Runner.capacity = sweep_capacity;
-      warmup = Runner.default_warmup ~capacity:sweep_capacity;
-      window = None;
-    }
-  in
-  let summaries =
-    Runner.compare_joining ~setup ~traces
-      ~policies:(Factory.trend_policies tower ~seed:42 ())
-      ~include_opt:false ()
-  in
+let sweep_setup =
+  {
+    Runner.capacity = sweep_capacity;
+    warmup = Runner.default_warmup ~capacity:sweep_capacity;
+    window = None;
+  }
+
+let sweep_traces ~runs ~length =
+  Experiments.traces
+    (fun () -> Config.predictors (Config.tower ()))
+    ~runs ~length ~seed:42
+
+let sweep_lineup () = Factory.trend_policies (Config.tower ()) ~seed:42 ()
+
+let fig8_key label field =
+  Printf.sprintf "fig8/cap%d/%s/%s" sweep_capacity label field
+
+let fig8_digests_of summaries =
   List.concat_map
     (fun s ->
       [
-        {
-          key = Printf.sprintf "fig8/cap%d/%s/mean" sweep_capacity s.Runner.label;
-          hex = hex s.Runner.mean;
-        };
-        {
-          key =
-            Printf.sprintf "fig8/cap%d/%s/stddev" sweep_capacity s.Runner.label;
-          hex = hex s.Runner.stddev;
-        };
+        { key = fig8_key s.Runner.label "mean"; hex = hex s.Runner.mean };
+        { key = fig8_key s.Runner.label "stddev"; hex = hex s.Runner.stddev };
       ])
     summaries
+
+let fig8_digests ~runs ~length () =
+  fig8_digests_of
+    (Runner.compare_joining ~setup:sweep_setup
+       ~traces:(sweep_traces ~runs ~length)
+       ~policies:(sweep_lineup ()) ~include_opt:false ())
 
 let fig13_digests () =
   let data = Experiments.fig13_data Experiments.default in
@@ -157,6 +155,14 @@ let compare_digests ~what ~expected actual =
       { cases = List.length expected; note = "hex digests match bit-for-bit" }
   | Some detail -> Check.Fail { detail; case = None }
 
+let fig8_drift summaries =
+  List.find_map
+    (fun got ->
+      match List.find_opt (fun e -> e.key = got.key) expected_fig8 with
+      | Some expected when expected.hex <> got.hex -> Some (expected, got)
+      | Some _ | None -> None)
+    (fig8_digests_of summaries)
+
 (* --- artifact cross-check -------------------------------------------- *)
 
 (* The tracked BENCH_joining.json rounds the sweep means to 4 decimals;
@@ -182,7 +188,7 @@ let artifact_means ~filename =
 
 let check_artifact ~filename digests =
   let mismatch (name, mean) =
-    let key = Printf.sprintf "fig8/cap%d/%s/mean" sweep_capacity name in
+    let key = fig8_key name "mean" in
     match List.find_opt (fun d -> d.key = key) digests with
     | None -> Some (Printf.sprintf "artifact policy %s has no digest" name)
     | Some d ->

@@ -9,14 +9,31 @@
 
 type digest = { key : string; hex : string }
 
+(** {2 The tracked sweep}
+
+    TOWER traces seeded [42 + 1009 i], capacity 25, default warm-up,
+    the trend lineup at seed 42, no OPT; canonical scale
+    [canonical_runs] x [canonical_length].  The bench times exactly
+    this sweep. *)
+
 val canonical_runs : int
 val canonical_length : int
 val sweep_capacity : int
+val sweep_setup : Ssj_engine.Runner.joining_setup
+val sweep_traces : runs:int -> length:int -> Ssj_stream.Trace.t array
+val sweep_lineup : unit -> Ssj_workload.Factory.join_lineup
+
+val fig8_digests_of : Ssj_engine.Runner.summary list -> digest list
+(** Digest each summary's mean and stddev under the key
+    ["fig8/cap25/<label>/<mean|stddev>"]. *)
 
 val fig8_digests : runs:int -> length:int -> unit -> digest list
-(** Recompute the tracked sweep (TOWER traces seeded [42 + 1009 i],
-    capacity 25, default warm-up, trend policies, no OPT) and digest
-    each summary's mean and stddev. *)
+(** Recompute the tracked sweep at the given scale and digest it. *)
+
+val fig8_drift : Ssj_engine.Runner.summary list -> (digest * digest) option
+(** The first (expected, recomputed) pair whose hex differs, for
+    summaries of the tracked sweep at canonical scale; labels without a
+    recorded digest are ignored. *)
 
 val fig13_digests : unit -> digest list
 (** Recompute the Figure 13 series via {!Ssj_workload.Experiments.fig13_data}

@@ -90,8 +90,8 @@ let selection_violation rng =
   let candidates = List.init n tuple in
   let cached = List.filteri (fun j _ -> j < n - 2) candidates in
   let r = List.nth candidates (n - 2) and s = List.nth candidates (n - 1) in
-  (* Half the cases keep fewer than half the candidates: the bounded-heap
-     branch (n > 2 · capacity). *)
+  (* Half the cases keep fewer than half the candidates, far below the
+     engine's steady state of [capacity + 2] candidates. *)
   let capacity =
     if Rng.bool rng then Rng.int rng (n / 2) else Rng.int rng (n + 2)
   in
@@ -131,7 +131,7 @@ let selection_violation rng =
 
 let keep_top_check =
   Check.make ~name:"oracle:keep-top/bounded-vs-sort" ~kind:Check.Oracle
-    ~fast:"Policy.scored step (adaptive sort / bounded heap) and its diff"
+    ~fast:"Policy.scored step (adaptive sort) and its diff"
     ~reference:"Ref_sim.keep_top_spec (full stable sort)"
     (fun ~seed ~count ->
       let rng = Rng.create (seed + 17) in

@@ -7,8 +7,9 @@
     - [oracle:join-sim/validated-vs-listscan] — the same run with
       per-step validation on vs the same reference; shrinkable.
     - [oracle:keep-top/bounded-vs-sort] — the one selection routine
-      behind {!Ssj_core.Policy.scored} (adaptive sort and bounded heap,
-      tie-heavy scores) and its recorded diff vs
+      behind {!Ssj_core.Policy.scored} (adaptive sort, small and large
+      candidate-to-capacity ratios, tie-heavy scores) and its recorded
+      diff vs
       {!Ref_sim.keep_top_spec}.
     - [oracle:flow-expect/warm-vs-fresh] — warm-started
       {!Ssj_core.Flow_expect.decide} vs fresh per-step solves

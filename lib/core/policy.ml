@@ -16,11 +16,9 @@ let m_dead_candidates = Obs.Counter.create "policy.dead_candidates"
 let m_tie_pairs = Obs.Counter.create "policy.score_tie_pairs"
 let m_boundary_ties = Obs.Counter.create "policy.boundary_score_ties"
 
-(* [sorted.(0 .. sorted_n - 1)] is the best-first candidate order ([n]
-   candidates scored, [k] kept; [sorted_n < n] on the heap path, where
-   only the survivors were ordered). *)
-let observe_selection (scores : float array) (sorted : int array) ~n ~k
-    ~sorted_n =
+(* [sorted.(0 .. n - 1)] is the best-first order of the [n] scored
+   candidates, of which the first [k] are kept. *)
+let observe_selection (scores : float array) (sorted : int array) ~n ~k =
   Obs.Counter.incr m_selections;
   Obs.Counter.add m_candidates n;
   if n > k then Obs.Counter.add m_evictions (n - k);
@@ -30,11 +28,11 @@ let observe_selection (scores : float array) (sorted : int array) ~n ~k
   done;
   Obs.Counter.add m_dead_candidates !dead;
   let ties = ref 0 in
-  for j = 1 to sorted_n - 1 do
+  for j = 1 to n - 1 do
     if scores.(sorted.(j - 1)) = scores.(sorted.(j)) then incr ties
   done;
   Obs.Counter.add m_tie_pairs !ties;
-  if k < sorted_n && scores.(sorted.(k - 1)) = scores.(sorted.(k)) then
+  if k < n && scores.(sorted.(k - 1)) = scores.(sorted.(k)) then
     Obs.Counter.incr m_boundary_ties
 
 (* Engine-owned cache buffer: the current cache contents, best-first, as
@@ -182,7 +180,6 @@ type selector = {
   mutable order : int array;
   mutable scratch : int array;
   mutable runs : int array; (* run boundaries, length >= n + 1 *)
-  mutable heap : int array; (* for n >> capacity *)
 }
 
 let selector () =
@@ -193,7 +190,6 @@ let selector () =
     order = [||];
     scratch = [||];
     runs = [||];
-    heap = [||];
   }
 
 let ensure sel n =
@@ -355,63 +351,6 @@ let sort_candidates (scores : float array) (uids : int array)
     !src
   end
 
-(* Best-first indices of the top [capacity] of [n] filled candidates:
-   returns the array holding them (prefix of length [min n capacity]).
-   Assumes [n > 0], [capacity > 0] and [ensure sel n] done. *)
-let top_indices sel (scores : float array) (uids : int array) n capacity =
-  if n <= 2 * capacity then begin
-    (* Near-full selection (the simulator's steady state has
-       n = capacity + 2): sort everything, keep the prefix. *)
-    let order = sel.order in
-    for i = 0 to n - 1 do
-      Array.unsafe_set order i i
-    done;
-    sort_candidates scores uids order sel.scratch sel.runs n
-  end
-  else begin
-    (* n >> capacity: size-[capacity] heap with the worst survivor at
-       the root; O(n log capacity) instead of O(n log n). *)
-    if Array.length sel.heap < capacity then sel.heap <- Array.make capacity 0;
-    let heap = sel.heap in
-    (* Max-heap under "comes later": the root is the worst kept. *)
-    for i = 0 to capacity - 1 do
-      heap.(i) <- i;
-      let j = ref i in
-      let continue = ref true in
-      while !continue && !j > 0 do
-        let parent = (!j - 1) / 2 in
-        if before scores uids heap.(parent) heap.(!j) then begin
-          let tmp = heap.(!j) in
-          heap.(!j) <- heap.(parent);
-          heap.(parent) <- tmp;
-          j := parent
-        end
-        else continue := false
-      done
-    done;
-    for i = capacity to n - 1 do
-      if before scores uids i heap.(0) then begin
-        heap.(0) <- i;
-        let j = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !j) + 1 and r = (2 * !j) + 2 in
-          let w = ref !j in
-          if l < capacity && before scores uids heap.(!w) heap.(l) then w := l;
-          if r < capacity && before scores uids heap.(!w) heap.(r) then w := r;
-          if !w <> !j then begin
-            let tmp = heap.(!j) in
-            heap.(!j) <- heap.(!w);
-            heap.(!w) <- tmp;
-            j := !w
-          end
-          else continue := false
-        done
-      end
-    done;
-    sort_candidates scores uids heap sel.scratch sel.runs capacity
-  end
-
 (* Record dropped candidate [idx] in [dst]'s diff; returns the new
    eviction count.  Top level, so the loops below allocate no closure. *)
 let drop (dst : buffer) ~n0 en idx =
@@ -424,18 +363,21 @@ let drop (dst : buffer) ~n0 en idx =
     en
   end
 
-(* The one selection routine: keep the best [capacity] of the [n0 + 2]
-   scored candidates in [sel] (cache positions [0 .. n0-1], then R, then
-   S), write them best-first into [dst] and record the step's diff.
-   Requires [capacity > 0]. *)
+(* The one selection routine: sort the [n0 + 2] scored candidates in
+   [sel] (cache positions [0 .. n0-1], then R, then S) best-first, write
+   the best [capacity] into [dst] and record the step's diff.  The
+   engine step has at most [capacity + 2] candidates, so a full sort is
+   the whole cost.  Requires [capacity > 0]. *)
 let select_prescored sel ~capacity ~n0 ~(dst : buffer) =
   let n = n0 + 2 in
   let scores = sel.scores and uids = sel.uids and values = sel.values in
-  let sorted = top_indices sel scores uids n capacity in
+  let order = sel.order in
+  for i = 0 to n - 1 do
+    Array.unsafe_set order i i
+  done;
+  let sorted = sort_candidates scores uids order sel.scratch sel.runs n in
   let k = if n < capacity then n else capacity in
-  if Obs.on () then
-    observe_selection scores sorted ~n ~k
-      ~sorted_n:(if n <= 2 * capacity then n else capacity);
+  if Obs.on () then observe_selection scores sorted ~n ~k;
   reserve dst n;
   let out_u = dst.uids and out_v = dst.values in
   for j = 0 to k - 1 do
@@ -446,25 +388,12 @@ let select_prescored sel ~capacity ~n0 ~(dst : buffer) =
   dst.n <- k;
   dst.kept_r <- true;
   dst.kept_s <- true;
+  (* The sorted suffix is exactly the dropped set — in the steady state
+     two tuples. *)
   let en = ref 0 in
-  if n <= 2 * capacity then
-    (* Full-sort path: [sorted] holds all [n] candidates, so its suffix
-       is exactly the dropped set — in the steady state two tuples. *)
-    for j = k to n - 1 do
-      en := drop dst ~n0 !en (Array.unsafe_get sorted j)
-    done
-  else begin
-    (* Heap path: only the survivors were ordered; mark them in the
-       (here unused) [order] array and sweep the candidates once. *)
-    let mark = sel.order in
-    Array.fill mark 0 n 0;
-    for j = 0 to k - 1 do
-      Array.unsafe_set mark (Array.unsafe_get sorted j) 1
-    done;
-    for idx = 0 to n - 1 do
-      if Array.unsafe_get mark idx = 0 then en := drop dst ~n0 !en idx
-    done
-  end;
+  for j = k to n - 1 do
+    en := drop dst ~n0 !en (Array.unsafe_get sorted j)
+  done;
   dst.evicted_n <- !en
 
 type kernel =

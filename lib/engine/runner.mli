@@ -91,6 +91,13 @@ val run_supervised :
 
 (** {2 Policy lineups} *)
 
+val lineup :
+  ?jobs:int -> 'a array -> (string * ('a -> float)) list -> summary list
+(** One unsupervised {!run_supervised} sweep per labelled entry, over
+    the same inputs, in entry order.  {!compare_joining} and
+    {!compare_caching} are lineups; so is any figure whose per-run value
+    is not a plain join or miss count. *)
+
 val compare_joining :
   setup:joining_setup ->
   traces:Ssj_stream.Trace.t array ->

@@ -1,22 +1,18 @@
-type t = {
-  r_values : int array;
-  s_values : int array;
-  mutable tuples : (Tuple.t * Tuple.t) array;
-}
+type t = { r_values : int array; s_values : int array }
 
 let length t = Array.length t.r_values
 
 let of_values ~r ~s =
   if Array.length r <> Array.length s then
     invalid_arg "Trace.of_values: stream lengths differ";
-  { r_values = r; s_values = s; tuples = [||] }
+  { r_values = r; s_values = s }
 
 let generate ~r ~s ~rng ~length =
   let rng_r = Ssj_prob.Rng.split rng in
   let rng_s = Ssj_prob.Rng.split rng in
   let r_values, _ = Ssj_model.Predictor.generate r rng_r length in
   let s_values, _ = Ssj_model.Predictor.generate s rng_s length in
-  { r_values; s_values; tuples = [||] }
+  { r_values; s_values }
 
 let tuple t side time =
   let values =
@@ -26,15 +22,4 @@ let tuple t side time =
     invalid_arg "Trace.tuple: time out of range";
   Tuple.make ~side ~value:values.(time) ~arrival:time
 
-(* Materialised once per trace and shared by every replay: repeated
-   simulations of the same trace (one per policy, plus recounts) would
-   otherwise rebuild two tuples per step each, and the long-lived records
-   promote to the major heap, so caching them into the simulators'
-   selection buffers skips the write barrier's remembered-set path. *)
-let arrivals t time =
-  if Array.length t.tuples = 0 then
-    t.tuples <-
-      Array.init (length t) (fun i ->
-          ( Tuple.make ~side:Tuple.R ~value:t.r_values.(i) ~arrival:i,
-            Tuple.make ~side:Tuple.S ~value:t.s_values.(i) ~arrival:i ));
-  t.tuples.(time)
+let arrivals t time = (tuple t Tuple.R time, tuple t Tuple.S time)

@@ -7,9 +7,6 @@
 type t = {
   r_values : int array;
   s_values : int array;  (** same length; index = time step *)
-  mutable tuples : (Tuple.t * Tuple.t) array;
-      (** lazily materialised arrival pairs, shared across replays; treat
-          as private — {!arrivals} fills it on first use *)
 }
 
 val length : t -> int
@@ -26,8 +23,8 @@ val tuple : t -> Tuple.side -> int -> Tuple.t
 (** [tuple tr side t] is the tuple produced by [side] at time [t]. *)
 
 val arrivals : t -> int -> Tuple.t * Tuple.t
-(** Both arrivals at a time step, R first.  Tuples (and the pairs) are
-    materialised once per trace and shared by all replays. *)
+(** Both arrivals at a time step, R first, built on demand: a trace is
+    immutable, so any number of domains may replay it at once. *)
 
 val of_values : r:int array -> s:int array -> t
 (** Build a trace from explicit value scripts (lengths must match). *)

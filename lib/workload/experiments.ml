@@ -38,15 +38,14 @@ let std = Format.std_formatter
 
 (* --- shared helpers ------------------------------------------------ *)
 
-let trend_traces cfg ~runs ~length ~seed =
+(* Independent realisations of one configuration: run [i] draws fresh
+   stream models from [predictors] and the seed [seed + 1009 i]. *)
+let traces predictors ~runs ~length ~seed =
   Array.init runs (fun i ->
-      let r, s = Config.predictors cfg in
+      let r, s = predictors () in
       Trace.generate ~r ~s ~rng:(Rng.create (seed + (1009 * i))) ~length)
 
-let walk_traces w ~runs ~length ~seed =
-  Array.init runs (fun i ->
-      let r, s = Config.walk_predictors w in
-      Trace.generate ~r ~s ~rng:(Rng.create (seed + (1009 * i))) ~length)
+let trend_traces cfg = traces (fun () -> Config.predictors cfg)
 
 let setup ~capacity =
   {
@@ -54,6 +53,39 @@ let setup ~capacity =
     warmup = Runner.default_warmup ~capacity;
     window = None;
   }
+
+let mean_of label summaries =
+  Option.map
+    (fun s -> s.Runner.mean)
+    (List.find_opt (fun s -> s.Runner.label = label) summaries)
+
+(* One column per label of the first lineup: that label's mean in each
+   lineup, NaN where it is missing. *)
+let mean_columns = function
+  | [] -> []
+  | first :: _ as lineups ->
+    List.map
+      (fun s ->
+        let label = s.Runner.label in
+        ( label,
+          Array.of_list
+            (List.map
+               (fun summaries ->
+                 Option.value (mean_of label summaries) ~default:Float.nan)
+               lineups) ))
+      first
+
+let print_summaries ~out ~name summaries =
+  Table.print ~out
+    ~header:[ name; "mean results"; "stddev" ]
+    (List.map
+       (fun s ->
+         [
+           s.Runner.label;
+           Table.float_cell s.Runner.mean;
+           Table.float_cell s.Runner.stddev;
+         ])
+       summaries)
 
 (* --- Figure 6 ------------------------------------------------------ *)
 
@@ -113,89 +145,57 @@ let trend_configs () = [ Config.tower (); Config.roof (); Config.floor () ]
 
 let fig8 ?(out = std) opts =
   let capacity = opts.capacity in
+  let walk = Config.walk () in
+  (* Per configuration: label, stream models, baseline lineup, and the
+     FlowExpect policy of the reduced-scale block. *)
+  let configs =
+    List.map
+      (fun cfg ->
+        ( cfg.Config.label,
+          (fun () -> Config.predictors cfg),
+          Factory.trend_policies cfg ~seed:opts.seed (),
+          Factory.trend_flow_expect cfg ~lookahead:opts.fe_lookahead ))
+      (trend_configs ())
+    @ [
+        ( walk.Config.wlabel,
+          (fun () -> Config.walk_predictors walk),
+          Factory.walk_policies walk ~seed:opts.seed ~capacity,
+          Factory.walk_flow_expect walk ~lookahead:opts.fe_lookahead );
+      ]
+  in
+  let table ~runs ~length ~seed ~flow_expect order =
+    let row (label, predictors, policies, fe) =
+      let traces = traces predictors ~runs ~length ~seed in
+      let policies =
+        if flow_expect then policies @ [ ("FLOWEXPECT", fe) ] else policies
+      in
+      let summaries =
+        Runner.compare_joining ~setup:(setup ~capacity) ~traces ~policies ()
+      in
+      label
+      :: List.map
+           (fun name ->
+             Option.fold (mean_of name summaries) ~none:"-"
+               ~some:Table.float_cell)
+           order
+    in
+    Table.print ~out ~header:("config" :: order) (List.map row configs)
+  in
   Format.fprintf out
     "@.[fig8] Average join counts, cache=%d, %d runs x %d tuples \
      (paper: 50 x 5000).@."
     capacity opts.runs opts.length;
-  let policy_order = [ "OPT-OFFLINE"; "RAND"; "PROB"; "LIFE"; "HEEB" ] in
-  let rows =
-    List.map
-      (fun cfg ->
-        let traces =
-          trend_traces cfg ~runs:opts.runs ~length:opts.length ~seed:opts.seed
-        in
-        let summaries =
-          Runner.compare_joining ~setup:(setup ~capacity) ~traces
-            ~policies:(Factory.trend_policies cfg ~seed:opts.seed ()) ()
-        in
-        (cfg.Config.label, summaries))
-      (trend_configs ())
-  in
-  let walk = Config.walk () in
-  let walk_summaries =
-    let traces =
-      walk_traces walk ~runs:opts.runs ~length:opts.length ~seed:opts.seed
-    in
-    Runner.compare_joining ~setup:(setup ~capacity) ~traces
-      ~policies:(Factory.walk_policies walk ~seed:opts.seed ~capacity) ()
-  in
-  let rows = rows @ [ (walk.Config.wlabel, walk_summaries) ] in
-  let cell summaries name =
-    match List.find_opt (fun s -> s.Runner.label = name) summaries with
-    | Some s -> Table.float_cell s.Runner.mean
-    | None -> "-"
-  in
-  Table.print ~out
-    ~header:("config" :: policy_order)
-    (List.map
-       (fun (label, summaries) ->
-         label :: List.map (cell summaries) policy_order)
-       rows);
+  table ~runs:opts.runs ~length:opts.length ~seed:opts.seed
+    ~flow_expect:false
+    [ "OPT-OFFLINE"; "RAND"; "PROB"; "LIFE"; "HEEB" ];
   (* FlowExpect block at reduced scale (it solves a flow per step). *)
   Format.fprintf out
     "@.[fig8/FE] FlowExpect block at reduced scale: %d runs x %d tuples, \
      lookahead %d.@."
     opts.fe_runs opts.fe_length opts.fe_lookahead;
-  let fe_order = [ "OPT-OFFLINE"; "FLOWEXPECT"; "RAND"; "PROB"; "LIFE"; "HEEB" ] in
-  let fe_rows =
-    List.map
-      (fun cfg ->
-        let traces =
-          trend_traces cfg ~runs:opts.fe_runs ~length:opts.fe_length
-            ~seed:(opts.seed + 7)
-        in
-        let policies =
-          Factory.trend_policies cfg ~seed:opts.seed ()
-          @ [
-              ( "FLOWEXPECT",
-                Factory.trend_flow_expect cfg ~lookahead:opts.fe_lookahead );
-            ]
-        in
-        let summaries =
-          Runner.compare_joining ~setup:(setup ~capacity) ~traces ~policies ()
-        in
-        (cfg.Config.label, summaries))
-      (trend_configs ())
-  in
-  let walk_fe =
-    let traces =
-      walk_traces walk ~runs:opts.fe_runs ~length:opts.fe_length
-        ~seed:(opts.seed + 7)
-    in
-    let policies =
-      Factory.walk_policies walk ~seed:opts.seed ~capacity
-      @ [
-          ("FLOWEXPECT", Factory.walk_flow_expect walk ~lookahead:opts.fe_lookahead);
-        ]
-    in
-    Runner.compare_joining ~setup:(setup ~capacity) ~traces ~policies ()
-  in
-  let fe_rows = fe_rows @ [ (walk.Config.wlabel, walk_fe) ] in
-  Table.print ~out
-    ~header:("config" :: fe_order)
-    (List.map
-       (fun (label, summaries) -> label :: List.map (cell summaries) fe_order)
-       fe_rows)
+  table ~runs:opts.fe_runs ~length:opts.fe_length ~seed:(opts.seed + 7)
+    ~flow_expect:true
+    [ "OPT-OFFLINE"; "FLOWEXPECT"; "RAND"; "PROB"; "LIFE"; "HEEB" ]
 
 (* --- Figures 9-12 --------------------------------------------------- *)
 
@@ -207,57 +207,35 @@ let fig8 ?(out = std) opts =
 let sweep_figure ?(out = std) ~title ~policies_for ~traces opts =
   let sizes = opts.sweep in
   let warmup = Runner.default_warmup ~capacity:(List.fold_left max 1 sizes) in
+  let curves =
+    Parallel.map
+      (fun trace ->
+        Opt_offline.max_results_curve ~trace ~capacities:sizes ~start:warmup ())
+      traces
+  in
   let opt_column =
-    let per_run =
-      Array.map
-        (fun trace ->
-          Opt_offline.max_results_curve ~trace ~capacities:sizes ~start:warmup
-            ())
-        traces
-    in
     Array.of_list
       (List.mapi
          (fun i _ ->
            Ssj_prob.Stats.mean
              (Array.map (fun curve -> float_of_int (snd (List.nth curve i)))
-                per_run))
+                curves))
          sizes)
   in
-  let labels = ref [] in
-  let results =
+  let lineups =
     List.map
       (fun capacity ->
-        let summaries =
-          Runner.compare_joining
-            ~setup:{ Runner.capacity; warmup; window = None }
-            ~traces
-            ~policies:(policies_for capacity)
-            ~include_opt:false ()
-        in
-        if !labels = [] then
-          labels := List.map (fun s -> s.Runner.label) summaries;
-        (capacity, summaries))
+        Runner.compare_joining
+          ~setup:{ Runner.capacity; warmup; window = None }
+          ~traces
+          ~policies:(policies_for capacity)
+          ~include_opt:false ())
       sizes
-  in
-  let columns =
-    ("OPT-OFFLINE", opt_column)
-    :: List.map
-         (fun label ->
-           ( label,
-             Array.of_list
-               (List.map
-                  (fun (_, summaries) ->
-                    match
-                      List.find_opt (fun s -> s.Runner.label = label) summaries
-                    with
-                    | Some s -> s.Runner.mean
-                    | None -> Float.nan)
-                  results) ))
-         !labels
   in
   Table.series ~out ~title ~x_label:"memory"
     ~xs:(List.map string_of_int sizes)
-    ~columns ()
+    ~columns:(("OPT-OFFLINE", opt_column) :: mean_columns lineups)
+    ()
 
 let trend_sweep ?(out = std) cfg opts ~figure =
   Format.fprintf out
@@ -282,7 +260,9 @@ let fig12 ?(out = std) opts =
      tuples.@."
     opts.runs opts.length;
   let traces =
-    walk_traces walk ~runs:opts.runs ~length:opts.length ~seed:opts.seed
+    traces
+      (fun () -> Config.walk_predictors walk)
+      ~runs:opts.runs ~length:opts.length ~seed:opts.seed
   in
   sweep_figure ~out ~title:"fig12: WALK join counts vs memory"
     ~policies_for:(fun capacity ->
@@ -294,7 +274,6 @@ let fig12 ?(out = std) opts =
 type fig13_data = {
   fitted : Ar1.params;
   reference : int array;
-  labels : string list;
   rows : (int * Runner.summary list) list;
 }
 
@@ -332,15 +311,10 @@ let fig13_data opts =
             ~references:[| reference |] ~policies () ))
       sizes
   in
-  let labels =
-    match rows with
-    | (_, summaries) :: _ -> List.map (fun s -> s.Runner.label) summaries
-    | [] -> []
-  in
-  { fitted; reference; labels; rows }
+  { fitted; reference; rows }
 
 let fig13 ?(out = std) opts =
-  let { fitted; reference; labels; rows } = fig13_data opts in
+  let { fitted; reference; rows } = fig13_data opts in
   Format.fprintf out
     "@.[fig13] REAL caching: synthetic Melbourne temperatures (3650 days); \
      our MLE fit (0.1C bins): phi1=%.3f phi0=%.2f sigma=%.2f (paper, in C: \
@@ -353,26 +327,11 @@ let fig13 ?(out = std) opts =
     (Fit.aic float_series ~order:1)
     (Fit.aic float_series ~order:2)
     (Fit.aic float_series ~order:3);
-  let results = List.map snd rows in
-  let columns =
-    List.map
-      (fun label ->
-        ( label,
-          Array.of_list
-            (List.map
-               (fun summaries ->
-                 match
-                   List.find_opt (fun s -> s.Runner.label = label) summaries
-                 with
-                 | Some s -> s.Runner.mean
-                 | None -> Float.nan)
-               results) ))
-      labels
-  in
   Table.series ~out ~title:"fig13: REAL number of misses vs memory size"
     ~x_label:"memory"
     ~xs:(List.map (fun (c, _) -> string_of_int c) rows)
-    ~columns ()
+    ~columns:(mean_columns (List.map snd rows))
+    ()
 
 (* --- Figures 14 / 17 / 18 ------------------------------------------- *)
 
@@ -524,9 +483,8 @@ let fig19 ?(out = std) opts =
   in
   let n = List.length opts.fe_sweep in
   let flat label =
-    match List.find_opt (fun s -> s.Runner.label = label) baseline with
-    | Some s -> (label, Array.make n s.Runner.mean)
-    | None -> (label, Array.make n Float.nan)
+    ( label,
+      Array.make n (Option.value (mean_of label baseline) ~default:Float.nan) )
   in
   Table.series ~out ~title:"fig19: FlowExpect look-ahead effect"
     ~x_label:"deltaT"
@@ -685,16 +643,7 @@ let window_extension ?(out = std) opts =
     "@.[window extension] sliding-window join (w=%d) on a skewed stationary \
      workload, cache=%d, %d runs x %d tuples.@."
     width capacity opts.runs opts.length;
-  Table.print ~out
-    ~header:[ "policy"; "mean results"; "stddev" ]
-    (List.map
-       (fun s ->
-         [
-           s.Runner.label;
-           Table.float_cell s.Runner.mean;
-           Table.float_cell s.Runner.stddev;
-         ])
-       summaries)
+  print_summaries ~out ~name:"policy" summaries
 
 let multi_extension ?(out = std) opts =
   let streams = 3 in
@@ -712,43 +661,29 @@ let multi_extension ?(out = std) opts =
         Array.init streams (fun i ->
             fst (Predictor.generate (feed i) (Rng.split rng) length)))
   in
-  let policies =
-    [
-      ("RAND", fun () -> Ssj_multi.Multi.rand ~rng:(Rng.create opts.seed));
-      ("PROB", fun () -> Ssj_multi.Multi.prob ());
-      ( "HEEB-multi",
-        fun () ->
-          Ssj_multi.Multi.heeb
-            ~predictors:(Array.init streams feed)
-            ~l:(Lfun.exp_ ~alpha:4.0) ~queries () );
-    ]
+  let counted make traces =
+    float_of_int
+      (Ssj_multi.Multi.run ~traces ~queries ~policy:(make ()) ~capacity
+         ~warmup:(Runner.default_warmup ~capacity) ())
+        .Ssj_multi.Multi.counted_results
   in
   Format.fprintf out
     "@.[multi extension] 2 join queries over 3 streams (hub = stream 1), \
      cache=%d, %d runs x %d tuples.@."
     capacity runs length;
-  Table.print ~out
-    ~header:[ "policy"; "mean results"; "stddev" ]
-    (List.map
-       (fun (label, make) ->
-         let per_run =
-           Array.map
-             (fun traces ->
-               float_of_int
-                 (Ssj_multi.Multi.run ~traces ~queries ~policy:(make ())
-                    ~capacity
-                    ~warmup:(Runner.default_warmup ~capacity)
-                    ())
-                   .Ssj_multi.Multi
-                   .counted_results)
-             trace_sets
-         in
-         [
-           label;
-           Table.float_cell (Ssj_prob.Stats.mean per_run);
-           Table.float_cell (Ssj_prob.Stats.stddev per_run);
-         ])
-       policies)
+  print_summaries ~out ~name:"policy"
+    (Runner.lineup trace_sets
+       [
+         ( "RAND",
+           counted (fun () -> Ssj_multi.Multi.rand ~rng:(Rng.create opts.seed))
+         );
+         ("PROB", counted (fun () -> Ssj_multi.Multi.prob ()));
+         ( "HEEB-multi",
+           counted (fun () ->
+               Ssj_multi.Multi.heeb
+                 ~predictors:(Array.init streams feed)
+                 ~l:(Lfun.exp_ ~alpha:4.0) ~queries ()) );
+       ])
 
 let band_extension ?(out = std) opts =
   let cfg = Config.tower () in
@@ -756,49 +691,39 @@ let band_extension ?(out = std) opts =
   let traces = trend_traces cfg ~runs ~length ~seed:opts.seed in
   let capacity = opts.capacity in
   let warmup = Runner.default_warmup ~capacity in
-  Format.printf
+  Format.fprintf out
     "@.[band extension] TOWER under band-join semantics (|v1 - v2| <= b), \
      cache=%d, %d runs x %d tuples.@."
     capacity runs length;
+  (* Window-aware baselines as in Section 6.2 (the equijoin lifetime is
+     a close under-estimate for small bands). *)
+  let lifetime = Config.lifetime cfg in
   let row band =
-    let opt =
-      Ssj_prob.Stats.mean
-        (Array.map
-           (fun trace ->
-             float_of_int
-               (Opt_offline.max_results_from ~band ~trace ~capacity
-                  ~start:warmup ()))
-           traces)
+    let opt trace =
+      float_of_int
+        (Opt_offline.max_results_from ~band ~trace ~capacity ~start:warmup ())
     in
-    let mean policy_of =
-      Ssj_prob.Stats.mean
-        (Array.map
-           (fun trace ->
-             float_of_int
-               (Join_sim.run ~trace ~policy:(policy_of ()) ~capacity ~warmup
-                  ~band ())
-                 .Join_sim
-                 .counted_results)
-           traces)
+    let counted policy_of trace =
+      float_of_int
+        (Join_sim.run ~trace ~policy:(policy_of ()) ~capacity ~warmup ~band ())
+          .Join_sim.counted_results
     in
     let heeb () =
       let r, s = Config.predictors cfg in
       Band.heeb ~r ~s ~l:(Lfun.exp_ ~alpha:(Config.alpha cfg)) ~band ()
     in
-    (* Window-aware baselines as in Section 6.2 (the equijoin lifetime is
-       a close under-estimate for small bands). *)
-    let lifetime = Config.lifetime cfg in
-    let rand () =
-      Baselines.rand ~rng:(Ssj_prob.Rng.create opts.seed) ~lifetime ()
-    in
-    let prob () = Baselines.prob ~lifetime () in
-    [
-      string_of_int band;
-      Table.float_cell opt;
-      Table.float_cell (mean rand);
-      Table.float_cell (mean prob);
-      Table.float_cell (mean heeb);
-    ]
+    string_of_int band
+    :: List.map
+         (fun s -> Table.float_cell s.Runner.mean)
+         (Runner.lineup traces
+            [
+              ("OPT-OFFLINE", opt);
+              ( "RAND",
+                counted (fun () ->
+                    Baselines.rand ~rng:(Rng.create opts.seed) ~lifetime ()) );
+              ("PROB", counted (fun () -> Baselines.prob ~lifetime ()));
+              ("HEEB-band", counted heeb);
+            ])
   in
   Table.print ~out
     ~header:[ "band"; "OPT-OFFLINE"; "RAND"; "PROB"; "HEEB-band" ]
@@ -811,38 +736,45 @@ let adversarial ?(out = std) opts =
      (a lower bound on the true competitive ratio). *)
   let runs = min opts.runs 25 and length = min opts.length 3000 in
   let capacity = opts.capacity in
-  let warmup = Runner.default_warmup ~capacity in
-  let ratio_row label traces (policies : (string * (unit -> Policy.join)) list)
-      =
-    let opts_per_trace =
-      Array.map
-        (fun trace ->
-          Opt_offline.max_results_from ~trace ~capacity ~start:warmup ())
-        traces
-    in
-    List.map
-      (fun (name, make) ->
-        let worst = ref 1.0 and mean = ref 0.0 in
-        Array.iteri
-          (fun i trace ->
-            let got =
-              (Join_sim.run ~trace ~policy:(make ()) ~capacity ~warmup ())
-                .Join_sim
-                .counted_results
-            in
-            let ratio =
-              float_of_int opts_per_trace.(i) /. float_of_int (max 1 got)
-            in
-            if ratio > !worst then worst := ratio;
-            mean := !mean +. (ratio /. float_of_int runs))
-          traces;
-        [ label; name; Printf.sprintf "%.2f" !mean; Printf.sprintf "%.2f" !worst ])
-      policies
+  (* Per run, OPT over the policy's count; the mean accumulates
+     [ratio / runs] in run order. *)
+  let ratio_row label traces policies =
+    match
+      Runner.compare_joining ~setup:(setup ~capacity) ~traces ~policies ()
+    with
+    | [] -> []
+    | opt :: summaries ->
+      List.map
+        (fun s ->
+          let ratios =
+            Array.map2
+              (fun o got -> o /. Float.max 1.0 got)
+              opt.Runner.per_run s.Runner.per_run
+          in
+          let mean =
+            Array.fold_left
+              (fun acc ratio -> acc +. (ratio /. float_of_int runs))
+              0.0 ratios
+          in
+          let worst =
+            Array.fold_left
+              (fun w ratio -> if ratio > w then ratio else w)
+              1.0 ratios
+          in
+          [
+            label;
+            s.Runner.label;
+            Printf.sprintf "%.2f" mean;
+            Printf.sprintf "%.2f" worst;
+          ])
+        summaries
   in
   let tower = Config.tower () in
   let tower_traces = trend_traces tower ~runs ~length ~seed:opts.seed in
   let walk = Config.walk () in
-  let walk_tr = walk_traces walk ~runs ~length ~seed:opts.seed in
+  let walk_tr =
+    traces (fun () -> Config.walk_predictors walk) ~runs ~length ~seed:opts.seed
+  in
   Format.fprintf out
     "@.[adversarial] empirical competitive-ratio estimates (OPT/policy; \
      mean and worst over %d runs x %d tuples, cache=%d).@."
@@ -906,11 +838,7 @@ let robustness_grid ?capacity opts =
       ~include_opt:false ()
   in
   let clean = summarize_traces traces in
-  let clean_mean label =
-    match List.find_opt (fun s -> s.Runner.label = label) clean with
-    | Some s -> s.Runner.mean
-    | None -> 0.0
-  in
+  let clean_mean label = Option.value (mean_of label clean) ~default:0.0 in
   let cells summaries =
     List.map
       (fun s ->
@@ -1026,16 +954,7 @@ let robustness ?(out = std) opts =
     "@.[robustness] HEEB under model misspecification (data = TOWER), \
      cache=%d, %d runs x %d tuples.@."
     capacity runs length;
-  Table.print ~out
-    ~header:[ "believed model"; "mean results"; "stddev" ]
-    (List.map
-       (fun s ->
-         [
-           s.Runner.label;
-           Table.float_cell s.Runner.mean;
-           Table.float_cell s.Runner.stddev;
-         ])
-       summaries);
+  print_summaries ~out ~name:"believed model" summaries;
   (* Dirty-stream counterpart at the same reduced scale: the model stays
      right but the stream itself misbehaves. *)
   print_robustness_grid ~out
@@ -1075,16 +994,7 @@ let ablation_lfun ?(out = std) opts =
     "@.[ablation] HEEB's L choice on TOWER, cache=%d, %d runs x %d tuples \
      (alpha_paper=%.2f).@."
     capacity opts.runs opts.length alpha;
-  Table.print ~out
-    ~header:[ "variant"; "mean results"; "stddev" ]
-    (List.map
-       (fun s ->
-         [
-           s.Runner.label;
-           Table.float_cell s.Runner.mean;
-           Table.float_cell s.Runner.stddev;
-         ])
-       summaries)
+  print_summaries ~out ~name:"variant" summaries
 
 let all ?(out = std) opts =
   example_3_4 ~out ();

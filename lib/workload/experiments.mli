@@ -1,13 +1,19 @@
 (** Reproduction of every data figure in the paper's evaluation
     (Section 6) plus the worked examples of Sections 3.4 and 7 and two
     extension studies.  Each function prints the underlying series as an
-    aligned table; `bench/main.exe` and the `sjoin` CLI both drive these.
+    aligned table; the `sjoin` CLI drives these ([sjoin all] runs every
+    one).
 
-    Scale knobs live in {!opts}: the paper uses 50 runs × 5000-tuple
-    streams; the defaults here are smaller so a full reproduction pass
-    finishes in minutes, and the CLI can restore paper scale
-    (`--runs 50 --len 5000`).  FlowExpect figures use the separate
-    [fe_*] knobs because it solves a min-cost flow per time step. *)
+    Every per-run loop goes through {!Ssj_engine.Runner} (a
+    [compare_*] or {!Ssj_engine.Runner.lineup} over the figure's
+    inputs; OPT-offline's per-run capacity curve through
+    {!Ssj_engine.Parallel.map}), so every table is identical for any
+    [SSJ_JOBS].
+
+    Scale knobs live in {!opts}: {!default} is the paper's 50 runs ×
+    5000-tuple streams, and the CLI scales it down (`--runs`, `--len`).
+    FlowExpect figures use the separate [fe_*] knobs because it solves a
+    min-cost flow per time step. *)
 
 type opts = {
   runs : int;  (** independent realisations per synthetic configuration *)
@@ -23,6 +29,16 @@ type opts = {
 }
 
 val default : opts
+
+val traces :
+  (unit -> Ssj_model.Predictor.t * Ssj_model.Predictor.t) ->
+  runs:int ->
+  length:int ->
+  seed:int ->
+  Ssj_stream.Trace.t array
+(** [traces predictors ~runs ~length ~seed]: [runs] independent
+    realisations, run [i] drawn from fresh [predictors ()] with seed
+    [seed + 1009 i] — the trace set of every synthetic figure. *)
 
 val fig6 : ?out:Format.formatter -> opts -> unit
 (** Precomputed [h_R] curves for random-walk caching, drift 0 / 2 / 4. *)
@@ -52,9 +68,8 @@ val fig13 : ?out:Format.formatter -> opts -> unit
 type fig13_data = {
   fitted : Ssj_model.Ar1.params;  (** MLE fit of the binned reference *)
   reference : int array;  (** the 0.1 °C-binned temperature stream *)
-  labels : string list;  (** summary labels, LFD included *)
   rows : (int * Ssj_engine.Runner.summary list) list;
-      (** one row per memory size of [opts.real_sizes] *)
+      (** one row per memory size of [opts.real_sizes]; LFD first *)
 }
 
 val fig13_data : opts -> fig13_data

@@ -94,9 +94,10 @@ let test_factory_lineups () =
     (List.map fst walk)
 
 let test_experiments_smoke () =
-  (* End-to-end smoke: run the cheap figures into a buffer. *)
-  let buf = Buffer.create 4096 in
-  let out = Format.formatter_of_buffer buf in
+  (* End-to-end smoke: run the cheap figures and the extensions into a
+     buffer, once sequentially and once on two domains.  Every line must
+     reach the buffer (no figure may print to stdout behind a caller's
+     [~out]) and the two texts must be identical. *)
   let opts =
     {
       Experiments.default with
@@ -108,12 +109,31 @@ let test_experiments_smoke () =
       real_sizes = [ 10; 20 ];
     }
   in
-  Experiments.example_3_4 ~out ();
-  Experiments.example_7 ~out ();
-  Experiments.fig7 ~out ();
-  Experiments.fig8 ~out opts;
-  Format.pp_print_flush out ();
-  let text = Buffer.contents buf in
+  let smoke jobs =
+    let saved = Sys.getenv_opt "SSJ_JOBS" in
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.putenv "SSJ_JOBS" (Option.value saved ~default:""))
+      (fun () ->
+        Unix.putenv "SSJ_JOBS" (string_of_int jobs);
+        let buf = Buffer.create 4096 in
+        let out = Format.formatter_of_buffer buf in
+        Experiments.example_3_4 ~out ();
+        Experiments.example_7 ~out ();
+        Experiments.fig7 ~out ();
+        Experiments.fig8 ~out opts;
+        Experiments.fig9 ~out opts;
+        Experiments.window_extension ~out opts;
+        Experiments.band_extension ~out opts;
+        Experiments.multi_extension ~out opts;
+        Experiments.adversarial ~out opts;
+        Experiments.ablation_lfun ~out opts;
+        Format.pp_print_flush out ();
+        Buffer.contents buf)
+  in
+  let text = smoke 1 in
+  check_bool "SSJ_JOBS=1 and SSJ_JOBS=2 print the same text" true
+    (text = smoke 2);
   let contains needle =
     let nl = String.length needle and tl = String.length text in
     let rec scan i =
@@ -127,7 +147,10 @@ let test_experiments_smoke () =
     (fun needle ->
       check_bool (Printf.sprintf "output mentions %s" needle) true
         (contains needle))
-    [ "1.750"; "TOWER"; "HEEB" ]
+    [
+      "1.750"; "TOWER"; "HEEB"; "[band extension]"; "[multi extension]";
+      "[adversarial]"; "[ablation]"; "[window extension]"; "fig9";
+    ]
 
 let suite =
   [
