@@ -59,9 +59,15 @@ let bench_fig13_kernel () =
     Real.to_bins (Real.synthetic_ar1 ~rng:(Rng.create 3) ~days:365 ())
   in
   let fitted = Fit.ar1_of_ints reference in
-  let heeb = Factory.real_heeb ~params:fitted ~capacity:20 in
+  (* The caching run alone: the surface is built once, outside the timed
+     closure (building is the h2-surface-build kernel's job), so a slower
+     access path is not hidden under the DPs. *)
+  let surface = Factory.real_surface ~params:fitted ~capacity:20 in
   Staged.stage (fun () ->
-      ignore (Cache_sim.run ~reference ~policy:(heeb ()) ~capacity:20 ()))
+      ignore
+        (Cache_sim.run ~reference
+           ~policy:(Factory.real_heeb_of_surface surface ())
+           ~capacity:20 ()))
 
 let bench_fig15_kernel () =
   let fitted = Real.bin_params Real.paper_params in

@@ -147,6 +147,178 @@ let keep_top_check =
           { cases = count; note = "one selection routine == full stable sort" }
       | Some detail -> Check.Fail { detail; case = None })
 
+(* --- caching selection: argmin vs keep_best_spec --------------------- *)
+
+let cache_spec access = { Policy.cname = "spec"; access }
+
+(* HEEB caching as it scored before the argmin rule: every candidate, on
+   every reference, then [Ref_sim.keep_best_spec].  Direct H for an
+   independent reference is [Hvalue.caching_independent]; the incremental
+   variant runs the Corollary 4 recurrence with its own table. *)
+let heeb_spec ~reference ~l ~incremental =
+  let pred = ref reference in
+  let hvals = Hashtbl.create 16 in
+  cache_spec (fun ~now ~cached ~value ~hit ~capacity ->
+      let prior = !pred.Predictor.pmf 1 in
+      pred := !pred.Predictor.observe value;
+      let direct v = Hvalue.caching_independent ~reference:!pred ~l ~value:v in
+      let score v =
+        let recompute () =
+          let h = direct v in
+          Hashtbl.replace hvals v (h, now);
+          h
+        in
+        match incremental with
+        | None -> direct v
+        | Some (alpha, refresh_every) -> (
+          if v = value then recompute ()
+          else
+            match Hashtbl.find_opt hvals v with
+            | Some (h_prev, at) when now - at < refresh_every ->
+              let p_now = Pmf.prob prior v in
+              let h = Hvalue.step_caching_exp ~alpha ~h_prev ~p_now in
+              Hashtbl.replace hvals v (h, at);
+              h
+            | Some _ | None -> recompute ())
+      in
+      let kept = Ref_sim.keep_best_spec ~capacity ~score ~cached ~value ~hit in
+      Hashtbl.filter_map_inplace
+        (fun v e -> if List.mem v kept then Some e else None)
+        hvals;
+      kept)
+
+(* Classic's scored eviction as a two-call fold: every comparison scores
+   both entries, ties to the earliest entry in list order. *)
+let classic_spec ~observe ~score =
+  cache_spec (fun ~now ~cached ~value ~hit ~capacity ->
+      observe ~now ~value;
+      if hit then cached
+      else if List.length cached < capacity then value :: cached
+      else if capacity = 0 then []
+      else
+        let worst =
+          List.fold_left
+            (fun acc v ->
+              match acc with
+              | None -> Some v
+              | Some w -> if score ~now v < score ~now w then Some v else Some w)
+            None cached
+        in
+        match worst with
+        | None -> [ value ]
+        | Some w ->
+          if score ~now value >= score ~now w then
+            value :: List.filter (fun v -> v <> w) cached
+          else cached)
+
+let lru_spec () =
+  let last = Hashtbl.create 16 in
+  classic_spec
+    ~observe:(fun ~now ~value -> Hashtbl.replace last value now)
+    ~score:(fun ~now:_ v ->
+      match Hashtbl.find_opt last v with
+      | Some t -> float_of_int t
+      | None -> Float.neg_infinity)
+
+let lfu_spec () =
+  let counts = Hashtbl.create 16 in
+  let count v = Option.value ~default:0 (Hashtbl.find_opt counts v) in
+  classic_spec
+    ~observe:(fun ~now:_ ~value -> Hashtbl.replace counts value (count value + 1))
+    ~score:(fun ~now:_ v -> float_of_int (count v))
+
+(* Belady by a forward scan for the next reference after [now]. *)
+let lfd_spec reference =
+  let n = Array.length reference in
+  let rec next v t =
+    if t >= n then max_int else if reference.(t) = v then t else next v (t + 1)
+  in
+  classic_spec
+    ~observe:(fun ~now:_ ~value:_ -> ())
+    ~score:(fun ~now v -> -.float_of_int (min (next v (now + 1)) (2 * (n + 1))))
+
+(* Both policies replay [reference] from an empty cache, each on its own
+   cache; the hit flags and the kept sets must agree at every step. *)
+let cache_lockstep ~reference ~capacity (fast : Policy.cache)
+    (spec : Policy.cache) =
+  let sorted l = List.sort Int.compare l in
+  let render l = String.concat ";" (List.map string_of_int (sorted l)) in
+  let rec step now fc sc =
+    if now >= Array.length reference then None
+    else begin
+      let value = reference.(now) in
+      let fhit = List.mem value fc and shit = List.mem value sc in
+      let fk = fast.Policy.access ~now ~cached:fc ~value ~hit:fhit ~capacity in
+      let sk = spec.Policy.access ~now ~cached:sc ~value ~hit:shit ~capacity in
+      if fhit <> shit || sorted fk <> sorted sk then
+        Some
+          (Printf.sprintf "%s cap %d t=%d: hit %b kept [%s] <> spec hit %b kept [%s]"
+             fast.Policy.cname capacity now fhit (render fk) shit (render sk))
+      else step (now + 1) fk sk
+    end
+  in
+  step 0 [] []
+
+let cache_capacities = [| 0; 1; 2; 7; 25 |]
+
+(* Case [i]: policy family [i mod 6] at capacity [i / 6 mod 5], on a
+   stationary reference over a domain that is sometimes smaller and
+   sometimes larger than the cache.  The law's weights, and the generic
+   scorer, take a few levels only, so equal scores are common and the
+   value tie-break decides. *)
+let cache_selection_violation ~seed i =
+  let rng = Rng.create (seed + (7907 * i)) in
+  let capacity = cache_capacities.(i / 6 mod Array.length cache_capacities) in
+  let domain = 2 + Rng.int rng 40 in
+  let law =
+    Pmf.of_assoc
+      (List.init domain (fun v -> (v, float_of_int (1 + Rng.int rng 3))))
+  in
+  let reference = Array.init (20 + Rng.int rng 100) (fun _ -> Pmf.sample law rng) in
+  let model () = Stationary.create law in
+  let alpha = 4.0 in
+  let l = Lfun.exp_ ~alpha in
+  let fast, spec =
+    match i mod 6 with
+    | 0 ->
+      let h ~now ~last v = float_of_int (((3 * v) + last + now) mod 4 / 2) in
+      ( Heeb.caching_fn ~h (),
+        cache_spec (fun ~now ~cached ~value ~hit ~capacity ->
+            Ref_sim.keep_best_spec ~capacity ~score:(h ~now ~last:value) ~cached
+              ~value ~hit) )
+    | 1 ->
+      ( Heeb.caching ~reference:(model ()) ~l (),
+        heeb_spec ~reference:(model ()) ~l ~incremental:None )
+    | 2 ->
+      (* a short refresh period exercises both recurrence and refresh *)
+      ( Heeb.caching ~reference:(model ()) ~l
+          ~mode:(`Incremental { Heeb.alpha; refresh_every = 5 })
+          (),
+        heeb_spec ~reference:(model ()) ~l ~incremental:(Some (alpha, 5)) )
+    | 3 -> (Classic.lru (), lru_spec ())
+    | 4 -> (Classic.lfu (), lfu_spec ())
+    | _ -> (Classic.lfd ~reference, lfd_spec reference)
+  in
+  cache_lockstep ~reference ~capacity fast spec
+
+let cache_selection_check =
+  Check.make ~name:"oracle:cache/argmin-vs-sort" ~kind:Check.Oracle
+    ~fast:"Heeb.caching_fn / Heeb.caching argmin, Classic one-score fold"
+    ~reference:"Ref_sim.keep_best_spec (full sort); two-call fold"
+    (fun ~seed ~count ->
+      let rec go i =
+        if i >= count then
+          Check.Pass
+            { cases = count; note = "argmin selection == full sort, per step" }
+        else
+          match cache_selection_violation ~seed i with
+          | None -> go (i + 1)
+          | Some detail ->
+            Check.Fail
+              { detail = Printf.sprintf "case %d: %s" i detail; case = None }
+      in
+      go 0)
+
 (* --- FlowExpect: warm handle vs fresh solves, Ssp vs Scaling --------- *)
 
 let flow_expect_check =
@@ -458,6 +630,7 @@ let all =
     join_sim_indexed;
     join_sim_validated;
     keep_top_check;
+    cache_selection_check;
     flow_expect_check;
     h1_check;
     h2_check;

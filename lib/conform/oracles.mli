@@ -11,6 +11,13 @@
       candidate-to-capacity ratios, tie-heavy scores) and its recorded
       diff vs
       {!Ref_sim.keep_top_spec}.
+    - [oracle:cache/argmin-vs-sort] — the caching selection of
+      {!Ssj_core.Heeb.caching_fn} (tie-heavy scorer),
+      {!Ssj_core.Heeb.caching} [`Direct] and [`Incremental], and
+      LRU/LFU/LFD from {!Ssj_core.Classic}, replayed in lock step
+      against {!Ref_sim.keep_best_spec} (HEEB) or the two-call
+      scored fold (Classic) at capacities 0, 1, 2, 7 and 25: equal
+      hit/miss sequences and kept sets at every step.
     - [oracle:flow-expect/warm-vs-fresh] — warm-started
       {!Ssj_core.Flow_expect.decide} vs fresh per-step solves
       (bit-equal), plus the [`Scaling] backend within tolerance.

@@ -68,6 +68,20 @@ let keep_top_spec ~capacity ~score candidates =
     List.filteri (fun i _ -> i < capacity) ordered |> List.map snd
   end
 
+(* Score every candidate (the fetched value first on a miss, then the
+   cache), sort best-first with ties to the larger value, keep the
+   prefix. *)
+let keep_best_spec ~capacity ~score ~cached ~value ~hit =
+  let candidates = if hit then cached else value :: cached in
+  let scored = List.map (fun v -> (score v, v)) candidates in
+  let ordered =
+    List.sort
+      (fun (sa, va) (sb, vb) ->
+        match Float.compare sb sa with 0 -> Int.compare vb va | c -> c)
+      scored
+  in
+  List.filteri (fun i _ -> i < capacity) ordered |> List.map snd
+
 let run_case case =
   run ~trace:(Case.trace case) ~policy:(Case.policy case)
     ~capacity:case.Case.capacity ~warmup:(Case.warmup case)

@@ -37,3 +37,17 @@ val keep_top_spec :
     The oracle for the engine's one selection routine
     ({!Ssj_core.Policy.scored}), which must agree exactly whenever the
     uids are distinct. *)
+
+val keep_best_spec :
+  capacity:int ->
+  score:(int -> float) ->
+  cached:int list ->
+  value:int ->
+  hit:bool ->
+  int list
+(** Reference caching selection: score every candidate (the fetched
+    [value] first on a miss, then [cached]) once, in that order, sort
+    best-first with score ties to the larger value, and keep the
+    [capacity]-prefix.  The oracle for the argmin selection of
+    {!Ssj_core.Heeb.caching} and {!Ssj_core.Heeb.caching_fn}, which must
+    keep the same set. *)

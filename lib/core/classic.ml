@@ -1,43 +1,49 @@
 (* Shared skeleton: on hit return the cache unchanged (after bookkeeping);
    on miss insert the new value, evicting the worst-scored entry when full.
-   [score] maps a cached value to its retention priority (higher = keep). *)
+   [score] maps a cached value to its retention priority (higher = keep);
+   a full miss scores each entry once and the fetched value once. *)
 let scored_policy ~cname ~observe ~score =
   let access ~now ~cached ~value ~hit ~capacity =
     observe ~now ~value;
     if hit then cached
-    else if List.length cached < capacity then value :: cached
+    else if List.compare_length_with cached capacity < 0 then value :: cached
     else if capacity = 0 then []
     else begin
-      let worst =
-        List.fold_left
-          (fun acc v ->
-            match acc with
-            | None -> Some v
-            | Some w -> if score ~now v < score ~now w then Some v else Some w)
-          None cached
+      (* [w] is the first entry, in list order, with the lowest score [ws]
+         so far: the strict [<] sends ties to the earliest entry. *)
+      let rec evict w (ws : float) = function
+        | v :: rest ->
+          let s = score ~now v in
+          if s < ws then evict v s rest else evict w ws rest
+        | [] ->
+          (* Cache the fetched tuple only if it outranks the worst entry;
+             otherwise keeping the current contents is at least as good. *)
+          if score ~now value >= ws then
+            value :: List.filter (fun v -> v <> w) cached
+          else cached
       in
-      match worst with
-      | None -> [ value ]
-      | Some w ->
-        (* Cache the fetched tuple only if it outranks the worst entry;
-           otherwise keeping the current contents is at least as good. *)
-        if score ~now value >= score ~now w then
-          value :: List.filter (fun v -> v <> w) cached
-        else cached
+      match cached with
+      | [] -> [ value ]
+      | v :: rest -> evict v (score ~now v) rest
     end
   in
   { Policy.cname; access }
 
+(* The list without its [i]-th element, sharing the tail after it. *)
+let rec remove_nth i = function
+  | [] -> []
+  | v :: rest -> if i = 0 then rest else v :: remove_nth (i - 1) rest
+
 let rand_cache ~rng =
-  (* Always admit the fetched tuple, evicting a uniformly random entry. *)
+  (* Always admit the fetched tuple, evicting a uniformly random entry:
+     the same draw as [Rng.pick] over the cache as an array. *)
   let access ~now:_ ~cached ~value ~hit ~capacity =
     if hit then cached
     else if capacity = 0 then []
-    else if List.length cached < capacity then value :: cached
-    else begin
-      let victim = Ssj_prob.Rng.pick rng (Array.of_list cached) in
-      value :: List.filter (fun v -> v <> victim) cached
-    end
+    else
+      let n = List.length cached in
+      if n < capacity then value :: cached
+      else value :: remove_nth (Ssj_prob.Rng.int rng n) cached
   in
   { Policy.cname = "RAND"; access }
 

@@ -224,19 +224,39 @@ let caching_direct_h pred ~l value =
     Hvalue.caching_markov ~kernel ~start ~l ~value
   | Some _ | None -> Hvalue.caching_independent ~reference:pred ~l ~value
 
-(* The caching policies' selection: score the candidates (the fetched
-   [value] first on a miss, then the cache) in order, keep the
-   [capacity] best, best-first, ties to the larger value. *)
-let keep_best ~capacity ~score ~cached ~value ~hit =
-  let candidates = if hit then cached else value :: cached in
-  let scored = List.map (fun v -> (score v, v)) candidates in
-  let ordered =
-    List.sort
-      (fun (sa, va) (sb, vb) ->
-        match Float.compare sb sa with 0 -> Int.compare vb va | c -> c)
-      scored
+(* The caching policies' selection.  As a set it equals keeping the
+   [capacity] best candidates (the fetched [value] on a miss, then the
+   cache) by score, ties to the larger value.  When the candidates fit —
+   every hit, every miss with room — that keeps them all and nothing is
+   scored.  Otherwise [drop_worst] removes, one pass each, the candidate
+   such a sort would rank last: the smallest score under [Float.compare],
+   ties to the smaller value.  Cache_sim's contract ([cached] within
+   [capacity]) makes that one drop, so [score] runs once per candidate. *)
+let candidates ~cached ~value ~hit = if hit then cached else value :: cached
+
+let fits ~capacity candidates = List.compare_length_with candidates capacity <= 0
+
+let rec worst ~score w ws = function
+  | [] -> w
+  | (v : int) :: rest ->
+    let s = score v in
+    let c = Float.compare s ws in
+    if c < 0 || (c = 0 && v < w) then worst ~score v s rest
+    else worst ~score w ws rest
+
+(* The list without its first [v], sharing the tail after it. *)
+let rec remove (v : int) = function
+  | [] -> []
+  | w :: rest -> if w = v then rest else w :: remove v rest
+
+let drop_worst ~capacity ~score candidates =
+  let rec drop excess candidates =
+    match candidates with
+    | v :: rest when excess > 0 ->
+      drop (excess - 1) (remove (worst ~score v (score v) rest) candidates)
+    | _ -> candidates
   in
-  List.filteri (fun i _ -> i < capacity) ordered |> List.map snd
+  drop (List.length candidates - capacity) candidates
 
 (* Same sweep as [prune_hvals], keyed by cached value instead of uid. *)
 let prune_cached_hvals hvals kept =
@@ -260,6 +280,7 @@ let caching ?name ~reference ~l ?(mode = `Direct) () =
     | m -> m
   in
   let pred = ref reference in
+  (* value -> (H, time of last direct computation), for [`Incremental] *)
   let hvals : (int, float * int) Hashtbl.t = Hashtbl.create 128 in
   let name =
     match name with
@@ -267,19 +288,21 @@ let caching ?name ~reference ~l ?(mode = `Direct) () =
     | None -> Printf.sprintf "HEEB(%s)" l.Lfun.name
   in
   let access ~now ~cached ~value ~hit ~capacity =
-    let prior = !pred.Predictor.pmf 1 in
-    pred := !pred.Predictor.observe value;
-    let score v =
-      let recompute () =
-        let h = caching_direct_h !pred ~l v in
-        Hashtbl.replace hvals v (h, now);
-        h
-      in
-      match mode with
-      | `Direct | `Memo_trend _ -> caching_direct_h !pred ~l v
-      | `Incremental { alpha; refresh_every } ->
+    let candidates = candidates ~cached ~value ~hit in
+    match mode with
+    | `Direct | `Memo_trend _ ->
+      pred := !pred.Predictor.observe value;
+      if fits ~capacity candidates then candidates
+      else drop_worst ~capacity ~score:(caching_direct_h !pred ~l) candidates
+    | `Incremental { alpha; refresh_every } ->
+      (* The Corollary 4 recurrence and the refresh clock advance on every
+         reference, so every candidate is rescored, fitting or not. *)
+      let prior = !pred.Predictor.pmf 1 in
+      pred := !pred.Predictor.observe value;
+      let rescore v =
+        let recompute () = Hashtbl.replace hvals v (caching_direct_h !pred ~l v, now) in
         if v = value then recompute () (* fetched or just hit: clock restarts *)
-        else begin
+        else
           match Hashtbl.find_opt hvals v with
           | None -> recompute ()
           | Some (h_prev, at) ->
@@ -287,25 +310,28 @@ let caching ?name ~reference ~l ?(mode = `Direct) () =
             else begin
               let p_now = Ssj_prob.Pmf.prob prior v in
               let h = Hvalue.step_caching_exp ~alpha ~h_prev ~p_now in
-              Hashtbl.replace hvals v (h, at);
-              h
+              Hashtbl.replace hvals v (h, at)
             end
-        end
-    in
-    let kept = keep_best ~capacity ~score ~cached ~value ~hit in
-    (match mode with
-    | `Incremental _ -> prune_cached_hvals hvals kept
-    | `Direct | `Memo_trend _ -> ());
-    kept
+      in
+      List.iter rescore candidates;
+      let kept =
+        drop_worst ~capacity
+          ~score:(fun v -> fst (Hashtbl.find hvals v))
+          candidates
+      in
+      prune_cached_hvals hvals kept;
+      kept
   in
   { Policy.cname = name; access }
 
 let caching_fn ?name ~h () =
   let name = Option.value ~default:"HEEB(h)" name in
   let access ~now ~cached ~value ~hit ~capacity =
-    (* The history x̄_{t0} includes the reference just observed, so the
-       conditioning value for h2(v_x, x_{t0}) is today's [value]. *)
-    keep_best ~capacity ~score:(fun v -> h ~now ~last:value ~value:v) ~cached
-      ~value ~hit
+    let candidates = candidates ~cached ~value ~hit in
+    if fits ~capacity candidates then candidates
+    else
+      (* The history x̄_{t0} includes the reference just observed, so the
+         conditioning value for h2(v_x, x_{t0}) is today's [value]. *)
+      drop_worst ~capacity ~score:(h ~now ~last:value) candidates
   in
   { Policy.cname = name; access }

@@ -79,12 +79,25 @@ val caching :
   Policy.cache
 (** HEEB for the caching problem ([`Memo_trend] is not applicable here and
     degrades to [`Direct]).  A cache hit restarts the hit entry's
-    first-reference clock (its [H] is recomputed directly). *)
+    first-reference clock (its [H] is recomputed directly).
+
+    Selection keeps, as a set, the [capacity] best candidates (the fetched
+    value on a miss, then the cache) by [H], ties to the larger value.  A
+    hit or a miss with room keeps every candidate; a full miss drops the
+    one argmin — smallest [H] under [Float.compare], ties to the smaller
+    value — found in one pass.  [`Direct] scores only on full misses;
+    [`Incremental] rescores every candidate on every reference, since its
+    Corollary 4 recurrence and refresh clock advance per reference. *)
 
 val caching_fn :
-  ?name:string -> h:(now:int -> last:int -> value:int -> float) -> unit -> Policy.cache
-(** Generic precomputed-H caching policy: [h ~now ~last ~value] scores a
-    database tuple [value] when the most recent reference was [last].
-    Used with {!Precompute.walk_caching_curve} ([h = curve(value − last)])
-    and with the bicubic {!Precompute.ar1_caching_surface}
-    ([h = surface(value, last)], the REAL experiment). *)
+  ?name:string -> h:(now:int -> last:int -> int -> float) -> unit -> Policy.cache
+(** Generic precomputed-H caching policy: [h ~now ~last] stages the scorer
+    for one reference, and [h ~now ~last value] scores a database tuple
+    [value] when the most recent reference was [last].  Only a full miss
+    scores, by the argmin rule of {!caching}: it applies [h ~now ~last]
+    once, then the scorer to each of the [capacity + 1] candidates once;
+    a hit or a miss with room calls nothing.  Used with
+    {!Precompute.walk_caching_curve} ([h = curve(value − last)]) and with
+    the bicubic {!Precompute.ar1_caching_surface}
+    ([h = surface(value, last)], staged as {!Interp.Surface.y_slice} at
+    [last], the REAL experiment). *)

@@ -76,34 +76,72 @@ module Surface = struct
   let nx t = Array.length t.values
   let ny t = Array.length t.values.(0)
 
-  (* Catmull–Rom weights for the four neighbouring samples at fractional
-     offset [u] in [0,1): the classic bicubic convolution kernel (a = -1/2),
-     which interpolates the samples and is C¹. *)
-  let weights u =
+  (* [max lo (min hi v)], specialised so no comparison is polymorphic. *)
+  let[@inline] clampf lo hi (v : float) =
+    let m = if hi <= v then hi else v in
+    if lo >= m then lo else m
+
+  let[@inline] clampi lo hi (v : int) =
+    let m = if hi <= v then hi else v in
+    if lo >= m then lo else m
+
+  (* Position of [v] on an axis of [n] nodes starting at [origin], in node
+     units, clamped to the grid. *)
+  let[@inline] position ~origin ~step n v =
+    clampf 0.0 (float_of_int (n - 1)) ((v -. origin) /. step)
+
+  (* The cell [i <= n - 2] holding position [p]. *)
+  let[@inline] cell n p =
+    let i = int_of_float (Float.floor p) in
+    if n - 2 <= i then n - 2 else i
+
+  (* Catmull–Rom combination of four neighbouring samples at fractional
+     offset [u] in [0,1): the classic bicubic convolution kernel
+     (a = -1/2), which interpolates the samples and is C¹. *)
+  let[@inline] cubic u s0 s1 s2 s3 =
     let u2 = u *. u in
     let u3 = u2 *. u in
-    ( 0.5 *. (-.u3 +. (2.0 *. u2) -. u),
-      0.5 *. ((3.0 *. u3) -. (5.0 *. u2) +. 2.0),
-      0.5 *. ((-3.0 *. u3) +. (4.0 *. u2) +. u),
-      0.5 *. (u3 -. u2) )
+    let w0 = 0.5 *. (-.u3 +. (2.0 *. u2) -. u)
+    and w1 = 0.5 *. ((3.0 *. u3) -. (5.0 *. u2) +. 2.0)
+    and w2 = 0.5 *. ((-3.0 *. u3) +. (4.0 *. u2) +. u)
+    and w3 = 0.5 *. (u3 -. u2) in
+    (w0 *. s0) +. (w1 *. s1) +. (w2 *. s2) +. (w3 *. s3)
 
-  let clamp lo hi v = max lo (min hi v)
+  (* Row [i] contracted along y in cell [iy] at offset [uy]; samples past
+     the grid (the outer ring of the 4x4 patch) clamp to its edge. *)
+  let[@inline] row t ~iy ~uy i =
+    let ny = ny t in
+    let r = t.values.(clampi 0 (nx t - 1) i) in
+    let sample j = r.(clampi 0 (ny - 1) j) in
+    cubic uy (sample (iy - 1)) (sample iy) (sample (iy + 1)) (sample (iy + 2))
 
   let eval t x y =
     let nx = nx t and ny = ny t in
-    let px = clamp 0.0 (float_of_int (nx - 1)) ((x -. t.x0) /. t.dx) in
-    let py = clamp 0.0 (float_of_int (ny - 1)) ((y -. t.y0) /. t.dy) in
-    let ix = min (nx - 2) (int_of_float (Float.floor px)) in
-    let iy = min (ny - 2) (int_of_float (Float.floor py)) in
+    let px = position ~origin:t.x0 ~step:t.dx nx x in
+    let py = position ~origin:t.y0 ~step:t.dy ny y in
+    let ix = cell nx px and iy = cell ny py in
     let ux = px -. float_of_int ix and uy = py -. float_of_int iy in
-    let wx0, wx1, wx2, wx3 = weights ux in
-    let wy0, wy1, wy2, wy3 = weights uy in
-    (* Sample with edge clamping for the outer ring of the 4x4 patch. *)
-    let sample i j = t.values.(clamp 0 (nx - 1) i).(clamp 0 (ny - 1) j) in
-    let row i = (wy0 *. sample i (iy - 1)) +. (wy1 *. sample i iy)
-                +. (wy2 *. sample i (iy + 1)) +. (wy3 *. sample i (iy + 2)) in
-    (wx0 *. row (ix - 1)) +. (wx1 *. row ix) +. (wx2 *. row (ix + 1))
-    +. (wx3 *. row (ix + 2))
+    cubic ux (row t ~iy ~uy (ix - 1)) (row t ~iy ~uy ix)
+      (row t ~iy ~uy (ix + 1)) (row t ~iy ~uy (ix + 2))
+
+  type slice = { sx0 : float; sdx : float; rows : float array }
+
+  let y_slice t y =
+    let ny = ny t in
+    let py = position ~origin:t.y0 ~step:t.dy ny y in
+    let iy = cell ny py in
+    let uy = py -. float_of_int iy in
+    { sx0 = t.x0; sdx = t.dx; rows = Array.init (nx t) (row t ~iy ~uy) }
+
+  let eval_slice s x =
+    let rows = s.rows in
+    let nx = Array.length rows in
+    let px = position ~origin:s.sx0 ~step:s.sdx nx x in
+    let ix = cell nx px in
+    cubic (px -. float_of_int ix)
+      rows.(clampi 0 (nx - 1) (ix - 1))
+      rows.(ix) rows.(ix + 1)
+      rows.(clampi 0 (nx - 1) (ix + 2))
 
   let save t ~filename =
     let oc = open_out filename in

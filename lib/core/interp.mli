@@ -41,6 +41,19 @@ module Surface : sig
   (** [eval s x y], bicubic inside the grid, clamped to the boundary
       outside it. *)
 
+  type slice
+  (** The surface contracted along y at one fixed [y]: one Catmull–Rom
+      row per x node. *)
+
+  val y_slice : t -> float -> slice
+  (** [y_slice s y] contracts every row at [y] once, so that scoring many
+      [x] against one [y] (HEEB(h2)'s candidates against one reference)
+      costs a 1-D cubic each. *)
+
+  val eval_slice : slice -> float -> float
+  (** [eval_slice (y_slice s y) x] is bit-equal to [eval s x y]: both
+      run the same row contraction and the same x combination. *)
+
   val nx : t -> int
   val ny : t -> int
 

@@ -149,7 +149,7 @@ let max_hits ~reference ~capacity =
   let hits = ref 0 in
   Array.iteri
     (fun now value ->
-      let hit = List.mem value !cache in
+      let hit = List.memq value !cache in (* ints: == is = *)
       if hit then incr hits;
       cache :=
         policy.Policy.access ~now ~cached:!cache ~value ~hit ~capacity)

@@ -139,7 +139,9 @@ type cache = {
       (** [value] is the join-attribute value of the incoming reference
           tuple; on a miss the joining database tuple has been fetched and
           may be cached.  Returns the new cache contents (values), a subset
-          of [cached ∪ {value}] of size ≤ [capacity]. *)
+          of [cached ∪ {value}] of size ≤ [capacity].  The result is a
+          set: the simulator only tests membership, and the list's order
+          carries no meaning beyond the policy's own next call. *)
 }
 
 val validate_join_selection :

@@ -21,7 +21,7 @@ let validate_selection ~cached ~value ~capacity selection =
          (List.length selection) capacity)
   else if
     not
-      (List.for_all (fun v -> v = value || List.mem v cached) selection)
+      (List.for_all (fun v -> v = value || List.memq v cached) selection)
   then Error "cache contains a value that was neither cached nor fetched"
   else begin
     let sorted = List.sort Int.compare selection in
@@ -41,7 +41,9 @@ let run_internal ~reference ~policy ~capacity ?(warmup = 0) ?(validate = false)
   let counted_hits = ref 0 and counted_misses = ref 0 in
   for now = 0 to n - 1 do
     let value = reference.(now) in
-    let hit = List.mem value !cache in
+    (* [memq] on ints: physical equality is value equality, and the scan
+       stays monomorphic *)
+    let hit = List.memq value !cache in
     if hit then begin
       incr hits;
       if now >= warmup then incr counted_hits

@@ -56,8 +56,11 @@ let real_surface_bounds params =
     int_of_float (Float.round (mean +. (3.5 *. sd))) )
 
 let real_heeb_of_surface surface () =
-  let h ~now:_ ~last ~value =
-    Interp.Surface.eval surface (float_of_int value) (float_of_int last)
+  (* Staged: contract the surface at [last] once per scored reference,
+     then a 1-D cubic per candidate, bit-equal to [Surface.eval]. *)
+  let h ~now:_ ~last =
+    let slice = Interp.Surface.y_slice surface (float_of_int last) in
+    fun value -> Interp.Surface.eval_slice slice (float_of_int value)
   in
   Heeb.caching_fn ~name:"HEEB(h2)" ~h ()
 

@@ -33,6 +33,11 @@ val real_surface_bounds : Ssj_model.Ar1.params -> int * int
 (** Control-grid bounds used for the REAL surfaces: stationary mean
     ± 3.5 stationary standard deviations. *)
 
+val real_surface :
+  params:Ssj_model.Ar1.params -> capacity:int -> Ssj_core.Interp.Surface.t
+(** The [h2] surface {!real_heeb} builds: α = cache size, a 5×5 control
+    grid over {!real_surface_bounds}. *)
+
 val real_heeb :
   params:Ssj_model.Ar1.params -> capacity:int -> unit -> Ssj_core.Policy.cache
 (** HEEB over the precomputed bicubic [h2] surface (α = cache size);

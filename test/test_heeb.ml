@@ -132,6 +132,40 @@ let test_caching_incremental_matches_direct () =
     (run `Direct)
     (run (`Incremental { Heeb.alpha = 6.0; refresh_every = 64 }))
 
+let test_caching_fn_scores_full_misses_only () =
+  (* A counting scorer: hits and misses with room score nothing; a full
+     miss stages the scorer once and scores the m cached values and the
+     fetched one exactly once each. *)
+  let stages = ref 0 and scores = ref 0 in
+  let h ~now:_ ~last =
+    incr stages;
+    fun v ->
+      incr scores;
+      float_of_int ((v * 7) + last)
+  in
+  let policy = Heeb.caching_fn ~h () in
+  let m = 3 in
+  let cache = ref [] in
+  let access now value =
+    let hit = List.mem value !cache in
+    stages := 0;
+    scores := 0;
+    cache := policy.Policy.access ~now ~cached:!cache ~value ~hit ~capacity:m;
+    (hit, !stages, !scores)
+  in
+  let expect what now value (hit, stages, scores) =
+    Alcotest.(check (triple bool int int)) what (hit, stages, scores)
+      (access now value)
+  in
+  expect "miss with room" 0 10 (false, 0, 0);
+  expect "miss with room" 1 11 (false, 0, 0);
+  expect "hit" 2 10 (true, 0, 0);
+  expect "miss with room" 3 12 (false, 0, 0);
+  expect "hit, full cache" 4 11 (true, 0, 0);
+  expect "full miss" 5 13 (false, 1, m + 1);
+  check_int "still full" m (List.length !cache);
+  expect "full miss" 6 14 (false, 1, m + 1)
+
 let test_joining_curves_policy_runs () =
   let w = Ssj_workload.Config.walk () in
   let r, s = Ssj_workload.Config.walk_predictors w in
@@ -182,6 +216,8 @@ let suite =
       test_heeb_caching_stationary_equals_lfu_model;
     Alcotest.test_case "caching incremental = direct" `Quick
       test_caching_incremental_matches_direct;
+    Alcotest.test_case "caching_fn scores on full misses only" `Quick
+      test_caching_fn_scores_full_misses_only;
     Alcotest.test_case "walk curve policy" `Quick
       test_joining_curves_policy_runs;
     Alcotest.test_case "adaptive alpha tracks fixed" `Slow

@@ -64,6 +64,33 @@ let test_surface_clamps () =
   check_float ~eps:1e-9 "clamped corner" 0.0 (Interp.Surface.eval s (-5.0) (-5.0));
   check_float ~eps:1e-9 "clamped far corner" 6.0 (Interp.Surface.eval s 99.0 99.0)
 
+let test_y_slice_bit_equal () =
+  (* The staged scorer (one y-slice, then a 1-D cubic per x) must equal
+     [eval] bit for bit: random points, every node, and points clamped
+     past each of the four edges. *)
+  let f x y = sin (x /. 3.0) *. cos (y /. 4.0) +. (0.01 *. x *. y) in
+  let s = surface_of f ~x0:(-2.0) ~dx:1.5 ~y0:3.0 ~dy:0.75 ~nx:6 ~ny:7 in
+  let same x y =
+    check_float ~eps:0.0
+      (Printf.sprintf "slice at (%h, %h)" x y)
+      (Interp.Surface.eval s x y)
+      (Interp.Surface.eval_slice (Interp.Surface.y_slice s y) x)
+  in
+  let r = rng 7 in
+  for _ = 1 to 500 do
+    same (Ssj_prob.Rng.float r 10.0 -. 3.0) (Ssj_prob.Rng.float r 7.0 +. 2.0)
+  done;
+  for i = 0 to 5 do
+    for j = 0 to 6 do
+      same (-2.0 +. (1.5 *. float_of_int i)) (3.0 +. (0.75 *. float_of_int j))
+    done
+  done;
+  (* x spans [-2, 5.5], y spans [3, 7.5] *)
+  List.iter
+    (fun (x, y) -> same x y)
+    [ (-9.0, 5.0); (40.0, 5.0); (1.3, -4.0); (1.3, 60.0); (-9.0, -4.0);
+      (40.0, 60.0); (-2.0, 7.5); (5.5, 3.0) ]
+
 let test_surface_rejects_ragged () =
   Alcotest.check_raises "ragged"
     (Invalid_argument "Interp.Surface.create: ragged rows") (fun () ->
@@ -139,6 +166,8 @@ let suite =
     Alcotest.test_case "surface smooth accuracy" `Quick
       test_surface_smooth_approximation;
     Alcotest.test_case "surface clamps outside" `Quick test_surface_clamps;
+    Alcotest.test_case "y-slice scorer bit-equal to eval" `Quick
+      test_y_slice_bit_equal;
     Alcotest.test_case "surface rejects ragged rows" `Quick
       test_surface_rejects_ragged;
     prop_curve_monotone_data;

@@ -146,6 +146,51 @@ let test_cache_sim_zero_capacity () =
   in
   check_int "no hits without a cache" 0 result.Cache_sim.hits
 
+let test_scored_eviction_scores_once () =
+  (* A full miss scores each of the m entries once and the fetched value
+     once: at most m + 1 calls (a two-call fold makes about 2m). *)
+  let calls = ref 0 in
+  let policy =
+    Classic.lfu_model ~prob:(fun v ->
+        incr calls;
+        1.0 /. float_of_int (1 + (v mod 3)))
+  in
+  let m = 6 in
+  let cache = ref [] in
+  Array.iteri
+    (fun now value ->
+      let hit = List.mem value !cache in
+      let full = List.length !cache = m in
+      calls := 0;
+      cache := policy.Policy.access ~now ~cached:!cache ~value ~hit ~capacity:m;
+      if full && not hit then
+        check_bool
+          (Printf.sprintf "t=%d: %d score calls <= m + 1" now !calls)
+          true (!calls <= m + 1)
+      else check_int "no scoring without an eviction" 0 !calls)
+    (Array.init 40 (fun t -> (t * 7) mod 11))
+
+let test_lfu_tie_break () =
+  (* Among the least-frequent entries the one inserted last is evicted
+     (the fetched value enters at the head, and the strict [<] keeps the
+     earliest entry in list order); a fetched value less frequent than
+     every entry is not admitted. *)
+  let reference = [| 1; 2; 3; 2; 4; 1; 2; 5 |] in
+  let _, decisions =
+    Cache_sim.run_logged ~reference ~policy:(Classic.lfu ()) ~capacity:2 ()
+  in
+  let sets = Array.to_list (Array.map (List.sort Int.compare) decisions) in
+  Alcotest.(check (list (list int)))
+    "LFU cache after each reference"
+    [ [ 1 ]; [ 1; 2 ];
+      [ 1; 3 ] (* 1 and 2 tie at one use: 2, inserted last, goes *);
+      [ 1; 2 ] (* 1 and 3 tie: 3 goes *);
+      [ 2; 4 ] (* 1 (one use) goes, 2 (two) stays *);
+      [ 1; 2 ] (* 4 goes *);
+      [ 1; 2 ];
+      [ 1; 2 ] (* 5 (one use) is below both: not admitted *) ]
+    sets
+
 (* --- Theorem 1: caching reduces to joining ----------------------------- *)
 
 (* Run LRU on the caching problem, and the image of LRU under the
@@ -328,4 +373,7 @@ let suite =
       test_band_and_window_compose;
     Alcotest.test_case "runner summaries" `Quick test_runner_summaries;
     Alcotest.test_case "default warm-up" `Quick test_default_warmup;
+    Alcotest.test_case "scored eviction scores each entry once" `Quick
+      test_scored_eviction_scores_once;
+    Alcotest.test_case "LFU tie-break" `Quick test_lfu_tie_break;
   ]
