@@ -98,7 +98,7 @@ let bench_fig19_kernel ?(warm = true) lookahead =
   let handle = if warm then Some (Flow_expect.handle ()) else None in
   Staged.stage (fun () ->
       ignore
-        (Flow_expect.decide ?handle ~r ~s ~lookahead ~now:0 ~cached ~arrivals
+        (Flow_expect.decide ?handle ~r ~s ~lookahead ~cached ~arrivals
            ~capacity:10 ()))
 
 let bench_fig13_surface_build () =

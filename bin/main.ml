@@ -9,13 +9,27 @@
 open Cmdliner
 open Ssj_workload
 
+(* An integer option with a lower bound.  A value below it is a usage
+   error (exit 124) naming the option, instead of a crash or an empty
+   result deep inside a figure. *)
+let int_at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < lo -> Error (`Msg (Printf.sprintf "%d is less than %d" n lo))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
+let positive = int_at_least 1
+let non_negative = int_at_least 0
+
 let opts_term =
   let runs =
-    Arg.(value & opt int Experiments.default.Experiments.runs
+    Arg.(value & opt positive Experiments.default.Experiments.runs
          & info [ "runs" ] ~doc:"Independent runs per configuration.")
   in
   let length =
-    Arg.(value & opt int Experiments.default.Experiments.length
+    Arg.(value & opt positive Experiments.default.Experiments.length
          & info [ "len" ] ~doc:"Stream length (tuples per stream).")
   in
   let seed =
@@ -23,19 +37,19 @@ let opts_term =
          & info [ "seed" ] ~doc:"Base random seed.")
   in
   let capacity =
-    Arg.(value & opt int Experiments.default.Experiments.capacity
+    Arg.(value & opt non_negative Experiments.default.Experiments.capacity
          & info [ "cache" ] ~doc:"Cache size for fixed-size comparisons.")
   in
   let fe_runs =
-    Arg.(value & opt int Experiments.default.Experiments.fe_runs
+    Arg.(value & opt positive Experiments.default.Experiments.fe_runs
          & info [ "fe-runs" ] ~doc:"Runs for FlowExpect blocks.")
   in
   let fe_length =
-    Arg.(value & opt int Experiments.default.Experiments.fe_length
+    Arg.(value & opt positive Experiments.default.Experiments.fe_length
          & info [ "fe-len" ] ~doc:"Stream length for FlowExpect blocks.")
   in
   let fe_lookahead =
-    Arg.(value & opt int Experiments.default.Experiments.fe_lookahead
+    Arg.(value & opt positive Experiments.default.Experiments.fe_lookahead
          & info [ "fe-lookahead" ] ~doc:"FlowExpect look-ahead distance.")
   in
   let build runs length seed capacity fe_runs fe_length fe_lookahead =
@@ -103,7 +117,7 @@ let dump_trace_cmd =
   let config =
     Arg.(value & opt config_conv `Tower & info [ "config" ] ~doc:"Workload.")
   in
-  let length = Arg.(value & opt int 1000 & info [ "len" ] ~doc:"Steps.") in
+  let length = Arg.(value & opt positive 1000 & info [ "len" ] ~doc:"Steps.") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Seed.") in
   let out =
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~doc:"Output file.")
@@ -144,7 +158,9 @@ let run_trace_cmd =
   let file =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE.csv")
   in
-  let capacity = Arg.(value & opt int 10 & info [ "cache" ] ~doc:"Cache size.") in
+  let capacity =
+    Arg.(value & opt non_negative 10 & info [ "cache" ] ~doc:"Cache size.")
+  in
   Cmd.v
     (Cmd.info "run-trace"
        ~doc:"Replay an archived trace under RAND/PROB and the offline optimum.")

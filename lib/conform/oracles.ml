@@ -319,12 +319,12 @@ let cache_selection_check =
       in
       go 0)
 
-(* --- FlowExpect: warm handle vs fresh solves, Ssp vs Scaling --------- *)
+(* --- FlowExpect: warm handle vs fresh solves ------------------------- *)
 
 let flow_expect_check =
   Check.make ~name:"oracle:flow-expect/warm-vs-fresh" ~kind:Check.Oracle
-    ~fast:"Flow_expect.decide with a shared warm handle (Ssp)"
-    ~reference:"fresh per-step solves; `Scaling backend cross-check"
+    ~fast:"Flow_expect.decide with a shared warm handle"
+    ~reference:"fresh per-step solves"
     (fun ~seed ~count ->
       let reps = max 1 (count / 20) in
       let failure = ref None in
@@ -349,13 +349,12 @@ let flow_expect_check =
               Tuple.make ~side:Tuple.S ~value:sv ~arrival:t;
             ]
           in
-          let decide ?solver ?handle () =
-            Flow_expect.decide ?solver ?handle ~r:!rp ~s:!sp ~lookahead:3
-              ~now:t ~cached:!cached ~arrivals ~capacity:2 ()
+          let decide ?handle () =
+            Flow_expect.decide ?handle ~r:!rp ~s:!sp ~lookahead:3
+              ~cached:!cached ~arrivals ~capacity:2 ()
           in
           let warm = decide ~handle () in
           let fresh = decide () in
-          let scaling = decide ~solver:`Scaling () in
           if
             not
               (tuples_equal
@@ -373,19 +372,6 @@ let flow_expect_check =
                    warm.Flow_expect.expected_benefit
                    (render_selection fresh.Flow_expect.keep)
                    fresh.Flow_expect.expected_benefit !rep t)
-          else if
-            Float.abs
-              (warm.Flow_expect.expected_benefit
-              -. scaling.Flow_expect.expected_benefit)
-            > 1e-6
-          then
-            failure :=
-              Some
-                (Printf.sprintf
-                   "Ssp benefit %.17g <> Scaling benefit %.17g at rep %d \
-                    step %d"
-                   warm.Flow_expect.expected_benefit
-                   scaling.Flow_expect.expected_benefit !rep t)
           else cached := warm.Flow_expect.keep;
           incr now
         done;

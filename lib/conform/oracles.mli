@@ -20,7 +20,7 @@
       hit/miss sequences and kept sets at every step.
     - [oracle:flow-expect/warm-vs-fresh] — warm-started
       {!Ssj_core.Flow_expect.decide} vs fresh per-step solves
-      (bit-equal), plus the [`Scaling] backend within tolerance.
+      (bit-equal kept sets and plan values).
     - [oracle:h1/curve-vs-direct-sum] — the precomputed random-walk
       joining curve vs {!Ssj_core.Precompute.walk_joining_h}.
     - [oracle:h2/bicubic-vs-exact-columns] — bicubic surface control

@@ -11,11 +11,9 @@ let m_law_warm_hits = Obs.Counter.create "flow_expect.law_warm_hits"
 let m_law_warm_misses = Obs.Counter.create "flow_expect.law_warm_misses"
 
 type plan = { keep : Tuple.t list; expected_benefit : float }
-type solver = [ `Ssp | `Scaling ]
 
 type handle = {
   mutable mcmf : Mcmf.t option;
-  mutable scaling : Scaling.t option;
   (* Conditional-law cache, keyed by the predictor value itself:
      predictors are immutable ([observe] returns a new one), so physical
      equality proves the cached laws are still those of the predictor at
@@ -25,7 +23,7 @@ type handle = {
   mutable laws_s : (Predictor.t * Ssj_prob.Pmf.t array) option;
 }
 
-let handle () = { mcmf = None; scaling = None; laws_r = None; laws_s = None }
+let handle () = { mcmf = None; laws_r = None; laws_s = None }
 
 type entity =
   | Determined of Tuple.side * int (* side, value *)
@@ -42,56 +40,7 @@ let laws ~cached ~store pred l =
     store (pred, arr);
     arr
 
-(* The time-expanded graph is a DAG: arcs go source → slice 0, slice i →
-   slice i+1, old entities of slice i → connector i → new entities of
-   slice i, and last slice → sink.  Both backends get the arcs in the
-   same order, source arcs first, so the decision reads back from the
-   first [base] arc handles. *)
-let solve_arcs ~solver ~handle:h ~n_nodes ~base ~add_all ~source ~sink ~target =
-  match solver with
-  | `Ssp ->
-    let g =
-      match h with
-      | Some ({ mcmf = Some g; _ } : handle) ->
-        Mcmf.reset g ~n:n_nodes;
-        g
-      | _ ->
-        let g = Mcmf.create n_nodes in
-        (match h with Some h -> h.mcmf <- Some g | None -> ());
-        g
-    in
-    let src_arcs = ref [] in
-    let count = ref 0 in
-    add_all (fun src dst cap cost ->
-        let a = Mcmf.add_arc g ~src ~dst ~cap ~cost in
-        if !count < base then src_arcs := a :: !src_arcs;
-        incr count);
-    let result = Mcmf.solve ~acyclic:true g ~source ~sink ~target in
-    let flows = List.rev_map (fun a -> Mcmf.flow_on g a) !src_arcs in
-    (flows, result.Mcmf.cost)
-  | `Scaling ->
-    let g =
-      match h with
-      | Some ({ scaling = Some g; _ } : handle) ->
-        Scaling.reset g ~n:n_nodes;
-        g
-      | _ ->
-        let g = Scaling.create n_nodes in
-        (match h with Some h -> h.scaling <- Some g | None -> ());
-        g
-    in
-    let src_arcs = ref [] in
-    let count = ref 0 in
-    add_all (fun src dst cap cost ->
-        let a = Scaling.add_arc g ~src ~dst ~cap ~cost in
-        if !count < base then src_arcs := a :: !src_arcs;
-        incr count);
-    let result = Scaling.solve g ~source ~sink ~target in
-    let flows = List.rev_map (fun a -> Scaling.flow_on g a) !src_arcs in
-    (flows, result.Scaling.cost)
-
-let decide ?(solver = `Ssp) ?handle:h ~r ~s ~lookahead ~now:_ ~cached ~arrivals
-    ~capacity () =
+let decide ?handle:h ~r ~s ~lookahead ~cached ~arrivals ~capacity () =
   if lookahead < 1 then invalid_arg "Flow_expect.decide: lookahead < 1";
   Obs.Counter.incr m_decides;
   let candidates = Array.of_list (cached @ arrivals) in
@@ -149,42 +98,51 @@ let decide ?(solver = `Ssp) ?handle:h ~r ~s ~lookahead ~now:_ ~cached ~arrivals
     let node i e = offsets.(i) + e in
     let connector i = conn_off + i - 1 in
     let source = 0 and sink = 1 in
-    (* Source arcs first, so the decision can be read back by index. *)
-    let add_all add =
-      for e = 0 to base - 1 do
-        add source (node 0 e) 1 0.0
-      done;
-      (* Slice 0 contains no connector: arrivals are already determined. *)
-      for i = 0 to l - 2 do
-        for e = 0 to entity_count i - 1 do
-          add (node i e) (node (i + 1) e) 1 (-.benefit (entity_at e) (i + 1))
-        done
-      done;
-      for i = 1 to l - 1 do
-        let c = connector i in
-        for e = 0 to entity_count (i - 1) - 1 do
-          add (node i e) c 1 0.0
-        done;
-        let new0 = base + (2 * (i - 1)) in
-        add c (node i new0) 1 0.0;
-        add c (node i (new0 + 1)) 1 0.0
-      done;
-      for e = 0 to entity_count (l - 1) - 1 do
-        add (node (l - 1) e) sink 1 (-.benefit (entity_at e) l)
+    let g =
+      match h with
+      | Some { mcmf = Some g; _ } ->
+        Mcmf.reset g ~n:n_nodes;
+        g
+      | _ ->
+        let g = Mcmf.create n_nodes in
+        Option.iter (fun h -> h.mcmf <- Some g) h;
+        g
+    in
+    (* The graph is a DAG: arcs go source → slice 0, slice i → slice i+1,
+       old entities of slice i → connector i → new entities of slice i,
+       and last slice → sink.  Candidate [e]'s source arc decides whether
+       it is kept at [t0]. *)
+    let arc src dst cost = Mcmf.add_arc g ~src ~dst ~cap:1 ~cost in
+    let add src dst cost = ignore (arc src dst cost) in
+    let source_arcs = Array.init base (fun e -> arc source (node 0 e) 0.0) in
+    (* Slice 0 contains no connector: arrivals are already determined. *)
+    for i = 0 to l - 2 do
+      for e = 0 to entity_count i - 1 do
+        add (node i e) (node (i + 1) e) (-.benefit (entity_at e) (i + 1))
       done
-    in
-    let source_flows, cost =
-      solve_arcs ~solver ~handle:h ~n_nodes ~base ~add_all ~source ~sink ~target
-    in
+    done;
+    for i = 1 to l - 1 do
+      let c = connector i in
+      for e = 0 to entity_count (i - 1) - 1 do
+        add (node i e) c 0.0
+      done;
+      let new0 = base + (2 * (i - 1)) in
+      add c (node i new0) 0.0;
+      add c (node i (new0 + 1)) 0.0
+    done;
+    for e = 0 to entity_count (l - 1) - 1 do
+      add (node (l - 1) e) sink (-.benefit (entity_at e) l)
+    done;
+    let result = Mcmf.solve g ~source ~sink ~target in
     let keep =
       List.filteri
-        (fun e _ -> List.nth source_flows e > 0)
+        (fun e _ -> Mcmf.flow_on g source_arcs.(e) > 0)
         (Array.to_list candidates)
     in
-    { keep; expected_benefit = -.cost }
+    { keep; expected_benefit = -.result.Mcmf.cost }
   end
 
-let policy ?name ?solver ~r ~s ~lookahead () =
+let policy ?name ~r ~s ~lookahead () =
   let r_pred = ref r and s_pred = ref s in
   let h = handle () in
   let name =
@@ -192,7 +150,7 @@ let policy ?name ?solver ~r ~s ~lookahead () =
     | Some n -> n
     | None -> Printf.sprintf "FLOWEXPECT(l=%d)" lookahead
   in
-  let select ~now ~cached ~arrivals ~capacity =
+  let select ~now:_ ~cached ~arrivals ~capacity =
     List.iter
       (fun (t : Tuple.t) ->
         match t.Tuple.side with
@@ -200,8 +158,8 @@ let policy ?name ?solver ~r ~s ~lookahead () =
         | Tuple.S -> s_pred := !s_pred.Predictor.observe t.Tuple.value)
       arrivals;
     let plan =
-      decide ?solver ~handle:h ~r:!r_pred ~s:!s_pred ~lookahead ~now ~cached
-        ~arrivals ~capacity ()
+      decide ~handle:h ~r:!r_pred ~s:!s_pred ~lookahead ~cached ~arrivals
+        ~capacity ()
     in
     plan.keep
   in

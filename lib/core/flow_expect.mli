@@ -21,15 +21,9 @@ type plan = {
           plan (the negated min cost) *)
 }
 
-type solver = [ `Ssp | `Scaling ]
-(** Min-cost-flow backend: successive shortest paths (default, faster on
-    these small graphs) or Goldberg's cost-scaling ({!Ssj_flow.Scaling},
-    the algorithm the paper cites).  Both return exact optima; agreement
-    is property-tested. *)
-
 type handle
 (** Warm-start arena for repeated {!decide} calls: holds one reusable
-    solver graph per backend (reset, not reallocated, each step — see
+    {!Ssj_flow.Mcmf} graph (reset, not reallocated, each step — see
     {!Ssj_flow.Mcmf.reset}) and caches the per-offset conditional-law
     arrays, revalidated by physical equality of the predictors (they are
     immutable, so [==] proves the laws are current).  Decisions are
@@ -40,24 +34,21 @@ val handle : unit -> handle
 (** A fresh arena; share one per policy instance (not across domains). *)
 
 val decide :
-  ?solver:solver ->
   ?handle:handle ->
   r:Ssj_model.Predictor.t ->
   s:Ssj_model.Predictor.t ->
   lookahead:int ->
-  now:int ->
   cached:Ssj_stream.Tuple.t list ->
   arrivals:Ssj_stream.Tuple.t list ->
   capacity:int ->
   unit ->
   plan
-(** One FlowExpect step.  The predictors must already have observed
-    everything up to and including time [now] (history [x̄_{t0}]).
-    [lookahead ≥ 1]. *)
+(** One FlowExpect step at time [t0].  The predictors must already have
+    observed everything up to and including [t0] (history [x̄_{t0}]), and
+    [arrivals] are the tuples that arrived at [t0].  [lookahead ≥ 1]. *)
 
 val policy :
   ?name:string ->
-  ?solver:solver ->
   r:Ssj_model.Predictor.t ->
   s:Ssj_model.Predictor.t ->
   lookahead:int ->

@@ -98,12 +98,12 @@ let build_and_solve ?band ~trace ~capacity ~start ~curve () =
       tuple_matches;
     if curve then begin
       let breakpoints, result =
-        Mcmf.solve_curve ~acyclic:true g ~source:0 ~sink:1 ~target:capacity
+        Mcmf.solve_curve g ~source:0 ~sink:1 ~target:capacity
       in
       (breakpoints, int_of_float (Float.round (-.result.Mcmf.cost)))
     end
     else begin
-      let result = Mcmf.solve ~acyclic:true g ~source:0 ~sink:1 ~target:capacity in
+      let result = Mcmf.solve g ~source:0 ~sink:1 ~target:capacity in
       ([], int_of_float (Float.round (-.result.Mcmf.cost)))
     end
   end

@@ -32,7 +32,6 @@ type t = {
   mutable pot : float array;
   mutable dist : float array;
   mutable pred_arc : int array;
-  mutable flag : bool array; (* Bellman–Ford in-queue marks *)
   mutable order : int array; (* topological order scratch *)
   mutable indegree : int array;
   heap : int Heap.t;
@@ -52,7 +51,6 @@ let create n =
     pot = [||];
     dist = [||];
     pred_arc = [||];
-    flag = [||];
     order = [||];
     indegree = [||];
     heap = Heap.create ();
@@ -64,9 +62,6 @@ let reset g ~n =
   g.n <- n;
   g.m <- 0;
   g.solved <- false
-
-let node_count g = g.n
-let arc_count g = g.m
 
 let ensure_capacity g =
   let need = 2 * (g.m + 1) in
@@ -116,7 +111,6 @@ let ensure_scratch g =
     g.pot <- Array.make cap 0.0;
     g.dist <- Array.make cap 0.0;
     g.pred_arc <- Array.make cap (-1);
-    g.flag <- Array.make cap false;
     g.order <- Array.make cap 0;
     g.indegree <- Array.make cap 0
   end
@@ -146,39 +140,6 @@ let build_adjacency g =
     let s = arc_src g a in
     g.adj_arc.(cursor.(s)) <- a;
     cursor.(s) <- cursor.(s) + 1
-  done
-
-(* Bellman–Ford (queue-based) over residual arcs, to obtain initial
-   potentials that make all reduced costs non-negative. *)
-let bellman_ford g source dist =
-  Array.fill dist 0 g.n infinity_dist;
-  dist.(source) <- 0.0;
-  let in_queue = g.flag in
-  Array.fill in_queue 0 g.n false;
-  let q = Queue.create () in
-  Queue.add source q;
-  in_queue.(source) <- true;
-  let rounds = ref 0 in
-  let limit = g.n * (2 * g.m) in
-  while not (Queue.is_empty q) do
-    incr rounds;
-    if !rounds > limit + g.n then failwith "Mcmf: negative cycle detected";
-    let u = Queue.take q in
-    in_queue.(u) <- false;
-    for idx = g.adj_start.(u) to g.adj_start.(u + 1) - 1 do
-      let a = g.adj_arc.(idx) in
-      if g.cap.(a) > 0 then begin
-        let v = g.to_.(a) in
-        let nd = dist.(u) +. g.cost.(a) in
-        if nd < dist.(v) -. 1e-12 then begin
-          dist.(v) <- nd;
-          if not in_queue.(v) then begin
-            Queue.add v q;
-            in_queue.(v) <- true
-          end
-        end
-      end
-    done
   done
 
 (* Dijkstra on reduced costs; fills [dist] and [pred_arc] (internal arc id
@@ -239,9 +200,9 @@ let path_true_cost g pred_arc sink =
   in
   go sink 0.0
 
-(* Shortest distances from [source] over positive-capacity arcs of an
-   acyclic graph, via one topological pass (Kahn).  Returns false (leaving
-   [dist] unspecified) if a cycle is detected. *)
+(* Shortest distances from [source] over positive-capacity arcs, via one
+   topological pass (Kahn).  Negative arc costs are safe because those
+   arcs form a DAG; a cycle among them is rejected. *)
 let dag_distances g source dist =
   let indegree = g.indegree in
   Array.fill indegree 0 g.n 0;
@@ -267,28 +228,25 @@ let dag_distances g source dist =
       end
     done
   done;
-  if !count < g.n then false
-  else begin
-    Array.fill dist 0 g.n infinity_dist;
-    dist.(source) <- 0.0;
-    for i = 0 to g.n - 1 do
-      let v = order.(i) in
-      if dist.(v) < infinity_dist then begin
-        for idx = g.adj_start.(v) to g.adj_start.(v + 1) - 1 do
-          let a = g.adj_arc.(idx) in
-          if g.cap.(a) > 0 then begin
-            let w = g.to_.(a) in
-            let nd = dist.(v) +. g.cost.(a) in
-            if nd < dist.(w) then dist.(w) <- nd
-          end
-        done
-      end
-    done;
-    true
-  end
+  if !count < g.n then
+    invalid_arg "Mcmf.solve: graph has a positive-capacity cycle";
+  Array.fill dist 0 g.n infinity_dist;
+  dist.(source) <- 0.0;
+  for i = 0 to g.n - 1 do
+    let v = order.(i) in
+    if dist.(v) < infinity_dist then begin
+      for idx = g.adj_start.(v) to g.adj_start.(v + 1) - 1 do
+        let a = g.adj_arc.(idx) in
+        if g.cap.(a) > 0 then begin
+          let w = g.to_.(a) in
+          let nd = dist.(v) +. g.cost.(a) in
+          if nd < dist.(w) then dist.(w) <- nd
+        end
+      done
+    end
+  done
 
-let run ?(acyclic = false) ?breakpoints g ~source ~sink ~target
-    ~stop_at_nonnegative =
+let run ?breakpoints g ~source ~sink ~target =
   if g.solved then invalid_arg "Mcmf.solve: graph already solved";
   g.solved <- true;
   if source = sink then invalid_arg "Mcmf.solve: source = sink";
@@ -296,13 +254,10 @@ let run ?(acyclic = false) ?breakpoints g ~source ~sink ~target
   build_adjacency g;
   let pot = g.pot and dist = g.dist and pred_arc = g.pred_arc in
   let heap = g.heap in
-  if not (acyclic && dag_distances g source dist) then
-    bellman_ford g source dist;
-  (* Unreachable nodes keep potential 0; they can never join an augmenting
-     path (see comment in the .mli), so their reduced costs are irrelevant. *)
-  for v = 0 to g.n - 1 do
-    pot.(v) <- (if dist.(v) < infinity_dist then dist.(v) else infinity_dist)
-  done;
+  dag_distances g source dist;
+  (* Nodes unreachable from [source] keep an infinite potential: they can
+     never join an augmenting path, and Dijkstra skips arcs into them. *)
+  Array.blit dist 0 pot 0 g.n;
   let total_flow = ref 0 and total_cost = ref 0.0 in
   let continue = ref true in
   while !continue && !total_flow < target do
@@ -310,63 +265,48 @@ let run ?(acyclic = false) ?breakpoints g ~source ~sink ~target
     if dist.(sink) >= infinity_dist then continue := false
     else begin
       let path_cost = path_true_cost g pred_arc sink in
-      if stop_at_nonnegative && path_cost >= -1e-12 then continue := false
-      else begin
-        (* Bottleneck along the augmenting path. *)
-        let rec bottleneck v acc =
-          let a = pred_arc.(v) in
-          if a < 0 then acc
-          else bottleneck g.to_.(a lxor 1) (min acc g.cap.(a))
-        in
-        let push = min (bottleneck sink max_int) (target - !total_flow) in
-        let rec apply v =
-          let a = pred_arc.(v) in
-          if a >= 0 then begin
-            g.cap.(a) <- g.cap.(a) - push;
-            g.cap.(a lxor 1) <- g.cap.(a lxor 1) + push;
-            apply g.to_.(a lxor 1)
-          end
-        in
-        apply sink;
-        Obs.Counter.incr m_augmentations;
-        total_flow := !total_flow + push;
-        total_cost := !total_cost +. (float_of_int push *. path_cost);
-        (match breakpoints with
-        | Some acc -> acc := (!total_flow, !total_cost) :: !acc
-        | None -> ());
-        (* Johnson potential update for reached nodes, capped at the
-           sink's distance: nodes the early-exit search did not settle
-           have dist ≥ dist(sink), so the cap keeps all reduced costs
-           non-negative while charging unsettled nodes only what the
-           finished path proved. *)
-        let dsink = dist.(sink) in
-        for v = 0 to g.n - 1 do
-          if dist.(v) < infinity_dist && pot.(v) < infinity_dist then
-            pot.(v) <- pot.(v) +. min dist.(v) dsink
-        done
-      end
+      (* Bottleneck along the augmenting path. *)
+      let rec bottleneck v acc =
+        let a = pred_arc.(v) in
+        if a < 0 then acc else bottleneck g.to_.(a lxor 1) (min acc g.cap.(a))
+      in
+      let push = min (bottleneck sink max_int) (target - !total_flow) in
+      let rec apply v =
+        let a = pred_arc.(v) in
+        if a >= 0 then begin
+          g.cap.(a) <- g.cap.(a) - push;
+          g.cap.(a lxor 1) <- g.cap.(a lxor 1) + push;
+          apply g.to_.(a lxor 1)
+        end
+      in
+      apply sink;
+      Obs.Counter.incr m_augmentations;
+      total_flow := !total_flow + push;
+      total_cost := !total_cost +. (float_of_int push *. path_cost);
+      (match breakpoints with
+      | Some acc -> acc := (!total_flow, !total_cost) :: !acc
+      | None -> ());
+      (* Johnson potential update for reached nodes, capped at the sink's
+         distance: nodes the early-exit search did not settle have
+         dist ≥ dist(sink), so the cap keeps all reduced costs non-negative
+         while charging unsettled nodes only what the finished path
+         proved. *)
+      let dsink = dist.(sink) in
+      for v = 0 to g.n - 1 do
+        if dist.(v) < infinity_dist && pot.(v) < infinity_dist then
+          pot.(v) <- pot.(v) +. min dist.(v) dsink
+      done
     end
   done;
   { flow = !total_flow; cost = !total_cost }
 
-let solve ?acyclic g ~source ~sink ~target =
-  run ?acyclic g ~source ~sink ~target ~stop_at_nonnegative:false
+let solve g ~source ~sink ~target = run g ~source ~sink ~target
 
-let solve_curve ?acyclic g ~source ~sink ~target =
+let solve_curve g ~source ~sink ~target =
   let acc = ref [] in
-  let result =
-    run ?acyclic ~breakpoints:acc g ~source ~sink ~target
-      ~stop_at_nonnegative:false
-  in
+  let result = run ~breakpoints:acc g ~source ~sink ~target in
   (List.rev !acc, result)
-
-let solve_min_cost_max_flow g ~source ~sink =
-  run g ~source ~sink ~target:max_int ~stop_at_nonnegative:true
 
 let flow_on g a =
   (* Flow on user arc [a] equals the residual capacity of its twin. *)
   g.cap.((2 * a) + 1)
-
-let arc_endpoints g a = (g.to_.((2 * a) + 1), g.to_.(2 * a))
-let arc_cost (g : t) a = g.cost.(2 * a)
-let arc_cap g a = g.cap.(2 * a) + g.cap.((2 * a) + 1)

@@ -7,9 +7,10 @@
     potentials — the optimum is identical (exact, integral), only the
     asymptotics differ (see DESIGN.md §5).
 
-    Negative arc costs are supported as long as the graph has no
-    negative-cost directed cycle of positive capacity (our graphs are DAGs).
-    Initial node potentials come from a Bellman–Ford pass; each augmentation
+    The input must be a DAG: its positive-capacity arcs may not form a
+    directed cycle (FlowExpect's time-expanded graph and OPT-offline's
+    slot chain both are).  Arc costs may then be negative.  Initial node
+    potentials come from one O(n + m) topological pass; each augmentation
     then runs Dijkstra on reduced costs. *)
 
 type t
@@ -28,9 +29,6 @@ val reset : t -> n:int -> unit
     per-step allocation churn; FlowExpect holds one such graph per
     policy and resets it every decision. *)
 
-val node_count : t -> int
-val arc_count : t -> int
-
 val add_arc : t -> src:int -> dst:int -> cap:int -> cost:float -> arc
 (** Adds a directed arc (and its residual twin).  Requires [cap ≥ 0] and
     finite [cost]. *)
@@ -40,20 +38,17 @@ type result = {
   cost : float;    (** its total cost *)
 }
 
-val solve : ?acyclic:bool -> t -> source:int -> sink:int -> target:int -> result
+val solve : t -> source:int -> sink:int -> target:int -> result
 (** [solve g ~source ~sink ~target] pushes up to [target] units of flow
     along successively cheapest augmenting paths, *regardless of sign* of
     the path cost (we want minimum cost at exactly the target value, not a
     min-cost max-flow that stops at zero-profit).  Stops early only when
     the sink becomes unreachable.  May be called once per graph.
 
-    [acyclic] (default false) asserts that the input graph is a DAG: the
-    initial potentials then come from one O(n + m) topological pass
-    instead of Bellman–Ford — essential for the large OPT-offline
-    networks.  Falls back to Bellman–Ford if a cycle is detected. *)
+    @raise Invalid_argument if the positive-capacity arcs of [g] contain a
+    directed cycle (arcs of capacity 0 are ignored). *)
 
 val solve_curve :
-  ?acyclic:bool ->
   t ->
   source:int ->
   sink:int ->
@@ -66,13 +61,5 @@ val solve_curve :
     breakpoints interpolate linearly (constant marginal cost within one
     augmentation). *)
 
-val solve_min_cost_max_flow : t -> source:int -> sink:int -> result
-(** Push flow only while the cheapest augmenting path has negative cost —
-    the "max benefit, any amount of flow" variant. *)
-
 val flow_on : t -> arc -> int
 (** Flow assigned to an arc by [solve]. *)
-
-val arc_endpoints : t -> arc -> int * int
-val arc_cost : t -> arc -> float
-val arc_cap : t -> arc -> int

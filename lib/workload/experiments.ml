@@ -526,8 +526,7 @@ let example_3_4_numbers () =
     ]
   in
   let plan =
-    Flow_expect.decide ~r ~s ~lookahead:3 ~now:0 ~cached ~arrivals ~capacity:1
-      ()
+    Flow_expect.decide ~r ~s ~lookahead:3 ~cached ~arrivals ~capacity:1 ()
   in
   (* Exhaustive benchmarks over the same scenario. *)
   let steps : Expectimax.step list =

@@ -9,7 +9,6 @@ let () =
       ("prob.stats+rng", Test_stats.suite);
       ("prob.gof", Test_gof.suite);
       ("flow", Test_flow.suite);
-      ("flow.scaling", Test_scaling.suite);
       ("model", Test_models.suite);
       ("stream", Test_stream.suite);
       ("stream.io", Test_trace_io.suite);

@@ -66,7 +66,7 @@ let test_prefers_cheap_path () =
   check_int "expensive unused" 0 (Mcmf.flow_on g expensive)
 
 let test_negative_costs () =
-  (* Negative arcs (benefits) must be handled by the Bellman–Ford
+  (* Negative arcs (benefits) must be handled by the topological
      potentials. *)
   let g = Mcmf.create 4 in
   let _ = Mcmf.add_arc g ~src:0 ~dst:1 ~cap:1 ~cost:0.0 in
@@ -97,14 +97,30 @@ let test_insufficient_capacity () =
   let r = Mcmf.solve g ~source:0 ~sink:1 ~target:10 in
   check_int "partial flow" 3 r.Mcmf.flow
 
-let test_min_cost_max_flow_stops_at_zero () =
+(* The solver's contract is a DAG of positive-capacity arcs. *)
+let test_rejects_cycle () =
   let g = Mcmf.create 3 in
-  let _ = Mcmf.add_arc g ~src:0 ~dst:1 ~cap:1 ~cost:(-2.0) in
+  let _ = Mcmf.add_arc g ~src:0 ~dst:1 ~cap:1 ~cost:1.0 in
   let _ = Mcmf.add_arc g ~src:1 ~dst:2 ~cap:1 ~cost:1.0 in
-  let _ = Mcmf.add_arc g ~src:0 ~dst:2 ~cap:5 ~cost:3.0 in
-  let r = Mcmf.solve_min_cost_max_flow g ~source:0 ~sink:2 in
-  check_int "only the profitable unit" 1 r.Mcmf.flow;
-  check_float "profit" (-1.0) r.Mcmf.cost
+  let _ = Mcmf.add_arc g ~src:2 ~dst:1 ~cap:1 ~cost:(-3.0) in
+  match Mcmf.solve g ~source:0 ~sink:2 ~target:1 with
+  | _ -> Alcotest.fail "expected Invalid_argument for a cycle"
+  | exception Invalid_argument msg ->
+    check_bool
+      (Printf.sprintf "message %S names Mcmf.solve" msg)
+      true
+      (String.starts_with ~prefix:"Mcmf.solve" msg)
+
+let test_zero_capacity_back_arc () =
+  (* A back arc of capacity 0 closes no cycle the solver can use. *)
+  let g = Mcmf.create 3 in
+  let _ = Mcmf.add_arc g ~src:0 ~dst:1 ~cap:1 ~cost:1.0 in
+  let _ = Mcmf.add_arc g ~src:1 ~dst:2 ~cap:1 ~cost:1.0 in
+  let _ = Mcmf.add_arc g ~src:2 ~dst:1 ~cap:0 ~cost:(-5.0) in
+  let _ = Mcmf.add_arc g ~src:0 ~dst:2 ~cap:1 ~cost:5.0 in
+  let r = Mcmf.solve g ~source:0 ~sink:2 ~target:2 in
+  check_int "flow" 2 r.Mcmf.flow;
+  check_float "cost" 7.0 r.Mcmf.cost
 
 (* Random small graphs: agree with the independent cycle-cancelling
    oracle. *)
@@ -132,21 +148,36 @@ let gen_graph =
     let* target = int_range 1 4 in
     return ({ Mcmf_check.nodes; arcs = Array.of_list arcs }, target))
 
+let agrees_with_oracle ~eps (spec, target) =
+  let source = 0 and sink = spec.Mcmf_check.nodes - 1 in
+  let g = Mcmf.create spec.Mcmf_check.nodes in
+  Array.iter
+    (fun (src, dst, cap, cost) -> ignore (Mcmf.add_arc g ~src ~dst ~cap ~cost))
+    spec.Mcmf_check.arcs;
+  let fast = Mcmf.solve g ~source ~sink ~target in
+  let slow_flow, slow_cost =
+    Mcmf_check.min_cost_flow spec ~source ~sink ~target
+  in
+  fast.Mcmf.flow = slow_flow && Float.abs (fast.Mcmf.cost -. slow_cost) < eps
+
 let prop_matches_oracle =
   qcheck ~count:300 "solver agrees with cycle-cancelling oracle" gen_graph
-    (fun (spec, target) ->
-      let source = 0 and sink = spec.Mcmf_check.nodes - 1 in
-      let g = Mcmf.create spec.Mcmf_check.nodes in
-      Array.iter
-        (fun (src, dst, cap, cost) ->
-          ignore (Mcmf.add_arc g ~src ~dst ~cap ~cost))
-        spec.Mcmf_check.arcs;
-      let fast = Mcmf.solve g ~source ~sink ~target in
-      let slow_flow, slow_cost =
-        Mcmf_check.min_cost_flow spec ~source ~sink ~target
-      in
-      fast.Mcmf.flow = slow_flow
-      && Float.abs (fast.Mcmf.cost -. slow_cost) < 1e-6)
+    (agrees_with_oracle ~eps:1e-6)
+
+(* FlowExpect's costs are negated probabilities, not integers. *)
+let prop_fractional_costs =
+  qcheck ~count:300 "fractional costs agree with cycle-cancelling oracle"
+    QCheck2.Gen.(
+      map
+        (fun (spec, target) ->
+          let arcs =
+            Array.map
+              (fun (src, dst, cap, cost) -> (src, dst, cap, cost /. 7.0))
+              spec.Mcmf_check.arcs
+          in
+          ({ spec with Mcmf_check.arcs }, target))
+        gen_graph)
+    (agrees_with_oracle ~eps:1e-9)
 
 let prop_flow_conservation =
   qcheck ~count:200 "flow conservation and capacity limits" gen_graph
@@ -193,8 +224,11 @@ let suite =
       test_rerouting_through_residual;
     Alcotest.test_case "insufficient capacity" `Quick
       test_insufficient_capacity;
-    Alcotest.test_case "max-flow variant stops at zero profit" `Quick
-      test_min_cost_max_flow_stops_at_zero;
+    Alcotest.test_case "rejects a positive-capacity cycle" `Quick
+      test_rejects_cycle;
+    Alcotest.test_case "zero-capacity back arc is no cycle" `Quick
+      test_zero_capacity_back_arc;
     prop_matches_oracle;
+    prop_fractional_costs;
     prop_flow_conservation;
   ]

@@ -14,16 +14,6 @@ let test_section_3_4 () =
   in
   check_float ~eps:1e-9 "FlowExpect expected benefit" 1.6
     plan.Flow_expect.expected_benefit;
-  (* Same decision through the Goldberg cost-scaling backend. *)
-  let r, s = Ssj_workload.Experiments.example_scenario () in
-  let scaling_plan =
-    Flow_expect.decide ~solver:`Scaling ~r ~s ~lookahead:3 ~now:0
-      ~cached:[ tup Tuple.R 1 (-1) ]
-      ~arrivals:[ tup Tuple.R (-100) 0; tup Tuple.S 2 0 ]
-      ~capacity:1 ()
-  in
-  check_float ~eps:1e-4 "cost-scaling backend agrees" 1.6
-    scaling_plan.Flow_expect.expected_benefit;
   (match plan.Flow_expect.keep with
   | [ t ] ->
     check_bool "keeps the cached R tuple" true
@@ -86,8 +76,7 @@ let test_flow_plan_equals_exhaustive =
         [ tup Tuple.R (-50) 0; tup Tuple.S (-60) 0 ]
       in
       let plan =
-        Flow_expect.decide ~r ~s ~lookahead ~now:0 ~cached ~arrivals
-          ~capacity:1 ()
+        Flow_expect.decide ~r ~s ~lookahead ~cached ~arrivals ~capacity:1 ()
       in
       (* Exhaustive: same candidates.  Initial cache contains all three
          candidates?  No — expectimax takes the pre-decision cache, so we
@@ -125,7 +114,7 @@ let test_lookahead_one_is_greedy () =
   let r = Stationary.create dist and s = Stationary.create dist in
   let cached = [ tup Tuple.R 1 (-2); tup Tuple.R 2 (-1) ] in
   let plan =
-    Flow_expect.decide ~r ~s ~lookahead:1 ~now:0 ~cached
+    Flow_expect.decide ~r ~s ~lookahead:1 ~cached
       ~arrivals:[ tup Tuple.R (-9) 0; tup Tuple.S (-8) 0 ]
       ~capacity:1 ()
   in
@@ -135,67 +124,39 @@ let test_lookahead_one_is_greedy () =
   check_float ~eps:1e-9 "benefit = next-step probability" 0.6
     plan.Flow_expect.expected_benefit
 
-let test_solvers_agree =
-  qcheck ~count:60 "SSP and cost-scaling backends agree" gen_scenario
-    (fun (dists, cached_value) ->
-      let lookahead = List.length dists in
-      let make_pred pick =
-        Predictor.make ~name:"scenario" ~independent:true ~time:0
-          ~pmf:(fun ~time:_ ~last:_ delta ->
-            match List.nth_opt dists (delta - 1) with
-            | Some pair -> pmf_of_dist (pick pair)
-            | None -> Pmf.point (-777))
-          ()
-      in
-      let r = make_pred fst and s = make_pred snd in
-      let cached = [ tup Tuple.R cached_value (-1) ] in
-      let arrivals = [ tup Tuple.R (-50) 0; tup Tuple.S (-60) 0 ] in
-      let run solver =
-        Flow_expect.decide ~solver ~r ~s ~lookahead ~now:0 ~cached ~arrivals
-          ~capacity:1 ()
-      in
-      let a = run `Ssp and b = run `Scaling in
-      Float.abs (a.Flow_expect.expected_benefit -. b.Flow_expect.expected_benefit)
-      < 1e-4)
-
 let test_handle_reuse_identical =
-  (* A solver handle carried across decide calls (reset arenas, cached
-     law arrays) must leave decisions bit-identical to fresh solves, for
-     both backends.  Each trial replays three scenarios through one
-     shared handle to exercise re-dimensioning between calls. *)
-  qcheck ~count:40 "reused handle = fresh solve (both backends)"
+  (* A solver handle carried across decide calls (reset arena, cached
+     law arrays) must leave decisions bit-identical to fresh solves.
+     Each trial replays three scenarios through one shared handle to
+     exercise re-dimensioning between calls. *)
+  qcheck ~count:40 "reused handle = fresh solve (bit-identical)"
     QCheck2.Gen.(list_size (return 3) gen_scenario)
     (fun scenarios ->
+      let h = Flow_expect.handle () in
       List.for_all
-        (fun solver ->
-          let h = Flow_expect.handle () in
-          List.for_all
-            (fun (dists, cached_value) ->
-              let lookahead = List.length dists in
-              let make_pred pick =
-                Predictor.make ~name:"scenario" ~independent:true ~time:0
-                  ~pmf:(fun ~time:_ ~last:_ delta ->
-                    match List.nth_opt dists (delta - 1) with
-                    | Some pair -> pmf_of_dist (pick pair)
-                    | None -> Pmf.point (-777))
-                  ()
-              in
-              let r = make_pred fst and s = make_pred snd in
-              let cached = [ tup Tuple.R cached_value (-1) ] in
-              let arrivals = [ tup Tuple.R (-50) 0; tup Tuple.S (-60) 0 ] in
-              let warm =
-                Flow_expect.decide ~solver ~handle:h ~r ~s ~lookahead ~now:0
-                  ~cached ~arrivals ~capacity:1 ()
-              in
-              let fresh =
-                Flow_expect.decide ~solver ~r ~s ~lookahead ~now:0 ~cached
-                  ~arrivals ~capacity:1 ()
-              in
-              warm.Flow_expect.expected_benefit
-              = fresh.Flow_expect.expected_benefit
-              && warm.Flow_expect.keep = fresh.Flow_expect.keep)
-            scenarios)
-        [ `Ssp; `Scaling ])
+        (fun (dists, cached_value) ->
+          let lookahead = List.length dists in
+          let make_pred pick =
+            Predictor.make ~name:"scenario" ~independent:true ~time:0
+              ~pmf:(fun ~time:_ ~last:_ delta ->
+                match List.nth_opt dists (delta - 1) with
+                | Some pair -> pmf_of_dist (pick pair)
+                | None -> Pmf.point (-777))
+              ()
+          in
+          let r = make_pred fst and s = make_pred snd in
+          let cached = [ tup Tuple.R cached_value (-1) ] in
+          let arrivals = [ tup Tuple.R (-50) 0; tup Tuple.S (-60) 0 ] in
+          let warm =
+            Flow_expect.decide ~handle:h ~r ~s ~lookahead ~cached ~arrivals
+              ~capacity:1 ()
+          in
+          let fresh =
+            Flow_expect.decide ~r ~s ~lookahead ~cached ~arrivals ~capacity:1 ()
+          in
+          warm.Flow_expect.expected_benefit = fresh.Flow_expect.expected_benefit
+          && warm.Flow_expect.keep = fresh.Flow_expect.keep)
+        scenarios)
 
 let test_policy_runs_and_validates () =
   let cfg = Ssj_workload.Config.tower () in
@@ -233,7 +194,6 @@ let suite =
     test_flow_below_adaptive;
     Alcotest.test_case "lookahead 1 is greedy" `Quick
       test_lookahead_one_is_greedy;
-    test_solvers_agree;
     test_handle_reuse_identical;
     Alcotest.test_case "policy runs and validates" `Quick
       test_policy_runs_and_validates;

@@ -155,8 +155,8 @@ let test_acyclic_init_agrees () =
         (List.init n (fun _ -> Ssj_prob.Rng.int r 5))
         (List.init n (fun _ -> Ssj_prob.Rng.int r 5))
     in
-    (* max_results uses acyclic:true internally; compare against the
-       brute-force oracle at capacity 2. *)
+    (* max_results takes its potentials from the topological pass;
+       compare against the brute-force oracle at capacity 2. *)
     check_int "acyclic = brute force"
       (brute_force ~trace:tr ~capacity:2)
       (Opt_offline.max_results ~trace:tr ~capacity:2 ())
