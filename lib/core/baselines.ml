@@ -76,16 +76,16 @@ let rand ~rng ?lifetime () =
     | None ->
       fun ~now:_ ~n ~uids:_ ~values:_ ~scores ->
         for i = 0 to n - 1 do
-          Array.unsafe_set scores i (Ssj_prob.Rng.float rng 1.0)
+          Ssj_prob.Rng.unit_float_into rng scores i
         done
     | Some lt ->
       let buf = ref [||] in
       fun ~now ~n ~uids ~values ~scores ->
         let rems = remaining_into lt buf ~now ~n ~uids ~values in
         for i = 0 to n - 1 do
-          Array.unsafe_set scores i
-            (if Array.unsafe_get rems i <= 0 then Float.neg_infinity
-             else Ssj_prob.Rng.float rng 1.0)
+          if Array.unsafe_get rems i <= 0 then
+            Array.unsafe_set scores i Float.neg_infinity
+          else Ssj_prob.Rng.unit_float_into rng scores i
         done
   in
   Policy.scored ~name:"RAND" kernel

@@ -167,13 +167,12 @@ let joining_curves ?name ~h_r_tuples ~h_s_tuples () =
       for i = 0 to n - 1 do
         (* R tuples join future S arrivals: offset against S's position. *)
         let is_r = uids.(i) land 1 = 0 in
-        scores.(i) <-
-          (match if is_r then !s_last else !r_last with
-          | None -> 0.0
-          | Some x ->
-            Interp.Curve.eval
-              (if is_r then h_r_tuples else h_s_tuples)
-              (float_of_int (values.(i) - x)))
+        match if is_r then !s_last else !r_last with
+        | None -> scores.(i) <- 0.0
+        | Some x ->
+          Interp.Curve.eval_int_into
+            (if is_r then h_r_tuples else h_s_tuples)
+            (values.(i) - x) scores i
       done)
 
 let joining_adaptive ?name ?(initial_lifetime = 5.0) ?(smoothing = 0.05) ~r ~s

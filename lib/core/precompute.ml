@@ -3,28 +3,41 @@ open Ssj_model
 
 let walk_joining_curve ~step ~drift ~l ~lo ~hi =
   if lo > hi then invalid_arg "Precompute.walk_joining_curve: lo > hi";
-  let table = Convolve.Table.create step in
   let horizon = l.Lfun.horizon in
   if horizon >= max_int / 8 then
     invalid_arg "Precompute.walk_joining_curve: L has no finite horizon";
   let n = hi - lo + 1 in
   let h = Array.make n 0.0 in
+  (* One rolling level q = Δ-fold step convolution, built from level
+     Δ−1 and the step exactly as [Convolve.Table] builds a sequential
+     scan, so every level has the same bits as the table's.  Only the
+     current level is ever read again, so no table is kept.  Both tails
+     underflow to exact zeros after a few dozen steps; trimming them
+     drops cells that could only add +0.0 to the next level (the naive
+     kernel skips zero entries of its left operand) and to [h].  Every
+     level is rolled, whether or not L weighs it: the table reached a
+     level after an L(Δ) = 0 gap by halving instead, with other
+     rounding, but every L in use is positive on 1..horizon. *)
+  let q = ref step in
   for delta = 1 to horizon do
+    if delta > 1 then begin
+      let next = Convolve.pair !q step in
+      assert (Float.abs (Pmf.total next -. 1.0) < 1e-9);
+      q := Pmf.trim_zeros next
+    end;
     let w = l.Lfun.l delta in
-    if w > 0.0 then begin
-      let q = Convolve.Table.get table delta in
+    if w > 0.0 then
       (* h.(i) += w·Pr{Σ steps = (lo + i) − drift·delta}: one banded
          accumulation over the support overlap, no per-cell lookups. *)
-      Pmf.add_into q ~dst:h ~lo:(lo - (drift * delta)) ~scale:w
-    end
+      Pmf.add_into !q ~dst:h ~lo:(lo - (drift * delta)) ~scale:w
   done;
   Interp.Curve.create ~x0:(float_of_int lo) ~dx:1.0 h
 
 (* Exact single-point h1 evaluation, kept deliberately independent of
-   the curve path above: naive pairwise convolutions (no shared table,
-   no FFT) and a per-delta point lookup instead of the banded
-   accumulation.  O(horizon · support²) — the conformance suite's
-   oracle, not a production path. *)
+   the curve path above: untrimmed naive pairwise convolutions with
+   plain renormalisation (no FFT) and a per-delta point lookup instead
+   of the banded accumulation.  O(horizon · support²) — the conformance
+   suite's oracle, not a production path. *)
 let walk_joining_h ~step ~drift ~l ~d =
   let horizon = l.Lfun.horizon in
   if horizon >= max_int / 8 then

@@ -1,15 +1,21 @@
 (* Raw product accumulation on dense vectors — the naive O(w_a·w_b)
-   kernel, also serving as the QCheck oracle for the FFT path. *)
+   kernel, also serving as the QCheck oracle for the FFT path.  Plain
+   loops over the stored vectors: ascending a, then ascending b, zero
+   a-entries skipped, with no closure to box the floats. *)
 let raw_naive a b =
-  let la = Pmf.lo a and lb = Pmf.lo b in
-  let na = Pmf.hi a - la + 1 and nb = Pmf.hi b - lb + 1 in
+  let pa = Pmf.unsafe_to_dense a and pb = Pmf.unsafe_to_dense b in
+  let na = Array.length pa and nb = Array.length pb in
   let probs = Array.make (na + nb - 1) 0.0 in
-  Pmf.iter a (fun va pa ->
-      if pa > 0.0 then
-        Pmf.iter b (fun vb pb ->
-            let i = va + vb - la - lb in
-            probs.(i) <- probs.(i) +. (pa *. pb)));
-  (la + lb, probs)
+  for i = 0 to na - 1 do
+    let x = Array.unsafe_get pa i in
+    if x > 0.0 then
+      for j = 0 to nb - 1 do
+        let k = i + j in
+        Array.unsafe_set probs k
+          (Array.unsafe_get probs k +. (x *. Array.unsafe_get pb j))
+      done
+  done;
+  (Pmf.lo a + Pmf.lo b, probs)
 
 let pair_naive a b =
   let lo, probs = raw_naive a b in

@@ -1,8 +1,10 @@
 (** Convolution of integer pmfs — the distribution of sums of independent
     variables.  Random-walk predictors (Section 5.5) need the [Δt]-fold
-    convolution of the step distribution; [Table] memoises levels so a
-    horizon-[n] query costs one direct convolution on a sequential scan,
-    or O(log n) doubling steps on a cold jump.
+    convolution of the step distribution; [Table] is their memo of
+    levels, so a horizon-[n] query costs one direct convolution on a
+    sequential scan, or O(log n) doubling steps on a cold jump.  The
+    precomputed h1 curve does not use it: it rolls a single level
+    forward with {!pair} ([Ssj_core.Precompute.walk_joining_curve]).
 
     [pair] dispatches between the naive O(w²) kernel and an FFT path
     ({!Fftconv}) once both supports are wide enough to amortise the
@@ -25,7 +27,8 @@ val nfold : Pmf.t -> int -> Pmf.t
 
 module Table : sig
   type t
-  (** Memoised convolution levels of a fixed step distribution. *)
+  (** Memoised convolution levels of a fixed step distribution — the
+      random-walk predictors' memo, which keeps every level it built. *)
 
   val create : Pmf.t -> t
   val step : t -> Pmf.t

@@ -14,16 +14,22 @@ let error_to_string = function
 (* First defect in scan order; [Zero_mass] is detected later, once a
    total exists. *)
 let classify_weights probs =
-  if Array.length probs = 0 then Some Empty_support
+  let n = Array.length probs in
+  if n = 0 then Some Empty_support
   else begin
-    let bad = ref None in
-    Array.iter
-      (fun w ->
-        if !bad = None then
-          if not (Float.is_finite w) then bad := Some Non_finite
-          else if w < 0.0 then bad := Some Negative)
-      probs;
-    !bad
+    (* A plain loop: a closure over the weights would box every float. *)
+    let i = ref 0 in
+    while
+      !i < n
+      &&
+      let w = Array.unsafe_get probs !i in
+      Float.is_finite w && w >= 0.0
+    do
+      incr i
+    done;
+    if !i = n then None
+    else if Float.is_finite probs.(!i) then Some Negative
+    else Some Non_finite
   end
 
 (* The raising constructors keep their historical messages (asserted by
@@ -107,7 +113,12 @@ let prob t v =
   let i = v - t.lo in
   if i < 0 || i >= Array.length t.probs then 0.0 else t.probs.(i)
 
-let total t = Array.fold_left ( +. ) 0.0 t.probs
+let total t =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length t.probs - 1 do
+    acc := !acc +. Array.unsafe_get t.probs i
+  done;
+  !acc
 
 let mean t =
   let acc = ref 0.0 in
@@ -181,6 +192,20 @@ let fold t ~init ~f =
 let iter t f = Array.iteri (fun i p -> f (t.lo + i) p) t.probs
 
 let to_dense t = Array.copy t.probs
+let unsafe_to_dense t = t.probs
+
+let trim_zeros t =
+  let n = Array.length t.probs in
+  let first = ref 0 and last = ref (n - 1) in
+  while !first < !last && Array.unsafe_get t.probs !first = 0.0 do
+    incr first
+  done;
+  while !last > !first && Array.unsafe_get t.probs !last = 0.0 do
+    decr last
+  done;
+  if !first = 0 && !last = n - 1 then t
+  else
+    { lo = t.lo + !first; probs = Array.sub t.probs !first (!last - !first + 1) }
 
 let to_alist t =
   fold t ~init:[] ~f:(fun acc v p -> (v, p) :: acc) |> List.rev

@@ -87,6 +87,19 @@ val to_dense : t -> float array
 (** Fresh copy of the probability vector, index [i] holding
     [Pr{X = lo t + i}]. *)
 
+val unsafe_to_dense : t -> float array
+(** The stored probability vector itself, no copy — for read-only
+    kernels such as the naive convolution.  The caller must not mutate
+    it. *)
+
+val trim_zeros : t -> t
+(** [trim_zeros p] drops the entries that are exactly [0.0] at both ends
+    of the support and keeps every other entry bit for bit; it does not
+    renormalise.  Returns [p] itself when neither end is zero.  Deep
+    random-walk convolution levels underflow to zero in both tails, so
+    rolling a trimmed level forward skips cells that can only add
+    [+0.0]. *)
+
 val truncate : t -> lo:int -> hi:int -> t option
 (** Restrict to [\[lo, hi\]] and renormalise; [None] if no mass remains. *)
 

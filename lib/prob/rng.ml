@@ -12,6 +12,15 @@ let int rng n =
   Random.State.int rng n
 
 let float rng x = Random.State.float rng x
+
+(* [Random.State.float rng 1.0] spelled out (the stdlib's [rawfloat]):
+   the same state advance and the same bits, but the result goes
+   straight into the array instead of through a boxed return. *)
+let rec unit_float_into rng dst i =
+  let b = Int64.shift_right_logical (Random.State.bits64 rng) 11 in
+  if b <> 0L then dst.(i) <- Int64.to_float b *. 0x1.p-53
+  else unit_float_into rng dst i
+
 let bool rng = Random.State.bool rng
 let bernoulli rng p = Random.State.float rng 1.0 < p
 

@@ -23,6 +23,11 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float rng x] draws uniformly from [0, x). *)
 
+val unit_float_into : t -> float array -> int -> unit
+(** [unit_float_into rng dst i] stores in [dst.(i)] exactly the value
+    [float rng 1.0] would return, advancing [rng] the same way, without
+    allocating — the per-candidate draw of RAND's scoring kernel. *)
+
 val bool : t -> bool
 (** Fair coin flip. *)
 

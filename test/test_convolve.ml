@@ -142,6 +142,91 @@ let test_table_deep_levels_normalised () =
         (tv p (Convolve.nfold step n) < 1e-9))
     [ 1; 7; 64; 365; 512 ]
 
+(* --- the loop kernel and zero trimming are exact --------------------- *)
+
+(* The naive kernel as it was written over [Pmf.iter] closures: the loop
+   rewrite must keep its additions, their order and so every bit. *)
+let old_raw_naive a b =
+  let la = Pmf.lo a and lb = Pmf.lo b in
+  let na = Pmf.hi a - la + 1 and nb = Pmf.hi b - lb + 1 in
+  let probs = Array.make (na + nb - 1) 0.0 in
+  Pmf.iter a (fun va pa ->
+      if pa > 0.0 then
+        Pmf.iter b (fun vb pb ->
+            let i = va + vb - la - lb in
+            probs.(i) <- probs.(i) +. (pa *. pb)));
+  (la + lb, probs)
+
+let same_bits x y = Int64.bits_of_float x = Int64.bits_of_float y
+
+(* Bit equality of [Pr{X = v}] at every v of either support. *)
+let bit_equal a b =
+  let lo = min (Pmf.lo a) (Pmf.lo b) and hi = max (Pmf.hi a) (Pmf.hi b) in
+  let rec go v = v > hi || (same_bits (Pmf.prob a v) (Pmf.prob b v) && go (v + 1)) in
+  go lo
+
+(* Pmfs with zero entries inside and at either end (keeping at least one
+   nonzero weight so they are valid). *)
+let gen_zeroed_pmf =
+  QCheck2.Gen.(
+    let weight = oneof [ return 0.0; float_range 0.01 5.0 ] in
+    let* lo = int_range (-8) 8 in
+    let* n = int_range 1 12 in
+    let* weights = list_repeat n weight in
+    let* keep = int_range 0 (n - 1) in
+    let* kept = float_range 0.01 5.0 in
+    let weights = Array.of_list weights in
+    if Array.for_all (fun w -> w = 0.0) weights then weights.(keep) <- kept;
+    return (Pmf.create ~lo weights))
+
+let prop_naive_loop_matches_iter_formulation =
+  qcheck ~count:300 "naive loop kernel = Pmf.iter formulation, bit for bit"
+    QCheck2.Gen.(tup2 gen_zeroed_pmf gen_zeroed_pmf)
+    (fun (a, b) ->
+      let lo, raw = old_raw_naive a b in
+      (* Widths <= 12 keep [pair] on its naive kernel. *)
+      bit_equal (Convolve.pair_naive a b) (Pmf.create ~lo (Array.copy raw))
+      && bit_equal (Convolve.pair a b) (Pmf.of_dense ~lo raw))
+
+let prop_trimmed_left_operand_exact =
+  qcheck ~count:300 "pair_naive (trim_zeros a) b = pair_naive a b, bit for bit"
+    QCheck2.Gen.(tup2 gen_zeroed_pmf gen_zeroed_pmf)
+    (fun (a, b) ->
+      bit_equal (Convolve.pair_naive (Pmf.trim_zeros a) b)
+        (Convolve.pair_naive a b)
+      && bit_equal (Convolve.pair (Pmf.trim_zeros a) b) (Convolve.pair a b))
+
+let prop_trim_keeps_entries =
+  qcheck ~count:300 "trim_zeros keeps every nonzero entry, no renormalising"
+    gen_zeroed_pmf
+    (fun a ->
+      let t = Pmf.trim_zeros a in
+      let ends_nonzero =
+        Pmf.lo t = Pmf.hi t
+        || (Pmf.prob t (Pmf.lo t) <> 0.0 && Pmf.prob t (Pmf.hi t) <> 0.0)
+      in
+      let dropped_only_zeros =
+        let rec go v =
+          v > Pmf.hi a
+          || ((Pmf.prob a v = 0.0 || (v >= Pmf.lo t && v <= Pmf.hi t))
+             && go (v + 1))
+        in
+        go (Pmf.lo a)
+      in
+      ends_nonzero && dropped_only_zeros && bit_equal t a
+      && same_bits (Pmf.total t) (Pmf.total a))
+
+let test_trim_no_renormalisation () =
+  (* Zeros at both ends and inside the kept span:
+     trimming hands back the stored probabilities, never rescaled. *)
+  let a = Pmf.create ~lo:(-2) [| 0.0; 0.0; 0.1; 0.2; 0.3; 0.0 |] in
+  let t = Pmf.trim_zeros a in
+  check_int "lo" 0 (Pmf.lo t);
+  check_int "hi" 2 (Pmf.hi t);
+  check_bool "same bits" true (bit_equal a t);
+  check_bool "untrimmed pmf returned as is" true
+    (Pmf.trim_zeros t == t)
+
 let suite =
   [
     Alcotest.test_case "points" `Quick test_pair_point_masses;
@@ -158,4 +243,9 @@ let suite =
     Alcotest.test_case "fft crossover widths" `Quick test_fft_crossover_exact;
     Alcotest.test_case "deep table levels normalised" `Quick
       test_table_deep_levels_normalised;
+    prop_naive_loop_matches_iter_formulation;
+    prop_trimmed_left_operand_exact;
+    prop_trim_keeps_entries;
+    Alcotest.test_case "trim_zeros does not renormalise" `Quick
+      test_trim_no_renormalisation;
   ]

@@ -33,6 +33,48 @@ let test_walk_joining_curve_symmetric_zero_drift () =
       (Interp.Curve.eval curve (float_of_int (-d)))
   done
 
+(* The h1 curve of the walk workloads' step on [-100, 100], keyed by the
+   %h digest of its samples.  The keys were taken from the build over a
+   [Convolve.Table] of every level; the rolling, zero-trimmed build must
+   reproduce them bit for bit. *)
+let normal_step = Dist.discretized_normal ~sigma:1.0 ~bound:5
+
+let h1_curve ~alpha ~drift =
+  Precompute.walk_joining_curve ~step:normal_step ~drift
+    ~l:(Lfun.exp_ ~alpha) ~lo:(-100) ~hi:100
+
+let curve_digest curve =
+  Array.to_list (Interp.Curve.samples curve)
+  |> List.map (Printf.sprintf "%h;")
+  |> String.concat "" |> Digest.string |> Digest.to_hex
+
+let test_walk_joining_curve_bits_pinned () =
+  List.iter
+    (fun (alpha, drift, key) ->
+      Alcotest.(check string)
+        (Printf.sprintf "alpha %g drift %d" alpha drift)
+        key
+        (curve_digest (h1_curve ~alpha ~drift)))
+    [
+      (100.0, 0, "cb860a037cc8df79045acaefaf5e08e2");
+      (25.0, 0, "01a6a854050e4aff0d67c0e83c7a777a");
+      (25.0, 2, "0ed07465ac0a1d789563384d1f4efc07");
+    ]
+
+let test_walk_joining_curve_allocation () =
+  (* Allocation is exact for a build, so this gate has no timing noise.
+     The rolling build allocates ~2.3 M words for alpha 25 (horizon 771);
+     the table of every level allocated ~69 M. *)
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = allocated () in
+  ignore (Sys.opaque_identity (h1_curve ~alpha:25.0 ~drift:0));
+  let words = allocated () -. before in
+  if words > 8e6 then
+    Alcotest.failf "alpha 25 curve allocated %.3g words (gate 8e6)" words
+
 let test_walk_caching_curve_matches_hvalue () =
   let l = Lfun.exp_ ~alpha:6.0 in
   let curve =
@@ -216,4 +258,8 @@ let suite =
       test_batch_bit_identical_to_single;
     Alcotest.test_case "surfaces bit-identical across jobs" `Slow
       test_surfaces_bit_identical_across_jobs;
+    Alcotest.test_case "walk joining curve bits pinned" `Quick
+      test_walk_joining_curve_bits_pinned;
+    Alcotest.test_case "walk joining curve allocation" `Quick
+      test_walk_joining_curve_allocation;
   ]

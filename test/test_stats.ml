@@ -51,6 +51,27 @@ let test_rng_determinism () =
   let xb = Array.init 20 (fun _ -> Rng.int b 1000) in
   Alcotest.(check (array int)) "same seed, same draws" xa xb
 
+let test_unit_float_into_matches_float () =
+  (* RAND scores through [unit_float_into]; it must return the stdlib
+     draw ([Rng.float] is [Random.State.float]) bit for bit and leave the
+     state exactly where that draw leaves it. *)
+  let dst = Array.make 1 0.0 in
+  for seed = 0 to 63 do
+    let a = rng seed and b = rng seed in
+    for k = 1 to 10_000 do
+      Rng.unit_float_into a dst 0;
+      let expected = Rng.float b 1.0 in
+      if Int64.bits_of_float dst.(0) <> Int64.bits_of_float expected then
+        Alcotest.failf "seed %d draw %d: %h vs %h" seed k dst.(0) expected
+    done;
+    for _ = 1 to 4 do
+      check_int
+        (Printf.sprintf "seed %d: same state afterwards" seed)
+        (Rng.int b ((1 lsl 30) - 1))
+        (Rng.int a ((1 lsl 30) - 1))
+    done
+  done
+
 let test_rng_split_independence () =
   let a = rng 11 in
   let child = Rng.split a in
@@ -87,6 +108,8 @@ let suite =
       test_linear_regression_rejects_constant;
     Alcotest.test_case "online accumulator" `Quick test_online_matches_batch;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
+    Alcotest.test_case "unit_float_into = Random.State.float" `Quick
+      test_unit_float_into_matches_float;
     Alcotest.test_case "rng split independence" `Quick
       test_rng_split_independence;
     Alcotest.test_case "gaussian moments" `Slow test_gaussian_moments;
