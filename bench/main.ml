@@ -112,17 +112,6 @@ let bench_fig13_surface_build () =
         (Precompute.ar1_caching_surfaces fitted ~ls ~vx_lo:lo ~vx_hi:hi
            ~x0_lo:lo ~x0_hi:hi ~nv:5 ~nx:5 ~horizon:256 ()))
 
-let bench_nfold_doubling () =
-  (* 365-fold step convolution by doubling — the Table cold-jump path. *)
-  let step = Dist.discretized_normal ~sigma:1.0 ~bound:5 in
-  Staged.stage (fun () -> ignore (Convolve.nfold step 365))
-
-let bench_pair_fft_wide () =
-  (* One wide×wide convolution, far past the FFT cutoff. *)
-  let step = Dist.discretized_normal ~sigma:1.0 ~bound:5 in
-  let wide = Convolve.nfold step 64 in
-  Staged.stage (fun () -> ignore (Convolve.pair wide wide))
-
 let bench_opt_offline () =
   let trace = tower_trace 500 9 in
   Staged.stage (fun () ->
@@ -148,8 +137,6 @@ let micro_tests =
       Test.make ~name:"fig19:flowexpect-step-l20-cold"
         (bench_fig19_kernel ~warm:false 20);
       Test.make ~name:"opt-offline:mcmf-500-steps" (bench_opt_offline ());
-      Test.make ~name:"prob:nfold-doubling-365" (bench_nfold_doubling ());
-      Test.make ~name:"prob:pair-fft-wide" (bench_pair_fft_wide ());
     ]
 
 let run_micro () =

@@ -14,10 +14,7 @@ let walk_joining_curve ~step ~drift ~l ~lo ~hi =
      current level is ever read again, so no table is kept.  Both tails
      underflow to exact zeros after a few dozen steps; trimming them
      drops cells that could only add +0.0 to the next level (the naive
-     kernel skips zero entries of its left operand) and to [h].  Every
-     level is rolled, whether or not L weighs it: the table reached a
-     level after an L(Δ) = 0 gap by halving instead, with other
-     rounding, but every L in use is positive on 1..horizon. *)
+     kernel skips zero entries of its left operand) and to [h]. *)
   let q = ref step in
   for delta = 1 to horizon do
     if delta > 1 then begin
@@ -35,7 +32,7 @@ let walk_joining_curve ~step ~drift ~l ~lo ~hi =
 
 (* Exact single-point h1 evaluation, kept deliberately independent of
    the curve path above: untrimmed naive pairwise convolutions with
-   plain renormalisation (no FFT) and a per-delta point lookup instead
+   plain renormalisation and a per-delta point lookup instead
    of the banded accumulation.  O(horizon · support²) — the conformance
    suite's oracle, not a production path. *)
 let walk_joining_h ~step ~drift ~l ~d =

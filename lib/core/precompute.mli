@@ -26,17 +26,15 @@ val walk_joining_curve :
     Builds [q_Δ] as one rolling level, [q_Δ = q_{Δ−1} ⋆ step], with the
     exact-zero tails trimmed after each level: O(horizon · nonzero
     support) time and O(support) memory — no table of levels is kept.
-    The samples are the same bits as a {!Ssj_prob.Convolve.Table} scan
-    of every level, for any step of at most 12 cells (the naive kernel's
-    range; every in-repo step) and any [L] positive on
-    [1..horizon]. *)
+    Every level equals {!Ssj_prob.Convolve.Table.get}'s bit for bit
+    (the trimmed cells are exact zeros), for any step and any [L]. *)
 
 val walk_joining_h :
   step:Ssj_prob.Pmf.t -> drift:int -> l:Lfun.t -> d:int -> float
 (** Exact single-point evaluation of the {!walk_joining_curve} sum at
     integer offset [d], computed through naive pairwise convolutions
     and per-delta point lookups — no zero trimming, no compensated
-    renormalisation, no FFT, no banded accumulation.  The conformance
+    renormalisation, no banded accumulation.  The conformance
     suite's independent reference for the [h1] fast path; agreement is
     up to summation order (compare with a small tolerance, not
     bit-for-bit). *)

@@ -37,7 +37,6 @@ let probe_skew = ref 0
 
 module Testhook = struct
   let set_band_probe_skew n = probe_skew := n
-  let band_probe_skew () = !probe_skew
 end
 
 let grow t uid =

@@ -45,5 +45,4 @@ val remove_id : t -> uid:int -> value:int -> unit
     the library ever sets it. *)
 module Testhook : sig
   val set_band_probe_skew : int -> unit
-  val band_probe_skew : unit -> int
 end

@@ -58,7 +58,7 @@ type supervised = {
 }
 
 (* Carries the structured failure out of the worker domain through
-   [Parallel.try_map]'s per-slot capture. *)
+   [Ssj_prob.Parallel.try_map]'s per-slot capture. *)
 exception Run_failed of failure
 
 let failure ~label ~run ~attempts e bt =
@@ -105,8 +105,8 @@ let run_supervised ~label ?supervision ?(ckpt_context = "") ?jobs f arr =
   in
   let indexed = Array.mapi (fun i x -> (i, x)) arr in
   let slots =
-    if supervised then Parallel.try_map ?jobs worker indexed
-    else Array.map Result.ok (Parallel.map ?jobs worker indexed)
+    if supervised then Ssj_prob.Parallel.try_map ?jobs worker indexed
+    else Array.map Result.ok (Ssj_prob.Parallel.map ?jobs worker indexed)
   in
   let completed = ref [] and failures = ref [] in
   Array.iteri

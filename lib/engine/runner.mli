@@ -73,11 +73,11 @@ val run_supervised :
   'a array ->
   supervised
 (** Evaluate [f run_index item] for every item, in parallel over up to
-    [jobs] domains ([jobs] defaults to {!Parallel.default_jobs});
+    [jobs] domains ([jobs] defaults to {!Ssj_prob.Parallel.default_jobs});
     [per_run] keeps the completed runs in input order, so results are
     identical for any job count.
 
-    Without [supervision] this is {!Parallel.map}: no retry, no
+    Without [supervision] this is {!Ssj_prob.Parallel.map}: no retry, no
     checkpoint, and the first exception is re-raised.
 
     With [supervision], a raising run is retried up to

@@ -1,5 +1,4 @@
 let float_cell ?(decimals = 1) v = Printf.sprintf "%.*f" decimals v
-let int_cell = string_of_int
 
 let print ?(out = Format.std_formatter) ~header rows =
   let all = header :: rows in

@@ -10,7 +10,6 @@ val print :
 (** Column-aligned rendering; the header is underlined. *)
 
 val float_cell : ?decimals:int -> float -> string
-val int_cell : int -> string
 
 val series :
   ?out:Format.formatter ->

@@ -66,14 +66,6 @@ module Dense = struct
     for i = 0 to Array.length a - 1 do
       Array.unsafe_set a i (Array.unsafe_get a i *. k)
     done
-
-  let axpy ~dst k src =
-    if Array.length dst <> Array.length src then
-      invalid_arg "Pmf.Dense.axpy: length mismatch";
-    for i = 0 to Array.length dst - 1 do
-      Array.unsafe_set dst i
-        (Array.unsafe_get dst i +. (k *. Array.unsafe_get src i))
-    done
 end
 
 let of_dense ~lo probs =
@@ -191,7 +183,6 @@ let fold t ~init ~f =
 
 let iter t f = Array.iteri (fun i p -> f (t.lo + i) p) t.probs
 
-let to_dense t = Array.copy t.probs
 let unsafe_to_dense t = t.probs
 
 let trim_zeros t =
@@ -206,9 +197,6 @@ let trim_zeros t =
   if !first = 0 && !last = n - 1 then t
   else
     { lo = t.lo + !first; probs = Array.sub t.probs !first (!last - !first + 1) }
-
-let to_alist t =
-  fold t ~init:[] ~f:(fun acc v p -> (v, p) :: acc) |> List.rev
 
 let truncate t ~lo:l ~hi:h =
   let l = max l t.lo and h = min h (hi t) in
@@ -239,16 +227,6 @@ let dot a b =
       !acc
       +. (Array.unsafe_get a.probs (v - a.lo)
           *. Array.unsafe_get b.probs (v - b.lo))
-  done;
-  !acc
-
-let dot_window t arr ~lo:alo =
-  let l = max t.lo alo and h = min (hi t) (alo + Array.length arr - 1) in
-  let acc = ref 0.0 in
-  for v = l to h do
-    acc :=
-      !acc
-      +. (Array.unsafe_get t.probs (v - t.lo) *. Array.unsafe_get arr (v - alo))
   done;
   !acc
 

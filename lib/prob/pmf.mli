@@ -80,13 +80,6 @@ val fold : t -> init:'a -> f:('a -> int -> float -> 'a) -> 'a
 
 val iter : t -> (int -> float -> unit) -> unit
 
-val to_alist : t -> (int * float) list
-(** Support as an ascending association list (zero entries included). *)
-
-val to_dense : t -> float array
-(** Fresh copy of the probability vector, index [i] holding
-    [Pr{X = lo t + i}]. *)
-
 val unsafe_to_dense : t -> float array
 (** The stored probability vector itself, no copy — for read-only
     kernels such as the naive convolution.  The caller must not mutate
@@ -111,30 +104,10 @@ val dot : t -> t -> float
     independent draws coincide.  This is the expected benefit of keeping an
     *undetermined* tuple in FlowExpect's flow graph (Section 3.1). *)
 
-val dot_window : t -> float array -> lo:int -> float
-(** [dot_window t arr ~lo] = [Σ_i arr.(i)·Pr{X = lo + i}] over the overlap
-    of the support with the window — a no-allocation [dot] against a dense
-    float vector anchored at [lo]. *)
-
 val add_into : t -> dst:float array -> lo:int -> scale:float -> unit
 (** [add_into t ~dst ~lo ~scale] does [dst.(i) ← dst.(i) + scale·Pr{X = lo+i}]
     over the overlap — the accumulation kernel of the precomputation DPs,
     replacing a bounds-checked [prob] per cell. *)
-
-module Dense : sig
-  (** No-allocation kernels on raw probability vectors (dense float
-      arrays); shared by the convolution and precomputation hot paths. *)
-
-  val sum : float array -> float
-  (** Neumaier-compensated (improved Kahan) sum. *)
-
-  val scale : float array -> float -> unit
-  (** In-place multiply by a constant. *)
-
-  val axpy : dst:float array -> float -> float array -> unit
-  (** [axpy ~dst k src]: [dst.(i) ← dst.(i) + k·src.(i)]; lengths must
-      match. *)
-end
 
 val equal : ?eps:float -> t -> t -> bool
 (** Pointwise comparison over the union of supports, tolerance [eps]

@@ -20,6 +20,7 @@ type error =
   | Bad_field of { line : int }
   | Wrong_arity of { line : int; fields : int }
   | Out_of_order of { line : int; time : int; expected : int }
+  | Reserved_value of { line : int }
   | Io_error of { message : string }
 
 let error_to_string = function
@@ -33,6 +34,8 @@ let error_to_string = function
   | Out_of_order { line; time; expected } ->
     Printf.sprintf "Trace_io: time %d out of order on line %d (expected %d)"
       time line expected
+  | Reserved_value { line } ->
+    Printf.sprintf "Trace_io: value %d on line %d is reserved" min_int line
   | Io_error { message } -> Printf.sprintf "Trace_io: %s" message
 
 exception Malformed of error
@@ -41,6 +44,8 @@ let parse_line ~lineno line =
   match String.split_on_char ',' (String.trim line) with
   | [ t; r; s ] -> (
     match (int_of_string_opt t, int_of_string_opt r, int_of_string_opt s) with
+    | Some _, Some r, Some s when r = min_int || s = min_int ->
+      raise (Malformed (Reserved_value { line = lineno }))
     | Some t, Some r, Some s -> (t, r, s)
     | _ -> raise (Malformed (Bad_field { line = lineno })))
   | fields ->
@@ -86,13 +91,8 @@ let load_result ~filename =
       ~finally:(fun () -> close_in ic)
       (fun () -> of_channel_result ic)
 
-(* Raising wrappers, kept for callers that treat a corrupt trace as
-   fatal; the messages are [error_to_string] verbatim. *)
-let of_channel ic =
-  match of_channel_result ic with
-  | Ok trace -> trace
-  | Error e -> failwith (error_to_string e)
-
+(* Raising wrapper, kept for callers that treat a corrupt trace as
+   fatal; the message is [error_to_string] verbatim. *)
 let load ~filename =
   match load_result ~filename with
   | Ok trace -> trace

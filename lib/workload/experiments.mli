@@ -7,7 +7,7 @@
     Every per-run loop goes through {!Ssj_engine.Runner} (a
     [compare_*] or {!Ssj_engine.Runner.lineup} over the figure's
     inputs; OPT-offline's per-run capacity curve through
-    {!Ssj_engine.Parallel.map}), so every table is identical for any
+    {!Ssj_prob.Parallel.map}), so every table is identical for any
     [SSJ_JOBS].
 
     Scale knobs live in {!opts}: {!default} is the paper's 50 runs ×

@@ -73,11 +73,3 @@ let real_surface ~params ~capacity =
 
 let real_heeb ~params ~capacity () =
   real_heeb_of_surface (real_surface ~params ~capacity) ()
-
-let real_policies ~params ~capacity ~seed =
-  [
-    ("RAND", fun () -> Classic.rand_cache ~rng:(Rng.create seed));
-    ("LRU", fun () -> Classic.lru ());
-    ("PROB(LFU)", fun () -> Classic.lfu ());
-    ("HEEB", real_heeb ~params ~capacity);
-  ]

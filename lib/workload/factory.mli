@@ -42,8 +42,3 @@ val real_heeb :
   params:Ssj_model.Ar1.params -> capacity:int -> unit -> Ssj_core.Policy.cache
 (** HEEB over the precomputed bicubic [h2] surface (α = cache size);
     parameters are in 0.1 °C bin units ({!Real.bin_params}). *)
-
-val real_policies :
-  params:Ssj_model.Ar1.params -> capacity:int -> seed:int -> cache_lineup
-(** RAND, LRU, PROB(=LFU) and HEEB — the Figure 13 line-up (LFD is added
-    by the runner). *)

@@ -23,30 +23,55 @@ let test_means_add () =
     (Pmf.variance a +. Pmf.variance b)
     (Pmf.variance c)
 
+let same_bits x y = Int64.bits_of_float x = Int64.bits_of_float y
+
+(* Bit equality of [Pr{X = v}] at every v of either support. *)
+let bit_equal a b =
+  let lo = min (Pmf.lo a) (Pmf.lo b) and hi = max (Pmf.hi a) (Pmf.hi b) in
+  let rec go v = v > hi || (same_bits (Pmf.prob a v) (Pmf.prob b v) && go (v + 1)) in
+  go lo
+
+(* Level n by a plain chain of [pair]s from the step. *)
+let chained step n =
+  let p = ref step in
+  for _ = 2 to n do
+    p := Convolve.pair !p step
+  done;
+  !p
+
+let test_table_bits_any_order () =
+  (* Bit equality, not a tolerance: every level is [pair level_(n-1) step]
+     whichever level is asked for first. *)
+  let step = Dist.discretized_normal ~sigma:1.0 ~bound:4 in
+  List.iter
+    (fun order ->
+      let table = Convolve.Table.create step in
+      List.iter
+        (fun n ->
+          check_bool
+            (Printf.sprintf "level %d" n)
+            true
+            (bit_equal (Convolve.Table.get table n) (chained step n)))
+        order;
+      check_bool "level 1 is the step" true
+        (Convolve.Table.get table 1 == step))
+    [ [ 1; 2; 3; 4; 5 ]; [ 5; 2; 4; 1; 3 ]; [ 40; 7; 41; 1; 100 ] ]
+
 let test_nfold_equals_repeated_pair () =
+  (* The 4-fold convolution read from the memo table is, bit for bit, the
+     hand-written chain of pairs. *)
   let step = Pmf.of_assoc [ (-1, 0.5); (1, 0.5) ] in
-  let direct = Convolve.nfold step 4 in
+  let direct = Convolve.Table.get (Convolve.Table.create step) 4 in
   let manual =
     Convolve.pair (Convolve.pair (Convolve.pair step step) step) step
   in
-  check_bool "4-fold equals chained pairs" true (Pmf.equal direct manual)
+  check_bool "4-fold equals chained pairs" true (bit_equal direct manual)
 
-let test_nfold_binomial () =
-  (* n-fold convolution of a ±1 coin: shifted binomial. *)
+let test_table_binomial () =
+  (* n-fold convolution of a 0/1 coin: binomial. *)
   let step = Pmf.of_assoc [ (0, 0.5); (1, 0.5) ] in
-  let p = Convolve.nfold step 5 in
+  let p = Convolve.Table.get (Convolve.Table.create step) 5 in
   check_float ~eps:1e-12 "binomial(5, 0.5) at 2" (10.0 /. 32.0) (Pmf.prob p 2)
-
-let test_table_consistency () =
-  let step = Dist.discretized_normal ~sigma:1.0 ~bound:4 in
-  let table = Convolve.Table.create step in
-  (* Query out of order to exercise the memo growth. *)
-  let p5 = Convolve.Table.get table 5 in
-  let p2 = Convolve.Table.get table 2 in
-  check_bool "level 2" true (Pmf.equal p2 (Convolve.nfold step 2));
-  check_bool "level 5" true (Pmf.equal p5 (Convolve.nfold step 5));
-  check_bool "level 1 is the step" true
-    (Pmf.equal (Convolve.Table.get table 1) step)
 
 let gen_small_pmf =
   QCheck2.Gen.(
@@ -65,7 +90,7 @@ let prop_mass_preserved =
     QCheck2.Gen.(tup2 gen_small_pmf gen_small_pmf)
     (fun (a, b) -> Float.abs (Pmf.total (Convolve.pair a b) -. 1.0) < 1e-9)
 
-(* --- FFT / doubling paths vs the naive oracle ------------------------- *)
+(* --- the compensated normalisation vs the plain one ------------------ *)
 
 (* Total-variation distance over the union of supports. *)
 let tv a b =
@@ -76,8 +101,7 @@ let tv a b =
   done;
   0.5 *. !acc
 
-(* Supports from a point mass up to widths well past the FFT cutoff
-   ({!Fftconv.should_use} flips around a few dozen cells), with heavily
+(* Supports from a point mass up to a few hundred cells, with heavily
    skewed weights (w^6 spans ~5 orders of magnitude) to stress the
    renormalisation. *)
 let gen_any_width_pmf =
@@ -96,40 +120,35 @@ let gen_any_width_pmf =
       ])
 
 let prop_pair_matches_naive_oracle =
-  qcheck ~count:150 "pair (FFT or naive) = naive oracle within 1e-9 TV"
+  (* [pair] renormalises by a compensated total, [pair_naive] by a plain
+     one; the two must agree on every width. *)
+  qcheck ~count:150 "pair = naive oracle within 1e-9 TV"
     QCheck2.Gen.(tup2 gen_any_width_pmf gen_any_width_pmf)
     (fun (a, b) -> tv (Convolve.pair a b) (Convolve.pair_naive a b) < 1e-9)
 
-let prop_nfold_matches_iterated_oracle =
-  (* Doubling (whose late squarings run wide×wide, i.e. through the FFT)
-     vs a left fold of the naive kernel. *)
-  qcheck ~count:30 "nfold doubling = iterated naive oracle within 1e-9 TV"
+(* Levels 1..n of a left fold of the naive oracle. *)
+let iterated_naive step n =
+  let levels = Array.make n step in
+  for k = 1 to n - 1 do
+    levels.(k) <- Convolve.pair_naive levels.(k - 1) step
+  done;
+  levels
+
+let prop_table_matches_iterated_oracle =
+  qcheck ~count:30 "table = iterated pair_naive within 1e-9 TV"
     QCheck2.Gen.(tup2 gen_small_pmf (int_range 1 40))
     (fun (step, n) ->
-      let iterated = ref step in
-      for _ = 2 to n do
-        iterated := Convolve.pair_naive !iterated step
-      done;
-      tv (Convolve.nfold step n) !iterated < 1e-9)
-
-let test_fft_crossover_exact () =
-  (* Pin widths straddling the cutoff so both paths are exercised even if
-     the cost model moves. *)
-  let wide n = Pmf.create ~lo:(-3) (Array.init n (fun i -> 1.0 +. float i)) in
-  List.iter
-    (fun (na, nb) ->
-      let a = wide na and b = wide nb in
-      check_bool
-        (Printf.sprintf "widths %dx%d" na nb)
-        true
-        (tv (Convolve.pair a b) (Convolve.pair_naive a b) < 1e-9))
-    [ (4, 300); (32, 32); (48, 64); (100, 100); (256, 257) ]
+      tv
+        (Convolve.Table.get (Convolve.Table.create step) n)
+        (iterated_naive step n).(n - 1)
+      < 1e-9)
 
 let test_table_deep_levels_normalised () =
-  (* Satellite of the doubling work: deep memo levels must stay unit-mass
-     (compensated renormalisation) and agree with a from-scratch nfold. *)
+  (* Deep memo levels must stay unit-mass (compensated renormalisation)
+     and agree with the iterated naive oracle. *)
   let step = Dist.discretized_normal ~sigma:1.5 ~bound:6 in
   let table = Convolve.Table.create step in
+  let oracle = iterated_naive step 512 in
   List.iter
     (fun n ->
       let p = Convolve.Table.get table n in
@@ -137,9 +156,9 @@ let test_table_deep_levels_normalised () =
         (Printf.sprintf "mass at level %d" n)
         1.0 (Pmf.total p);
       check_bool
-        (Printf.sprintf "level %d = nfold" n)
+        (Printf.sprintf "level %d = naive oracle" n)
         true
-        (tv p (Convolve.nfold step n) < 1e-9))
+        (tv p oracle.(n - 1) < 1e-9))
     [ 1; 7; 64; 365; 512 ]
 
 (* --- the loop kernel and zero trimming are exact --------------------- *)
@@ -156,14 +175,6 @@ let old_raw_naive a b =
             let i = va + vb - la - lb in
             probs.(i) <- probs.(i) +. (pa *. pb)));
   (la + lb, probs)
-
-let same_bits x y = Int64.bits_of_float x = Int64.bits_of_float y
-
-(* Bit equality of [Pr{X = v}] at every v of either support. *)
-let bit_equal a b =
-  let lo = min (Pmf.lo a) (Pmf.lo b) and hi = max (Pmf.hi a) (Pmf.hi b) in
-  let rec go v = v > hi || (same_bits (Pmf.prob a v) (Pmf.prob b v) && go (v + 1)) in
-  go lo
 
 (* Pmfs with zero entries inside and at either end (keeping at least one
    nonzero weight so they are valid). *)
@@ -184,7 +195,6 @@ let prop_naive_loop_matches_iter_formulation =
     QCheck2.Gen.(tup2 gen_zeroed_pmf gen_zeroed_pmf)
     (fun (a, b) ->
       let lo, raw = old_raw_naive a b in
-      (* Widths <= 12 keep [pair] on its naive kernel. *)
       bit_equal (Convolve.pair_naive a b) (Pmf.create ~lo (Array.copy raw))
       && bit_equal (Convolve.pair a b) (Pmf.of_dense ~lo raw))
 
@@ -234,13 +244,13 @@ let suite =
     Alcotest.test_case "means and variances add" `Quick test_means_add;
     Alcotest.test_case "nfold equals chained pairs" `Quick
       test_nfold_equals_repeated_pair;
-    Alcotest.test_case "nfold binomial" `Quick test_nfold_binomial;
-    Alcotest.test_case "memo table consistency" `Quick test_table_consistency;
+    Alcotest.test_case "table binomial" `Quick test_table_binomial;
+    Alcotest.test_case "memo table consistency" `Quick
+      test_table_bits_any_order;
     prop_commutative;
     prop_mass_preserved;
     prop_pair_matches_naive_oracle;
-    prop_nfold_matches_iterated_oracle;
-    Alcotest.test_case "fft crossover widths" `Quick test_fft_crossover_exact;
+    prop_table_matches_iterated_oracle;
     Alcotest.test_case "deep table levels normalised" `Quick
       test_table_deep_levels_normalised;
     prop_naive_loop_matches_iter_formulation;

@@ -243,7 +243,7 @@ let test_marginal_mass_conservation () =
   check_float ~eps:1e-9 "no loss within window (10 steps, window 30)" 1.0
     (mass 9);
   (* Marginal at step 2 matches the 2-fold convolution. *)
-  let conv = Convolve.nfold step 2 in
+  let conv = Convolve.pair step step in
   check_float ~eps:1e-12 "against convolution" (Pmf.prob conv 2)
     m.(1).(2 + 30)
 

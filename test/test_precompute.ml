@@ -75,6 +75,32 @@ let test_walk_joining_curve_allocation () =
   if words > 8e6 then
     Alcotest.failf "alpha 25 curve allocated %.3g words (gate 8e6)" words
 
+let test_walk_joining_curve_levels_match_table () =
+  (* An L that weighs only level k, by 1, turns the curve into that
+     level sampled over its whole support [-5k, 5k].  Levels 1..k-1 get
+     weight 0 but are still rolled, and must match the table's. *)
+  let table = Convolve.Table.create normal_step in
+  List.iter
+    (fun k ->
+      let l =
+        { Lfun.name = "level"; l = (fun d -> if d = k then 1.0 else 0.0);
+          horizon = k }
+      in
+      let lo = -5 * k in
+      let samples =
+        Interp.Curve.samples
+          (Precompute.walk_joining_curve ~step:normal_step ~drift:0 ~l ~lo
+             ~hi:(5 * k))
+      in
+      let level = Convolve.Table.get table k in
+      Array.iteri
+        (fun i x ->
+          if Int64.bits_of_float x
+             <> Int64.bits_of_float (Pmf.prob level (lo + i))
+          then Alcotest.failf "level %d differs at %d" k (lo + i))
+        samples)
+    [ 1; 2; 7; 64; 365 ]
+
 let test_walk_caching_curve_matches_hvalue () =
   let l = Lfun.exp_ ~alpha:6.0 in
   let curve =
@@ -262,4 +288,6 @@ let suite =
       test_walk_joining_curve_bits_pinned;
     Alcotest.test_case "walk joining curve allocation" `Quick
       test_walk_joining_curve_allocation;
+    Alcotest.test_case "walk joining curve levels = table" `Quick
+      test_walk_joining_curve_levels_match_table;
   ]

@@ -93,6 +93,11 @@ let test_structured_errors () =
     check_int "line" 2 line;
     check_int "fields" 2 fields
   | e -> Alcotest.fail ("wrong error: " ^ Trace_io.error_to_string e));
+  (match
+     load_error (Printf.sprintf "%s\n0,1,2\n1,3,%d\n" Trace_io.header min_int)
+   with
+  | Trace_io.Reserved_value { line } -> check_int "line" 3 line
+  | e -> Alcotest.fail ("wrong error: " ^ Trace_io.error_to_string e));
   match Trace_io.load_result ~filename:"/nonexistent/ssj/trace.csv" with
   | Error (Trace_io.Io_error _) -> ()
   | Error e -> Alcotest.fail ("wrong error: " ^ Trace_io.error_to_string e)
