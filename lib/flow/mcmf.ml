@@ -34,7 +34,13 @@ type t = {
   mutable pred_arc : int array;
   mutable order : int array; (* topological order scratch *)
   mutable indegree : int array;
-  heap : int Heap.t;
+  (* Dijkstra frontier: a binary min-heap of (priority, node) pairs as two
+     parallel arrays, so priorities stay unboxed.  No decrease-key: a
+     shorter distance pushes a duplicate and the stale entry is skipped
+     when popped. *)
+  mutable heap_prio : float array;
+  mutable heap_node : int array;
+  mutable heap_len : int;
 }
 
 let create n =
@@ -53,7 +59,9 @@ let create n =
     pred_arc = [||];
     order = [||];
     indegree = [||];
-    heap = Heap.create ();
+    heap_prio = [||];
+    heap_node = [||];
+    heap_len = 0;
   }
 
 let reset g ~n =
@@ -142,45 +150,124 @@ let build_adjacency g =
     cursor.(s) <- cursor.(s) + 1
   done
 
+(* Frontier heap operations.  They take and return only ints: a float
+   argument or result would be boxed at every call, so the caller writes
+   priorities into [heap_prio] and reads them from it directly.  An entry
+   moves past another only if its priority is strictly smaller, so the
+   pop order among equal distances (common: zero-cost arcs, uniform
+   noise) is fixed, and with it which optimal flow the solver returns. *)
+let heap_grow g =
+  let cap = Array.length g.heap_prio in
+  if g.heap_len = cap then begin
+    let cap' = max 16 (2 * cap) in
+    let prio' = Array.make cap' 0.0 and node' = Array.make cap' 0 in
+    Array.blit g.heap_prio 0 prio' 0 g.heap_len;
+    Array.blit g.heap_node 0 node' 0 g.heap_len;
+    g.heap_prio <- prio';
+    g.heap_node <- node'
+  end
+
+(* Restores the heap order above slot [i], whose entry was just written.
+   Slots are < [heap_len] by construction, so unsafe accesses are in
+   bounds. *)
+let heap_sift_up g i =
+  let prio = g.heap_prio and node = g.heap_node in
+  let p = Array.unsafe_get prio i and x = Array.unsafe_get node i in
+  let i = ref i and moving = ref true in
+  while !moving && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let pp = Array.unsafe_get prio parent in
+    if p < pp then begin
+      Array.unsafe_set prio !i pp;
+      Array.unsafe_set node !i (Array.unsafe_get node parent);
+      i := parent
+    end
+    else moving := false
+  done;
+  Array.unsafe_set prio !i p;
+  Array.unsafe_set node !i x
+
+(* Removes the minimum: the last entry moves to the root and sinks below
+   every strictly smaller child, the left one first on a tie. *)
+let heap_drop_min g =
+  let len = g.heap_len - 1 in
+  g.heap_len <- len;
+  if len > 0 then begin
+    let prio = g.heap_prio and node = g.heap_node in
+    let p = Array.unsafe_get prio len and x = Array.unsafe_get node len in
+    let i = ref 0 and moving = ref true in
+    while !moving do
+      let l = (2 * !i) + 1 in
+      let r = l + 1 in
+      let smallest = ref !i and ps = ref p in
+      if l < len && Array.unsafe_get prio l < !ps then begin
+        smallest := l;
+        ps := Array.unsafe_get prio l
+      end;
+      if r < len && Array.unsafe_get prio r < !ps then begin
+        smallest := r;
+        ps := Array.unsafe_get prio r
+      end;
+      if !smallest = !i then moving := false
+      else begin
+        Array.unsafe_set prio !i !ps;
+        Array.unsafe_set node !i (Array.unsafe_get node !smallest);
+        i := !smallest
+      end
+    done;
+    Array.unsafe_set prio !i p;
+    Array.unsafe_set node !i x
+  end
+
 (* Dijkstra on reduced costs; fills [dist] and [pred_arc] (internal arc id
    used to reach each node, or -1).  Stops as soon as [sink] is settled:
    the shortest source→sink path is then final, and the caller caps the
    potential update of unsettled nodes at [dist sink], which keeps every
    reduced cost non-negative (the standard early-exit SSP refinement). *)
-let dijkstra g source sink pot dist pred_arc heap =
+let dijkstra g source sink =
+  let pot = g.pot and dist = g.dist and pred_arc = g.pred_arc in
   Array.fill dist 0 g.n infinity_dist;
   Array.fill pred_arc 0 g.n (-1);
-  Heap.clear heap;
   dist.(source) <- 0.0;
-  Heap.push heap 0.0 source;
+  g.heap_len <- 0;
+  heap_grow g;
+  g.heap_prio.(0) <- 0.0;
+  g.heap_node.(0) <- source;
+  g.heap_len <- 1;
+  let adj_start = g.adj_start and adj_arc = g.adj_arc in
+  let cap = g.cap and to_ = g.to_ and cost = g.cost in
   let pops = ref 0 in
   let continue = ref true in
   while !continue do
-    if Heap.is_empty heap then continue := false
+    if g.heap_len = 0 then continue := false
     else begin
-      let d = Heap.min_prio heap in
-      let u = Heap.min_item heap in
-      Heap.drop_min heap;
+      let d = Array.unsafe_get g.heap_prio 0 in
+      let u = Array.unsafe_get g.heap_node 0 in
+      heap_drop_min g;
       incr pops;
       if u = sink then continue := false
       else if d <= Array.unsafe_get dist u +. 1e-12 then begin
-        let adj_arc = g.adj_arc and cap = g.cap and to_ = g.to_ in
-        let cost = g.cost in
         let du = Array.unsafe_get dist u and pu = Array.unsafe_get pot u in
-        for idx = g.adj_start.(u) to g.adj_start.(u + 1) - 1 do
+        for idx = adj_start.(u) to adj_start.(u + 1) - 1 do
           let a = Array.unsafe_get adj_arc idx in
           if Array.unsafe_get cap a > 0 then begin
             let v = Array.unsafe_get to_ a in
             let pv = Array.unsafe_get pot v in
             if pv < infinity_dist then begin
               (* Reduced cost is non-negative in exact arithmetic; clamp
-                 tiny negatives from float rounding. *)
-              let rc = max 0.0 (Array.unsafe_get cost a +. pu -. pv) in
-              let nd = du +. rc in
+                 tiny negatives from float rounding ([max 0.0 x], bit for
+                 bit, without the polymorphic compare). *)
+              let x = Array.unsafe_get cost a +. pu -. pv in
+              let nd = du +. (if 0.0 >= x then 0.0 else x) in
               if nd < Array.unsafe_get dist v -. 1e-15 then begin
                 Array.unsafe_set dist v nd;
                 Array.unsafe_set pred_arc v a;
-                Heap.push heap nd v
+                heap_grow g;
+                let i = g.heap_len in
+                Array.unsafe_set g.heap_prio i nd;
+                Array.unsafe_set g.heap_node i v;
+                g.heap_len <- i + 1;
+                heap_sift_up g i
               end
             end
           end
@@ -193,13 +280,6 @@ let dijkstra g source sink pot dist pred_arc heap =
     Obs.Counter.add m_dijkstra_pops !pops
   end
 
-let path_true_cost g pred_arc sink =
-  let rec go v acc =
-    let a = pred_arc.(v) in
-    if a < 0 then acc else go g.to_.(a lxor 1) (acc +. g.cost.(a))
-  in
-  go sink 0.0
-
 (* Shortest distances from [source] over positive-capacity arcs, via one
    topological pass (Kahn).  Negative arc costs are safe because those
    arcs form a DAG; a cycle among them is rejected. *)
@@ -209,22 +289,30 @@ let dag_distances g source dist =
   for a = 0 to (2 * g.m) - 1 do
     if g.cap.(a) > 0 then indegree.(g.to_.(a)) <- indegree.(g.to_.(a)) + 1
   done;
+  (* Kahn's FIFO lives in [order] itself: nodes are taken at [head] in the
+     order they were added at [count], so the queue's pop order is the
+     topological order. *)
   let order = g.order in
   let count = ref 0 in
-  let q = Queue.create () in
   for v = 0 to g.n - 1 do
-    if indegree.(v) = 0 then Queue.add v q
+    if indegree.(v) = 0 then begin
+      order.(!count) <- v;
+      incr count
+    end
   done;
-  while not (Queue.is_empty q) do
-    let v = Queue.take q in
-    order.(!count) <- v;
-    incr count;
+  let head = ref 0 in
+  while !head < !count do
+    let v = order.(!head) in
+    incr head;
     for idx = g.adj_start.(v) to g.adj_start.(v + 1) - 1 do
       let a = g.adj_arc.(idx) in
       if g.cap.(a) > 0 then begin
         let w = g.to_.(a) in
         indegree.(w) <- indegree.(w) - 1;
-        if indegree.(w) = 0 then Queue.add w q
+        if indegree.(w) = 0 then begin
+          order.(!count) <- w;
+          incr count
+        end
       end
     done
   done;
@@ -253,7 +341,6 @@ let run ?breakpoints g ~source ~sink ~target =
   Obs.Counter.incr m_solves;
   build_adjacency g;
   let pot = g.pot and dist = g.dist and pred_arc = g.pred_arc in
-  let heap = g.heap in
   dag_distances g source dist;
   (* Nodes unreachable from [source] keep an infinite potential: they can
      never join an augmenting path, and Dijkstra skips arcs into them. *)
@@ -261,28 +348,30 @@ let run ?breakpoints g ~source ~sink ~target =
   let total_flow = ref 0 and total_cost = ref 0.0 in
   let continue = ref true in
   while !continue && !total_flow < target do
-    dijkstra g source sink pot dist pred_arc heap;
+    dijkstra g source sink;
     if dist.(sink) >= infinity_dist then continue := false
     else begin
-      let path_cost = path_true_cost g pred_arc sink in
-      (* Bottleneck along the augmenting path. *)
-      let rec bottleneck v acc =
-        let a = pred_arc.(v) in
-        if a < 0 then acc else bottleneck g.to_.(a lxor 1) (min acc g.cap.(a))
-      in
-      let push = min (bottleneck sink max_int) (target - !total_flow) in
-      let rec apply v =
-        let a = pred_arc.(v) in
-        if a >= 0 then begin
-          g.cap.(a) <- g.cap.(a) - push;
-          g.cap.(a lxor 1) <- g.cap.(a lxor 1) + push;
-          apply g.to_.(a lxor 1)
-        end
-      in
-      apply sink;
+      (* Walk the augmenting path back from the sink: its true cost (summed
+         sink-first) and its bottleneck capacity. *)
+      let path_cost = ref 0.0 and bottleneck = ref max_int in
+      let v = ref sink in
+      while pred_arc.(!v) >= 0 do
+        let a = pred_arc.(!v) in
+        path_cost := !path_cost +. g.cost.(a);
+        bottleneck := Int.min !bottleneck g.cap.(a);
+        v := g.to_.(a lxor 1)
+      done;
+      let push = Int.min !bottleneck (target - !total_flow) in
+      v := sink;
+      while pred_arc.(!v) >= 0 do
+        let a = pred_arc.(!v) in
+        g.cap.(a) <- g.cap.(a) - push;
+        g.cap.(a lxor 1) <- g.cap.(a lxor 1) + push;
+        v := g.to_.(a lxor 1)
+      done;
       Obs.Counter.incr m_augmentations;
       total_flow := !total_flow + push;
-      total_cost := !total_cost +. (float_of_int push *. path_cost);
+      total_cost := !total_cost +. (float_of_int push *. !path_cost);
       (match breakpoints with
       | Some acc -> acc := (!total_flow, !total_cost) :: !acc
       | None -> ());
@@ -290,11 +379,13 @@ let run ?breakpoints g ~source ~sink ~target =
          distance: nodes the early-exit search did not settle have
          dist ≥ dist(sink), so the cap keeps all reduced costs non-negative
          while charging unsettled nodes only what the finished path
-         proved. *)
+         proved.  The cap is [min dv dsink], spelled out so the compare
+         stays on floats. *)
       let dsink = dist.(sink) in
       for v = 0 to g.n - 1 do
-        if dist.(v) < infinity_dist && pot.(v) < infinity_dist then
-          pot.(v) <- pot.(v) +. min dist.(v) dsink
+        let dv = dist.(v) in
+        if dv < infinity_dist && pot.(v) < infinity_dist then
+          pot.(v) <- pot.(v) +. (if dv <= dsink then dv else dsink)
       done
     end
   done;

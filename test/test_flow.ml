@@ -1,46 +1,6 @@
 open Ssj_flow
 open Helpers
 
-(* --- heap ----------------------------------------------------------- *)
-
-let test_heap_orders () =
-  let h = Heap.create () in
-  List.iter (fun (p, x) -> Heap.push h p x) [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
-  check_int "size" 3 (Heap.size h);
-  let pop () = match Heap.pop_min h with Some (_, x) -> x | None -> "?" in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ]
-    [ first; second; third ];
-  check_bool "empty" true (Heap.is_empty h)
-
-let test_heap_peek_and_clear () =
-  let h = Heap.create () in
-  Heap.push h 5.0 1;
-  Heap.push h 2.0 2;
-  (match Heap.peek_min h with
-  | Some (p, x) ->
-    check_float "peek prio" 2.0 p;
-    check_int "peek item" 2 x
-  | None -> Alcotest.fail "expected peek");
-  Heap.clear h;
-  check_bool "cleared" true (Heap.is_empty h)
-
-let prop_heapsort =
-  qcheck "heap pops in sorted order"
-    QCheck2.Gen.(list_size (int_range 0 100) (float_range (-100.0) 100.0))
-    (fun prios ->
-      let h = Heap.create () in
-      List.iteri (fun i p -> Heap.push h p i) prios;
-      let rec drain acc =
-        match Heap.pop_min h with
-        | Some (p, _) -> drain (p :: acc)
-        | None -> List.rev acc
-      in
-      let popped = drain [] in
-      popped = List.sort Float.compare prios)
-
 (* --- mcmf ----------------------------------------------------------- *)
 
 let test_simple_path () =
@@ -212,11 +172,102 @@ let prop_flow_conservation =
         balance;
       !ok)
 
+(* --- tie order and allocation --------------------------------------- *)
+
+(* A time-expanded DAG shaped like FlowExpect's: slice 0 holds [width]
+   nodes and each later slice copies the previous one and adds two fresh
+   nodes.  Each node either keeps its unit to its copy in the next slice
+   (a cost from a four-value cycle, so equal path costs abound) or hands
+   it through the next slice's zero-cost connector to that slice's fresh
+   nodes.  Arcs are (src, dst, cap, cost) with the cost already boxed, so
+   rebuilding the graph allocates nothing. *)
+let layered ~width ~depth =
+  let size t = width + (2 * t) in
+  (* Node 0 is the source, 1 the sink; slice t's nodes and then its
+     connector follow slice t - 1's. *)
+  let first = Array.make depth 2 in
+  for t = 1 to depth - 1 do
+    first.(t) <- first.(t - 1) + size (t - 1) + 1
+  done;
+  let node t i = first.(t) + i and connector t = first.(t) + size t in
+  let costs = [| -0.25; -0.5; -0.25; 0.0 |] in
+  let arcs = ref [] in
+  let add src dst cost = arcs := (src, dst, 1, cost) :: !arcs in
+  for i = 0 to width - 1 do
+    add 0 (node 0 i) 0.0
+  done;
+  for t = 0 to depth - 2 do
+    for i = 0 to size t - 1 do
+      add (node t i) (node (t + 1) i) costs.(((7 * t) + (3 * i)) mod 4);
+      add (node t i) (connector (t + 1)) 0.0
+    done;
+    add (connector (t + 1)) (node (t + 1) (size t)) 0.0;
+    add (connector (t + 1)) (node (t + 1) (size t + 1)) 0.0
+  done;
+  for i = 0 to size (depth - 1) - 1 do
+    add (node (depth - 1) i) 1 0.0
+  done;
+  (connector (depth - 1) + 1, Array.of_list (List.rev !arcs))
+
+let build g arcs =
+  for i = 0 to Array.length arcs - 1 do
+    let src, dst, cap, cost = arcs.(i) in
+    ignore (Mcmf.add_arc g ~src ~dst ~cap ~cost)
+  done
+
+(* The flow on every arc, and the cost bits, of one solve on the
+   FlowExpect-sized layered graph: among its many optimal flows, the
+   Dijkstra frontier's tie order picks this one. *)
+let test_tie_order_pinned () =
+  let n, arcs = layered ~width:22 ~depth:11 in
+  let g = Mcmf.create n in
+  let handles =
+    Array.map
+      (fun (src, dst, cap, cost) -> Mcmf.add_arc g ~src ~dst ~cap ~cost)
+      arcs
+  in
+  let r = Mcmf.solve g ~source:0 ~sink:1 ~target:20 in
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "%d %h;" r.Mcmf.flow r.Mcmf.cost;
+  Array.iter (fun a -> Printf.bprintf b "%d," (Mcmf.flow_on g a)) handles;
+  Alcotest.(check string)
+    "flow digest" "7fa0ce7582e6d7145fb73452cec44f28"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* Allocation is exact, so this gate has no timing noise.  After one
+   warm-up solve, a reset, rebuild and solve reuses every arena, so at
+   most the result record is allocated, at any graph size. *)
+let test_warm_solve_allocation () =
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let measure f =
+    let before = allocated () in
+    f ();
+    allocated () -. before
+  in
+  let overhead = measure ignore in
+  let words ~width ~depth =
+    let n, arcs = layered ~width ~depth in
+    let g = Mcmf.create n in
+    build g arcs;
+    ignore (Mcmf.solve g ~source:0 ~sink:1 ~target:(width - 2));
+    measure (fun () ->
+        Mcmf.reset g ~n;
+        build g arcs;
+        ignore
+          (Sys.opaque_identity
+             (Mcmf.solve g ~source:0 ~sink:1 ~target:(width - 2))))
+    -. overhead
+  in
+  let small = words ~width:8 ~depth:4 and large = words ~width:22 ~depth:11 in
+  if large > 16.0 then
+    Alcotest.failf "warm solve allocated %.0f words (gate 16)" large;
+  check_float "no growth with graph size" small large
+
 let suite =
   [
-    Alcotest.test_case "heap orders" `Quick test_heap_orders;
-    Alcotest.test_case "heap peek/clear" `Quick test_heap_peek_and_clear;
-    prop_heapsort;
     Alcotest.test_case "simple path" `Quick test_simple_path;
     Alcotest.test_case "prefers cheap path" `Quick test_prefers_cheap_path;
     Alcotest.test_case "negative costs" `Quick test_negative_costs;
@@ -231,4 +282,7 @@ let suite =
     prop_matches_oracle;
     prop_fractional_costs;
     prop_flow_conservation;
+    Alcotest.test_case "tie order pinned" `Quick test_tie_order_pinned;
+    Alcotest.test_case "warm solve allocation gate" `Quick
+      test_warm_solve_allocation;
   ]

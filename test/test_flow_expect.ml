@@ -187,6 +187,51 @@ let test_flow_expect_competitive_on_tower () =
   in
   check_bool "FLOWEXPECT > RAND on TOWER" true (fe > rnd)
 
+(* --- bit-identity pins and allocation gate --------------------------- *)
+
+(* fig19's setting on one FLOOR trace: cache 20, look-ahead 10. *)
+let floor_run () =
+  let cfg = Ssj_workload.Config.floor () in
+  let r, s = Ssj_workload.Config.predictors cfg in
+  let trace = Trace.generate ~r ~s ~rng:(rng 42) ~length:300 in
+  (trace, Ssj_workload.Factory.trend_flow_expect cfg ~lookahead:10 ())
+
+(* FLOOR's uniform noise and the graph's zero-cost connector arcs make
+   equal path costs common, so this digest of the kept uids at every step
+   also pins the solver's tie order, which decides which of several
+   optimal plans is returned. *)
+let test_floor_kept_uids_pinned () =
+  let trace, policy = floor_run () in
+  let _, decisions =
+    Ssj_engine.Join_sim.run_logged ~trace ~policy ~capacity:20 ()
+  in
+  let b = Buffer.create 65536 in
+  Array.iter
+    (fun kept ->
+      List.iter (fun t -> Printf.bprintf b "%d," t.Tuple.uid) kept;
+      Buffer.add_char b ';')
+    decisions;
+  Alcotest.(check string)
+    "kept-uid digest" "5075338cb548b33549360ff698332695"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* Allocation is exact, so this gate has no timing noise.  A step is the
+   predictor updates, the graph build and the min-cost-flow solve. *)
+let test_floor_step_allocation () =
+  let trace, policy = floor_run () in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = allocated () in
+  ignore
+    (Sys.opaque_identity
+       (Ssj_engine.Join_sim.run ~trace ~policy ~capacity:20 ()));
+  let per_step = (allocated () -. before) /. float_of_int (Trace.length trace) in
+  if per_step > 5000.0 then
+    Alcotest.failf "FlowExpect allocated %.0f words per step (gate 5000)"
+      per_step
+
 let suite =
   [
     Alcotest.test_case "Section 3.4 example" `Quick test_section_3_4;
@@ -197,6 +242,10 @@ let suite =
     test_handle_reuse_identical;
     Alcotest.test_case "policy runs and validates" `Quick
       test_policy_runs_and_validates;
+    Alcotest.test_case "FLOOR kept uids pinned" `Quick
+      test_floor_kept_uids_pinned;
+    Alcotest.test_case "FLOOR step allocation gate" `Quick
+      test_floor_step_allocation;
     Alcotest.test_case "beats RAND on TOWER" `Slow
       test_flow_expect_competitive_on_tower;
   ]

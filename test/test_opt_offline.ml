@@ -169,6 +169,19 @@ let test_max_hits_belady () =
   check_int "belady hits" 4 (Opt_offline.max_hits ~reference ~capacity:2);
   check_int "full capacity" 6 (Opt_offline.max_hits ~reference ~capacity:3)
 
+(* The capacity curve of one TOWER trace, pinned: every value is read off
+   the breakpoints of one successive-shortest-path solve.  The trace
+   saturates at capacity 5. *)
+let test_tower_curve_pinned () =
+  let r, s = Ssj_workload.Config.(predictors (tower ())) in
+  let t = Trace.generate ~r ~s ~rng:(rng 9) ~length:500 in
+  let capacities = List.init 8 succ in
+  let curve = Opt_offline.max_results_curve ~trace:t ~capacities ~start:0 () in
+  Alcotest.(check (list (pair int int))) "TOWER 500 curve"
+    [ (1, 222); (2, 334); (3, 395); (4, 419); (5, 421); (6, 421); (7, 421);
+      (8, 421) ]
+    curve
+
 let suite =
   [
     Alcotest.test_case "no matches" `Quick test_no_matches;
@@ -187,4 +200,5 @@ let suite =
     Alcotest.test_case "acyclic potentials agree" `Quick
       test_acyclic_init_agrees;
     Alcotest.test_case "Belady hit counts" `Quick test_max_hits_belady;
+    Alcotest.test_case "TOWER curve pinned" `Quick test_tower_curve_pinned;
   ]
