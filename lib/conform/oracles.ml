@@ -238,23 +238,24 @@ let lfd_spec reference =
     ~score:(fun ~now v -> -.float_of_int (min (next v (now + 1)) (2 * (n + 1))))
 
 (* Both policies replay [reference] from an empty cache, each on its own
-   cache; the hit flags and the kept sets must agree at every step. *)
-let cache_lockstep ~reference ~capacity (fast : Policy.cache)
+   cache, the access at step [t] happening at time [nows.(t)]; the hit
+   flags and the kept sets must agree at every step. *)
+let cache_lockstep ~reference ~nows ~capacity (fast : Policy.cache)
     (spec : Policy.cache) =
   let sorted l = List.sort Int.compare l in
   let render l = String.concat ";" (List.map string_of_int (sorted l)) in
-  let rec step now fc sc =
-    if now >= Array.length reference then None
+  let rec step t fc sc =
+    if t >= Array.length reference then None
     else begin
-      let value = reference.(now) in
+      let value = reference.(t) and now = nows.(t) in
       let fhit = List.mem value fc and shit = List.mem value sc in
       let fk = fast.Policy.access ~now ~cached:fc ~value ~hit:fhit ~capacity in
       let sk = spec.Policy.access ~now ~cached:sc ~value ~hit:shit ~capacity in
       if fhit <> shit || sorted fk <> sorted sk then
         Some
-          (Printf.sprintf "%s cap %d t=%d: hit %b kept [%s] <> spec hit %b kept [%s]"
-             fast.Policy.cname capacity now fhit (render fk) shit (render sk))
-      else step (now + 1) fk sk
+          (Printf.sprintf "%s cap %d t=%d now=%d: hit %b kept [%s] <> spec hit %b kept [%s]"
+             fast.Policy.cname capacity t now fhit (render fk) shit (render sk))
+      else step (t + 1) fk sk
     end
   in
   step 0 [] []
@@ -265,7 +266,11 @@ let cache_capacities = [| 0; 1; 2; 7; 25 |]
    stationary reference over a domain that is sometimes smaller and
    sometimes larger than the cache.  The law's weights, and the generic
    scorer, take a few levels only, so equal scores are common and the
-   value tie-break decides. *)
+   value tie-break decides.  The classic families (3-5) also run on
+   hostile values when [i / 6] is odd — the domain relabelled to spread
+   over +-1e9 with [min_int] and [max_int] among the most drawn — and
+   LFD on a non-monotone clock when [i / 12] is odd, so both its
+   forward cursor and its binary-search fallback are compared. *)
 let cache_selection_violation ~seed i =
   let rng = Rng.create (seed + (7907 * i)) in
   let capacity = cache_capacities.(i / 6 mod Array.length cache_capacities) in
@@ -275,11 +280,28 @@ let cache_selection_violation ~seed i =
       (List.init domain (fun v -> (v, float_of_int (1 + Rng.int rng 3))))
   in
   let reference = Array.init (20 + Rng.int rng 100) (fun _ -> Pmf.sample law rng) in
+  let n = Array.length reference in
+  let family = i mod 6 in
+  let reference =
+    if family < 3 || i / 6 mod 2 = 0 then reference
+    else
+      let relabel =
+        Array.init domain (function
+          | 0 -> min_int
+          | 1 -> max_int
+          | v -> -1_000_000_000 + (v * 47_000_000) + Rng.int rng 1_000_000)
+      in
+      Array.map (fun v -> relabel.(v)) reference
+  in
+  let nows =
+    if family < 5 || i / 12 mod 2 = 0 then Array.init n Fun.id
+    else Array.init n (fun t -> if Rng.int rng 4 = 0 then Rng.int rng n else t)
+  in
   let model () = Stationary.create law in
   let alpha = 4.0 in
   let l = Lfun.exp_ ~alpha in
   let fast, spec =
-    match i mod 6 with
+    match family with
     | 0 ->
       let h ~now ~last v = float_of_int (((3 * v) + last + now) mod 4 / 2) in
       ( Heeb.caching_fn ~h (),
@@ -299,7 +321,7 @@ let cache_selection_violation ~seed i =
     | 4 -> (Classic.lfu (), lfu_spec ())
     | _ -> (Classic.lfd ~reference, lfd_spec reference)
   in
-  cache_lockstep ~reference ~capacity fast spec
+  cache_lockstep ~reference ~nows ~capacity fast spec
 
 let cache_selection_check =
   Check.make ~name:"oracle:cache/argmin-vs-sort" ~kind:Check.Oracle

@@ -1,3 +1,24 @@
+module Itab = Ssj_prob.Itab
+
+(* The list without the first occurrence of [w], sharing the tail after
+   it.  On a cache (no duplicates) this is [List.filter ((<>) w)]. *)
+let rec remove_first (w : int) = function
+  | [] -> []
+  | v :: rest -> if v = w then rest else v :: remove_first w rest
+
+(* A full miss: [w] is the first entry, in list order, with the lowest
+   score [ws] so far — the strict [<] sends ties to the earliest entry.
+   Cache the fetched value only if it scores at least [ws]; otherwise
+   keeping the current contents is at least as good.  Every argument is
+   passed explicitly so the scan allocates no closure. *)
+let rec evict score now value cached w (ws : float) = function
+  | v :: rest ->
+    let s = score ~now v in
+    if s < ws then evict score now value cached v s rest
+    else evict score now value cached w ws rest
+  | [] ->
+    if score ~now value >= ws then value :: remove_first w cached else cached
+
 (* Shared skeleton: on hit return the cache unchanged (after bookkeeping);
    on miss insert the new value, evicting the worst-scored entry when full.
    [score] maps a cached value to its retention priority (higher = keep);
@@ -8,24 +29,10 @@ let scored_policy ~cname ~observe ~score =
     if hit then cached
     else if List.compare_length_with cached capacity < 0 then value :: cached
     else if capacity = 0 then []
-    else begin
-      (* [w] is the first entry, in list order, with the lowest score [ws]
-         so far: the strict [<] sends ties to the earliest entry. *)
-      let rec evict w (ws : float) = function
-        | v :: rest ->
-          let s = score ~now v in
-          if s < ws then evict v s rest else evict w ws rest
-        | [] ->
-          (* Cache the fetched tuple only if it outranks the worst entry;
-             otherwise keeping the current contents is at least as good. *)
-          if score ~now value >= ws then
-            value :: List.filter (fun v -> v <> w) cached
-          else cached
-      in
+    else
       match cached with
       | [] -> [ value ]
-      | v :: rest -> evict v (score ~now v) rest
-    end
+      | v :: rest -> evict score now value cached v (score ~now v) rest
   in
   { Policy.cname; access }
 
@@ -47,25 +54,24 @@ let rand_cache ~rng =
   in
   { Policy.cname = "RAND"; access }
 
+(* LRU and WS read a value's last reference time with [min_int] as the
+   lookup default.  [min_int] is also a legal time, so only that result
+   pays an [Itab.mem] to tell "never referenced" apart. *)
+let never_used last_use v t = t = min_int && not (Itab.mem last_use v)
+
 let lru () =
-  let last_use = Hashtbl.create 64 in
-  let observe ~now ~value = Hashtbl.replace last_use value now in
+  let last_use = Itab.create ~size:64 () in
+  let observe ~now ~value = Itab.set last_use value now in
   let score ~now:_ v =
-    match Hashtbl.find_opt last_use v with
-    | Some t -> float_of_int t
-    | None -> Float.neg_infinity
+    let t = Itab.find_default last_use v min_int in
+    if never_used last_use v t then Float.neg_infinity else float_of_int t
   in
   scored_policy ~cname:"LRU" ~observe ~score
 
 let lfu () =
-  let counts = Hashtbl.create 64 in
-  let observe ~now:_ ~value =
-    let c = Option.value ~default:0 (Hashtbl.find_opt counts value) in
-    Hashtbl.replace counts value (c + 1)
-  in
-  let score ~now:_ v =
-    float_of_int (Option.value ~default:0 (Hashtbl.find_opt counts v))
-  in
+  let counts = Itab.create ~size:64 () in
+  let observe ~now:_ ~value = Itab.add counts value 1 in
+  let score ~now:_ v = float_of_int (Itab.find_default counts v 0) in
   scored_policy ~cname:"LFU" ~observe ~score
 
 let lruk ~k =
@@ -95,29 +101,66 @@ let lruk ~k =
 
 let lfd ~reference =
   let n = Array.length reference in
-  (* occurrences.(v) = sorted arrival times of value v. *)
-  let occurrences : (int, int array) Hashtbl.t = Hashtbl.create 64 in
-  let tmp : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-  for t = n - 1 downto 0 do
-    let v = reference.(t) in
-    let old = Option.value ~default:[] (Hashtbl.find_opt tmp v) in
-    Hashtbl.replace tmp v (t :: old)
+  (* Value [v] gets slot [k = slot_of v], numbered by first reference; its
+     reference times, ascending, are [times.(first.(k) .. first.(k+1) - 1)]. *)
+  let slot_of = Itab.create ~size:64 () in
+  let first = Array.make (n + 1) 0 in
+  let slots = ref 0 in
+  Array.iter
+    (fun v ->
+      let k = Itab.find_default slot_of v !slots in
+      if k = !slots then begin
+        Itab.set slot_of v k;
+        incr slots
+      end;
+      first.(k + 1) <- first.(k + 1) + 1)
+    reference;
+  for k = 1 to !slots do
+    first.(k) <- first.(k) + first.(k - 1)
   done;
-  Hashtbl.iter (fun v ts -> Hashtbl.replace occurrences v (Array.of_list ts)) tmp;
+  let times = Array.make n 0 in
+  let cursor = Array.sub first 0 !slots in
+  Array.iteri
+    (fun t v ->
+      let k = Itab.find_default slot_of v 0 in
+      times.(cursor.(k)) <- t;
+      cursor.(k) <- cursor.(k) + 1)
+    reference;
+  Array.blit first 0 cursor 0 !slots;
+  (* [cursor.(k)] only moves forward, past times <= some earlier [now]
+     no later than [latest]; so for [now >= latest] the first time after
+     [now] is found by resuming the scan there (amortised O(1) over a
+     run).  A [now] that goes backwards binary-searches the whole run. *)
+  let latest = ref min_int in
   let next_use ~now v =
-    match Hashtbl.find_opt occurrences v with
-    | None -> max_int
-    | Some ts ->
-      (* Binary search for the first occurrence strictly after [now]. *)
-      let lo = ref 0 and hi = ref (Array.length ts) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if ts.(mid) <= now then lo := mid + 1 else hi := mid
-      done;
-      if !lo >= Array.length ts then max_int else ts.(!lo)
+    let k = Itab.find_default slot_of v (-1) in
+    if k < 0 then max_int
+    else begin
+      let stop = first.(k + 1) in
+      let i =
+        if now >= !latest then begin
+          latest := now;
+          let c = ref cursor.(k) in
+          while !c < stop && times.(!c) <= now do
+            incr c
+          done;
+          cursor.(k) <- !c;
+          !c
+        end
+        else begin
+          let lo = ref first.(k) and hi = ref stop in
+          while !lo < !hi do
+            let mid = (!lo + !hi) / 2 in
+            if times.(mid) <= now then lo := mid + 1 else hi := mid
+          done;
+          !lo
+        end
+      in
+      if i >= stop then max_int else times.(i)
+    end
   in
   let observe ~now:_ ~value:_ = () in
-  let score ~now v = -.float_of_int (min (next_use ~now v) (2 * (n + 1))) in
+  let score ~now v = -.float_of_int (Int.min (next_use ~now v) (2 * (n + 1))) in
   scored_policy ~cname:"LFD" ~observe ~score
 
 let lfu_model ~prob =
@@ -127,12 +170,12 @@ let lfu_model ~prob =
 
 let working_set ~tau =
   if tau < 1 then invalid_arg "Classic.working_set: tau < 1";
-  let last_use = Hashtbl.create 64 in
-  let observe ~now ~value = Hashtbl.replace last_use value now in
+  let last_use = Itab.create ~size:64 () in
+  let observe ~now ~value = Itab.set last_use value now in
   let score ~now v =
-    match Hashtbl.find_opt last_use v with
-    | None -> Float.neg_infinity
-    | Some t ->
+    let t = Itab.find_default last_use v min_int in
+    if never_used last_use v t then Float.neg_infinity
+    else
       (* Working-set members rank above everything outside it; LRU order
          breaks ties within each class. *)
       let in_ws = now - t <= tau in

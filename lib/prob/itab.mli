@@ -2,9 +2,9 @@
 
     A lean alternative to [Hashtbl] when both keys and values are machine
     integers: no allocation on lookup, multiplicative hashing, linear
-    probing.  [min_int] is reserved as the internal empty marker and must
-    not be used as a key.  [set]/[add] never remove entries — a counter
-    driven to zero keeps its slot; only {!decr} frees slots. *)
+    probing.  Every int, [min_int] and [max_int] included, is a valid key.
+    [set]/[add] never remove entries — a counter driven to zero keeps its
+    slot; only {!decr} frees slots. *)
 
 type t
 
@@ -14,6 +14,9 @@ val create : ?size:int -> unit -> t
 val find_default : t -> int -> int -> int
 (** [find_default t k d] is the value bound to [k], or [d] if absent.
     Never allocates. *)
+
+val mem : t -> int -> bool
+(** [mem t k] is [true] iff [k] is bound.  Never allocates. *)
 
 val set : t -> int -> int -> unit
 
@@ -27,5 +30,6 @@ val decr : t -> int -> unit
     whose key set churns — it keeps the table at working-set size. *)
 
 val clear : t -> unit
+(** Unbind every key. *)
 
 val iter : (int -> int -> unit) -> t -> unit

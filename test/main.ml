@@ -8,6 +8,7 @@ let () =
       ("prob.convolve", Test_convolve.suite);
       ("prob.stats+rng", Test_stats.suite);
       ("prob.gof", Test_gof.suite);
+      ("prob.itab", Test_itab.suite);
       ("flow", Test_flow.suite);
       ("model", Test_models.suite);
       ("stream", Test_stream.suite);

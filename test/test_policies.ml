@@ -204,6 +204,83 @@ let test_lfu_model_prefers_probable () =
   (* Value 1 is never evicted once cached: hits at steps 3 and 5. *)
   check_int "model-probable value kept" 2 hits
 
+(* Scored caching policies compare only scores and list positions, never
+   values, so an injective relabelling of the reference relabels every
+   decision.  The relabelled values span +-1e9 and include [min_int] and
+   [max_int], which the int-keyed state must treat like any other key. *)
+let test_classic_relabelling_invariance () =
+  let r = rng 11 in
+  let reference = Array.init 400 (fun _ -> Ssj_prob.Rng.int r 12) in
+  let label v =
+    match v with
+    | 0 -> min_int
+    | 1 -> max_int
+    | 2 -> 0
+    | _ -> -1_000_000_000 + (v * 170_000_000) + Ssj_prob.Rng.int r 1000
+  in
+  let relabel = Array.init 12 label in
+  let moved = Array.map (fun v -> relabel.(v)) reference in
+  let sorted l = List.sort compare l in
+  List.iter
+    (fun (name, make) ->
+      List.iter
+        (fun capacity ->
+          let _, plain =
+            Ssj_engine.Cache_sim.run_logged ~reference ~policy:(make reference)
+              ~capacity ()
+          in
+          let _, hostile =
+            Ssj_engine.Cache_sim.run_logged ~reference:moved
+              ~policy:(make moved) ~capacity ()
+          in
+          Array.iteri
+            (fun t kept ->
+              if sorted (List.map (fun v -> relabel.(v)) kept)
+                 <> sorted hostile.(t)
+              then Alcotest.failf "%s cap %d differs at t=%d" name capacity t)
+            plain)
+        [ 1; 3; 7 ])
+    [
+      ("LRU", fun _ -> Classic.lru ());
+      ("LFU", fun _ -> Classic.lfu ());
+      ("LFD", fun reference -> Classic.lfd ~reference);
+      ("WS", fun _ -> Classic.working_set ~tau:5);
+    ]
+
+(* Allocation is exact, so this gate has no timing noise: the REAL
+   caching pipeline's classic baselines at fig13 scale, words per access,
+   simulator included.  The int-keyed state allocates ~24 (LRU), ~13
+   (LFU) and ~7 (LFD) — one boxed float per scored entry and the copied
+   prefix before the victim; polymorphic [Hashtbl] state allocated 33.8,
+   32.0 and 22.4, above every gate. *)
+let test_classic_allocation () =
+  let reference =
+    Ssj_workload.Real.to_bins
+      (Ssj_workload.Real.synthetic_ar1 ~rng:(rng 42) ~days:365 ())
+  in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  List.iter
+    (fun (name, policy, gate) ->
+      Gc.minor ();
+      let before = allocated () in
+      ignore
+        (Sys.opaque_identity
+           (Ssj_engine.Cache_sim.run ~reference ~policy ~capacity:100 ()));
+      let words =
+        (allocated () -. before) /. float_of_int (Array.length reference)
+      in
+      if words > gate then
+        Alcotest.failf "%s allocated %.1f words per access (gate %.0f)" name
+          words gate)
+    [
+      ("LRU", Classic.lru (), 28.0);
+      ("LFU", Classic.lfu (), 16.0);
+      ("LFD", Classic.lfd ~reference, 12.0);
+    ]
+
 let prop_keep_top_size_and_membership =
   qcheck "keep_top returns min(capacity, n) highest-scored candidates"
     QCheck2.Gen.(
@@ -254,4 +331,8 @@ let suite =
     Alcotest.test_case "CLOCK invariants" `Quick test_clock_capacity_respected;
     Alcotest.test_case "A0-style model LFU" `Quick
       test_lfu_model_prefers_probable;
+    Alcotest.test_case "classic relabelling invariance" `Quick
+      test_classic_relabelling_invariance;
+    Alcotest.test_case "classic allocation gate" `Quick
+      test_classic_allocation;
   ]
