@@ -81,15 +81,14 @@ let bench_fig15_kernel () =
       x := !x +. Interp.Surface.eval surface 180.0 220.0)
 
 let bench_fig19_kernel ?(warm = true) lookahead =
-  (* One FlowExpect decision: graph build + min-cost-flow solve.  [warm]
-     reuses one {!Flow_expect.handle} across iterations with the same
-     predictors, so every call after the first reuses the handle's graph
-     arena and also hits its law cache.  The online policy keeps the
-     arena but never hits the law cache, since it observes new
-     predictors every step (perfbench [flow_expect.law_warm_hit_ratio] is
-     0 on floor-fe10): the warm kernel is a lower bound on its step, not
-     its steady state.  The cold variant pays graph allocation and law
-     recomputation each call.  Decisions are bit-identical either way. *)
+  (* One FlowExpect decision: costs + min-cost-flow solve.  [warm]
+     reuses one {!Flow_expect.handle} across iterations, so every call
+     after the first rewrites the costs of the handle's graph, re-solves
+     it and serves the undetermined benefits from the handle's memo —
+     the online policy's steady state too (perfbench
+     [flow_expect.law_warm_hit_ratio] ≈ 1 on floor-fe10), less its list
+     plumbing.  The cold variant builds the graph and fills the memo each
+     call.  Decisions are bit-identical either way. *)
   let r, s = Config.predictors (Config.floor ()) in
   let r = Predictor.advance r [| 0 |] and s = Predictor.advance s [| 1 |] in
   let cached =

@@ -343,67 +343,156 @@ let cache_selection_check =
 
 (* --- FlowExpect: warm handle vs fresh solves ------------------------- *)
 
+(* TOWER, capacity 2, look-ahead 3: [decide] through one shared handle
+   against a fresh solve, six steps. *)
+let flow_expect_tower_violation ~seed rep =
+  let rng = Rng.create (seed + (104729 * rep)) in
+  let r0, s0 = Config.predictors (Config.tower ()) in
+  let handle = Flow_expect.handle () in
+  let rp = ref r0 and sp = ref s0 in
+  let cached = ref [] in
+  let failure = ref None in
+  let now = ref 0 in
+  while !failure = None && !now < 6 do
+    let t = !now in
+    (* Values near the TOWER trend so the expected benefits are
+       non-trivial (far-off values make every plan worthless). *)
+    let rv = t + Rng.int rng 7 - 3 and sv = t + 1 + Rng.int rng 9 - 4 in
+    rp := Predictor.advance !rp [| rv |];
+    sp := Predictor.advance !sp [| sv |];
+    let arrivals =
+      [
+        Tuple.make ~side:Tuple.R ~value:rv ~arrival:t;
+        Tuple.make ~side:Tuple.S ~value:sv ~arrival:t;
+      ]
+    in
+    let decide ?handle () =
+      Flow_expect.decide ?handle ~r:!rp ~s:!sp ~lookahead:3 ~cached:!cached
+        ~arrivals ~capacity:2 ()
+    in
+    let warm = decide ~handle () in
+    let fresh = decide () in
+    if
+      not
+        (tuples_equal
+           (List.sort Tuple.compare warm.Flow_expect.keep)
+           (List.sort Tuple.compare fresh.Flow_expect.keep))
+      || warm.Flow_expect.expected_benefit <> fresh.Flow_expect.expected_benefit
+    then
+      failure :=
+        Some
+          (Printf.sprintf
+             "warm plan (keep [%s], benefit %.17g) <> fresh (keep [%s], \
+              benefit %.17g) at rep %d step %d"
+             (render_selection warm.Flow_expect.keep)
+             warm.Flow_expect.expected_benefit
+             (render_selection fresh.Flow_expect.keep)
+             fresh.Flow_expect.expected_benefit rep t)
+    else cached := warm.Flow_expect.keep;
+    incr now
+  done;
+  !failure
+
+(* fig19's FLOOR at capacity 20: the policy's buffer step, which keeps
+   one graph and rewrites its costs, and [decide] through one shared
+   handle, against a fresh [decide] per step.  The buffer must hold the
+   fresh plan and its diff, as [Policy.fast_of_select] writes them; the
+   warm plan must equal the fresh one, benefit bits included.  The first
+   ten steps fill the cache, so the graph is rebuilt at every one of
+   them; the rest are steady-state re-solves. *)
+let flow_expect_floor_steps = 42
+
+let same_buffer (a : Policy.buffer) (b : Policy.buffer) =
+  let prefix x y n = Array.sub x 0 n = Array.sub y 0 n in
+  a.n = b.n
+  && prefix a.uids b.uids a.n
+  && prefix a.values b.values a.n
+  && a.evicted_n = b.evicted_n
+  && prefix a.evicted b.evicted a.evicted_n
+  && a.kept_r = b.kept_r
+  && a.kept_s = b.kept_s
+
+let flow_expect_floor_violation ~seed ~lookahead rep =
+  let cfg = Config.floor () in
+  let r0, s0 = Config.predictors cfg in
+  let trace =
+    Trace.generate ~r:r0 ~s:s0
+      ~rng:(Rng.create (seed + (7907 * rep)))
+      ~length:flow_expect_floor_steps
+  in
+  let policy = Flow_expect.policy ~r:r0 ~s:s0 ~lookahead () in
+  let step = Option.get policy.Policy.fast in
+  let handle = Flow_expect.handle () in
+  let src = ref (Policy.buffer ()) and dst = ref (Policy.buffer ()) in
+  let expect = Policy.buffer () in
+  let rp = ref r0 and sp = ref s0 in
+  let failure = ref None in
+  let now = ref 0 in
+  while !failure = None && !now < flow_expect_floor_steps do
+    let t = !now in
+    let r_t, s_t = Trace.arrivals trace t in
+    rp := !rp.Predictor.observe r_t.Tuple.value;
+    sp := !sp.Predictor.observe s_t.Tuple.value;
+    let cached = Policy.tuples !src in
+    let decide ?handle () =
+      Flow_expect.decide ?handle ~r:!rp ~s:!sp ~lookahead ~cached
+        ~arrivals:[ r_t; s_t ] ~capacity:20 ()
+    in
+    let fresh = decide () and warm = decide ~handle () in
+    step ~src:!src ~dst:!dst ~now:t ~r:r_t ~s:s_t ~capacity:20;
+    Policy.fast_of_select
+      (fun ~now:_ ~cached:_ ~arrivals:_ ~capacity:_ -> fresh.Flow_expect.keep)
+      ~src:!src ~dst:expect ~now:t ~r:r_t ~s:s_t ~capacity:20;
+    let where = Printf.sprintf "FLOOR l=%d rep %d step %d" lookahead rep t in
+    let plan (p : Flow_expect.plan) =
+      Printf.sprintf "keep [%s], benefit %h" (render_selection p.keep)
+        p.expected_benefit
+    in
+    if not (same_buffer !dst expect) then
+      failure :=
+        Some
+          (Printf.sprintf "%s: buffer step kept [%s], fresh solve [%s]" where
+             (render_selection (Policy.tuples !dst))
+             (render_selection fresh.Flow_expect.keep))
+    else if plan warm <> plan fresh then
+      failure :=
+        Some
+          (Printf.sprintf "%s: warm plan (%s) <> fresh (%s)" where (plan warm)
+             (plan fresh));
+    let tmp = !src in
+    src := !dst;
+    dst := tmp;
+    incr now
+  done;
+  !failure
+
+let flow_expect_lookaheads = [ 1; 3; 10 ]
+
 let flow_expect_check =
   Check.make ~name:"oracle:flow-expect/warm-vs-fresh" ~kind:Check.Oracle
-    ~fast:"Flow_expect.decide with a shared warm handle"
+    ~fast:"Flow_expect.decide with a shared warm handle; the policy's buffer \
+           step on one kept graph"
     ~reference:"fresh per-step solves"
     (fun ~seed ~count ->
       let reps = max 1 (count / 20) in
       let failure = ref None in
       let rep = ref 0 in
       while !failure = None && !rep < reps do
-        let rng = Rng.create (seed + (104729 * !rep)) in
-        let r0, s0 = Config.predictors (Config.tower ()) in
-        let handle = Flow_expect.handle () in
-        let rp = ref r0 and sp = ref s0 in
-        let cached = ref [] in
-        let now = ref 0 in
-        while !failure = None && !now < 6 do
-          let t = !now in
-          (* Values near the TOWER trend so the expected benefits are
-             non-trivial (far-off values make every plan worthless). *)
-          let rv = t + Rng.int rng 7 - 3 and sv = t + 1 + Rng.int rng 9 - 4 in
-          rp := Predictor.advance !rp [| rv |];
-          sp := Predictor.advance !sp [| sv |];
-          let arrivals =
-            [
-              Tuple.make ~side:Tuple.R ~value:rv ~arrival:t;
-              Tuple.make ~side:Tuple.S ~value:sv ~arrival:t;
-            ]
-          in
-          let decide ?handle () =
-            Flow_expect.decide ?handle ~r:!rp ~s:!sp ~lookahead:3
-              ~cached:!cached ~arrivals ~capacity:2 ()
-          in
-          let warm = decide ~handle () in
-          let fresh = decide () in
-          if
-            not
-              (tuples_equal
-                 (List.sort Tuple.compare warm.Flow_expect.keep)
-                 (List.sort Tuple.compare fresh.Flow_expect.keep))
-            || warm.Flow_expect.expected_benefit
-               <> fresh.Flow_expect.expected_benefit
-          then
-            failure :=
-              Some
-                (Printf.sprintf
-                   "warm plan (keep [%s], benefit %.17g) <> fresh (keep \
-                    [%s], benefit %.17g) at rep %d step %d"
-                   (render_selection warm.Flow_expect.keep)
-                   warm.Flow_expect.expected_benefit
-                   (render_selection fresh.Flow_expect.keep)
-                   fresh.Flow_expect.expected_benefit !rep t)
-          else cached := warm.Flow_expect.keep;
-          incr now
-        done;
+        failure := flow_expect_tower_violation ~seed !rep;
+        List.iter
+          (fun lookahead ->
+            if !failure = None then
+              failure := flow_expect_floor_violation ~seed ~lookahead !rep)
+          flow_expect_lookaheads;
         incr rep
       done;
       match !failure with
       | None ->
         Check.Pass
           {
-            cases = reps * 6;
+            cases =
+              reps
+              * (6 + (flow_expect_floor_steps * List.length flow_expect_lookaheads));
             note = "warm-started decisions bit-equal fresh solves";
           }
       | Some detail -> Check.Fail { detail; case = None })
@@ -641,6 +730,74 @@ let mcmf_check =
           { cases = count; note = "solver agrees with independent oracle" }
       | Some detail -> Check.Fail { detail; case = None })
 
+(* --- Mcmf re-solve vs a freshly built graph -------------------------- *)
+
+(* A graph re-solved after its costs are rewritten must give what a graph
+   built from scratch with those costs gives, bit for bit: flow, cost and
+   the flow on every arc. *)
+let mcmf_resolve_violation ~seed i =
+  let module M = Ssj_flow.Mcmf in
+  let module C = Ssj_flow.Mcmf_check in
+  let spec, target = C.random_graph ~seed ~index:i in
+  let source = 0 and sink = spec.C.nodes - 1 in
+  let rng = Rng.create (seed + (15485863 * i)) in
+  let build costs =
+    let g = M.create spec.C.nodes in
+    let arcs =
+      Array.mapi
+        (fun j (src, dst, cap, _) -> M.add_arc g ~src ~dst ~cap ~cost:costs.(j))
+        spec.C.arcs
+    in
+    (g, arcs)
+  in
+  let digest g arcs (r : M.result) =
+    Printf.sprintf "flow %d cost %h arcs [%s]" r.M.flow r.M.cost
+      (String.concat ","
+         (Array.to_list (Array.map (fun a -> string_of_int (M.flow_on g a)) arcs)))
+  in
+  let original = Array.map (fun (_, _, _, c) -> c) spec.C.arcs in
+  let kept, kept_arcs = build original in
+  ignore (M.solve kept ~source ~sink ~target);
+  (* Two rewrites: a quarter of the costs kept, the rest redrawn from
+     the spec's range [-8, 8], so ties abound. *)
+  let rec go round =
+    if round = 2 then None
+    else begin
+      let costs =
+        Array.map
+          (fun c -> if Rng.int rng 4 = 0 then c else float_of_int (Rng.int rng 17 - 8))
+          original
+      in
+      Array.iteri (fun j a -> M.set_cost kept a costs.(j)) kept_arcs;
+      let resolved = digest kept kept_arcs (M.solve kept ~source ~sink ~target) in
+      let fresh_g, fresh_arcs = build costs in
+      let fresh = digest fresh_g fresh_arcs (M.solve fresh_g ~source ~sink ~target) in
+      if resolved <> fresh then
+        Some
+          (Printf.sprintf
+             "graph (seed=%d, index=%d) rewrite %d: re-solve %s, fresh %s" seed i
+             round resolved fresh)
+      else go (round + 1)
+    end
+  in
+  go 0
+
+let mcmf_resolve_check =
+  Check.make ~name:"oracle:mcmf/resolve-vs-fresh" ~kind:Check.Oracle
+    ~fast:"Ssj_flow.Mcmf.solve on a kept graph after set_cost"
+    ~reference:"the same arcs and costs in a freshly built graph"
+    (fun ~seed ~count ->
+      let rec go i =
+        if i >= count then
+          Check.Pass
+            { cases = count; note = "two cost rewrites per graph, bit-equal" }
+        else
+          match mcmf_resolve_violation ~seed i with
+          | None -> go (i + 1)
+          | Some detail -> Check.Fail { detail; case = None }
+      in
+      go 0)
+
 let all =
   [
     join_sim_indexed;
@@ -654,4 +811,5 @@ let all =
     opt_curve_check;
     expectimax_check;
     mcmf_check;
+    mcmf_resolve_check;
   ]

@@ -22,13 +22,18 @@ type plan = {
 }
 
 type handle
-(** Warm-start arena for repeated {!decide} calls: holds one reusable
-    {!Ssj_flow.Mcmf} graph (reset, not reallocated, each step — see
-    {!Ssj_flow.Mcmf.reset}) and caches the per-offset conditional-law
-    arrays, revalidated by physical equality of the predictors (they are
-    immutable, so [==] proves the laws are current).  Decisions are
-    bit-identical with and without a handle; the handle only removes
-    per-step allocation and law recomputation. *)
+(** Warm-start state for repeated {!decide} calls (the policy holds one).
+    It keeps:
+    - one {!Ssj_flow.Mcmf} graph, whose topology depends only on the
+      number of candidates and the look-ahead.  A call with the same
+      pair only rewrites the arc costs and re-solves; a different pair
+      rebuilds the graph on the old one's arrays.
+    - an exact memo of the undetermined tuples' expected benefits
+      ([Pmf.dot] of two laws), keyed by the two laws' probability vectors
+      (physical identity) and the offset of their supports.  Laws that
+      are shifts of one noise pmf, as the trend predictors' are, share
+      their vector, so the memo serves every step after the first.
+    Decisions are bit-identical with and without a handle. *)
 
 val handle : unit -> handle
 (** A fresh arena; share one per policy instance (not across domains). *)
@@ -54,5 +59,8 @@ val policy :
   lookahead:int ->
   unit ->
   Policy.join
-(** The online policy: observes arrivals, then calls {!decide} each step.
-    Predictors are passed positioned before the first arrival. *)
+(** The online policy, a buffer step ({!Policy.of_fast}): it observes the
+    two arrivals, makes the {!decide} of the step on its own handle and
+    writes the kept candidates, in cache-then-arrivals order, with the
+    diff straight into the engine's buffer.  Predictors are passed
+    positioned before the first arrival.  [lookahead ≥ 1]. *)

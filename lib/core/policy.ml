@@ -117,6 +117,19 @@ type join = {
 
 let make_join ~name select = { name; select; fast = None }
 
+(* List callers (the reference simulator, tests) step a buffer policy
+   through the same code on a buffer built from the list. *)
+let of_fast ~name (fast : fast_select) =
+  let select ~now ~cached ~arrivals ~capacity =
+    match arrivals with
+    | [ r; s ] ->
+      let dst = buffer () in
+      fast ~src:(of_tuples cached) ~dst ~now ~r ~s ~capacity;
+      tuples dst
+    | _ -> invalid_arg (name ^ ": a step takes two arrivals, R then S")
+  in
+  { name; select; fast = Some fast }
+
 (* A plan-based policy's [select] as a buffer step: the cache goes out as
    tuples and the plan comes back in the order the policy returned it.
    The diff is the cached positions whose uid the plan dropped; plans
@@ -435,14 +448,4 @@ let scored ~name ?observe ?after (kernel : kernel) =
     end;
     match after with Some f -> f ~now ~src ~dst | None -> ()
   in
-  (* List callers (the reference simulator, tests) step through the same
-     code on a buffer built from the list. *)
-  let select ~now ~cached ~arrivals ~capacity =
-    match arrivals with
-    | [ r; s ] ->
-      let dst = buffer () in
-      fast ~src:(of_tuples cached) ~dst ~now ~r ~s ~capacity;
-      tuples dst
-    | _ -> invalid_arg "Policy.scored: a step takes two arrivals, R then S"
-  in
-  { name; select; fast = Some fast }
+  of_fast ~name fast

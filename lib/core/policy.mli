@@ -33,6 +33,10 @@ type buffer = {
 
 val buffer : unit -> buffer
 
+val reserve : buffer -> int -> unit
+(** [reserve b n] gives [b] room for [n] entries and [n] evictions.  The
+    old contents may be dropped: call it before writing a step. *)
+
 val of_tuples : Ssj_stream.Tuple.t list -> buffer
 (** A buffer holding the tuples in list order, with an empty diff. *)
 
@@ -63,17 +67,23 @@ type join = {
       (** the buffer step; [None] for plan-based policies, which the
           engine runs through {!fast_of_select} *)
 }
-(** A joining policy.  Two shapes exist:
+(** A joining policy.  Three shapes exist:
 
     - {e scored} ({!scored}): give each candidate a score, keep the
       [capacity] best.  [fast] is the policy; [select] is a list adapter
       over it for list-based callers.
+    - {e buffer} ({!of_fast}): [fast] writes the kept set and its diff
+      itself (FlowExpect); [select] is the same list adapter.
     - {e plan-based} ({!make_join}): [select] returns the new cache
-      contents directly (FlowExpect, scripted test policies).
+      contents directly (scripted test policies).
 
     [select ~now ~cached ~arrivals ~capacity] returns a subset of
-    [cached ∪ arrivals] of size ≤ [capacity]; scored policies require
-    [arrivals = [r; s]]. *)
+    [cached ∪ arrivals] of size ≤ [capacity]; scored and buffer policies
+    require [arrivals = [r; s]]. *)
+
+val of_fast : name:string -> fast_select -> join
+(** A buffer policy: [fast] is the engine step, and [select] runs it on a
+    buffer built from the list, requiring [arrivals = [r; s]]. *)
 
 val make_join :
   name:string ->

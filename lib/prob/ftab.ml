@@ -3,13 +3,17 @@
    Values live in an unboxed float array, so lookups allocate nothing.
    Used by HEEB's trend-memoised score table, where the generic
    [(side * offset)] [Hashtbl] key costs a tuple allocation plus a
-   polymorphic hash per candidate per step. *)
+   polymorphic hash per candidate per step.  As in Itab, the bucket
+   arrays use [min_int] as their empty-slot marker, so the key [min_int]
+   itself lives in a separate cell and every int is a valid key. *)
 
 type t = {
   mutable keys : int array;
   mutable vals : float array;
   mutable used : int;
   mutable mask : int;
+  mutable min_bound : bool; (* is the key [min_int] bound? *)
+  mutable min_val : float; (* its value, when bound *)
 }
 
 let empty_key = min_int
@@ -18,7 +22,14 @@ let rec pow2 n k = if k >= n then k else pow2 n (2 * k)
 
 let create ?(size = 16) () =
   let cap = pow2 (max 8 size) 8 in
-  { keys = Array.make cap empty_key; vals = Array.make cap 0.0; used = 0; mask = cap - 1 }
+  {
+    keys = Array.make cap empty_key;
+    vals = Array.make cap 0.0;
+    used = 0;
+    mask = cap - 1;
+    min_bound = false;
+    min_val = 0.0;
+  }
 
 let[@inline] hash k = (k * 0x2545F4914F6CDD1D) lsr 17
 
@@ -45,19 +56,30 @@ let grow t =
       end)
     old_keys
 
-let mem t k = t.keys.(slot t k) = k
+let mem t k =
+  if k = empty_key then t.min_bound else Array.unsafe_get t.keys (slot t k) = k
 
+(* Probing for [min_int] stops at the first empty slot, whose key equals
+   [min_int]: the one extra compare on a hit sends it to its own cell. *)
 let find_default t k d =
   let i = slot t k in
-  if Array.unsafe_get t.keys i = k then Array.unsafe_get t.vals i else d
+  if Array.unsafe_get t.keys i <> k then d
+  else if k <> empty_key then Array.unsafe_get t.vals i
+  else if t.min_bound then t.min_val
+  else d
 
 let set t k v =
-  if k = empty_key then invalid_arg "Ftab.set: reserved key";
-  let i = slot t k in
-  if Array.unsafe_get t.keys i = k then t.vals.(i) <- v
+  if k = empty_key then begin
+    t.min_bound <- true;
+    t.min_val <- v
+  end
   else begin
-    t.keys.(i) <- k;
-    t.vals.(i) <- v;
-    t.used <- t.used + 1;
-    if 2 * t.used > t.mask then grow t
+    let i = slot t k in
+    if Array.unsafe_get t.keys i = k then t.vals.(i) <- v
+    else begin
+      t.keys.(i) <- k;
+      t.vals.(i) <- v;
+      t.used <- t.used + 1;
+      if 2 * t.used > t.mask then grow t
+    end
   end

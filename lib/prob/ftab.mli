@@ -1,8 +1,8 @@
 (** Open-addressed [int -> float] table; the float twin of {!Itab}.
 
     Values live in an unboxed float array, so lookups allocate nothing.
-    [min_int] is reserved as the internal empty marker and must not be
-    used as a key.  No removal. *)
+    Every int is a valid key, [min_int] and [max_int] included.  No
+    removal. *)
 
 type t
 

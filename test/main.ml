@@ -9,6 +9,7 @@ let () =
       ("prob.stats+rng", Test_stats.suite);
       ("prob.gof", Test_gof.suite);
       ("prob.itab", Test_itab.suite);
+      ("prob.ftab", Test_ftab.suite);
       ("flow", Test_flow.suite);
       ("model", Test_models.suite);
       ("stream", Test_stream.suite);

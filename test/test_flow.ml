@@ -180,7 +180,7 @@ let prop_flow_conservation =
    (a cost from a four-value cycle, so equal path costs abound) or hands
    it through the next slice's zero-cost connector to that slice's fresh
    nodes.  Arcs are (src, dst, cap, cost) with the cost already boxed, so
-   rebuilding the graph allocates nothing. *)
+   rewriting costs from them allocates nothing. *)
 let layered ~width ~depth =
   let size t = width + (2 * t) in
   (* Node 0 is the source, 1 the sink; slice t's nodes and then its
@@ -209,12 +209,6 @@ let layered ~width ~depth =
   done;
   (connector (depth - 1) + 1, Array.of_list (List.rev !arcs))
 
-let build g arcs =
-  for i = 0 to Array.length arcs - 1 do
-    let src, dst, cap, cost = arcs.(i) in
-    ignore (Mcmf.add_arc g ~src ~dst ~cap ~cost)
-  done
-
 (* The flow on every arc, and the cost bits, of one solve on the
    FlowExpect-sized layered graph: among its many optimal flows, the
    Dijkstra frontier's tie order picks this one. *)
@@ -234,36 +228,56 @@ let test_tie_order_pinned () =
     "flow digest" "7fa0ce7582e6d7145fb73452cec44f28"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
-(* Allocation is exact, so this gate has no timing noise.  After one
-   warm-up solve, a reset, rebuild and solve reuses every arena, so at
-   most the result record is allocated, at any graph size. *)
-let test_warm_solve_allocation () =
-  let allocated () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
-  let measure f =
-    let before = allocated () in
-    f ();
-    allocated () -. before
-  in
+(* Allocation is exact, so these gates have no timing noise.  After the
+   first solve, a re-solve reuses the frozen topology and every arena,
+   so at most the result record is allocated, at any graph size.  The
+   window starts on an empty minor heap: a minor collection inside it
+   would add the whole heap to [Gc.counters]' minor words. *)
+let allocated () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+let measure f =
+  Gc.minor ();
+  let before = allocated () in
+  f ();
+  allocated () -. before
+
+let resolve_words ?(rewrite = false) ~width ~depth () =
   let overhead = measure ignore in
-  let words ~width ~depth =
-    let n, arcs = layered ~width ~depth in
-    let g = Mcmf.create n in
-    build g arcs;
-    ignore (Mcmf.solve g ~source:0 ~sink:1 ~target:(width - 2));
-    measure (fun () ->
-        Mcmf.reset g ~n;
-        build g arcs;
-        ignore
-          (Sys.opaque_identity
-             (Mcmf.solve g ~source:0 ~sink:1 ~target:(width - 2))))
-    -. overhead
+  let n, arcs = layered ~width ~depth in
+  let g = Mcmf.create n in
+  let handles =
+    Array.map
+      (fun (src, dst, cap, cost) -> Mcmf.add_arc g ~src ~dst ~cap ~cost)
+      arcs
   in
-  let small = words ~width:8 ~depth:4 and large = words ~width:22 ~depth:11 in
+  ignore (Mcmf.solve g ~source:0 ~sink:1 ~target:(width - 2));
+  (* Arc i takes the cost of arc m-1-i. *)
+  let m = Array.length arcs in
+  measure (fun () ->
+      if rewrite then
+        for i = 0 to m - 1 do
+          let _, _, _, cost = arcs.(m - 1 - i) in
+          Mcmf.set_cost g handles.(i) cost
+        done;
+      ignore
+        (Sys.opaque_identity (Mcmf.solve g ~source:0 ~sink:1 ~target:(width - 2))))
+  -. overhead
+
+let test_warm_solve_allocation () =
+  let small = resolve_words ~width:8 ~depth:4 ()
+  and large = resolve_words ~width:22 ~depth:11 () in
   if large > 16.0 then
     Alcotest.failf "warm solve allocated %.0f words (gate 16)" large;
+  check_float "no growth with graph size" small large
+
+let test_set_cost_resolve_allocation () =
+  let small = resolve_words ~rewrite:true ~width:8 ~depth:4 ()
+  and large = resolve_words ~rewrite:true ~width:22 ~depth:11 () in
+  if large > 16.0 then
+    Alcotest.failf "re-solve after set_cost allocated %.0f words (gate 16)"
+      large;
   check_float "no growth with graph size" small large
 
 let suite =
@@ -285,4 +299,6 @@ let suite =
     Alcotest.test_case "tie order pinned" `Quick test_tie_order_pinned;
     Alcotest.test_case "warm solve allocation gate" `Quick
       test_warm_solve_allocation;
+    Alcotest.test_case "re-solve after set_cost allocation gate" `Quick
+      test_set_cost_resolve_allocation;
   ]

@@ -33,6 +33,33 @@ let test_modes_agree () =
   check_int "incremental = direct" direct incremental;
   check_int "memo = direct" direct memo
 
+(* The trend memo keys a candidate by [((value - speed·now) lsl 1) lor
+   side], so [min_int] is a reachable key; the memo must serve it like any
+   other and still match the direct policy.
+   - An R tuple at trend offset -2^61 has key [min_int].  Its H is 0, so
+     this run mostly checks that the key is accepted.
+   - On TOWER (speed 1) the memo speed [1 - 2^61] is as good as 1: the
+     key wraps to [2·offset + 2^62·(now mod 2)], so at every odd step an R
+     tuple on the trend has key [min_int], and its H is far from 0.  A
+     table that read an empty slot for [min_int] would score it 0. *)
+let test_memo_trend_min_int_key () =
+  let speed = tower.Ssj_workload.Config.speed in
+  let count trace mode =
+    (run_joining (heeb_with mode) ~trace ~capacity:8).Ssj_engine.Join_sim
+      .total_results
+  in
+  let trace = tower_trace ~length:120 ~seed:5 in
+  let n = Trace.length trace in
+  let value side t = (Trace.tuple trace side t).Tuple.value in
+  let r = Array.init n (value Tuple.R) and s = Array.init n (value Tuple.S) in
+  let t0 = 40 in
+  r.(t0) <- (speed * t0) - (1 lsl 61);
+  let extreme = Trace.of_values ~r ~s in
+  check_int "offset -2^61: memo = direct" (count extreme `Direct)
+    (count extreme (`Memo_trend speed));
+  check_int "wrapped keys: memo = direct" (count trace `Direct)
+    (count trace (`Memo_trend (speed - (1 lsl 61))))
+
 let test_incremental_refresh_resists_drift () =
   (* Even with a very long refresh period the float drift must not change
      decisions on a moderate run. *)
@@ -206,6 +233,8 @@ let test_heeb_beats_baselines_on_tower () =
 let suite =
   [
     Alcotest.test_case "modes agree" `Quick test_modes_agree;
+    Alcotest.test_case "trend memo serves key min_int" `Quick
+      test_memo_trend_min_int_key;
     Alcotest.test_case "incremental drift control" `Quick
       test_incremental_refresh_resists_drift;
     Alcotest.test_case "stationary HEEB = PROB (Section 5.2)" `Quick
