@@ -4,16 +4,18 @@
       capacity 25, trend lineup; best of 5), exits 1 if its means
       coincide or drift from the golden digests, and re-runs it with the
       obs gate on for per-policy metric snapshots;
-   2. runs the robustness pass: the fault x policy degradation grid,
+   2. times the capacity curve: µs and minor words per step against
+      capacity, at 1 job;
+   3. runs the robustness pass: the fault x policy degradation grid,
       regime switches, and a supervised sweep with one deliberate crash;
-   3. times the kernel behind each figure with bechamel.
+   4. times the kernel behind each figure with bechamel.
 
    The figure tables themselves (EXPERIMENTS.md) come from `sjoin all`.
    Everything measured lands in BENCH_joining.json (schema 4); its
    baseline.kernels_ns, the CI kernel-gate anchors, is carried unchanged
    from the artifact being overwritten.  Env knobs: SSJ_BENCH_RUNS /
    SSJ_BENCH_LEN (default: the paper's 50 x 5000; malformed values are
-   rejected), SSJ_BENCH_KERNELS=0 skips pass 3, SSJ_JOBS, and
+   rejected), SSJ_BENCH_KERNELS=0 skips pass 4, SSJ_JOBS, and
    SSJ_CHECKPOINT / SSJ_RETRIES for the demo. *)
 
 open Bechamel
@@ -190,24 +192,31 @@ type sweep = {
   summaries : Runner.summary list;
 }
 
+(* [reps] timed passes of one lineup over [traces]: per pass, its wall
+   time, the minor words the calling domain allocated (all of them at
+   1 job), and the summaries.  The lineup is deterministic (fresh
+   policies, fixed trace seeds), so repetitions measure the same
+   computation; callers keep the best to shed first-iteration warm-up,
+   like the bechamel section does. *)
+let time_lineup ~reps ~setup ~traces ~policies ~jobs =
+  List.init reps (fun _ ->
+      let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+      let summaries =
+        Runner.compare_joining ~setup ~traces ~policies ~include_opt:false
+          ~jobs ()
+      in
+      (Unix.gettimeofday () -. t0, Gc.minor_words () -. w0, summaries))
+
 let run_sweep traces =
   let runs = opts.runs and length = opts.length in
   let jobs = Parallel.default_jobs () in
-  (* The sweep is deterministic (fresh policies, fixed trace seeds), so
-     repetitions measure the same computation; report the best of 5 to
-     shed first-iteration warm-up, like the bechamel section does. *)
-  let measure () =
-    let t0 = Unix.gettimeofday () in
-    let summaries =
-      Runner.compare_joining ~setup:Golden.sweep_setup ~traces
-        ~policies:(Golden.sweep_lineup ()) ~include_opt:false ~jobs ()
-    in
-    (Unix.gettimeofday () -. t0, summaries)
+  let measured =
+    time_lineup ~reps:5 ~setup:Golden.sweep_setup ~traces
+      ~policies:(Golden.sweep_lineup ()) ~jobs
   in
-  let measured = List.init 5 (fun _ -> measure ()) in
-  let wall_reps = List.map fst measured in
+  let wall_reps = List.map (fun (wall, _, _) -> wall) measured in
   let wall_s = List.fold_left Float.min Float.infinity wall_reps in
-  let summaries = snd (List.hd measured) in
+  let _, _, summaries = List.hd measured in
   Format.printf "@.== fig8 sweep wall-clock (%d runs x %d, capacity %d, %d \
                  job%s) ==@."
     runs length Golden.sweep_capacity jobs
@@ -329,6 +338,66 @@ let run_obs_pass sweep traces =
       ("enabled_wall_s", Json.fixed 3 enabled_wall_s);
       ("enabled_overhead_pct", Json.fixed 1 overhead);
       ("per_policy", Json.Object (List.map per_policy observed));
+    ]
+
+(* --- capacity curve --------------------------------------------------- *)
+
+(* Cost per step against capacity, at 1 job: for each scored policy on
+   TOWER at k = 25, 100 and 400, and for the WALK lineup at k = 100 (no
+   tuple dies there, so the cache saturates), the best of 3 passes' µs
+   per step and the minor words per step, simulator included, over the
+   first 10 sweep traces.  Allocation is exact for a build; the times
+   are as noisy as the host. *)
+let run_capacity_curve traces =
+  let runs = min 10 (Array.length traces) in
+  let tower_traces = Array.sub traces 0 runs in
+  let walk = Config.walk () in
+  let walk_traces =
+    Experiments.traces
+      (fun () -> Config.walk_predictors walk)
+      ~runs ~length:opts.length ~seed:42
+  in
+  let row workload traces capacity lineup =
+    let setup =
+      { Runner.capacity; warmup = Runner.default_warmup ~capacity; window = None }
+    in
+    let steps =
+      float_of_int (Array.fold_left (fun n t -> n + Trace.length t) 0 traces)
+    in
+    let policy ((name, _) as p) =
+      let passes = time_lineup ~reps:3 ~setup ~traces ~policies:[ p ] ~jobs:1 in
+      let wall, words, _ =
+        List.fold_left
+          (fun ((w, _, _) as best) ((w', _, _) as m) -> if w' < w then m else best)
+          (List.hd passes) passes
+      in
+      let us = 1e6 *. wall /. steps and words = words /. steps in
+      Format.printf "  %-5s k=%-3d %-5s %8.3f us/step %8.1f words/step@."
+        workload capacity name us words;
+      named name [ ("us_per_step", us); ("minor_words_per_step", words) ]
+    in
+    Json.Object
+      [
+        ("workload", Json.String workload);
+        ("capacity", Json.int capacity);
+        ("policies", Json.Array (List.map policy lineup));
+      ]
+  in
+  Format.printf "@.== capacity curve (%d runs x %d, 1 job) ==@." runs opts.length;
+  let tower_rows =
+    List.map
+      (fun k -> row "TOWER" tower_traces k (Golden.sweep_lineup ()))
+      [ 25; 100; 400 ]
+  in
+  let walk_row =
+    row "WALK" walk_traces 100 (Factory.walk_policies walk ~seed:42 ~capacity:100)
+  in
+  Json.Object
+    [
+      ("jobs", Json.int 1);
+      ("runs", Json.int runs);
+      ("length", Json.int opts.length);
+      ("rows", Json.Array (tower_rows @ [ walk_row ]));
     ]
 
 (* --- robustness: fault grid + supervision demo ---------------------- *)
@@ -501,7 +570,7 @@ let carried_kernel_anchors () =
     Format.printf "baseline: no kernel anchors in %s to carry@." artifact_path;
     []
 
-let write_json ~sweep ~obs ~robustness ~kernels =
+let write_json ~sweep ~obs ~curve ~robustness ~kernels =
   let ns (name, ns) = (name, Json.fixed 1 ns) in
   let anchors = Json.Object (carried_kernel_anchors ()) in
   let artifact =
@@ -511,6 +580,7 @@ let write_json ~sweep ~obs ~robustness ~kernels =
         ("benchmark", Json.String "fig8-style joining sweep (TOWER, seed 42)");
         ("sweep", sweep_json sweep);
         ("obs", obs);
+        ("capacity_curve", curve);
         ("robustness", robustness);
         ("kernels_ns", Json.Object (List.map ns kernels));
         ("baseline", Json.Object [ ("kernels_ns", anchors) ]);
@@ -535,6 +605,7 @@ let () =
   fail_if_degenerate sweep;
   fail_if_drifted sweep;
   let obs = run_obs_pass sweep traces in
+  let curve = run_capacity_curve traces in
   let robustness = run_robustness_pass sweep traces in
   let kernels =
     match Sys.getenv_opt "SSJ_BENCH_KERNELS" with
@@ -543,5 +614,5 @@ let () =
       []
     | _ -> run_micro ()
   in
-  write_json ~sweep ~obs ~robustness ~kernels;
+  write_json ~sweep ~obs ~curve ~robustness ~kernels;
   Format.printf "@.done.@."

@@ -76,32 +76,13 @@ let render_selection ts =
   String.concat ";"
     (List.map (fun (t : Tuple.t) -> string_of_int t.Tuple.uid) ts)
 
-(* One scored step over random candidates: the last two arrive, the rest
-   are the cache.  The kept tuples must equal the spec's, best-first, and
-   the recorded diff must name exactly the dropped ones. *)
-let selection_violation rng =
-  let n = 2 + Rng.int rng 40 in
-  let tuple k =
-    Tuple.make
-      ~side:(if Rng.bool rng then Tuple.R else Tuple.S)
-      ~value:(Rng.int rng 9 - 4)
-      ~arrival:k
-  in
-  let candidates = List.init n tuple in
+(* One scored step: the last two candidates arrive, the rest are the
+   cache.  The kept tuples must equal the spec's, best-first, and the
+   recorded diff must name exactly the dropped ones. *)
+let selection_violation ~capacity ~score candidates =
+  let n = List.length candidates in
   let cached = List.filteri (fun j _ -> j < n - 2) candidates in
   let r = List.nth candidates (n - 2) and s = List.nth candidates (n - 1) in
-  (* Half the cases keep fewer than half the candidates, far below the
-     engine's steady state of [capacity + 2] candidates. *)
-  let capacity =
-    if Rng.bool rng then Rng.int rng (n / 2) else Rng.int rng (n + 2)
-  in
-  (* Coarse score buckets collapse many candidates onto equal scores, so
-     the tie-break decides; bucket 0 is optionally dead. *)
-  let modulus = 1 + Rng.int rng 4 and dead = Rng.bool rng in
-  let score (t : Tuple.t) =
-    let b = ((t.Tuple.value mod modulus) + modulus) mod modulus in
-    if dead && b = 0 then Float.neg_infinity else float_of_int b
-  in
   let spec = Ref_sim.keep_top_spec ~capacity ~score candidates in
   let fast = Option.get (Baselines.prob_model ~partner_prob:score ()).Policy.fast in
   let src = Policy.of_tuples cached and dst = Policy.buffer () in
@@ -129,22 +110,120 @@ let selection_violation rng =
   then Some ("recorded diff disagrees with the kept set " ^ where)
   else None
 
+(* Random candidates in random order, with half the cases keeping fewer
+   than half the candidates, far below the engine's steady state of
+   [capacity + 2].  Coarse score buckets collapse many candidates onto
+   equal scores, so the tie-break decides; bucket 0 is optionally
+   dead. *)
+let random_selection rng =
+  let n = 2 + Rng.int rng 40 in
+  let tuple k =
+    Tuple.make
+      ~side:(if Rng.bool rng then Tuple.R else Tuple.S)
+      ~value:(Rng.int rng 9 - 4)
+      ~arrival:k
+  in
+  let candidates = List.init n tuple in
+  let capacity =
+    if Rng.bool rng then Rng.int rng (n / 2) else Rng.int rng (n + 2)
+  in
+  let modulus = 1 + Rng.int rng 4 and dead = Rng.bool rng in
+  let score (t : Tuple.t) =
+    let b = ((t.Tuple.value mod modulus) + modulus) mod modulus in
+    if dead && b = 0 then Float.neg_infinity else float_of_int b
+  in
+  (capacity, score, candidates)
+
+type step_shape = Engine_order | Shuffled | With_nan
+
+(* Scores from a small table so ties are frequent; -inf is a dead
+   tuple. *)
+let step_scores = [| Float.neg_infinity; 0.0; 1.0; 1.0; 2.5; 7.0; 7.0 |]
+
+let engine_step ~shape ~n rng =
+  let m = n - 2 in
+  let side () = if Rng.bool rng then Tuple.R else Tuple.S in
+  let draw () = step_scores.(Rng.int rng (Array.length step_scores)) in
+  (* The cache: distinct older arrivals, with last step's scores. *)
+  let cache =
+    Array.init m (fun j -> (draw (), Tuple.make ~side:(side ()) ~value:j ~arrival:j))
+  in
+  let best_first (sa, (ta : Tuple.t)) (sb, (tb : Tuple.t)) =
+    match Float.compare sb sa with 0 -> Int.compare tb.uid ta.uid | c -> c
+  in
+  (* NaN steps take either order, so NaN meets both routes. *)
+  let shuffled = shape = Shuffled || (shape = With_nan && Rng.bool rng) in
+  if shuffled then Rng.shuffle rng cache
+  else Array.stable_sort best_first cache;
+  (* A value is the candidate's position, so it keys its score. *)
+  let cache =
+    Array.mapi
+      (fun j (sc, (t : Tuple.t)) ->
+        (sc, Tuple.make ~side:t.side ~value:j ~arrival:t.arrival))
+      cache
+  in
+  (* This step's scores: a few entries rescored or killed, or (as RAND
+     does) everything redrawn. *)
+  let scores = Array.map fst cache in
+  if shuffled then Array.iteri (fun j _ -> scores.(j) <- draw ()) scores
+  else begin
+    for _ = 1 to Rng.int rng 5 do
+      if m > 0 then scores.(Rng.int rng m) <- draw ()
+    done;
+    for _ = 1 to Rng.int rng 3 do
+      if m > 0 then scores.(Rng.int rng m) <- Float.neg_infinity
+    done
+  end;
+  let r = Tuple.make ~side:Tuple.R ~value:m ~arrival:m
+  and s = Tuple.make ~side:Tuple.S ~value:(m + 1) ~arrival:m in
+  let all = Array.append scores [| draw (); draw () |] in
+  (if shape = With_nan then
+     for _ = 1 to 1 + Rng.int rng 3 do
+       all.(Rng.int rng n) <- Float.nan
+     done);
+  let score (t : Tuple.t) = all.(t.Tuple.value) in
+  let candidates = Array.to_list (Array.map snd cache) @ [ r; s ] in
+  (score, candidates)
+
+(* Sizes cover both sides of the sort's 64-candidate switch, up to the
+   402 candidates of a capacity-400 step. *)
+let engine_selection ~shape rng =
+  let n = if Rng.bool rng then 2 + Rng.int rng 63 else 65 + Rng.int rng 338 in
+  let score, candidates = engine_step ~shape ~n rng in
+  let capacity =
+    if Rng.int rng 4 = 0 then 1 + Rng.int rng n else max 1 (n - 2)
+  in
+  (capacity, score, candidates)
+
 let keep_top_check =
   Check.make ~name:"oracle:keep-top/bounded-vs-sort" ~kind:Check.Oracle
-    ~fast:"Policy.scored step (adaptive sort) and its diff"
+    ~fast:"Policy.scored step (insertion from the cache order, merge route \
+           for shuffled or NaN scores) and its diff"
     ~reference:"Ref_sim.keep_top_spec (full stable sort)"
     (fun ~seed ~count ->
       let rng = Rng.create (seed + 17) in
       let failure = ref None in
       let i = ref 0 in
       while !failure = None && !i < count do
-        failure := selection_violation rng;
+        let capacity, score, candidates =
+          match !i mod 4 with
+          | 0 -> random_selection rng
+          | 1 -> engine_selection ~shape:Engine_order rng
+          | 2 -> engine_selection ~shape:Shuffled rng
+          | _ -> engine_selection ~shape:With_nan rng
+        in
+        failure := selection_violation ~capacity ~score candidates;
         incr i
       done;
       match !failure with
       | None ->
         Check.Pass
-          { cases = count; note = "one selection routine == full stable sort" }
+          {
+            cases = count;
+            note =
+              "one selection routine == full stable sort (random, \
+               engine-ordered, shuffled and NaN steps)";
+          }
       | Some detail -> Check.Fail { detail; case = None })
 
 (* --- caching selection: argmin vs keep_best_spec --------------------- *)

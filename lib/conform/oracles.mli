@@ -7,10 +7,11 @@
     - [oracle:join-sim/validated-vs-listscan] — the same run with
       per-step validation on vs the same reference; shrinkable.
     - [oracle:keep-top/bounded-vs-sort] — the one selection routine
-      behind {!Ssj_core.Policy.scored} (adaptive sort, small and large
-      candidate-to-capacity ratios, tie-heavy scores) and its recorded
-      diff vs
-      {!Ref_sim.keep_top_spec}.
+      behind {!Ssj_core.Policy.scored} and its recorded diff vs
+      {!Ref_sim.keep_top_spec}, on random candidate sets (small and large
+      candidate-to-capacity ratios, tie-heavy and dead scores) and on
+      {!engine_step}s of up to 402 candidates: engine-ordered (the
+      insertion path), shuffled (the merge route) and with NaN scores.
     - [oracle:cache/argmin-vs-sort] — the caching selection of
       {!Ssj_core.Heeb.caching_fn} (tie-heavy scorer),
       {!Ssj_core.Heeb.caching} [`Direct] and [`Incremental], and
@@ -42,5 +43,23 @@ val gen_case :
     demands [band ≥ 1] (the band-probe paths); [allow_window:false]
     restricts to regular semantics (e.g. for OPT, which has no window
     variant).  Shared with the metamorphic laws and the test suite. *)
+
+type step_shape =
+  | Engine_order
+      (** the cache in best-first order of last step's scores, a few
+          entries rescored or killed (−∞) *)
+  | Shuffled  (** the cache in random order, every score redrawn (RAND) *)
+  | With_nan
+      (** [Engine_order] or [Shuffled], with one to three NaN scores *)
+
+val engine_step :
+  shape:step_shape ->
+  n:int ->
+  Ssj_prob.Rng.t ->
+  (Ssj_stream.Tuple.t -> float) * Ssj_stream.Tuple.t list
+(** [engine_step ~shape ~n rng] is a selection step of [n >= 2]
+    candidates shaped like the engine's: the cache, then the R and S
+    arrivals last, with tie-heavy scores.  Returns the score function
+    and the candidates. *)
 
 val all : Check.t list

@@ -95,17 +95,22 @@ type handle = {
   mutable values : int array;
   mutable laws_r : Pmf.t array;
   mutable laws_s : Pmf.t array;
-  (* Exact memo of Pr{X = Y} for an R law X and an S law Y, valid while
-     their probability vectors are [memo_r] and [memo_s] (physically).
-     [Pmf.dot] walks the two vectors at index offset [lo X - lo Y] and
-     nothing else, so that offset keys the value bit for bit; a shift
-     ([Pmf.shift], the trend predictors' laws) shares the vector.  Slot
-     [lo X - lo Y + |memo_r| - 1] covers the offsets where the supports
-     overlap; elsewhere the dot is 0. *)
-  mutable memo_r : float array;
-  mutable memo_s : float array;
-  mutable memo : float array;
-  mutable memo_known : Bytes.t;
+  (* Exact memo of Pr{X = Y} for an R law X and an S law Y, keyed by
+     the physical pair of their probability vectors.  [Pmf.dot] walks
+     the two vectors at index offset [lo X - lo Y] and nothing else, so
+     that offset keys the value bit for bit; a shift ([Pmf.shift], the
+     trend and random-walk predictors' laws) shares the vector.  A cell
+     holds the memo of one vector pair and re-seeds when the pair in it
+     changes.  A side whose laws share one vector at every offset (trend
+     laws) keys its cells by that vector alone, and a side with a vector
+     per offset (a random walk's, kept across steps) by the offset, so
+     trend laws use one cell and a random walk's offset pairs theirs.
+     In a cell, slot [lo X - lo Y + |X| - 1] covers the offsets where the
+     supports overlap; elsewhere the dot is 0. *)
+  mutable cell_r : float array array;
+  mutable cell_s : float array array;
+  mutable cell_memo : float array array;
+  mutable cell_known : Bytes.t array;
 }
 
 let handle () =
@@ -115,10 +120,10 @@ let handle () =
     values = [||];
     laws_r = [||];
     laws_s = [||];
-    memo_r = [||];
-    memo_s = [||];
-    memo = [||];
-    memo_known = Bytes.empty;
+    cell_r = [||];
+    cell_s = [||];
+    cell_memo = [||];
+    cell_known = [||];
   }
 
 let reserve_candidates h n =
@@ -129,11 +134,11 @@ let reserve_candidates h n =
   end
 
 (* Writes [-. Pmf.dot x y] into [costs.(i)] for an R law [x] and an S
-   law [y], through the memo.  The dot is symmetric bit for bit (the same
-   overlap, ascending, with commutative products), so an S tuple's
+   law [y], through memo cell [c].  The dot is symmetric bit for bit (the
+   same overlap, ascending, with commutative products), so an S tuple's
    benefit [Pmf.dot y x] is served by the same entry.  The value goes
    straight into the array: a float returned from a call is boxed. *)
-let coincide_cost h x y costs i =
+let coincide_cost h c x y costs i =
   let px = Pmf.unsafe_to_dense x and py = Pmf.unsafe_to_dense y in
   let nx = Array.length px and ny = Array.length py in
   let slot = Pmf.lo x - Pmf.lo y + nx - 1 in
@@ -142,23 +147,35 @@ let coincide_cost h x y costs i =
     costs.(i) <- -0.0
   end
   else begin
-    if not (px == h.memo_r && py == h.memo_s) then begin
-      h.memo_r <- px;
-      h.memo_s <- py;
-      if Array.length h.memo < nx + ny then begin
-        h.memo <- Array.make (nx + ny) 0.0;
-        h.memo_known <- Bytes.make (nx + ny) '\000'
+    if not (px == h.cell_r.(c) && py == h.cell_s.(c)) then begin
+      h.cell_r.(c) <- px;
+      h.cell_s.(c) <- py;
+      if Array.length h.cell_memo.(c) < nx + ny then begin
+        h.cell_memo.(c) <- Array.make (nx + ny) 0.0;
+        h.cell_known.(c) <- Bytes.make (nx + ny) '\000'
       end
-      else Bytes.fill h.memo_known 0 (nx + ny) '\000'
+      else Bytes.fill h.cell_known.(c) 0 (nx + ny) '\000'
     end;
-    if Bytes.unsafe_get h.memo_known slot = '\000' then begin
+    let memo = h.cell_memo.(c) and known = h.cell_known.(c) in
+    if Bytes.unsafe_get known slot = '\000' then begin
       Obs.Counter.incr m_law_warm_misses;
-      Array.unsafe_set h.memo slot (Pmf.dot x y);
-      Bytes.unsafe_set h.memo_known slot '\001'
+      Array.unsafe_set memo slot (Pmf.dot x y);
+      Bytes.unsafe_set known slot '\001'
     end
     else Obs.Counter.incr m_law_warm_hits;
-    costs.(i) <- -.Array.unsafe_get h.memo slot
+    costs.(i) <- -.Array.unsafe_get memo slot
   end
+
+(* Do the first [l] laws share one probability vector? *)
+let shared (laws : Pmf.t array) l =
+  let v = Pmf.unsafe_to_dense laws.(0) in
+  let i = ref 1 in
+  while !i < l && Pmf.unsafe_to_dense laws.(!i) == v do
+    incr i
+  done;
+  !i >= l
+
+let no_law = Pmf.point 0
 
 (* [Pmf.prob p v], reading the vector in place. *)
 let[@inline] prob probs lo v =
@@ -182,8 +199,8 @@ let prepare h ~r ~s ~l ~base =
       gr
   in
   if Array.length h.laws_r < l then begin
-    h.laws_r <- Array.make l (Pmf.point 0);
-    h.laws_s <- Array.make l (Pmf.point 0)
+    h.laws_r <- Array.make l no_law;
+    h.laws_s <- Array.make l no_law
   end;
   let laws_r = h.laws_r and laws_s = h.laws_s in
   for i = 0 to l - 1 do
@@ -192,6 +209,16 @@ let prepare h ~r ~s ~l ~base =
   for i = 0 to l - 1 do
     laws_s.(i) <- s.Predictor.pmf (i + 1)
   done;
+  (* Cell of R offset [j] and S offset [d]: [rk * j + (sk * d)]. *)
+  let sk = if shared laws_s l then 0 else 1 in
+  let rk = if shared laws_r l then 0 else (sk * (l - 1)) + 1 in
+  let cells = (rk * (l - 1)) + (sk * (l - 1)) + 1 in
+  if Array.length h.cell_r < cells then begin
+    h.cell_r <- Array.make cells [||];
+    h.cell_s <- Array.make cells [||];
+    h.cell_memo <- Array.make cells [||];
+    h.cell_known <- Array.make cells Bytes.empty
+  end;
   let costs = gr.costs and uids = h.uids and values = h.values in
   for d = 1 to l do
     let first = gr.benefit_arcs.(d - 1) in
@@ -209,8 +236,12 @@ let prepare h ~r ~s ~l ~base =
     done;
     for j = 1 to d - 1 do
       let e = first + base + (2 * (j - 1)) in
-      coincide_cost h laws_r.(j - 1) law_s costs e;
-      coincide_cost h law_r laws_s.(j - 1) costs (e + 1)
+      coincide_cost h
+        ((rk * (j - 1)) + (sk * (d - 1)))
+        laws_r.(j - 1) law_s costs e;
+      coincide_cost h
+        ((rk * (d - 1)) + (sk * (j - 1)))
+        law_r laws_s.(j - 1) costs (e + 1)
     done
   done;
   Mcmf.set_costs gr.g costs;

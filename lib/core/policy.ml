@@ -16,10 +16,19 @@ let m_dead_candidates = Obs.Counter.create "policy.dead_candidates"
 let m_tie_pairs = Obs.Counter.create "policy.score_tie_pairs"
 let m_boundary_ties = Obs.Counter.create "policy.boundary_score_ties"
 
+(* Selection work: [policy.sort_moves] counts the sort's element moves
+   (the inversions insertion repaired, plus [n] per merge pass) and
+   [policy.sort_merges] the steps that took the merge route. *)
+let m_sort_moves = Obs.Counter.create "policy.sort_moves"
+let m_sort_merges = Obs.Counter.create "policy.sort_merges"
+
 (* [sorted.(0 .. n - 1)] is the best-first order of the [n] scored
    candidates, of which the first [k] are kept. *)
-let observe_selection (scores : float array) (sorted : int array) ~n ~k =
+let observe_selection (scores : float array) (sorted : int array) ~n ~k
+    ~moves ~merged =
   Obs.Counter.incr m_selections;
+  Obs.Counter.add m_sort_moves moves;
+  if merged then Obs.Counter.incr m_sort_merges;
   Obs.Counter.add m_candidates n;
   if n > k then Obs.Counter.add m_evictions (n - k);
   let dead = ref 0 in
@@ -183,9 +192,10 @@ let validate_join_selection ~cached ~arrivals ~capacity result =
 
 (* Per-policy scratch: the step's candidates (cache, then the R and S
    arrivals) as unboxed uid/value/score arrays reused across steps, plus
-   the sort's work arrays.  A selector belongs to one policy instance and
-   must not be shared across domains — the parallel runner builds one
-   policy (hence one selector) per trace. *)
+   the sort's work arrays and what the last sort did.  A selector
+   belongs to one policy instance and must not be shared across domains
+   — the parallel runner builds one policy (hence one selector) per
+   trace. *)
 type selector = {
   mutable uids : int array;
   mutable values : int array;
@@ -193,6 +203,8 @@ type selector = {
   mutable order : int array;
   mutable scratch : int array;
   mutable runs : int array; (* run boundaries, length >= n + 1 *)
+  mutable moves : int; (* element moves of the last sort *)
+  mutable merged : bool; (* did the last sort take the merge route? *)
 }
 
 let selector () =
@@ -203,6 +215,8 @@ let selector () =
     order = [||];
     scratch = [||];
     runs = [||];
+    moves = 0;
+    merged = false;
   }
 
 let ensure sel n =
@@ -216,12 +230,13 @@ let ensure sel n =
     sel.runs <- Array.make (cap + 1) 0
   end
 
-(* [before scores uids a b]: candidate index [a] strictly precedes [b] in
-   best-first order — higher score first, then higher (newer) uid.  This
-   is exactly [Float.compare s_b s_a < 0 || (= 0 && uid_a > uid_b)] with
-   Float.compare's total order (NaN below every number) spelled out as
-   monomorphic float tests, so the sort below runs without closure
-   dispatch or boxing. *)
+(* Best-first order: higher score first, then higher (newer) uid, with
+   NaN below every number (Float.compare's total order).  Over distinct
+   uids this is a strict total order, so every correct sort of a step's
+   candidates yields the same permutation, whatever route it takes.
+
+   [before scores uids a b]: candidate [a] strictly precedes [b], NaN
+   included: the comparison for ties, NaN and the merge's run checks. *)
 let before (scores : float array) (uids : int array) (a : int) (b : int) =
   let sa = Array.unsafe_get scores a and sb = Array.unsafe_get scores b in
   if sa > sb then true
@@ -233,135 +248,229 @@ let before (scores : float array) (uids : int array) (a : int) (b : int) =
     if na && nb then Array.unsafe_get uids a > Array.unsafe_get uids b else nb
   end
 
+(* [before] on two NaN-free candidates given by score and uid, as one
+   branch-free bit. *)
+let[@inline] precedes (sa : float) (ua : int) (sb : float) (ub : int) =
+  Bool.to_int (sa > sb) lor (Bool.to_int (sa = sb) land Bool.to_int (ua > ub))
+  <> 0
+
+(* [move src si dst di n]: [dst.(di .. di+n-1) <- src.(si .. si+n-1)]
+   ([src != dst]).  A loop rather than [Array.blit]: the work arrays
+   live in the major heap, where [Array.blit] stores every element
+   through [caml_modify], ints included. *)
+let move (src : int array) si (dst : int array) di n =
+  for q = 0 to n - 1 do
+    Array.unsafe_set dst (di + q) (Array.unsafe_get src (si + q))
+  done
+
+(* Merge the ordered runs [src.(lo .. mid-1)] and [src.(mid .. hi-1)]
+   into [dst.(lo .. hi-1)].  Merging shuffled scores makes each
+   comparison of distinct scores unpredictable, so that pick is
+   branch-free; equal scores and NaN (rare there) take the full
+   comparison. *)
 let merge (scores : float array) (uids : int array) (src : int array)
     (dst : int array) lo mid hi =
   let i = ref lo and j = ref mid and k = ref lo in
   while !i < mid && !j < hi do
     let a = Array.unsafe_get src !i and b = Array.unsafe_get src !j in
     let sa = Array.unsafe_get scores a and sb = Array.unsafe_get scores b in
-    if sa = sb || sa <> sa || sb <> sb then begin
-      (* Equal scores or NaN: rare; the full comparison decides. *)
-      if before scores uids b a then begin
-        Array.unsafe_set dst !k b;
-        incr j
+    let t =
+      if sa = sb || sa <> sa || sb <> sb then Bool.to_int (before scores uids b a)
+      else Bool.to_int (sb > sa)
+    in
+    Array.unsafe_set dst !k (a + (t * (b - a)));
+    j := !j + t;
+    i := !i + 1 - t;
+    incr k
+  done;
+  if !i < mid then move src !i dst !k (mid - !i)
+  else move src !j dst !k (hi - !j)
+
+(* Merge the ordered runs [arr.(runs.(r) .. runs.(r+1)-1)], [r < m],
+   pairwise bottom-up, ping-ponging between [arr] and [sel.scratch];
+   returns the array holding the result.  A pair already in order (the
+   second run's head after the first's tail: a block of dead entries,
+   say) is copied without comparisons.  [sel.moves] gains [len] per
+   pass. *)
+let merge_runs sel (scores : float array) (uids : int array) (arr : int array)
+    len m =
+  let runs = sel.runs and m = ref m in
+  let src = ref arr and dst = ref sel.scratch in
+  while !m > 1 do
+    let k = ref 0 and r = ref 0 in
+    while !r < !m do
+      let lo = runs.(!r) in
+      if !r + 1 < !m then begin
+        let mid = runs.(!r + 1) and hi = runs.(!r + 2) in
+        if before scores uids (Array.unsafe_get !src mid)
+             (Array.unsafe_get !src (mid - 1))
+        then merge scores uids !src !dst lo mid hi
+        else move !src lo !dst lo (hi - lo);
+        r := !r + 2
       end
       else begin
-        Array.unsafe_set dst !k a;
-        incr i
+        move !src lo !dst lo (runs.(!r + 1) - lo);
+        r := !r + 1
       end;
+      runs.(!k) <- lo;
       incr k
-    end
+    done;
+    runs.(!k) <- len;
+    m := !k;
+    sel.moves <- sel.moves + len;
+    let tmp = !src in
+    src := !dst;
+    dst := tmp
+  done;
+  !src
+
+(* Insert [arr.(from .. hi-1)], one at a time, into the ordered
+   [arr.(0 .. from-1)] ([from >= 1]): a candidate in place costs one
+   compare; one out of place moves up by a linear probe of up to 8
+   slots, then by binary search when it travels further (an arrival
+   outranking hundreds of dead entries), and costs a move per slot it
+   passes.  [sel.moves] gains the moves.  Stops with [false] at a NaN
+   score, leaving [arr] a permutation. *)
+let insert_run sel (scores : float array) (uids : int array) (arr : int array)
+    ~from ~hi =
+  let moves = ref 0 and i = ref from and ok = ref true in
+  while !ok && !i < hi do
+    let x = Array.unsafe_get arr !i in
+    let sx = Array.unsafe_get scores x and ux = Array.unsafe_get uids x in
+    let y = Array.unsafe_get arr (!i - 1) in
+    if sx <> sx then ok := false
     else begin
-      (* Distinct finite scores: branch-free select.  Merging random
-         score orders (RAND redraws every step) makes this comparison
-         inherently unpredictable — data dependences beat the ~50%
-         branch-mispredict tax. *)
-      let t = Bool.to_int (sb > sa) in
-      Array.unsafe_set dst !k (a + (t * (b - a)));
-      j := !j + t;
-      i := !i + 1 - t;
-      incr k
+      if precedes sx ux (Array.unsafe_get scores y) (Array.unsafe_get uids y)
+      then begin
+        let lim = if !i > 8 then !i - 8 else 0 in
+        let j = ref (!i - 1) in
+        Array.unsafe_set arr !i y;
+        let probing = ref true in
+        while !probing && !j > lim do
+          let z = Array.unsafe_get arr (!j - 1) in
+          if precedes sx ux (Array.unsafe_get scores z) (Array.unsafe_get uids z)
+          then begin
+            Array.unsafe_set arr !j z;
+            decr j
+          end
+          else probing := false
+        done;
+        if !probing && lim > 0 then begin
+          (* The first slot of [0 .. lim-1] that [x] precedes. *)
+          let l = ref 0 and h = ref lim in
+          while !l < !h do
+            let mid = (!l + !h) lsr 1 in
+            let z = Array.unsafe_get arr mid in
+            if precedes sx ux (Array.unsafe_get scores z) (Array.unsafe_get uids z)
+            then h := mid
+            else l := mid + 1
+          done;
+          for q = lim downto !l + 1 do
+            Array.unsafe_set arr q (Array.unsafe_get arr (q - 1))
+          done;
+          j := !l
+        end;
+        Array.unsafe_set arr !j x;
+        moves := !moves + (!i - !j)
+      end;
+      incr i
     end
   done;
-  (* Only one side can be non-empty; blit the drain (this is the whole
-     merge when a long run of equal scores sits at the tail, e.g. a block
-     of expired candidates all scored -inf). *)
-  if !i < mid then Array.blit src !i dst !k (mid - !i)
-  else if !j < hi then Array.blit src !j dst !k (hi - !j)
+  sel.moves <- sel.moves + !moves;
+  !ok
 
-(* Natural-run merge sort of the candidate indices in [arr.(0 .. len-1)],
-   best-first; stable; returns the array holding the sorted result ([arr]
-   or [scratch]).  Adaptive on the simulator's actual step shapes:
-
-   - candidates already in score order (the cache was sorted by last
-     step's scores and many policies move scores coherently): one O(len)
-     scan, no merging;
-   - a long sorted prefix plus a handful of stragglers (typical when only
-     the two arrivals and a few drifting scores are out of place): binary
-     insertion of the tail, no full-width merge pass;
-   - otherwise: merge the cheapest adjacent run pair first, so small runs
-     coalesce among themselves before anything walks a long run (e.g.
-     RAND's block of equally-scored dead candidates at the tail). *)
-let sort_candidates (scores : float array) (uids : int array)
-    (arr : int array) (scratch : int array) (runs : int array) len =
-  let m = ref 1 in
+(* The NaN route: natural runs under the full comparison, merged. *)
+let sort_with_nan sel scores uids arr len =
+  let runs = sel.runs and m = ref 1 in
   runs.(0) <- 0;
   for i = 1 to len - 1 do
-    let cur = Array.unsafe_get arr i and prev = Array.unsafe_get arr (i - 1) in
-    let sc = Array.unsafe_get scores cur
-    and sp = Array.unsafe_get scores prev in
-    if sc <> sc || sp <> sp then begin
-      if before scores uids cur prev then begin
-        runs.(!m) <- i;
-        incr m
-      end
-    end
-    else begin
-      (* Branch-free [before scores uids cur prev]: store the would-be
-         boundary unconditionally (the next store overwrites a dead one)
-         and advance [m] by the comparison bit — random score orders
-         would otherwise mispredict on half the elements. *)
-      Array.unsafe_set runs !m i;
-      let boundary =
-        Bool.to_int (sc > sp)
-        lor (Bool.to_int (sc = sp)
-            land Bool.to_int
-                   (Array.unsafe_get uids cur > Array.unsafe_get uids prev))
-      in
-      m := !m + boundary
+    if before scores uids (Array.unsafe_get arr i) (Array.unsafe_get arr (i - 1))
+    then begin
+      runs.(!m) <- i;
+      incr m
     end
   done;
   runs.(!m) <- len;
-  if !m = 1 then arr
-  else if runs.(1) >= len - 8 then begin
-    (* Long sorted prefix: binary-insert each straggler.  Inserting at the
-       upper bound (first position the straggler strictly precedes) keeps
-       equal elements in candidate order — the same stability the merge
-       gives. *)
-    for i = runs.(1) to len - 1 do
-      let x = Array.unsafe_get arr i in
-      let lo = ref 0 and hi = ref i in
-      while !lo < !hi do
-        let mid = (!lo + !hi) lsr 1 in
-        if before scores uids x (Array.unsafe_get arr mid) then hi := mid
-        else lo := mid + 1
-      done;
-      if !lo < i then begin
-        Array.blit arr !lo arr (!lo + 1) (i - !lo);
-        arr.(!lo) <- x
-      end
+  merge_runs sel scores uids arr len !m
+
+(* Insertion proceeds in blocks of this many candidates, and the switch
+   rule looks at the first block and at each block boundary. *)
+let block = 16
+
+(* Split [arr.(from .. len-1)] into natural runs after the ordered
+   [arr.(0 .. from-1)] and merge them, or take the NaN route if a score
+   is NaN.  Run boundaries by a branch-free test: store the would-be boundary
+   unconditionally (the next store overwrites a dead one) and advance
+   [m] by the comparison bit; shuffled scores would otherwise
+   mispredict on half the candidates. *)
+let merge_from sel (scores : float array) (uids : int array) (arr : int array)
+    len ~from =
+  let runs = sel.runs and m = ref 1 and ok = ref true in
+  runs.(0) <- 0;
+  for q = from to len - 1 do
+    let cur = Array.unsafe_get arr q and prev = Array.unsafe_get arr (q - 1) in
+    let sc = Array.unsafe_get scores cur and sp = Array.unsafe_get scores prev in
+    if sc <> sc || sp <> sp then ok := false;
+    Array.unsafe_set runs !m q;
+    m :=
+      !m
+      + Bool.to_int
+          (precedes sc (Array.unsafe_get uids cur) sp (Array.unsafe_get uids prev))
+  done;
+  runs.(!m) <- len;
+  if !ok then merge_runs sel scores uids arr len !m
+  else sort_with_nan sel scores uids arr len
+
+(* Sort the candidate indices [arr.(0 .. len-1)] best-first; returns the
+   array holding the result ([arr] or [sel.scratch]) and records the
+   work in [sel.moves] / [sel.merged].
+
+   The input is the cache in last step's best-first order, then R and
+   S.  A step changes few scores relative to their neighbours (PROB's
+   counts move by one, LIFE's and HEEB's scores drift together), so the
+   sort is straight insertion from that order ({!insert_run}), and its
+   moves are the inversions the step introduced.
+
+   One fixed rule, for more than 64 candidates, switches to a merge of
+   natural runs where insertion would cost O(n²): the input is shuffled
+   (RAND redraws every score) if more than 4 of the first 16 candidates
+   follow one they should precede (7.5 expected when shuffled; a step's
+   own changes make one such descent per rescored or dying candidate),
+   or if an ordered prefix of [i], a multiple of 16, took more than
+   i²/8 moves (~i²/4 when shuffled; a step's own changes cost O(i)).
+   In the second case the prefix is kept as one run.  A NaN score sends
+   the whole sort to natural runs merged under the full comparison,
+   which orders NaN. *)
+let sort_candidates sel (scores : float array) (uids : int array)
+    (arr : int array) len =
+  sel.moves <- 0;
+  sel.merged <- true;
+  let descents = ref 0 in
+  if len > 64 then
+    for q = 1 to block - 1 do
+      let x = Array.unsafe_get arr q and y = Array.unsafe_get arr (q - 1) in
+      descents :=
+        !descents
+        + Bool.to_int
+            (precedes (Array.unsafe_get scores x) (Array.unsafe_get uids x)
+               (Array.unsafe_get scores y) (Array.unsafe_get uids y))
     done;
-    arr
-  end
+  if !descents > 4 then merge_from sel scores uids arr len ~from:1
   else begin
-    (* Bottom-up passes merging adjacent run pairs, ping-ponging between
-       [arr] and [scratch].  The blit drain in [merge] makes a long
-       equal-score run (RAND's block of dead candidates at the tail) cost
-       one comparison stretch plus a memmove per pass rather than an
-       element-wise walk. *)
-    let src = ref arr and dst = ref scratch in
-    while !m > 1 do
-      let k = ref 0 and r = ref 0 in
-      while !r < !m do
-        let lo = runs.(!r) in
-        if !r + 1 < !m then begin
-          merge scores uids !src !dst lo runs.(!r + 1) runs.(!r + 2);
-          r := !r + 2
-        end
-        else begin
-          Array.blit !src lo !dst lo (runs.(!r + 1) - lo);
-          r := !r + 1
-        end;
-        runs.(!k) <- lo;
-        incr k
-      done;
-      runs.(!k) <- len;
-      m := !k;
-      let tmp = !src in
-      src := !dst;
-      dst := tmp
+    let s0 = Array.unsafe_get scores (Array.unsafe_get arr 0) in
+    let ok = ref (s0 = s0) and i = ref 1 and shuffled = ref false in
+    while !ok && (not !shuffled) && !i < len do
+      let hi = min ((!i / block * block) + block) len in
+      ok := insert_run sel scores uids arr ~from:!i ~hi;
+      i := hi;
+      shuffled := len > 64 && 8 * sel.moves > hi * hi
     done;
-    !src
+    if not !ok then sort_with_nan sel scores uids arr len
+    else if !i = len then begin
+      sel.merged <- false;
+      arr
+    end
+    else merge_from sel scores uids arr len ~from:!i
   end
 
 (* Record dropped candidate [idx] in [dst]'s diff; returns the new
@@ -379,8 +488,8 @@ let drop (dst : buffer) ~n0 en idx =
 (* The one selection routine: sort the [n0 + 2] scored candidates in
    [sel] (cache positions [0 .. n0-1], then R, then S) best-first, write
    the best [capacity] into [dst] and record the step's diff.  The
-   engine step has at most [capacity + 2] candidates, so a full sort is
-   the whole cost.  Requires [capacity > 0]. *)
+   cache positions are last step's best-first order, which is where the
+   sort starts.  Requires [capacity > 0]. *)
 let select_prescored sel ~capacity ~n0 ~(dst : buffer) =
   let n = n0 + 2 in
   let scores = sel.scores and uids = sel.uids and values = sel.values in
@@ -388,9 +497,10 @@ let select_prescored sel ~capacity ~n0 ~(dst : buffer) =
   for i = 0 to n - 1 do
     Array.unsafe_set order i i
   done;
-  let sorted = sort_candidates scores uids order sel.scratch sel.runs n in
+  let sorted = sort_candidates sel scores uids order n in
   let k = if n < capacity then n else capacity in
-  if Obs.on () then observe_selection scores sorted ~n ~k;
+  if Obs.on () then
+    observe_selection scores sorted ~n ~k ~moves:sel.moves ~merged:sel.merged;
   reserve dst n;
   let out_u = dst.uids and out_v = dst.values in
   for j = 0 to k - 1 do

@@ -140,7 +140,20 @@ val scored :
 
     The step records the exact diff.  Scratch
     arrays belong to the policy instance; do not share one across
-    domains. *)
+    domains.
+
+    Selection sorts the candidates by (score, uid), NaN below every
+    number.  Over distinct uids that is a strict total order, so the
+    kept set and its order do not depend on how the sort gets there.
+    The sort starts from the cache's previous best-first order and
+    inserts: a candidate in place costs one compare, so a step pays for
+    the inversions its new scores introduced (Obs counter
+    [policy.sort_moves]).  One fixed rule switches to a merge of natural
+    runs for a shuffled input (RAND's redrawn scores), where insertion
+    would cost O(n²): with more than 64 candidates, more than 4
+    descents among the first 16, or an ordered prefix of [i], a
+    multiple of 16, that took more than i²/8 moves.  A NaN score also
+    takes the merge ([policy.sort_merges] counts both). *)
 
 type cache = {
   cname : string;

@@ -40,11 +40,10 @@ let is_identity spec = List.for_all kind_inert spec.kinds
    window-aware policy.
 
    The magnitude is a deliberate compromise: PROB/LIFE keep their value
-   histories in {!Ssj_prob.Dtab} dense counter arrays whose memory is
-   O(key range), so a sentinel at −10⁸ would force those tables to span
-   the whole gap between the sentinels and the live values (hundreds of
-   megabytes, resized per run).  −10⁵ keeps the tables small while
-   leaving orders of magnitude of clearance under every workload. *)
+   histories in dense counter arrays while the key span stays small, so
+   a sentinel at −10⁸ would push them onto their slower hashed fallback
+   for the whole run.  −10⁵ keeps the dense arrays small while leaving
+   orders of magnitude of clearance under every workload. *)
 let silence_threshold = -50_000
 let side_base = function Tuple.R -> -100_000 | Tuple.S -> -200_000
 let is_silence v = v <= silence_threshold

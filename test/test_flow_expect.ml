@@ -239,6 +239,54 @@ let test_floor_step_allocation () =
     Alcotest.failf "FlowExpect allocated %.0f words per step (gate 256)"
       per_step
 
+(* A random walk's laws have one probability vector per look-ahead
+   offset, kept across steps, so the benefit memo keys each (R offset, S
+   offset) pair of vectors separately.  A memo holding a single pair
+   re-seeded on every lookup here (0 hits in 27,000).  The decisions must
+   equal fresh per-step solves, which share no memo. *)
+let test_walk_memo_hits () =
+  let w = Ssj_workload.Config.walk () in
+  let r, s = Ssj_workload.Config.walk_predictors w in
+  let trace = Trace.generate ~r ~s ~rng:(rng 42) ~length:300 in
+  let policy = Ssj_workload.Factory.walk_flow_expect w ~lookahead:10 () in
+  let counter name =
+    List.find_map
+      (function
+        | Ssj_obs.Obs.Counter_v { name = n; value } when n = name -> Some value
+        | _ -> None)
+      (Ssj_obs.Obs.snapshot ())
+    |> Option.get
+  in
+  let saved = Ssj_obs.Obs.on () in
+  Ssj_obs.Obs.set_enabled true;
+  Ssj_obs.Obs.reset ();
+  let _, decisions =
+    Fun.protect
+      ~finally:(fun () -> Ssj_obs.Obs.set_enabled saved)
+      (fun () -> Ssj_engine.Join_sim.run_logged ~trace ~policy ~capacity:10 ())
+  in
+  let hits = counter "flow_expect.law_warm_hits"
+  and misses = counter "flow_expect.law_warm_misses" in
+  let ratio = float_of_int hits /. float_of_int (hits + misses) in
+  if ratio <= 0.9 then
+    Alcotest.failf "walk memo hit ratio %.4f (%d hits, %d misses), gate 0.9"
+      ratio hits misses;
+  let rp = ref r and sp = ref s and cached = ref [] in
+  Array.iteri
+    (fun t kept ->
+      let r_t, s_t = Trace.arrivals trace t in
+      rp := !rp.Predictor.observe r_t.Tuple.value;
+      sp := !sp.Predictor.observe s_t.Tuple.value;
+      let fresh =
+        Flow_expect.decide ~r:!rp ~s:!sp ~lookahead:10 ~cached:!cached
+          ~arrivals:[ r_t; s_t ] ~capacity:10 ()
+      in
+      let uids ts = List.map (fun (t : Tuple.t) -> t.Tuple.uid) ts in
+      if uids fresh.Flow_expect.keep <> uids kept then
+        Alcotest.failf "step %d: kept uids differ from a fresh solve" t;
+      cached := kept)
+    decisions
+
 let suite =
   [
     Alcotest.test_case "Section 3.4 example" `Quick test_section_3_4;
@@ -255,4 +303,6 @@ let suite =
       test_floor_step_allocation;
     Alcotest.test_case "beats RAND on TOWER" `Slow
       test_flow_expect_competitive_on_tower;
+    Alcotest.test_case "WALK benefit memo hits, decisions fresh" `Quick
+      test_walk_memo_hits;
   ]

@@ -18,23 +18,52 @@ let uids = List.map (fun t -> t.Tuple.uid)
 
 (* Scores drawn from a small table so ties are frequent; candidates get
    distinct arrivals, so (score, newer first) is a total order and the
-   two implementations must agree exactly.  Sizes up to 60 against
-   capacities up to 12 cover n <= capacity as well as candidate sets
-   many times the capacity. *)
+   two implementations must agree exactly.  Random cases: sizes up to 60
+   against capacities up to 12 cover n <= capacity as well as candidate
+   sets many times the capacity.  Engine-shaped cases
+   ({!Ssj_conform.Oracles.engine_step}): the cache in last step's order
+   with a few entries rescored or killed, shuffled caches and NaN
+   scores, at sizes on both sides of the sort's 64-candidate switch up
+   to 402. *)
 let score_table = [| Float.neg_infinity; 0.0; 0.0; 1.0; 2.5; 7.0 |]
+
+type keep_top_case =
+  | Random_case of int * (int * bool) list
+  | Engine_case of Ssj_conform.Oracles.step_shape * int * int * int
 
 let gen_keep_top =
   QCheck2.Gen.(
-    pair (int_range 0 12)
-      (list_size (int_range 2 60) (pair (int_range 0 5) bool)))
+    oneof
+      [
+        map
+          (fun (capacity, specs) -> Random_case (capacity, specs))
+          (pair (int_range 0 12)
+             (list_size (int_range 2 60) (pair (int_range 0 5) bool)));
+        map
+          (fun (shape, n, capacity, seed) ->
+            Engine_case (shape, n, min n capacity, seed))
+          (quad
+             (oneofl
+                Ssj_conform.Oracles.[ Engine_order; Shuffled; With_nan ])
+             (oneof [ int_range 2 64; int_range 65 402 ])
+             (int_range 1 402) int);
+      ])
 
-let keep_top_agrees (capacity, specs) =
-  let tuples =
-    List.mapi
-      (fun i (s, side) -> tup (if side then Tuple.R else Tuple.S) s i)
-      specs
+let keep_top_agrees case =
+  let capacity, score, tuples =
+    match case with
+    | Random_case (capacity, specs) ->
+      ( capacity,
+        (fun t -> score_table.(t.Tuple.value)),
+        List.mapi
+          (fun i (s, side) -> tup (if side then Tuple.R else Tuple.S) s i)
+          specs )
+    | Engine_case (shape, n, capacity, seed) ->
+      let score, tuples =
+        Ssj_conform.Oracles.engine_step ~shape ~n (Rng.create seed)
+      in
+      (capacity, score, tuples)
   in
-  let score t = score_table.(t.Tuple.value) in
   uids (keep_top ~capacity ~score tuples)
   = uids (Ssj_conform.Ref_sim.keep_top_spec ~capacity ~score tuples)
 
@@ -168,6 +197,57 @@ let test_runner_deterministic () =
         (a.Runner.per_run = b.Runner.per_run))
     one two
 
+(* --- counted selection work ------------------------------------------ *)
+
+let counter name =
+  List.find_map
+    (function
+      | Ssj_obs.Obs.Counter_v { name = n; value } when n = name -> Some value
+      | _ -> None)
+    (Ssj_obs.Obs.snapshot ())
+  |> Option.get
+
+(* One policy run with the obs gate on: (selections, sort moves, steps
+   that took the merge route). *)
+let selection_work ~trace ~policy ~capacity =
+  let saved = Ssj_obs.Obs.on () in
+  Ssj_obs.Obs.set_enabled true;
+  Ssj_obs.Obs.reset ();
+  Fun.protect
+    ~finally:(fun () -> Ssj_obs.Obs.set_enabled saved)
+    (fun () ->
+      ignore (Join_sim.run ~trace ~policy ~capacity ());
+      ( counter "policy.selections",
+        counter "policy.sort_moves",
+        counter "policy.sort_merges" ))
+
+(* Element moves are exact for a given trace, so this gate has no timing
+   noise.  PROB on TOWER keeps its order from step to step: insertion
+   repairs ~53 inversions a step at k = 25 and ~794 at k = 400, most of
+   them the two arrivals passing the dead entries.  Sorting every step by
+   merge would cost a pass of k + 2 moves per merge level.  RAND redraws every score, so at k = 100 on WALK each step
+   past the fill must take the merge (968 of 1000 do), or insertion pays
+   O(k²). *)
+let test_selection_work () =
+  let trace = tower_trace 5000 42 in
+  List.iter
+    (fun (capacity, bound) ->
+      let policy = Baselines.prob ~lifetime:(Config.lifetime tower) () in
+      let steps, moves, _ = selection_work ~trace ~policy ~capacity in
+      let per_step = float_of_int moves /. float_of_int steps in
+      if per_step > bound then
+        Alcotest.failf "PROB k=%d: %.1f sort moves per step (gate %.0f)"
+          capacity per_step bound)
+    [ (25, 60.0); (400, 850.0) ];
+  let w = Config.walk () in
+  let r, s = Config.walk_predictors w in
+  let trace = Trace.generate ~r ~s ~rng:(Rng.create 42) ~length:1000 in
+  let policy = Baselines.rand ~rng:(Rng.create 42) () in
+  let steps, _, merges = selection_work ~trace ~policy ~capacity:100 in
+  if merges < 950 then
+    Alcotest.failf "RAND on WALK k=100: %d of %d steps took the merge (gate 950)"
+      merges steps
+
 let suite =
   [
     qcheck "keep_top = keep_top_spec" gen_keep_top keep_top_agrees;
@@ -177,4 +257,5 @@ let suite =
     Alcotest.test_case "Parallel.map = Array.map" `Quick test_parallel_map;
     Alcotest.test_case "runner deterministic across jobs" `Quick
       test_runner_deterministic;
+    Alcotest.test_case "selection work counted" `Quick test_selection_work;
   ]

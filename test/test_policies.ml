@@ -305,6 +305,54 @@ let prop_keep_top_size_and_membership =
             candidates)
         kept)
 
+(* PROB and LIFE see values only through their history counts, which
+   need value equality and nothing else, so relabelling a trace's values
+   injectively must leave every decision unchanged.  The wide labels span
+   +-1e9 and reach past +-2^60; a dense history would size its arrays to
+   that span (~1e9 words), so it must fall back to a hashed table.  The
+   first 200 steps draw only narrow values, so the fallback also happens
+   mid-run, carrying the counts gathered so far. *)
+let test_history_wide_values () =
+  let r = rng 23 in
+  let draw t = Ssj_prob.Rng.int r (if t < 200 then 6 else 12) in
+  let length = 500 in
+  let narrow_r = Array.init length draw and narrow_s = Array.init length draw in
+  let label v =
+    match v with
+    | 6 -> max_int
+    | 7 -> min_int + 1
+    | v when v < 6 -> v
+    | v -> -1_000_000_000 + ((v - 8) * 650_000_000) + Ssj_prob.Rng.int r 1000
+  in
+  let relabel = Array.init 12 label in
+  let wide a = Array.map (fun v -> relabel.(v)) a in
+  let narrow = Trace.of_values ~r:narrow_r ~s:narrow_s
+  and hostile = Trace.of_values ~r:(wide narrow_r) ~s:(wide narrow_s) in
+  let window = Window.create ~width:12 in
+  let lifetime = Baselines.Of_window window in
+  List.iter
+    (fun (name, make) ->
+      List.iter
+        (fun capacity ->
+          let decisions trace =
+            snd
+              (Ssj_engine.Join_sim.run_logged ~trace ~policy:(make ()) ~capacity
+                 ~window ())
+          in
+          let plain = decisions narrow and moved = decisions hostile in
+          let uids ts = List.map (fun (t : Tuple.t) -> t.Tuple.uid) ts in
+          Array.iteri
+            (fun t kept ->
+              if uids kept <> uids moved.(t) then
+                Alcotest.failf "%s cap %d differs at t=%d" name capacity t)
+            plain)
+        [ 2; 5; 9 ])
+    [
+      ("PROB", fun () -> Baselines.prob ());
+      ("PROB(window)", fun () -> Baselines.prob ~lifetime ());
+      ("LIFE", fun () -> Baselines.life ~lifetime ());
+    ]
+
 let suite =
   [
     Alcotest.test_case "keep_top" `Quick test_keep_top;
@@ -335,4 +383,6 @@ let suite =
       test_classic_relabelling_invariance;
     Alcotest.test_case "classic allocation gate" `Quick
       test_classic_allocation;
+    Alcotest.test_case "PROB/LIFE history on +-1e9 values" `Quick
+      test_history_wide_values;
   ]
