@@ -109,9 +109,13 @@ let dump_trace_cmd =
         ~length
     in
     match out with
-    | Some filename ->
-      Ssj_stream.Trace_io.save trace ~filename;
-      Format.printf "wrote %d steps to %s@." length filename
+    | Some filename -> (
+      match Ssj_stream.Trace_io.save trace ~filename with
+      | Ok () -> Format.printf "wrote %d steps to %s@." length filename
+      | Error e ->
+        Format.eprintf "sjoin: cannot write %s: %s@." filename
+          (Ssj_stream.Trace_io.error_to_string e);
+        exit 2)
     | None -> Ssj_stream.Trace_io.to_channel trace stdout
   in
   let config =
@@ -353,6 +357,14 @@ let cmds =
 let () =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some Logs.Warning);
+  (* Events are written from inside simulation steps; an event file that
+     cannot be opened is reported here, before any of them. *)
+  (if Ssj_obs.Obs.on () then
+     match Ssj_obs.Obs.open_event_sink () with
+     | Ok () -> ()
+     | Error msg ->
+       Format.eprintf "sjoin: cannot write SSJ_OBS_FILE: %s@." msg;
+       exit 2);
   let info =
     Cmd.info "sjoin" ~version:"1.0.0"
       ~doc:

@@ -4,9 +4,9 @@ open Ssj_core
 type result = { total_results : int; counted_results : int }
 
 (* Deliberately naive: a plain fold over the cache list per arrival.
-   Shares no counting code with the engine (neither Join_index nor
-   Join_sim.matches_in_cache), so agreement with Join_sim is evidence
-   about the indexed fast path, not a tautology. *)
+   Shares no counting code with the engine (Join_index), so agreement
+   with Join_sim is evidence about the indexed fast path, not a
+   tautology. *)
 let count_matches ~window ~band ~now cache (arrival : Tuple.t) =
   List.fold_left
     (fun acc (c : Tuple.t) ->

@@ -12,6 +12,19 @@
 
 type result = { total_results : int; counted_results : int }
 
+val count_matches :
+  window:Ssj_stream.Window.t option ->
+  band:int ->
+  now:int ->
+  Ssj_stream.Tuple.t list ->
+  Ssj_stream.Tuple.t ->
+  int
+(** [count_matches ~window ~band ~now cache arrival]: the cached
+    partner-side tuples, inside [window] at [now] when one is given,
+    whose value is within [band] of [arrival]'s — a plain scan of the
+    list.  The reference the engine's incremental {!Ssj_engine.Join_index}
+    is tested against. *)
+
 val run :
   trace:Ssj_stream.Trace.t ->
   policy:Ssj_core.Policy.join ->

@@ -17,66 +17,46 @@
    makes batch-of-n bit-identical to n separate single-target runs (and
    the surface build bit-identical for any SSJ_JOBS chunking).
 
-   The dot product dispatches at first use: an AVX2+FMA variant on
-   x86-64 hosts that support it, a portable scalar variant otherwise.
-   Both keep the same shape (two independent accumulator chains, fixed
-   reduction order, scalar tail) so a given host always sums in one
-   deterministic order. */
+   The dot product has one reduction order, fixed by this source:
+   sixteen accumulators s0..s15 take s_i += a[j+i] * b[j+i] over the
+   16-wide blocks, a fixed pairwise tree adds them up, and the w mod 16
+   tail products follow one at a time.  The library builds with
+   -ffp-contract=off, so no multiply and add is fused: a vectorised
+   copy does each lane's IEEE multiply and add exactly as the plain
+   loop does, and every copy returns the same bits. */
 
 #include <caml/mlvalues.h>
 
-typedef double (*dot_fn)(const double *, const double *, long);
-
-static double dot_scalar(const double *a, const double *b, long w)
-{
-  double s0 = 0.0, s1 = 0.0;
-  long j = 0;
-  for (; j + 2 <= w; j += 2) {
-    s0 += a[j] * b[j];
-    s1 += a[j + 1] * b[j + 1];
-  }
-  double s = s0 + s1;
-  for (; j < w; j++) s += a[j] * b[j];
-  return s;
-}
-
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(SSJ_NO_AVX2)
-#define SSJ_HAVE_AVX2_PATH 1
-#include <immintrin.h>
-
-__attribute__((target("avx2,fma")))
-static double dot_avx2(const double *a, const double *b, long w)
-{
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  long j = 0;
-  for (; j + 8 <= w; j += 8) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + j), _mm256_loadu_pd(b + j), acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + j + 4), _mm256_loadu_pd(b + j + 4),
-                           acc1);
-  }
-  if (j + 4 <= w) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + j), _mm256_loadu_pd(b + j), acc0);
-    j += 4;
-  }
-  __m256d acc = _mm256_add_pd(acc0, acc1);
-  double lane[4];
-  _mm256_storeu_pd(lane, acc);
-  double s = (lane[0] + lane[1]) + (lane[2] + lane[3]);
-  for (; j < w; j++) s += a[j] * b[j];
-  return s;
-}
+/* GCC emits an AVX2 copy of the same body next to the plain one and
+   picks between them at load time; SSJ_NO_AVX2 keeps the plain one. */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
+    && !defined(SSJ_NO_AVX2)
+#define SSJ_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define SSJ_CLONES
 #endif
 
-static dot_fn dot_impl = 0;
-
-static dot_fn resolve_dot(void)
+SSJ_CLONES
+static double dot(const double *a, const double *b, long w)
 {
-#ifdef SSJ_HAVE_AVX2_PATH
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-    return dot_avx2;
-#endif
-  return dot_scalar;
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0, s4 = 0.0, s5 = 0.0,
+         s6 = 0.0, s7 = 0.0, s8 = 0.0, s9 = 0.0, s10 = 0.0, s11 = 0.0,
+         s12 = 0.0, s13 = 0.0, s14 = 0.0, s15 = 0.0;
+  long j = 0;
+  for (; j + 16 <= w; j += 16) {
+    s0 += a[j] * b[j];           s1 += a[j + 1] * b[j + 1];
+    s2 += a[j + 2] * b[j + 2];   s3 += a[j + 3] * b[j + 3];
+    s4 += a[j + 4] * b[j + 4];   s5 += a[j + 5] * b[j + 5];
+    s6 += a[j + 6] * b[j + 6];   s7 += a[j + 7] * b[j + 7];
+    s8 += a[j + 8] * b[j + 8];   s9 += a[j + 9] * b[j + 9];
+    s10 += a[j + 10] * b[j + 10]; s11 += a[j + 11] * b[j + 11];
+    s12 += a[j + 12] * b[j + 12]; s13 += a[j + 13] * b[j + 13];
+    s14 += a[j + 14] * b[j + 14]; s15 += a[j + 15] * b[j + 15];
+  }
+  double s = (((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)))
+             + (((s8 + s9) + (s10 + s11)) + ((s12 + s13) + (s14 + s15)));
+  for (; j < w; j++) s += a[j] * b[j];
+  return s;
 }
 
 CAMLprim value ssj_dp_sweep_native(value vrows, value vw, value vn, value vslot,
@@ -89,8 +69,6 @@ CAMLprim value ssj_dp_sweep_native(value vrows, value vw, value vn, value vslot,
   long w = Long_val(vw);
   long n = Long_val(vn);
   long nact = Long_val(vnact);
-  dot_fn dot = dot_impl;
-  if (!dot) dot = dot_impl = resolve_dot();
   for (long x = 0; x < n; x++) {
     const double *row = rows + x * w;
     long base = Long_val(Field(vslot, x));

@@ -65,8 +65,8 @@ val caching_columns_batch :
 (** The same DP run for several targets at once over one shared dense
     kernel ({!Ssj_model.Markov.Dense}): each kernel row is loaded once
     per step and serves every still-active target, and the inner banded
-    dot products run through the {!Dp_kernel} C sweep (AVX2/FMA where
-    available).  [result.(t)] equals
+    dot products run through the {!Dp_kernel} C sweep, in one fixed
+    summation order.  [result.(t)] equals
     [caching_columns ~target:targets.(t) ...] bit for bit — per-target
     arithmetic, early stopping and out-of-window handling do not depend
     on the batch composition. *)

@@ -1,7 +1,7 @@
 (** Incremental index over the simulated cache for O(band) match counting.
 
-    [Join_sim.matches_in_cache] scans the whole cache per arrival; over a
-    run that is O(steps × capacity).  This index maintains, per stream
+    A naive counter scans the whole cache per arrival; over a run that
+    is O(steps × capacity).  This index maintains, per stream
     side, a multiplicity table from join-attribute value to the number of
     cached tuples currently inside the window, updated from the *diff*
     between consecutive cache selections.  An equijoin probe is then one
@@ -22,8 +22,8 @@ val create :
 
 val matches : t -> now:int -> Ssj_stream.Tuple.t -> int
 (** Number of indexed partner-side tuples joining [arrival] at time
-    [now] — equal to [Join_sim.matches_in_cache ?window ~band ~now cache]
-    for the cache installed so far.  Expires out-of-window
+    [now] — equal to a scan of the cache installed so far
+    ({!Ssj_conform.Ref_sim.count_matches}).  Expires out-of-window
     tuples as a side effect; [now] must not decrease across calls. *)
 
 val insert : t -> Ssj_stream.Tuple.t -> unit

@@ -50,21 +50,6 @@ type result = {
   share_samples : (int * float) list;
 }
 
-let matches_in_cache ?window ?(band = 0) ~now cache (arrival : Tuple.t) =
-  let partner = Tuple.partner arrival.Tuple.side in
-  List.fold_left
-    (fun acc (c : Tuple.t) ->
-      let in_window =
-        match window with None -> true | Some w -> Window.inside w ~now c
-      in
-      if
-        in_window
-        && c.Tuple.side = partner
-        && abs (c.Tuple.value - arrival.Tuple.value) <= band
-      then acc + 1
-      else acc)
-    0 cache
-
 (* Fraction of the cache held by R tuples (uid side bit 0). *)
 let r_share (b : Policy.buffer) =
   if b.n = 0 then 0.0
@@ -158,18 +143,3 @@ let run_logged ~trace ~policy ~capacity ?window () =
   with
   | result, Some decisions -> (result, decisions)
   | _, None -> assert false
-
-let recount ~trace ~decisions ?window ?band () =
-  let total = ref 0 in
-  Array.iteri
-    (fun now _ ->
-      if now > 0 then begin
-        let cache = decisions.(now - 1) in
-        let r_t, s_t = Trace.arrivals trace now in
-        total :=
-          !total
-          + matches_in_cache ?window ?band ~now cache r_t
-          + matches_in_cache ?window ?band ~now cache s_t
-      end)
-    decisions;
-  !total

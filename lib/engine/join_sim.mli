@@ -42,27 +42,6 @@ val run :
     {!Step_budget_exceeded} once that many steps have executed — the
     supervised runner's per-run soft timeout. *)
 
-val matches_in_cache :
-  ?window:Ssj_stream.Window.t ->
-  ?band:int ->
-  now:int ->
-  Ssj_stream.Tuple.t list ->
-  Ssj_stream.Tuple.t ->
-  int
-(** Reference match counter: full scan of the cache list.  [run] itself
-    counts through the incremental {!Join_index}; this is the oracle the
-    property tests compare it against (and what {!recount} uses). *)
-
-val recount :
-  trace:Ssj_stream.Trace.t ->
-  decisions:Ssj_stream.Tuple.t list array ->
-  ?window:Ssj_stream.Window.t ->
-  ?band:int ->
-  unit ->
-  int
-(** Independent re-derivation of the result count from a decision log
-    (cache contents after each step); lets tests cross-check [run]. *)
-
 val run_logged :
   trace:Ssj_stream.Trace.t ->
   policy:Ssj_core.Policy.join ->
@@ -70,4 +49,6 @@ val run_logged :
   ?window:Ssj_stream.Window.t ->
   unit ->
   result * Ssj_stream.Tuple.t list array
-(** Like [run] but also returns the decision log for [recount]. *)
+(** Like [run] but also returns the decision log: the cache contents
+    after each step.  Tests recount the results from it with the naive
+    counter {!Ssj_conform.Ref_sim.count_matches}. *)

@@ -25,9 +25,7 @@ type histogram = {
   hmax : int Atomic.t;
 }
 
-type span = { sname : string; s_calls : int Atomic.t; s_ns : int Atomic.t }
-
-type metric = M_counter of counter | M_histogram of histogram | M_span of span
+type metric = M_counter of counter | M_histogram of histogram
 
 let registry : metric list ref = ref []
 let registry_mu = Mutex.create ()
@@ -104,35 +102,6 @@ module Histogram = struct
   let name h = h.hname
 end
 
-module Span = struct
-  type t = span
-
-  let create name =
-    let s = { sname = name; s_calls = Atomic.make 0; s_ns = Atomic.make 0 } in
-    register (M_span s);
-    s
-
-  let record_ns s ns =
-    if on () then begin
-      Atomic.incr s.s_calls;
-      ignore (Atomic.fetch_and_add s.s_ns ns)
-    end
-
-  let time s f =
-    if on () then begin
-      let t0 = Unix.gettimeofday () in
-      let finally () =
-        record_ns s (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
-      in
-      Fun.protect ~finally f
-    end
-    else f ()
-
-  let calls s = Atomic.get s.s_calls
-  let total_ns s = Atomic.get s.s_ns
-  let name s = s.sname
-end
-
 (* --- snapshots ------------------------------------------------------ *)
 
 type view =
@@ -146,7 +115,6 @@ type view =
       width : int;
       buckets : (int * int) list;
     }
-  | Span_v of { name : string; calls : int; total_ns : int }
 
 let snapshot () =
   let metrics =
@@ -173,13 +141,6 @@ let snapshot () =
             max_v = Atomic.get h.hmax;
             width = h.width;
             buckets = !buckets;
-          }
-      | M_span s ->
-        Span_v
-          {
-            name = s.sname;
-            calls = Atomic.get s.s_calls;
-            total_ns = Atomic.get s.s_ns;
           })
     metrics
 
@@ -195,18 +156,13 @@ let reset () =
         Atomic.set h.hcount 0;
         Atomic.set h.hsum 0;
         Atomic.set h.hmin max_int;
-        Atomic.set h.hmax min_int
-      | M_span s ->
-        Atomic.set s.s_calls 0;
-        Atomic.set s.s_ns 0)
+        Atomic.set h.hmax min_int)
     ms
 
 let json_of_snapshot views =
   let ints = List.map (fun (k, v) -> (k, Json.int v)) in
   let metric = function
     | Counter_v { name; value } -> (name, Json.int value)
-    | Span_v { name; calls; total_ns } ->
-      (name, Json.Object (ints [ ("calls", calls); ("total_ns", total_ns) ]))
     | Histogram_v { name; count; sum; min_v; max_v; width; buckets } ->
       let extremes =
         if count = 0 then [] else [ ("min", min_v); ("max", max_v) ]
@@ -250,26 +206,48 @@ let set_event_sink s =
 (* Call with [sink_mu] held. *)
 let channel_of_sink () =
   match !sink_channel with
-  | Some oc -> Some oc
+  | Some oc -> Ok (Some oc)
   | None -> (
     match !sink with
-    | `Null -> None
+    | `Null -> Ok None
     | `Channel oc ->
       sink_channel := Some oc;
-      Some oc
-    | `Path p ->
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 p in
-      sink_channel := Some oc;
-      Some oc)
+      Ok (Some oc)
+    | `Path p -> (
+      match open_out_gen [ Open_append; Open_creat ] 0o644 p with
+      | oc ->
+        sink_channel := Some oc;
+        Ok (Some oc)
+      | exception Sys_error msg -> Error msg))
+
+let open_event_sink () =
+  Mutex.lock sink_mu;
+  let opened = channel_of_sink () in
+  if Result.is_error opened then sink := `Null;
+  Mutex.unlock sink_mu;
+  Result.map ignore opened
+
+(* Events run inside engine steps, so a sink that fails there is
+   dropped with one line on stderr instead of raising into the run. *)
+let drop_sink msg =
+  (match (!sink, !sink_channel) with
+  | `Path _, Some oc -> close_out_noerr oc
+  | _ -> ());
+  sink := `Null;
+  sink_channel := None;
+  prerr_endline ("ssj_obs: events dropped: " ^ msg)
 
 let event ~name fields =
   if on () && !sink <> `Null then begin
     Mutex.lock sink_mu;
     (match channel_of_sink () with
-    | None -> ()
-    | Some oc ->
+    | Ok None -> ()
+    | Ok (Some oc) -> (
       let line = Json.Object (("event", Json.String name) :: fields) in
-      output_string oc (Json.to_string line ^ "\n");
-      flush oc);
+      try
+        output_string oc (Json.to_string line ^ "\n");
+        flush oc
+      with Sys_error msg -> drop_sink msg)
+    | Error msg -> drop_sink msg);
     Mutex.unlock sink_mu
   end

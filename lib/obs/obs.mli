@@ -1,5 +1,5 @@
-(** Engine-wide observability: monotonic counters, value histograms and
-    span timers behind a runtime on/off gate, plus structured JSONL
+(** Engine-wide observability: monotonic counters and value histograms
+    behind a runtime on/off gate, plus structured JSONL
     event emission and registry snapshots.
 
     The gate is initialised from the [SSJ_OBS] environment variable
@@ -9,7 +9,7 @@
     re-exec'ing.
 
     Cost contract: when the gate is off, every hot-path operation
-    ({!Counter.incr}, {!Histogram.observe}, {!Span.record}, {!event})
+    ({!Counter.incr}, {!Histogram.observe}, {!event})
     is one load and one conditional branch — no allocation, no atomic
     traffic, no syscalls.  Instrument sites that must build an argument
     (an event field list, a derived value) should guard with {!on}.
@@ -63,23 +63,6 @@ module Histogram : sig
   val name : t -> string
 end
 
-module Span : sig
-  type t
-
-  val create : string -> t
-
-  val record_ns : t -> int -> unit
-  (** Add a measured duration (already in nanoseconds). *)
-
-  val time : t -> (unit -> 'a) -> 'a
-  (** Run the thunk, accumulating its wall-clock duration when the gate
-      is on; when off, tail-calls the thunk with no clock read. *)
-
-  val calls : t -> int
-  val total_ns : t -> int
-  val name : t -> string
-end
-
 (** {1 Snapshots} *)
 
 type view =
@@ -93,11 +76,10 @@ type view =
       width : int;
       buckets : (int * int) list;  (** (bucket lower bound, count), non-zero only *)
     }
-  | Span_v of { name : string; calls : int; total_ns : int }
 
 val snapshot : unit -> view list
 (** Current value of every registered metric, in registration order.
-    Zero-valued counters and empty histograms/spans are included, so a
+    Zero-valued counters and empty histograms are included, so a
     snapshot's shape is stable across runs. *)
 
 val reset : unit -> unit
@@ -106,8 +88,8 @@ val reset : unit -> unit
     isolates one policy's engine activity. *)
 
 val json_of_snapshot : view list -> Json.t
-(** One JSON object: counters as numbers, histograms and spans as
-    nested objects.  Keys are metric names, in registration order. *)
+(** One JSON object: counters as numbers, histograms as nested
+    objects.  Keys are metric names, in registration order. *)
 
 (** {1 JSONL events} *)
 
@@ -115,10 +97,19 @@ type sink = [ `Null | `Path of string | `Channel of out_channel ]
 
 val set_event_sink : sink -> unit
 (** Where {!event} lines go.  The initial sink is [`Path p] when
-    [SSJ_OBS_FILE=p] is set, else [`Null].  [`Path] opens lazily in
-    append mode on first emission. *)
+    [SSJ_OBS_FILE=p] is set, else [`Null].  [`Path] opens in append
+    mode at {!open_event_sink} or on first emission. *)
+
+val open_event_sink : unit -> (unit, string) result
+(** Open a [`Path] sink now, so that a file that cannot be written is
+    reported before any run starts rather than inside its first
+    {!event}.  On failure the sink becomes [`Null] and the error is the
+    system's message, which names the path.  [Ok ()] for the other
+    sinks. *)
 
 val event : name:string -> (string * Json.t) list -> unit
 (** Append one JSON line [{"event": name, ...fields}] to the sink when
     the gate is on; no-op (and no I/O) when off or the sink is [`Null].
-    Writes are serialised across domains. *)
+    Writes are serialised across domains.  Never raises [Sys_error]: a
+    sink that cannot be opened or written becomes [`Null], with one
+    line on stderr. *)

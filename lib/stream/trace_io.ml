@@ -9,12 +9,6 @@ let to_channel trace oc =
       trace.Trace.s_values.(t)
   done
 
-let save trace ~filename =
-  let oc = open_out filename in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> to_channel trace oc)
-
 type error =
   | Bad_header of { found : string }
   | Bad_field of { line : int }
@@ -37,6 +31,19 @@ let error_to_string = function
   | Reserved_value { line } ->
     Printf.sprintf "Trace_io: value %d on line %d is reserved" min_int line
   | Io_error { message } -> Printf.sprintf "Trace_io: %s" message
+
+let save trace ~filename =
+  match open_out filename with
+  | exception Sys_error message -> Error (Io_error { message })
+  | oc -> (
+    match
+      to_channel trace oc;
+      close_out oc
+    with
+    | () -> Ok ()
+    | exception Sys_error message ->
+      close_out_noerr oc;
+      Error (Io_error { message }))
 
 exception Malformed of error
 
@@ -90,10 +97,3 @@ let load_result ~filename =
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () -> of_channel_result ic)
-
-(* Raising wrapper, kept for callers that treat a corrupt trace as
-   fatal; the message is [error_to_string] verbatim. *)
-let load ~filename =
-  match load_result ~filename with
-  | Ok trace -> trace
-  | Error e -> failwith (error_to_string e)

@@ -67,7 +67,7 @@ let keep_top_agrees case =
   uids (keep_top ~capacity ~score tuples)
   = uids (Ssj_conform.Ref_sim.keep_top_spec ~capacity ~score tuples)
 
-(* --- Join_index vs matches_in_cache --------------------------------- *)
+(* --- Join_index vs Ref_sim.count_matches ---------------------------- *)
 
 (* Drive a random cache evolution (subset of cached + arrivals, capacity
    8), maintain the index from each step's diff with [insert]/[remove_id]
@@ -88,7 +88,7 @@ let index_agrees (seed, wcode, band, steps) =
     let s = tup Tuple.S (Rng.int rng 9 - 4) now in
     let agrees t =
       Join_index.matches index ~now t
-      = Join_sim.matches_in_cache ?window ~band ~now !cache t
+      = Ssj_conform.Ref_sim.count_matches ~window ~band ~now !cache t
     in
     if not (agrees r && agrees s) then ok := false;
     let next =

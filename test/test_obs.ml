@@ -45,21 +45,6 @@ let test_histogram_disabled_noop () =
       check_int "disabled histogram empty" 0 (Obs.Histogram.count h);
       check_float "empty mean is zero" 0.0 (Obs.Histogram.mean h))
 
-let test_span_accumulates () =
-  with_gate true (fun () ->
-      let s = Obs.Span.create "test.span" in
-      Obs.Span.record_ns s 100;
-      Obs.Span.record_ns s 250;
-      let x = Obs.Span.time s (fun () -> 1 + 1) in
-      check_int "thunk result" 2 x;
-      check_int "calls" 3 (Obs.Span.calls s);
-      check_bool "total >= recorded" true (Obs.Span.total_ns s >= 350));
-  with_gate false (fun () ->
-      let s = Obs.Span.create "test.span_disabled" in
-      check_int "disabled time still runs thunk" 5
-        (Obs.Span.time s (fun () -> 5));
-      check_int "disabled span records nothing" 0 (Obs.Span.calls s))
-
 let test_reset_and_snapshot () =
   with_gate true (fun () ->
       let c = Obs.Counter.create "test.reset_counter" in
@@ -69,9 +54,7 @@ let test_reset_and_snapshot () =
       let find name =
         List.find_opt
           (function
-            | Obs.Counter_v { name = n; _ }
-            | Obs.Histogram_v { name = n; _ }
-            | Obs.Span_v { name = n; _ } ->
+            | Obs.Counter_v { name = n; _ } | Obs.Histogram_v { name = n; _ } ->
               String.equal n name)
           (Obs.snapshot ())
       in
@@ -169,6 +152,36 @@ let test_json_round_trip () =
     [ ""; "{"; "[1,]"; "{\"a\" 1}"; "01"; "1."; "\"\n\""; "\"\\x\""; "[1] 2";
       "\"\\ud800\""; "tru"; "{\"a\": 1,}" ]
 
+let test_unwritable_event_file () =
+  (* A path that cannot be created: its directory is a regular file. *)
+  let file = Filename.temp_file "ssj_obs" ".tmp" in
+  let path = Filename.concat file "events.jsonl" in
+  with_gate true (fun () ->
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.set_event_sink `Null;
+          Sys.remove file)
+        (fun () ->
+          Obs.set_event_sink (`Path path);
+          (match Obs.open_event_sink () with
+          | Ok () -> Alcotest.fail "opened an event file under a regular file"
+          | Error msg ->
+            check_bool "error names the path" true
+              (String.starts_with ~prefix:path msg));
+          Obs.event ~name:"test.after_open_failure" [];
+          (* Without the early open, the first event meets the failure
+             inside a run; the run must finish with its usual result. *)
+          Obs.set_event_sink (`Path path);
+          let t = Trace.of_values ~r:[| 1; 2; 1; 2 |] ~s:[| 2; 1; 2; 1 |] in
+          let run () =
+            (Join_sim.run ~trace:t ~policy:(Ssj_core.Baselines.prob ())
+               ~capacity:2 ())
+              .Join_sim.total_results
+          in
+          let with_failing_sink = run () in
+          Obs.set_event_sink `Null;
+          check_int "same result as with no sink" (run ()) with_failing_sink))
+
 let suite =
   [
     Alcotest.test_case "counter basic" `Quick test_counter_basic;
@@ -176,7 +189,6 @@ let suite =
     Alcotest.test_case "histogram basic" `Quick test_histogram_basic;
     Alcotest.test_case "histogram disabled no-op" `Quick
       test_histogram_disabled_noop;
-    Alcotest.test_case "span accumulates" `Quick test_span_accumulates;
     Alcotest.test_case "reset + snapshot" `Quick test_reset_and_snapshot;
     Alcotest.test_case "Json: exact round trip, strict reader" `Quick
       test_json_round_trip;
@@ -185,4 +197,6 @@ let suite =
       test_obs_does_not_change_results;
     Alcotest.test_case "HEEB beats RAND when saturated" `Slow
       test_heeb_beats_rand_when_saturated;
+    Alcotest.test_case "unwritable SSJ_OBS_FILE is a typed error" `Quick
+      test_unwritable_event_file;
   ]

@@ -43,10 +43,12 @@ let h1_curve ~alpha ~drift =
   Precompute.walk_joining_curve ~step:normal_step ~drift
     ~l:(Lfun.exp_ ~alpha) ~lo:(-100) ~hi:100
 
-let curve_digest curve =
-  Array.to_list (Interp.Curve.samples curve)
-  |> List.map (Printf.sprintf "%h;")
+let floats_digest xs =
+  List.map (Printf.sprintf "%h;") xs
   |> String.concat "" |> Digest.string |> Digest.to_hex
+
+let curve_digest curve =
+  floats_digest (Array.to_list (Interp.Curve.samples curve))
 
 let test_walk_joining_curve_bits_pinned () =
   List.iter
@@ -258,6 +260,94 @@ let test_surfaces_bit_identical_across_jobs () =
   check_bool "jobs=1 = jobs=4 (structural equality on the float grids)" true
     (s1 = s4)
 
+(* The REAL experiment's DP (Figure 13): the paper's AR(1) fit in 0.1 °C
+   bins, five control targets spread over [real_surface_bounds] as a
+   fig13 surface spreads them, L_exp alpha 25.
+   The key was recorded on x86-64 glibc: the kernel rows come from libm,
+   so another libm may round them differently.  The reference test below
+   pins the dot product's order on any host and libm. *)
+let test_real_columns_bits_pinned () =
+  let params = Ssj_workload.Real.bin_params Ssj_workload.Real.paper_params in
+  let kernel = Precompute.ar1_kernel params in
+  let lo, hi = Ssj_workload.Factory.real_surface_bounds params in
+  let dv = float_of_int (hi - lo) /. 4.0 in
+  let targets =
+    Array.init 5 (fun i ->
+        int_of_float (Float.round (float_of_int lo +. (float_of_int i *. dv))))
+  in
+  let columns =
+    Precompute.caching_columns_batch ~kernel ~targets
+      ~ls:[| Lfun.exp_ ~alpha:25.0 |] ()
+  in
+  Alcotest.(check string)
+    "REAL columns digest" "878cc46998987cdf035affa6ab3decd7"
+    (floats_digest
+       (List.concat_map
+          (fun per_l -> List.concat_map Array.to_list (Array.to_list per_l))
+          (Array.to_list columns)))
+
+(* The C sweep's dot product in OCaml, in the same order: 16 lanes over
+   the 16-wide blocks, the fixed pairwise tree over the lanes, then the
+   tail one product at a time. *)
+let dot_16_lanes a ao b bo w =
+  let s = Array.make 16 0.0 in
+  let blocks = w / 16 in
+  for blk = 0 to blocks - 1 do
+    for i = 0 to 15 do
+      let j = (16 * blk) + i in
+      s.(i) <- s.(i) +. (a.(ao + j) *. b.(bo + j))
+    done
+  done;
+  let pair i = s.(i) +. s.(i + 1) in
+  let quad i = pair i +. pair (i + 2) in
+  let oct i = quad i +. quad (i + 4) in
+  let acc = ref (oct 0 +. oct 8) in
+  for j = 16 * blocks to w - 1 do
+    acc := !acc +. (a.(ao + j) *. b.(bo + j))
+  done;
+  !acc
+
+let test_sweep_matches_reference_order () =
+  let rng = rng 20 in
+  (* Entries over several binades (and some exact zeros, as in padded
+     rows), so any other association of the sum shows in the bits. *)
+  let entry () =
+    if Rng.int rng 8 = 0 then 0.0
+    else Float.ldexp (Rng.float rng 1.0) (-Rng.int rng 12)
+  in
+  let nt = 6 in
+  List.iter
+    (fun w ->
+      for _ = 1 to 4 do
+        let n = w + Rng.int rng 24 in
+        let rows = Array.init (n * w) (fun _ -> entry ()) in
+        let slot = Array.init n (fun _ -> Rng.int rng (n - w + 1)) in
+        let masked = Array.init (nt * n) (fun _ -> entry ()) in
+        let u = Array.init (nt * n) (fun _ -> entry ()) in
+        let before = Array.copy u in
+        let order = Array.init nt Fun.id in
+        Rng.shuffle rng order;
+        let nact = 1 + Rng.int rng 5 in
+        let active = Array.sub order 0 nact in
+        Dp_kernel.sweep ~rows ~w ~n ~slot ~masked ~u ~active ~nact;
+        for t = 0 to nt - 1 do
+          for x = 0 to n - 1 do
+            let expected =
+              if Array.mem t active then
+                dot_16_lanes rows (x * w) masked ((t * n) + slot.(x)) w
+              else before.((t * n) + x)
+            in
+            if
+              Int64.bits_of_float expected
+              <> Int64.bits_of_float u.((t * n) + x)
+            then
+              Alcotest.failf "w %d n %d target %d x %d: sweep %h, reference %h"
+                w n t x u.((t * n) + x) expected
+          done
+        done
+      done)
+    [ 1; 15; 16; 17; 33; 431 ]
+
 let suite =
   [
     Alcotest.test_case "walk joining curve vs direct" `Quick
@@ -290,4 +380,8 @@ let suite =
       test_walk_joining_curve_allocation;
     Alcotest.test_case "walk joining curve levels = table" `Quick
       test_walk_joining_curve_levels_match_table;
+    Alcotest.test_case "REAL DP columns bits pinned" `Quick
+      test_real_columns_bits_pinned;
+    Alcotest.test_case "DP sweep = 16-lane reference order" `Quick
+      test_sweep_matches_reference_order;
   ]

@@ -104,8 +104,15 @@ let test_recount_agrees () =
   let t = Trace.generate ~r ~s ~rng:(rng 71) ~length:300 in
   let policy = Ssj_workload.Factory.trend_heeb cfg () in
   let result, decisions = Join_sim.run_logged ~trace:t ~policy ~capacity:6 () in
-  check_int "recount matches" result.Join_sim.total_results
-    (Join_sim.recount ~trace:t ~decisions ());
+  (* Arrivals at step now join the cache decided at now - 1. *)
+  let recount = ref 0 in
+  for now = 1 to Array.length decisions - 1 do
+    let r_t, s_t = Trace.arrivals t now in
+    let count = Ssj_conform.Ref_sim.count_matches ~window:None ~band:0 ~now in
+    recount :=
+      !recount + count decisions.(now - 1) r_t + count decisions.(now - 1) s_t
+  done;
+  check_int "recount matches" result.Join_sim.total_results !recount;
   Array.iter
     (fun cache ->
       check_bool "capacity respected" true (List.length cache <= 6))
