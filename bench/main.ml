@@ -6,8 +6,8 @@
       obs gate on for per-policy metric snapshots;
    2. times the capacity curve: µs and minor words per step against
       capacity, at 1 job;
-   3. runs the robustness pass: the fault x policy degradation grid,
-      regime switches, and a supervised sweep with one deliberate crash;
+   3. runs the robustness pass: the fault x policy degradation grid and
+      regime switches;
    4. times the kernel behind each figure with bechamel.
 
    The figure tables themselves (EXPERIMENTS.md) come from `sjoin all`.
@@ -15,8 +15,7 @@
    baseline.kernels_ns, the CI kernel-gate anchors, is carried unchanged
    from the artifact being overwritten.  Env knobs: SSJ_BENCH_RUNS /
    SSJ_BENCH_LEN (default: the paper's 50 x 5000; malformed values are
-   rejected), SSJ_BENCH_KERNELS=0 skips pass 4, SSJ_JOBS, and
-   SSJ_CHECKPOINT / SSJ_RETRIES for the demo. *)
+   rejected), SSJ_BENCH_KERNELS=0 skips pass 4, and SSJ_JOBS. *)
 
 open Bechamel
 open Toolkit
@@ -400,7 +399,7 @@ let run_capacity_curve traces =
       ("rows", Json.Array (tower_rows @ [ walk_row ]));
     ]
 
-(* --- robustness: fault grid + supervision demo ---------------------- *)
+(* --- robustness: fault grid + regime switches ----------------------- *)
 
 module Fault = Ssj_fault.Fault
 
@@ -448,10 +447,7 @@ let run_robustness_pass sweep traces =
   fail_unless_clean_matches sweep report;
   fail_unless_regime_finite report;
   Experiments.print_robustness_grid report;
-  (* Forced-on obs pass: count injected faults on a few traces, then run
-     the supervised sweep with one deliberately-crashing run so the
-     failure manifest, retry and checkpoint counters are exercised in
-     every artifact. *)
+  (* Forced-on obs pass: count injected faults on a few traces. *)
   let env_enabled = Obs.on () in
   Obs.set_enabled true;
   Obs.reset ();
@@ -469,48 +465,12 @@ let run_robustness_pass sweep traces =
     }
   in
   Array.iteri (fun i t -> if i < 5 then ignore (Fault.apply spec t)) traces;
-  let supervision =
-    { (Runner.supervision_from_env ()) with Runner.retries = 1 }
-  in
-  let heeb = Factory.trend_heeb tower in
-  (* Crash run 3, or the last run when the sweep is smaller — the demo
-     must always have one failure to salvage around, at any scale. *)
-  let crash_run = min 3 (Array.length traces - 1) in
-  let demo =
-    Runner.run_supervised ~label:"HEEB" ~supervision ~ckpt_context:"demo"
-      ~jobs:sweep.jobs
-      (fun run trace ->
-        if run = crash_run then
-          failwith
-            (Printf.sprintf "injected demo crash: run %d always fails"
-               crash_run);
-        let result =
-          Join_sim.run ~trace ~policy:(heeb ())
-            ~capacity:Golden.sweep_setup.Runner.capacity
-            ~warmup:Golden.sweep_setup.Runner.warmup ()
-        in
-        float_of_int result.Join_sim.counted_results)
-      traces
-  in
   let fault_counters = Obs.json_of_snapshot (Obs.snapshot ()) in
   Obs.set_enabled env_enabled;
-  Option.iter Checkpoint.close supervision.Runner.checkpoint;
-  let sal = demo.Runner.salvaged and nfail = List.length demo.Runner.failures in
-  let mean = demo.Runner.summary.Runner.mean in
-  if nfail = 0 || Float.is_nan mean then begin
-    Format.eprintf
-      "ERROR: supervision demo expected 1 recorded failure and a finite \
-       salvaged mean (got %d failures, mean %f)@."
-      nfail mean;
-    exit 1
-  end;
-  Format.printf
-    "  robustness: %d fault rows + %d regime rows in %.3f s; demo salvaged \
-     %d/%d runs, %d failure(s), %d checkpoint hit(s)@."
+  Format.printf "  robustness: %d fault rows + %d regime rows in %.3f s@."
     (List.length report.Experiments.rows)
     (List.length report.Experiments.regime)
-    (Unix.gettimeofday () -. t0)
-    sal (sal + nfail) nfail demo.Runner.checkpoint_hits;
+    (Unix.gettimeofday () -. t0);
   let row (row : Experiments.robustness_row) =
     let cell (c : Experiments.robustness_cell) =
       named c.Experiments.policy
@@ -525,13 +485,6 @@ let run_robustness_pass sweep traces =
         ("policies", Json.Array (List.map cell row.Experiments.cells));
       ]
   in
-  let failure { Runner.policy; run; attempts; error; _ } =
-    Json.Object
-      [
-        ("policy", Json.String policy); ("run", Json.int run);
-        ("attempts", Json.int attempts); ("error", Json.String error);
-      ]
-  in
   Json.Object
     [
       ("capacity", Json.int report.Experiments.grid_capacity);
@@ -540,16 +493,6 @@ let run_robustness_pass sweep traces =
       ("clean_matches_sweep", Json.Bool true);
       ("grid", Json.Array (List.map row report.Experiments.rows));
       ("regime", Json.Array (List.map row report.Experiments.regime));
-      ( "supervision_demo",
-        Json.Object
-          [
-            ("runs", Json.int (Array.length traces));
-            ("salvaged", Json.int sal);
-            ("checkpoint_hits", Json.int demo.Runner.checkpoint_hits);
-            ("mean", Json.fixed 4 mean);
-            ("mean_is_finite", Json.Bool (Float.is_finite mean));
-            ("failures", Json.Array (List.map failure demo.Runner.failures));
-          ] );
       ("fault_counters", fault_counters);
     ]
 

@@ -116,7 +116,16 @@ let dump_trace_cmd =
         Format.eprintf "sjoin: cannot write %s: %s@." filename
           (Ssj_stream.Trace_io.error_to_string e);
         exit 2)
-    | None -> Ssj_stream.Trace_io.to_channel trace stdout
+    | None -> (
+      try
+        Ssj_stream.Trace_io.to_channel trace stdout;
+        flush stdout
+      with Sys_error msg ->
+        (* Closing drops the unwritten bytes, so the flush at exit does
+           not raise the same error again. *)
+        close_out_noerr stdout;
+        Format.eprintf "sjoin: cannot write stdout: %s@." msg;
+        exit 2)
   in
   let config =
     Arg.(value & opt config_conv `Tower & info [ "config" ] ~doc:"Workload.")
@@ -220,6 +229,23 @@ let check_cmd =
            --list, --replay FILE or --print-golden)@.";
         exit 2
       end;
+      (* A repro is written only after a failing check has been shrunk;
+         an unusable directory is reported now, before any check runs. *)
+      Option.iter
+        (fun dir ->
+          match Sys.is_directory dir with
+          | true -> ()
+          | false ->
+            Format.eprintf "sjoin check: --repro-dir %s is not a directory@."
+              dir;
+            exit 2
+          | exception Sys_error _ -> (
+            try Sys.mkdir dir 0o755
+            with Sys_error msg ->
+              Format.eprintf "sjoin check: cannot create --repro-dir %s: %s@."
+                dir msg;
+              exit 2))
+        repro_dir;
       let artifact =
         match artifact with
         | Some _ -> artifact
@@ -357,6 +383,13 @@ let cmds =
 let () =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some Logs.Warning);
+  (* Every sweep reads SSJ_JOBS; a malformed value is reported once, here,
+     rather than as an exception out of the first sweep. *)
+  (match Ssj_prob.Parallel.default_jobs () with
+  | (_ : int) -> ()
+  | exception Invalid_argument msg ->
+    Format.eprintf "sjoin: %s@." msg;
+    exit 2);
   (* Events are written from inside simulation steps; an event file that
      cannot be opened is reported here, before any of them. *)
   (if Ssj_obs.Obs.on () then

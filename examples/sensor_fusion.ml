@@ -82,11 +82,12 @@ let () =
        summaries);
   (* How HEEB splits the buffer between the leading and trailing sensor. *)
   let share =
-    Runner.share_trace ~trace:traces.(0)
-      ~policy:
-        (Heeb.joining ~r:(model_a ()) ~s:(model_b ()) ~l:(Lfun.exp_ ~alpha)
-           ~mode:(`Memo_trend 1) ())
-      ~capacity ~every:500
+    (Join_sim.run ~trace:traces.(0)
+       ~policy:
+         (Heeb.joining ~r:(model_a ()) ~s:(model_b ()) ~l:(Lfun.exp_ ~alpha)
+            ~mode:(`Memo_trend 1) ())
+       ~capacity ~record_share:500 ())
+      .Join_sim.share_samples
   in
   Format.printf
     "@.fraction of the buffer holding sensor-A readings over time@.";

@@ -84,8 +84,12 @@ let save ~check ~detail case ~filename =
         ("detail", Json.String detail);
       ]
   in
-  Out_channel.with_open_text filename (fun oc ->
-      output_string oc (Json.to_string json ^ "\n"))
+  match
+    Out_channel.with_open_text filename (fun oc ->
+        output_string oc (Json.to_string json ^ "\n"))
+  with
+  | () -> Ok ()
+  | exception Sys_error msg -> Error msg
 
 type repro = { case : t; check : string; detail : string }
 

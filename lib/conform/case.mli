@@ -47,7 +47,10 @@ val to_string : t -> string
 
 val schema_version : int
 
-val save : check:string -> detail:string -> t -> filename:string -> unit
+val save :
+  check:string -> detail:string -> t -> filename:string -> (unit, string) result
+(** [Error] carries the system's message when the file cannot be
+    created or written. *)
 
 type repro = { case : t; check : string; detail : string }
 

@@ -5,7 +5,7 @@ type report = {
   check : Check.t;
   outcome : Check.outcome;
   shrunk : (Case.t * Shrink.stats) option;
-  repro_file : string option;
+  repro_file : (string, string) result option;
   seconds : float;
 }
 
@@ -52,11 +52,11 @@ let shrink_and_save ?budget ?repro_dir (check : Check.t) case =
         match repro_dir with
         | None -> None
         | Some dir ->
-          (try if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-           with Unix.Unix_error _ -> ());
           let filename = repro_filename ~dir check in
-          Case.save ~check:check.Check.name ~detail small ~filename;
-          Some filename
+          Some
+            (Result.map
+               (fun () -> filename)
+               (Case.save ~check:check.Check.name ~detail small ~filename))
       in
       (Some (small, stats), file)
     end
@@ -81,7 +81,8 @@ let pp_outcome out (r : report) =
       stats.Shrink.seconds (Case.to_string case)
   | None -> ());
   match r.repro_file with
-  | Some file -> Format.fprintf out "       repro written to %s@." file
+  | Some (Ok file) -> Format.fprintf out "       repro written to %s@." file
+  | Some (Error msg) -> Format.fprintf out "       repro not written: %s@." msg
   | None -> ()
 
 let run_checks ?filter ?(seed = 42) ?(count = 100) ?budget ?repro_dir

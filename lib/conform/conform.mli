@@ -11,7 +11,8 @@ type report = {
   outcome : Check.outcome;
   shrunk : (Case.t * Shrink.stats) option;
       (** minimized case + shrinker stats, for replayable failures *)
-  repro_file : string option;  (** where the repro JSON was written *)
+  repro_file : (string, string) result option;
+      (** where the repro JSON was written, or why it could not be *)
   seconds : float;  (** wall time of the check itself *)
 }
 
@@ -33,8 +34,8 @@ val run_checks :
     over [count] generated cases (default 100) from [seed] (default
     42), printing one line per check.  A failing check with a replay
     hook is shrunk under [budget] (default {!Shrink.default_budget});
-    when [repro_dir] is given the minimized case is saved there as
-    [repro-<name>.json] (directory created if missing). *)
+    when [repro_dir] (an existing directory) is given the minimized case
+    is saved there as [repro-<name>.json]. *)
 
 val ok : report list -> bool
 (** Non-empty and all passing. *)

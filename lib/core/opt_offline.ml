@@ -143,15 +143,3 @@ let max_results_curve ?band ~trace ~capacities ~start () =
       (fun c -> (c, int_of_float (Float.round (-.cost_at c))))
       capacities
 
-let max_hits ~reference ~capacity =
-  let policy = Classic.lfd ~reference in
-  let cache = ref [] in
-  let hits = ref 0 in
-  Array.iteri
-    (fun now value ->
-      let hit = List.memq value !cache in (* ints: == is = *)
-      if hit then incr hits;
-      cache :=
-        policy.Policy.access ~now ~cached:!cache ~value ~hit ~capacity)
-    reference;
-  !hits

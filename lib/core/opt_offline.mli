@@ -49,7 +49,3 @@ val max_results_curve :
     breakpoint list.  Orders of magnitude faster than solving per size on
     the dense WALK networks. *)
 
-val max_hits : reference:int array -> capacity:int -> int
-(** Offline-optimal number of cache *hits* for the caching problem —
-    computed by running Belady's LFD, which Section 5.1 shows is what the
-    framework's dominance tests yield for offline reference streams. *)

@@ -12,27 +12,6 @@ let m_arrivals = Obs.Counter.create "join_sim.arrivals"
 let m_matches = Obs.Counter.create "join_sim.matches"
 let m_evictions = Obs.Counter.create "join_sim.evictions"
 let m_occupancy = Obs.Histogram.create ~buckets:256 "join_sim.occupancy"
-let m_budget_aborts = Obs.Counter.create "join_sim.budget_aborts"
-
-exception Step_budget_exceeded of { policy : string; steps : int }
-
-let () =
-  Printexc.register_printer (function
-    | Step_budget_exceeded { policy; steps } ->
-      Some
-        (Printf.sprintf
-           "Join_sim.Step_budget_exceeded(policy=%s, steps=%d)" policy steps)
-    | _ -> None)
-
-(* Soft per-run timeout: a run whose trace asks for more steps than the
-   supervisor budgeted is aborted here rather than allowed to burn a
-   whole sweep's wall-clock.  Checked at the top of every step. *)
-let[@inline] check_budget ~policy ~budget ~now =
-  match budget with
-  | Some b when now >= b ->
-    Obs.Counter.incr m_budget_aborts;
-    raise (Step_budget_exceeded { policy; steps = now })
-  | Some _ | None -> ()
 
 let observe_step ~now ~warmup ~produced ~occupancy ~evicted =
   Obs.Counter.incr m_steps;
@@ -67,7 +46,7 @@ let r_share (b : Policy.buffer) =
    the decision log and share sampling are per-step observers of the
    buffers. *)
 let run_internal ~trace ~policy ~capacity ?(warmup = 0) ?window ?band
-    ?record_share ?(validate = false) ?step_budget ~log () =
+    ?record_share ?(validate = false) ~log () =
   let tlen = Trace.length trace in
   let decisions =
     match log with true -> Some (Array.make tlen []) | false -> None
@@ -83,7 +62,6 @@ let run_internal ~trace ~policy ~capacity ?(warmup = 0) ?window ?band
   let shares = ref [] in
   let src = ref (Policy.buffer ()) and dst = ref (Policy.buffer ()) in
   for now = 0 to tlen - 1 do
-    check_budget ~policy:name ~budget:step_budget ~now;
     let r_t, s_t = Trace.arrivals trace now in
     let produced =
       Join_index.matches index ~now r_t + Join_index.matches index ~now s_t
@@ -132,10 +110,10 @@ let run_internal ~trace ~policy ~capacity ?(warmup = 0) ?window ?band
     decisions )
 
 let run ~trace ~policy ~capacity ?warmup ?window ?band ?record_share ?validate
-    ?step_budget () =
+    () =
   fst
     (run_internal ~trace ~policy ~capacity ?warmup ?window ?band ?record_share
-       ?validate ?step_budget ~log:false ())
+       ?validate ~log:false ())
 
 let run_logged ~trace ~policy ~capacity ?window () =
   match

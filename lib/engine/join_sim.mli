@@ -8,11 +8,6 @@
     With a sliding window, only cached tuples still inside the window
     produce results. *)
 
-exception Step_budget_exceeded of { policy : string; steps : int }
-(** Raised by {!run} when a [step_budget] is given and the trace asks
-    for more steps — the supervised runner's soft per-run timeout
-    ([steps] is the number of steps that did complete). *)
-
 type result = {
   total_results : int;  (** result tuples over the whole run *)
   counted_results : int;  (** result tuples at times ≥ warm-up *)
@@ -30,17 +25,13 @@ val run :
   ?band:int ->
   ?record_share:int ->
   ?validate:bool ->
-  ?step_budget:int ->
   unit ->
   result
 (** [warmup] defaults to 0; [band] (default 0 = equijoin) switches to band
     semantics, matching tuples with [|v1 − v2| ≤ band]; [validate]
     (default false) checks every step's selection against the cache and
     the two arrivals and raises [Failure "policy <name> at t=<step>:
-    <violation>"] — used by the test suite, skipped in benchmarks.
-    [step_budget] (default unlimited) aborts the run with
-    {!Step_budget_exceeded} once that many steps have executed — the
-    supervised runner's per-run soft timeout. *)
+    <violation>"] — used by the test suite, skipped in benchmarks. *)
 
 val run_logged :
   trace:Ssj_stream.Trace.t ->

@@ -3,8 +3,7 @@
 
     Every JSON file the project writes or reads goes through here: the
     bench artifact [BENCH_joining.json], metric snapshots and JSONL
-    events ({!Obs}), checkpoint records ([Ssj_engine.Checkpoint]) and
-    conformance repro files ([Ssj_conform.Case]).
+    events ({!Obs}) and conformance repro files ([Ssj_conform.Case]).
 
     Numbers keep their literal text, both when built ({!int},
     {!fixed}) and when read, so a value read from one file and written

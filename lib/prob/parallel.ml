@@ -72,29 +72,3 @@ let map ?jobs f arr =
     | None -> ());
     Array.map (function Some v -> v | None -> assert false) results
   end
-
-let try_map ?jobs f arr =
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  let n = Array.length arr in
-  let capture x =
-    match f x with
-    | v -> Ok v
-    | exception e -> Error (e, Printexc.get_raw_backtrace ())
-  in
-  if n = 0 then [||]
-  else if jobs = 1 || n = 1 then Array.map capture arr
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let abort = Atomic.make false in
-    let worker () =
-      let continue = ref true in
-      while !continue do
-        let i = Atomic.fetch_and_add next 1 in
-        if i >= n || Atomic.get abort then continue := false
-        else results.(i) <- Some (capture (Array.unsafe_get arr i))
-      done
-    in
-    run_pool ~count:(min jobs n) ~abort worker;
-    Array.map (function Some v -> v | None -> assert false) results
-  end

@@ -11,8 +11,8 @@ val env_int : string -> min:int -> default:int -> int
     [default] when unset or empty, otherwise the (trimmed) value, which
     must parse as an integer [>= min].  Anything else raises
     [Invalid_argument] naming the variable — a typo must not silently
-    become the default.  Every integer knob ([SSJ_JOBS], [SSJ_RETRIES],
-    [SSJ_BENCH_RUNS], [SSJ_BENCH_LEN]) goes through it. *)
+    become the default.  Every integer knob ([SSJ_JOBS], [SSJ_BENCH_RUNS],
+    [SSJ_BENCH_LEN]) goes through it. *)
 
 val default_jobs : unit -> int
 (** Worker count from the [SSJ_JOBS] environment variable if set (an
@@ -29,14 +29,3 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
     while spawning the pool itself likewise stops and joins the workers
     already running before re-raising. *)
 
-val try_map :
-  ?jobs:int ->
-  ('a -> 'b) ->
-  'a array ->
-  ('b, exn * Printexc.raw_backtrace) result array
-(** Supervised variant of {!map}: every element is attempted, an
-    exception from [f] is captured into its own slot as [Error] instead
-    of stopping the sweep, and slot order matches the input for any job
-    count.  The primitive under the fault-tolerant experiment runner
-    ({!Ssj_engine.Runner} wraps it with retries and a failure
-    manifest). *)

@@ -89,11 +89,12 @@ let of_channel_result ic =
   match of_channel_exn ic with
   | trace -> Ok trace
   | exception Malformed e -> Error e
+  | exception Sys_error message -> Error (Io_error { message })
 
 let load_result ~filename =
   match open_in filename with
   | exception Sys_error message -> Error (Io_error { message })
   | ic ->
     Fun.protect
-      ~finally:(fun () -> close_in ic)
+      ~finally:(fun () -> close_in_noerr ic)
       (fun () -> of_channel_result ic)

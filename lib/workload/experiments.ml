@@ -345,10 +345,11 @@ let share_figure ?(out = std) ~title ~variants opts =
           Trace.generate ~r ~s ~rng:(Rng.create opts.seed) ~length:opts.length
         in
         let policy = Factory.trend_heeb cfg () in
-        let samples =
-          Runner.share_trace ~trace ~policy ~capacity:opts.capacity ~every
+        let result =
+          Join_sim.run ~trace ~policy ~capacity:opts.capacity
+            ~record_share:every ()
         in
-        (label, Array.of_list (List.map snd samples)))
+        (label, Array.of_list (List.map snd result.Join_sim.share_samples)))
       variants
   in
   let n =

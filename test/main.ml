@@ -32,7 +32,6 @@ let () =
       ("engine", Test_sim.suite);
       ("engine.indexed", Test_indexed.suite);
       ("engine.fault", Test_fault.suite);
-      ("engine.supervised", Test_supervised.suite);
       ("multi", Test_multi.suite);
       ("conform", Test_conform.suite);
       ("workload", Test_workload.suite);

@@ -66,8 +66,12 @@ let test_injected_skew_caught_and_shrunk () =
         Fun.protect
           ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
           (fun () ->
-            Case.save ~check:check.Check.name ~detail:"injected band skew"
-              small ~filename:path;
+            (match
+               Case.save ~check:check.Check.name ~detail:"injected band skew"
+                 small ~filename:path
+             with
+            | Ok () -> ()
+            | Error msg -> Alcotest.fail ("repro save: " ^ msg));
             match Case.load ~filename:path with
             | Error msg -> Alcotest.fail ("repro load: " ^ msg)
             | Ok { Case.case = loaded; check = name; _ } ->
@@ -102,8 +106,12 @@ let test_repro_round_trip () =
       (* Strings round-trip exactly, quotes, backslashes and newlines
          included. *)
       let awkward = "fast 3 <> ref 2: \"band\" \\ skew\nsecond line" in
-      Case.save ~check:"oracle:join-sim/indexed-vs-listscan" ~detail:awkward
-        case ~filename:path;
+      (match
+         Case.save ~check:"oracle:join-sim/indexed-vs-listscan"
+           ~detail:awkward case ~filename:path
+       with
+      | Ok () -> ()
+      | Error msg -> Alcotest.fail ("repro save: " ^ msg));
       match Case.load ~filename:path with
       | Error msg -> Alcotest.fail msg
       | Ok { Case.case = c; check; detail } ->
@@ -111,6 +119,27 @@ let test_repro_round_trip () =
           "check" "oracle:join-sim/indexed-vs-listscan" check;
         Alcotest.(check string) "detail" awkward detail;
         Helpers.check_bool "case equal" true (c = case))
+
+let test_repro_save_unwritable () =
+  (* The directory is a regular file, so the path cannot be created. *)
+  let dir = Filename.temp_file "ssj_repro_dir" "" in
+  let case =
+    {
+      Case.r_values = [| 1 |];
+      s_values = [| 1 |];
+      capacity = 1;
+      band = 0;
+      window = None;
+      policy = "RAND";
+      seed = 0;
+    }
+  in
+  let result =
+    Case.save ~check:"c" ~detail:"d" case
+      ~filename:(Filename.concat dir "repro.json")
+  in
+  Sys.remove dir;
+  Helpers.check_bool "save reports an error" true (Result.is_error result)
 
 let test_shrink_minimizes_synthetic () =
   (* Failure = "some R value is 5": the shrinker must isolate a single
@@ -234,6 +263,8 @@ let suite =
     Alcotest.test_case "injected band skew: caught, shrunk, replayable"
       `Quick test_injected_skew_caught_and_shrunk;
     Alcotest.test_case "repro JSON round trip" `Quick test_repro_round_trip;
+    Alcotest.test_case "repro save to an unwritable path" `Quick
+      test_repro_save_unwritable;
     Alcotest.test_case "shrinker isolates a synthetic failure" `Quick
       test_shrink_minimizes_synthetic;
     Alcotest.test_case "artifact rounding cross-check" `Quick

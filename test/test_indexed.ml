@@ -172,6 +172,39 @@ let test_parallel_map () =
     | _ -> false
     | exception Failure msg -> msg = "boom")
 
+let test_map_raising_job () =
+  (* A raising job must propagate (not hang) and leave no orphaned
+     domains behind: the very next Parallel.map must work. *)
+  let raised =
+    try
+      ignore
+        (Parallel.map ~jobs:4
+           (fun i -> if i = 2 then failwith "boom" else i)
+           (Array.init 64 Fun.id));
+      false
+    with Failure m -> m = "boom"
+  in
+  check_bool "exception propagated" true raised;
+  let next = Parallel.map ~jobs:4 (fun i -> i * 2) [| 1; 2; 3 |] in
+  Alcotest.(check (array int)) "pool unharmed afterwards" [| 2; 4; 6 |] next
+
+let test_default_jobs_rejects () =
+  (* A typo in SSJ_JOBS must fail loudly, naming the variable, not
+     silently become the default. *)
+  let saved = Sys.getenv_opt "SSJ_JOBS" in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "SSJ_JOBS" (Option.value saved ~default:""))
+    (fun () ->
+      List.iter
+        (fun bad ->
+          Unix.putenv "SSJ_JOBS" bad;
+          match Parallel.default_jobs () with
+          | _ -> Alcotest.failf "SSJ_JOBS=%s must be rejected" bad
+          | exception Invalid_argument msg ->
+            check_bool "message names the variable" true
+              (String.starts_with ~prefix:"SSJ_JOBS" msg))
+        [ "abc"; "0"; "-1" ])
+
 (* The multi-job run goes first, on freshly generated traces: domains
    replay the same shared traces concurrently before any sequential run
    has touched them. *)
@@ -255,6 +288,10 @@ let suite =
       index_agrees;
     Alcotest.test_case "fast path = list path" `Quick test_fast_matches_list;
     Alcotest.test_case "Parallel.map = Array.map" `Quick test_parallel_map;
+    Alcotest.test_case "Parallel.map: raising job propagates cleanly" `Quick
+      test_map_raising_job;
+    Alcotest.test_case "SSJ_JOBS: malformed value rejected" `Quick
+      test_default_jobs_rejects;
     Alcotest.test_case "runner deterministic across jobs" `Quick
       test_runner_deterministic;
     Alcotest.test_case "selection work counted" `Quick test_selection_work;

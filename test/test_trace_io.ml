@@ -121,6 +121,13 @@ let test_save_unwritable () =
   | Error e -> Alcotest.fail ("wrong error: " ^ Trace_io.error_to_string e)
   | Ok () -> Alcotest.fail "expected Io_error"
 
+let test_load_directory () =
+  (* A directory opens for reading on Linux; the read itself fails. *)
+  match Trace_io.load_result ~filename:(Filename.get_temp_dir_name ()) with
+  | Error (Trace_io.Io_error _) -> ()
+  | Error e -> Alcotest.fail ("wrong error: " ^ Trace_io.error_to_string e)
+  | Ok _ -> Alcotest.fail "expected Io_error"
+
 let suite =
   [
     Alcotest.test_case "roundtrip" `Quick test_roundtrip_explicit;
@@ -131,4 +138,5 @@ let suite =
     Alcotest.test_case "load_result ok path" `Quick test_result_ok_matches_load;
     prop_roundtrip;
     Alcotest.test_case "save to an unwritable path" `Quick test_save_unwritable;
+    Alcotest.test_case "load a directory" `Quick test_load_directory;
   ]
