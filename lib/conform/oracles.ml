@@ -76,17 +76,65 @@ let render_selection ts =
   String.concat ";"
     (List.map (fun (t : Tuple.t) -> string_of_int t.Tuple.uid) ts)
 
+(* [candidate a] strictly precedes [b] best-first: higher score, then
+   higher uid, NaN below every number. *)
+let precedes ~score (a : Tuple.t) (b : Tuple.t) =
+  match Float.compare (score b) (score a) with
+  | 0 -> a.Tuple.uid > b.Tuple.uid
+  | c -> c < 0
+
+let merge_route_moves ~score candidates =
+  let a = Array.of_list candidates in
+  let n = Array.length a in
+  let runs = ref 1 in
+  for q = 1 to n - 1 do
+    if precedes ~score a.(q) a.(q - 1) then incr runs
+  done;
+  let passes = ref 0 in
+  while !runs > 1 do
+    runs := (!runs + 1) / 2;
+    incr passes
+  done;
+  !passes * n
+
+(* The selection work [f] does, with the obs gate on: sort moves, and
+   whether it took the bucket pass and the merge route. *)
+type work = { moves : int; bucketed : bool; merged : bool }
+
+let selection_work f =
+  let counters () =
+    let get name =
+      List.find_map
+        (function
+          | Ssj_obs.Obs.Counter_v { name = n; value } when n = name -> Some value
+          | _ -> None)
+        (Ssj_obs.Obs.snapshot ())
+      |> Option.get
+    in
+    (get "policy.sort_moves", get "policy.sort_buckets", get "policy.sort_merges")
+  in
+  let saved = Ssj_obs.Obs.on () in
+  Ssj_obs.Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Ssj_obs.Obs.set_enabled saved)
+    (fun () ->
+      let m0, b0, g0 = counters () in
+      f ();
+      let m1, b1, g1 = counters () in
+      { moves = m1 - m0; bucketed = b1 > b0; merged = g1 > g0 })
+
 (* One scored step: the last two candidates arrive, the rest are the
    cache.  The kept tuples must equal the spec's, best-first, and the
-   recorded diff must name exactly the dropped ones. *)
-let selection_violation ~capacity ~score candidates =
+   recorded diff must name exactly the dropped ones.  [work] checks
+   what the sort did. *)
+let selection_violation ~work ~capacity ~score candidates =
   let n = List.length candidates in
   let cached = List.filteri (fun j _ -> j < n - 2) candidates in
   let r = List.nth candidates (n - 2) and s = List.nth candidates (n - 1) in
   let spec = Ref_sim.keep_top_spec ~capacity ~score candidates in
   let fast = Option.get (Baselines.prob_model ~partner_prob:score ()).Policy.fast in
   let src = Policy.of_tuples cached and dst = Policy.buffer () in
-  fast ~src ~dst ~now:0 ~r ~s ~capacity;
+  let did = selection_work (fun () -> fast ~src ~dst ~now:0 ~r ~s ~capacity) in
   let got = Policy.tuples dst in
   let kept (t : Tuple.t) = List.exists (Tuple.equal t) spec in
   let dropped =
@@ -108,7 +156,7 @@ let selection_violation ~capacity ~score candidates =
     || dst.Policy.kept_r <> kept r
     || dst.Policy.kept_s <> kept s
   then Some ("recorded diff disagrees with the kept set " ^ where)
-  else None
+  else Option.map (fun e -> e ^ " " ^ where) (work did)
 
 (* Random candidates in random order, with half the cases keeping fewer
    than half the candidates, far below the engine's steady state of
@@ -134,16 +182,40 @@ let random_selection rng =
   in
   (capacity, score, candidates)
 
-type step_shape = Engine_order | Shuffled | With_nan
+type palette = Table | Spread | Few | Equal | Wide
+type step_shape = Engine_order | Shuffled of palette | With_nan
+
+let palettes = [ Table; Spread; Few; Equal; Wide ]
 
 (* Scores from a small table so ties are frequent; -inf is a dead
    tuple. *)
 let step_scores = [| Float.neg_infinity; 0.0; 1.0; 1.0; 2.5; 7.0; 7.0 |]
 
+(* A draw of one live score from [palette] ([Table] draws dead ones
+   too), and the arrivals' scores when the palette fixes them: [Wide]'s
+   arrivals score its top and its bottom, so every [Wide] step has a
+   live range that is not finite. *)
+let palette_draw palette rng =
+  let pick table () = table.(Rng.int rng (Array.length table)) in
+  match palette with
+  | Table -> (pick step_scores, None)
+  | Spread -> ((fun () -> Rng.float rng 1.0), None)
+  | Few ->
+    let values = Array.init (2 + Rng.int rng 2) (fun _ -> Rng.float rng 10.0 -. 5.0) in
+    (pick values, None)
+  | Equal ->
+    let v = Rng.float rng 1.0 in
+    ((fun () -> v), None)
+  | Wide ->
+    if Rng.bool rng then (pick [| 1e308; -1e308; 0.5 |], Some (1e308, -1e308))
+    else (pick [| Float.infinity; -2.0; 1e308; 0.5 |], Some (Float.infinity, -2.0))
+
 let engine_step ~shape ~n rng =
   let m = n - 2 in
   let side () = if Rng.bool rng then Tuple.R else Tuple.S in
-  let draw () = step_scores.(Rng.int rng (Array.length step_scores)) in
+  let draw, ends =
+    palette_draw (match shape with Shuffled p -> p | _ -> Table) rng
+  in
   (* The cache: distinct older arrivals, with last step's scores. *)
   let cache =
     Array.init m (fun j -> (draw (), Tuple.make ~side:(side ()) ~value:j ~arrival:j))
@@ -152,9 +224,24 @@ let engine_step ~shape ~n rng =
     match Float.compare sb sa with 0 -> Int.compare tb.uid ta.uid | c -> c
   in
   (* NaN steps take either order, so NaN meets both routes. *)
-  let shuffled = shape = Shuffled || (shape = With_nan && Rng.bool rng) in
+  let shuffled =
+    match shape with
+    | Shuffled _ -> true
+    | With_nan -> Rng.bool rng
+    | Engine_order -> false
+  in
   if shuffled then Rng.shuffle rng cache
   else Array.stable_sort best_first cache;
+  (* Outside the table, a shuffled cache ends in a block of up to m/2
+     dead entries in last step's order: newest first. *)
+  let dead =
+    match shape with
+    | Shuffled p when p <> Table -> Rng.int rng ((m / 2) + 1)
+    | _ -> 0
+  in
+  let block = Array.sub cache (m - dead) dead in
+  Array.sort (fun (_, (a : Tuple.t)) (_, (b : Tuple.t)) -> Int.compare b.uid a.uid) block;
+  Array.blit block 0 cache (m - dead) dead;
   (* A value is the candidate's position, so it keys its score. *)
   let cache =
     Array.mapi
@@ -163,9 +250,13 @@ let engine_step ~shape ~n rng =
       cache
   in
   (* This step's scores: a few entries rescored or killed, or (as RAND
-     does) everything redrawn. *)
+     does) every live one redrawn. *)
   let scores = Array.map fst cache in
-  if shuffled then Array.iteri (fun j _ -> scores.(j) <- draw ()) scores
+  if shuffled then
+    Array.iteri
+      (fun j _ ->
+        scores.(j) <- (if j >= m - dead then Float.neg_infinity else draw ()))
+      scores
   else begin
     for _ = 1 to Rng.int rng 5 do
       if m > 0 then scores.(Rng.int rng m) <- draw ()
@@ -176,7 +267,10 @@ let engine_step ~shape ~n rng =
   end;
   let r = Tuple.make ~side:Tuple.R ~value:m ~arrival:m
   and s = Tuple.make ~side:Tuple.S ~value:(m + 1) ~arrival:m in
-  let all = Array.append scores [| draw (); draw () |] in
+  let all =
+    Array.append scores
+      (match ends with Some (a, b) -> [| a; b |] | None -> [| draw (); draw () |])
+  in
   (if shape = With_nan then
      for _ = 1 to 1 + Rng.int rng 3 do
        all.(Rng.int rng n) <- Float.nan
@@ -195,24 +289,52 @@ let engine_selection ~shape rng =
   in
   (capacity, score, candidates)
 
+(* What a shuffled step of more than 64 candidates may cost.  Distinct
+   scores take the bucket pass, unless the descent rule misses (~0.2%
+   of shuffled steps), and then the bucket pass plus at most [n]
+   repairs, with no merge.  A live range that is not finite never takes
+   the bucket pass.  Tied scores may take the merge after the bucket
+   pass; their work is gated by the test suite's worst cases.  Other
+   shapes and smaller steps have no work check here. *)
+let shuffled_work shape candidates did =
+  let n = List.length candidates in
+  match shape with
+  | Some (Shuffled Spread)
+    when n > 64 && did.bucketed && (did.merged || did.moves > 2 * n) ->
+    Some
+      (Printf.sprintf "distinct scores: %d moves%s after the bucket pass"
+         did.moves
+         (if did.merged then " and a merge" else ""))
+  | Some (Shuffled Wide) when n > 64 && did.bucketed ->
+    Some "live range not finite, yet the bucket pass was taken"
+  | _ -> None
+
 let keep_top_check =
   Check.make ~name:"oracle:keep-top/bounded-vs-sort" ~kind:Check.Oracle
-    ~fast:"Policy.scored step (insertion from the cache order, merge route \
-           for shuffled or NaN scores) and its diff"
+    ~fast:"Policy.scored step (insertion from the cache order, or from a \
+           bucket pass for shuffled scores, merge route for tied or NaN \
+           scores) and its diff"
     ~reference:"Ref_sim.keep_top_spec (full stable sort)"
     (fun ~seed ~count ->
       let rng = Rng.create (seed + 17) in
       let failure = ref None in
       let i = ref 0 in
       while !failure = None && !i < count do
-        let capacity, score, candidates =
+        let shape =
           match !i mod 4 with
-          | 0 -> random_selection rng
-          | 1 -> engine_selection ~shape:Engine_order rng
-          | 2 -> engine_selection ~shape:Shuffled rng
-          | _ -> engine_selection ~shape:With_nan rng
+          | 0 -> None
+          | 1 -> Some Engine_order
+          | 2 -> Some (Shuffled (List.nth palettes (!i / 4 mod List.length palettes)))
+          | _ -> Some With_nan
         in
-        failure := selection_violation ~capacity ~score candidates;
+        let capacity, score, candidates =
+          match shape with
+          | None -> random_selection rng
+          | Some shape -> engine_selection ~shape rng
+        in
+        failure :=
+          selection_violation ~work:(shuffled_work shape candidates) ~capacity
+            ~score candidates;
         incr i
       done;
       match !failure with
@@ -222,7 +344,8 @@ let keep_top_check =
             cases = count;
             note =
               "one selection routine == full stable sort (random, \
-               engine-ordered, shuffled and NaN steps)";
+               engine-ordered, shuffled and NaN steps); shuffled steps \
+               take the bucket pass or the merge as their scores say";
           }
       | Some detail -> Check.Fail { detail; case = None })
 

@@ -11,7 +11,12 @@
       {!Ref_sim.keep_top_spec}, on random candidate sets (small and large
       candidate-to-capacity ratios, tie-heavy and dead scores) and on
       {!engine_step}s of up to 402 candidates: engine-ordered (the
-      insertion path), shuffled (the merge route) and with NaN scores.
+      insertion path), shuffled over every {!palette} (the bucket pass,
+      or the merge for a live range it cannot map) and with NaN scores
+      (the merge).  Past 64 candidates, the [policy.sort_*] counters
+      must show distinct scores that took the bucket pass finishing
+      in at most 2n moves with no merge, and a live range that is not
+      finite never taking the bucket pass.
     - [oracle:cache/argmin-vs-sort] — the caching selection of
       {!Ssj_core.Heeb.caching_fn} (tie-heavy scorer),
       {!Ssj_core.Heeb.caching} [`Direct] and [`Incremental], and
@@ -44,13 +49,36 @@ val gen_case :
     restricts to regular semantics (e.g. for OPT, which has no window
     variant).  Shared with the metamorphic laws and the test suite. *)
 
+type palette =
+  | Table  (** five tie-heavy values, −∞ among them *)
+  | Spread  (** distinct uniform scores, as RAND draws them *)
+  | Few  (** two or three distinct scores *)
+  | Equal  (** one score for every live candidate *)
+  | Wide
+      (** ordinary scores among ±1e308 or +∞: a live range that is not
+          finite *)
+(** Where a shuffled step's live scores come from. *)
+
 type step_shape =
   | Engine_order
       (** the cache in best-first order of last step's scores, a few
-          entries rescored or killed (−∞) *)
-  | Shuffled  (** the cache in random order, every score redrawn (RAND) *)
+          entries rescored or killed (−∞), scores from [Table] *)
+  | Shuffled of palette
+      (** the cache in random order, every live score redrawn (RAND);
+          outside [Table], the cache ends in a block of up to half its
+          entries killed, newest first *)
   | With_nan
-      (** [Engine_order] or [Shuffled], with one to three NaN scores *)
+      (** [Engine_order] or [Shuffled Table], with one to three NaN
+          scores *)
+
+val palettes : palette list
+
+val merge_route_moves :
+  score:(Ssj_stream.Tuple.t -> float) -> Ssj_stream.Tuple.t list -> int
+(** The element moves a merge of the candidates' natural runs makes
+    (n per pass, ⌈log₂ runs⌉ passes), under the best-first order: what
+    the merge alone would cost on them.  The test suite holds tied
+    shuffled steps to this plus 2n. *)
 
 val engine_step :
   shape:step_shape ->

@@ -151,7 +151,27 @@ let joining ?name ~r ~s ~l ?(mode = `Direct) () =
       ~after:(fun ~now:_ ~src:_ ~dst -> prune_hvals st.hvals dst)
       kernel
 
+(* A curve on the integer grid ([dx = 1], integer [x0]) read as a table:
+   [lookup t d = Interp.Curve.eval c (float_of_int d)], because linear
+   interpolation at a grid point returns its sample.  [d] is clamped to
+   the grid's span before [x0] is subtracted, so offsets near
+   [min_int]/[max_int] read the end samples instead of wrapping. *)
+type table = { lo : int; hi : int; ys : float array }
+
+let table c =
+  let x0 = Interp.Curve.x0 c and ys = Interp.Curve.samples c in
+  if not (Interp.Curve.dx c = 1.0 && Float.is_integer x0 && Float.abs x0 < 0x1p52)
+  then invalid_arg "Heeb.joining_curves: the curves must lie on the integer grid";
+  let lo = int_of_float x0 in
+  { lo; hi = lo + Array.length ys - 1; ys }
+
+let[@inline] lookup t d =
+  if d <= t.lo then Array.unsafe_get t.ys 0
+  else if d >= t.hi then Array.unsafe_get t.ys (t.hi - t.lo)
+  else Array.unsafe_get t.ys (d - t.lo)
+
 let joining_curves ?name ~h_r_tuples ~h_s_tuples () =
+  let r_table = table h_r_tuples and s_table = table h_s_tuples in
   let r_last = ref None and s_last = ref None in
   let name = Option.value ~default:"HEEB(h1)" name in
   let note (t : Tuple.t) =
@@ -170,9 +190,7 @@ let joining_curves ?name ~h_r_tuples ~h_s_tuples () =
         match if is_r then !s_last else !r_last with
         | None -> scores.(i) <- 0.0
         | Some x ->
-          Interp.Curve.eval_int_into
-            (if is_r then h_r_tuples else h_s_tuples)
-            (values.(i) - x) scores i
+          scores.(i) <- lookup (if is_r then r_table else s_table) (values.(i) - x)
       done)
 
 let joining_adaptive ?name ?(initial_lifetime = 5.0) ?(smoothing = 0.05) ~r ~s

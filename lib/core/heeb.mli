@@ -52,7 +52,12 @@ val joining_curves :
   Policy.join
 (** HEEB with precomputed random-walk curves ({!Precompute.walk_joining_curve}):
     an R tuple scores [h_r_tuples(v − x^S_last)], an S tuple scores
-    [h_s_tuples(v − x^R_last)] — Theorem 5 (φ₁ = 1, joining). *)
+    [h_s_tuples(v − x^R_last)] — Theorem 5 (φ₁ = 1, joining).  The
+    offsets are integers, so each curve is read as a table of its
+    samples, clamped to the grid: the value {!Interp.Curve.eval} gives
+    at the offset, since linear interpolation at a grid point is its
+    sample.  Raises [Invalid_argument] unless both curves lie on the
+    integer grid ([dx = 1], integer [x0]), as {!Precompute}'s do. *)
 
 val joining_adaptive :
   ?name:string ->

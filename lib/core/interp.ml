@@ -6,7 +6,7 @@ module Curve = struct
     if dx <= 0.0 then invalid_arg "Interp.Curve.create: dx <= 0";
     { x0; dx; ys }
 
-  let[@inline] eval_at t x =
+  let eval t x =
     let n = Array.length t.ys in
     let pos = (x -. t.x0) /. t.dx in
     if pos <= 0.0 then t.ys.(0)
@@ -17,8 +17,6 @@ module Curve = struct
       (t.ys.(i) *. (1.0 -. frac)) +. (t.ys.(i + 1) *. frac)
     end
 
-  let eval t x = eval_at t x
-  let eval_int_into t d dst i = dst.(i) <- eval_at t (float_of_int d)
   let x0 t = t.x0
   let dx t = t.dx
   let samples t = t.ys

@@ -16,11 +16,6 @@ module Curve : sig
   val eval : t -> float -> float
   (** Piecewise-linear; clamps outside the grid. *)
 
-  val eval_int_into : t -> int -> float array -> int -> unit
-  (** [eval_int_into t d dst i] stores [eval t (float_of_int d)] in
-      [dst.(i)], bit for bit, without boxing the result — the scoring
-      entry of HEEB(h1), whose offsets are integers. *)
-
   val x0 : t -> float
   val dx : t -> float
   val samples : t -> float array

@@ -17,17 +17,20 @@ let m_tie_pairs = Obs.Counter.create "policy.score_tie_pairs"
 let m_boundary_ties = Obs.Counter.create "policy.boundary_score_ties"
 
 (* Selection work: [policy.sort_moves] counts the sort's element moves
-   (the inversions insertion repaired, plus [n] per merge pass) and
-   [policy.sort_merges] the steps that took the merge route. *)
+   (the inversions insertion repaired, plus [n] per bucket pass and per
+   merge pass), [policy.sort_buckets] the steps that took the bucket
+   pass and [policy.sort_merges] the steps that took the merge route. *)
 let m_sort_moves = Obs.Counter.create "policy.sort_moves"
+let m_sort_buckets = Obs.Counter.create "policy.sort_buckets"
 let m_sort_merges = Obs.Counter.create "policy.sort_merges"
 
 (* [sorted.(0 .. n - 1)] is the best-first order of the [n] scored
    candidates, of which the first [k] are kept. *)
 let observe_selection (scores : float array) (sorted : int array) ~n ~k
-    ~moves ~merged =
+    ~moves ~bucketed ~merged =
   Obs.Counter.incr m_selections;
   Obs.Counter.add m_sort_moves moves;
+  if bucketed then Obs.Counter.incr m_sort_buckets;
   if merged then Obs.Counter.incr m_sort_merges;
   Obs.Counter.add m_candidates n;
   if n > k then Obs.Counter.add m_evictions (n - k);
@@ -202,8 +205,10 @@ type selector = {
   mutable scores : float array;
   mutable order : int array;
   mutable scratch : int array;
-  mutable runs : int array; (* run boundaries, length >= n + 1 *)
+  mutable runs : int array;
+      (* run boundaries, or the bucket pass's counts: length >= n + 1 *)
   mutable moves : int; (* element moves of the last sort *)
+  mutable bucketed : bool; (* did the last sort take the bucket pass? *)
   mutable merged : bool; (* did the last sort take the merge route? *)
 }
 
@@ -216,6 +221,7 @@ let selector () =
     scratch = [||];
     runs = [||];
     moves = 0;
+    bucketed = false;
     merged = false;
   }
 
@@ -421,9 +427,75 @@ let merge_from sel (scores : float array) (uids : int array) (arr : int array)
   if !ok then merge_runs sel scores uids arr len !m
   else sort_with_nan sel scores uids arr len
 
-(* Sort the candidate indices [arr.(0 .. len-1)] best-first; returns the
-   array holding the result ([arr] or [sel.scratch]) and records the
-   work in [sel.moves] / [sel.merged].
+(* The bucket pass: a stable counting sort of [sel.order.(0 .. len-1)]
+   on a monotone map of each score over the live [min, max] range onto
+   [len] buckets, best bucket first, with the -inf (dead) candidates in
+   one more bucket after them.  Candidates keep their input order inside
+   a bucket, so the dead block stays in last step's uid order, and
+   shuffled distinct scores land about one per bucket, leaving the
+   insertion that follows O(len) expected inversions to repair.  The
+   counts live in [sel.runs] and a candidate's bucket is computed once
+   to count it and once to place it, so the pass needs no array of its
+   own.  The result is written to [sel.scratch], which then swaps roles
+   with [sel.order].  Returns [false], having moved nothing, when a
+   score is NaN or the live range or its scale is not finite (a score
+   of +inf, live scores +-1e308 apart): those keep the merge. *)
+let bucket_pass sel (scores : float array) len =
+  let arr = sel.order in
+  let lo = ref Float.infinity and hi = ref Float.neg_infinity in
+  let nan = ref false in
+  for i = 0 to len - 1 do
+    let s = Array.unsafe_get scores (Array.unsafe_get arr i) in
+    if s <> s then nan := true
+    else if s > Float.neg_infinity then begin
+      if s < !lo then lo := s;
+      if s > !hi then hi := s
+    end
+  done;
+  let hi = !hi in
+  let range = if hi >= !lo then hi -. !lo else 0.0 in
+  let scale = if range > 0.0 then float_of_int (len - 1) /. range else 0.0 in
+  if !nan || not (Float.is_finite range && Float.is_finite scale) then false
+  else begin
+    let counts = sel.runs and dst = sel.scratch in
+    for b = 0 to len do
+      Array.unsafe_set counts b 0
+    done;
+    (* [(hi - s) * scale] lies in [0, len - 1]: both roundings are
+       monotone. *)
+    for i = 0 to len - 1 do
+      let s = Array.unsafe_get scores (Array.unsafe_get arr i) in
+      let b =
+        if s = Float.neg_infinity then len
+        else int_of_float ((hi -. s) *. scale)
+      in
+      counts.(b) <- counts.(b) + 1
+    done;
+    let start = ref 0 in
+    for b = 0 to len do
+      let c = Array.unsafe_get counts b in
+      Array.unsafe_set counts b !start;
+      start := !start + c
+    done;
+    for i = 0 to len - 1 do
+      let x = Array.unsafe_get arr i in
+      let s = Array.unsafe_get scores x in
+      let b =
+        if s = Float.neg_infinity then len
+        else int_of_float ((hi -. s) *. scale)
+      in
+      let p = Array.unsafe_get counts b in
+      Array.unsafe_set dst p x;
+      Array.unsafe_set counts b (p + 1)
+    done;
+    sel.scratch <- arr;
+    sel.order <- dst;
+    true
+  end
+
+(* Sort the candidate indices [sel.order.(0 .. len-1)] best-first;
+   returns the array holding the result and records the work in
+   [sel.moves] / [sel.bucketed] / [sel.merged].
 
    The input is the cache in last step's best-first order, then R and
    S.  A step changes few scores relative to their neighbours (PROB's
@@ -431,20 +503,24 @@ let merge_from sel (scores : float array) (uids : int array) (arr : int array)
    sort is straight insertion from that order ({!insert_run}), and its
    moves are the inversions the step introduced.
 
-   One fixed rule, for more than 64 candidates, switches to a merge of
-   natural runs where insertion would cost O(n²): the input is shuffled
-   (RAND redraws every score) if more than 4 of the first 16 candidates
-   follow one they should precede (7.5 expected when shuffled; a step's
-   own changes make one such descent per rescored or dying candidate),
-   or if an ordered prefix of [i], a multiple of 16, took more than
-   i²/8 moves (~i²/4 when shuffled; a step's own changes cost O(i)).
-   In the second case the prefix is kept as one run.  A NaN score sends
-   the whole sort to natural runs merged under the full comparison,
-   which orders NaN. *)
-let sort_candidates sel (scores : float array) (uids : int array)
-    (arr : int array) len =
+   For more than 64 candidates, two fixed rules guard insertion against
+   O(n²).  (a) The input is shuffled (RAND redraws every score) if more
+   than 4 of the first 16 candidates follow one they should precede
+   (7.5 expected when shuffled; a step's own changes make one such
+   descent per rescored or dying candidate): insertion then starts from
+   the order of {!bucket_pass} instead, which costs [len] moves.  (b) If
+   an ordered prefix of [i], a multiple of 16, took more than i²/8
+   insertion moves (~i²/4 when shuffled; a step's own changes cost
+   O(i); a bucket holding many tied scores in shuffled uid order costs
+   as much), the rest goes to a merge of natural runs with the prefix
+   as one run.  A NaN score, or a live range the bucket pass cannot
+   map, sends the whole sort to natural runs merged under the full
+   comparison, which orders NaN. *)
+let sort_candidates sel (scores : float array) (uids : int array) len =
   sel.moves <- 0;
+  sel.bucketed <- false;
   sel.merged <- true;
+  let arr = sel.order in
   let descents = ref 0 in
   if len > 64 then
     for q = 1 to block - 1 do
@@ -455,8 +531,12 @@ let sort_candidates sel (scores : float array) (uids : int array)
             (precedes (Array.unsafe_get scores x) (Array.unsafe_get uids x)
                (Array.unsafe_get scores y) (Array.unsafe_get uids y))
     done;
-  if !descents > 4 then merge_from sel scores uids arr len ~from:1
+  if !descents > 4 && not (bucket_pass sel scores len) then
+    merge_from sel scores uids arr len ~from:1
   else begin
+    sel.bucketed <- !descents > 4;
+    (* The bucket pass left its order in [sel.order]. *)
+    let arr = sel.order in
     let s0 = Array.unsafe_get scores (Array.unsafe_get arr 0) in
     let ok = ref (s0 = s0) and i = ref 1 and shuffled = ref false in
     while !ok && (not !shuffled) && !i < len do
@@ -465,12 +545,16 @@ let sort_candidates sel (scores : float array) (uids : int array)
       i := hi;
       shuffled := len > 64 && 8 * sel.moves > hi * hi
     done;
-    if not !ok then sort_with_nan sel scores uids arr len
-    else if !i = len then begin
-      sel.merged <- false;
-      arr
-    end
-    else merge_from sel scores uids arr len ~from:!i
+    let sorted =
+      if not !ok then sort_with_nan sel scores uids arr len
+      else if !i = len then begin
+        sel.merged <- false;
+        arr
+      end
+      else merge_from sel scores uids arr len ~from:!i
+    in
+    if sel.bucketed then sel.moves <- sel.moves + len;
+    sorted
   end
 
 (* Record dropped candidate [idx] in [dst]'s diff; returns the new
@@ -497,10 +581,11 @@ let select_prescored sel ~capacity ~n0 ~(dst : buffer) =
   for i = 0 to n - 1 do
     Array.unsafe_set order i i
   done;
-  let sorted = sort_candidates sel scores uids order n in
+  let sorted = sort_candidates sel scores uids n in
   let k = if n < capacity then n else capacity in
   if Obs.on () then
-    observe_selection scores sorted ~n ~k ~moves:sel.moves ~merged:sel.merged;
+    observe_selection scores sorted ~n ~k ~moves:sel.moves
+      ~bucketed:sel.bucketed ~merged:sel.merged;
   reserve dst n;
   let out_u = dst.uids and out_v = dst.values in
   for j = 0 to k - 1 do

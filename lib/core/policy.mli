@@ -148,12 +148,15 @@ val scored :
     The sort starts from the cache's previous best-first order and
     inserts: a candidate in place costs one compare, so a step pays for
     the inversions its new scores introduced (Obs counter
-    [policy.sort_moves]).  One fixed rule switches to a merge of natural
-    runs for a shuffled input (RAND's redrawn scores), where insertion
-    would cost O(n²): with more than 64 candidates, more than 4
-    descents among the first 16, or an ordered prefix of [i], a
-    multiple of 16, that took more than i²/8 moves.  A NaN score also
-    takes the merge ([policy.sort_merges] counts both). *)
+    [policy.sort_moves]).  With more than 64 candidates, a shuffled
+    input (RAND's redrawn scores: more than 4 descents among the first
+    16) is first put in order by a stable bucket pass over the live
+    score range ([policy.sort_buckets]), so insertion repairs O(n)
+    expected inversions.  An ordered prefix of [i], a multiple of 16,
+    that took more than i²/8 moves (tied scores in shuffled uid order)
+    hands the rest to a merge of natural runs, and a NaN score or a
+    live range that is not finite takes the merge instead of the bucket
+    pass ([policy.sort_merges] counts every merge). *)
 
 type cache = {
   cname : string;

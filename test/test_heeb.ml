@@ -201,6 +201,98 @@ let test_joining_curves_policy_runs () =
   let result = run_joining policy ~trace ~capacity:8 in
   check_bool "produces results" true (result.Ssj_engine.Join_sim.total_results > 0)
 
+(* HEEB(h1) scoring through [Interp.Curve.eval], as a reference for the
+   table reads of [Heeb.joining_curves]. *)
+let joining_curves_by_eval ~h_r_tuples ~h_s_tuples =
+  let r_last = ref None and s_last = ref None in
+  let note (t : Tuple.t) =
+    match t.side with
+    | Tuple.R -> r_last := Some t.value
+    | Tuple.S -> s_last := Some t.value
+  in
+  Policy.scored ~name:"HEEB(h1) by eval"
+    ~observe:(fun ~r ~s ->
+      note r;
+      note s)
+    (fun ~now:_ ~n ~uids ~values ~scores ->
+      for i = 0 to n - 1 do
+        let is_r = uids.(i) land 1 = 0 in
+        scores.(i) <-
+          (match if is_r then !s_last else !r_last with
+          | None -> 0.0
+          | Some x ->
+            Interp.Curve.eval
+              (if is_r then h_r_tuples else h_s_tuples)
+              (float_of_int (values.(i) - x)))
+      done)
+
+(* The table reads keep what [Interp.Curve.eval] keeps, step by step, on
+   WALK traces at k = 10 and 100 with two different curves (alpha 10 and
+   20, so a swapped side shows).  Every 50 steps one side arrives at ±1e9 or within 7 of
+   ±2^62 while the other arrives at 0: offsets whose distance to the
+   grid's x0 overflows unless the offset is clamped first.  The first
+   four steps bring arrivals of one side only, so the other side's
+   candidates have no partner position yet. *)
+let test_joining_curves_table_equals_eval () =
+  let w = Ssj_workload.Config.walk () in
+  let r, s = Ssj_workload.Config.walk_predictors w in
+  let curve alpha =
+    Precompute.walk_joining_curve ~step:w.Ssj_workload.Config.step
+      ~drift:w.Ssj_workload.Config.drift ~l:(Lfun.exp_ ~alpha) ~lo:(-100)
+      ~hi:100
+  in
+  let extremes =
+    [| 1_000_000_000; -1_000_000_000; max_int - 7; min_int + 7; max_int; min_int |]
+  in
+  let length = 400 and lonely = 4 in
+  let h_r_tuples = curve 10.0 and h_s_tuples = curve 20.0 in
+  List.iter
+    (fun capacity ->
+      List.iter
+        (fun (seed, side) ->
+          let trace = Trace.generate ~r ~s ~rng:(rng seed) ~length in
+          let table = Heeb.joining_curves ~h_r_tuples ~h_s_tuples () in
+          let reference = joining_curves_by_eval ~h_r_tuples ~h_s_tuples in
+          let src = ref (Policy.buffer ()) in
+          for t = 0 to length - 1 do
+            let value side = (Trace.tuple trace side t).Tuple.value in
+            let rv, sv =
+              match t mod 50 with
+              | 10 -> (extremes.(t / 50 mod 6), 0)
+              | 30 -> (0, extremes.(t / 50 mod 6))
+              | _ -> (value Tuple.R, value Tuple.S)
+            in
+            let r, s =
+              if t < lonely then
+                ( Tuple.make ~side ~value:rv ~arrival:(2 * t),
+                  Tuple.make ~side ~value:sv ~arrival:((2 * t) + 1) )
+              else
+                ( Tuple.make ~side:Tuple.R ~value:rv ~arrival:(t + lonely),
+                  Tuple.make ~side:Tuple.S ~value:sv ~arrival:(t + lonely) )
+            in
+            let step (p : Policy.join) =
+              let dst = Policy.buffer () in
+              (Option.get p.Policy.fast) ~src:!src ~dst ~now:t ~r ~s ~capacity;
+              Policy.tuples dst
+            in
+            let kept = step table in
+            if kept <> step reference then
+              Alcotest.failf "k=%d seed %d step %d: table and eval keep \
+                              different tuples" capacity seed t;
+            src := Policy.of_tuples kept
+          done)
+        [ (1, Tuple.R); (2, Tuple.S); (3, Tuple.R) ])
+    [ 10; 100 ];
+  let rejects c =
+    match Heeb.joining_curves ~h_r_tuples:c ~h_s_tuples:c () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "dx = 0.25 rejected" true
+    (rejects (Interp.Curve.create ~x0:(-2.0) ~dx:0.25 [| 1.0; 2.0; 3.0 |]));
+  check_bool "x0 = 0.5 rejected" true
+    (rejects (Interp.Curve.create ~x0:0.5 ~dx:1.0 [| 1.0; 2.0; 3.0 |]))
+
 let test_adaptive_alpha_tracks_fixed () =
   (* The adaptive-alpha variant should be competitive with the hand-tuned
      alpha on TOWER (within 10%), and its lifetime estimate must settle in
@@ -249,6 +341,8 @@ let suite =
       test_caching_fn_scores_full_misses_only;
     Alcotest.test_case "walk curve policy" `Quick
       test_joining_curves_policy_runs;
+    Alcotest.test_case "walk curve table = Curve.eval" `Quick
+      test_joining_curves_table_equals_eval;
     Alcotest.test_case "adaptive alpha tracks fixed" `Slow
       test_adaptive_alpha_tracks_fixed;
     Alcotest.test_case "HEEB beats baselines on TOWER" `Slow

@@ -22,9 +22,10 @@ let uids = List.map (fun t -> t.Tuple.uid)
    against capacities up to 12 cover n <= capacity as well as candidate
    sets many times the capacity.  Engine-shaped cases
    ({!Ssj_conform.Oracles.engine_step}): the cache in last step's order
-   with a few entries rescored or killed, shuffled caches and NaN
-   scores, at sizes on both sides of the sort's 64-candidate switch up
-   to 402. *)
+   with a few entries rescored or killed, shuffled caches over every
+   score palette (distinct, two or three values, all equal, a live range
+   that is not finite; a dead block at the end) and NaN scores, at sizes
+   on both sides of the sort's 64-candidate switch up to 402. *)
 let score_table = [| Float.neg_infinity; 0.0; 0.0; 1.0; 2.5; 7.0 |]
 
 type keep_top_case =
@@ -44,7 +45,9 @@ let gen_keep_top =
             Engine_case (shape, n, min n capacity, seed))
           (quad
              (oneofl
-                Ssj_conform.Oracles.[ Engine_order; Shuffled; With_nan ])
+                Ssj_conform.Oracles.(
+                  Engine_order :: With_nan
+                  :: List.map (fun p -> Shuffled p) palettes))
              (oneof [ int_range 2 64; int_range 65 402 ])
              (int_range 1 402) int);
       ])
@@ -240,33 +243,63 @@ let counter name =
     (Ssj_obs.Obs.snapshot ())
   |> Option.get
 
-(* One policy run with the obs gate on: (selections, sort moves, steps
-   that took the merge route). *)
-let selection_work ~trace ~policy ~capacity =
+(* [f ()] with the obs gate on: (selections, sort moves, steps that
+   took the bucket pass, steps that took the merge route). *)
+let selection_work f =
   let saved = Ssj_obs.Obs.on () in
   Ssj_obs.Obs.set_enabled true;
   Ssj_obs.Obs.reset ();
   Fun.protect
     ~finally:(fun () -> Ssj_obs.Obs.set_enabled saved)
     (fun () ->
-      ignore (Join_sim.run ~trace ~policy ~capacity ());
+      f ();
       ( counter "policy.selections",
         counter "policy.sort_moves",
+        counter "policy.sort_buckets",
         counter "policy.sort_merges" ))
+
+let run_work ~trace ~policy ~capacity =
+  selection_work (fun () -> ignore (Join_sim.run ~trace ~policy ~capacity ()))
+
+(* One shuffled step of 402 candidates: 400 cached tuples in random uid
+   order, then the two arrivals, scored [score_of j] by position. *)
+let shuffled_step rng score_of =
+  let arrivals = Array.init 400 Fun.id in
+  Rng.shuffle rng arrivals;
+  let scores = Array.init 402 score_of in
+  let cache =
+    List.init 400 (fun j ->
+        tup (if Rng.bool rng then Tuple.R else Tuple.S) j arrivals.(j))
+  in
+  ((fun (t : Tuple.t) -> scores.(t.Tuple.value)),
+   cache @ [ tup Tuple.R 400 400; tup Tuple.S 401 400 ])
 
 (* Element moves are exact for a given trace, so this gate has no timing
    noise.  PROB on TOWER keeps its order from step to step: insertion
    repairs ~53 inversions a step at k = 25 and ~794 at k = 400, most of
    them the two arrivals passing the dead entries.  Sorting every step by
-   merge would cost a pass of k + 2 moves per merge level.  RAND redraws every score, so at k = 100 on WALK each step
-   past the fill must take the merge (968 of 1000 do), or insertion pays
-   O(k²). *)
+   merge would cost a pass of k + 2 moves per merge level.
+
+   RAND redraws every score, so each step past the fill must take the
+   bucket pass (n moves) and then repair few inversions.  On WALK at
+   k = 100, 964 of 1000 steps bucket, at ~136 moves a step with the
+   fill's insertions; the merge of natural runs costs ~602 a step and
+   insertion alone O(k²).  On TOWER at k = 400, the dead entries (all
+   but ~25) trail the live ones in last step's uid order: 1963 of 2000
+   steps bucket, at ~391 moves a step, against ~1,573 for the merge; a
+   dead block placed out of that order would cost O(k²) to repair.  The
+   gates allow 1.5 n a step.
+
+   Tied scores fill a bucket in shuffled uid order, which insertion
+   cannot repair cheaply: the move budget hands the rest to the merge.
+   On shuffled 402-candidate steps with all-equal and with three
+   distinct scores the sort may cost at most the merge alone plus 2n. *)
 let test_selection_work () =
   let trace = tower_trace 5000 42 in
   List.iter
     (fun (capacity, bound) ->
       let policy = Baselines.prob ~lifetime:(Config.lifetime tower) () in
-      let steps, moves, _ = selection_work ~trace ~policy ~capacity in
+      let steps, moves, _, _ = run_work ~trace ~policy ~capacity in
       let per_step = float_of_int moves /. float_of_int steps in
       if per_step > bound then
         Alcotest.failf "PROB k=%d: %.1f sort moves per step (gate %.0f)"
@@ -274,12 +307,42 @@ let test_selection_work () =
     [ (25, 60.0); (400, 850.0) ];
   let w = Config.walk () in
   let r, s = Config.walk_predictors w in
-  let trace = Trace.generate ~r ~s ~rng:(Rng.create 42) ~length:1000 in
-  let policy = Baselines.rand ~rng:(Rng.create 42) () in
-  let steps, _, merges = selection_work ~trace ~policy ~capacity:100 in
-  if merges < 950 then
-    Alcotest.failf "RAND on WALK k=100: %d of %d steps took the merge (gate 950)"
-      merges steps
+  let rand_gate name ~trace ~policy ~capacity ~min_buckets =
+    let steps, moves, buckets, _ = run_work ~trace ~policy ~capacity in
+    let per_step = float_of_int moves /. float_of_int steps in
+    let bound = 1.5 *. float_of_int (capacity + 2) in
+    if buckets < min_buckets then
+      Alcotest.failf "RAND on %s k=%d: %d of %d steps took the bucket pass (gate %d)"
+        name capacity buckets steps min_buckets;
+    if per_step > bound then
+      Alcotest.failf "RAND on %s k=%d: %.1f sort moves per step (gate %.0f)"
+        name capacity per_step bound
+  in
+  rand_gate "WALK" ~capacity:100 ~min_buckets:950
+    ~trace:(Trace.generate ~r ~s ~rng:(Rng.create 42) ~length:1000)
+    ~policy:(Baselines.rand ~rng:(Rng.create 42) ());
+  rand_gate "TOWER" ~capacity:400 ~min_buckets:1900
+    ~trace:(tower_trace 2000 42)
+    ~policy:(Baselines.rand ~rng:(Rng.create 42) ~lifetime:(Config.lifetime tower) ());
+  List.iter
+    (fun (name, score_of) ->
+      for seed = 1 to 10 do
+        let rng = Rng.create seed in
+        let score, candidates = shuffled_step rng (score_of rng) in
+        let _, moves, _, _ =
+          selection_work (fun () -> ignore (keep_top ~capacity:400 ~score candidates))
+        in
+        let bound =
+          Ssj_conform.Oracles.merge_route_moves ~score candidates + (2 * 402)
+        in
+        if moves > bound then
+          Alcotest.failf "shuffled %s, seed %d: %d sort moves (gate %d)" name
+            seed moves bound
+      done)
+    [
+      ("all-equal scores", fun _ _ -> 1.0);
+      ("three scores", fun rng _ -> float_of_int (Rng.int rng 3));
+    ]
 
 let suite =
   [
