@@ -50,6 +50,15 @@ let bench_fig6_kernel () =
         (Precompute.walk_caching_curve ~step ~drift:2
            ~l:(Lfun.exp_ ~alpha:10.0) ~lo:(-10) ~hi:10 ~horizon:128 ()))
 
+let bench_fig12_h1_curve () =
+  (* The HEEB curve walk-k100 builds in its set-up: alpha 100 (a
+     3224-level horizon over levels ~3000 cells wide), window +-100. *)
+  let w = Config.walk () in
+  Staged.stage (fun () ->
+      ignore
+        (Precompute.walk_joining_curve ~step:w.Config.step ~drift:w.Config.drift
+           ~l:(Lfun.exp_ ~alpha:100.0) ~lo:(-100) ~hi:100))
+
 let bench_sim ?(capacity = 10) ?(seed = 7) policy_of length =
   let trace = tower_trace length seed in
   Staged.stage (fun () ->
@@ -133,6 +142,7 @@ let micro_tests =
            500);
       Test.make ~name:"fig9-12:HEEB-cap20-500-steps"
         (bench_sim ~capacity:20 ~seed:8 (Factory.trend_heeb tower) 500);
+      Test.make ~name:"fig12:h1-curve-a100" (bench_fig12_h1_curve ());
       Test.make ~name:"fig13:HEEB-h2-365-days" (bench_fig13_kernel ());
       Test.make ~name:"fig13:h2-surface-build" (bench_fig13_surface_build ());
       Test.make ~name:"fig15:bicubic-eval" (bench_fig15_kernel ());

@@ -741,6 +741,95 @@ let h1_check =
           }
       | Some detail -> Check.Fail { detail; case = None })
 
+(* The reference h1 curve: each level the [Convolve.pair] of the last
+   one and the step (how [Convolve.Table] builds its levels), its zero
+   tails trimmed, and [Pmf.add_into] for the banded accumulation — the
+   arithmetic [Convolve.Rolling] must reproduce bit for bit. *)
+let h1_reference ~step ~drift ~l ~lo ~hi =
+  let h = Array.make (hi - lo + 1) 0.0 in
+  let q = ref step in
+  for delta = 1 to l.Lfun.horizon do
+    if delta > 1 then q := Pmf.trim_zeros (Convolve.pair !q step);
+    let w = l.Lfun.l delta in
+    if w > 0.0 then
+      Pmf.add_into !q ~dst:h ~lo:(lo - (drift * delta)) ~scale:w
+  done;
+  h
+
+(* Case [i] of [seed]: a discretized normal or a random positive step,
+   alpha in [2, 150] (horizons ~60 to ~4900 levels, deep enough for the
+   tails to reach the subnormal range), drift in [-2, 2], a window of
+   two or more cells within +-300. *)
+let h1_kernel_case ~seed i =
+  let rng = Rng.create (seed + (7919 * i)) in
+  let step =
+    if Rng.bool rng then
+      Dist.discretized_normal
+        ~sigma:(0.3 +. Rng.float rng 3.0)
+        ~bound:(1 + Rng.int rng 9)
+    else begin
+      let cells =
+        Array.init (1 + Rng.int rng 8) (fun _ -> 0.01 +. Rng.float rng 1.0)
+      in
+      (* A -0.0 weight is a valid one: one case in four puts it in a
+         cell other than the first. *)
+      let n = Array.length cells in
+      if n >= 2 && Rng.int rng 4 = 0 then
+        cells.(1 + Rng.int rng (n - 1)) <- -0.0;
+      Pmf.create ~lo:(-Rng.int rng 4) cells
+    end
+  in
+  let alpha = 2.0 +. Rng.float rng 148.0 in
+  let drift = Rng.int rng 5 - 2 in
+  let lo = Rng.int rng 600 - 300 in
+  (step, alpha, drift, lo, lo + 1 + Rng.int rng (300 - lo))
+
+let h1_kernel_violation ~seed i =
+  let step, alpha, drift, lo, hi = h1_kernel_case ~seed i in
+  let l = Lfun.exp_ ~alpha in
+  let fast =
+    Interp.Curve.samples
+      (Precompute.walk_joining_curve ~step ~drift ~l ~lo ~hi)
+  in
+  let reference = h1_reference ~step ~drift ~l ~lo ~hi in
+  let differs j =
+    Int64.bits_of_float fast.(j) <> Int64.bits_of_float reference.(j)
+  in
+  let rec first j =
+    if j >= Array.length fast then None
+    else if differs j then Some j
+    else first (j + 1)
+  in
+  Option.map
+    (fun j ->
+      Format.asprintf
+        "case %d: step %a, alpha %.17g, drift %d, window [%d, %d]: h1(%d) \
+         kernel %h vs table %h"
+        i Pmf.pp step alpha drift lo hi (lo + j) fast.(j) reference.(j))
+    (first 0)
+
+let h1_kernel_check =
+  Check.make ~name:"oracle:h1/kernel-vs-table" ~kind:Check.Oracle
+    ~fast:
+      "Precompute.walk_joining_curve (Convolve.Rolling: two buffers, software \
+       tiny products)"
+    ~reference:
+      "Convolve.pair levels (Convolve.Table's construction), zero-trimmed, \
+       with Pmf.add_into"
+    (fun ~seed ~count ->
+      (* A case costs ~0.5 s on average (the reference's subnormal
+         multiplies dominate), so one per 20 counted. *)
+      let cases = max 1 (count / 20) in
+      let rec go i =
+        if i >= cases then
+          Check.Pass { cases; note = "curve bits equal the table-level build" }
+        else
+          match h1_kernel_violation ~seed i with
+          | None -> go (i + 1)
+          | Some detail -> Check.Fail { detail; case = None }
+      in
+      go 0)
+
 let h2_check =
   Check.make ~name:"oracle:h2/bicubic-vs-exact-columns" ~kind:Check.Oracle
     ~fast:"Interp.Surface.eval over the bicubic h2 control grid"
@@ -1008,6 +1097,7 @@ let all =
     cache_selection_check;
     flow_expect_check;
     h1_check;
+    h1_kernel_check;
     h2_check;
     opt_bound_check;
     opt_curve_check;

@@ -29,6 +29,12 @@
       (bit-equal kept sets and plan values).
     - [oracle:h1/curve-vs-direct-sum] — the precomputed random-walk
       joining curve vs {!Ssj_core.Precompute.walk_joining_h}.
+    - [oracle:h1/kernel-vs-table] — the same curve's bits vs a build
+      from {!Ssj_prob.Convolve.pair} levels (the construction of
+      {!Ssj_prob.Convolve.Table}), zero-trimmed, with
+      {!Ssj_prob.Pmf.add_into}: random steps, alpha in \[2, 150\],
+      drift in \[-2, 2\], windows within ±300; one case per 20 of
+      [count].
     - [oracle:h2/bicubic-vs-exact-columns] — bicubic surface control
       nodes vs exact first-passage columns.
     - [oracle:online-le-opt-offline] — every online policy's total
@@ -89,5 +95,17 @@ val engine_step :
     candidates shaped like the engine's: the cache, then the R and S
     arrivals last, with tie-heavy scores.  Returns the score function
     and the candidates. *)
+
+val h1_reference :
+  step:Ssj_prob.Pmf.t ->
+  drift:int ->
+  l:Ssj_core.Lfun.t ->
+  lo:int ->
+  hi:int ->
+  float array
+(** The h1 curve's samples on [lo..hi] as [oracle:h1/kernel-vs-table]
+    builds its reference: each level the {!Ssj_prob.Convolve.pair} of
+    the last one and the step, zero-trimmed, accumulated with
+    {!Ssj_prob.Pmf.add_into}. *)
 
 val all : Check.t list

@@ -6,27 +6,14 @@ let walk_joining_curve ~step ~drift ~l ~lo ~hi =
   let horizon = l.Lfun.horizon in
   if horizon >= max_int / 8 then
     invalid_arg "Precompute.walk_joining_curve: L has no finite horizon";
-  let n = hi - lo + 1 in
-  let h = Array.make n 0.0 in
-  (* One rolling level q = Δ-fold step convolution, built from level
-     Δ−1 and the step exactly as [Convolve.Table] builds a sequential
-     scan, so every level has the same bits as the table's.  Only the
-     current level is ever read again, so no table is kept.  Both tails
-     underflow to exact zeros after a few dozen steps; trimming them
-     drops cells that could only add +0.0 to the next level (the naive
-     kernel skips zero entries of its left operand) and to [h]. *)
-  let q = ref step in
+  let h = Array.make (hi - lo + 1) 0.0 in
+  let q = Convolve.Rolling.create step in
   for delta = 1 to horizon do
-    if delta > 1 then begin
-      let next = Convolve.pair !q step in
-      assert (Float.abs (Pmf.total next -. 1.0) < 1e-9);
-      q := Pmf.trim_zeros next
-    end;
+    if delta > 1 then Convolve.Rolling.advance q;
     let w = l.Lfun.l delta in
+    (* h.(i) += w·Pr{Σ steps = (lo + i) − drift·delta}. *)
     if w > 0.0 then
-      (* h.(i) += w·Pr{Σ steps = (lo + i) − drift·delta}: one banded
-         accumulation over the support overlap, no per-cell lookups. *)
-      Pmf.add_into !q ~dst:h ~lo:(lo - (drift * delta)) ~scale:w
+      Convolve.Rolling.add_into q ~dst:h ~lo:(lo - (drift * delta)) ~scale:w
   done;
   Interp.Curve.create ~x0:(float_of_int lo) ~dx:1.0 h
 

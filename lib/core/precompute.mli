@@ -23,11 +23,19 @@ val walk_joining_curve :
     convolution and [d = v_x − x^partner_{t0}].  Sampled on integers
     [lo..hi].
 
-    Builds [q_Δ] as one rolling level, [q_Δ = q_{Δ−1} ⋆ step], with the
-    exact-zero tails trimmed after each level: O(horizon · nonzero
-    support) time and O(support) memory — no table of levels is kept.
-    Every level equals {!Ssj_prob.Convolve.Table.get}'s bit for bit
-    (the trimmed cells are exact zeros), for any step and any [L]. *)
+    Builds [q_Δ] as one rolling level, [q_Δ = q_{Δ−1} ⋆ step]
+    ({!Ssj_prob.Convolve.Rolling}), in two float buffers reused from
+    level to level, with the exact-zero tails trimmed after each level:
+    O(horizon · nonzero support) time, O(support) memory and no
+    allocation per level.  Every level equals
+    {!Ssj_prob.Convolve.Table.get}'s bit for bit, for any step and any
+    [L]: each cell adds its products in the table's order, the trimmed
+    cells are exact zeros, and a product whose operand or result is
+    below 2^-1021 (the deep tails, which fall through the subnormal
+    range before they underflow to zero) is computed on the subnormal
+    grid in integer steps ({!Ssj_prob.Convolve.tiny_mul}), which
+    rounds exactly as the hardware does but without its ~70 ns
+    subnormal assist. *)
 
 val walk_joining_h :
   step:Ssj_prob.Pmf.t -> drift:int -> l:Lfun.t -> d:int -> float

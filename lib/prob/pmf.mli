@@ -106,8 +106,9 @@ val dot : t -> t -> float
 
 val add_into : t -> dst:float array -> lo:int -> scale:float -> unit
 (** [add_into t ~dst ~lo ~scale] does [dst.(i) ← dst.(i) + scale·Pr{X = lo+i}]
-    over the overlap — the accumulation kernel of the precomputation DPs,
-    replacing a bounds-checked [prob] per cell. *)
+    over the overlap, with no bounds-checked [prob] per cell — the h1
+    oracle's accumulation; [Convolve.Rolling.add_into] is the same on a
+    rolling level. *)
 
 val equal : ?eps:float -> t -> t -> bool
 (** Pointwise comparison over the union of supports, tolerance [eps]

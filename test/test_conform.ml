@@ -14,7 +14,7 @@ let test_registry_passes () =
     Conform.run_checks ~seed:271 ~count:25 ~out:drop_formatter
       (Oracles.all @ Laws.all)
   in
-  Helpers.check_int "all registered checks ran" 17 (List.length reports);
+  Helpers.check_int "all registered checks ran" 18 (List.length reports);
   List.iter
     (fun (r : Conform.report) ->
       match r.Conform.outcome with

@@ -237,6 +237,62 @@ let test_trim_no_renormalisation () =
   check_bool "untrimmed pmf returned as is" true
     (Pmf.trim_zeros t == t)
 
+(* --- the software product for the tails of deep levels ------------- *)
+
+let of_bits n = Int64.float_of_bits (Int64.of_int n)
+
+(* x in [0, 2^-990) by bit pattern (mostly normal exponents, 1/33
+   subnormal), subnormals alone, and the boundary patterns around
+   2^-1022 and 2^-1021. *)
+let gen_tiny_x =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map of_bits (int_range 0 ((33 lsl 52) - 1)));
+        (3, map of_bits (int_range 0 ((1 lsl 52) - 1)));
+        ( 1,
+          oneofl
+            (List.map of_bits
+               [ 0; 1; (1 lsl 52) - 1; 1 lsl 52; (1 lsl 52) + 1;
+                 (2 lsl 52) - 1; 2 lsl 52; (2 lsl 52) + 1 ]) );
+      ])
+
+(* b in (0, 2]: every binade from 2^-60 up, and the scales a kernel
+   passes most (1, powers of two, 1 ± 1 ulp). *)
+let gen_b =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 3,
+          map2
+            (fun u e -> Float.ldexp u (-e))
+            (float_range 1.0 2.0) (int_range 0 60) );
+        (1, map (fun u -> 2.0 -. u) (float_range 0.0 1.99));
+        ( 1,
+          oneofl
+            [ 1.0; 0.5; 0.25; 0.75; 2.0; Float.succ 1.0; Float.pred 1.0 ] );
+      ])
+
+let gen_tiny_product =
+  QCheck2.Gen.(
+    oneof
+      [
+        pair gen_tiny_x gen_b;
+        (* x·b in [2^-1024, 2^-1021], where fl(m·b) has one or two
+           fraction bits and is often a half-integer. *)
+        (let* y = map of_bits (int_range (1 lsl 50) (1 lsl 53)) in
+         let* b = gen_b in
+         return (y /. b, b));
+        (* Exact midpoints of the subnormal grid: (2j+1)·2^-1074 · 1/2. *)
+        map
+          (fun j -> (of_bits ((2 * j) + 1), 0.5))
+          (int_range 0 ((1 lsl 51) - 1));
+      ])
+
+let prop_tiny_mul_is_hardware_product =
+  qcheck ~count:20000 "tiny_mul x b = x *. b, bit for bit" gen_tiny_product
+    (fun (x, b) -> same_bits (Convolve.tiny_mul x b) (x *. b))
+
 let suite =
   [
     Alcotest.test_case "points" `Quick test_pair_point_masses;
@@ -258,4 +314,5 @@ let suite =
     prop_trim_keeps_entries;
     Alcotest.test_case "trim_zeros does not renormalise" `Quick
       test_trim_no_renormalisation;
+    prop_tiny_mul_is_hardware_product;
   ]
