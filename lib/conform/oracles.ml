@@ -76,30 +76,9 @@ let render_selection ts =
   String.concat ";"
     (List.map (fun (t : Tuple.t) -> string_of_int t.Tuple.uid) ts)
 
-(* [candidate a] strictly precedes [b] best-first: higher score, then
-   higher uid, NaN below every number. *)
-let precedes ~score (a : Tuple.t) (b : Tuple.t) =
-  match Float.compare (score b) (score a) with
-  | 0 -> a.Tuple.uid > b.Tuple.uid
-  | c -> c < 0
-
-let merge_route_moves ~score candidates =
-  let a = Array.of_list candidates in
-  let n = Array.length a in
-  let runs = ref 1 in
-  for q = 1 to n - 1 do
-    if precedes ~score a.(q) a.(q - 1) then incr runs
-  done;
-  let passes = ref 0 in
-  while !runs > 1 do
-    runs := (!runs + 1) / 2;
-    incr passes
-  done;
-  !passes * n
-
 (* The selection work [f] does, with the obs gate on: sort moves, and
-   whether it took the bucket pass and the merge route. *)
-type work = { moves : int; bucketed : bool; merged : bool }
+   whether it took the bucket pass. *)
+type work = { moves : int; bucketed : bool }
 
 let selection_work f =
   let counters () =
@@ -111,17 +90,17 @@ let selection_work f =
         (Ssj_obs.Obs.snapshot ())
       |> Option.get
     in
-    (get "policy.sort_moves", get "policy.sort_buckets", get "policy.sort_merges")
+    (get "policy.sort_moves", get "policy.sort_buckets")
   in
   let saved = Ssj_obs.Obs.on () in
   Ssj_obs.Obs.set_enabled true;
   Fun.protect
     ~finally:(fun () -> Ssj_obs.Obs.set_enabled saved)
     (fun () ->
-      let m0, b0, g0 = counters () in
+      let m0, b0 = counters () in
       f ();
-      let m1, b1, g1 = counters () in
-      { moves = m1 - m0; bucketed = b1 > b0; merged = g1 > g0 })
+      let m1, b1 = counters () in
+      { moves = m1 - m0; bucketed = b1 > b0 })
 
 (* One scored step: the last two candidates arrive, the rest are the
    cache.  The kept tuples must equal the spec's, best-first, and the
@@ -183,7 +162,7 @@ let random_selection rng =
   (capacity, score, candidates)
 
 type palette = Table | Spread | Few | Equal | Wide
-type step_shape = Engine_order | Shuffled of palette | With_nan
+type step_shape = Engine_order | Shuffled of palette
 
 let palettes = [ Table; Spread; Few; Equal; Wide ]
 
@@ -214,7 +193,7 @@ let engine_step ~shape ~n rng =
   let m = n - 2 in
   let side () = if Rng.bool rng then Tuple.R else Tuple.S in
   let draw, ends =
-    palette_draw (match shape with Shuffled p -> p | _ -> Table) rng
+    palette_draw (match shape with Shuffled p -> p | Engine_order -> Table) rng
   in
   (* The cache: distinct older arrivals, with last step's scores. *)
   let cache =
@@ -223,13 +202,7 @@ let engine_step ~shape ~n rng =
   let best_first (sa, (ta : Tuple.t)) (sb, (tb : Tuple.t)) =
     match Float.compare sb sa with 0 -> Int.compare tb.uid ta.uid | c -> c
   in
-  (* NaN steps take either order, so NaN meets both routes. *)
-  let shuffled =
-    match shape with
-    | Shuffled _ -> true
-    | With_nan -> Rng.bool rng
-    | Engine_order -> false
-  in
+  let shuffled = shape <> Engine_order in
   if shuffled then Rng.shuffle rng cache
   else Array.stable_sort best_first cache;
   (* Outside the table, a shuffled cache ends in a block of up to m/2
@@ -271,10 +244,6 @@ let engine_step ~shape ~n rng =
     Array.append scores
       (match ends with Some (a, b) -> [| a; b |] | None -> [| draw (); draw () |])
   in
-  (if shape = With_nan then
-     for _ = 1 to 1 + Rng.int rng 3 do
-       all.(Rng.int rng n) <- Float.nan
-     done);
   let score (t : Tuple.t) = all.(t.Tuple.value) in
   let candidates = Array.to_list (Array.map snd cache) @ [ r; s ] in
   (score, candidates)
@@ -292,49 +261,79 @@ let engine_selection ~shape rng =
 (* What a shuffled step of more than 64 candidates may cost.  Distinct
    scores take the bucket pass, unless the descent rule misses (~0.2%
    of shuffled steps), and then the bucket pass plus at most [n]
-   repairs, with no merge.  A live range that is not finite never takes
-   the bucket pass.  Tied scores may take the merge after the bucket
-   pass; their work is gated by the test suite's worst cases.  Other
-   shapes and smaller steps have no work check here. *)
+   repairs.  Tied scores may also take the uid pass; their work is
+   gated by the test suite's worst cases.  Other shapes and smaller
+   steps have no work check here. *)
 let shuffled_work shape candidates did =
   let n = List.length candidates in
   match shape with
-  | Some (Shuffled Spread)
-    when n > 64 && did.bucketed && (did.merged || did.moves > 2 * n) ->
+  | Some (Shuffled Spread) when n > 64 && did.bucketed && did.moves > 2 * n ->
     Some
-      (Printf.sprintf "distinct scores: %d moves%s after the bucket pass"
-         did.moves
-         (if did.merged then " and a merge" else ""))
-  | Some (Shuffled Wide) when n > 64 && did.bucketed ->
-    Some "live range not finite, yet the bucket pass was taken"
+      (Printf.sprintf "distinct scores: %d moves after the bucket pass"
+         did.moves)
   | _ -> None
+
+(* An engine step with one to three candidates scored NaN, in the
+   cache's order or shuffled: the step must raise [Invalid_argument]
+   naming the policy, the step and the uid of one of them. *)
+let nan_violation rng =
+  let shape = if Rng.bool rng then Engine_order else Shuffled Table in
+  let capacity, score, candidates = engine_selection ~shape rng in
+  let n = List.length candidates in
+  let nan_uids =
+    List.init (1 + Rng.int rng 3) (fun _ ->
+        (List.nth candidates (Rng.int rng n)).Tuple.uid)
+  in
+  let score (t : Tuple.t) =
+    if List.mem t.Tuple.uid nan_uids then Float.nan else score t
+  in
+  let policy = Baselines.prob_model ~partner_prob:score () in
+  let cached = List.filteri (fun j _ -> j < n - 2) candidates in
+  let r = List.nth candidates (n - 2) and s = List.nth candidates (n - 1) in
+  let now = Rng.int rng 1000 in
+  let expected uid =
+    Printf.sprintf "%s: step %d: candidate uid %d scored NaN"
+      policy.Policy.name now uid
+  in
+  let where =
+    Printf.sprintf "(%d cands, NaN at uids %s)" n
+      (String.concat "," (List.map string_of_int nan_uids))
+  in
+  match
+    (Option.get policy.Policy.fast) ~src:(Policy.of_tuples cached)
+      ~dst:(Policy.buffer ()) ~now ~r ~s ~capacity
+  with
+  | () -> Some ("a NaN score was ranked, not reported " ^ where)
+  | exception Invalid_argument msg ->
+    if List.exists (fun u -> msg = expected u) nan_uids then None
+    else Some (Printf.sprintf "NaN reported as %S %s" msg where)
 
 let keep_top_check =
   Check.make ~name:"oracle:keep-top/bounded-vs-sort" ~kind:Check.Oracle
     ~fast:"Policy.scored step (insertion from the cache order, or from a \
-           bucket pass for shuffled scores, merge route for tied or NaN \
-           scores) and its diff"
+           bucket pass for shuffled scores) and its diff"
     ~reference:"Ref_sim.keep_top_spec (full stable sort)"
     (fun ~seed ~count ->
       let rng = Rng.create (seed + 17) in
       let failure = ref None in
       let i = ref 0 in
       while !failure = None && !i < count do
-        let shape =
-          match !i mod 4 with
-          | 0 -> None
-          | 1 -> Some Engine_order
-          | 2 -> Some (Shuffled (List.nth palettes (!i / 4 mod List.length palettes)))
-          | _ -> Some With_nan
-        in
-        let capacity, score, candidates =
-          match shape with
-          | None -> random_selection rng
-          | Some shape -> engine_selection ~shape rng
+        let selection shape (capacity, score, candidates) =
+          selection_violation ~work:(shuffled_work shape candidates) ~capacity
+            ~score candidates
         in
         failure :=
-          selection_violation ~work:(shuffled_work shape candidates) ~capacity
-            ~score candidates;
+          (match !i mod 4 with
+          | 0 -> selection None (random_selection rng)
+          | 1 -> selection (Some Engine_order) (engine_selection ~shape:Engine_order rng)
+          | 2 -> (
+            let shape = Shuffled (List.nth palettes (!i / 4 mod List.length palettes)) in
+            match engine_selection ~shape rng with
+            | _, score, candidates when shape = Shuffled Wide ->
+              (* Kept whole, so the full order is compared. *)
+              selection (Some shape) (List.length candidates, score, candidates)
+            | step -> selection (Some shape) step)
+          | _ -> nan_violation rng);
         incr i
       done;
       match !failure with
@@ -344,8 +343,9 @@ let keep_top_check =
             cases = count;
             note =
               "one selection routine == full stable sort (random, \
-               engine-ordered, shuffled and NaN steps); shuffled steps \
-               take the bucket pass or the merge as their scores say";
+               engine-ordered and shuffled steps; a step of more than 64 \
+               distinct shuffled scores buckets in <= 2n moves); a NaN \
+               score raises naming its uid";
           }
       | Some detail -> Check.Fail { detail; case = None })
 

@@ -11,12 +11,13 @@
       {!Ref_sim.keep_top_spec}, on random candidate sets (small and large
       candidate-to-capacity ratios, tie-heavy and dead scores) and on
       {!engine_step}s of up to 402 candidates: engine-ordered (the
-      insertion path), shuffled over every {!palette} (the bucket pass,
-      or the merge for a live range it cannot map) and with NaN scores
-      (the merge).  Past 64 candidates, the [policy.sort_*] counters
-      must show distinct scores that took the bucket pass finishing
-      in at most 2n moves with no merge, and a live range that is not
-      finite never taking the bucket pass.
+      insertion path) and shuffled over every {!palette} (the bucket
+      pass; [Wide] steps keep every candidate, so the full order is
+      compared).  Past 64 candidates, the [policy.sort_*] counters must
+      show distinct scores that took the bucket pass finishing in at
+      most 2n moves.  Every fourth case scores one to three candidates
+      of an engine step NaN: the step must raise [Invalid_argument]
+      naming the policy, the step and one of their uids.
     - [oracle:cache/argmin-vs-sort] — the caching selection of
       {!Ssj_core.Heeb.caching_fn} (tie-heavy scorer),
       {!Ssj_core.Heeb.caching} [`Direct] and [`Incremental], and
@@ -73,18 +74,8 @@ type step_shape =
       (** the cache in random order, every live score redrawn (RAND);
           outside [Table], the cache ends in a block of up to half its
           entries killed, newest first *)
-  | With_nan
-      (** [Engine_order] or [Shuffled Table], with one to three NaN
-          scores *)
 
 val palettes : palette list
-
-val merge_route_moves :
-  score:(Ssj_stream.Tuple.t -> float) -> Ssj_stream.Tuple.t list -> int
-(** The element moves a merge of the candidates' natural runs makes
-    (n per pass, ⌈log₂ runs⌉ passes), under the best-first order: what
-    the merge alone would cost on them.  The test suite holds tied
-    shuffled steps to this plus 2n. *)
 
 val engine_step :
   shape:step_shape ->

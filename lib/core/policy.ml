@@ -17,21 +17,18 @@ let m_tie_pairs = Obs.Counter.create "policy.score_tie_pairs"
 let m_boundary_ties = Obs.Counter.create "policy.boundary_score_ties"
 
 (* Selection work: [policy.sort_moves] counts the sort's element moves
-   (the inversions insertion repaired, plus [n] per bucket pass and per
-   merge pass), [policy.sort_buckets] the steps that took the bucket
-   pass and [policy.sort_merges] the steps that took the merge route. *)
+   (the inversions insertion repaired, plus [n] per counting pass) and
+   [policy.sort_buckets] the steps that took the bucket pass. *)
 let m_sort_moves = Obs.Counter.create "policy.sort_moves"
 let m_sort_buckets = Obs.Counter.create "policy.sort_buckets"
-let m_sort_merges = Obs.Counter.create "policy.sort_merges"
 
 (* [sorted.(0 .. n - 1)] is the best-first order of the [n] scored
    candidates, of which the first [k] are kept. *)
 let observe_selection (scores : float array) (sorted : int array) ~n ~k
-    ~moves ~bucketed ~merged =
+    ~moves ~bucketed =
   Obs.Counter.incr m_selections;
   Obs.Counter.add m_sort_moves moves;
   if bucketed then Obs.Counter.incr m_sort_buckets;
-  if merged then Obs.Counter.incr m_sort_merges;
   Obs.Counter.add m_candidates n;
   if n > k then Obs.Counter.add m_evictions (n - k);
   let dead = ref 0 in
@@ -205,11 +202,10 @@ type selector = {
   mutable scores : float array;
   mutable order : int array;
   mutable scratch : int array;
-  mutable runs : int array;
-      (* run boundaries, or the bucket pass's counts: length >= n + 1 *)
+  mutable keys : int array; (* a counting pass's key per candidate *)
+  mutable counts : int array; (* its counts: length >= n + 1 *)
   mutable moves : int; (* element moves of the last sort *)
   mutable bucketed : bool; (* did the last sort take the bucket pass? *)
-  mutable merged : bool; (* did the last sort take the merge route? *)
 }
 
 let selector () =
@@ -219,10 +215,10 @@ let selector () =
     scores = [||];
     order = [||];
     scratch = [||];
-    runs = [||];
+    keys = [||];
+    counts = [||];
     moves = 0;
     bucketed = false;
-    merged = false;
   }
 
 let ensure sel n =
@@ -233,269 +229,210 @@ let ensure sel n =
     sel.scores <- Array.make cap 0.0;
     sel.order <- Array.make cap 0;
     sel.scratch <- Array.make cap 0;
-    sel.runs <- Array.make (cap + 1) 0
+    sel.keys <- Array.make cap 0;
+    sel.counts <- Array.make (cap + 1) 0
   end
 
-(* Best-first order: higher score first, then higher (newer) uid, with
-   NaN below every number (Float.compare's total order).  Over distinct
-   uids this is a strict total order, so every correct sort of a step's
-   candidates yields the same permutation, whatever route it takes.
+(* Raised by the sort with the uid of a candidate scored NaN, which has
+   no place in the order; {!scored} reports it with the policy and the
+   step. *)
+exception Nan_score of int
 
-   [before scores uids a b]: candidate [a] strictly precedes [b], NaN
-   included: the comparison for ties, NaN and the merge's run checks. *)
-let before (scores : float array) (uids : int array) (a : int) (b : int) =
-  let sa = Array.unsafe_get scores a and sb = Array.unsafe_get scores b in
-  if sa > sb then true
-  else if sa < sb then false
-  else if sa = sb then Array.unsafe_get uids a > Array.unsafe_get uids b
-  else begin
-    (* At least one NaN (never produced by in-repo policies). *)
-    let na = sa <> sa and nb = sb <> sb in
-    if na && nb then Array.unsafe_get uids a > Array.unsafe_get uids b else nb
-  end
+(* Best-first order: higher score first, then higher (newer) uid.  Over
+   distinct uids and scores that are not NaN this is a strict total
+   order, so every correct sort of a step's candidates yields the same
+   permutation.
 
-(* [before] on two NaN-free candidates given by score and uid, as one
-   branch-free bit. *)
+   [precedes sa ua sb ub]: a candidate of score [sa] and uid [ua]
+   strictly precedes one of [sb] and [ub], as one branch-free bit. *)
 let[@inline] precedes (sa : float) (ua : int) (sb : float) (ub : int) =
   Bool.to_int (sa > sb) lor (Bool.to_int (sa = sb) land Bool.to_int (ua > ub))
   <> 0
-
-(* [move src si dst di n]: [dst.(di .. di+n-1) <- src.(si .. si+n-1)]
-   ([src != dst]).  A loop rather than [Array.blit]: the work arrays
-   live in the major heap, where [Array.blit] stores every element
-   through [caml_modify], ints included. *)
-let move (src : int array) si (dst : int array) di n =
-  for q = 0 to n - 1 do
-    Array.unsafe_set dst (di + q) (Array.unsafe_get src (si + q))
-  done
-
-(* Merge the ordered runs [src.(lo .. mid-1)] and [src.(mid .. hi-1)]
-   into [dst.(lo .. hi-1)].  Merging shuffled scores makes each
-   comparison of distinct scores unpredictable, so that pick is
-   branch-free; equal scores and NaN (rare there) take the full
-   comparison. *)
-let merge (scores : float array) (uids : int array) (src : int array)
-    (dst : int array) lo mid hi =
-  let i = ref lo and j = ref mid and k = ref lo in
-  while !i < mid && !j < hi do
-    let a = Array.unsafe_get src !i and b = Array.unsafe_get src !j in
-    let sa = Array.unsafe_get scores a and sb = Array.unsafe_get scores b in
-    let t =
-      if sa = sb || sa <> sa || sb <> sb then Bool.to_int (before scores uids b a)
-      else Bool.to_int (sb > sa)
-    in
-    Array.unsafe_set dst !k (a + (t * (b - a)));
-    j := !j + t;
-    i := !i + 1 - t;
-    incr k
-  done;
-  if !i < mid then move src !i dst !k (mid - !i)
-  else move src !j dst !k (hi - !j)
-
-(* Merge the ordered runs [arr.(runs.(r) .. runs.(r+1)-1)], [r < m],
-   pairwise bottom-up, ping-ponging between [arr] and [sel.scratch];
-   returns the array holding the result.  A pair already in order (the
-   second run's head after the first's tail: a block of dead entries,
-   say) is copied without comparisons.  [sel.moves] gains [len] per
-   pass. *)
-let merge_runs sel (scores : float array) (uids : int array) (arr : int array)
-    len m =
-  let runs = sel.runs and m = ref m in
-  let src = ref arr and dst = ref sel.scratch in
-  while !m > 1 do
-    let k = ref 0 and r = ref 0 in
-    while !r < !m do
-      let lo = runs.(!r) in
-      if !r + 1 < !m then begin
-        let mid = runs.(!r + 1) and hi = runs.(!r + 2) in
-        if before scores uids (Array.unsafe_get !src mid)
-             (Array.unsafe_get !src (mid - 1))
-        then merge scores uids !src !dst lo mid hi
-        else move !src lo !dst lo (hi - lo);
-        r := !r + 2
-      end
-      else begin
-        move !src lo !dst lo (runs.(!r + 1) - lo);
-        r := !r + 1
-      end;
-      runs.(!k) <- lo;
-      incr k
-    done;
-    runs.(!k) <- len;
-    m := !k;
-    sel.moves <- sel.moves + len;
-    let tmp = !src in
-    src := !dst;
-    dst := tmp
-  done;
-  !src
 
 (* Insert [arr.(from .. hi-1)], one at a time, into the ordered
    [arr.(0 .. from-1)] ([from >= 1]): a candidate in place costs one
    compare; one out of place moves up by a linear probe of up to 8
    slots, then by binary search when it travels further (an arrival
    outranking hundreds of dead entries), and costs a move per slot it
-   passes.  [sel.moves] gains the moves.  Stops with [false] at a NaN
-   score, leaving [arr] a permutation. *)
+   passes.  [sel.moves] gains the moves.  Raises [Nan_score] at a NaN
+   score. *)
 let insert_run sel (scores : float array) (uids : int array) (arr : int array)
     ~from ~hi =
-  let moves = ref 0 and i = ref from and ok = ref true in
-  while !ok && !i < hi do
-    let x = Array.unsafe_get arr !i in
+  let moves = ref 0 in
+  for i = from to hi - 1 do
+    let x = Array.unsafe_get arr i in
     let sx = Array.unsafe_get scores x and ux = Array.unsafe_get uids x in
-    let y = Array.unsafe_get arr (!i - 1) in
-    if sx <> sx then ok := false
-    else begin
-      if precedes sx ux (Array.unsafe_get scores y) (Array.unsafe_get uids y)
-      then begin
-        let lim = if !i > 8 then !i - 8 else 0 in
-        let j = ref (!i - 1) in
-        Array.unsafe_set arr !i y;
-        let probing = ref true in
-        while !probing && !j > lim do
-          let z = Array.unsafe_get arr (!j - 1) in
-          if precedes sx ux (Array.unsafe_get scores z) (Array.unsafe_get uids z)
-          then begin
-            Array.unsafe_set arr !j z;
-            decr j
-          end
-          else probing := false
-        done;
-        if !probing && lim > 0 then begin
-          (* The first slot of [0 .. lim-1] that [x] precedes. *)
-          let l = ref 0 and h = ref lim in
-          while !l < !h do
-            let mid = (!l + !h) lsr 1 in
-            let z = Array.unsafe_get arr mid in
-            if precedes sx ux (Array.unsafe_get scores z) (Array.unsafe_get uids z)
-            then h := mid
-            else l := mid + 1
-          done;
-          for q = lim downto !l + 1 do
-            Array.unsafe_set arr q (Array.unsafe_get arr (q - 1))
-          done;
-          j := !l
-        end;
-        Array.unsafe_set arr !j x;
-        moves := !moves + (!i - !j)
-      end;
-      incr i
-    end
-  done;
-  sel.moves <- sel.moves + !moves;
-  !ok
-
-(* The NaN route: natural runs under the full comparison, merged. *)
-let sort_with_nan sel scores uids arr len =
-  let runs = sel.runs and m = ref 1 in
-  runs.(0) <- 0;
-  for i = 1 to len - 1 do
-    if before scores uids (Array.unsafe_get arr i) (Array.unsafe_get arr (i - 1))
+    if sx <> sx then raise (Nan_score ux);
+    let y = Array.unsafe_get arr (i - 1) in
+    if precedes sx ux (Array.unsafe_get scores y) (Array.unsafe_get uids y)
     then begin
-      runs.(!m) <- i;
-      incr m
+      let lim = if i > 8 then i - 8 else 0 in
+      let j = ref (i - 1) in
+      Array.unsafe_set arr i y;
+      let probing = ref true in
+      while !probing && !j > lim do
+        let z = Array.unsafe_get arr (!j - 1) in
+        if precedes sx ux (Array.unsafe_get scores z) (Array.unsafe_get uids z)
+        then begin
+          Array.unsafe_set arr !j z;
+          decr j
+        end
+        else probing := false
+      done;
+      if !probing && lim > 0 then begin
+        (* The first slot of [0 .. lim-1] that [x] precedes. *)
+        let l = ref 0 and h = ref lim in
+        while !l < !h do
+          let mid = (!l + !h) lsr 1 in
+          let z = Array.unsafe_get arr mid in
+          if precedes sx ux (Array.unsafe_get scores z) (Array.unsafe_get uids z)
+          then h := mid
+          else l := mid + 1
+        done;
+        for q = lim downto !l + 1 do
+          Array.unsafe_set arr q (Array.unsafe_get arr (q - 1))
+        done;
+        j := !l
+      end;
+      Array.unsafe_set arr !j x;
+      moves := !moves + (i - !j)
     end
   done;
-  runs.(!m) <- len;
-  merge_runs sel scores uids arr len !m
+  sel.moves <- sel.moves + !moves
 
 (* Insertion proceeds in blocks of this many candidates, and the switch
    rule looks at the first block and at each block boundary. *)
 let block = 16
 
-(* Split [arr.(from .. len-1)] into natural runs after the ordered
-   [arr.(0 .. from-1)] and merge them, or take the NaN route if a score
-   is NaN.  Run boundaries by a branch-free test: store the would-be boundary
-   unconditionally (the next store overwrites a dead one) and advance
-   [m] by the comparison bit; shuffled scores would otherwise
-   mispredict on half the candidates. *)
-let merge_from sel (scores : float array) (uids : int array) (arr : int array)
-    len ~from =
-  let runs = sel.runs and m = ref 1 and ok = ref true in
-  runs.(0) <- 0;
-  for q = from to len - 1 do
-    let cur = Array.unsafe_get arr q and prev = Array.unsafe_get arr (q - 1) in
-    let sc = Array.unsafe_get scores cur and sp = Array.unsafe_get scores prev in
-    if sc <> sc || sp <> sp then ok := false;
-    Array.unsafe_set runs !m q;
-    m :=
-      !m
-      + Bool.to_int
-          (precedes sc (Array.unsafe_get uids cur) sp (Array.unsafe_get uids prev))
+(* One stable counting sort of [sel.order.(0 .. len-1)] on [sel.keys]
+   (a key in [0, len] per candidate), written to [sel.scratch], which
+   then swaps roles with [sel.order]; [sel.moves] gains [len].  Returns
+   the largest count of a key below [len]. *)
+let distribute sel len =
+  let keys = sel.keys and counts = sel.counts in
+  for b = 0 to len do
+    Array.unsafe_set counts b 0
   done;
-  runs.(!m) <- len;
-  if !ok then merge_runs sel scores uids arr len !m
-  else sort_with_nan sel scores uids arr len
-
-(* The bucket pass: a stable counting sort of [sel.order.(0 .. len-1)]
-   on a monotone map of each score over the live [min, max] range onto
-   [len] buckets, best bucket first, with the -inf (dead) candidates in
-   one more bucket after them.  Candidates keep their input order inside
-   a bucket, so the dead block stays in last step's uid order, and
-   shuffled distinct scores land about one per bucket, leaving the
-   insertion that follows O(len) expected inversions to repair.  The
-   counts live in [sel.runs] and a candidate's bucket is computed once
-   to count it and once to place it, so the pass needs no array of its
-   own.  The result is written to [sel.scratch], which then swaps roles
-   with [sel.order].  Returns [false], having moved nothing, when a
-   score is NaN or the live range or its scale is not finite (a score
-   of +inf, live scores +-1e308 apart): those keep the merge. *)
-let bucket_pass sel (scores : float array) len =
-  let arr = sel.order in
-  let lo = ref Float.infinity and hi = ref Float.neg_infinity in
-  let nan = ref false in
+  for x = 0 to len - 1 do
+    let b = Array.unsafe_get keys x in
+    counts.(b) <- counts.(b) + 1
+  done;
+  let start = ref 0 and fullest = ref 0 in
+  for b = 0 to len do
+    let c = Array.unsafe_get counts b in
+    if c > !fullest && b < len then fullest := c;
+    Array.unsafe_set counts b !start;
+    start := !start + c
+  done;
+  let arr = sel.order and dst = sel.scratch in
   for i = 0 to len - 1 do
-    let s = Array.unsafe_get scores (Array.unsafe_get arr i) in
-    if s <> s then nan := true
-    else if s > Float.neg_infinity then begin
+    let x = Array.unsafe_get arr i in
+    let b = Array.unsafe_get keys x in
+    let p = Array.unsafe_get counts b in
+    Array.unsafe_set dst p x;
+    Array.unsafe_set counts b (p + 1)
+  done;
+  sel.scratch <- arr;
+  sel.order <- dst;
+  sel.moves <- sel.moves + len;
+  !fullest
+
+(* The factor that maps [0, range] onto [0, len - 1]: at most
+   [Float.max_float], which maps a [range] too small for the quotient
+   (a subnormal one, or 0) below [len - 1]. *)
+let[@inline] scale_onto len range =
+  let scale = float_of_int (len - 1) /. range in
+  if scale < Float.max_float then scale else Float.max_float
+
+(* Score keys for {!distribute}: +inf in bucket 0, the finite scores
+   mapped monotonely from [top = max / 2] down onto [0, len - 1], -inf
+   (dead) in bucket [len].  Halving first keeps [top - s / 2] within
+   [0, half] for every finite [s], so a live range of +-1e308 does not
+   overflow, and [scale = scale_onto len half].  Every rounding is
+   monotone, so a better score never gets a later key.  Inlined, as is
+   [scale_onto], so no float is boxed to cross a call. *)
+let[@inline] score_keys sel (scores : float array) len ~top ~scale =
+  let keys = sel.keys in
+  for x = 0 to len - 1 do
+    let s = Array.unsafe_get scores x in
+    Array.unsafe_set keys x
+      (if s = Float.infinity then 0
+       else if s = Float.neg_infinity then len
+       else int_of_float ((top -. (s *. 0.5)) *. scale))
+  done
+
+(* A live bucket holding more candidates than this, and more than this
+   many ties out of uid order, make the bucket pass order by uid
+   first. *)
+let crowded = 16
+
+(* Adjacent pairs in [sel.order.(0 .. len-1)] of equal score whose
+   lower uid comes first. *)
+let misordered_ties sel (scores : float array) (uids : int array) len =
+  let arr = sel.order and count = ref 0 in
+  for i = 1 to len - 1 do
+    let x = Array.unsafe_get arr i and y = Array.unsafe_get arr (i - 1) in
+    count :=
+      !count
+      + Bool.to_int
+          (Array.unsafe_get scores x = Array.unsafe_get scores y
+          && Array.unsafe_get uids x > Array.unsafe_get uids y)
+  done;
+  !count
+
+(* The bucket pass: a stable counting sort of the candidates on their
+   score keys, best bucket first.  Candidates keep their input order
+   inside a bucket, so the dead block stays in last step's uid order,
+   and shuffled distinct scores land about one per bucket, leaving the
+   insertion that follows O(len) expected inversions to repair.  Tied
+   scores share a bucket, in input order.  When a live bucket is
+   crowded and its ties are out of uid order (a few distinct values,
+   shuffled), the pass is run again after a stable pass on uid keys
+   (higher uid first), which leaves ties in uid order: an LSD sort on
+   (score, uid), up to the bucket widths.  A crowded bucket of distinct
+   scores, or of ties already in order (HEEB's equal values, kept in
+   last step's order), does not need it, and neither does the dead
+   bucket: RAND's dead block is in last step's uid order, and checking
+   that on every step would cost a scan of it.  Raises [Nan_score] at a
+   NaN score. *)
+let bucket_pass sel (scores : float array) (uids : int array) len =
+  let lo = ref Float.infinity and hi = ref Float.neg_infinity in
+  for x = 0 to len - 1 do
+    let s = Array.unsafe_get scores x in
+    if s <> s then raise (Nan_score (Array.unsafe_get uids x));
+    if s > Float.neg_infinity && s < Float.infinity then begin
       if s < !lo then lo := s;
       if s > !hi then hi := s
     end
   done;
-  let hi = !hi in
-  let range = if hi >= !lo then hi -. !lo else 0.0 in
-  let scale = if range > 0.0 then float_of_int (len - 1) /. range else 0.0 in
-  if !nan || not (Float.is_finite range && Float.is_finite scale) then false
-  else begin
-    let counts = sel.runs and dst = sel.scratch in
-    for b = 0 to len do
-      Array.unsafe_set counts b 0
+  let top = !hi *. 0.5 in
+  let scale = scale_onto len (top -. (!lo *. 0.5)) in
+  sel.bucketed <- true;
+  score_keys sel scores len ~top ~scale;
+  if
+    distribute sel len > crowded
+    && misordered_ties sel scores uids len > crowded
+  then begin
+    let umin = ref max_int and umax = ref min_int in
+    for x = 0 to len - 1 do
+      let u = Array.unsafe_get uids x in
+      if u < !umin then umin := u;
+      if u > !umax then umax := u
     done;
-    (* [(hi - s) * scale] lies in [0, len - 1]: both roundings are
-       monotone. *)
-    for i = 0 to len - 1 do
-      let s = Array.unsafe_get scores (Array.unsafe_get arr i) in
-      let b =
-        if s = Float.neg_infinity then len
-        else int_of_float ((hi -. s) *. scale)
-      in
-      counts.(b) <- counts.(b) + 1
+    let umax = float_of_int !umax in
+    let uscale = scale_onto len (umax -. float_of_int !umin) in
+    for x = 0 to len - 1 do
+      Array.unsafe_set sel.keys x
+        (int_of_float ((umax -. float_of_int (Array.unsafe_get uids x)) *. uscale))
     done;
-    let start = ref 0 in
-    for b = 0 to len do
-      let c = Array.unsafe_get counts b in
-      Array.unsafe_set counts b !start;
-      start := !start + c
-    done;
-    for i = 0 to len - 1 do
-      let x = Array.unsafe_get arr i in
-      let s = Array.unsafe_get scores x in
-      let b =
-        if s = Float.neg_infinity then len
-        else int_of_float ((hi -. s) *. scale)
-      in
-      let p = Array.unsafe_get counts b in
-      Array.unsafe_set dst p x;
-      Array.unsafe_set counts b (p + 1)
-    done;
-    sel.scratch <- arr;
-    sel.order <- dst;
-    true
+    ignore (distribute sel len);
+    score_keys sel scores len ~top ~scale;
+    ignore (distribute sel len)
   end
 
 (* Sort the candidate indices [sel.order.(0 .. len-1)] best-first;
    returns the array holding the result and records the work in
-   [sel.moves] / [sel.bucketed] / [sel.merged].
+   [sel.moves] / [sel.bucketed].  Raises [Nan_score] if a score is NaN.
 
    The input is the cache in last step's best-first order, then R and
    S.  A step changes few scores relative to their neighbours (PROB's
@@ -503,24 +440,23 @@ let bucket_pass sel (scores : float array) len =
    sort is straight insertion from that order ({!insert_run}), and its
    moves are the inversions the step introduced.
 
-   For more than 64 candidates, two fixed rules guard insertion against
-   O(n²).  (a) The input is shuffled (RAND redraws every score) if more
-   than 4 of the first 16 candidates follow one they should precede
-   (7.5 expected when shuffled; a step's own changes make one such
-   descent per rescored or dying candidate): insertion then starts from
-   the order of {!bucket_pass} instead, which costs [len] moves.  (b) If
-   an ordered prefix of [i], a multiple of 16, took more than i²/8
+   For more than 64 candidates, two fixed rules put {!bucket_pass} in
+   front of insertion, so that a shuffled input costs O(n) expected
+   moves instead of O(n²).  (a) Before insertion: more than 4 of the
+   first 16 candidates follow one they should precede (7.5 expected
+   when shuffled, as RAND redraws every score; a step's own changes
+   make one such descent per rescored or dying candidate).  (b) During
+   it: an ordered prefix of [i], a multiple of 16, took more than i²/8
    insertion moves (~i²/4 when shuffled; a step's own changes cost
-   O(i); a bucket holding many tied scores in shuffled uid order costs
-   as much), the rest goes to a merge of natural runs with the prefix
-   as one run.  A NaN score, or a live range the bucket pass cannot
-   map, sends the whole sort to natural runs merged under the full
-   comparison, which orders NaN. *)
+   O(i)); insertion then starts over from the bucket pass's order.
+   Either way insertion finishes the sort. *)
 let sort_candidates sel (scores : float array) (uids : int array) len =
   sel.moves <- 0;
   sel.bucketed <- false;
-  sel.merged <- true;
   let arr = sel.order in
+  let x0 = Array.unsafe_get arr 0 in
+  let s0 = Array.unsafe_get scores x0 in
+  if s0 <> s0 then raise (Nan_score (Array.unsafe_get uids x0));
   let descents = ref 0 in
   if len > 64 then
     for q = 1 to block - 1 do
@@ -531,31 +467,18 @@ let sort_candidates sel (scores : float array) (uids : int array) len =
             (precedes (Array.unsafe_get scores x) (Array.unsafe_get uids x)
                (Array.unsafe_get scores y) (Array.unsafe_get uids y))
     done;
-  if !descents > 4 && not (bucket_pass sel scores len) then
-    merge_from sel scores uids arr len ~from:1
-  else begin
-    sel.bucketed <- !descents > 4;
-    (* The bucket pass left its order in [sel.order]. *)
-    let arr = sel.order in
-    let s0 = Array.unsafe_get scores (Array.unsafe_get arr 0) in
-    let ok = ref (s0 = s0) and i = ref 1 and shuffled = ref false in
-    while !ok && (not !shuffled) && !i < len do
-      let hi = min ((!i / block * block) + block) len in
-      ok := insert_run sel scores uids arr ~from:!i ~hi;
-      i := hi;
-      shuffled := len > 64 && 8 * sel.moves > hi * hi
-    done;
-    let sorted =
-      if not !ok then sort_with_nan sel scores uids arr len
-      else if !i = len then begin
-        sel.merged <- false;
-        arr
-      end
-      else merge_from sel scores uids arr len ~from:!i
-    in
-    if sel.bucketed then sel.moves <- sel.moves + len;
-    sorted
-  end
+  if !descents > 4 then bucket_pass sel scores uids len;
+  let i = ref 1 in
+  while !i < len do
+    let hi = min ((!i / block * block) + block) len in
+    insert_run sel scores uids sel.order ~from:!i ~hi;
+    i := hi;
+    if len > 64 && (not sel.bucketed) && 8 * sel.moves > hi * hi then begin
+      bucket_pass sel scores uids len;
+      i := 1
+    end
+  done;
+  sel.order
 
 (* Record dropped candidate [idx] in [dst]'s diff; returns the new
    eviction count.  Top level, so the loops below allocate no closure. *)
@@ -585,7 +508,7 @@ let select_prescored sel ~capacity ~n0 ~(dst : buffer) =
   let k = if n < capacity then n else capacity in
   if Obs.on () then
     observe_selection scores sorted ~n ~k ~moves:sel.moves
-      ~bucketed:sel.bucketed ~merged:sel.merged;
+      ~bucketed:sel.bucketed;
   reserve dst n;
   let out_u = dst.uids and out_v = dst.values in
   for j = 0 to k - 1 do
@@ -639,7 +562,11 @@ let scored ~name ?observe ?after (kernel : kernel) =
       sel.uids.(n0 + 1) <- s.uid;
       sel.values.(n0 + 1) <- s.value;
       kernel ~now ~n ~uids:sel.uids ~values:sel.values ~scores:sel.scores;
-      select_prescored sel ~capacity ~n0 ~dst
+      match select_prescored sel ~capacity ~n0 ~dst with
+      | () -> ()
+      | exception Nan_score uid ->
+        invalid_arg
+          (Printf.sprintf "%s: step %d: candidate uid %d scored NaN" name now uid)
     end;
     match after with Some f -> f ~now ~src ~dst | None -> ()
   in

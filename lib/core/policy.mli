@@ -142,21 +142,23 @@ val scored :
     arrays belong to the policy instance; do not share one across
     domains.
 
-    Selection sorts the candidates by (score, uid), NaN below every
-    number.  Over distinct uids that is a strict total order, so the
-    kept set and its order do not depend on how the sort gets there.
-    The sort starts from the cache's previous best-first order and
-    inserts: a candidate in place costs one compare, so a step pays for
-    the inversions its new scores introduced (Obs counter
-    [policy.sort_moves]).  With more than 64 candidates, a shuffled
-    input (RAND's redrawn scores: more than 4 descents among the first
-    16) is first put in order by a stable bucket pass over the live
-    score range ([policy.sort_buckets]), so insertion repairs O(n)
-    expected inversions.  An ordered prefix of [i], a multiple of 16,
-    that took more than i²/8 moves (tied scores in shuffled uid order)
-    hands the rest to a merge of natural runs, and a NaN score or a
-    live range that is not finite takes the merge instead of the bucket
-    pass ([policy.sort_merges] counts every merge). *)
+    Selection sorts the candidates by (score, uid).  Over distinct uids
+    that is a strict total order, so the kept set and its order do not
+    depend on how the sort gets there.  A NaN score has no place in it:
+    the step raises [Invalid_argument] naming the policy, the step and
+    the candidate's uid.  The sort is one route: straight insertion from
+    the cache's previous best-first order, where a candidate in place
+    costs one compare, so a step pays for the inversions its new scores
+    introduced (Obs counter [policy.sort_moves]).  With more than 64
+    candidates, a shuffled input is first put in order by a stable
+    bucket pass over the finite score range, +∞ first and −∞ last
+    ([policy.sort_buckets]), so insertion repairs O(n) expected
+    inversions.  The pass runs before insertion when more than 4 of the
+    first 16 candidates are out of order (RAND's redrawn scores), or
+    during it when an ordered prefix of [i], a multiple of 16, took more
+    than i²/8 moves; insertion then starts over from its order.  A
+    crowded live bucket of ties out of uid order is first ordered by
+    uid. *)
 
 type cache = {
   cname : string;

@@ -2,7 +2,7 @@ open Ssj_prob
 open Ssj_model
 
 let walk_joining_curve ~step ~drift ~l ~lo ~hi =
-  if lo > hi then invalid_arg "Precompute.walk_joining_curve: lo > hi";
+  if lo >= hi then invalid_arg "Precompute.walk_joining_curve: need lo < hi";
   let horizon = l.Lfun.horizon in
   if horizon >= max_int / 8 then
     invalid_arg "Precompute.walk_joining_curve: L has no finite horizon";
@@ -131,7 +131,7 @@ let caching_columns ~kernel ~target ~ls ?horizon ?stop_eps () =
   (caching_columns_batch ~kernel ~targets:[| target |] ~ls ?horizon ?stop_eps ()).(0)
 
 let walk_caching_curve ~step ~drift ~l ~lo ~hi ?(horizon = 4096) () =
-  if lo > hi then invalid_arg "Precompute.walk_caching_curve: lo > hi";
+  if lo >= hi then invalid_arg "Precompute.walk_caching_curve: need lo < hi";
   let horizon = min horizon l.Lfun.horizon in
   (* Shift-invariant kernel: run one DP with target 0; h1(d) for
      d = v_x − x0 is the column entry at start x0 = −d.  Window sizing:

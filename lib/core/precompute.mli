@@ -21,7 +21,8 @@ val walk_joining_curve :
 (** Joining problem, partner stream a random walk:
     [h1(d) = Σ_Δ q_Δ(d − drift·Δ) · L(Δ)] where [q_Δ] is the Δ-fold step
     convolution and [d = v_x − x^partner_{t0}].  Sampled on integers
-    [lo..hi].
+    [lo..hi]; raises [Invalid_argument] unless [lo < hi] (a curve holds
+    at least two samples).
 
     Builds [q_Δ] as one rolling level, [q_Δ = q_{Δ−1} ⋆ step]
     ({!Ssj_prob.Convolve.Rolling}), in two float buffers reused from
@@ -91,7 +92,8 @@ val walk_caching_curve :
 (** Caching problem, reference stream a random walk:
     [h1(d)] over [d = v_x − x_{t0} ∈ \[lo, hi\]] — the curves of Figure 6.
     One backward DP; the kernel window is sized automatically from the
-    drift, step spread and horizon. *)
+    drift, step spread and horizon.  Raises [Invalid_argument] unless
+    [lo < hi]. *)
 
 val ar1_joining_h : Ssj_model.Ar1.params -> l:Lfun.t -> vx:int -> x0:int -> float
 (** Joining problem against an AR(1) partner: closed-form conditional

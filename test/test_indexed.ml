@@ -22,10 +22,10 @@ let uids = List.map (fun t -> t.Tuple.uid)
    against capacities up to 12 cover n <= capacity as well as candidate
    sets many times the capacity.  Engine-shaped cases
    ({!Ssj_conform.Oracles.engine_step}): the cache in last step's order
-   with a few entries rescored or killed, shuffled caches over every
+   with a few entries rescored or killed, and shuffled caches over every
    score palette (distinct, two or three values, all equal, a live range
-   that is not finite; a dead block at the end) and NaN scores, at sizes
-   on both sides of the sort's 64-candidate switch up to 402. *)
+   that is not finite; a dead block at the end), at sizes on both sides
+   of the sort's 64-candidate switch up to 402. *)
 let score_table = [| Float.neg_infinity; 0.0; 0.0; 1.0; 2.5; 7.0 |]
 
 type keep_top_case =
@@ -46,8 +46,7 @@ let gen_keep_top =
           (quad
              (oneofl
                 Ssj_conform.Oracles.(
-                  Engine_order :: With_nan
-                  :: List.map (fun p -> Shuffled p) palettes))
+                  Engine_order :: List.map (fun p -> Shuffled p) palettes))
              (oneof [ int_range 2 64; int_range 65 402 ])
              (int_range 1 402) int);
       ])
@@ -244,7 +243,7 @@ let counter name =
   |> Option.get
 
 (* [f ()] with the obs gate on: (selections, sort moves, steps that
-   took the bucket pass, steps that took the merge route). *)
+   took the bucket pass). *)
 let selection_work f =
   let saved = Ssj_obs.Obs.on () in
   Ssj_obs.Obs.set_enabled true;
@@ -255,8 +254,7 @@ let selection_work f =
       f ();
       ( counter "policy.selections",
         counter "policy.sort_moves",
-        counter "policy.sort_buckets",
-        counter "policy.sort_merges" ))
+        counter "policy.sort_buckets" ))
 
 let run_work ~trace ~policy ~capacity =
   selection_work (fun () -> ignore (Join_sim.run ~trace ~policy ~capacity ()))
@@ -276,30 +274,36 @@ let shuffled_step rng score_of =
 
 (* Element moves are exact for a given trace, so this gate has no timing
    noise.  PROB on TOWER keeps its order from step to step: insertion
-   repairs ~53 inversions a step at k = 25 and ~794 at k = 400, most of
-   them the two arrivals passing the dead entries.  Sorting every step by
-   merge would cost a pass of k + 2 moves per merge level.
+   repairs ~53 inversions a step at k = 25 and ~783 at k = 400, most of
+   them the two arrivals passing the dead entries.
 
    RAND redraws every score, so each step past the fill must take the
    bucket pass (n moves) and then repair few inversions.  On WALK at
-   k = 100, 964 of 1000 steps bucket, at ~136 moves a step with the
-   fill's insertions; the merge of natural runs costs ~602 a step and
-   insertion alone O(k²).  On TOWER at k = 400, the dead entries (all
-   but ~25) trail the live ones in last step's uid order: 1963 of 2000
-   steps bucket, at ~391 moves a step, against ~1,573 for the merge; a
-   dead block placed out of that order would cost O(k²) to repair.  The
-   gates allow 1.5 n a step.
+   k = 100, 968 of 1000 steps bucket, at ~134 moves a step with the
+   fill's insertions; insertion alone costs O(k²).  On TOWER at k = 400,
+   the dead entries (all but ~25) trail the live ones in last step's uid
+   order: 1968 of 2000 steps bucket, at ~389 moves a step; a dead block
+   placed out of that order would cost O(k²) to repair.
+
+   HEEB(h1) on WALK keeps the order of most steps, but when the walk
+   moves, the tuples above and below it trade places: the i²/8 budget
+   then starts insertion over from the bucket pass.  Over the walk-k100
+   benchmark's first ten traces (seeds 42 + 1009 i, 5000 steps each)
+   6,164 of 50,000 steps bucket, at ~103 moves a step; without the
+   budget 93 steps bucket, at ~128 moves a step.  The gates allow 1.5 n
+   a step.
 
    Tied scores fill a bucket in shuffled uid order, which insertion
-   cannot repair cheaply: the move budget hands the rest to the merge.
-   On shuffled 402-candidate steps with all-equal and with three
-   distinct scores the sort may cost at most the merge alone plus 2n. *)
+   cannot repair cheaply: the bucket pass then orders by uid first.  On
+   shuffled 402-candidate steps with all-equal and with three distinct
+   scores the sort may cost at most what a merge of the input's natural
+   runs would, plus 2n. *)
 let test_selection_work () =
   let trace = tower_trace 5000 42 in
   List.iter
     (fun (capacity, bound) ->
       let policy = Baselines.prob ~lifetime:(Config.lifetime tower) () in
-      let steps, moves, _, _ = run_work ~trace ~policy ~capacity in
+      let steps, moves, _ = run_work ~trace ~policy ~capacity in
       let per_step = float_of_int moves /. float_of_int steps in
       if per_step > bound then
         Alcotest.failf "PROB k=%d: %.1f sort moves per step (gate %.0f)"
@@ -307,34 +311,61 @@ let test_selection_work () =
     [ (25, 60.0); (400, 850.0) ];
   let w = Config.walk () in
   let r, s = Config.walk_predictors w in
-  let rand_gate name ~trace ~policy ~capacity ~min_buckets =
-    let steps, moves, buckets, _ = run_work ~trace ~policy ~capacity in
+  let walk_trace seed length = Trace.generate ~r ~s ~rng:(Rng.create seed) ~length in
+  (* A fresh [policy ()] on each trace. *)
+  let gate label ~traces ~policy ~capacity ~min_buckets =
+    let steps, moves, buckets =
+      List.fold_left
+        (fun (a, b, c) trace ->
+          let a', b', c' = run_work ~trace ~policy:(policy ()) ~capacity in
+          (a + a', b + b', c + c'))
+        (0, 0, 0) traces
+    in
     let per_step = float_of_int moves /. float_of_int steps in
     let bound = 1.5 *. float_of_int (capacity + 2) in
     if buckets < min_buckets then
-      Alcotest.failf "RAND on %s k=%d: %d of %d steps took the bucket pass (gate %d)"
-        name capacity buckets steps min_buckets;
+      Alcotest.failf "%s k=%d: %d of %d steps took the bucket pass (gate %d)"
+        label capacity buckets steps min_buckets;
     if per_step > bound then
-      Alcotest.failf "RAND on %s k=%d: %.1f sort moves per step (gate %.0f)"
-        name capacity per_step bound
+      Alcotest.failf "%s k=%d: %.1f sort moves per step (gate %.0f)"
+        label capacity per_step bound
   in
-  rand_gate "WALK" ~capacity:100 ~min_buckets:950
-    ~trace:(Trace.generate ~r ~s ~rng:(Rng.create 42) ~length:1000)
-    ~policy:(Baselines.rand ~rng:(Rng.create 42) ());
-  rand_gate "TOWER" ~capacity:400 ~min_buckets:1900
-    ~trace:(tower_trace 2000 42)
-    ~policy:(Baselines.rand ~rng:(Rng.create 42) ~lifetime:(Config.lifetime tower) ());
+  gate "RAND on WALK" ~capacity:100 ~min_buckets:950
+    ~traces:[ walk_trace 42 1000 ]
+    ~policy:(fun () -> Baselines.rand ~rng:(Rng.create 42) ());
+  gate "RAND on TOWER" ~capacity:400 ~min_buckets:1900
+    ~traces:[ tower_trace 2000 42 ]
+    ~policy:(fun () ->
+      Baselines.rand ~rng:(Rng.create 42) ~lifetime:(Config.lifetime tower) ());
+  gate "HEEB(h1) on WALK" ~capacity:100 ~min_buckets:5000
+    ~traces:(List.init 10 (fun i -> walk_trace (42 + (1009 * i)) 5000))
+    ~policy:(Factory.walk_heeb w ~capacity:100);
+  (* What a merge of the input's natural runs under the best-first order
+     costs: n moves a pass, ⌈log₂ runs⌉ passes. *)
+  let merge_moves ~score candidates =
+    let a = Array.of_list candidates in
+    let n = Array.length a in
+    let runs = ref 1 in
+    for q = 1 to n - 1 do
+      let sa = score a.(q) and sb = score a.(q - 1) in
+      if sa > sb || (sa = sb && a.(q).Tuple.uid > a.(q - 1).Tuple.uid) then
+        incr runs
+    done;
+    let passes = ref 0 in
+    while 1 lsl !passes < !runs do
+      incr passes
+    done;
+    !passes * n
+  in
   List.iter
     (fun (name, score_of) ->
       for seed = 1 to 10 do
         let rng = Rng.create seed in
         let score, candidates = shuffled_step rng (score_of rng) in
-        let _, moves, _, _ =
+        let _, moves, _ =
           selection_work (fun () -> ignore (keep_top ~capacity:400 ~score candidates))
         in
-        let bound =
-          Ssj_conform.Oracles.merge_route_moves ~score candidates + (2 * 402)
-        in
+        let bound = merge_moves ~score candidates + (2 * 402) in
         if moves > bound then
           Alcotest.failf "shuffled %s, seed %d: %d sort moves (gate %d)" name
             seed moves bound
@@ -342,6 +373,54 @@ let test_selection_work () =
     [
       ("all-equal scores", fun _ _ -> 1.0);
       ("three scores", fun rng _ -> float_of_int (Rng.int rng 3));
+    ]
+
+(* A NaN score has no place in the best-first order: the step raises
+   [Invalid_argument] naming the policy, the step and the uid, on the
+   insertion route (few candidates, or in the cache's order) and on the
+   bucket route (shuffled), wherever the NaN sits: first, last, or where
+   the bucket pass would move it to the front. *)
+let test_nan_score_raises () =
+  List.iter
+    (fun (n, shuffled, nan_at) ->
+      let rng = Rng.create (n + nan_at) in
+      let cached =
+        List.init (n - 2) (fun j -> tup (if j mod 2 = 0 then Tuple.R else Tuple.S) j j)
+      in
+      let r = tup Tuple.R (n - 2) (n - 2) and s = tup Tuple.S (n - 1) (n - 2) in
+      let nan_uid = (List.nth (cached @ [ r; s ]) nan_at).Tuple.uid in
+      (* Best-first in cache order, or a fresh draw per candidate. *)
+      let policy =
+        Policy.scored ~name:"NaN-probe" (fun ~now:_ ~n ~uids ~values ~scores ->
+            for i = 0 to n - 1 do
+              scores.(i) <-
+                (if uids.(i) = nan_uid then Float.nan
+                 else if shuffled then Rng.float rng 1.0
+                 else float_of_int (-values.(i)))
+            done)
+      in
+      let expected =
+        Printf.sprintf "NaN-probe: step 7: candidate uid %d scored NaN" nan_uid
+      in
+      match
+        (Option.get policy.Policy.fast) ~src:(Policy.of_tuples cached)
+          ~dst:(Policy.buffer ()) ~now:7 ~r ~s ~capacity:(n - 2)
+      with
+      | () -> Alcotest.failf "n=%d: NaN at %d was ranked" n nan_at
+      | exception Invalid_argument msg ->
+        Alcotest.(check string) (Printf.sprintf "n=%d, NaN at %d" n nan_at)
+          expected msg)
+    [
+      (10, false, 0);
+      (10, true, 4);
+      (10, false, 9);
+      (200, false, 0);
+      (200, false, 150);
+      (200, false, 198);
+      (200, true, 0);
+      (200, true, 1);
+      (200, true, 77);
+      (200, true, 199);
     ]
 
 let suite =
@@ -358,4 +437,6 @@ let suite =
     Alcotest.test_case "runner deterministic across jobs" `Quick
       test_runner_deterministic;
     Alcotest.test_case "selection work counted" `Quick test_selection_work;
+    Alcotest.test_case "NaN score raises, naming its uid" `Quick
+      test_nan_score_raises;
   ]

@@ -135,6 +135,26 @@ let test_walk_joining_curve_negative_zero_cell () =
       ("last -0.0", Pmf.create ~lo:(-1) [| 0.5; 0.5; -0.0 |]);
     ]
 
+let test_walk_curves_reject_one_cell_window () =
+  (* A curve needs two samples: a window of one cell (or none) is the
+     caller's error, reported by the function that was called. *)
+  let step = Pmf.create ~lo:(-1) [| 0.25; 0.5; 0.25 |] in
+  let l = Lfun.exp_ ~alpha:5.0 in
+  let expect name f =
+    List.iter
+      (fun (lo, hi) ->
+        match f ~lo ~hi with
+        | _ -> Alcotest.failf "%s ~lo:%d ~hi:%d must raise" name lo hi
+        | exception Invalid_argument msg ->
+          check_bool (name ^ " names itself: " ^ msg) true
+            (String.starts_with ~prefix:("Precompute." ^ name) msg))
+      [ (3, 3); (4, 3) ]
+  in
+  expect "walk_joining_curve" (fun ~lo ~hi ->
+      Precompute.walk_joining_curve ~step ~drift:0 ~l ~lo ~hi);
+  expect "walk_caching_curve" (fun ~lo ~hi ->
+      Precompute.walk_caching_curve ~step ~drift:0 ~l ~lo ~hi ())
+
 let test_walk_caching_curve_matches_hvalue () =
   let l = Lfun.exp_ ~alpha:6.0 in
   let curve =
@@ -418,4 +438,6 @@ let suite =
       test_real_columns_bits_pinned;
     Alcotest.test_case "DP sweep = 16-lane reference order" `Quick
       test_sweep_matches_reference_order;
+    Alcotest.test_case "walk curves reject a one-cell window" `Quick
+      test_walk_curves_reject_one_cell_window;
   ]
