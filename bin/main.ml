@@ -183,8 +183,8 @@ let run_trace_cmd =
 
 let check_cmd =
   let open Ssj_conform in
-  let run all only list_only replay_file print_golden seed count shrink_evals
-      shrink_seconds repro_dir skip_golden artifact inject =
+  let run all only list_only replay_file print_golden seed count repro_dir
+      artifact inject =
     (match inject with
     | None -> ()
     | Some "band-skew" ->
@@ -254,15 +254,9 @@ let check_cmd =
             Some "BENCH_joining.json"
           else None
       in
-      let checks =
-        Conform.all_checks ?artifact ~golden:(not skip_golden) ()
-      in
-      let budget =
-        { Shrink.max_evals = shrink_evals; max_seconds = shrink_seconds }
-      in
       let reports =
-        Conform.run_checks ?filter:only ~seed ~count ~budget ?repro_dir
-          checks
+        Conform.run_checks ?filter:only ~seed ~count ?repro_dir
+          (Conform.all_checks ?artifact ())
       in
       exit (if Conform.ok reports then 0 else 1)
   in
@@ -294,23 +288,10 @@ let check_cmd =
     Arg.(value & opt int 100
          & info [ "count" ] ~doc:"Generated cases per randomized check.")
   in
-  let shrink_evals =
-    Arg.(value & opt int Shrink.default_budget.Shrink.max_evals
-         & info [ "shrink-evals" ] ~doc:"Shrinker evaluation budget.")
-  in
-  let shrink_seconds =
-    Arg.(value & opt float Shrink.default_budget.Shrink.max_seconds
-         & info [ "shrink-seconds" ] ~doc:"Shrinker wall-clock budget.")
-  in
   let repro_dir =
     Arg.(value & opt (some string) None
          & info [ "repro-dir" ] ~docv:"DIR"
              ~doc:"Write minimized repro JSON files into $(docv).")
-  in
-  let skip_golden =
-    Arg.(value & flag
-         & info [ "skip-golden" ]
-             ~doc:"Skip the (expensive) golden figure digests.")
   in
   let artifact =
     Arg.(value & opt (some string) None
@@ -331,8 +312,7 @@ let check_cmd =
           laws and golden figure digests, with counterexample shrinking.")
     Term.(
       const run $ all $ only $ list_only $ replay_file $ print_golden $ seed
-      $ count $ shrink_evals $ shrink_seconds $ repro_dir $ skip_golden
-      $ artifact $ inject)
+      $ count $ repro_dir $ artifact $ inject)
 
 let cmds =
   [

@@ -76,5 +76,5 @@ let () =
   List.iter
     (fun d ->
       Format.printf "  d=%3d  %.4f@." d
-        (Interp.Curve.eval curve (float_of_int d)))
+        (Interp.Curve.eval curve d))
     [ 0; 2; 5; 10; 20; 40 ]

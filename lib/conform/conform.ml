@@ -37,7 +37,7 @@ let repro_filename ~dir (check : Check.t) =
 
 (* Shrink a failing case with the check's own replay as the predicate
    and persist the minimized repro. *)
-let shrink_and_save ?budget ?repro_dir (check : Check.t) case =
+let shrink_and_save ?repro_dir (check : Check.t) case =
   match check.Check.replay with
   | None -> (None, None)
   | Some replay ->
@@ -46,7 +46,7 @@ let shrink_and_save ?budget ?repro_dir (check : Check.t) case =
        original case no longer failing) is reported unshrunk. *)
     if not (still_fails case) then (None, None)
     else begin
-      let small, stats = Shrink.minimize ?budget ~still_fails case in
+      let small, stats = Shrink.minimize ~still_fails case in
       let detail = Option.value (replay small) ~default:"(vanished)" in
       let file =
         match repro_dir with
@@ -85,7 +85,7 @@ let pp_outcome out (r : report) =
   | Some (Error msg) -> Format.fprintf out "       repro not written: %s@." msg
   | None -> ()
 
-let run_checks ?filter ?(seed = 42) ?(count = 100) ?budget ?repro_dir
+let run_checks ?filter ?(seed = 42) ?(count = 100) ?repro_dir
     ?(out = Format.std_formatter) checks =
   let selected = List.filter (matches ?filter) checks in
   let reports =
@@ -106,7 +106,7 @@ let run_checks ?filter ?(seed = 42) ?(count = 100) ?budget ?repro_dir
         let shrunk, repro_file =
           match outcome with
           | Check.Fail { case = Some case; _ } ->
-            shrink_and_save ?budget ?repro_dir check case
+            shrink_and_save ?repro_dir check case
           | _ -> (None, None)
         in
         let r = { check; outcome; shrunk; repro_file; seconds } in

@@ -25,7 +25,6 @@ val run_checks :
   ?filter:string ->
   ?seed:int ->
   ?count:int ->
-  ?budget:Shrink.budget ->
   ?repro_dir:string ->
   ?out:Format.formatter ->
   Check.t list ->
@@ -33,7 +32,7 @@ val run_checks :
 (** Run the checks whose name contains [filter] (default: all), each
     over [count] generated cases (default 100) from [seed] (default
     42), printing one line per check.  A failing check with a replay
-    hook is shrunk under [budget] (default {!Shrink.default_budget});
+    hook is shrunk within {!Shrink.default_budget};
     when [repro_dir] (an existing directory) is given the minimized case
     is saved there as [repro-<name>.json]. *)
 

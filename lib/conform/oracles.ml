@@ -720,7 +720,7 @@ let h1_check =
             Precompute.walk_joining_curve ~step ~drift ~l ~lo:(-6) ~hi:6
           in
           for d = -6 to 6 do
-            let fast = Interp.Curve.eval curve (float_of_int d) in
+            let fast = Interp.Curve.eval curve d in
             let exact = Precompute.walk_joining_h ~step ~drift ~l ~d in
             if !failure = None && not (close fast exact) then
               failure :=

@@ -135,9 +135,14 @@ let zero_values st case =
   | None -> ());
   (!best, !progress)
 
-let minimize ?(budget = default_budget) ~still_fails case =
+let minimize ~still_fails case =
   let st =
-    { budget; started = Unix.gettimeofday (); evals = 0; still_fails }
+    {
+      budget = default_budget;
+      started = Unix.gettimeofday ();
+      evals = 0;
+      still_fails;
+    }
   in
   let best = ref case in
   let continue = ref true in

@@ -21,9 +21,9 @@ type stats = {
   to_steps : int;  (** trace length after *)
 }
 
-val minimize :
-  ?budget:budget -> still_fails:(Case.t -> bool) -> Case.t -> Case.t * stats
-(** [minimize ~still_fails case] requires [still_fails case = true] for
+val minimize : still_fails:(Case.t -> bool) -> Case.t -> Case.t * stats
+(** [minimize ~still_fails case] runs within {!default_budget} and
+    requires [still_fails case = true] for
     a useful result (a passing case is returned unchanged).  The result
     always satisfies [still_fails] — every accepted transformation
     re-established it. *)

@@ -3,27 +3,13 @@ open Ssj_stream
 (* Remaining-lifetime oracle for the baseline policies.  First-order
    representations of the two shipped shapes let the hot scoring loops
    below inline the death test (one compare per candidate) instead of
-   paying a closure call per candidate per step; [Fn] keeps the fully
-   general form available. *)
+   paying a closure call per candidate per step. *)
 type lifetime =
   | Trend of { r_add : int; s_add : int; speed : int }
       (** Linear-trend streams: remaining = (value + add_side)/speed − now
           (see {!Ssj_workload.Config.lifetime} for the constants). *)
   | Of_window of Window.t
       (** Sliding window: {!Ssj_stream.Window.remaining_lifetime}. *)
-  | Fn of (now:int -> Tuple.t -> int)
-
-(* [remaining] on the buffer representation; reconstructs a tuple only
-   for the fully general [Fn] case. *)
-let remaining_uv lt ~now ~uid ~value =
-  match lt with
-  | Trend { r_add; s_add; speed } ->
-    ((value + (if uid land 1 = 0 then r_add else s_add)) / speed) - now
-  | Of_window w -> Window.remaining_at w ~now ~arrival:(uid asr 1)
-  | Fn f -> f ~now (Tuple.of_uid ~uid ~value)
-
-let remaining lt ~now (t : Tuple.t) =
-  remaining_uv lt ~now ~uid:t.uid ~value:t.value
 
 (* History frequency tracker: counts of each value seen per side, the
    side being a uid's low bit (R = 0, S = 1).  Stream values follow a
@@ -171,13 +157,12 @@ let remaining_into lt =
             - now)
         done;
       rems
-  | lt ->
-    fun buf ~now ~n ~uids ~values ->
+  | Of_window w ->
+    fun buf ~now ~n ~uids ~values:_ ->
       let rems = fill buf n in
       for i = 0 to n - 1 do
         Array.unsafe_set rems i
-          (remaining_uv lt ~now ~uid:(Array.unsafe_get uids i)
-             ~value:(Array.unsafe_get values i))
+          (Window.remaining_at w ~now ~arrival:(Array.unsafe_get uids i asr 1))
       done;
       rems
 

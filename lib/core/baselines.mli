@@ -17,16 +17,10 @@ type lifetime =
           (see {!Ssj_workload.Config.lifetime} for the constants). *)
   | Of_window of Ssj_stream.Window.t
       (** Sliding window: {!Ssj_stream.Window.remaining_lifetime}. *)
-  | Fn of (now:int -> Ssj_stream.Tuple.t -> int)
-      (** Fully general estimator. *)
 (** Remaining number of steps during which a tuple can still produce
     results (e.g. until the partner's noise window has moved past it).
     The first-order constructors let the policies' per-candidate death
-    test compile to an integer compare instead of a closure call; [Fn]
-    is the escape hatch. *)
-
-val remaining : lifetime -> now:int -> Ssj_stream.Tuple.t -> int
-(** Evaluate the estimator. *)
+    test compile to an integer compare instead of a closure call. *)
 
 val rand : rng:Ssj_prob.Rng.t -> ?lifetime:lifetime -> unit -> Policy.join
 (** Discard uniformly at random (among live tuples first). *)

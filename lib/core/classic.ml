@@ -54,17 +54,16 @@ let rand_cache ~rng =
   in
   { Policy.cname = "RAND"; access }
 
-(* LRU and WS read a value's last reference time with [min_int] as the
-   lookup default.  [min_int] is also a legal time, so only that result
-   pays an [Itab.mem] to tell "never referenced" apart. *)
-let never_used last_use v t = t = min_int && not (Itab.mem last_use v)
-
+(* LRU reads a value's last reference time with [min_int] as the lookup
+   default.  [min_int] is also a legal time, so only that result pays an
+   [Itab.mem] to tell "never referenced" apart. *)
 let lru () =
   let last_use = Itab.create ~size:64 () in
   let observe ~now ~value = Itab.set last_use value now in
   let score ~now:_ v =
     let t = Itab.find_default last_use v min_int in
-    if never_used last_use v t then Float.neg_infinity else float_of_int t
+    if t = min_int && not (Itab.mem last_use v) then Float.neg_infinity
+    else float_of_int t
   in
   scored_policy ~cname:"LRU" ~observe ~score
 
@@ -167,67 +166,3 @@ let lfu_model ~prob =
   let observe ~now:_ ~value:_ = () in
   let score ~now:_ v = prob v in
   scored_policy ~cname:"A0" ~observe ~score
-
-let working_set ~tau =
-  if tau < 1 then invalid_arg "Classic.working_set: tau < 1";
-  let last_use = Itab.create ~size:64 () in
-  let observe ~now ~value = Itab.set last_use value now in
-  let score ~now v =
-    let t = Itab.find_default last_use v min_int in
-    if never_used last_use v t then Float.neg_infinity
-    else
-      (* Working-set members rank above everything outside it; LRU order
-         breaks ties within each class. *)
-      let in_ws = now - t <= tau in
-      (if in_ws then 1e12 else 0.0) +. float_of_int t
-  in
-  scored_policy ~cname:(Printf.sprintf "WS(%d)" tau) ~observe ~score
-
-let clock () =
-  (* Circular buffer of (value, referenced-bit). *)
-  let ring : (int * bool ref) array ref = ref [||] in
-  let hand = ref 0 in
-  let access ~now:_ ~cached ~value ~hit ~capacity =
-    (* Resynchronise the ring with the simulator's view (robust to any
-       external cache manipulation). *)
-    let entries =
-      Array.to_list !ring |> List.filter (fun (v, _) -> List.mem v cached)
-    in
-    let missing =
-      List.filter (fun v -> not (List.exists (fun (w, _) -> w = v) entries))
-        cached
-    in
-    let entries = entries @ List.map (fun v -> (v, ref true)) missing in
-    ring := Array.of_list entries;
-    if !hand >= Array.length !ring then hand := 0;
-    if hit then begin
-      Array.iter (fun (v, bit) -> if v = value then bit := true) !ring;
-      cached
-    end
-    else if capacity = 0 then []
-    else if List.length cached < capacity then begin
-      ring := Array.append !ring [| (value, ref true) |];
-      value :: cached
-    end
-    else begin
-      (* Second-chance scan. *)
-      let n = Array.length !ring in
-      let victim = ref None in
-      while !victim = None do
-        let v, bit = !ring.(!hand) in
-        if !bit then begin
-          bit := false;
-          hand := (!hand + 1) mod n
-        end
-        else begin
-          victim := Some v;
-          !ring.(!hand) <- (value, ref true);
-          hand := (!hand + 1) mod n
-        end
-      done;
-      match !victim with
-      | Some v -> value :: List.filter (fun w -> w <> v) cached
-      | None -> cached
-    end
-  in
-  { Policy.cname = "CLOCK"; access }

@@ -26,14 +26,3 @@ val lfu_model : prob:(int -> float) -> Policy.cache
 (** A₀-style policy: evict the entry with the smallest *model* reference
     probability — optimal for (almost) stationary reference streams
     (Section 5.2, \[2\]). *)
-
-val working_set : tau:int -> Policy.cache
-(** WS (Working Set) \[2\]: an entry is "in the working set" if referenced
-    within the last [tau] steps; entries outside the working set are
-    evicted first (falling back to LRU order inside/outside the set).
-    One of the classic A₀ approximations the paper lists. *)
-
-val clock : unit -> Policy.cache
-(** CLOCK (second-chance): a circular scan clears reference bits and
-    evicts the first entry found unreferenced — the standard low-overhead
-    LRU approximation. *)

@@ -4,8 +4,6 @@ open Ssj_model
 type incr_config = { alpha : float; refresh_every : int }
 type mode = [ `Direct | `Incremental of incr_config | `Memo_trend of int ]
 
-let incr ~alpha = `Incremental { alpha; refresh_every = 64 }
-
 let src = Logs.Src.create "ssj.heeb" ~doc:"HEEB policy internals"
 
 module Log = (val Logs.src_log src : Logs.LOG)
@@ -151,18 +149,13 @@ let joining ?name ~r ~s ~l ?(mode = `Direct) () =
       ~after:(fun ~now:_ ~src:_ ~dst -> prune_hvals st.hvals dst)
       kernel
 
-(* A curve on the integer grid ([dx = 1], integer [x0]) read as a table:
-   [lookup t d = Interp.Curve.eval c (float_of_int d)], because linear
-   interpolation at a grid point returns its sample.  [d] is clamped to
-   the grid's span before [x0] is subtracted, so offsets near
-   [min_int]/[max_int] read the end samples instead of wrapping. *)
+(* A curve's samples with both grid ends, read once: [lookup] is
+   {!Interp.Curve.eval} inlined into the scoring loop, where a
+   cross-module call per candidate would box its float result. *)
 type table = { lo : int; hi : int; ys : float array }
 
 let table c =
-  let x0 = Interp.Curve.x0 c and ys = Interp.Curve.samples c in
-  if not (Interp.Curve.dx c = 1.0 && Float.is_integer x0 && Float.abs x0 < 0x1p52)
-  then invalid_arg "Heeb.joining_curves: the curves must lie on the integer grid";
-  let lo = int_of_float x0 in
+  let lo = Interp.Curve.lo c and ys = Interp.Curve.samples c in
   { lo; hi = lo + Array.length ys - 1; ys }
 
 let[@inline] lookup t d =
@@ -193,13 +186,13 @@ let joining_curves ?name ~h_r_tuples ~h_s_tuples () =
           scores.(i) <- lookup (if is_r then r_table else s_table) (values.(i) - x)
       done)
 
-let joining_adaptive ?name ?(initial_lifetime = 5.0) ?(smoothing = 0.05) ~r ~s
-    () =
+(* The adaptive variant's residence-time estimate: its seed before any
+   eviction has been seen, and the moving average's weight. *)
+let initial_lifetime = 5.0
+let smoothing = 0.05
+
+let joining_adaptive ?name ~r ~s () =
   let name = Option.value ~default:"HEEB-adaptive" name in
-  if not (initial_lifetime > 1.0) then
-    invalid_arg "Heeb.joining_adaptive: initial_lifetime <= 1";
-  if smoothing <= 0.0 || smoothing > 1.0 then
-    invalid_arg "Heeb.joining_adaptive: smoothing outside (0, 1]";
   let st = fresh_state ~r ~s in
   let lifetime = ref initial_lifetime in
   let kernel ~now:_ ~n ~uids ~values ~scores =

@@ -14,7 +14,8 @@
       the time- and value-incremental observations (Corollary 5): [H]
       depends only on the offset [v_x − speed·t0], so scores are memoised
       by offset and each distinct offset is computed once per run;
-    - curve/surface lookups from {!Precompute} for random walks and AR(1).
+    - lookups of {!Precompute}'s functions: the random-walk curve, a
+      table on integer offsets ({!Interp.Curve}), and the AR(1) surface.
 
     The joining variants are {!Policy.scored} policies: each is one
     scoring kernel over the step's candidates.
@@ -29,9 +30,6 @@ type mode =
   | `Memo_trend of int  (** trend speed *) ]
 
 and incr_config = { alpha : float; refresh_every : int }
-
-val incr : alpha:float -> mode
-(** [`Incremental] with the default refresh period (64 steps). *)
 
 val joining :
   ?name:string ->
@@ -53,27 +51,21 @@ val joining_curves :
 (** HEEB with precomputed random-walk curves ({!Precompute.walk_joining_curve}):
     an R tuple scores [h_r_tuples(v − x^S_last)], an S tuple scores
     [h_s_tuples(v − x^R_last)] — Theorem 5 (φ₁ = 1, joining).  The
-    offsets are integers, so each curve is read as a table of its
-    samples, clamped to the grid: the value {!Interp.Curve.eval} gives
-    at the offset, since linear interpolation at a grid point is its
-    sample.  Raises [Invalid_argument] unless both curves lie on the
-    integer grid ([dx = 1], integer [x0]), as {!Precompute}'s do. *)
+    offsets are integers and each score is {!Interp.Curve.eval} at the
+    offset, read from the curve's samples inside the scoring loop. *)
 
 val joining_adaptive :
   ?name:string ->
-  ?initial_lifetime:float ->
-  ?smoothing:float ->
   r:Ssj_model.Predictor.t ->
   s:Ssj_model.Predictor.t ->
   unit ->
   Policy.join
 (** The adaptive-α variant the paper leaves as future work (Section 5.3):
     observe the realised residence time of evicted tuples with an
-    exponential moving average (weight [smoothing], default 0.05), and
-    keep [α] matched to it through {!Lfun.alpha_for_lifetime}.
-    [initial_lifetime] (default 5) seeds the estimate before any eviction
-    has been seen.  Scores are computed directly (memoisation would be
-    invalidated by the moving α). *)
+    exponential moving average (weight 0.05), and keep [α] matched to it
+    through {!Lfun.alpha_for_lifetime}.  A lifetime of 5 steps seeds the
+    estimate before any eviction has been seen.  Scores are computed
+    directly (memoisation would be invalidated by the moving α). *)
 
 val caching :
   ?name:string ->

@@ -1,54 +1,22 @@
 module Curve = struct
-  type t = { x0 : float; dx : float; ys : float array }
+  type t = { lo : int; hi : int; ys : float array }
 
-  let create ~x0 ~dx ys =
-    if Array.length ys < 2 then invalid_arg "Interp.Curve.create: need >= 2 samples";
-    if dx <= 0.0 then invalid_arg "Interp.Curve.create: dx <= 0";
-    { x0; dx; ys }
+  let create ~lo ys =
+    let n = Array.length ys in
+    if n < 2 then invalid_arg "Interp.Curve.create: need >= 2 samples";
+    if lo > max_int - (n - 1) then
+      invalid_arg "Interp.Curve.create: grid passes max_int";
+    { lo; hi = lo + (n - 1); ys }
 
-  let eval t x =
-    let n = Array.length t.ys in
-    let pos = (x -. t.x0) /. t.dx in
-    if pos <= 0.0 then t.ys.(0)
-    else if pos >= float_of_int (n - 1) then t.ys.(n - 1)
-    else begin
-      let i = int_of_float (Float.floor pos) in
-      let frac = pos -. float_of_int i in
-      (t.ys.(i) *. (1.0 -. frac)) +. (t.ys.(i + 1) *. frac)
-    end
+  (* [d] is compared with both ends before [lo] is subtracted, so offsets
+     near [min_int]/[max_int] read the end samples instead of wrapping. *)
+  let eval t d =
+    if d <= t.lo then t.ys.(0)
+    else if d >= t.hi then t.ys.(t.hi - t.lo)
+    else t.ys.(d - t.lo)
 
-  let x0 t = t.x0
-  let dx t = t.dx
+  let lo t = t.lo
   let samples t = t.ys
-
-  let save t ~filename =
-    let oc = open_out filename in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        Printf.fprintf oc "ssj-curve-v1\n%h %h %d\n" t.x0 t.dx
-          (Array.length t.ys);
-        Array.iter (fun y -> Printf.fprintf oc "%h\n" y) t.ys)
-
-  let load ~filename =
-    let ic = open_in filename in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let fail msg = failwith ("Interp.Curve.load: " ^ msg) in
-        (try
-           if input_line ic <> "ssj-curve-v1" then fail "bad magic"
-         with End_of_file -> fail "empty file");
-        let x0, dx, n =
-          try Scanf.sscanf (input_line ic) " %h %h %d" (fun a b c -> (a, b, c))
-          with _ -> fail "bad header"
-        in
-        let ys =
-          Array.init n (fun _ ->
-              try Scanf.sscanf (input_line ic) " %h" Fun.id
-              with _ -> fail "bad sample")
-        in
-        create ~x0 ~dx ys)
 end
 
 module Surface = struct
@@ -142,49 +110,4 @@ module Surface = struct
       rows.(clampi 0 (nx - 1) (ix - 1))
       rows.(ix) rows.(ix + 1)
       rows.(clampi 0 (nx - 1) (ix + 2))
-
-  let save t ~filename =
-    let oc = open_out filename in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        Printf.fprintf oc "ssj-surface-v1\n%h %h %h %h %d %d\n" t.x0 t.dx t.y0
-          t.dy (nx t) (ny t);
-        Array.iter
-          (fun row ->
-            Array.iter (fun v -> Printf.fprintf oc "%h " v) row;
-            output_char oc '\n')
-          t.values)
-
-  let load ~filename =
-    let ic = open_in filename in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let fail msg = failwith ("Interp.Surface.load: " ^ msg) in
-        (try
-           if input_line ic <> "ssj-surface-v1" then fail "bad magic"
-         with End_of_file -> fail "empty file");
-        let x0, dx, y0, dy, nx, ny =
-          try
-            Scanf.sscanf (input_line ic) " %h %h %h %h %d %d"
-              (fun a b c d e f -> (a, b, c, d, e, f))
-          with _ -> fail "bad header"
-        in
-        let values =
-          Array.init nx (fun _ ->
-              let line = try input_line ic with End_of_file -> fail "truncated" in
-              let cells =
-                String.split_on_char ' ' (String.trim line)
-                |> List.filter (fun s -> s <> "")
-              in
-              if List.length cells <> ny then fail "row width mismatch";
-              Array.of_list
-                (List.map
-                   (fun s ->
-                     try Scanf.sscanf s " %h" Fun.id
-                     with _ -> fail "bad value")
-                   cells))
-        in
-        create ~x0 ~dx ~y0 ~dy values)
 end

@@ -1,31 +1,33 @@
-(** Interpolation of precomputed HEEB functions — Section 4.4.3 / 6.5.
+(** Precomputed HEEB functions as compact run-time tables — Section
+    4.4.3 / 6.5.
 
     Theorem 5 makes [H_x] a time-independent function: a curve [h1] for
     random walks and a surface [h2] for AR(1).  The paper stores "a
     compact, approximate representation online"; for REAL it uses bicubic
-    interpolation of 25 control points.  We provide 1-D linear
-    interpolation for curves and Catmull–Rom bicubic (the classic
-    convolution kernel with a = −1/2, C¹-continuous) for surfaces on
-    regular grids. *)
+    interpolation of 25 control points.  [h1] is a function of the
+    integer offset [v_x − x_{t0}], so a curve is a table of its samples
+    on consecutive integers, clamped at both ends; a surface is read by
+    Catmull–Rom bicubic interpolation (the classic convolution kernel
+    with a = −1/2, C¹-continuous) on a regular grid. *)
 
 module Curve : sig
   type t
-  (** A function sampled on the regular grid [x0 + i·dx], [i = 0..n−1]. *)
+  (** A function sampled on the integers [lo .. lo + n − 1]. *)
 
-  val create : x0:float -> dx:float -> float array -> t
-  val eval : t -> float -> float
-  (** Piecewise-linear; clamps outside the grid. *)
+  val create : lo:int -> float array -> t
+  (** [create ~lo ys] holds [ys.(i)] at [lo + i] and takes ownership of
+      [ys] (no copy).  Raises [Invalid_argument] on fewer than 2 samples
+      or a grid that would pass [max_int]. *)
 
-  val x0 : t -> float
-  val dx : t -> float
+  val eval : t -> int -> float
+  (** The sample at [d], clamped to the end samples outside the grid;
+      total over [int], [min_int] and [max_int] included. *)
+
+  val lo : t -> int
+  (** The first grid point. *)
+
   val samples : t -> float array
-
-  val save : t -> filename:string -> unit
-  (** Text serialisation (loss-free via hex floats) — lets an expensive
-      precomputation (e.g. a Figure-6 DP) be archived and reloaded. *)
-
-  val load : filename:string -> t
-  (** Raises [Failure] on malformed input. *)
+  (** The samples themselves, no copy; the caller must not mutate them. *)
 end
 
 module Surface : sig
@@ -56,10 +58,4 @@ module Surface : sig
 
   val nx : t -> int
   val ny : t -> int
-
-  val save : t -> filename:string -> unit
-  (** Text serialisation (loss-free via hex floats) — archives an [h2]
-      surface so the REAL policy can start without redoing the DPs. *)
-
-  val load : filename:string -> t
 end

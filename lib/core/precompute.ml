@@ -15,7 +15,7 @@ let walk_joining_curve ~step ~drift ~l ~lo ~hi =
     if w > 0.0 then
       Convolve.Rolling.add_into q ~dst:h ~lo:(lo - (drift * delta)) ~scale:w
   done;
-  Interp.Curve.create ~x0:(float_of_int lo) ~dx:1.0 h
+  Interp.Curve.create ~lo h
 
 (* Exact single-point h1 evaluation, kept deliberately independent of
    the curve path above: untrimmed naive pairwise convolutions with
@@ -149,7 +149,7 @@ let walk_caching_curve ~step ~drift ~l ~lo ~hi ?(horizon = 4096) () =
   (* h1(d) = H(target 0 | start −d). *)
   let n = hi - lo + 1 in
   let h = Array.init n (fun i -> col.(-(lo + i) - win_lo)) in
-  Interp.Curve.create ~x0:(float_of_int lo) ~dx:1.0 h
+  Interp.Curve.create ~lo h
 
 let ar1_joining_h params ~l ~vx ~x0 =
   let horizon = l.Lfun.horizon in

@@ -3,7 +3,10 @@
     For processes of the form [X_t = φ0 + φ1·X_{t−1} + Y_t] the HEEB score
     is a time-independent function: a curve [h1(v_x − x_{t0})] when
     [φ1 = 1] (random walk with drift) and a surface [h2(v_x, x_{t0})] for
-    AR(1).  These are computed offline and queried in O(1) at run time.
+    AR(1).  These are computed offline and queried in O(1) at run time:
+    a curve is an {!Interp.Curve} table on the integers [lo..hi] (the
+    offset [v_x − x_{t0}] is an integer), a surface an
+    {!Interp.Surface} read by bicubic interpolation.
 
     Caching variants need first-*reference* probabilities; we obtain whole
     columns of the [h2] surface in a single backward first-passage DP:

@@ -14,10 +14,3 @@ let discretized_normal_mu ~mu ~sigma ~lo ~hi =
 let discretized_normal ~sigma ~bound =
   if bound < 0 then invalid_arg "Dist.discretized_normal: bound < 0";
   discretized_normal_mu ~mu:0.0 ~sigma ~lo:(-bound) ~hi:bound
-
-let point = Pmf.point
-
-let empirical values =
-  match values with
-  | [] -> invalid_arg "Dist.empirical: no observations"
-  | _ -> Pmf.of_assoc (List.map (fun v -> (v, 1.0)) values)

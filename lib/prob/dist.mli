@@ -13,9 +13,3 @@ val discretized_normal : sigma:float -> bound:int -> Pmf.t
 
 val discretized_normal_mu : mu:float -> sigma:float -> lo:int -> hi:int -> Pmf.t
 (** General discretised normal on an explicit support window. *)
-
-val point : int -> Pmf.t
-(** Degenerate distribution (offline / deterministic streams). *)
-
-val empirical : int list -> Pmf.t
-(** Frequency distribution of observed values (PROB's history estimate). *)

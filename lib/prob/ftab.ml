@@ -56,9 +56,6 @@ let grow t =
       end)
     old_keys
 
-let mem t k =
-  if k = empty_key then t.min_bound else Array.unsafe_get t.keys (slot t k) = k
-
 (* Probing for [min_int] stops at the first empty slot, whose key equals
    [min_int]: the one extra compare on a hit sends it to its own cell. *)
 let find_default t k d =

@@ -7,7 +7,6 @@
 type t
 
 val create : ?size:int -> unit -> t
-val mem : t -> int -> bool
 
 val find_default : t -> int -> float -> float
 (** [find_default t k d] is the value bound to [k], or [d] if absent. *)

@@ -146,11 +146,6 @@ let decr t k =
     end
   end
 
-let clear t =
-  Array.fill t.keys 0 (Array.length t.keys) empty_key;
-  t.used <- 0;
-  t.min_bound <- false
-
 let iter f t =
   Array.iteri (fun i k -> if k <> empty_key then f k t.vals.(i)) t.keys;
   if t.min_bound then f empty_key t.min_val

@@ -29,7 +29,4 @@ val decr : t -> int -> unit
     counter reaches zero (backward-shift deletion).  Use for counters
     whose key set churns — it keeps the table at working-set size. *)
 
-val clear : t -> unit
-(** Unbind every key. *)
-
 val iter : (int -> int -> unit) -> t -> unit

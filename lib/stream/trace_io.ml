@@ -14,7 +14,6 @@ type error =
   | Bad_field of { line : int }
   | Wrong_arity of { line : int; fields : int }
   | Out_of_order of { line : int; time : int; expected : int }
-  | Reserved_value of { line : int }
   | Io_error of { message : string }
 
 let error_to_string = function
@@ -28,8 +27,6 @@ let error_to_string = function
   | Out_of_order { line; time; expected } ->
     Printf.sprintf "Trace_io: time %d out of order on line %d (expected %d)"
       time line expected
-  | Reserved_value { line } ->
-    Printf.sprintf "Trace_io: value %d on line %d is reserved" min_int line
   | Io_error { message } -> Printf.sprintf "Trace_io: %s" message
 
 let save trace ~filename =
@@ -51,8 +48,6 @@ let parse_line ~lineno line =
   match String.split_on_char ',' (String.trim line) with
   | [ t; r; s ] -> (
     match (int_of_string_opt t, int_of_string_opt r, int_of_string_opt s) with
-    | Some _, Some r, Some s when r = min_int || s = min_int ->
-      raise (Malformed (Reserved_value { line = lineno }))
     | Some t, Some r, Some s -> (t, r, s)
     | _ -> raise (Malformed (Bad_field { line = lineno })))
   | fields ->

@@ -13,9 +13,6 @@ type error =
   | Bad_field of { line : int }  (** a field is not an integer *)
   | Wrong_arity of { line : int; fields : int }
   | Out_of_order of { line : int; time : int; expected : int }
-  | Reserved_value of { line : int }
-      (** a value is [min_int], which the join index reserves as its
-          empty-slot marker ({!Ssj_prob.Itab}) *)
   | Io_error of { message : string }
       (** file could not be opened, read or written *)
 

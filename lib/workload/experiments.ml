@@ -107,7 +107,7 @@ let fig6 ?(out = std) opts =
       (fun (label, curve) ->
         ( label,
           Array.init (hi - lo + 1) (fun i ->
-              Interp.Curve.eval curve (float_of_int (lo + i))) ))
+              Interp.Curve.eval curve (lo + i)) ))
       curves
   in
   Format.fprintf out
@@ -824,20 +824,36 @@ let grid_kinds () =
     Fault.Noise { rate = 0.5; amp = 4 };
   ]
 
+(* The same kind with nothing to fire: rate 0, its other parameters
+   kept. *)
+let zero_severity = function
+  | Fault.Drop _ -> Fault.Drop { rate = 0.0 }
+  | Fault.Duplicate _ -> Fault.Duplicate { rate = 0.0 }
+  | Fault.Burst { len; _ } -> Fault.Burst { rate = 0.0; len }
+  | Fault.Stall { len; _ } -> Fault.Stall { rate = 0.0; len }
+  | Fault.Noise { amp; _ } -> Fault.Noise { rate = 0.0; amp }
+
 let robustness_grid ?capacity opts =
   let truth = Config.tower () in
   let capacity = match capacity with Some c -> c | None -> opts.capacity in
   let runs = opts.runs and length = opts.length in
-  (* Same trace seeds as the tracked bench sweep, so at its capacity the
-     [clean] row is bit-identical to the sweep summaries — the gate that
-     proves fault plumbing at severity zero changes nothing. *)
+  (* Same trace seeds as the tracked bench sweep.  The [clean] row runs
+     them through every grid kind at rate 0, so at the sweep's capacity
+     it is bit-identical to the sweep summaries only if the fault
+     plumbing at severity zero changes nothing — the bench's gate. *)
   let traces = trend_traces truth ~runs ~length ~seed:opts.seed in
   let policies = Factory.trend_policies truth ~seed:opts.seed () in
   let summarize_traces traces' =
     Runner.compare_joining ~setup:(setup ~capacity) ~traces:traces' ~policies
       ~include_opt:false ()
   in
-  let clean = summarize_traces traces in
+  let zero =
+    {
+      Fault.kinds = List.map zero_severity (grid_kinds ());
+      seed = opts.seed;
+    }
+  in
+  let clean = summarize_traces (Array.map (Fault.apply zero) traces) in
   let clean_mean label = Option.value (mean_of label clean) ~default:0.0 in
   let cells summaries =
     List.map

@@ -152,9 +152,11 @@ type robustness_report = {
   grid_runs : int;
   grid_length : int;
   clean : Ssj_engine.Runner.summary list;
-      (** unperturbed row: same traces, policies and warm-up as the
-          tracked bench sweep, so at the sweep capacity it is
-          bit-identical to the sweep summaries *)
+      (** severity-zero row: the tracked bench sweep's traces, policies
+          and warm-up, with the traces passed through {!Ssj_fault.Fault.apply}
+          at every grid kind with rate 0, so at the sweep capacity it is
+          bit-identical to the sweep summaries unless that plumbing
+          changes a clean trace *)
   rows : robustness_row list;  (** fault kinds × 3 severities *)
   regime : robustness_row list;
       (** mid-run regime switches (policies keep the stale model) *)

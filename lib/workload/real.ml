@@ -16,20 +16,6 @@ let synthetic_ar1 ?(params = paper_params) ~rng ~days () =
   done;
   series
 
-let synthetic_seasonal ~rng ~days =
-  if days < 1 then invalid_arg "Real.synthetic_seasonal: days < 1";
-  let fluct = { Ar1.phi0 = 0.0; phi1 = 0.6; sigma = 2.2 } in
-  let series = Array.make days 0.0 in
-  let s = ref 0.0 in
-  for t = 0 to days - 1 do
-    s := (fluct.Ar1.phi1 *. !s) +. Rng.gaussian rng ~mu:0.0 ~sigma:fluct.Ar1.sigma;
-    let seasonal =
-      15.0 +. (6.0 *. cos (2.0 *. Float.pi *. (float_of_int t -. 30.0) /. 365.25))
-    in
-    series.(t) <- seasonal +. !s
-  done;
-  series
-
 let to_bins series =
   Array.map (fun t -> int_of_float (Float.round (t *. 10.0))) series
 

@@ -10,9 +10,7 @@
     *simulate* it (DESIGN.md §5): [synthetic_ar1] draws directly from the
     paper's fitted model, so our own MLE ({!Ssj_model.Fit.ar1}) recovers
     φ₁ ≈ 0.72 and σ ≈ 4.22 and the series exhibits the same day-to-day
-    locality that makes LRU/LFU competitive in Figure 13.
-    [synthetic_seasonal] adds an explicit annual cycle for
-    robustness experiments. *)
+    locality that makes LRU/LFU competitive in Figure 13. *)
 
 val paper_params : Ssj_model.Ar1.params
 (** φ₀ = 5.59, φ₁ = 0.72, σ = 4.22 (°C). *)
@@ -25,10 +23,6 @@ val synthetic_ar1 :
   float array
 (** Daily temperatures (°C) drawn from the AR(1) model, started at the
     stationary mean. *)
-
-val synthetic_seasonal : rng:Ssj_prob.Rng.t -> days:int -> float array
-(** Annual cosine cycle (mean 15 °C, amplitude 6 °C) plus AR(1)
-    fluctuations. *)
 
 val to_bins : float array -> int array
 (** 0.1 °C binning: the reference stream's integer join attribute

@@ -138,7 +138,7 @@ let test_walk_rank_matches_numeric_h () =
   let curve =
     Precompute.walk_caching_curve ~step ~drift:0 ~l ~lo:(-15) ~hi:15 ()
   in
-  let h v = Interp.Curve.eval curve (float_of_int (v - x0)) in
+  let h v = Interp.Curve.eval curve (v - x0) in
   let values = [ 3; 18; 10; 12; 7 ] in
   let by_rank = Case_studies.walk_zero_drift_rank ~x0 ~values in
   let rec ordered = function

@@ -32,12 +32,6 @@ let test_truncation_renormalises () =
   check_int "lo" (-5) (Pmf.lo p);
   check_int "hi" 5 (Pmf.hi p)
 
-let test_empirical () =
-  let p = Dist.empirical [ 1; 1; 2; 5 ] in
-  check_float "p(1)" 0.5 (Pmf.prob p 1);
-  check_float "p(2)" 0.25 (Pmf.prob p 2);
-  check_float "p(5)" 0.25 (Pmf.prob p 5)
-
 let test_erf_known_values () =
   check_float ~eps:1e-6 "erf 0" 0.0 (Special.erf 0.0);
   check_float ~eps:1e-6 "erf 1" 0.8427008 (Special.erf 1.0);
@@ -62,7 +56,6 @@ let suite =
       test_discretized_normal_unimodal;
     Alcotest.test_case "heavy truncation renormalises" `Quick
       test_truncation_renormalises;
-    Alcotest.test_case "empirical" `Quick test_empirical;
     Alcotest.test_case "erf known values" `Quick test_erf_known_values;
     Alcotest.test_case "normal cdf" `Quick test_normal_cdf;
     Alcotest.test_case "normal pdf" `Quick test_normal_pdf;

@@ -7,13 +7,15 @@ module Ftab = Ssj_prob.Ftab
 let test_min_int_absent () =
   let t = Ftab.create () in
   check_float "fresh table" 42.0 (Ftab.find_default t min_int 42.0);
-  check_bool "fresh mem" false (Ftab.mem t min_int);
+  check_bool "fresh, any default" true
+    (Float.is_nan (Ftab.find_default t min_int Float.nan));
   (* Bind enough other keys to grow the table: [min_int] stays absent. *)
   for k = 0 to 99 do
     Ftab.set t k (float_of_int k)
   done;
   check_float "after growth" 42.0 (Ftab.find_default t min_int 42.0);
-  check_bool "mem after growth" false (Ftab.mem t min_int)
+  check_bool "after growth, any default" true
+    (Float.is_nan (Ftab.find_default t min_int Float.nan))
 
 let test_extreme_keys () =
   let t = Ftab.create () in
@@ -23,8 +25,6 @@ let test_extreme_keys () =
   check_float "min_int" 1.5 (Ftab.find_default t min_int 0.0);
   check_float "max_int" 2.5 (Ftab.find_default t max_int 0.0);
   check_float "zero" 3.5 (Ftab.find_default t 0 0.0);
-  check_bool "min_int bound" true (Ftab.mem t min_int);
-  check_bool "max_int bound" true (Ftab.mem t max_int);
   Ftab.set t min_int (-4.0);
   check_float "min_int overwritten" (-4.0) (Ftab.find_default t min_int 0.0);
   check_float "max_int untouched" 2.5 (Ftab.find_default t max_int 0.0)
@@ -46,7 +46,7 @@ let prop_matches_hashtbl =
         ops;
       List.for_all
         (fun k ->
-          Ftab.mem t k = Hashtbl.mem m k
+          Float.is_nan (Ftab.find_default t k Float.nan) = not (Hashtbl.mem m k)
           && Ftab.find_default t k 99.0
              = Option.value ~default:99.0 (Hashtbl.find_opt m k))
         (List.init 48 key))

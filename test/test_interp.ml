@@ -2,16 +2,35 @@ open Ssj_core
 open Helpers
 
 let test_curve_exact_at_samples () =
-  let c = Interp.Curve.create ~x0:(-2.0) ~dx:1.0 [| 4.0; 1.0; 0.0; 1.0; 4.0 |] in
-  check_float "sample" 1.0 (Interp.Curve.eval c (-1.0));
-  check_float "midpoint linear" 0.5 (Interp.Curve.eval c (-0.5));
-  check_float "clamp left" 4.0 (Interp.Curve.eval c (-10.0));
-  check_float "clamp right" 4.0 (Interp.Curve.eval c 10.0)
+  let c = Interp.Curve.create ~lo:(-2) [| 4.0; 1.0; 0.0; 1.0; 5.0 |] in
+  check_int "lo" (-2) (Interp.Curve.lo c);
+  List.iteri
+    (fun i y -> check_float ~eps:0.0 "sample" y (Interp.Curve.eval c (i - 2)))
+    [ 4.0; 1.0; 0.0; 1.0; 5.0 ];
+  check_float ~eps:0.0 "clamp left" 4.0 (Interp.Curve.eval c (-3));
+  check_float ~eps:0.0 "clamp far left" 4.0 (Interp.Curve.eval c (-10));
+  check_float ~eps:0.0 "clamp right" 5.0 (Interp.Curve.eval c 3);
+  check_float ~eps:0.0 "clamp far right" 5.0 (Interp.Curve.eval c 10)
+
+(* [d - lo] overflows at [min_int] for a positive [lo] and at [max_int]
+   for a negative one: [eval] must clamp before it subtracts. *)
+let test_curve_extreme_offsets () =
+  List.iter
+    (fun lo ->
+      let c = Interp.Curve.create ~lo [| 1.0; 2.0; 3.0 |] in
+      let name what = Printf.sprintf "%s, lo = %d" what lo in
+      check_float ~eps:0.0 (name "min_int") 1.0 (Interp.Curve.eval c min_int);
+      check_float ~eps:0.0 (name "max_int") 3.0 (Interp.Curve.eval c max_int);
+      check_float ~eps:0.0 (name "middle") 2.0 (Interp.Curve.eval c (lo + 1)))
+    [ -5; 0; 5; min_int; max_int - 2 ]
 
 let test_curve_rejects_bad_input () =
   Alcotest.check_raises "one sample"
     (Invalid_argument "Interp.Curve.create: need >= 2 samples") (fun () ->
-      ignore (Interp.Curve.create ~x0:0.0 ~dx:1.0 [| 1.0 |]))
+      ignore (Interp.Curve.create ~lo:0 [| 1.0 |]));
+  Alcotest.check_raises "past max_int"
+    (Invalid_argument "Interp.Curve.create: grid passes max_int") (fun () ->
+      ignore (Interp.Curve.create ~lo:(max_int - 1) [| 1.0; 2.0; 3.0 |]))
 
 let surface_of f ~x0 ~dx ~y0 ~dy ~nx ~ny =
   Interp.Surface.create ~x0 ~dx ~y0 ~dy
@@ -98,63 +117,8 @@ let test_surface_rejects_ragged () =
         (Interp.Surface.create ~x0:0.0 ~dx:1.0 ~y0:0.0 ~dy:1.0
            [| [| 1.0; 2.0 |]; [| 1.0 |] |]))
 
-let prop_curve_monotone_data =
-  qcheck "linear interpolation stays within data bounds"
-    QCheck2.Gen.(
-      let* ys = list_size (int_range 2 10) (float_range (-5.0) 5.0) in
-      let* x = float_range (-2.0) 12.0 in
-      return (Array.of_list ys, x))
-    (fun (ys, x) ->
-      let c = Interp.Curve.create ~x0:0.0 ~dx:1.0 ys in
-      let v = Interp.Curve.eval c x in
-      let lo = Array.fold_left Float.min Float.infinity ys in
-      let hi = Array.fold_left Float.max Float.neg_infinity ys in
-      v >= lo -. 1e-9 && v <= hi +. 1e-9)
-
-let test_curve_roundtrip () =
-  let c =
-    Interp.Curve.create ~x0:(-3.5) ~dx:0.25 [| 1.0; -2.5; 3.75; 0.001 |]
-  in
-  let file = Filename.temp_file "ssj_curve" ".txt" in
-  Interp.Curve.save c ~filename:file;
-  let back = Interp.Curve.load ~filename:file in
-  Sys.remove file;
-  check_float ~eps:0.0 "x0" (Interp.Curve.x0 c) (Interp.Curve.x0 back);
-  check_float ~eps:0.0 "dx" (Interp.Curve.dx c) (Interp.Curve.dx back);
-  Alcotest.(check (array (float 0.0)))
-    "samples bit-exact" (Interp.Curve.samples c) (Interp.Curve.samples back)
-
-let test_surface_roundtrip () =
-  let s =
-    surface_of (fun x y -> sin x +. (0.1 *. y)) ~x0:0.0 ~dx:0.5 ~y0:(-1.0)
-      ~dy:2.0 ~nx:4 ~ny:3
-  in
-  let file = Filename.temp_file "ssj_surface" ".txt" in
-  Interp.Surface.save s ~filename:file;
-  let back = Interp.Surface.load ~filename:file in
-  Sys.remove file;
-  List.iter
-    (fun (x, y) ->
-      check_float ~eps:0.0 "values bit-exact" (Interp.Surface.eval s x y)
-        (Interp.Surface.eval back x y))
-    [ (0.3, 0.7); (1.2, -0.5); (0.0, 0.0) ]
-
-let test_load_rejects_garbage () =
-  let file = Filename.temp_file "ssj_curve" ".txt" in
-  let oc = open_out file in
-  output_string oc "not-a-curve\n";
-  close_out oc;
-  (try
-     ignore (Interp.Curve.load ~filename:file);
-     Sys.remove file;
-     Alcotest.fail "expected magic failure"
-   with Failure _ -> Sys.remove file)
-
 let suite =
   [
-    Alcotest.test_case "curve save/load" `Quick test_curve_roundtrip;
-    Alcotest.test_case "surface save/load" `Quick test_surface_roundtrip;
-    Alcotest.test_case "load rejects garbage" `Quick test_load_rejects_garbage;
     Alcotest.test_case "curve samples and clamps" `Quick
       test_curve_exact_at_samples;
     Alcotest.test_case "curve input validation" `Quick
@@ -170,5 +134,6 @@ let suite =
       test_y_slice_bit_equal;
     Alcotest.test_case "surface rejects ragged rows" `Quick
       test_surface_rejects_ragged;
-    prop_curve_monotone_data;
+    Alcotest.test_case "curve eval at min_int/max_int" `Quick
+      test_curve_extreme_offsets;
   ]

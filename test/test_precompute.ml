@@ -18,7 +18,7 @@ let test_walk_joining_curve_matches_direct () =
       check_float ~eps:1e-9
         (Printf.sprintf "h1(%d)" d)
         direct
-        (Interp.Curve.eval curve (float_of_int d)))
+        (Interp.Curve.eval curve d))
     [ -6; -3; 0; 1; 4; 9 ]
 
 let test_walk_joining_curve_symmetric_zero_drift () =
@@ -29,8 +29,8 @@ let test_walk_joining_curve_symmetric_zero_drift () =
   for d = 0 to 15 do
     check_float ~eps:1e-12
       (Printf.sprintf "symmetry at %d" d)
-      (Interp.Curve.eval curve (float_of_int d))
-      (Interp.Curve.eval curve (float_of_int (-d)))
+      (Interp.Curve.eval curve d)
+      (Interp.Curve.eval curve (-d))
   done
 
 (* The h1 curve of the walk workloads' step on [-100, 100], keyed by the
@@ -167,7 +167,7 @@ let test_walk_caching_curve_matches_hvalue () =
       check_float ~eps:1e-6
         (Printf.sprintf "caching h1(%d)" d)
         direct
-        (Interp.Curve.eval curve (float_of_int d)))
+        (Interp.Curve.eval curve d))
     [ -5; -2; 0; 1; 3; 7 ]
 
 let test_walk_caching_zero_drift_ranks_by_distance () =
@@ -183,8 +183,8 @@ let test_walk_caching_zero_drift_ranks_by_distance () =
     check_bool
       (Printf.sprintf "h(%d) <= h(%d)" d (d - 1))
       true
-      (Interp.Curve.eval curve (float_of_int d)
-      <= Interp.Curve.eval curve (float_of_int (d - 1)) +. 1e-12)
+      (Interp.Curve.eval curve d
+      <= Interp.Curve.eval curve (d - 1) +. 1e-12)
   done
 
 let test_walk_caching_drift_shifts_preference () =
@@ -197,10 +197,10 @@ let test_walk_caching_drift_shifts_preference () =
   let c0 = with_drift 0 and c4 = with_drift 4 in
   check_bool "drift 0 symmetric-ish" true
     (Float.abs
-       (Interp.Curve.eval c0 5.0 -. Interp.Curve.eval c0 (-5.0))
+       (Interp.Curve.eval c0 5 -. Interp.Curve.eval c0 (-5))
     < 1e-6);
   check_bool "drift 4 prefers +8 to -8" true
-    (Interp.Curve.eval c4 8.0 > Interp.Curve.eval c4 (-8.0))
+    (Interp.Curve.eval c4 8 > Interp.Curve.eval c4 (-8))
 
 let ar1_params = { Ar1.phi0 = 2.0; phi1 = 0.6; sigma = 2.0 }
 

@@ -301,8 +301,6 @@ let test_lfd_lower_bounds_all_policies () =
         Classic.lru ();
         Classic.lfu ();
         Classic.lruk ~k:2;
-        Classic.working_set ~tau:10;
-        Classic.clock ();
         Classic.rand_cache ~rng:(rng 5);
       ]
   done

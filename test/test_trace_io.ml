@@ -87,11 +87,6 @@ let test_structured_errors () =
     check_int "line" 2 line;
     check_int "fields" 2 fields
   | e -> Alcotest.fail ("wrong error: " ^ Trace_io.error_to_string e));
-  (match
-     load_error (Printf.sprintf "%s\n0,1,2\n1,3,%d\n" Trace_io.header min_int)
-   with
-  | Trace_io.Reserved_value { line } -> check_int "line" 3 line
-  | e -> Alcotest.fail ("wrong error: " ^ Trace_io.error_to_string e));
   match Trace_io.load_result ~filename:"/nonexistent/ssj/trace.csv" with
   | Error (Trace_io.Io_error _) -> ()
   | Error e -> Alcotest.fail ("wrong error: " ^ Trace_io.error_to_string e)
@@ -128,6 +123,56 @@ let test_load_directory () =
   | Error e -> Alcotest.fail ("wrong error: " ^ Trace_io.error_to_string e)
   | Ok _ -> Alcotest.fail "expected Io_error"
 
+(* [min_int] is an ordinary trace value: a WALK trace whose most
+   frequent value is renamed to [min_int] loads, and replays with the
+   same OPT-offline, RAND and PROB counts as the original and as the same
+   renaming onto an unused value. *)
+let test_min_int_replays () =
+  let r, s = Ssj_workload.Config.walk_predictors (Ssj_workload.Config.walk ()) in
+  let trace = Trace.generate ~r ~s ~rng:(rng 8) ~length:800 in
+  let counts = Hashtbl.create 64 in
+  let tally v =
+    Hashtbl.replace counts v (1 + Option.value ~default:0 (Hashtbl.find_opt counts v))
+  in
+  Array.iter tally trace.Trace.r_values;
+  Array.iter tally trace.Trace.s_values;
+  let top, _ =
+    Hashtbl.fold
+      (fun v c (bv, bc) -> if c > bc || (c = bc && v < bv) then (v, c) else (bv, bc))
+      counts (0, 0)
+  in
+  let renamed target =
+    let map = Array.map (fun v -> if v = top then target else v) in
+    let file = temp_file () in
+    save_ok
+      (Trace.of_values ~r:(map trace.Trace.r_values) ~s:(map trace.Trace.s_values))
+      ~filename:file;
+    let back = load_ok ~filename:file in
+    Sys.remove file;
+    back
+  in
+  let replay trace =
+    let open Ssj_core in
+    let capacity = 20 in
+    let joined policy =
+      (Ssj_engine.Join_sim.run ~trace ~policy ~capacity ()).Ssj_engine.Join_sim
+      .total_results
+    in
+    ( Opt_offline.max_results ~trace ~capacity (),
+      joined (Baselines.rand ~rng:(Ssj_prob.Rng.create 1) ()),
+      joined (Baselines.prob ()) )
+  in
+  let expected = replay trace in
+  let unused = 1 + Array.fold_left max 0 (Array.append trace.r_values trace.s_values) in
+  let same what (o, r, p) =
+    let eo, er, ep = expected in
+    check_int (what ^ ": OPT-OFFLINE") eo o;
+    check_int (what ^ ": RAND") er r;
+    check_int (what ^ ": PROB") ep p
+  in
+  same "renamed to min_int" (replay (renamed min_int));
+  same "renamed to an unused value" (replay (renamed unused))
+
 let suite =
   [
     Alcotest.test_case "roundtrip" `Quick test_roundtrip_explicit;
@@ -139,4 +184,5 @@ let suite =
     prop_roundtrip;
     Alcotest.test_case "save to an unwritable path" `Quick test_save_unwritable;
     Alcotest.test_case "load a directory" `Quick test_load_directory;
+    Alcotest.test_case "min_int loads and replays" `Quick test_min_int_replays;
   ]

@@ -21,7 +21,13 @@ let test_floor_uniform () =
 
 let test_lifetime_formula () =
   let cfg = Config.floor () in
-  let lifetime = Ssj_core.Baselines.remaining (Config.lifetime cfg) in
+  let lifetime ~now (t : Ssj_stream.Tuple.t) =
+    match Config.lifetime cfg with
+    | Ssj_core.Baselines.Trend { r_add; s_add; speed } ->
+      ((t.value + if t.side = Ssj_stream.Tuple.R then r_add else s_add) / speed)
+      - now
+    | Ssj_core.Baselines.Of_window _ -> Alcotest.fail "FLOOR has a trend lifetime"
+  in
   (* S tuple with value v joins R while v >= f_R(t) - w_R = t - 1 - 10:
      last time = v + 11. *)
   let s_tuple = Ssj_stream.Tuple.make ~side:Ssj_stream.Tuple.S ~value:20 ~arrival:0 in
@@ -59,21 +65,6 @@ let test_real_ar1_generator () =
 let test_real_binning () =
   let bins = Real.to_bins [| 20.04; 20.06; -1.24 |] in
   Alcotest.(check (array int)) "0.1C bins" [| 200; 201; -12 |] bins
-
-let test_real_seasonal_has_annual_cycle () =
-  let series = Real.synthetic_seasonal ~rng:(rng 92) ~days:3650 in
-  (* Winter vs summer means differ by several degrees. *)
-  let month_mean start =
-    let acc = Stats.Online.create () in
-    for y = 0 to 9 do
-      for d = 0 to 29 do
-        Stats.Online.add acc series.((y * 365) + start + d)
-      done
-    done;
-    Stats.Online.mean acc
-  in
-  let summerish = month_mean 0 and winterish = month_mean 180 in
-  check_bool "seasonal swing" true (summerish -. winterish > 5.0)
 
 let test_bin_params () =
   let p = Real.bin_params Real.paper_params in
@@ -162,8 +153,6 @@ let suite =
     Alcotest.test_case "REAL generator fits the paper model" `Slow
       test_real_ar1_generator;
     Alcotest.test_case "0.1C binning" `Quick test_real_binning;
-    Alcotest.test_case "seasonal generator" `Quick
-      test_real_seasonal_has_annual_cycle;
     Alcotest.test_case "bin rescaling" `Quick test_bin_params;
     Alcotest.test_case "factory lineups" `Quick test_factory_lineups;
     Alcotest.test_case "experiments smoke" `Slow test_experiments_smoke;
