@@ -68,12 +68,6 @@ let opts_term =
     const build $ runs $ length $ seed $ capacity $ fe_runs $ fe_length
     $ fe_lookahead)
 
-let figure_cmd name doc run =
-  Cmd.v (Cmd.info name ~doc) Term.(const run $ opts_term)
-
-let unit_cmd name doc run =
-  Cmd.v (Cmd.info name ~doc) Term.(const (fun (_ : Experiments.opts) -> run ()) $ opts_term)
-
 (* --- trace tooling ---------------------------------------------------- *)
 
 let config_conv =
@@ -211,6 +205,8 @@ let check_cmd =
            ~length:Golden.canonical_length ());
       Format.printf "  ]@.@.let expected_fig13 =@.  [@.";
       Golden.print_digests Format.std_formatter (Golden.fig13_digests ());
+      Format.printf "  ]@.@.let expected_figures =@.  [@.";
+      Golden.print_digests Format.std_formatter (Golden.figure_digests ());
       Format.printf "  ]@.";
       exit 0
     end;
@@ -314,51 +310,27 @@ let check_cmd =
       const run $ all $ only $ list_only $ replay_file $ print_golden $ seed
       $ count $ repro_dir $ artifact $ inject)
 
-let cmds =
-  [
-    dump_trace_cmd;
-    run_trace_cmd;
-    check_cmd;
-    unit_cmd "example-3-4" "Section 3.4 FlowExpect-suboptimality scenario."
-      (fun () -> Experiments.example_3_4 ());
-    unit_cmd "example-7" "Section 7 sliding-window example (x1/x2/x3)."
-      (fun () -> Experiments.example_7 ());
-    figure_cmd "fig6" "Precomputed h_R curves for random-walk caching."
-      (fun o -> Experiments.fig6 o);
-    unit_cmd "fig7" "TOWER/ROOF/FLOOR noise pmfs." (fun () ->
-        Experiments.fig7 ());
-    figure_cmd "fig8" "Join counts across configurations, fixed cache."
-      (fun o -> Experiments.fig8 o);
-    figure_cmd "fig9" "TOWER cache-size sweep." (fun o -> Experiments.fig9 o);
-    figure_cmd "fig10" "ROOF cache-size sweep." (fun o -> Experiments.fig10 o);
-    figure_cmd "fig11" "FLOOR cache-size sweep." (fun o -> Experiments.fig11 o);
-    figure_cmd "fig12" "WALK cache-size sweep." (fun o -> Experiments.fig12 o);
-    figure_cmd "fig13" "REAL caching misses vs memory size." (fun o ->
-        Experiments.fig13 o);
-    figure_cmd "fig14" "Cache share between streams under HEEB." (fun o ->
-        Experiments.fig14 o);
-    figure_cmd "fig15" "Exact vs bicubic h2 surface (Figures 15/16)."
-      (fun o -> Experiments.fig15 o);
-    figure_cmd "fig17" "Cache share vs variance ratio." (fun o ->
-        Experiments.fig17 o);
-    figure_cmd "fig18" "Cache share vs lag." (fun o -> Experiments.fig18 o);
-    figure_cmd "fig19" "FlowExpect look-ahead sweep." (fun o ->
-        Experiments.fig19 o);
-    figure_cmd "window" "Extension: sliding-window join shootout." (fun o ->
-        Experiments.window_extension o);
-    figure_cmd "band" "Extension: band-join semantics." (fun o ->
-        Experiments.band_extension o);
-    figure_cmd "multi" "Extension: multiple join queries over 3 streams."
-      (fun o -> Experiments.multi_extension o);
-    figure_cmd "robustness" "Extension: HEEB under model misspecification."
-      (fun o -> Experiments.robustness o);
-    figure_cmd "adversarial" "Extension: empirical competitive-ratio estimates."
-      (fun o -> Experiments.adversarial o);
-    figure_cmd "ablation" "Extension: HEEB L-function ablation." (fun o ->
-        Experiments.ablation_lfun o);
-    figure_cmd "all" "Run every figure and example." (fun o ->
-        Experiments.all o);
-  ]
+(* --- figures ------------------------------------------------------------ *)
+
+let run_figure opts (f : Experiments.figure) =
+  f.Experiments.run opts Format.std_formatter
+
+let figure_cmds =
+  List.map
+    (fun (f : Experiments.figure) ->
+      Cmd.v
+        (Cmd.info f.Experiments.name ~doc:f.Experiments.doc)
+        Term.(const (fun opts -> run_figure opts f) $ opts_term))
+    Experiments.figures
+  @ [
+      Cmd.v
+        (Cmd.info "all" ~doc:"Run every figure and example.")
+        Term.(
+          const (fun opts -> List.iter (run_figure opts) Experiments.figures)
+          $ opts_term);
+    ]
+
+let cmds = dump_trace_cmd :: run_trace_cmd :: check_cmd :: figure_cmds
 
 let () =
   Logs.set_reporter (Logs_fmt.reporter ());
@@ -378,6 +350,16 @@ let () =
      | Error msg ->
        Format.eprintf "sjoin: cannot write SSJ_OBS_FILE: %s@." msg;
        exit 2);
+  (* A write that fails inside a step drops the sink and the run goes
+     on; the lost events are still an error, reported once the command
+     is done, whichever way it exits. *)
+  at_exit (fun () ->
+      match Ssj_obs.Obs.events_lost () with
+      | None -> ()
+      | Some msg ->
+        Format.eprintf "sjoin: events lost, cannot write SSJ_OBS_FILE: %s@."
+          msg;
+        exit 2);
   let info =
     Cmd.info "sjoin" ~version:"1.0.0"
       ~doc:

@@ -64,6 +64,43 @@ let fig13_digests () =
         summaries)
     data.Experiments.rows
 
+(* Every entry of [Experiments.figures] at CI's smoke scale: the MD5 of
+   the text it prints, under the key ["figures/<name>"].  The text is
+   what `sjoin <name> --runs 2 --len 200 --fe-runs 1 --fe-len 60`
+   prints, so `md5sum` of that output gives the same digest.  [jobs]
+   sets [SSJ_JOBS] for the run and restores it after. *)
+let figure_opts =
+  {
+    Experiments.default with
+    Experiments.runs = 2;
+    length = 200;
+    fe_runs = 1;
+    fe_length = 60;
+  }
+
+let figure_key (f : Experiments.figure) = "figures/" ^ f.Experiments.name
+
+let with_jobs jobs run =
+  let saved = Sys.getenv_opt "SSJ_JOBS" in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "SSJ_JOBS" (Option.value saved ~default:""))
+    (fun () ->
+      Unix.putenv "SSJ_JOBS" (string_of_int jobs);
+      run ())
+
+let figure_digest ?jobs (f : Experiments.figure) =
+  let text () =
+    let buf = Buffer.create 4096 in
+    let out = Format.formatter_of_buffer buf in
+    f.Experiments.run figure_opts out;
+    Format.pp_print_flush out ();
+    Buffer.contents buf
+  in
+  let text = match jobs with None -> text () | Some j -> with_jobs j text in
+  { key = figure_key f; hex = Digest.to_hex (Digest.string text) }
+
+let figure_digests () = List.map figure_digest Experiments.figures
+
 (* --- expected values -------------------------------------------------
 
    Regenerate with `sjoin check --print-golden` after an *intentional*
@@ -114,6 +151,31 @@ let expected_fig13 =
     { key = "fig13/m300/LRU/mean"; hex = "0x1.57p+8" };
     { key = "fig13/m300/PROB(LFU)/mean"; hex = "0x1.57p+8" };
     { key = "fig13/m300/HEEB/mean"; hex = "0x1.4fp+8" };
+  ]
+
+let expected_figures =
+  [
+    { key = "figures/example-3-4"; hex = "a2462b6b3d145bdfba870924605c7cc3" };
+    { key = "figures/example-7"; hex = "fc1408a7b05129a8bfd3035510f1dbae" };
+    { key = "figures/fig6"; hex = "1f0670a8bb2fa116eadd12562726f445" };
+    { key = "figures/fig7"; hex = "2248ce140b67e111a749d19895426572" };
+    { key = "figures/fig8"; hex = "32a1bd2fba6a001d1caa9462937de8dc" };
+    { key = "figures/fig9"; hex = "3f96d00261cdced67c298d487fce0c4d" };
+    { key = "figures/fig10"; hex = "b2ac25238556fb482ed249397e9169e4" };
+    { key = "figures/fig11"; hex = "0deef5aad0719e50f876f8f1e0ba2729" };
+    { key = "figures/fig12"; hex = "5dc63425cad8108b39a708f120b1db1b" };
+    { key = "figures/fig13"; hex = "a8ef3d1bc9ce37cdced8d5780af4300c" };
+    { key = "figures/fig14"; hex = "0edb336dce337fe7328e29feb22d205e" };
+    { key = "figures/fig15"; hex = "b2d1b4b7ec0922b06d56b292e9b25780" };
+    { key = "figures/fig17"; hex = "012366684c587dcb59baeffad7b92fa6" };
+    { key = "figures/fig18"; hex = "d3b9590c6f62940e3944047f7794b7b6" };
+    { key = "figures/fig19"; hex = "84c8adcd471c52a063295ed79ab94de6" };
+    { key = "figures/window"; hex = "0fe879fd1ad13b46e46deb09f98d4f63" };
+    { key = "figures/band"; hex = "d53f1ee66233f88e2f34b24448653141" };
+    { key = "figures/multi"; hex = "15832720cbaac9a88db83bca7e0a7528" };
+    { key = "figures/robustness"; hex = "99e3301b02060b33a902cf780a7f4d73" };
+    { key = "figures/adversarial"; hex = "543484e97dd73eeeb6bad1348d44658a" };
+    { key = "figures/ablation"; hex = "1cf8a1b6ecf5b5a8a066f3bd50d28d6c" };
   ]
 
 let print_digests out digests =
@@ -247,4 +309,28 @@ let fig13_check () =
       compare_digests ~what:"fig13" ~expected:expected_fig13
         (fig13_digests ()))
 
-let checks ?artifact () = [ fig8_check ?artifact (); fig13_check () ]
+let figure_check (f : Experiments.figure) =
+  let key = figure_key f in
+  Check.make ~name:("golden:" ^ key) ~kind:Check.Golden
+    ~fast:
+      (Printf.sprintf
+         "sjoin %s at 2x200 (FlowExpect 1x60), SSJ_JOBS=1 and SSJ_JOBS=2"
+         f.Experiments.name)
+    ~reference:"recorded MD5 of the printed text"
+    (fun ~seed:_ ~count:_ ->
+      let expected = List.filter (fun d -> d.key = key) expected_figures in
+      let at jobs =
+        compare_digests
+          ~what:(Printf.sprintf "%s at SSJ_JOBS=%d" key jobs)
+          ~expected
+          [ figure_digest ~jobs f ]
+      in
+      match (at 1, at 2) with
+      | Check.Pass _, Check.Pass _ ->
+        Check.Pass
+          { cases = 2; note = "text MD5 matches at SSJ_JOBS=1 and 2" }
+      | (Check.Fail _ as f), _ | _, (Check.Fail _ as f) -> f)
+
+let checks ?artifact () =
+  fig8_check ?artifact () :: fig13_check ()
+  :: List.map figure_check Experiments.figures

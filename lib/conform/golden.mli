@@ -1,13 +1,16 @@
-(** Golden hex-float digests of the tracked figures.
+(** Golden digests of the tracked figures.
 
     The fig8 capacity-25 sweep (the tracked BENCH_joining.json series)
     and the fig13 REAL caching series are recomputed from scratch and
     compared bit-for-bit — [Printf "%h"] — against recorded digests.
-    The digests answer "did any number move at all"; the oracle pairs in
-    {!Oracles} then attribute the movement.  Regenerate the tables with
+    Every entry of {!Ssj_workload.Experiments.figures} is pinned too, by
+    the MD5 of its printed text at CI's smoke scale.  The digests answer
+    "did any number move at all"; the oracle pairs in {!Oracles} then
+    attribute the movement.  Regenerate the tables with
     [sjoin check --print-golden] after an intentional numeric change. *)
 
 type digest = { key : string; hex : string }
+(** [hex] is a [%h] float, or for a figure the MD5 of its text in hex. *)
 
 (** {2 The tracked sweep}
 
@@ -39,8 +42,14 @@ val fig13_digests : unit -> digest list
 (** Recompute the Figure 13 series via {!Ssj_workload.Experiments.fig13_data}
     at default options and digest each per-memory-size mean. *)
 
+val figure_digests : unit -> digest list
+(** Run every figure of the table at smoke scale (2 runs x 200 tuples,
+    FlowExpect 1 x 60) into a buffer and digest its text under the key
+    ["figures/<name>"]. *)
+
 val expected_fig8 : digest list
 val expected_fig13 : digest list
+val expected_figures : digest list
 
 val print_digests : Format.formatter -> digest list -> unit
 (** Print digests as OCaml record literals, ready to paste into the
@@ -56,6 +65,9 @@ val check_artifact : filename:string -> digest list -> Check.outcome
 
 val checks : ?artifact:string -> unit -> Check.t list
 (** [golden:fig8-cap25-sweep] (with the artifact cross-check when
-    [artifact] names the tracked BENCH_joining.json) and
-    [golden:fig13-real-series].  Both are expensive — excluded from the
-    quick test gate, run by [ssj-check --all] / the conformance alias. *)
+    [artifact] names the tracked BENCH_joining.json),
+    [golden:fig13-real-series], and one [golden:figures/<name>] per
+    figure, in table order, which recomputes that figure's digest at
+    [SSJ_JOBS=1] and at [SSJ_JOBS=2].  All are expensive — excluded from
+    the quick test gate, run by [ssj-check --all] / the conformance
+    alias. *)

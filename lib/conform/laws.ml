@@ -21,7 +21,11 @@ let run_counts ~trace ~policy ~capacity ?window ?(band = 0) ?(warmup = 0) () =
    frequency, window-aware LIFE adds a value-independent lifetime: all
    three are invariant under a common shift of every value.  HEEB is
    genuinely value-dependent (its predictors model absolute positions)
-   and is deliberately absent. *)
+   and is deliberately absent.  Besides a small shift, the law moves the
+   values (drawn from [-8, 8]) up against [max_int] and down against
+   [min_int], where a band probe that wraps would lose matches. *)
+let value_shifts = [ 17; max_int - 8; min_int + 8 ]
+
 let value_shift_policies window seed =
   [
     ("RAND", fun () -> Baselines.rand ~rng:(Rng.create seed) ());
@@ -43,7 +47,6 @@ let value_shift_check =
     ~fast:"Join_sim on a value-shifted trace"
     ~reference:"Join_sim on the original trace (counts must coincide)"
     (fun ~seed ~count ->
-      let shift = 17 in
       let failure = ref None in
       let i = ref 0 in
       while !failure = None && !i < count do
@@ -56,7 +59,6 @@ let value_shift_check =
         let window = if Rng.bool rng then Some width else None in
         let wt = Option.map (fun w -> Window.create ~width:w) window in
         let pseed = Rng.int rng 1_000_000 in
-        let shifted a = Array.map (fun v -> v + shift) a in
         List.iter
           (fun (label, fresh) ->
             let base =
@@ -64,17 +66,23 @@ let value_shift_check =
                 ~trace:(Trace.of_values ~r ~s)
                 ~policy:(fresh ()) ~capacity ?window:wt ~band ()
             in
-            let moved =
-              run_counts
-                ~trace:(Trace.of_values ~r:(shifted r) ~s:(shifted s))
-                ~policy:(fresh ()) ~capacity ?window:wt ~band ()
-            in
-            if !failure = None && base <> moved then
-              failure :=
-                Some
-                  (Printf.sprintf
-                     "%s (case %d): original (%d, %d) <> shifted (%d, %d)"
-                     label !i (fst base) (snd base) (fst moved) (snd moved)))
+            List.iter
+              (fun shift ->
+                let shifted a = Array.map (fun v -> v + shift) a in
+                let moved =
+                  run_counts
+                    ~trace:(Trace.of_values ~r:(shifted r) ~s:(shifted s))
+                    ~policy:(fresh ()) ~capacity ?window:wt ~band ()
+                in
+                if !failure = None && base <> moved then
+                  failure :=
+                    Some
+                      (Printf.sprintf
+                         "%s (case %d, shift %d): original (%d, %d) <> \
+                          shifted (%d, %d)"
+                         label !i shift (fst base) (snd base) (fst moved)
+                         (snd moved)))
+              value_shifts)
           (value_shift_policies window pseed);
         incr i
       done;

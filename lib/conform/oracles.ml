@@ -9,30 +9,34 @@ open Ssj_workload
 
 (* Small random cases: short traces over a narrow value domain (dense
    enough that band/window decisions actually collide), small caches.
-   Deterministic in (seed, index) so failures are addressable. *)
-let gen_case ?(force_band = false) ?(allow_window = true) ~seed i =
+   Deterministic in (seed, index) so failures are addressable.  One case
+   in four moves the values below -3 to [min_int .. min_int + 4] and
+   those above 3 to [max_int - 4 .. max_int], next to the ordinary
+   values in between: a band probe or a value difference that wraps at
+   the int range then changes the counts. *)
+let gen_case ?(allow_window = true) ~seed i =
   let rng = Rng.create (seed + (7919 * i)) in
   let policy = List.nth Case.policy_names (Rng.int rng 4) in
   let len = 4 + Rng.int rng 37 in
   let values () = Array.init len (fun _ -> Rng.int rng 17 - 8) in
-  let band =
-    if force_band then 1 + Rng.int rng 2
-    else if Rng.bool rng then 0
-    else Rng.int rng 3
-  in
+  let band = if Rng.bool rng then 0 else Rng.int rng 3 in
   let window =
     if allow_window && Rng.int rng 3 = 0 then Some (2 + Rng.int rng 9)
     else None
   in
-  {
-    Case.r_values = values ();
-    s_values = values ();
-    capacity = 1 + Rng.int rng 6;
-    band;
-    window;
-    policy;
-    seed = Rng.int rng 1_000_000;
-  }
+  let seed = Rng.int rng 1_000_000 in
+  let capacity = 1 + Rng.int rng 6 in
+  let s_values = values () in
+  let r_values = values () in
+  let extreme v =
+    if v < -3 then min_int + v + 8 else if v > 3 then max_int - 8 + v else v
+  in
+  let r_values, s_values =
+    if Rng.int rng 4 = 0 then
+      (Array.map extreme r_values, Array.map extreme s_values)
+    else (r_values, s_values)
+  in
+  { Case.r_values; s_values; capacity; band; window; policy; seed }
 
 let describe_counts fast slow =
   Printf.sprintf "fast total=%d counted=%d, reference total=%d counted=%d"

@@ -48,13 +48,13 @@
       solver vs the independent cycle-cancelling oracle on seeded
       random DAGs. *)
 
-val gen_case :
-  ?force_band:bool -> ?allow_window:bool -> seed:int -> int -> Case.t
+val gen_case : ?allow_window:bool -> seed:int -> int -> Case.t
 (** Case number [i] of stream [seed]: short trace over a narrow value
-    domain, small cache, random policy/band/window.  [force_band]
-    demands [band ≥ 1] (the band-probe paths); [allow_window:false]
-    restricts to regular semantics (e.g. for OPT, which has no window
-    variant).  Shared with the metamorphic laws and the test suite. *)
+    domain, small cache, random policy/band/window; one case in four
+    puts part of its values within 4 of [min_int] or [max_int].
+    [allow_window:false] restricts to regular semantics (e.g. for OPT,
+    which has no window variant).  Shared with the metamorphic laws and
+    the test suite. *)
 
 type palette =
   | Table  (** five tie-heavy values, −∞ among them *)

@@ -3,6 +3,12 @@ open Ssj_core
 
 type result = { total_results : int; counted_results : int }
 
+(* [|a − c| <= band] without subtracting: [c − a] overflows when the
+   values sit at opposite ends of the int range. *)
+let within ~band a c =
+  let plus v = if v > max_int - band then max_int else v + band in
+  c <= plus a && a <= plus c
+
 (* Deliberately naive: a plain fold over the cache list per arrival.
    Shares no counting code with the engine (Join_index), so agreement
    with Join_sim is evidence about the indexed fast path, not a
@@ -16,7 +22,7 @@ let count_matches ~window ~band ~now cache (arrival : Tuple.t) =
       if
         live
         && c.Tuple.side <> arrival.Tuple.side
-        && abs (c.Tuple.value - arrival.Tuple.value) <= band
+        && within ~band c.Tuple.value arrival.Tuple.value
       then acc + 1
       else acc)
     0 cache

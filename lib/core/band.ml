@@ -1,9 +1,16 @@
 open Ssj_stream
 open Ssj_model
 
+(* Saturated, so a value within [band] of [min_int] or [max_int] does not
+   wrap round to an empty (or inverted) range. *)
+let range ~value ~band =
+  ( (if value < min_int + band then min_int else value - band),
+    if value > max_int - band then max_int else value + band )
+
 let match_prob pmf ~value ~band =
   if band < 0 then invalid_arg "Band.match_prob: negative band";
-  Ssj_prob.Pmf.interval_prob pmf ~lo:(value - band) ~hi:(value + band)
+  let lo, hi = range ~value ~band in
+  Ssj_prob.Pmf.interval_prob pmf ~lo ~hi
 
 let ecb ~partner ~value ~band ~horizon =
   if horizon < 1 then invalid_arg "Band.ecb: horizon < 1";

@@ -12,6 +12,12 @@
     never inspect the match predicate, only the per-step benefit
     processes) and HEEB all apply unchanged. *)
 
+val range : value:int -> band:int -> int * int
+(** [range ~value ~band] is the inclusive value interval that joins
+    [value], [[value − band, value + band]], clamped to
+    [[min_int, max_int]] rather than wrapping.  [band] must be
+    non-negative. *)
+
 val match_prob : Ssj_prob.Pmf.t -> value:int -> band:int -> float
 (** Probability that a draw from the pmf lands within [band] of [value]. *)
 

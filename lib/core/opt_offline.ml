@@ -37,7 +37,8 @@ let matches_after ?(band = 0) idx value time =
     (* Band semantics: any partner value within [value ± band] matches;
        each time step belongs to exactly one value bucket. *)
     let all = ref [] in
-    for v = value - band to value + band do
+    let lo, hi = Band.range ~value ~band in
+    for v = lo to hi do
       match Hashtbl.find_opt idx v with
       | None -> ()
       | Some times ->

@@ -67,8 +67,9 @@ let matches t ~now (arrival : Tuple.t) =
   if t.band = 0 then Ssj_prob.Itab.find_default tbl arrival.value 0
   else begin
     let skew = !probe_skew in
+    let lo, hi = Ssj_core.Band.range ~value:arrival.value ~band:t.band in
     let acc = ref 0 in
-    for v = arrival.value - t.band + skew to arrival.value + t.band + skew do
+    for v = lo + skew to hi + skew do
       acc := !acc + Ssj_prob.Itab.find_default tbl v 0
     done;
     !acc

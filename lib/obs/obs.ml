@@ -191,6 +191,9 @@ let sink : sink ref =
 let sink_channel : out_channel option ref = ref None
 let sink_mu = Mutex.create ()
 
+(* Why the current sink was dropped mid-run, if it was. *)
+let lost : string option ref = ref None
+
 let set_event_sink s =
   Mutex.lock sink_mu;
   (match !sink_channel with
@@ -201,6 +204,7 @@ let set_event_sink s =
   | None -> ());
   sink_channel := None;
   sink := s;
+  lost := None;
   Mutex.unlock sink_mu
 
 (* Call with [sink_mu] held. *)
@@ -235,6 +239,7 @@ let drop_sink msg =
   | _ -> ());
   sink := `Null;
   sink_channel := None;
+  lost := Some msg;
   prerr_endline ("ssj_obs: events dropped: " ^ msg)
 
 let event ~name fields =
@@ -251,3 +256,9 @@ let event ~name fields =
     | Error msg -> drop_sink msg);
     Mutex.unlock sink_mu
   end
+
+let events_lost () =
+  Mutex.lock sink_mu;
+  let l = !lost in
+  Mutex.unlock sink_mu;
+  l

@@ -112,4 +112,10 @@ val event : name:string -> (string * Json.t) list -> unit
     the gate is on; no-op (and no I/O) when off or the sink is [`Null].
     Writes are serialised across domains.  Never raises [Sys_error]: a
     sink that cannot be opened or written becomes [`Null], with one
-    line on stderr. *)
+    line on stderr, and {!events_lost} reports it. *)
+
+val events_lost : unit -> string option
+(** [Some msg] once an {!event} could not open or write the sink and
+    dropped it, with the system's message; [None] otherwise.  The run
+    goes on without events, so a caller that needs the event file checks
+    this when the run is over.  {!set_event_sink} clears it. *)

@@ -3,44 +3,18 @@ type t = {
   probs : float array; (* probs.(i) = Pr{X = lo + i}; normalised *)
 }
 
-type error = Empty_support | Non_finite | Zero_mass | Negative
-
-let error_to_string = function
-  | Empty_support -> "empty support"
-  | Non_finite -> "non-finite weight"
-  | Zero_mass -> "zero total mass"
-  | Negative -> "negative weight"
-
-(* First defect in scan order; [Zero_mass] is detected later, once a
-   total exists. *)
-let classify_weights probs =
-  let n = Array.length probs in
-  if n = 0 then Some Empty_support
-  else begin
-    (* A plain loop: a closure over the weights would box every float. *)
-    let i = ref 0 in
-    while
-      !i < n
-      &&
-      let w = Array.unsafe_get probs !i in
-      Float.is_finite w && w >= 0.0
-    do
-      incr i
-    done;
-    if !i = n then None
-    else if Float.is_finite probs.(!i) then Some Negative
-    else Some Non_finite
-  end
-
 (* The raising constructors keep their historical messages (asserted by
    the test suite): weight defects report as [Pmf.create] regardless of
    entry point, zero mass names the constructor. *)
 let check_weights probs =
-  match classify_weights probs with
-  | Some Empty_support -> invalid_arg "Pmf.create: empty support"
-  | Some (Non_finite | Negative) ->
-    invalid_arg "Pmf.create: weights must be finite and non-negative"
-  | Some Zero_mass | None -> ()
+  let n = Array.length probs in
+  if n = 0 then invalid_arg "Pmf.create: empty support";
+  (* A plain loop: a closure over the weights would box every float. *)
+  for i = 0 to n - 1 do
+    let w = Array.unsafe_get probs i in
+    if not (Float.is_finite w && w >= 0.0) then
+      invalid_arg "Pmf.create: weights must be finite and non-negative"
+  done
 
 let create ~lo probs =
   check_weights probs;
@@ -74,18 +48,6 @@ let of_dense ~lo probs =
   if sum <= 0.0 then invalid_arg "Pmf.of_dense: zero total mass";
   Dense.scale probs (1.0 /. sum);
   { lo; probs }
-
-let validate ~lo probs =
-  match classify_weights probs with
-  | Some e -> Error e
-  | None ->
-    let probs = Array.copy probs in
-    let sum = Dense.sum probs in
-    if sum <= 0.0 then Error Zero_mass
-    else begin
-      Dense.scale probs (1.0 /. sum);
-      Ok { lo; probs }
-    end
 
 let of_assoc pairs =
   match pairs with
@@ -129,17 +91,6 @@ let variance t =
 
 let stddev t = sqrt (variance t)
 
-let cdf t v =
-  if v < t.lo then 0.0
-  else begin
-    let stop = min (v - t.lo) (Array.length t.probs - 1) in
-    let acc = ref 0.0 in
-    for i = 0 to stop do
-      acc := !acc +. t.probs.(i)
-    done;
-    !acc
-  end
-
 let interval_prob t ~lo:l ~hi:h =
   if l > h then 0.0
   else begin
@@ -153,18 +104,6 @@ let interval_prob t ~lo:l ~hi:h =
 
 let shift t d = { t with lo = t.lo + d }
 
-let negate t =
-  let n = Array.length t.probs in
-  let probs = Array.init n (fun i -> t.probs.(n - 1 - i)) in
-  { lo = -(t.lo + n - 1); probs }
-
-let map_outcomes t f =
-  let pairs = ref [] in
-  Array.iteri
-    (fun i p -> if p > 0.0 then pairs := (f (t.lo + i), p) :: !pairs)
-    t.probs;
-  of_assoc !pairs
-
 let sample t rng =
   let u = Rng.float rng 1.0 in
   let n = Array.length t.probs in
@@ -175,11 +114,6 @@ let sample t rng =
       if u < acc then t.lo + i else walk (i + 1) acc
   in
   walk 0 0.0
-
-let fold t ~init ~f =
-  let acc = ref init in
-  Array.iteri (fun i p -> acc := f !acc (t.lo + i) p) t.probs;
-  !acc
 
 let iter t f = Array.iteri (fun i p -> f (t.lo + i) p) t.probs
 
@@ -197,25 +131,6 @@ let trim_zeros t =
   if !first = 0 && !last = n - 1 then t
   else
     { lo = t.lo + !first; probs = Array.sub t.probs !first (!last - !first + 1) }
-
-let truncate t ~lo:l ~hi:h =
-  let l = max l t.lo and h = min h (hi t) in
-  if l > h then None
-  else begin
-    let probs = Array.sub t.probs (l - t.lo) (h - l + 1) in
-    let sum = Array.fold_left ( +. ) 0.0 probs in
-    if sum <= 0.0 then None else Some (create ~lo:l probs)
-  end
-
-let mix weighted =
-  let pairs =
-    List.concat_map
-      (fun (w, t) ->
-        if w < 0.0 then invalid_arg "Pmf.mix: negative weight";
-        fold t ~init:[] ~f:(fun acc v p -> (v, w *. p) :: acc))
-      weighted
-  in
-  of_assoc pairs
 
 let dot a b =
   (* Direct overlap loop; same ascending accumulation order as folding

@@ -12,20 +12,6 @@
 
 type t
 
-type error = Empty_support | Non_finite | Zero_mass | Negative
-(** Why a weight vector cannot be a pmf — the typed counterpart of the
-    [Invalid_argument] strings the raising constructors throw, letting
-    callers (trace/model loaders, validation layers) report corrupt
-    input structurally instead of crashing. *)
-
-val error_to_string : error -> string
-
-val validate : lo:int -> float array -> (t, error) result
-(** Non-raising constructor: like {!create} but returns the first defect
-    found ([Empty_support], then [Non_finite]/[Negative] in scan order,
-    then [Zero_mass]).  Copies the array; normalisation uses the same
-    Neumaier-compensated total as {!of_dense}. *)
-
 val create : lo:int -> float array -> t
 (** [create ~lo probs] builds the pmf with [Pr{X = lo + i} = probs.(i)]
     (after normalisation).  Raises [Invalid_argument] if [probs] is empty,
@@ -57,26 +43,14 @@ val mean : t -> float
 val variance : t -> float
 val stddev : t -> float
 
-val cdf : t -> int -> float
-(** [cdf p v] is [Pr{X ≤ v}]. *)
-
 val interval_prob : t -> lo:int -> hi:int -> float
 (** [Pr{lo ≤ X ≤ hi}]; 0 when [lo > hi].  Used by band-join benefits. *)
 
 val shift : t -> int -> t
 (** [shift p d] is the pmf of [X + d]. *)
 
-val negate : t -> t
-(** Pmf of [-X]. *)
-
-val map_outcomes : t -> (int -> int) -> t
-(** Pmf of [f X] (probabilities of colliding outcomes accumulate). *)
-
 val sample : t -> Rng.t -> int
 (** Draw from the pmf by inverse-cdf walk. *)
-
-val fold : t -> init:'a -> f:('a -> int -> float -> 'a) -> 'a
-(** Fold over [(value, probability)] pairs of the support, ascending. *)
 
 val iter : t -> (int -> float -> unit) -> unit
 
@@ -92,12 +66,6 @@ val trim_zeros : t -> t
     random-walk convolution levels underflow to zero in both tails, so
     rolling a trimmed level forward skips cells that can only add
     [+0.0]. *)
-
-val truncate : t -> lo:int -> hi:int -> t option
-(** Restrict to [\[lo, hi\]] and renormalise; [None] if no mass remains. *)
-
-val mix : (float * t) list -> t
-(** Mixture distribution; weights normalised. *)
 
 val dot : t -> t -> float
 (** [dot a b] = [Σ_v Pr{A = v}·Pr{B = v}] — the probability that two

@@ -5,8 +5,7 @@
     Round-tripping is loss-free (property-tested).
 
     Saving and loading return a typed {!error}, so tooling can report
-    an unwritable path or a corrupt archive structurally (mirroring
-    {!Ssj_prob.Pmf.validate} for weight vectors). *)
+    an unwritable path or a corrupt archive structurally. *)
 
 type error =
   | Bad_header of { found : string }

@@ -34,8 +34,6 @@ let default =
     fe_sweep = [ 1; 2; 3; 5; 8; 12; 16; 20; 25; 30 ];
   }
 
-let std = Format.std_formatter
-
 (* --- shared helpers ------------------------------------------------ *)
 
 (* Independent realisations of one configuration: run [i] draws fresh
@@ -89,7 +87,7 @@ let print_summaries ~out ~name summaries =
 
 (* --- Figure 6 ------------------------------------------------------ *)
 
-let fig6 ?(out = std) opts =
+let fig6 opts out =
   let alpha = float_of_int opts.capacity in
   let l = Lfun.exp_ ~alpha in
   let step = Dist.discretized_normal ~sigma:1.0 ~bound:5 in
@@ -122,7 +120,7 @@ let fig6 ?(out = std) opts =
 
 (* --- Figure 7 ------------------------------------------------------ *)
 
-let fig7 ?(out = std) () =
+let fig7 out =
   let tower = (Config.tower ()).Config.s_noise in
   let roof = (Config.roof ()).Config.s_noise in
   let floor = (Config.floor ()).Config.s_noise in
@@ -143,7 +141,7 @@ let fig7 ?(out = std) () =
 
 let trend_configs () = [ Config.tower (); Config.roof (); Config.floor () ]
 
-let fig8 ?(out = std) opts =
+let fig8 opts out =
   let capacity = opts.capacity in
   let walk = Config.walk () in
   (* Per configuration: label, stream models, baseline lineup, and the
@@ -204,7 +202,7 @@ let fig8 ?(out = std) opts =
    for every point — so that (a) every point counts over the same window
    and (b) OPT-offline comes from a single optimum-vs-capacity curve
    solve per trace instead of one solve per point. *)
-let sweep_figure ?(out = std) ~title ~policies_for ~traces opts =
+let sweep_figure ~out ~title ~policies_for ~traces opts =
   let sizes = opts.sweep in
   let warmup = Runner.default_warmup ~capacity:(List.fold_left max 1 sizes) in
   let curves =
@@ -237,7 +235,7 @@ let sweep_figure ?(out = std) ~title ~policies_for ~traces opts =
     ~columns:(("OPT-OFFLINE", opt_column) :: mean_columns lineups)
     ()
 
-let trend_sweep ?(out = std) cfg opts ~figure =
+let trend_sweep cfg ~figure opts out =
   Format.fprintf out
     "@.[%s] %s: cache-size sweep, %d runs x %d tuples.@." figure
     cfg.Config.label opts.runs opts.length;
@@ -249,11 +247,7 @@ let trend_sweep ?(out = std) cfg opts ~figure =
     ~policies_for:(fun _ -> Factory.trend_policies cfg ~seed:opts.seed ())
     ~traces opts
 
-let fig9 ?out opts = trend_sweep ?out (Config.tower ()) opts ~figure:"fig9"
-let fig10 ?out opts = trend_sweep ?out (Config.roof ()) opts ~figure:"fig10"
-let fig11 ?out opts = trend_sweep ?out (Config.floor ()) opts ~figure:"fig11"
-
-let fig12 ?(out = std) opts =
+let fig12 opts out =
   let walk = Config.walk () in
   Format.fprintf out
     "@.[fig12] WALK: cache-size sweep (no LIFE: no window), %d runs x %d \
@@ -313,7 +307,7 @@ let fig13_data opts =
   in
   { fitted; reference; rows }
 
-let fig13 ?(out = std) opts =
+let fig13 opts out =
   let { fitted; reference; rows } = fig13_data opts in
   Format.fprintf out
     "@.[fig13] REAL caching: synthetic Melbourne temperatures (3650 days); \
@@ -335,7 +329,7 @@ let fig13 ?(out = std) opts =
 
 (* --- Figures 14 / 17 / 18 ------------------------------------------- *)
 
-let share_figure ?(out = std) ~title ~variants opts =
+let share_figure ~title ~variants opts out =
   let every = max 1 (opts.length / 10) in
   let columns =
     List.map
@@ -358,12 +352,12 @@ let share_figure ?(out = std) ~title ~variants opts =
   let xs = List.init n (fun i -> string_of_int (i * every)) in
   Table.series ~out ~decimals:2 ~title ~x_label:"time" ~xs ~columns ()
 
-let fig14 ?(out = std) opts =
+let fig14 opts out =
   Format.fprintf out
     "@.[fig14] Fraction of cache taken by R tuples under HEEB (TOWER-SYM \
      variants), cache=%d.@."
     opts.capacity;
-  share_figure ~out ~title:"fig14: R share of cache under HEEB"
+  share_figure ~title:"fig14: R share of cache under HEEB"
     ~variants:
       [
         ("same", Config.tower_sym ());
@@ -372,35 +366,35 @@ let fig14 ?(out = std) opts =
         ("S std x2", Config.tower_sym ~s_sigma_mult:2.0 ());
         ("S std x4", Config.tower_sym ~s_sigma_mult:4.0 ());
       ]
-    opts
+    opts out
 
-let fig17 ?(out = std) opts =
+let fig17 opts out =
   Format.fprintf out
     "@.[fig17] R share of cache, S-noise variance ratios 1:1 / 1:2 / 1:4.@.";
-  share_figure ~out ~title:"fig17: R share vs variance ratio"
+  share_figure ~title:"fig17: R share vs variance ratio"
     ~variants:
       [
         ("1:1", Config.tower_sym ());
         ("1:2", Config.tower_sym ~s_sigma_mult:2.0 ());
         ("1:4", Config.tower_sym ~s_sigma_mult:4.0 ());
       ]
-    opts
+    opts out
 
-let fig18 ?(out = std) opts =
+let fig18 opts out =
   Format.fprintf out
     "@.[fig18] R share of cache, R lagging 1 / 2 / 4 steps behind S.@.";
-  share_figure ~out ~title:"fig18: R share vs lag"
+  share_figure ~title:"fig18: R share vs lag"
     ~variants:
       [
         ("lag 1", Config.tower_sym ~r_lag:1 ());
         ("lag 2", Config.tower_sym ~r_lag:2 ());
         ("lag 4", Config.tower_sym ~r_lag:4 ());
       ]
-    opts
+    opts out
 
 (* --- Figure 15 / 16 -------------------------------------------------- *)
 
-let fig15 ?(out = std) opts =
+let fig15 opts out =
   let rng = Rng.create opts.seed in
   let reference = Real.to_bins (Real.synthetic_ar1 ~rng ~days:3650 ()) in
   let fitted = Fit.ar1_of_ints reference in
@@ -456,7 +450,7 @@ let fig15 ?(out = std) opts =
 
 (* --- Figure 19 ------------------------------------------------------- *)
 
-let fig19 ?(out = std) opts =
+let fig19 opts out =
   let cfg = Config.floor () in
   let capacity = 20 in
   let length = min opts.fe_length 500 in
@@ -548,7 +542,7 @@ let example_3_4_numbers () =
   let plan_bound = Expectimax.best_plan_benefit ~cache ~capacity:1 ~steps in
   (plan, adaptive, plan_bound)
 
-let example_3_4 ?(out = std) () =
+let example_3_4 out =
   let plan, adaptive, plan_bound = example_3_4_numbers () in
   Format.fprintf out
     "@.[example 3.4] FlowExpect's chosen plan keeps %s with expected \
@@ -565,7 +559,7 @@ let example_3_4 ?(out = std) () =
 
 (* --- Section 7 example ----------------------------------------------- *)
 
-let example_7 ?(out = std) () =
+let example_7 out =
   let alpha = 10.0 in
   let tuples =
     [ ("x1", 0.50, 1); ("x2", 0.49, 50); ("x3", 0.01, 51) ]
@@ -591,7 +585,7 @@ let example_7 ?(out = std) () =
 
 (* --- extensions ------------------------------------------------------- *)
 
-let window_extension ?(out = std) opts =
+let window_extension opts out =
   let width = 25 in
   let window = Window.create ~width in
   (* Skewed stationary workload: frequent small values, rare large ones. *)
@@ -645,7 +639,7 @@ let window_extension ?(out = std) opts =
     width capacity opts.runs opts.length;
   print_summaries ~out ~name:"policy" summaries
 
-let multi_extension ?(out = std) opts =
+let multi_extension opts out =
   let streams = 3 in
   let queries = [ (0, 1); (1, 2) ] in
   let runs = min opts.runs 10 and length = min opts.length 3000 in
@@ -685,7 +679,7 @@ let multi_extension ?(out = std) opts =
                  ~l:(Lfun.exp_ ~alpha:4.0) ~queries ()) );
        ])
 
-let band_extension ?(out = std) opts =
+let band_extension opts out =
   let cfg = Config.tower () in
   let runs = min opts.runs 10 and length = min opts.length 2000 in
   let traces = trend_traces cfg ~runs ~length ~seed:opts.seed in
@@ -729,7 +723,7 @@ let band_extension ?(out = std) opts =
     ~header:[ "band"; "OPT-OFFLINE"; "RAND"; "PROB"; "HEEB-band" ]
     (List.map row [ 0; 1; 2 ])
 
-let adversarial ?(out = std) opts =
+let adversarial opts out =
   (* Empirical competitive-ratio estimates: the paper's Section 8 points
      at competitive analysis as future work; here we at least measure the
      worst observed OPT/policy ratio over many independent realisations
@@ -904,7 +898,7 @@ let robustness_grid ?capacity opts =
     regime;
   }
 
-let print_robustness_grid ?(out = std) report =
+let print_robustness_grid ?(out = Format.std_formatter) report =
   Format.fprintf out
     "@.[robustness/faults] fault x policy degradation grid (data = TOWER), \
      cache=%d, %d runs x %d tuples; cells: mean (fraction of clean).@."
@@ -926,7 +920,7 @@ let print_robustness_grid ?(out = std) report =
     ~header:("fault" :: policy_names)
     (clean_row :: List.map fault_row (report.rows @ report.regime))
 
-let robustness ?(out = std) opts =
+let robustness opts out =
   (* How gracefully does HEEB degrade when its model is wrong?  The data
      comes from TOWER; the policy believes variants of it. *)
   let truth = Config.tower () in
@@ -976,7 +970,7 @@ let robustness ?(out = std) opts =
   print_robustness_grid ~out
     (robustness_grid { opts with runs; length; capacity })
 
-let ablation_lfun ?(out = std) opts =
+let ablation_lfun opts out =
   let cfg = Config.tower () in
   let traces =
     trend_traces cfg ~runs:opts.runs ~length:opts.length ~seed:opts.seed
@@ -1012,25 +1006,46 @@ let ablation_lfun ?(out = std) opts =
     capacity opts.runs opts.length alpha;
   print_summaries ~out ~name:"variant" summaries
 
-let all ?(out = std) opts =
-  example_3_4 ~out ();
-  example_7 ~out ();
-  fig6 ~out opts;
-  fig7 ~out ();
-  fig8 ~out opts;
-  fig9 ~out opts;
-  fig10 ~out opts;
-  fig11 ~out opts;
-  fig12 ~out opts;
-  fig13 ~out opts;
-  fig14 ~out opts;
-  fig15 ~out opts;
-  fig17 ~out opts;
-  fig18 ~out opts;
-  fig19 ~out opts;
-  window_extension ~out opts;
-  band_extension ~out opts;
-  multi_extension ~out opts;
-  robustness ~out opts;
-  adversarial ~out opts;
-  ablation_lfun ~out opts
+(* --- the figure table -------------------------------------------------- *)
+
+type figure = {
+  name : string;
+  doc : string;
+  run : opts -> Format.formatter -> unit;
+}
+
+let figure name doc run = { name; doc; run }
+
+let figures =
+  [
+    figure "example-3-4" "Section 3.4 FlowExpect-suboptimality scenario."
+      (fun _ -> example_3_4);
+    figure "example-7" "Section 7 sliding-window example (x1/x2/x3)."
+      (fun _ -> example_7);
+    figure "fig6" "Precomputed h_R curves for random-walk caching." fig6;
+    figure "fig7" "TOWER/ROOF/FLOOR noise pmfs." (fun _ -> fig7);
+    figure "fig8" "Join counts across configurations, fixed cache." fig8;
+    figure "fig9" "TOWER cache-size sweep." (fun opts ->
+        trend_sweep (Config.tower ()) ~figure:"fig9" opts);
+    figure "fig10" "ROOF cache-size sweep." (fun opts ->
+        trend_sweep (Config.roof ()) ~figure:"fig10" opts);
+    figure "fig11" "FLOOR cache-size sweep." (fun opts ->
+        trend_sweep (Config.floor ()) ~figure:"fig11" opts);
+    figure "fig12" "WALK cache-size sweep." fig12;
+    figure "fig13" "REAL caching misses vs memory size." fig13;
+    figure "fig14" "Cache share between streams under HEEB." fig14;
+    figure "fig15" "Exact vs bicubic h2 surface (Figures 15/16)." fig15;
+    figure "fig17" "Cache share vs variance ratio." fig17;
+    figure "fig18" "Cache share vs lag." fig18;
+    figure "fig19" "FlowExpect look-ahead sweep." fig19;
+    figure "window" "Extension: sliding-window join shootout."
+      window_extension;
+    figure "band" "Extension: band-join semantics." band_extension;
+    figure "multi" "Extension: multiple join queries over 3 streams."
+      multi_extension;
+    figure "robustness" "Extension: HEEB under model misspecification."
+      robustness;
+    figure "adversarial" "Extension: empirical competitive-ratio estimates."
+      adversarial;
+    figure "ablation" "Extension: HEEB L-function ablation." ablation_lfun;
+  ]

@@ -62,25 +62,63 @@ let test_band_opt_offline () =
   check_int "band-1 optimum" 2
     (Opt_offline.max_results ~band:1 ~trace ~capacity:1 ())
 
-(* Band OPT vs brute force on tiny instances. *)
+(* At the ends of the int range: a band probe must not wrap round to an
+   empty range, and |c - a| must not be computed by subtracting. *)
+let test_band_int_extremes () =
+  (* Each trace holds one band-1 match; the cache keeps everything. *)
+  List.iter
+    (fun (label, r, s) ->
+      let trace = Trace.of_values ~r ~s in
+      check_int (label ^ ": engine") 1
+        (Ssj_engine.Join_sim.run ~trace ~policy:(Baselines.prob ())
+           ~capacity:4 ~band:1 ())
+          .Ssj_engine.Join_sim.total_results;
+      check_int (label ^ ": reference") 1
+        (Ssj_conform.Ref_sim.run ~trace ~policy:(Baselines.prob ())
+           ~capacity:4 ~band:1 ())
+          .Ssj_conform.Ref_sim.total_results;
+      check_int (label ^ ": OPT-offline") 1
+        (Opt_offline.max_results ~band:1 ~trace ~capacity:4 ()))
+    [
+      ("min_int", [| min_int; 0; 0 |], [| 7; min_int; 7 |]);
+      ("max_int probed", [| max_int - 1; 0 |], [| 7; max_int |]);
+      ("max_int kept", [| max_int; 0 |], [| 7; max_int - 1 |]);
+    ];
+  let cached = [ Tuple.make ~side:Tuple.R ~value:min_int ~arrival:0 ] in
+  let zero = Tuple.make ~side:Tuple.S ~value:0 ~arrival:1 in
+  check_int "reference: min_int does not meet 0 at band 0" 0
+    (Ssj_conform.Ref_sim.count_matches ~window:None ~band:0 ~now:1 cached
+       zero)
+
+(* Band OPT vs brute force on tiny instances, some values within 2 of
+   min_int or max_int. *)
 let prop_band_opt_matches_brute =
   qcheck ~count:80 "band OPT-offline equals exhaustive DP"
     QCheck2.Gen.(
+      let value =
+        frequency
+          [
+            (3, int_range 0 4);
+            (1, map (fun d -> min_int + d) (int_range 0 2));
+            (1, map (fun d -> max_int - d) (int_range 0 2));
+          ]
+      in
       let* n = int_range 2 5 in
-      let* r = list_repeat n (int_range 0 4) in
-      let* s = list_repeat n (int_range 0 4) in
+      let* r = list_repeat n value in
+      let* s = list_repeat n value in
       let* band = int_range 0 2 in
       return (r, s, band))
     (fun (r, s, band) ->
       let trace = Trace.of_values ~r:(Array.of_list r) ~s:(Array.of_list s) in
       let tlen = Trace.length trace in
       let module TS = Set.Make (Tuple) in
+      (* |a - c| <= band, saturating instead of subtracting. *)
+      let plus v = if v > max_int - band then max_int else v + band in
       let matches cache (arr : Tuple.t) =
         TS.fold
           (fun (c : Tuple.t) acc ->
-            if
-              c.Tuple.side <> arr.Tuple.side
-              && abs (c.Tuple.value - arr.Tuple.value) <= band
+            let a = arr.Tuple.value and c_v = c.Tuple.value in
+            if c.Tuple.side <> arr.Tuple.side && c_v <= plus a && a <= plus c_v
             then acc + 1
             else acc)
           cache 0
@@ -143,6 +181,8 @@ let suite =
     Alcotest.test_case "band-0 H = joining H" `Quick test_band_hvalue_reduces;
     Alcotest.test_case "band simulator counting" `Quick test_band_sim_counts;
     Alcotest.test_case "band OPT-offline" `Quick test_band_opt_offline;
+    Alcotest.test_case "band joins at the int extremes" `Quick
+      test_band_int_extremes;
     prop_band_opt_matches_brute;
     Alcotest.test_case "band HEEB beats RAND" `Slow test_band_heeb_beats_rand;
   ]

@@ -256,6 +256,32 @@ let test_compare_digests () =
   | Check.Pass _ -> Alcotest.fail "empty expectations must fail"
   | Check.Fail _ -> ()
 
+(* One golden:figures/<name> check per figure-table entry, in table
+   order, each with one recorded digest.  Nothing here runs a figure. *)
+let test_figure_pins_registered () =
+  let names =
+    List.map
+      (fun (f : Ssj_workload.Experiments.figure) ->
+        f.Ssj_workload.Experiments.name)
+      Ssj_workload.Experiments.figures
+  in
+  let prefix = "golden:figures/" in
+  let pinned =
+    List.filter_map
+      (fun (c : Check.t) ->
+        let n = c.Check.name and k = String.length prefix in
+        if String.length n > k && String.sub n 0 k = prefix then
+          Some (String.sub n k (String.length n - k))
+        else None)
+      (Golden.checks ())
+  in
+  Alcotest.(check (list string)) "one pin per table entry" names pinned;
+  Helpers.check_int "names are unique" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  Alcotest.(check (list string)) "one recorded digest per entry"
+    (List.map (fun n -> "figures/" ^ n) names)
+    (List.map (fun d -> d.Golden.key) Golden.expected_figures)
+
 let suite =
   [
     Alcotest.test_case "registry passes on the honest engine" `Quick
@@ -270,4 +296,6 @@ let suite =
     Alcotest.test_case "artifact rounding cross-check" `Quick
       test_artifact_cross_check;
     Alcotest.test_case "digest comparison" `Quick test_compare_digests;
+    Alcotest.test_case "one golden pin per figure-table entry" `Quick
+      test_figure_pins_registered;
   ]

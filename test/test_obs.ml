@@ -169,18 +169,31 @@ let test_unwritable_event_file () =
             check_bool "error names the path" true
               (String.starts_with ~prefix:path msg));
           Obs.event ~name:"test.after_open_failure" [];
+          check_bool "no events lost after a reported open failure" true
+            (Obs.events_lost () = None);
           (* Without the early open, the first event meets the failure
-             inside a run; the run must finish with its usual result. *)
-          Obs.set_event_sink (`Path path);
+             inside a run; the run must finish with its usual result, and
+             the loss must be reported after it.  /dev/full fails the
+             write rather than the open. *)
           let t = Trace.of_values ~r:[| 1; 2; 1; 2 |] ~s:[| 2; 1; 2; 1 |] in
           let run () =
             (Join_sim.run ~trace:t ~policy:(Ssj_core.Baselines.prob ())
                ~capacity:2 ())
               .Join_sim.total_results
           in
-          let with_failing_sink = run () in
-          Obs.set_event_sink `Null;
-          check_int "same result as with no sink" (run ()) with_failing_sink))
+          let with_no_sink = run () in
+          List.iter
+            (fun failing ->
+              Obs.set_event_sink (`Path failing);
+              let with_failing_sink = run () in
+              check_bool (failing ^ ": loss reported") true
+                (Obs.events_lost () <> None);
+              Obs.set_event_sink `Null;
+              check_bool "a new sink clears the loss" true
+                (Obs.events_lost () = None);
+              check_int "same result as with no sink" with_no_sink
+                with_failing_sink)
+            (path :: List.filter Sys.file_exists [ "/dev/full" ])))
 
 let suite =
   [

@@ -15,7 +15,13 @@ let test_create_rejects_bad_weights () =
       ignore (Pmf.create ~lo:0 [| 0.0; 0.0 |]));
   Alcotest.check_raises "negative"
     (Invalid_argument "Pmf.create: weights must be finite and non-negative")
-    (fun () -> ignore (Pmf.create ~lo:0 [| 1.0; -0.5 |]))
+    (fun () -> ignore (Pmf.create ~lo:0 [| 1.0; -0.5 |]));
+  List.iter
+    (fun w ->
+      Alcotest.check_raises "non-finite"
+        (Invalid_argument "Pmf.create: weights must be finite and non-negative")
+        (fun () -> ignore (Pmf.of_dense ~lo:0 [| 1.0; w |])))
+    [ Float.nan; Float.infinity ]
 
 let test_of_assoc_accumulates () =
   let p = Pmf.of_assoc [ (3, 1.0); (5, 1.0); (3, 2.0) ] in
@@ -37,42 +43,6 @@ let test_mean_variance () =
   check_float "mean" 1.0 (Pmf.mean p);
   check_float "variance" 1.0 (Pmf.variance p);
   check_float "stddev" 1.0 (Pmf.stddev p)
-
-let test_cdf () =
-  let p = Pmf.of_assoc [ (1, 0.2); (2, 0.3); (4, 0.5) ] in
-  check_float "cdf(0)" 0.0 (Pmf.cdf p 0);
-  check_float "cdf(1)" 0.2 (Pmf.cdf p 1);
-  check_float "cdf(3)" 0.5 (Pmf.cdf p 3);
-  check_float "cdf(10)" 1.0 (Pmf.cdf p 10)
-
-let test_shift_negate () =
-  let p = Pmf.of_assoc [ (1, 0.25); (2, 0.75) ] in
-  let shifted = Pmf.shift p 10 in
-  check_float "shift" 0.25 (Pmf.prob shifted 11);
-  check_float "shift mean" (Pmf.mean p +. 10.0) (Pmf.mean shifted);
-  let negated = Pmf.negate p in
-  check_float "negate p(-2)" 0.75 (Pmf.prob negated (-2));
-  check_float "negate mean" (-.Pmf.mean p) (Pmf.mean negated)
-
-let test_map_outcomes () =
-  let p = Pmf.of_assoc [ (-1, 0.5); (1, 0.5) ] in
-  let sq = Pmf.map_outcomes p (fun v -> v * v) in
-  check_float "collapsed" 1.0 (Pmf.prob sq 1)
-
-let test_truncate () =
-  let p = Dist.uniform ~lo:0 ~hi:9 in
-  (match Pmf.truncate p ~lo:0 ~hi:4 with
-  | Some t -> check_float "renormalised" 0.2 (Pmf.prob t 2)
-  | None -> Alcotest.fail "truncate returned None");
-  (match Pmf.truncate p ~lo:100 ~hi:200 with
-  | None -> ()
-  | Some _ -> Alcotest.fail "expected None outside support")
-
-let test_mix () =
-  let a = Pmf.point 0 and b = Pmf.point 10 in
-  let m = Pmf.mix [ (1.0, a); (3.0, b) ] in
-  check_float "mix a" 0.25 (Pmf.prob m 0);
-  check_float "mix b" 0.75 (Pmf.prob m 10)
 
 let test_dot () =
   let a = Pmf.of_assoc [ (1, 0.5); (2, 0.5) ] in
@@ -100,14 +70,6 @@ let prop_total_one =
   qcheck "total mass is 1" gen_pmf (fun p ->
       Float.abs (Pmf.total p -. 1.0) < 1e-9)
 
-let prop_cdf_monotone =
-  qcheck "cdf is monotone" gen_pmf (fun p ->
-      let ok = ref true in
-      for v = Pmf.lo p - 1 to Pmf.hi p do
-        if Pmf.cdf p v > Pmf.cdf p (v + 1) +. 1e-12 then ok := false
-      done;
-      !ok)
-
 let prop_mean_in_support =
   qcheck "mean within support bounds" gen_pmf (fun p ->
       Pmf.mean p >= float_of_int (Pmf.lo p) -. 1e-9
@@ -119,63 +81,17 @@ let prop_shift_consistent =
       Pmf.lo s = Pmf.lo p + 5
       && Float.abs (Pmf.mean s -. Pmf.mean p -. 5.0) < 1e-9)
 
-let prop_double_negate =
-  qcheck "negate twice is identity" gen_pmf (fun p ->
-      Pmf.equal p (Pmf.negate (Pmf.negate p)))
-
-let test_validate () =
-  (match Pmf.validate ~lo:0 [| 1.0; 3.0 |] with
-  | Ok p ->
-    check_float "validated p(1)" 0.75 (Pmf.prob p 1);
-    check_float "validated total" 1.0 (Pmf.total p)
-  | Error e -> Alcotest.fail (Pmf.error_to_string e));
-  let expect name probs expected =
-    match Pmf.validate ~lo:0 probs with
-    | Ok _ -> Alcotest.fail (name ^ ": expected a typed error")
-    | Error e -> check_bool name true (e = expected)
-  in
-  expect "empty" [||] Pmf.Empty_support;
-  expect "zero mass" [| 0.0; 0.0 |] Pmf.Zero_mass;
-  expect "negative" [| 1.0; -0.5 |] Pmf.Negative;
-  expect "nan" [| 1.0; Float.nan |] Pmf.Non_finite;
-  expect "infinite" [| Float.infinity |] Pmf.Non_finite
-
-let prop_validate_agrees_with_create =
-  (* The result API accepts exactly what create accepts and produces the
-     same distribution. *)
-  qcheck ~count:200 "validate = Ok iff create succeeds, same pmf"
-    QCheck2.Gen.(
-      pair (int_range (-5) 5)
-        (array_size (int_range 0 6)
-           (oneofl [ 0.0; 0.5; 1.0; 2.0; -1.0; Float.nan ])))
-    (fun (lo, probs) ->
-      match Pmf.validate ~lo probs with
-      | Ok p -> Pmf.equal p (Pmf.create ~lo probs)
-      | Error _ -> (
-        match Pmf.create ~lo probs with
-        | exception Invalid_argument _ -> true
-        | _ -> false))
-
 let suite =
   [
     Alcotest.test_case "create normalises" `Quick test_create_normalises;
     Alcotest.test_case "create rejects bad weights" `Quick
       test_create_rejects_bad_weights;
-    Alcotest.test_case "validate returns typed errors" `Quick test_validate;
-    prop_validate_agrees_with_create;
     Alcotest.test_case "of_assoc accumulates" `Quick test_of_assoc_accumulates;
     Alcotest.test_case "point mass" `Quick test_point;
     Alcotest.test_case "mean/variance" `Quick test_mean_variance;
-    Alcotest.test_case "cdf" `Quick test_cdf;
-    Alcotest.test_case "shift/negate" `Quick test_shift_negate;
-    Alcotest.test_case "map_outcomes" `Quick test_map_outcomes;
-    Alcotest.test_case "truncate" `Quick test_truncate;
-    Alcotest.test_case "mix" `Quick test_mix;
     Alcotest.test_case "dot" `Quick test_dot;
     Alcotest.test_case "sampling matches pmf" `Slow test_sample_distribution;
     prop_total_one;
-    prop_cdf_monotone;
     prop_mean_in_support;
     prop_shift_consistent;
-    prop_double_negate;
   ]

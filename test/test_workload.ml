@@ -87,8 +87,8 @@ let test_factory_lineups () =
 let test_experiments_smoke () =
   (* End-to-end smoke: run the cheap figures and the extensions into a
      buffer, once sequentially and once on two domains.  Every line must
-     reach the buffer (no figure may print to stdout behind a caller's
-     [~out]) and the two texts must be identical. *)
+     reach the buffer (no figure may print to stdout behind the
+     formatter it is given) and the two texts must be identical. *)
   let opts =
     {
       Experiments.default with
@@ -109,16 +109,18 @@ let test_experiments_smoke () =
         Unix.putenv "SSJ_JOBS" (string_of_int jobs);
         let buf = Buffer.create 4096 in
         let out = Format.formatter_of_buffer buf in
-        Experiments.example_3_4 ~out ();
-        Experiments.example_7 ~out ();
-        Experiments.fig7 ~out ();
-        Experiments.fig8 ~out opts;
-        Experiments.fig9 ~out opts;
-        Experiments.window_extension ~out opts;
-        Experiments.band_extension ~out opts;
-        Experiments.multi_extension ~out opts;
-        Experiments.adversarial ~out opts;
-        Experiments.ablation_lfun ~out opts;
+        List.iter
+          (fun name ->
+            let f =
+              List.find
+                (fun f -> f.Experiments.name = name)
+                Experiments.figures
+            in
+            f.Experiments.run opts out)
+          [
+            "example-3-4"; "example-7"; "fig7"; "fig8"; "fig9"; "window";
+            "band"; "multi"; "adversarial"; "ablation";
+          ];
         Format.pp_print_flush out ();
         Buffer.contents buf)
   in
