@@ -333,8 +333,6 @@ let figure_cmds =
 let cmds = dump_trace_cmd :: run_trace_cmd :: check_cmd :: figure_cmds
 
 let () =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some Logs.Warning);
   (* Every sweep reads SSJ_JOBS; a malformed value is reported once, here,
      rather than as an exception out of the first sweep. *)
   (match Ssj_prob.Parallel.default_jobs () with

@@ -37,15 +37,12 @@ val policy : t -> Ssj_core.Policy.join
 (** Fresh policy instance for the case's recipe.  Raises
     [Invalid_argument] on a name outside {!policy_names}. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** {2 Repro files}
 
     One JSON object per file, written and read through
     {!Ssj_obs.Json}; every string field round-trips exactly. *)
-
-val schema_version : int
 
 val save :
   check:string -> detail:string -> t -> filename:string -> (unit, string) result

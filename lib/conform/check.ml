@@ -18,8 +18,8 @@ type t = {
   replay : (Case.t -> string option) option;
 }
 
-let make ~name ~kind ~fast ~reference ?replay run =
-  { name; kind; fast; reference; run; replay }
+let make ~name ~kind ~fast ~reference run =
+  { name; kind; fast; reference; run; replay = None }
 
 (* Wrap a per-case violation function into both the [run] scan and the
    [replay] hook: the same comparison decides the sweep, the shrinker's

@@ -30,9 +30,10 @@ val make :
   kind:kind ->
   fast:string ->
   reference:string ->
-  ?replay:(Case.t -> string option) ->
   (seed:int -> count:int -> outcome) ->
   t
+(** A check whose failures carry no case ([replay = None]); replayable
+    checks come from {!of_violation}. *)
 
 val of_violation :
   name:string ->

@@ -26,12 +26,10 @@ val sweep_setup : Ssj_engine.Runner.joining_setup
 val sweep_traces : runs:int -> length:int -> Ssj_stream.Trace.t array
 val sweep_lineup : unit -> Ssj_workload.Factory.join_lineup
 
-val fig8_digests_of : Ssj_engine.Runner.summary list -> digest list
-(** Digest each summary's mean and stddev under the key
-    ["fig8/cap25/<label>/<mean|stddev>"]. *)
-
 val fig8_digests : runs:int -> length:int -> unit -> digest list
-(** Recompute the tracked sweep at the given scale and digest it. *)
+(** Recompute the tracked sweep at the given scale and digest each
+    policy's mean and stddev under the key
+    ["fig8/cap25/<label>/<mean|stddev>"]. *)
 
 val fig8_drift : Ssj_engine.Runner.summary list -> (digest * digest) option
 (** The first (expected, recomputed) pair whose hex differs, for

@@ -359,39 +359,13 @@ let cache_spec access = { Policy.cname = "spec"; access }
 
 (* HEEB caching as it scored before the argmin rule: every candidate, on
    every reference, then [Ref_sim.keep_best_spec].  Direct H for an
-   independent reference is [Hvalue.caching_independent]; the incremental
-   variant runs the Corollary 4 recurrence with its own table. *)
-let heeb_spec ~reference ~l ~incremental =
+   independent reference is [Hvalue.caching_independent]. *)
+let heeb_spec ~reference ~l =
   let pred = ref reference in
-  let hvals = Hashtbl.create 16 in
-  cache_spec (fun ~now ~cached ~value ~hit ~capacity ->
-      let prior = !pred.Predictor.pmf 1 in
+  cache_spec (fun ~now:_ ~cached ~value ~hit ~capacity ->
       pred := !pred.Predictor.observe value;
-      let direct v = Hvalue.caching_independent ~reference:!pred ~l ~value:v in
-      let score v =
-        let recompute () =
-          let h = direct v in
-          Hashtbl.replace hvals v (h, now);
-          h
-        in
-        match incremental with
-        | None -> direct v
-        | Some (alpha, refresh_every) -> (
-          if v = value then recompute ()
-          else
-            match Hashtbl.find_opt hvals v with
-            | Some (h_prev, at) when now - at < refresh_every ->
-              let p_now = Pmf.prob prior v in
-              let h = Hvalue.step_caching_exp ~alpha ~h_prev ~p_now in
-              Hashtbl.replace hvals v (h, at);
-              h
-            | Some _ | None -> recompute ())
-      in
-      let kept = Ref_sim.keep_best_spec ~capacity ~score ~cached ~value ~hit in
-      Hashtbl.filter_map_inplace
-        (fun v e -> if List.mem v kept then Some e else None)
-        hvals;
-      kept)
+      let score v = Hvalue.caching_independent ~reference:!pred ~l ~value:v in
+      Ref_sim.keep_best_spec ~capacity ~score ~cached ~value ~hit)
 
 (* Classic's scored eviction as a two-call fold: every comparison scores
    both entries, ties to the earliest entry in list order. *)
@@ -468,15 +442,22 @@ let cache_lockstep ~reference ~nows ~capacity (fast : Policy.cache)
 
 let cache_capacities = [| 0; 1; 2; 7; 25 |]
 
+(* Family 2's random walk: lazy unit steps from 0, its kernel cut to the
+   17 states within 8 of the start, which a reference path leaves now
+   and then (a clamped start, candidates scoring 0). *)
+let walk_step = Pmf.of_assoc [ (-1, 1.0); (0, 2.0); (1, 1.0) ]
+
 (* Case [i]: policy family [i mod 6] at capacity [i / 6 mod 5], on a
    stationary reference over a domain that is sometimes smaller and
-   sometimes larger than the cache.  The law's weights, and the generic
-   scorer, take a few levels only, so equal scores are common and the
-   value tie-break decides.  The classic families (3-5) also run on
-   hostile values when [i / 6] is odd — the domain relabelled to spread
-   over +-1e9 with [min_int] and [max_int] among the most drawn — and
-   LFD on a non-monotone clock when [i / 12] is odd, so both its
-   forward cursor and its binary-search fallback are compared. *)
+   sometimes larger than the cache — or, for HEEB on a Markov reference
+   (family 2), on a random-walk path of the same length.  The law's
+   weights, and the generic scorer, take a few levels only, so equal
+   scores are common and the value tie-break decides.  The classic
+   families (3-5) also run on hostile values when [i / 6] is odd — the
+   domain relabelled to spread over +-1e9 with [min_int] and [max_int]
+   among the most drawn — and LFD on a non-monotone clock when [i / 12]
+   is odd, so both its forward cursor and its binary-search fallback are
+   compared. *)
 let cache_selection_violation ~seed i =
   let rng = Rng.create (seed + (7907 * i)) in
   let capacity = cache_capacities.(i / 6 mod Array.length cache_capacities) in
@@ -504,8 +485,13 @@ let cache_selection_violation ~seed i =
     else Array.init n (fun t -> if Rng.int rng 4 = 0 then Rng.int rng n else t)
   in
   let model () = Stationary.create law in
-  let alpha = 4.0 in
-  let l = Lfun.exp_ ~alpha in
+  let walk () =
+    Random_walk.create ~window:8 ~start:0 ~drift:0 ~step:walk_step ()
+  in
+  let reference =
+    if family = 2 then fst (Predictor.generate (walk ()) rng n) else reference
+  in
+  let l = Lfun.exp_ ~alpha:4.0 in
   let fast, spec =
     match family with
     | 0 ->
@@ -516,13 +502,16 @@ let cache_selection_violation ~seed i =
               ~value ~hit) )
     | 1 ->
       ( Heeb.caching ~reference:(model ()) ~l (),
-        heeb_spec ~reference:(model ()) ~l ~incremental:None )
+        heeb_spec ~reference:(model ()) ~l )
     | 2 ->
-      (* a short refresh period exercises both recurrence and refresh *)
-      ( Heeb.caching ~reference:(model ()) ~l
-          ~mode:(`Incremental { Heeb.alpha; refresh_every = 5 })
-          (),
-        heeb_spec ~reference:(model ()) ~l ~incremental:(Some (alpha, 5)) )
+      (* The Markov first-passage sum on a kernel of the spec's own,
+         started from the reference just made, clamped into the window. *)
+      let kernel = Markov.of_step ~step:walk_step ~drift:0 ~lo:(-8) ~hi:8 in
+      ( Heeb.caching ~reference:(walk ()) ~l (),
+        cache_spec (fun ~now:_ ~cached ~value ~hit ~capacity ->
+            let start = max kernel.Markov.lo (min kernel.Markov.hi value) in
+            let score v = Hvalue.caching_markov ~kernel ~start ~l ~value:v in
+            Ref_sim.keep_best_spec ~capacity ~score ~cached ~value ~hit) )
     | 3 -> (Classic.lru (), lru_spec ())
     | 4 -> (Classic.lfu (), lfu_spec ())
     | _ -> (Classic.lfd ~reference, lfd_spec reference)

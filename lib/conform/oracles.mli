@@ -20,7 +20,8 @@
       naming the policy, the step and one of their uids.
     - [oracle:cache/argmin-vs-sort] — the caching selection of
       {!Ssj_core.Heeb.caching_fn} (tie-heavy scorer),
-      {!Ssj_core.Heeb.caching} [`Direct] and [`Incremental], and
+      {!Ssj_core.Heeb.caching} on a stationary and on a random-walk
+      reference (the Markov first-passage H), and
       LRU/LFU/LFD from {!Ssj_core.Classic}, replayed in lock step
       against {!Ref_sim.keep_best_spec} (HEEB) or the two-call
       scored fold (Classic) at capacities 0, 1, 2, 7 and 25: equal

@@ -1,4 +1,3 @@
-open Ssj_stream
 open Ssj_model
 
 (* Saturated, so a value within [band] of [min_int] or [max_int] does not
@@ -39,26 +38,10 @@ let heeb ?name ~r ~s ~l ~band () =
     | Some n -> n
     | None -> Printf.sprintf "HEEB-band(%d)" band
   in
-  let r_pred = ref r and s_pred = ref s in
-  let note (t : Tuple.t) =
-    match t.Tuple.side with
-    | Tuple.R -> r_pred := !r_pred.Predictor.observe t.Tuple.value
-    | Tuple.S -> s_pred := !s_pred.Predictor.observe t.Tuple.value
-  in
-  let observe ~r ~s =
-    note r;
-    note s
-  in
-  Policy.scored ~name ~observe (fun ~now:_ ~n ~uids ~values ~scores ->
-      for i = 0 to n - 1 do
-        let partner = if uids.(i) land 1 = 0 then !s_pred else !r_pred in
-        scores.(i) <- hvalue ~partner ~l ~value:values.(i) ~band
-      done)
-
-let prob_model ~r_dist ~s_dist ~band () =
-  Policy.scored ~name:(Printf.sprintf "PROB-band(%d)" band)
+  let tr = Heeb.Tracker.create ~r ~s in
+  Policy.scored ~name ~observe:(Heeb.Tracker.observe tr)
     (fun ~now:_ ~n ~uids ~values ~scores ->
       for i = 0 to n - 1 do
-        let partner = if uids.(i) land 1 = 0 then s_dist else r_dist in
-        scores.(i) <- match_prob partner ~value:values.(i) ~band
+        let partner = Heeb.Tracker.partner tr (uids.(i) land 1) in
+        scores.(i) <- hvalue ~partner ~l ~value:values.(i) ~band
       done)

@@ -38,8 +38,3 @@ val heeb :
   unit ->
   Policy.join
 (** HEEB scored with band-match probabilities (direct computation). *)
-
-val prob_model :
-  r_dist:Ssj_prob.Pmf.t -> s_dist:Ssj_prob.Pmf.t -> band:int -> unit -> Policy.join
-(** The stationary-optimal policy generalised to bands: discard the tuple
-    whose value range is least likely in the partner's stationary law. *)

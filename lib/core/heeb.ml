@@ -1,75 +1,36 @@
 open Ssj_stream
 open Ssj_model
 
-type incr_config = { alpha : float; refresh_every : int }
-type mode = [ `Direct | `Incremental of incr_config | `Memo_trend of int ]
-
-let src = Logs.Src.create "ssj.heeb" ~doc:"HEEB policy internals"
-
-module Log = (val Logs.src_log src : Logs.LOG)
+type mode = [ `Direct | `Memo_trend of int ]
 
 (* ------------------------------------------------------------------ *)
 (* Joining                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type joining_state = {
-  mutable r_pred : Predictor.t;
-  mutable s_pred : Predictor.t;
-  (* uid -> (H, time of last direct computation) *)
-  hvals : (int, float * int) Hashtbl.t;
-  (* (side, offset) encoded as an int -> H, for `Memo_trend` *)
-  memo : Ssj_prob.Ftab.t;
-}
+module Tracker = struct
+  type t = { mutable r_pred : Predictor.t; mutable s_pred : Predictor.t }
 
-(* [bit] is the candidate's uid side bit (R = 0): an R tuple joins the
-   S stream's future arrivals and vice versa. *)
-let direct_h st ~l ~bit ~value =
-  Hvalue.joining
-    ~partner:(if bit = 0 then st.s_pred else st.r_pred)
-    ~l ~value
+  let create ~r ~s = { r_pred = r; s_pred = s }
 
-let fresh_state ~r ~s =
-  {
-    r_pred = r;
-    s_pred = s;
-    hvals = Hashtbl.create 128;
-    memo = Ssj_prob.Ftab.create ~size:128 ();
-  }
+  let note tr (t : Tuple.t) =
+    match t.side with
+    | Tuple.R -> tr.r_pred <- tr.r_pred.Predictor.observe t.value
+    | Tuple.S -> tr.s_pred <- tr.s_pred.Predictor.observe t.value
 
-let observe_tuple st (t : Tuple.t) =
-  match t.side with
-  | Tuple.R -> st.r_pred <- st.r_pred.Predictor.observe t.value
-  | Tuple.S -> st.s_pred <- st.s_pred.Predictor.observe t.value
+  let observe tr ~r ~s =
+    note tr r;
+    note tr s
 
-let observe_both st ~r ~s =
-  observe_tuple st r;
-  observe_tuple st s
+  (* An R tuple (side bit 0) joins the S stream's future arrivals and
+     vice versa. *)
+  let[@inline] partner tr bit = if bit = 0 then tr.s_pred else tr.r_pred
+end
 
-(* Drop incremental state of every uid the step did not keep: build the
-   kept-uid set once and sweep. *)
-let prune_hvals hvals (kept : Policy.buffer) =
-  let keep = Hashtbl.create 64 in
-  for i = 0 to kept.n - 1 do
-    Hashtbl.replace keep kept.uids.(i) ()
-  done;
-  let stale =
-    Hashtbl.fold
-      (fun uid _ acc -> if Hashtbl.mem keep uid then acc else uid :: acc)
-      hvals []
-  in
-  List.iter (Hashtbl.remove hvals) stale
+let direct_h tr ~l ~bit ~value =
+  Hvalue.joining ~partner:(Tracker.partner tr bit) ~l ~value
 
 let joining ?name ~r ~s ~l ?(mode = `Direct) () =
-  let mode =
-    match mode with
-    | `Incremental _ when not (r.Predictor.independent && s.Predictor.independent)
-      ->
-      Log.warn (fun m ->
-          m "incremental HEEB needs independent processes; using direct mode");
-      `Direct
-    | m -> m
-  in
-  let st = fresh_state ~r ~s in
+  let tr = Tracker.create ~r ~s in
   let name =
     match name with
     | Some n -> n
@@ -77,11 +38,11 @@ let joining ?name ~r ~s ~l ?(mode = `Direct) () =
   in
   match mode with
   | `Direct ->
-    Policy.scored ~name ~observe:(observe_both st)
+    Policy.scored ~name ~observe:(Tracker.observe tr)
       (fun ~now:_ ~n ~uids ~values ~scores ->
         for i = 0 to n - 1 do
           Array.unsafe_set scores i
-            (direct_h st ~l ~bit:(Array.unsafe_get uids i land 1)
+            (direct_h tr ~l ~bit:(Array.unsafe_get uids i land 1)
                ~value:(Array.unsafe_get values i))
         done)
   | `Memo_trend speed ->
@@ -90,64 +51,25 @@ let joining ?name ~r ~s ~l ?(mode = `Direct) () =
        probe per candidate — is the per-step steady state.  H values are
        finite sums of probability-weighted L values and never NaN, so
        NaN doubles as the absence marker. *)
-    Policy.scored ~name ~observe:(observe_both st)
+    let memo = Ssj_prob.Ftab.create ~size:128 () in
+    Policy.scored ~name ~observe:(Tracker.observe tr)
       (fun ~now ~n ~uids ~values ~scores ->
         let shift = speed * now in
         for i = 0 to n - 1 do
           let bit = Array.unsafe_get uids i land 1 in
           let value = Array.unsafe_get values i in
           let key = ((value - shift) lsl 1) lor bit in
-          let h = Ssj_prob.Ftab.find_default st.memo key Float.nan in
+          let h = Ssj_prob.Ftab.find_default memo key Float.nan in
           let h =
             if Float.is_nan h then begin
-              let h = direct_h st ~l ~bit ~value in
-              Ssj_prob.Ftab.set st.memo key h;
+              let h = direct_h tr ~l ~bit ~value in
+              Ssj_prob.Ftab.set memo key h;
               h
             end
             else h
           in
           Array.unsafe_set scores i h
         done)
-  | `Incremental { alpha; refresh_every } ->
-    (* The Corollary 3 update needs the one-step laws Pr{X_now = v}
-       *before* today's arrivals are observed. *)
-    let before_r = ref r and before_s = ref s in
-    let observe ~r ~s =
-      before_r := st.r_pred;
-      before_s := st.s_pred;
-      observe_both st ~r ~s
-    in
-    let kernel ~now ~n ~uids ~values ~scores =
-      let prior_r = !before_r.Predictor.pmf 1
-      and prior_s = !before_s.Predictor.pmf 1 in
-      for i = 0 to n - 1 do
-        let uid = uids.(i) and value = values.(i) in
-        let bit = uid land 1 in
-        let recompute () =
-          let h = direct_h st ~l ~bit ~value in
-          Hashtbl.replace st.hvals uid (h, now);
-          h
-        in
-        scores.(i) <-
-          (if uid asr 1 = now then recompute ()
-           else
-             match Hashtbl.find_opt st.hvals uid with
-             | None -> recompute ()
-             | Some (h_prev, at) ->
-               if now - at >= refresh_every then recompute ()
-               else begin
-                 (* an R tuple joins S arrivals *)
-                 let prior = if bit = 0 then prior_s else prior_r in
-                 let p_now = Ssj_prob.Pmf.prob prior value in
-                 let h = Hvalue.step_joining_exp ~alpha ~h_prev ~p_now in
-                 Hashtbl.replace st.hvals uid (h, at);
-                 h
-               end)
-      done
-    in
-    Policy.scored ~name ~observe
-      ~after:(fun ~now:_ ~src:_ ~dst -> prune_hvals st.hvals dst)
-      kernel
 
 (* A curve's samples with both grid ends, read once: [lookup] is
    {!Interp.Curve.eval} inlined into the scoring loop, where a
@@ -193,13 +115,13 @@ let smoothing = 0.05
 
 let joining_adaptive ?name ~r ~s () =
   let name = Option.value ~default:"HEEB-adaptive" name in
-  let st = fresh_state ~r ~s in
+  let tr = Tracker.create ~r ~s in
   let lifetime = ref initial_lifetime in
   let kernel ~now:_ ~n ~uids ~values ~scores =
     let alpha = Lfun.alpha_for_lifetime (Float.max 1.01 !lifetime) in
     let l = Lfun.exp_ ~alpha in
     for i = 0 to n - 1 do
-      scores.(i) <- direct_h st ~l ~bit:(uids.(i) land 1) ~value:values.(i)
+      scores.(i) <- direct_h tr ~l ~bit:(uids.(i) land 1) ~value:values.(i)
     done
   in
   (* Update the lifetime estimate from this step's evictions, in cache
@@ -217,7 +139,7 @@ let joining_adaptive ?name ~r ~s () =
       end
     done
   in
-  Policy.scored ~name ~observe:(observe_both st) ~after kernel
+  Policy.scored ~name ~observe:(Tracker.observe tr) ~after kernel
 
 (* ------------------------------------------------------------------ *)
 (* Caching                                                             *)
@@ -225,14 +147,14 @@ let joining_adaptive ?name ~r ~s () =
 
 let caching_direct_h pred ~l value =
   match pred.Predictor.kernel with
-  | Some kernel when not pred.Predictor.independent ->
+  | Some kernel ->
     let start =
       match pred.Predictor.last with
       | Some v -> max kernel.Markov.lo (min kernel.Markov.hi v)
       | None -> (kernel.Markov.lo + kernel.Markov.hi) / 2
     in
     Hvalue.caching_markov ~kernel ~start ~l ~value
-  | Some _ | None -> Hvalue.caching_independent ~reference:pred ~l ~value
+  | None -> Hvalue.caching_independent ~reference:pred ~l ~value
 
 (* The caching policies' selection.  As a set it equals keeping the
    [capacity] best candidates (the fetched [value] on a miss, then the
@@ -268,69 +190,18 @@ let drop_worst ~capacity ~score candidates =
   in
   drop (List.length candidates - capacity) candidates
 
-(* Same sweep as [prune_hvals], keyed by cached value instead of uid. *)
-let prune_cached_hvals hvals kept =
-  let keep = Hashtbl.create 64 in
-  List.iter (fun v -> Hashtbl.replace keep v ()) kept;
-  let stale =
-    Hashtbl.fold
-      (fun v _ acc -> if Hashtbl.mem keep v then acc else v :: acc)
-      hvals []
-  in
-  List.iter (Hashtbl.remove hvals) stale
-
-let caching ?name ~reference ~l ?(mode = `Direct) () =
-  let mode =
-    match mode with
-    | `Incremental _ when not reference.Predictor.independent ->
-      Log.warn (fun m ->
-          m "incremental caching HEEB needs an independent reference; using direct");
-      `Direct
-    | `Memo_trend _ -> `Direct
-    | m -> m
-  in
+let caching ?name ~reference ~l () =
   let pred = ref reference in
-  (* value -> (H, time of last direct computation), for [`Incremental] *)
-  let hvals : (int, float * int) Hashtbl.t = Hashtbl.create 128 in
   let name =
     match name with
     | Some n -> n
     | None -> Printf.sprintf "HEEB(%s)" l.Lfun.name
   in
-  let access ~now ~cached ~value ~hit ~capacity =
+  let access ~now:_ ~cached ~value ~hit ~capacity =
+    pred := !pred.Predictor.observe value;
     let candidates = candidates ~cached ~value ~hit in
-    match mode with
-    | `Direct | `Memo_trend _ ->
-      pred := !pred.Predictor.observe value;
-      if fits ~capacity candidates then candidates
-      else drop_worst ~capacity ~score:(caching_direct_h !pred ~l) candidates
-    | `Incremental { alpha; refresh_every } ->
-      (* The Corollary 4 recurrence and the refresh clock advance on every
-         reference, so every candidate is rescored, fitting or not. *)
-      let prior = !pred.Predictor.pmf 1 in
-      pred := !pred.Predictor.observe value;
-      let rescore v =
-        let recompute () = Hashtbl.replace hvals v (caching_direct_h !pred ~l v, now) in
-        if v = value then recompute () (* fetched or just hit: clock restarts *)
-        else
-          match Hashtbl.find_opt hvals v with
-          | None -> recompute ()
-          | Some (h_prev, at) ->
-            if now - at >= refresh_every then recompute ()
-            else begin
-              let p_now = Ssj_prob.Pmf.prob prior v in
-              let h = Hvalue.step_caching_exp ~alpha ~h_prev ~p_now in
-              Hashtbl.replace hvals v (h, at)
-            end
-      in
-      List.iter rescore candidates;
-      let kept =
-        drop_worst ~capacity
-          ~score:(fun v -> fst (Hashtbl.find hvals v))
-          candidates
-      in
-      prune_cached_hvals hvals kept;
-      kept
+    if fits ~capacity candidates then candidates
+    else drop_worst ~capacity ~score:(caching_direct_h !pred ~l) candidates
   in
   { Policy.cname = name; access }
 

@@ -4,18 +4,21 @@
     Every variant scores each candidate tuple with
     [H_x = Σ_{Δt≥1} pr_x(Δt)·L(Δt)] and keeps the [capacity] candidates
     with the highest scores.  The variants differ only in how [H] is
-    computed:
+    computed, one way per model:
 
-    - [`Direct]: truncated summation each step (reference implementation);
-    - [`Incremental]: Corollaries 3–4 time-incremental updates for
-      independent processes with [L_exp] — O(1) per cached tuple per step,
-      with periodic direct refresh to stop float drift;
-    - [`Memo_trend speed]: for linear trends [f(t) = speed·t + b], combine
-      the time- and value-incremental observations (Corollary 5): [H]
-      depends only on the offset [v_x − speed·t0], so scores are memoised
-      by offset and each distinct offset is computed once per run;
-    - lookups of {!Precompute}'s functions: the random-walk curve, a
-      table on integer offsets ({!Interp.Curve}), and the AR(1) surface.
+    - [`Direct]: truncated summation each step (reference implementation;
+      also the adaptive, window and band variants);
+    - [`Memo_trend speed]: for linear trends [f(t) = speed·t + b], the
+      value-incremental observation of Corollary 5: [H] depends only on
+      the offset [v_x − speed·t0], so scores are memoised by offset and
+      each distinct offset is computed once per run;
+    - lookups of {!Precompute}'s functions (Theorem 5): the random-walk
+      curve, a table on integer offsets ({!Interp.Curve}), and the AR(1)
+      surface.
+
+    The time-incremental updates of Corollaries 3–4 are
+    {!Hvalue.step_joining_exp} and {!Hvalue.step_caching_exp}; no policy
+    runs them.
 
     The joining variants are {!Policy.scored} policies: each is one
     scoring kernel over the step's candidates.
@@ -24,12 +27,24 @@
     first simulated arrival (their [time] is [now − 1] when the policy
     first steps at [now]); the policy observes every arrival itself. *)
 
-type mode =
-  [ `Direct
-  | `Incremental of incr_config
-  | `Memo_trend of int  (** trend speed *) ]
+type mode = [ `Direct | `Memo_trend of int  (** trend speed *) ]
 
-and incr_config = { alpha : float; refresh_every : int }
+(** The two streams' predictors, advanced by every arrival: the state
+    of each directly scored joining HEEB (this module's, {!Band.heeb},
+    {!Sliding.heeb}). *)
+module Tracker : sig
+  type t
+
+  val create : r:Ssj_model.Predictor.t -> s:Ssj_model.Predictor.t -> t
+
+  val observe : t -> r:Ssj_stream.Tuple.t -> s:Ssj_stream.Tuple.t -> unit
+  (** Advance the predictor of each tuple's side by its value, [r]
+      first: the [observe] hook of {!Policy.scored}. *)
+
+  val partner : t -> int -> Ssj_model.Predictor.t
+  (** [partner t bit] is the predictor a candidate with uid side bit
+      [bit] joins: S's for an R tuple (bit 0), R's for an S tuple. *)
+end
 
 val joining :
   ?name:string ->
@@ -39,8 +54,7 @@ val joining :
   ?mode:mode ->
   unit ->
   Policy.join
-(** HEEB for the joining problem.  [`Incremental] silently degrades to
-    [`Direct] when either process is not independent. *)
+(** HEEB for the joining problem. *)
 
 val joining_curves :
   ?name:string ->
@@ -71,20 +85,19 @@ val caching :
   ?name:string ->
   reference:Ssj_model.Predictor.t ->
   l:Lfun.t ->
-  ?mode:mode ->
   unit ->
   Policy.cache
-(** HEEB for the caching problem ([`Memo_trend] is not applicable here and
-    degrades to [`Direct]).  A cache hit restarts the hit entry's
-    first-reference clock (its [H] is recomputed directly).
+(** HEEB for the caching problem, scored directly: the first-passage
+    sum {!Hvalue.caching_markov} when the reference carries a Markov
+    [kernel] (random walk, AR(1)), started from the last reference
+    clamped into the kernel's window (its midpoint before any), else
+    {!Hvalue.caching_independent}.
 
     Selection keeps, as a set, the [capacity] best candidates (the fetched
     value on a miss, then the cache) by [H], ties to the larger value.  A
     hit or a miss with room keeps every candidate; a full miss drops the
     one argmin — smallest [H] under [Float.compare], ties to the smaller
-    value — found in one pass.  [`Direct] scores only on full misses;
-    [`Incremental] rescores every candidate on every reference, since its
-    Corollary 4 recurrence and refresh clock advance per reference. *)
+    value — found in one pass.  Only full misses score. *)
 
 val caching_fn :
   ?name:string -> h:(now:int -> last:int -> int -> float) -> unit -> Policy.cache

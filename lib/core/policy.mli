@@ -5,7 +5,7 @@
     exactly once per time step, in time order, with the current cache
     contents and the new arrivals; the policy decides the new cache
     contents (a subset of cached ∪ arrivals of size ≤ capacity).  State
-    (history counts, predictors, incremental H values) lives inside the
+    (history counts, predictors, memoised H values) lives inside the
     closure.
 
     Two variants mirror the paper's two problems: {!join} for joining two
@@ -135,8 +135,8 @@ val scored :
     + with [capacity > 0], the candidates are copied into scratch
       arrays, [kernel] scores them and the [capacity] best are kept,
       best-first: higher score first, ties to the newer (higher) uid;
-    + [after ~now ~src ~dst] sees the result (state pruning, learning
-      from evictions).
+    + [after ~now ~src ~dst] sees the result (learning from
+      evictions).
 
     The step records the exact diff.  Scratch
     arrays belong to the policy instance; do not share one across

@@ -35,8 +35,11 @@ let walk_joining_h ~step ~drift ~l ~d =
   done;
   !acc
 
-let caching_columns_batch ~kernel ~targets ~ls ?(horizon = 4096)
-    ?(stop_eps = 1e-9) () =
+(* A target's DP stops once its largest per-step contribution falls
+   below this. *)
+let stop_eps = 1e-9
+
+let caching_columns_batch ~kernel ~targets ~ls ?(horizon = 4096) () =
   let dk = Markov.Dense.of_kernel kernel in
   let n = dk.Markov.Dense.n and w = dk.Markov.Dense.w in
   let rows = dk.Markov.Dense.rows and slot = dk.Markov.Dense.slot in
@@ -127,8 +130,8 @@ let caching_columns_batch ~kernel ~targets ~ls ?(horizon = 4096)
   done;
   h
 
-let caching_columns ~kernel ~target ~ls ?horizon ?stop_eps () =
-  (caching_columns_batch ~kernel ~targets:[| target |] ~ls ?horizon ?stop_eps ()).(0)
+let caching_columns ~kernel ~target ~ls ?horizon () =
+  (caching_columns_batch ~kernel ~targets:[| target |] ~ls ?horizon ()).(0)
 
 let walk_caching_curve ~step ~drift ~l ~lo ~hi ?(horizon = 4096) () =
   if lo >= hi then invalid_arg "Precompute.walk_caching_curve: need lo < hi";

@@ -56,22 +56,20 @@ val caching_columns :
   target:int ->
   ls:Lfun.t array ->
   ?horizon:int ->
-  ?stop_eps:float ->
   unit ->
   float array array
 (** Backward first-passage DP described above.  [result.(j).(x − lo)] is
     the caching [H] of a database tuple with value [target] when the last
     observed reference is [x], under [ls.(j)].  [horizon] caps the DP
-    (default 4096); [stop_eps] (default 1e-9) stops once the largest
-    per-step contribution becomes negligible.  Equivalent to a
-    single-target {!caching_columns_batch}. *)
+    (default 4096); it stops earlier once the largest per-step
+    contribution falls below 1e-9.  Equivalent to a single-target
+    {!caching_columns_batch}. *)
 
 val caching_columns_batch :
   kernel:Ssj_model.Markov.kernel ->
   targets:int array ->
   ls:Lfun.t array ->
   ?horizon:int ->
-  ?stop_eps:float ->
   unit ->
   float array array array
 (** The same DP run for several targets at once over one shared dense

@@ -1,32 +1,23 @@
 open Ssj_stream
-open Ssj_model
 
 let heeb ?name ~r ~s ~alpha ~window () =
   let base = Lfun.exp_ ~alpha in
   let width = Window.width window in
-  let r_pred = ref r and s_pred = ref s in
+  let tr = Heeb.Tracker.create ~r ~s in
   let name =
     match name with
     | Some n -> n
     | None -> Printf.sprintf "HEEB-W(a=%.3g,w=%d)" alpha width
   in
-  let note (t : Tuple.t) =
-    match t.Tuple.side with
-    | Tuple.R -> r_pred := !r_pred.Predictor.observe t.Tuple.value
-    | Tuple.S -> s_pred := !s_pred.Predictor.observe t.Tuple.value
-  in
-  let observe ~r ~s =
-    note r;
-    note s
-  in
-  Policy.scored ~name ~observe (fun ~now ~n ~uids ~values ~scores ->
+  Policy.scored ~name ~observe:(Heeb.Tracker.observe tr)
+    (fun ~now ~n ~uids ~values ~scores ->
       for i = 0 to n - 1 do
         let remaining = Window.remaining_at window ~now ~arrival:(uids.(i) asr 1) in
         scores.(i) <-
           (if remaining <= 0 then Float.neg_infinity
            else
-             let partner = if uids.(i) land 1 = 0 then !s_pred else !r_pred in
-             Hvalue.joining ~partner
+             Hvalue.joining
+               ~partner:(Heeb.Tracker.partner tr (uids.(i) land 1))
                ~l:(Lfun.windowed base ~remaining)
                ~value:values.(i))
       done)

@@ -13,10 +13,6 @@ val ar1 : float array -> Ar1.params
 
 val ar1_of_ints : int array -> Ar1.params
 
-val residual_stddev : float array -> Ar1.params -> float
-(** Standard deviation of one-step-ahead residuals under the given
-    parameters (diagnostic; [ar1] already uses it internally). *)
-
 type arp = {
   mean : float;
   coeffs : float array;  (** φ₁ … φ_p on the mean-centred series *)

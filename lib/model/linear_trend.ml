@@ -1,9 +1,6 @@
-let create ?(time = -1) ~trend ~noise () =
+let linear ?(time = -1) ~speed ~offset ~noise () =
   let pmf ~time ~last:_ delta =
     if delta < 1 then invalid_arg "Linear_trend.pmf: delta < 1";
-    Ssj_prob.Pmf.shift noise (trend (time + delta))
+    Ssj_prob.Pmf.shift noise ((speed * (time + delta)) + offset)
   in
-  Predictor.make ~name:"linear-trend" ~independent:true ~time ~pmf ()
-
-let linear ?time ~speed ~offset ~noise () =
-  create ?time ~trend:(fun t -> (speed * t) + offset) ~noise ()
+  Predictor.make ~name:"linear-trend" ~time ~pmf ()

@@ -3,13 +3,9 @@
     [X_t = f(t) + Y_t] with a deterministic trend [f] and i.i.d. zero-mean
     noise [Y].  TOWER / ROOF use bounded discretised normal noise, FLOOR
     bounded uniform noise; all three use the linear trend
-    [f(t) = speed·t + offset].  Arbitrary trends are supported ([create]),
-    matching the paper's remark that the Section-5.3 analysis holds for any
-    non-decreasing [f]. *)
-
-val create : ?time:int -> trend:(int -> int) -> noise:Ssj_prob.Pmf.t -> unit -> Predictor.t
+    [f(t) = speed·t + offset]. *)
 
 val linear :
   ?time:int -> speed:int -> offset:int -> noise:Ssj_prob.Pmf.t -> unit -> Predictor.t
-(** [linear ~speed ~offset ~noise ()] is [create] with
-    [f(t) = speed·t + offset]. *)
+(** [linear ~speed ~offset ~noise ()] is the stream with trend
+    [f(t) = speed·t + offset]; [time] defaults to [-1]. *)

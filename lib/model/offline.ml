@@ -1,5 +1,4 @@
 let never_value = min_int / 2
-let horizon values ~time = Array.length values - time - 1
 
 let create ?(time = -1) ?(strict = false) values =
   let pmf ~time ~last:_ delta =
@@ -13,4 +12,4 @@ let create ?(time = -1) ?(strict = false) values =
   let last =
     if time >= 0 && time < Array.length values then Some values.(time) else None
   in
-  Predictor.make ~name:"offline" ~independent:true ?last ~time ~pmf ()
+  Predictor.make ~name:"offline" ?last ~time ~pmf ()

@@ -12,9 +12,6 @@ val create : ?time:int -> ?strict:bool -> int array -> Predictor.t
     quiet"), so horizon-truncated sums just see zero match probability;
     pass [~strict:true] to raise [Invalid_argument] instead. *)
 
-val horizon : int array -> time:int -> int
-(** Remaining scripted steps after [time]. *)
-
 val never_value : int
 (** Sentinel join-attribute value emitted past the end of a non-strict
     script; guaranteed to match no realistic attribute value. *)

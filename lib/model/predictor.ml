@@ -1,7 +1,6 @@
 type t = {
   name : string;
   time : int;
-  independent : bool;
   last : int option;
   pmf : int -> Ssj_prob.Pmf.t;
   observe : int -> t;
@@ -26,12 +25,11 @@ let generate p rng n =
 
 let advance p values = Array.fold_left (fun p v -> p.observe v) p values
 
-let make ~name ?(independent = false) ?kernel ?last ~time ~pmf () =
+let make ~name ?kernel ?last ~time ~pmf () =
   let rec build time last =
     {
       name;
       time;
-      independent;
       last;
       kernel;
       pmf = (fun delta -> pmf ~time ~last delta);

@@ -12,25 +12,21 @@
 type t = {
   name : string;
   time : int;  (** current time [t0]; the next arrival occurs at [t0 + 1] *)
-  independent : bool;
-      (** true when the process's future values are independent of its past
-          given the model parameters (offline, stationary, linear-trend).
-          Enables the time-incremental HEEB of Corollaries 3–4. *)
   last : int option;  (** most recent observed value, if any *)
   pmf : int -> Ssj_prob.Pmf.t;
       (** [pmf delta] is the conditional law of [X_{t0+delta}], [delta ≥ 1] *)
   observe : int -> t;
       (** [observe v] advances time by one step with observed value [v] *)
   kernel : Markov.kernel option;
-      (** one-step transition kernel for Markov models (random walk, AR(1));
-          used for the first-reference DP of the caching problem *)
+      (** one-step transition kernel for Markov models (random walk, AR(1)),
+          whose future depends on the last value; [None] for the models
+          independent across time (offline, stationary, linear trend).
+          Caching HEEB takes the first-passage DP exactly when it is
+          present, and the independent first-reference sum otherwise *)
 }
 
 val prob : t -> delta:int -> int -> float
 (** [prob p ~delta v] = Pr{X_{t0+delta} = v | history}. *)
-
-val sample_next : t -> Ssj_prob.Rng.t -> int
-(** Draw the arrival at time [t0 + 1] from the conditional law. *)
 
 val generate : t -> Ssj_prob.Rng.t -> int -> int array * t
 (** [generate p rng n] samples an [n]-step path, observing each draw, and
@@ -41,7 +37,6 @@ val advance : t -> int array -> t
 
 val make :
   name:string ->
-  ?independent:bool ->
   ?kernel:Markov.kernel ->
   ?last:int ->
   time:int ->

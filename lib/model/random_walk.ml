@@ -10,5 +10,4 @@ let create ?(time = 0) ?(window = 400) ~start ~drift ~step () =
   let kernel =
     Markov.of_step ~step ~drift ~lo:(start - window) ~hi:(start + window)
   in
-  Predictor.make ~name:"random-walk" ~independent:false ~kernel ~last:start
-    ~time ~pmf ()
+  Predictor.make ~name:"random-walk" ~kernel ~last:start ~time ~pmf ()

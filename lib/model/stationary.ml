@@ -3,4 +3,4 @@ let create ?(time = 0) dist =
     if delta < 1 then invalid_arg "Stationary.pmf: delta < 1";
     dist
   in
-  Predictor.make ~name:"stationary" ~independent:true ~time ~pmf ()
+  Predictor.make ~name:"stationary" ~time ~pmf ()

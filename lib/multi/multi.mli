@@ -17,8 +17,6 @@ type tuple = {
   uid : int;  (** unique across all streams of a run *)
 }
 
-val make_tuple : streams:int -> stream:int -> value:int -> arrival:int -> tuple
-
 type queries = (int * int) list
 (** Unordered distinct stream pairs; [(i, j)] and [(j, i)] are the same
     query.  Validated by {!validate_queries}. *)

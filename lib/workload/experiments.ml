@@ -507,8 +507,8 @@ let example_scenario () =
     | 3 -> Pmf.of_assoc [ (1, 0.8); (-213, 0.2) ]
     | _ -> Pmf.point (-299)
   in
-  let r = Predictor.make ~name:"ex-R" ~independent:true ~time:0 ~pmf:r_pmf () in
-  let s = Predictor.make ~name:"ex-S" ~independent:true ~time:0 ~pmf:s_pmf () in
+  let r = Predictor.make ~name:"ex-R" ~time:0 ~pmf:r_pmf () in
+  let s = Predictor.make ~name:"ex-S" ~time:0 ~pmf:s_pmf () in
   (r, s)
 
 let example_3_4_numbers () =

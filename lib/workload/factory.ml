@@ -13,19 +13,14 @@ let trend_flow_expect cfg ~lookahead () =
   let r, s = Config.predictors cfg in
   Flow_expect.policy ~r ~s ~lookahead ()
 
-let trend_policies cfg ~seed ?(with_life = true) () =
+let trend_policies cfg ~seed () =
   let lifetime = Config.lifetime cfg in
-  let rand () =
-    Baselines.rand ~rng:(Rng.create seed) ~lifetime ()
-  in
-  let base =
-    [
-      ("RAND", rand);
-      ("PROB", fun () -> Baselines.prob ~lifetime ());
-    ]
-  in
-  let life = if with_life then [ ("LIFE", fun () -> Baselines.life ~lifetime ()) ] else [] in
-  base @ life @ [ ("HEEB", trend_heeb cfg) ]
+  [
+    ("RAND", fun () -> Baselines.rand ~rng:(Rng.create seed) ~lifetime ());
+    ("PROB", fun () -> Baselines.prob ~lifetime ());
+    ("LIFE", fun () -> Baselines.life ~lifetime ());
+    ("HEEB", trend_heeb cfg);
+  ]
 
 let walk_curve w ~capacity =
   let alpha = float_of_int (max 2 capacity) in

@@ -8,8 +8,7 @@
 
 type join_lineup = (string * (unit -> Ssj_core.Policy.join)) list
 
-val trend_policies :
-  Config.trend -> seed:int -> ?with_life:bool -> unit -> join_lineup
+val trend_policies : Config.trend -> seed:int -> unit -> join_lineup
 (** RAND, PROB, LIFE (window-aware per Section 6.2) and HEEB. *)
 
 val trend_heeb : Config.trend -> unit -> Ssj_core.Policy.join

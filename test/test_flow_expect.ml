@@ -61,7 +61,7 @@ let test_flow_plan_equals_exhaustive =
       let lookahead = List.length dists in
       (* Predictors for each stream: independent known per-step laws. *)
       let make_pred pick =
-        Predictor.make ~name:"scenario" ~independent:true ~time:0
+        Predictor.make ~name:"scenario" ~time:0
           ~pmf:(fun ~time:_ ~last:_ delta ->
             match List.nth_opt dists (delta - 1) with
             | Some pair -> pmf_of_dist (pick pair)
@@ -137,7 +137,7 @@ let test_handle_reuse_identical =
         (fun (dists, cached_value) ->
           let lookahead = List.length dists in
           let make_pred pick =
-            Predictor.make ~name:"scenario" ~independent:true ~time:0
+            Predictor.make ~name:"scenario" ~time:0
               ~pmf:(fun ~time:_ ~last:_ delta ->
                 match List.nth_opt dists (delta - 1) with
                 | Some pair -> pmf_of_dist (pick pair)

@@ -19,19 +19,14 @@ let heeb_with mode =
   Heeb.joining ~r ~s ~l ~mode ()
 
 let test_modes_agree () =
-  (* Direct, incremental and trend-memoised HEEB are the same policy
-     computed three ways: identical decisions, identical counts. *)
+  (* Direct and trend-memoised HEEB are the same policy computed two
+     ways: identical decisions, identical counts. *)
   let trace = tower_trace ~length:400 ~seed:3 in
-  let alpha = Ssj_workload.Config.alpha tower in
   let count mode =
     (run_joining (heeb_with mode) ~trace ~capacity:8).Ssj_engine.Join_sim
       .total_results
   in
-  let direct = count `Direct in
-  let incremental = count (`Incremental { Heeb.alpha; refresh_every = 64 }) in
-  let memo = count (`Memo_trend 1) in
-  check_int "incremental = direct" direct incremental;
-  check_int "memo = direct" direct memo
+  check_int "memo = direct" (count `Direct) (count (`Memo_trend 1))
 
 (* The trend memo keys a candidate by [((value - speed·now) lsl 1) lor
    side], so [min_int] is a reachable key; the memo must serve it like any
@@ -59,24 +54,6 @@ let test_memo_trend_min_int_key () =
     (count extreme (`Memo_trend speed));
   check_int "wrapped keys: memo = direct" (count trace `Direct)
     (count trace (`Memo_trend (speed - (1 lsl 61))))
-
-let test_incremental_refresh_resists_drift () =
-  (* Even with a very long refresh period the float drift must not change
-     decisions on a moderate run. *)
-  let trace = tower_trace ~length:400 ~seed:4 in
-  let alpha = Ssj_workload.Config.alpha tower in
-  let direct =
-    (run_joining (heeb_with `Direct) ~trace ~capacity:8).Ssj_engine.Join_sim
-      .total_results
-  in
-  let lazy_refresh =
-    (run_joining
-       (heeb_with (`Incremental { Heeb.alpha; refresh_every = 4096 }))
-       ~trace ~capacity:8)
-      .Ssj_engine.Join_sim
-      .total_results
-  in
-  check_int "long refresh still agrees" direct lazy_refresh
 
 let test_heeb_stationary_matches_prob_model () =
   (* Section 5.2: for stationary independent streams, HEEB's ranking
@@ -140,24 +117,6 @@ let test_heeb_caching_stationary_equals_lfu_model () =
       .Ssj_engine.Cache_sim.hits
   in
   check_int "HEEB = A0 on stationary reference" (run a0) (run heeb)
-
-let test_caching_incremental_matches_direct () =
-  let dist = Pmf.of_assoc [ (1, 0.4); (2, 0.3); (3, 0.2); (4, 0.1) ] in
-  let reference =
-    let p = Stationary.create dist in
-    fst (Predictor.generate p (rng 41) 300)
-  in
-  let run mode =
-    let policy =
-      Heeb.caching ~reference:(Stationary.create dist)
-        ~l:(Lfun.exp_ ~alpha:6.0) ~mode ()
-    in
-    (Ssj_engine.Cache_sim.run ~reference ~policy ~capacity:2 ~validate:true ())
-      .Ssj_engine.Cache_sim.hits
-  in
-  check_int "incremental caching = direct"
-    (run `Direct)
-    (run (`Incremental { Heeb.alpha = 6.0; refresh_every = 64 }))
 
 let test_caching_fn_scores_full_misses_only () =
   (* A counting scorer: hits and misses with room score nothing; a full
@@ -318,16 +277,12 @@ let suite =
     Alcotest.test_case "modes agree" `Quick test_modes_agree;
     Alcotest.test_case "trend memo serves key min_int" `Quick
       test_memo_trend_min_int_key;
-    Alcotest.test_case "incremental drift control" `Quick
-      test_incremental_refresh_resists_drift;
     Alcotest.test_case "stationary HEEB = PROB (Section 5.2)" `Quick
       test_heeb_stationary_matches_prob_model;
     Alcotest.test_case "offline caching HEEB = LFD (Section 5.1)" `Slow
       test_heeb_caching_offline_equals_lfd;
     Alcotest.test_case "stationary caching HEEB = A0 (Section 5.2)" `Quick
       test_heeb_caching_stationary_equals_lfu_model;
-    Alcotest.test_case "caching incremental = direct" `Quick
-      test_caching_incremental_matches_direct;
     Alcotest.test_case "caching_fn scores on full misses only" `Quick
       test_caching_fn_scores_full_misses_only;
     Alcotest.test_case "walk curve policy" `Quick

@@ -78,8 +78,6 @@ let test_factory_lineups () =
   Alcotest.(check (list string)) "trend lineup"
     [ "RAND"; "PROB"; "LIFE"; "HEEB" ]
     (List.map fst lineup);
-  let no_life = Factory.trend_policies cfg ~seed:1 ~with_life:false () in
-  check_bool "LIFE omitted" true (not (List.mem_assoc "LIFE" no_life));
   let walk = Factory.walk_policies (Config.walk ()) ~seed:1 ~capacity:5 in
   Alcotest.(check (list string)) "walk lineup" [ "RAND"; "PROB"; "HEEB" ]
     (List.map fst walk)
