@@ -49,7 +49,7 @@ let () =
       (fun (label, make) ->
         let policy = make () in
         let result =
-          Cache_sim.run ~reference ~policy ~capacity ~validate:true ()
+          Cache_sim.run ~reference ~policy ~capacity ()
         in
         [
           label;

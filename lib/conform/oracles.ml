@@ -355,7 +355,7 @@ let keep_top_check =
 
 (* --- caching selection: argmin vs keep_best_spec --------------------- *)
 
-let cache_spec access = { Policy.cname = "spec"; access }
+let cache_spec keep = { Ref_sim.spec_name = "spec"; keep }
 
 (* HEEB caching as it scored before the argmin rule: every candidate, on
    every reference, then [Ref_sim.keep_best_spec].  Direct H for an
@@ -367,8 +367,9 @@ let heeb_spec ~reference ~l =
       let score v = Hvalue.caching_independent ~reference:!pred ~l ~value:v in
       Ref_sim.keep_best_spec ~capacity ~score ~cached ~value ~hit)
 
-(* Classic's scored eviction as a two-call fold: every comparison scores
-   both entries, ties to the earliest entry in list order. *)
+(* Classic's scored eviction as a two-call fold over the list cache,
+   newest admission first: every comparison scores both entries, ties
+   to the earliest entry in list order. *)
 let classic_spec ~observe ~score =
   cache_spec (fun ~now ~cached ~value ~hit ~capacity ->
       observe ~now ~value;
@@ -417,30 +418,72 @@ let lfd_spec reference =
     ~observe:(fun ~now:_ ~value:_ -> ())
     ~score:(fun ~now v -> -.float_of_int (min (next v (now + 1)) (2 * (n + 1))))
 
-(* Both policies replay [reference] from an empty cache, each on its own
-   cache, the access at step [t] happening at time [nows.(t)]; the hit
-   flags and the kept sets must agree at every step. *)
-let cache_lockstep ~reference ~nows ~capacity (fast : Policy.cache)
-    (spec : Policy.cache) =
+(* LRU-k's score on the history of its [k] newest references. *)
+let lruk_spec ~k =
+  let refs = Hashtbl.create 16 in
+  classic_spec
+    ~observe:(fun ~now ~value ->
+      let old = Option.value ~default:[] (Hashtbl.find_opt refs value) in
+      Hashtbl.replace refs value (List.filteri (fun i _ -> i < k) (now :: old)))
+    ~score:(fun ~now:_ v ->
+      match Hashtbl.find_opt refs v with
+      | Some times when List.length times >= k ->
+        float_of_int (List.nth times (k - 1))
+      | Some (t :: _) -> -1e12 +. float_of_int t
+      | Some [] | None -> Float.neg_infinity)
+
+let a0_spec ~prob =
+  classic_spec ~observe:(fun ~now:_ ~value:_ -> ()) ~score:(fun ~now:_ v -> prob v)
+
+(* RAND's list form: the draw indexes the cache newest first. *)
+let rand_spec rng =
+  cache_spec (fun ~now:_ ~cached ~value ~hit ~capacity ->
+      if hit then cached
+      else if capacity = 0 then []
+      else
+        let n = List.length cached in
+        if n < capacity then value :: cached
+        else
+          let r = Rng.int rng n in
+          value :: List.filteri (fun i _ -> i <> r) cached)
+
+(* [fast] runs through [Cache_sim] and [spec] through the list replay
+   [Ref_sim.cache_replay], each on its own cache from empty, the access
+   at step [t] happening at time [nows.(t)]; the hit flags and the kept
+   sets must agree at every step. *)
+let cache_lockstep ~reference ~nows ~capacity (fast : Policy.cache) spec =
+  let expected = Ref_sim.cache_replay ~reference ~nows ~capacity spec in
+  let sim = Cache_sim.create ~policy:fast ~capacity in
   let sorted l = List.sort Int.compare l in
   let render l = String.concat ";" (List.map string_of_int (sorted l)) in
-  let rec step t fc sc =
+  let rec step t =
     if t >= Array.length reference then None
     else begin
-      let value = reference.(t) and now = nows.(t) in
-      let fhit = List.mem value fc and shit = List.mem value sc in
-      let fk = fast.Policy.access ~now ~cached:fc ~value ~hit:fhit ~capacity in
-      let sk = spec.Policy.access ~now ~cached:sc ~value ~hit:shit ~capacity in
-      if fhit <> shit || sorted fk <> sorted sk then
+      let now = nows.(t) in
+      let hit = Cache_sim.access sim ~now reference.(t) in
+      let kept = Cache_sim.contents sim in
+      let shit, skept = expected.(t) in
+      if hit <> shit || sorted kept <> sorted skept then
         Some
-          (Printf.sprintf "%s cap %d t=%d now=%d: hit %b kept [%s] <> spec hit %b kept [%s]"
-             fast.Policy.cname capacity t now fhit (render fk) shit (render sk))
-      else step (t + 1) fk sk
+          (Printf.sprintf
+             "%s cap %d t=%d now=%d value=%d: hit %b kept [%s] <> spec hit %b \
+              kept [%s]"
+             fast.Policy.cname capacity t now reference.(t) hit (render kept)
+             shit (render skept))
+      else step (t + 1)
     end
   in
-  step 0 [] []
+  step 0
 
 let cache_capacities = [| 0; 1; 2; 7; 25 |]
+
+(* The domain spread over +-1e9, with [min_int] and [max_int] as values
+   0 and 1. *)
+let hostile rng domain =
+  Array.init domain (function
+    | 0 -> min_int
+    | 1 -> max_int
+    | v -> -1_000_000_000 + (v * 47_000_000) + Rng.int rng 1_000_000)
 
 (* Family 2's random walk: lazy unit steps from 0, its kernel cut to the
    17 states within 8 of the start, which a reference path leaves now
@@ -472,12 +515,7 @@ let cache_selection_violation ~seed i =
   let reference =
     if family < 3 || i / 6 mod 2 = 0 then reference
     else
-      let relabel =
-        Array.init domain (function
-          | 0 -> min_int
-          | 1 -> max_int
-          | v -> -1_000_000_000 + (v * 47_000_000) + Rng.int rng 1_000_000)
-      in
+      let relabel = hostile rng domain in
       Array.map (fun v -> relabel.(v)) reference
   in
   let nows =
@@ -533,6 +571,125 @@ let cache_selection_check =
           | Some detail ->
             Check.Fail
               { detail = Printf.sprintf "case %d: %s" i detail; case = None }
+      in
+      go 0)
+
+(* --- Cache_sim: stable slots vs the list loop ------------------------ *)
+
+(* Every caching policy with its list-shaped reference; [reference] is
+   the script LFD looks ahead in. *)
+let cache_policies ~seed ~reference =
+  let law = Pmf.of_assoc [ (0, 3.0); (1, 2.0); (2, 2.0); (3, 1.0) ] in
+  let l = Lfun.exp_ ~alpha:4.0 in
+  (* A0 on a tie-heavy model probability that is NaN for every value
+     divisible by 7: the classic rule's NaN handling is compared too. *)
+  let prob v = if v mod 7 = 0 then Float.nan else float_of_int (abs (v mod 3)) in
+  let h ~now ~last v = float_of_int ((((3 * v) + last + now) land 7) / 3) in
+  [|
+    (fun () -> (Classic.lru (), lru_spec ()));
+    (fun () -> (Classic.lfu (), lfu_spec ()));
+    (fun () -> (Classic.lfd ~reference, lfd_spec reference));
+    (fun () ->
+      (Classic.rand_cache ~rng:(Rng.create seed), rand_spec (Rng.create seed)));
+    (fun () -> (Classic.lruk ~k:2, lruk_spec ~k:2));
+    (fun () -> (Classic.lfu_model ~prob, a0_spec ~prob));
+    (fun () ->
+      ( Heeb.caching ~reference:(Stationary.create law) ~l (),
+        heeb_spec ~reference:(Stationary.create law) ~l ));
+    (fun () ->
+      ( Heeb.caching_fn ~h (),
+        cache_spec (fun ~now ~cached ~value ~hit ~capacity ->
+            Ref_sim.keep_best_spec ~capacity ~score:(h ~now ~last:value) ~cached
+              ~value ~hit) ));
+  |]
+
+let cache_policy_count = 8
+
+(* A reference over [domain] values in which, half the time, the value
+   just evicted is referenced again at once.  The evictions come from
+   replaying [spec] on the reference as it is drawn, so the pattern
+   holds for the policy under test whenever it agrees with its spec. *)
+let evict_then_rereference rng ~domain ~length ~capacity spec =
+  let cache = ref [] and last_evicted = ref None in
+  Array.init length (fun now ->
+      let value =
+        match !last_evicted with
+        | Some v when Rng.int rng 2 = 0 -> v
+        | _ -> Rng.int rng domain
+      in
+      let hit = List.mem value !cache in
+      let kept = spec.Ref_sim.keep ~now ~cached:!cache ~value ~hit ~capacity in
+      last_evicted := List.find_opt (fun v -> not (List.mem v kept)) !cache;
+      cache := kept;
+      value)
+
+(* Case [i]: policy [i mod 8]; reference shape [i / 8 mod 3]:
+   - 0: [cache_selection_violation]'s — a weighted stationary draw over
+     2..41 values, capacities 0, 1, 2, 7 and 25;
+   - 1: a capacity at least as large as the domain (nothing is ever
+     evicted once every value is cached);
+   - 2: every eviction's value re-referenced at once half the time
+     (LFD, whose spec needs the whole script first, cycles through
+     [capacity + 1] values instead, which re-references each value
+     evicted within [capacity] steps).
+   Shapes 0 and 2 relabel the values over +-1e9, [min_int] and
+   [max_int] included, when [i / 24] is odd. *)
+let slots_vs_list_violation ~seed i =
+  let rng = Rng.create (seed + (6007 * i)) in
+  let family = i mod cache_policy_count in
+  let shape = i / cache_policy_count mod 3 in
+  let domain = 2 + Rng.int rng 40 in
+  let length = 20 + Rng.int rng 120 in
+  let capacity =
+    match shape with
+    | 1 -> domain + Rng.int rng 3
+    | _ -> cache_capacities.(Rng.int rng (Array.length cache_capacities))
+  in
+  let reference =
+    match shape with
+    | 0 ->
+      let law =
+        Pmf.of_assoc
+          (List.init domain (fun v -> (v, float_of_int (1 + Rng.int rng 3))))
+      in
+      Array.init length (fun _ -> Pmf.sample law rng)
+    | 1 -> Array.init length (fun _ -> Rng.int rng domain)
+    | _ when family = 2 ->
+      Array.init length (fun t -> if Rng.int rng 8 = 0 then Rng.int rng domain else t mod (capacity + 1))
+    | _ ->
+      let _, spec = (cache_policies ~seed ~reference:[||]).(family) () in
+      evict_then_rereference rng ~domain ~length ~capacity spec
+  in
+  let reference =
+    if shape = 1 || i / 24 mod 2 = 0 then reference
+    else
+      let relabel = hostile rng (1 + Array.fold_left max 0 reference) in
+      Array.map (fun v -> relabel.(v)) reference
+  in
+  let fast, spec = (cache_policies ~seed ~reference).(family) () in
+  cache_lockstep ~reference ~nows:(Array.init length Fun.id) ~capacity fast spec
+
+let cache_sim_check =
+  Check.make ~name:"oracle:cache-sim/slots-vs-list" ~kind:Check.Oracle
+    ~fast:"Cache_sim stable slots + Itab hit test, every caching policy"
+    ~reference:"Ref_sim.cache_replay (list cache, List.mem hit test) on list specs"
+    (fun ~seed ~count ->
+      let rec go i =
+        if i >= count then
+          Check.Pass
+            { cases = count; note = "hit flags and kept sets equal, per step" }
+        else
+          match slots_vs_list_violation ~seed i with
+          | None -> go (i + 1)
+          | Some detail ->
+            Check.Fail
+              { detail = Printf.sprintf "case %d: %s" i detail; case = None }
+          | exception e ->
+            Check.Fail
+              {
+                detail = Printf.sprintf "case %d: raised %s" i (Printexc.to_string e);
+                case = None;
+              }
       in
       go 0)
 
@@ -1088,6 +1245,7 @@ let all =
     join_sim_validated;
     keep_top_check;
     cache_selection_check;
+    cache_sim_check;
     flow_expect_check;
     h1_check;
     h1_kernel_check;

@@ -26,6 +26,12 @@
       against {!Ref_sim.keep_best_spec} (HEEB) or the two-call
       scored fold (Classic) at capacities 0, 1, 2, 7 and 25: equal
       hit/miss sequences and kept sets at every step.
+    - [oracle:cache-sim/slots-vs-list] — {!Ssj_engine.Cache_sim}'s
+      stable slots vs the list loop {!Ref_sim.cache_replay}, for every
+      caching policy against its list spec: stationary references with
+      hostile values at capacities 0–25, a capacity at least the domain,
+      and evicted values re-referenced at once; equal hit flags and
+      kept sets at every step.
     - [oracle:flow-expect/warm-vs-fresh] — warm-started
       {!Ssj_core.Flow_expect.decide} vs fresh per-step solves
       (bit-equal kept sets and plan values).

@@ -74,6 +74,43 @@ let keep_top_spec ~capacity ~score candidates =
     List.filteri (fun i _ -> i < capacity) ordered |> List.map snd
   end
 
+type cache_spec = {
+  spec_name : string;
+  keep :
+    now:int -> cached:int list -> value:int -> hit:bool -> capacity:int -> int list;
+}
+
+let validate_cache_selection ~cached ~value ~capacity selection =
+  if List.length selection > capacity then
+    Error
+      (Printf.sprintf "cache of size %d exceeds capacity %d"
+         (List.length selection) capacity)
+  else if not (List.for_all (fun v -> v = value || List.mem v cached) selection)
+  then Error "cache contains a value that was neither cached nor fetched"
+  else if
+    List.length (List.sort_uniq Int.compare selection) <> List.length selection
+  then Error "cache contains duplicate values"
+  else Ok ()
+
+(* The caching loop before stable slots: the cache is the spec's list,
+   a hit is a list scan, and every selection is validated. *)
+let cache_replay ~reference ?nows ~capacity spec =
+  let cache = ref [] in
+  Array.mapi
+    (fun t value ->
+      let now = match nows with Some a -> a.(t) | None -> t in
+      let hit = List.mem value !cache in
+      let kept = spec.keep ~now ~cached:!cache ~value ~hit ~capacity in
+      (match validate_cache_selection ~cached:!cache ~value ~capacity kept with
+      | Ok () -> ()
+      | Error msg ->
+        failwith
+          (Printf.sprintf "Ref_sim: policy %s at t=%d: %s" spec.spec_name now
+             msg));
+      cache := kept;
+      (hit, kept))
+    reference
+
 (* Score every candidate (the fetched value first on a miss, then the
    cache), sort best-first with ties to the larger value, keep the
    prefix. *)

@@ -51,6 +51,35 @@ val keep_top_spec :
     ({!Ssj_core.Policy.scored}), which must agree exactly whenever the
     uids are distinct. *)
 
+type cache_spec = {
+  spec_name : string;
+  keep :
+    now:int -> cached:int list -> value:int -> hit:bool -> capacity:int -> int list;
+}
+(** A caching policy in the list shape {!Ssj_engine.Cache_sim} used
+    before stable slots: [keep] returns the new cache contents, a subset
+    of [cached ∪ {value}] of size ≤ [capacity].  The reference
+    implementations of {!Ssj_core.Classic} and {!Ssj_core.Heeb}'s
+    caching policies are written in this shape. *)
+
+val validate_cache_selection :
+  cached:int list -> value:int -> capacity:int -> int list -> (unit, string) Stdlib.result
+(** A list selection is within capacity, holds no duplicate, and only
+    cached or fetched values. *)
+
+val cache_replay :
+  reference:int array ->
+  ?nows:int array ->
+  capacity:int ->
+  cache_spec ->
+  (bool * int list) array
+(** The reference replay: from an empty cache, the access at index [t]
+    happening at time [nows.(t)] (default [t]), a hit being a scan of the
+    spec's list.  Returns each step's hit flag and kept list; a
+    selection that fails {!validate_cache_selection} raises [Failure]
+    naming the spec and the step.  The oracle for
+    {!Ssj_engine.Cache_sim}'s slots. *)
+
 val keep_best_spec :
   capacity:int ->
   score:(int -> float) ->

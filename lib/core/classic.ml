@@ -1,77 +1,61 @@
 module Itab = Ssj_prob.Itab
 
-(* The list without the first occurrence of [w], sharing the tail after
-   it.  On a cache (no duplicates) this is [List.filter ((<>) w)]. *)
-let rec remove_first (w : int) = function
-  | [] -> []
-  | v :: rest -> if v = w then rest else v :: remove_first w rest
-
-(* A full miss: [w] is the first entry, in list order, with the lowest
-   score [ws] so far — the strict [<] sends ties to the earliest entry.
-   Cache the fetched value only if it scores at least [ws]; otherwise
-   keeping the current contents is at least as good.  Every argument is
-   passed explicitly so the scan allocates no closure. *)
-let rec evict score now value cached w (ws : float) = function
-  | v :: rest ->
-    let s = score ~now v in
-    if s < ws then evict score now value cached v s rest
-    else evict score now value cached w ws rest
-  | [] ->
-    if score ~now value >= ws then value :: remove_first w cached else cached
-
-(* Shared skeleton: on hit return the cache unchanged (after bookkeeping);
-   on miss insert the new value, evicting the worst-scored entry when full.
-   [score] maps a cached value to its retention priority (higher = keep);
-   a full miss scores each entry once and the fetched value once. *)
-let scored_policy ~cname ~observe ~score =
-  let access ~now ~cached ~value ~hit ~capacity =
-    observe ~now ~value;
-    if hit then cached
-    else if List.compare_length_with cached capacity < 0 then value :: cached
-    else if capacity = 0 then []
-    else
-      match cached with
-      | [] -> [ value ]
-      | v :: rest -> evict score now value cached v (score ~now v) rest
+(* Shared skeleton: one score per slot.  [update ~now ~value ~hit c]
+   records the reference and writes the referenced value's retention
+   priority (higher = keep) into its slot, [c.scores.(c.slot)] — the hit
+   slot, or the staging slot on a miss.  No other slot is touched, since
+   no other value's score moved (LFD re-scores them itself when its
+   clock says they may have).  Each policy writes its score inline, so
+   no float is boxed on the way.  A full miss drops the shared argmin's
+   victim. *)
+let slot_scored ~cname update =
+  let access ~now ~(cached : Policy.slots) ~value ~hit ~capacity =
+    update ~now ~value ~hit cached;
+    if hit || cached.n < capacity then Policy.no_drop
+    else Policy.drop_argmin Policy.Newest_admitted cached
   in
   { Policy.cname; access }
 
-(* The list without its [i]-th element, sharing the tail after it. *)
-let rec remove_nth i = function
-  | [] -> []
-  | v :: rest -> if i = 0 then rest else v :: remove_nth (i - 1) rest
-
 let rand_cache ~rng =
   (* Always admit the fetched tuple, evicting a uniformly random entry:
-     the same draw as [Rng.pick] over the cache as an array. *)
-  let access ~now:_ ~cached ~value ~hit ~capacity =
-    if hit then cached
-    else if capacity = 0 then []
-    else
-      let n = List.length cached in
-      if n < capacity then value :: cached
-      else value :: remove_nth (Ssj_prob.Rng.int rng n) cached
+     the draw [Rng.int rng n] is an admission rank, newest first, as the
+     list cache it replaces indexed it.  [order] holds the slots oldest
+     first, so rank [r] is [order.(n - 1 - r)]. *)
+  let order = ref [||] in
+  let access ~now:_ ~(cached : Policy.slots) ~value:_ ~hit ~capacity =
+    let n = cached.n in
+    if hit then Policy.no_drop
+    else if capacity = 0 then n
+    else begin
+      if Array.length !order < capacity then order := Array.make capacity 0;
+      let order = !order in
+      if n < capacity then begin
+        order.(n) <- n;
+        Policy.no_drop
+      end
+      else begin
+        let at = n - 1 - Ssj_prob.Rng.int rng n in
+        let d = order.(at) in
+        Array.blit order (at + 1) order at (n - 1 - at);
+        order.(n - 1) <- d;
+        d
+      end
+    end
   in
   { Policy.cname = "RAND"; access }
 
-(* LRU reads a value's last reference time with [min_int] as the lookup
-   default.  [min_int] is also a legal time, so only that result pays an
-   [Itab.mem] to tell "never referenced" apart. *)
+(* A cached value's last reference is the one that made or kept it
+   cached, so its slot's score is that reference's time. *)
 let lru () =
-  let last_use = Itab.create ~size:64 () in
-  let observe ~now ~value = Itab.set last_use value now in
-  let score ~now:_ v =
-    let t = Itab.find_default last_use v min_int in
-    if t = min_int && not (Itab.mem last_use v) then Float.neg_infinity
-    else float_of_int t
-  in
-  scored_policy ~cname:"LRU" ~observe ~score
+  slot_scored ~cname:"LRU" (fun ~now ~value:_ ~hit:_ (c : Policy.slots) ->
+      Array.unsafe_set c.scores c.slot (float_of_int now))
 
 let lfu () =
   let counts = Itab.create ~size:64 () in
-  let observe ~now:_ ~value = Itab.add counts value 1 in
-  let score ~now:_ v = float_of_int (Itab.find_default counts v 0) in
-  scored_policy ~cname:"LFU" ~observe ~score
+  slot_scored ~cname:"LFU" (fun ~now:_ ~value ~hit:_ (c : Policy.slots) ->
+      Itab.add counts value 1;
+      Array.unsafe_set c.scores c.slot
+        (float_of_int (Itab.find_default counts value 0)))
 
 let lruk ~k =
   if k < 1 then invalid_arg "Classic.lruk: k < 1";
@@ -84,7 +68,7 @@ let lruk ~k =
     let updated = List.filteri (fun i _ -> i < k) updated in
     Hashtbl.replace refs value updated
   in
-  let score ~now:_ v =
+  let score v =
     match Hashtbl.find_opt refs v with
     | Some times when List.length times >= k ->
       (* k-th most recent reference time; bigger = more recently active. *)
@@ -96,7 +80,10 @@ let lruk ~k =
       -1e12 +. float_of_int newest
     | None -> Float.neg_infinity
   in
-  scored_policy ~cname:(Printf.sprintf "LRU-%d" k) ~observe ~score
+  slot_scored ~cname:(Printf.sprintf "LRU-%d" k)
+    (fun ~now ~value ~hit:_ (c : Policy.slots) ->
+      observe ~now ~value;
+      c.scores.(c.slot) <- score value)
 
 let lfd ~reference =
   let n = Array.length reference in
@@ -158,11 +145,26 @@ let lfd ~reference =
       if i >= stop then max_int else times.(i)
     end
   in
-  let observe ~now:_ ~value:_ = () in
-  let score ~now v = -.float_of_int (Int.min (next_use ~now v) (2 * (n + 1))) in
-  scored_policy ~cname:"LFD" ~observe ~score
+  let cap = 2 * (n + 1) in
+  (* On the clock [0, 1, 2, ...] of [reference] itself, the step at
+     [now] moves only the next use of [reference.(now)] — the referenced
+     value, whose slot is re-scored anyway.  Any other step (a clock
+     that jumps or goes back, or a reference that is not
+     [reference.(now)]) may move every cached value's next use: the
+     slots go stale and are re-scored before the next decision. *)
+  let expected = ref 0 and stale = ref false in
+  slot_scored ~cname:"LFD" (fun ~now ~value ~hit (c : Policy.slots) ->
+      if now <> !expected || now < 0 || now >= n || reference.(now) <> value
+      then stale := true;
+      expected := now + 1;
+      if !stale && not hit then begin
+        for i = 0 to c.n - 1 do
+          c.scores.(i) <- -.float_of_int (Int.min (next_use ~now c.values.(i)) cap)
+        done;
+        stale := false
+      end;
+      c.scores.(c.slot) <- -.float_of_int (Int.min (next_use ~now value) cap))
 
 let lfu_model ~prob =
-  let observe ~now:_ ~value:_ = () in
-  let score ~now:_ v = prob v in
-  scored_policy ~cname:"A0" ~observe ~score
+  slot_scored ~cname:"A0" (fun ~now:_ ~value ~hit:_ (c : Policy.slots) ->
+      c.scores.(c.slot) <- prob value)

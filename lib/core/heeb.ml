@@ -156,63 +156,50 @@ let caching_direct_h pred ~l value =
     Hvalue.caching_markov ~kernel ~start ~l ~value
   | None -> Hvalue.caching_independent ~reference:pred ~l ~value
 
-(* The caching policies' selection.  As a set it equals keeping the
-   [capacity] best candidates (the fetched [value] on a miss, then the
-   cache) by score, ties to the larger value.  When the candidates fit —
-   every hit, every miss with room — that keeps them all and nothing is
-   scored.  Otherwise [drop_worst] removes, one pass each, the candidate
-   such a sort would rank last: the smallest score under [Float.compare],
-   ties to the smaller value.  Cache_sim's contract ([cached] within
-   [capacity]) makes that one drop, so [score] runs once per candidate. *)
-let candidates ~cached ~value ~hit = if hit then cached else value :: cached
-
-let fits ~capacity candidates = List.compare_length_with candidates capacity <= 0
-
-let rec worst ~score w ws = function
-  | [] -> w
-  | (v : int) :: rest ->
-    let s = score v in
-    let c = Float.compare s ws in
-    if c < 0 || (c = 0 && v < w) then worst ~score v s rest
-    else worst ~score w ws rest
-
-(* The list without its first [v], sharing the tail after it. *)
-let rec remove (v : int) = function
-  | [] -> []
-  | w :: rest -> if w = v then rest else w :: remove v rest
-
-let drop_worst ~capacity ~score candidates =
-  let rec drop excess candidates =
-    match candidates with
-    | v :: rest when excess > 0 ->
-      drop (excess - 1) (remove (worst ~score v (score v) rest) candidates)
-    | _ -> candidates
+(* Every HEEB caching policy: [observe] sees each reference; a hit or a
+   miss with room keeps every candidate, so nothing is scored; a full
+   miss fills the scores of all [n + 1] candidates (the [n] slots, then
+   the fetched value staged in slot [n]) and drops the shared argmin
+   under [Float.compare], ties to the smaller value — the last of a
+   best-first sort with ties to the larger value. *)
+let on_full_miss ~cname ~observe fill =
+  let access ~now ~(cached : Policy.slots) ~value ~hit ~capacity =
+    observe value;
+    if hit || cached.n < capacity then Policy.no_drop
+    else begin
+      fill ~now ~value cached;
+      Policy.drop_argmin Policy.Smaller_value cached
+    end
   in
-  drop (List.length candidates - capacity) candidates
+  { Policy.cname; access }
 
 let caching ?name ~reference ~l () =
   let pred = ref reference in
-  let name =
+  let cname =
     match name with
     | Some n -> n
     | None -> Printf.sprintf "HEEB(%s)" l.Lfun.name
   in
-  let access ~now:_ ~cached ~value ~hit ~capacity =
-    pred := !pred.Predictor.observe value;
-    let candidates = candidates ~cached ~value ~hit in
-    if fits ~capacity candidates then candidates
-    else drop_worst ~capacity ~score:(caching_direct_h !pred ~l) candidates
-  in
-  { Policy.cname = name; access }
+  on_full_miss ~cname
+    ~observe:(fun value -> pred := !pred.Predictor.observe value)
+    (fun ~now:_ ~value:_ (c : Policy.slots) ->
+      for i = 0 to c.n do
+        c.scores.(i) <- caching_direct_h !pred ~l c.values.(i)
+      done)
+
+type fill =
+  now:int -> last:int -> n:int -> values:int array -> scores:float array -> unit
+
+(* The history x̄_{t0} includes the reference just observed, so the
+   conditioning value [last] is today's [value]. *)
+let caching_kernel ?name (fill : fill) =
+  let cname = Option.value ~default:"HEEB(h)" name in
+  on_full_miss ~cname ~observe:ignore (fun ~now ~value (c : Policy.slots) ->
+      fill ~now ~last:value ~n:(c.n + 1) ~values:c.values ~scores:c.scores)
 
 let caching_fn ?name ~h () =
-  let name = Option.value ~default:"HEEB(h)" name in
-  let access ~now ~cached ~value ~hit ~capacity =
-    let candidates = candidates ~cached ~value ~hit in
-    if fits ~capacity candidates then candidates
-    else
-      (* The history x̄_{t0} includes the reference just observed, so the
-         conditioning value for h2(v_x, x_{t0}) is today's [value]. *)
-      drop_worst ~capacity ~score:(h ~now ~last:value) candidates
-  in
-  { Policy.cname = name; access }
+  caching_kernel ?name (fun ~now ~last ~n ~values ~scores ->
+      let score = h ~now ~last in
+      for i = 0 to n - 1 do
+        scores.(i) <- score values.(i)
+      done)

@@ -93,21 +93,31 @@ val caching :
     clamped into the kernel's window (its midpoint before any), else
     {!Hvalue.caching_independent}.
 
-    Selection keeps, as a set, the [capacity] best candidates (the fetched
-    value on a miss, then the cache) by [H], ties to the larger value.  A
-    hit or a miss with room keeps every candidate; a full miss drops the
-    one argmin — smallest [H] under [Float.compare], ties to the smaller
-    value — found in one pass.  Only full misses score. *)
+    As a set, the cache is the [capacity] best candidates (the cache,
+    plus the fetched value on a miss) by [H], ties to the larger value.
+    A hit or a miss with room keeps every candidate and scores nothing.
+    A full miss re-scores every slot and the fetched value, then drops
+    {!Policy.drop_argmin}[ Smaller_value]'s victim. *)
+
+type fill =
+  now:int -> last:int -> n:int -> values:int array -> scores:float array -> unit
+(** A precomputed-H scoring kernel: fill [scores.(0 .. n-1)] with the H
+    of the database tuples [values.(0 .. n-1)] when the most recent
+    reference was [last].  One call per full miss, so the loop over
+    candidates runs without a closure call or float boxing per
+    candidate. *)
+
+val caching_kernel : ?name:string -> fill -> Policy.cache
+(** Precomputed-H caching: only a full miss scores, by the argmin rule
+    of {!caching}, with one [fill] call over the [capacity + 1]
+    candidates (the slots, then the fetched value), [last] being the
+    reference just made.  HEEB(h2) fills from a y-slice of the bicubic
+    surface re-contracted in place ({!Interp.Surface.fill_slice}). *)
 
 val caching_fn :
   ?name:string -> h:(now:int -> last:int -> int -> float) -> unit -> Policy.cache
-(** Generic precomputed-H caching policy: [h ~now ~last] stages the scorer
-    for one reference, and [h ~now ~last value] scores a database tuple
-    [value] when the most recent reference was [last].  Only a full miss
-    scores, by the argmin rule of {!caching}: it applies [h ~now ~last]
-    once, then the scorer to each of the [capacity + 1] candidates once;
-    a hit or a miss with room calls nothing.  Used with
-    {!Precompute.walk_caching_curve} ([h = curve(value − last)]) and with
-    the bicubic {!Precompute.ar1_caching_surface}
-    ([h = surface(value, last)], staged as {!Interp.Surface.y_slice} at
-    [last], the REAL experiment). *)
+(** {!caching_kernel} with a generic scorer: [h ~now ~last] stages the
+    scorer once per full miss, and [h ~now ~last value] scores each of
+    the [capacity + 1] candidates once; a hit or a miss with room calls
+    nothing.  Used with {!Precompute.walk_caching_curve}
+    ([h = curve(value − last)]). *)

@@ -58,30 +58,36 @@ module Surface = struct
   let[@inline] position ~origin ~step n v =
     clampf 0.0 (float_of_int (n - 1)) ((v -. origin) /. step)
 
-  (* The cell [i <= n - 2] holding position [p]. *)
+  (* The cell [i <= n - 2] holding position [p].  Every [p] here comes
+     from [position], clamped to [0, n - 1], where truncation is the
+     floor: no libm call per evaluation. *)
   let[@inline] cell n p =
-    let i = int_of_float (Float.floor p) in
+    let i = int_of_float p in
     if n - 2 <= i then n - 2 else i
 
   (* Catmull–Rom combination of four neighbouring samples at fractional
      offset [u] in [0,1): the classic bicubic convolution kernel
      (a = -1/2), which interpolates the samples and is C¹. *)
+  let[@inline] w0 u u2 u3 = 0.5 *. (-.u3 +. (2.0 *. u2) -. u)
+  let[@inline] w1 u2 u3 = 0.5 *. ((3.0 *. u3) -. (5.0 *. u2) +. 2.0)
+  let[@inline] w2 u u2 u3 = 0.5 *. ((-3.0 *. u3) +. (4.0 *. u2) +. u)
+  let[@inline] w3 u2 u3 = 0.5 *. (u3 -. u2)
+
   let[@inline] cubic u s0 s1 s2 s3 =
     let u2 = u *. u in
     let u3 = u2 *. u in
-    let w0 = 0.5 *. (-.u3 +. (2.0 *. u2) -. u)
-    and w1 = 0.5 *. ((3.0 *. u3) -. (5.0 *. u2) +. 2.0)
-    and w2 = 0.5 *. ((-3.0 *. u3) +. (4.0 *. u2) +. u)
-    and w3 = 0.5 *. (u3 -. u2) in
-    (w0 *. s0) +. (w1 *. s1) +. (w2 *. s2) +. (w3 *. s3)
+    (w0 u u2 u3 *. s0) +. (w1 u2 u3 *. s1) +. (w2 u u2 u3 *. s2)
+    +. (w3 u2 u3 *. s3)
 
   (* Row [i] contracted along y in cell [iy] at offset [uy]; samples past
      the grid (the outer ring of the 4x4 patch) clamp to its edge. *)
+  let[@inline] sample (r : float array) ny j = r.(clampi 0 (ny - 1) j)
+
   let[@inline] row t ~iy ~uy i =
     let ny = ny t in
     let r = t.values.(clampi 0 (nx t - 1) i) in
-    let sample j = r.(clampi 0 (ny - 1) j) in
-    cubic uy (sample (iy - 1)) (sample iy) (sample (iy + 1)) (sample (iy + 2))
+    cubic uy (sample r ny (iy - 1)) (sample r ny iy) (sample r ny (iy + 1))
+      (sample r ny (iy + 2))
 
   let eval t x y =
     let nx = nx t and ny = ny t in
@@ -110,4 +116,67 @@ module Surface = struct
       rows.(clampi 0 (nx - 1) (ix - 1))
       rows.(ix) rows.(ix + 1)
       rows.(clampi 0 (nx - 1) (ix + 2))
+
+  (* A slice re-contracted in place at each [y], and per index [i] the
+     x-basis of the last [x] scored there: its cell [cols.(i)] ([-1]
+     before any) and the four Catmull–Rom weights
+     [weights.(4i .. 4i+3)], which depend on [x] alone. *)
+  type scorer = {
+    surface : t;
+    slice : slice;
+    mutable keys : int array;
+    mutable cols : int array;
+    mutable weights : float array;
+  }
+
+  let scorer t =
+    { surface = t; slice = y_slice t 0.0; keys = [||]; cols = [||]; weights = [||] }
+
+  (* [y_slice]'s rows at [float_of_int y], written over the slice's. *)
+  let reslice t s y =
+    let ny = ny t in
+    let py = position ~origin:t.y0 ~step:t.dy ny (float_of_int y) in
+    let iy = cell ny py in
+    let uy = py -. float_of_int iy in
+    let rows = s.rows in
+    for i = 0 to Array.length rows - 1 do
+      rows.(i) <- row t ~iy ~uy i
+    done
+
+  let basis sc i x =
+    let nx = Array.length sc.slice.rows in
+    let px = position ~origin:sc.slice.sx0 ~step:sc.slice.sdx nx (float_of_int x) in
+    let ix = cell nx px in
+    let u = px -. float_of_int ix in
+    let u2 = u *. u in
+    let u3 = u2 *. u in
+    let w = sc.weights and b = 4 * i in
+    w.(b) <- w0 u u2 u3;
+    w.(b + 1) <- w1 u2 u3;
+    w.(b + 2) <- w2 u u2 u3;
+    w.(b + 3) <- w3 u2 u3;
+    sc.cols.(i) <- ix;
+    sc.keys.(i) <- x
+
+  (* [eval_slice] term for term, with the weights read back: the same
+     products summed in the same order. *)
+  let score_at sc ~y ~n xs out =
+    reslice sc.surface sc.slice y;
+    if Array.length sc.cols < n then begin
+      sc.keys <- Array.make n 0;
+      sc.cols <- Array.make n (-1);
+      sc.weights <- Array.make (4 * n) 0.0
+    end;
+    let rows = sc.slice.rows and cols = sc.cols and w = sc.weights in
+    let last = Array.length rows - 1 in
+    for i = 0 to n - 1 do
+      let x = xs.(i) in
+      if cols.(i) < 0 || sc.keys.(i) <> x then basis sc i x;
+      let ix = cols.(i) and b = 4 * i in
+      out.(i) <-
+        (w.(b) *. rows.(clampi 0 last (ix - 1)))
+        +. (w.(b + 1) *. rows.(ix))
+        +. (w.(b + 2) *. rows.(ix + 1))
+        +. (w.(b + 3) *. rows.(clampi 0 last (ix + 2)))
+    done
 end

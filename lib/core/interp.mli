@@ -56,6 +56,23 @@ module Surface : sig
   (** [eval_slice (y_slice s y) x] is bit-equal to [eval s x y]: both
       run the same row contraction and the same x combination. *)
 
+  type scorer
+  (** Many [x] scored against one integer [y] at a time, as HEEB(h2)
+      scores a full miss's candidates against the last reference: one
+      slice, re-contracted in place at each [y], and per index the
+      x-basis (cell and four Catmull–Rom weights, which depend on [x]
+      alone) of the last [x] scored at that index. *)
+
+  val scorer : t -> scorer
+
+  val score_at : scorer -> y:int -> n:int -> int array -> float array -> unit
+  (** [score_at sc ~y ~n xs out] sets [out.(i)] to
+      [eval_slice (y_slice s (float_of_int y)) (float_of_int xs.(i))]
+      for [i < n], bit for bit.  The x-basis at index [i] is derived
+      again only when [xs.(i)] differs from the last call's, so a cache
+      whose slots mostly keep their values costs four products per
+      slot.  Allocates nothing once it has seen its largest [n]. *)
+
   val nx : t -> int
   val ny : t -> int
 end

@@ -162,11 +162,103 @@ let fast_of_select select ~src ~dst ~now ~(r : Tuple.t) ~(s : Tuple.t)
   done;
   dst.evicted_n <- !en
 
+(* ------------------------------------------------------------------ *)
+(* Caching: stable slots, per-slot scores, one argmin                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The cache as [Cache_sim] holds it: [n] occupied slots, plus slot [n]
+   staging the fetched value on a miss.  A value keeps its slot from
+   admission to eviction, so a policy's per-slot state stays put. *)
+type slots = {
+  values : int array;
+  stamps : int array; (* admission order: larger = admitted later *)
+  scores : float array; (* the policy's, one per slot *)
+  mutable n : int;
+  mutable slot : int; (* the referenced value's slot; [n] on a miss *)
+}
+
+let slots ~capacity =
+  let m = max 0 capacity + 1 in
+  {
+    values = Array.make m 0;
+    stamps = Array.make m 0;
+    scores = Array.make m 0.0;
+    n = 0;
+    slot = 0;
+  }
+
+let no_drop = -1
+
 type cache = {
   cname : string;
   access :
-    now:int -> cached:int list -> value:int -> hit:bool -> capacity:int -> int list;
+    now:int -> cached:slots -> value:int -> hit:bool -> capacity:int -> int;
 }
+
+type tie = Newest_admitted | Smaller_value
+
+(* Classic's rule is the list scan it replaces, newest-first with a
+   strict [<]: the lowest score, ties to the newest admission — except
+   that a NaN in the newest slot stops the scan there, and any other
+   NaN is never picked.  The fetched value then goes in iff its score is
+   at least the victim's.  Stamps are read only on a score tie, and the
+   newest slot is looked up only when a NaN was seen.  HEEB's is a total
+   order over all [n + 1] candidates, so the slot order does not
+   matter.  Every float lives in a local ref, which the compiler keeps
+   unboxed. *)
+let drop_argmin tie (c : slots) =
+  let n = c.n and scores = c.scores in
+  match tie with
+  | Smaller_value ->
+    let values = c.values in
+    let w = ref n in
+    let ws = ref (Array.unsafe_get scores n) in
+    let wv = ref (Array.unsafe_get values n) in
+    for i = 0 to n - 1 do
+      let s = Array.unsafe_get scores i and v = Array.unsafe_get values i in
+      let cmp = Float.compare s !ws in
+      if cmp < 0 || (cmp = 0 && v < !wv) then begin
+        w := i;
+        ws := s;
+        wv := v
+      end
+    done;
+    !w
+  | Newest_admitted ->
+    if n = 0 then n
+    else begin
+      let stamps = c.stamps in
+      let w = ref (-1) and ws = ref Float.infinity and wst = ref min_int in
+      let nan = ref false in
+      for i = 0 to n - 1 do
+        let s = Array.unsafe_get scores i in
+        if s < !ws then begin
+          w := i;
+          ws := s;
+          wst := Array.unsafe_get stamps i
+        end
+        else if s = !ws then begin
+          let st = Array.unsafe_get stamps i in
+          if st > !wst then begin
+            w := i;
+            wst := st
+          end
+        end
+        else if s <> s then nan := true
+      done;
+      let w =
+        if not !nan then !w
+        else begin
+          let newest = ref 0 in
+          for i = 1 to n - 1 do
+            if Array.unsafe_get stamps i > Array.unsafe_get stamps !newest then
+              newest := i
+          done;
+          if Float.is_nan (Array.unsafe_get scores !newest) then !newest else !w
+        end
+      in
+      if Array.unsafe_get scores n >= Array.unsafe_get scores w then w else n
+    end
 
 let validate_join_selection ~cached ~arrivals ~capacity result =
   let candidates = cached @ arrivals in

@@ -2,15 +2,17 @@
     algorithm signature made executable.
 
     A policy is a stateful decision procedure.  The simulator steps it
-    exactly once per time step, in time order, with the current cache
-    contents and the new arrivals; the policy decides the new cache
-    contents (a subset of cached ∪ arrivals of size ≤ capacity).  State
-    (history counts, predictors, memoised H values) lives inside the
-    closure.
+    exactly once per time step, in time order; state (history counts,
+    predictors, memoised H values) lives inside the closure.
 
-    Two variants mirror the paper's two problems: {!join} for joining two
-    streams and {!cache} for the caching problem (reference stream against
-    a database relation, where cache entries are database-tuple values). *)
+    Two variants mirror the paper's two problems.  A {!join} policy sees
+    the current cache contents and the new arrivals, and decides the new
+    contents (a subset of cached ∪ arrivals of size ≤ capacity).  A
+    {!cache} policy serves the caching problem (a reference stream
+    against a database relation, where cache entries are database-tuple
+    values): it sees the cache as stable {!slots} with per-slot scores,
+    and on a full miss names the one candidate to drop, picked by the
+    shared {!drop_argmin}. *)
 
 type buffer = {
   mutable uids : int array;
@@ -160,17 +162,70 @@ val scored :
     crowded live bucket of ties out of uid order is first ordered by
     uid. *)
 
+type slots = {
+  values : int array;
+  stamps : int array;
+  scores : float array;
+  mutable n : int;
+  mutable slot : int;
+}
+(** The caching problem's cache, as {!Ssj_engine.Cache_sim} holds it:
+    [values.(0 .. n-1)] are the cached values, one per stable slot — a
+    value keeps its slot from admission to eviction.  [stamps.(i)] is
+    slot [i]'s admission stamp (larger = admitted later).
+    [scores.(i)] belongs to the policy: the per-slot score it keeps.
+    [slot] is the referenced value's slot: where it is cached on a hit,
+    and [n] on a miss, where slot [n] stages the fetched value (its
+    value and its would-be stamp).  The arrays have room for
+    [capacity + 1] slots. *)
+
+val slots : capacity:int -> slots
+(** An empty cache with room for [capacity] values and the staging
+    slot. *)
+
+val no_drop : int
+(** The drop of a step that decides nothing: a hit, or a miss with
+    room. *)
+
 type cache = {
   cname : string;
   access :
-    now:int -> cached:int list -> value:int -> hit:bool -> capacity:int -> int list;
-      (** [value] is the join-attribute value of the incoming reference
-          tuple; on a miss the joining database tuple has been fetched and
-          may be cached.  Returns the new cache contents (values), a subset
-          of [cached ∪ {value}] of size ≤ [capacity].  The result is a
-          set: the simulator only tests membership, and the list's order
-          carries no meaning beyond the policy's own next call. *)
+    now:int -> cached:slots -> value:int -> hit:bool -> capacity:int -> int;
+      (** Called once per reference, in time order.  [value] is the
+          join-attribute value of the reference; on a miss the joining
+          database tuple has been fetched and staged in slot [cached.n].
+          The policy updates its per-slot state ([cached.scores], its
+          own tables) for the referenced slot and returns the candidate
+          to drop.  Only a full miss ([not hit], [cached.n = capacity])
+          decides: it drops a slot in [0 .. n-1], whose value the
+          fetched one replaces, or [n], the fetched value itself.
+          Every other step returns {!no_drop} and keeps every
+          candidate; the simulator admits a missed value with room.
+          The simulator applies the drop, moving slot [n] (value,
+          stamp and score) into the dropped slot. *)
 }
+(** A caching policy.  Because it names one drop instead of returning a
+    set, a foreign value, a duplicate or an over-full cache cannot
+    occur; the simulator checks only that the drop is in range. *)
+
+type tie =
+  | Newest_admitted
+      (** Classic: the lowest score, ties to the most recently admitted
+          slot; the fetched value goes in iff its score is at least that
+          slot's.  Reproduces the newest-first list scan with a strict
+          [<] exactly, NaN included: a NaN in the newest slot is the
+          victim, and no other NaN is. *)
+  | Smaller_value
+      (** HEEB: the smallest score under [Float.compare] among all
+          [n + 1] candidates, ties to the smaller value — the last
+          candidate of a full best-first sort with ties to the larger
+          value. *)
+
+val drop_argmin : tie -> slots -> int
+(** The one argmin of a full miss: [scores.(0 .. n)] hold the scores of
+    the [n] cached slots and of the fetched value (slot [n]); the
+    result is the candidate to drop, in [0 .. n].  Allocates
+    nothing. *)
 
 val validate_join_selection :
   cached:Ssj_stream.Tuple.t list ->

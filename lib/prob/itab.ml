@@ -7,8 +7,9 @@
    The bucket arrays use [min_int] as their empty-slot marker, so the key
    [min_int] itself lives in a separate cell ([min_bound]/[min_val]) and
    every int is a valid key.  Entries are never physically removed by
-   [set]/[add] — a counter that drops back to zero keeps its slot — which
-   keeps probing correct without tombstones.  Load factor is kept at or
+   [set]/[add] — a counter that drops back to zero keeps its slot; only
+   [decr] and [remove] free slots, by backward shift, so probing needs
+   no tombstones.  Load factor is kept at or
    below 1/2. *)
 
 type t = {
@@ -108,6 +109,36 @@ let add t k delta =
    every key ever seen.  Freeing under linear probing uses backward-shift
    deletion: walk the probe chain after the hole and pull back any entry
    whose home slot precedes the hole, so no tombstones are needed. *)
+(* Free occupied slot [i] by backward-shift deletion: walk the probe
+   chain after the hole and pull back any entry whose home slot precedes
+   the hole, so no tombstones are needed. *)
+let delete_at t i =
+  let keys = t.keys and vals = t.vals and mask = t.mask in
+  t.used <- t.used - 1;
+  let hole = ref i in
+  let j = ref ((i + 1) land mask) in
+  let continue = ref true in
+  while !continue do
+    let kj = Array.unsafe_get keys !j in
+    if kj = empty_key then continue := false
+    else begin
+      let home = hash kj land mask in
+      (* The entry at [j] may move back into the hole iff probing from
+         its home reaches the hole no later than [j]. *)
+      if (!j - home) land mask >= (!j - !hole) land mask then begin
+        Array.unsafe_set keys !hole kj;
+        Array.unsafe_set vals !hole (Array.unsafe_get vals !j);
+        hole := !j
+      end;
+      j := (!j + 1) land mask
+    end
+  done;
+  Array.unsafe_set keys !hole empty_key
+
+(* [add t k (-1)], but physically freeing the slot when the counter hits
+   zero.  Keeps tables whose keys churn (the join index's value counts
+   track a moving trend) at working-set size instead of accumulating
+   every key ever seen. *)
 let decr t k =
   if k = empty_key then begin
     let v = if t.min_bound then t.min_val - 1 else -1 in
@@ -116,35 +147,18 @@ let decr t k =
   end
   else begin
     let i = slot t k in
-    let keys = t.keys and vals = t.vals and mask = t.mask in
-    if Array.unsafe_get keys i <> k then insert_at t i k (-1)
+    if Array.unsafe_get t.keys i <> k then insert_at t i k (-1)
     else begin
-      let v = Array.unsafe_get vals i - 1 in
-      if v <> 0 then Array.unsafe_set vals i v
-      else begin
-        t.used <- t.used - 1;
-        let hole = ref i in
-        let j = ref ((i + 1) land mask) in
-        let continue = ref true in
-        while !continue do
-          let kj = Array.unsafe_get keys !j in
-          if kj = empty_key then continue := false
-          else begin
-            let home = hash kj land mask in
-            (* The entry at [j] may move back into the hole iff probing
-               from its home reaches the hole no later than [j]. *)
-            if (!j - home) land mask >= (!j - !hole) land mask then begin
-              Array.unsafe_set keys !hole kj;
-              Array.unsafe_set vals !hole (Array.unsafe_get vals !j);
-              hole := !j
-            end;
-            j := (!j + 1) land mask
-          end
-        done;
-        Array.unsafe_set keys !hole empty_key
-      end
+      let v = Array.unsafe_get t.vals i - 1 in
+      if v <> 0 then Array.unsafe_set t.vals i v else delete_at t i
     end
   end
+
+let remove t k =
+  if k = empty_key then t.min_bound <- false
+  else
+    let i = slot t k in
+    if Array.unsafe_get t.keys i = k then delete_at t i
 
 let iter f t =
   Array.iteri (fun i k -> if k <> empty_key then f k t.vals.(i)) t.keys;

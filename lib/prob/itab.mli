@@ -4,7 +4,7 @@
     integers: no allocation on lookup, multiplicative hashing, linear
     probing.  Every int, [min_int] and [max_int] included, is a valid key.
     [set]/[add] never remove entries — a counter driven to zero keeps its
-    slot; only {!decr} frees slots. *)
+    slot; only {!decr} and {!remove} free slots. *)
 
 type t
 
@@ -28,5 +28,9 @@ val decr : t -> int -> unit
 (** [decr t k] is [add t k (-1)], but physically frees the slot when the
     counter reaches zero (backward-shift deletion).  Use for counters
     whose key set churns — it keeps the table at working-set size. *)
+
+val remove : t -> int -> unit
+(** [remove t k] unbinds [k], freeing its slot; a no-op when [k] is
+    absent.  Never allocates. *)
 
 val iter : (int -> int -> unit) -> t -> unit

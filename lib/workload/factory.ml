@@ -51,13 +51,11 @@ let real_surface_bounds params =
     int_of_float (Float.round (mean +. (3.5 *. sd))) )
 
 let real_heeb_of_surface surface () =
-  (* Staged: contract the surface at [last] once per scored reference,
-     then a 1-D cubic per candidate, bit-equal to [Surface.eval]. *)
-  let h ~now:_ ~last =
-    let slice = Interp.Surface.y_slice surface (float_of_int last) in
-    fun value -> Interp.Surface.eval_slice slice (float_of_int value)
-  in
-  Heeb.caching_fn ~name:"HEEB(h2)" ~h ()
+  (* Staged: contract the surface at [last] once per full miss, then a
+     4-term product per candidate, bit-equal to [Surface.eval]. *)
+  let scorer = Interp.Surface.scorer surface in
+  Heeb.caching_kernel ~name:"HEEB(h2)" (fun ~now:_ ~last ~n ~values ~scores ->
+      Interp.Surface.score_at scorer ~y:last ~n values scores)
 
 let real_surface ~params ~capacity =
   let alpha = float_of_int (max 2 capacity) in

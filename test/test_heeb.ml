@@ -95,7 +95,7 @@ let test_heeb_caching_offline_equals_lfd () =
     in
     let lfd = Classic.lfd ~reference in
     let run p =
-      (Ssj_engine.Cache_sim.run ~reference ~policy:p ~capacity ~validate:true ())
+      (Ssj_engine.Cache_sim.run ~reference ~policy:p ~capacity ())
         .Ssj_engine.Cache_sim.hits
     in
     check_int "HEEB(offline) = LFD hits" (run lfd) (run heeb)
@@ -113,7 +113,7 @@ let test_heeb_caching_stationary_equals_lfu_model () =
   in
   let a0 = Classic.lfu_model ~prob:(fun v -> Pmf.prob dist v) in
   let run p =
-    (Ssj_engine.Cache_sim.run ~reference ~policy:p ~capacity:2 ~validate:true ())
+    (Ssj_engine.Cache_sim.run ~reference ~policy:p ~capacity:2 ())
       .Ssj_engine.Cache_sim.hits
   in
   check_int "HEEB = A0 on stationary reference" (run a0) (run heeb)
@@ -129,14 +129,12 @@ let test_caching_fn_scores_full_misses_only () =
       incr scores;
       float_of_int ((v * 7) + last)
   in
-  let policy = Heeb.caching_fn ~h () in
   let m = 3 in
-  let cache = ref [] in
+  let sim = Ssj_engine.Cache_sim.create ~policy:(Heeb.caching_fn ~h ()) ~capacity:m in
   let access now value =
-    let hit = List.mem value !cache in
     stages := 0;
     scores := 0;
-    cache := policy.Policy.access ~now ~cached:!cache ~value ~hit ~capacity:m;
+    let hit = Ssj_engine.Cache_sim.access sim ~now value in
     (hit, !stages, !scores)
   in
   let expect what now value (hit, stages, scores) =
@@ -149,7 +147,7 @@ let test_caching_fn_scores_full_misses_only () =
   expect "miss with room" 3 12 (false, 0, 0);
   expect "hit, full cache" 4 11 (true, 0, 0);
   expect "full miss" 5 13 (false, 1, m + 1);
-  check_int "still full" m (List.length !cache);
+  check_int "still full" m (List.length (Ssj_engine.Cache_sim.contents sim));
   expect "full miss" 6 14 (false, 1, m + 1)
 
 let test_joining_curves_policy_runs () =

@@ -166,7 +166,7 @@ let test_belady_hits () =
   let reference = [| 1; 2; 3; 1; 2; 3; 1; 2; 3 |] in
   let hits capacity =
     (Ssj_engine.Cache_sim.run ~reference ~policy:(Classic.lfd ~reference)
-       ~capacity ~validate:true ())
+       ~capacity ())
       .Ssj_engine.Cache_sim.hits
   in
   (* Capacity 2, cyclic thrash: pinning {1,2} and bypassing 3 gives 4

@@ -109,7 +109,7 @@ let test_prob_model_is_total_preorder () =
 
 let run_cache policy ~capacity reference =
   let result =
-    Ssj_engine.Cache_sim.run ~reference ~policy ~capacity ~validate:true ()
+    Ssj_engine.Cache_sim.run ~reference ~policy ~capacity ()
   in
   result.Ssj_engine.Cache_sim.hits
 
