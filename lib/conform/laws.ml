@@ -303,6 +303,67 @@ let unbounded_window_check =
           { cases = count; note = "unbounded window == regular semantics" }
       | Some detail -> Check.Fail { detail; case = None })
 
+(* --- Theorem 1: caching reduces to joining ------------------------- *)
+
+(* The joining count of a caching run's image under the reduction
+   (Section 2): on [Reduction.trace], the join side keeps exactly the
+   S' tuples of the values the cache holds after each step, each value
+   as the S' tuple of its latest supply (the "reasonable" policy). *)
+let reduced_join_count ~reference ~capacity ~contents =
+  let t = Reduction.trace (Reduction.transform reference) in
+  let latest_supply = Hashtbl.create 32 in
+  let select ~now ~cached:_ ~arrivals:_ ~capacity:_ =
+    Hashtbl.replace latest_supply reference.(now) now;
+    List.filter_map
+      (fun value ->
+        Option.map
+          (fun arrival -> Trace.tuple t Tuple.S arrival)
+          (Hashtbl.find_opt latest_supply value))
+      contents.(now)
+  in
+  (Join_sim.run ~trace:t ~policy:(Policy.make_join ~name:"reduced" select)
+     ~capacity ~validate:true ())
+    .Join_sim.total_results
+
+let theorem1_check =
+  Check.make ~name:"law:theorem1-reduction" ~kind:Check.Law
+    (fun ~seed ~count ->
+      let failure = ref None in
+      let i = ref 0 in
+      while !failure = None && !i < count do
+        let rng = Rng.create (seed + (4931 * !i)) in
+        let domain = 2 + Rng.int rng 8 in
+        let reference = Array.init (20 + Rng.int rng 100) (fun _ -> Rng.int rng domain) in
+        let capacity = 1 + Rng.int rng 5 in
+        let h ~now:_ ~last v = float_of_int (((5 * v) + last) land 3) in
+        List.iter
+          (fun (name, policy) ->
+            if !failure = None then begin
+              let result, contents =
+                Cache_sim.run_logged ~reference ~policy ~capacity ()
+              in
+              let joins = reduced_join_count ~reference ~capacity ~contents in
+              if joins <> result.Cache_sim.hits then
+                failure :=
+                  Some
+                    (Printf.sprintf "case %d %s cap %d: %d hits <> %d joins" !i
+                       name capacity result.Cache_sim.hits joins)
+            end)
+          [
+            ("LRU", Classic.lru ());
+            ("LFU", Classic.lfu ());
+            ("LFD", Classic.lfd ~reference);
+            ("RAND", Classic.rand_cache ~rng:(Rng.create (seed + !i)));
+            ("HEEB(h)", Heeb.caching_fn ~h ());
+          ];
+        incr i
+      done;
+      match !failure with
+      | None -> Check.Pass { cases = count; note = "cache hits == reduced joins" }
+      | Some detail -> Check.Fail { detail; case = None })
+    ~fast:"Cache_sim hits (LRU, LFU, LFD, RAND, caching_fn)"
+    ~reference:"Join_sim on Reduction.trace replaying the cache contents"
+
 let all =
   [
     value_shift_check;
@@ -310,4 +371,5 @@ let all =
     opt_monotone_check;
     zero_fault_check;
     unbounded_window_check;
+    theorem1_check;
   ]

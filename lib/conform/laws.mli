@@ -10,6 +10,10 @@
     - [law:fault-zero-severity-identity] — a zero-severity fault spec
       leaves the trace value-identical and the simulation bit-identical.
     - [law:window-unbounded-equiv] — [Window.unbounded] reproduces the
-      regular (windowless) semantics. *)
+      regular (windowless) semantics.
+    - [law:theorem1-reduction] — Theorem 1: a caching run's hits (LRU,
+      LFU, LFD, RAND, [Heeb.caching_fn]) equal the join results on
+      {!Ssj_stream.Reduction.trace} of a join side that replays the
+      cache's per-step contents. *)
 
 val all : Check.t list
