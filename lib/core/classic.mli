@@ -5,7 +5,14 @@
     LRU and LFU are the "perfect" versions (full recency/frequency
     bookkeeping, no approximation), as the paper specifies.  LFD is
     Belady's optimal offline policy \[5\], constructed from the full
-    reference script.  LRU-k \[14\] is included as an extension. *)
+    reference script.  LRU-k \[14\] is included as an extension.
+
+    Each policy but RAND keeps one score per cache slot
+    ({!Policy.slots}), re-scoring only the referenced slot (LFD all of
+    them when its clock leaves [0, 1, 2, ...] of its script), and on a
+    full miss drops {!Policy.drop_argmin}[ Newest_admitted]'s victim:
+    the lowest score, ties to the most recently admitted entry, the
+    fetched value admitted iff it scores at least that entry. *)
 
 val rand_cache : rng:Ssj_prob.Rng.t -> Policy.cache
 (** Evict a uniformly random entry on a miss with a full cache. *)
