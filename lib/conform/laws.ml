@@ -321,8 +321,8 @@ let reduced_join_count ~reference ~capacity ~contents =
           (Hashtbl.find_opt latest_supply value))
       contents.(now)
   in
-  (Join_sim.run ~trace:t ~policy:(Policy.make_join ~name:"reduced" select)
-     ~capacity ~validate:true ())
+  (Join_sim.run ~trace:t ~policy:(Ref_sim.plan ~name:"reduced" select)
+     ~capacity ())
     .Join_sim.total_results
 
 let theorem1_check =

@@ -45,12 +45,12 @@ let describe_counts fast slow =
 
 (* --- Join_sim vs list-scan reference -------------------------------- *)
 
-let join_sim_violation ~validate case =
+let join_sim_violation case =
   let slow = Ref_sim.run_case case in
   let fast =
     Join_sim.run ~trace:(Case.trace case) ~policy:(Case.policy case)
       ~capacity:case.Case.capacity ~warmup:(Case.warmup case)
-      ?window:(Case.window case) ~band:case.Case.band ~validate ()
+      ?window:(Case.window case) ~band:case.Case.band ()
   in
   if
     fast.Join_sim.total_results = slow.Ref_sim.total_results
@@ -62,14 +62,7 @@ let join_sim_indexed =
   Check.of_violation ~name:"oracle:join-sim/indexed-vs-listscan"
     ~kind:Check.Oracle ~fast:"Join_sim.run (indexed buffer step)"
     ~reference:"Ref_sim naive list scan" ~gen:(fun ~seed i -> gen_case ~seed i)
-    (join_sim_violation ~validate:false)
-
-let join_sim_validated =
-  Check.of_violation ~name:"oracle:join-sim/validated-vs-listscan"
-    ~kind:Check.Oracle
-    ~fast:"Join_sim.run ~validate:true (per-step buffer validation)"
-    ~reference:"Ref_sim naive list scan" ~gen:(fun ~seed i -> gen_case ~seed i)
-    (join_sim_violation ~validate:true)
+    join_sim_violation
 
 (* --- the selection routine vs keep_top_spec ------------------------- *)
 
@@ -485,10 +478,11 @@ let hostile rng domain =
     | 1 -> max_int
     | v -> -1_000_000_000 + (v * 47_000_000) + Rng.int rng 1_000_000)
 
-(* Family 2's random walk: lazy unit steps from 0, its kernel cut to the
-   17 states within 8 of the start, which a reference path leaves now
-   and then (a clamped start, candidates scoring 0). *)
-let walk_step = Pmf.of_assoc [ (-1, 1.0); (0, 2.0); (1, 1.0) ]
+(* Family 2's random walk: steps of up to 2 either way from 0, so most
+   reference paths leave the 17 values within 8 of the start (a walk of
+   60 steps spreads by ~11). *)
+let walk_step =
+  Pmf.of_assoc [ (-2, 1.0); (-1, 1.0); (0, 1.0); (1, 1.0); (2, 1.0) ]
 
 (* Case [i]: policy family [i mod 6] at capacity [i / 6 mod 5], on a
    stationary reference over a domain that is sometimes smaller and
@@ -524,7 +518,7 @@ let cache_selection_violation ~seed i =
   in
   let model () = Stationary.create law in
   let walk () =
-    Random_walk.create ~window:8 ~start:0 ~drift:0 ~step:walk_step ()
+    Random_walk.create ~start:0 ~drift:0 ~step:walk_step ()
   in
   let reference =
     if family = 2 then fst (Predictor.generate (walk ()) rng n) else reference
@@ -542,13 +536,20 @@ let cache_selection_violation ~seed i =
       ( Heeb.caching ~reference:(model ()) ~l (),
         heeb_spec ~reference:(model ()) ~l )
     | 2 ->
-      (* The Markov first-passage sum on a kernel of the spec's own,
-         started from the reference just made, clamped into the window. *)
-      let kernel = Markov.of_step ~step:walk_step ~drift:0 ~lo:(-8) ~hi:8 in
+      (* The Markov first-passage sum on a kernel of the spec's own, over
+         the values within the walk's window of the reference just made,
+         started there.  A shorter L than the other families' keeps the
+         DP's reach (2 a step over L's horizon) to ~60 values. *)
+      let w = Random_walk.window and l = Lfun.exp_ ~alpha:1.0 in
       ( Heeb.caching ~reference:(walk ()) ~l (),
         cache_spec (fun ~now:_ ~cached ~value ~hit ~capacity ->
-            let start = max kernel.Markov.lo (min kernel.Markov.hi value) in
-            let score v = Hvalue.caching_markov ~kernel ~start ~l ~value:v in
+            let kernel =
+              Markov.of_step ~step:walk_step ~drift:0 ~lo:(value - w)
+                ~hi:(value + w)
+            in
+            let score v =
+              Hvalue.caching_markov ~kernel ~start:value ~l ~value:v
+            in
             Ref_sim.keep_best_spec ~capacity ~score ~cached ~value ~hit) )
     | 3 -> (Classic.lru (), lru_spec ())
     | 4 -> (Classic.lfu (), lfu_spec ())
@@ -745,10 +746,10 @@ let flow_expect_tower_violation ~seed rep =
   done;
   !failure
 
-(* fig19's FLOOR at capacity 20: the policy's buffer step, which keeps
+(* fig19's FLOOR at capacity 20: the policy's scored step, which keeps
    one graph and rewrites its costs, and [decide] through one shared
    handle, against a fresh [decide] per step.  The buffer must hold the
-   fresh plan and its diff, as [Policy.fast_of_select] writes them; the
+   fresh plan and its diff, as [Ref_sim.plan]'s step writes them; the
    warm plan must equal the fresh one, benefit bits included.  The first
    ten steps fill the cache, so the graph is rebuilt at every one of
    them; the rest are steady-state re-solves. *)
@@ -792,9 +793,12 @@ let flow_expect_floor_violation ~seed ~lookahead rep =
     in
     let fresh = decide () and warm = decide ~handle () in
     step ~src:!src ~dst:!dst ~now:t ~r:r_t ~s:s_t ~capacity:20;
-    Policy.fast_of_select
-      (fun ~now:_ ~cached:_ ~arrivals:_ ~capacity:_ -> fresh.Flow_expect.keep)
-      ~src:!src ~dst:expect ~now:t ~r:r_t ~s:s_t ~capacity:20;
+    let fresh_step =
+      Ref_sim.plan ~name:"fresh" (fun ~now:_ ~cached:_ ~arrivals:_ ~capacity:_ ->
+          fresh.Flow_expect.keep)
+    in
+    Option.get fresh_step.Policy.fast ~src:!src ~dst:expect ~now:t ~r:r_t
+      ~s:s_t ~capacity:20;
     let where = Printf.sprintf "FLOOR l=%d rep %d step %d" lookahead rep t in
     let plan (p : Flow_expect.plan) =
       Printf.sprintf "keep [%s], benefit %h" (render_selection p.keep)
@@ -803,7 +807,7 @@ let flow_expect_floor_violation ~seed ~lookahead rep =
     if not (same_buffer !dst expect) then
       failure :=
         Some
-          (Printf.sprintf "%s: buffer step kept [%s], fresh solve [%s]" where
+          (Printf.sprintf "%s: policy step kept [%s], fresh solve [%s]" where
              (render_selection (Policy.tuples !dst))
              (render_selection fresh.Flow_expect.keep))
     else if plan warm <> plan fresh then
@@ -822,7 +826,7 @@ let flow_expect_lookaheads = [ 1; 3; 10 ]
 
 let flow_expect_check =
   Check.make ~name:"oracle:flow-expect/warm-vs-fresh" ~kind:Check.Oracle
-    ~fast:"Flow_expect.decide with a shared warm handle; the policy's buffer \
+    ~fast:"Flow_expect.decide with a shared warm handle; the policy's scored \
            step on one kept graph"
     ~reference:"fresh per-step solves"
     (fun ~seed ~count ->
@@ -1242,7 +1246,6 @@ let mcmf_resolve_check =
 let all =
   [
     join_sim_indexed;
-    join_sim_validated;
     keep_top_check;
     cache_selection_check;
     cache_sim_check;

@@ -4,8 +4,6 @@
     - [oracle:join-sim/indexed-vs-listscan] — the engine's default run
       (buffer step + incremental {!Ssj_engine.Join_index}) vs the naive
       list-scan simulator {!Ref_sim}; shrinkable.
-    - [oracle:join-sim/validated-vs-listscan] — the same run with
-      per-step validation on vs the same reference; shrinkable.
     - [oracle:keep-top/bounded-vs-sort] — the one selection routine
       behind {!Ssj_core.Policy.scored} and its recorded diff vs
       {!Ref_sim.keep_top_spec}, on random candidate sets (small and large
@@ -21,7 +19,8 @@
     - [oracle:cache/argmin-vs-sort] — the caching selection of
       {!Ssj_core.Heeb.caching_fn} (tie-heavy scorer),
       {!Ssj_core.Heeb.caching} on a stationary and on a random-walk
-      reference (the Markov first-passage H), and
+      reference (the Markov first-passage H relative to the running
+      value, against a kernel re-centred on each reference), and
       LRU/LFU/LFD from {!Ssj_core.Classic}, replayed in lock step
       against {!Ref_sim.keep_best_spec} (HEEB) or the two-call
       scored fold (Classic) at capacities 0, 1, 2, 7 and 25: equal
@@ -34,7 +33,9 @@
       kept sets at every step.
     - [oracle:flow-expect/warm-vs-fresh] — warm-started
       {!Ssj_core.Flow_expect.decide} vs fresh per-step solves
-      (bit-equal kept sets and plan values).
+      (bit-equal kept sets and plan values), and the policy's scored
+      step vs the fresh plan written by {!Ref_sim.plan} (equal buffers
+      and diffs).
     - [oracle:h1/curve-vs-direct-sum] — the precomputed random-walk
       joining curve vs {!Ssj_core.Precompute.walk_joining_h}.
     - [oracle:h1/kernel-vs-table] — the same curve's bits vs a build

@@ -27,6 +27,54 @@ let count_matches ~window ~band ~now cache (arrival : Tuple.t) =
       else acc)
     0 cache
 
+let validate_join_selection ~cached ~arrivals ~capacity result =
+  let candidates = cached @ arrivals in
+  let mem t = List.exists (Tuple.equal t) candidates in
+  if List.length result > capacity then
+    Error
+      (Printf.sprintf "selection of size %d exceeds capacity %d"
+         (List.length result) capacity)
+  else if not (List.for_all mem result) then
+    Error "selection contains a tuple that is neither cached nor arriving"
+  else begin
+    let sorted = List.sort Tuple.compare result in
+    let rec dup = function
+      | a :: (b :: _ as rest) -> if Tuple.equal a b then true else dup rest
+      | [ _ ] | [] -> false
+    in
+    if dup sorted then Error "selection contains duplicates" else Ok ()
+  end
+
+(* A plan as a buffer step: the cache goes out as tuples and the plan
+   comes back in the order the policy returned it.  The diff is the
+   cached positions whose uid the plan dropped; plans are small, so a
+   list scan per cached tuple is enough.  Nothing is checked: an invalid
+   plan yields a well-formed buffer that the engine trusts. *)
+let plan_step select ~(src : Policy.buffer) ~(dst : Policy.buffer) ~now
+    ~(r : Tuple.t) ~(s : Tuple.t) ~capacity =
+  let kept = select ~now ~cached:(Policy.tuples src) ~arrivals:[ r; s ] ~capacity in
+  let n = List.length kept in
+  Policy.reserve dst (max n src.n);
+  List.iteri
+    (fun i (t : Tuple.t) ->
+      dst.uids.(i) <- t.uid;
+      dst.values.(i) <- t.value)
+    kept;
+  dst.n <- n;
+  let mem uid = List.exists (fun (t : Tuple.t) -> t.uid = uid) kept in
+  dst.kept_r <- mem r.uid;
+  dst.kept_s <- mem s.uid;
+  let en = ref 0 in
+  for i = 0 to src.n - 1 do
+    if not (mem src.uids.(i)) then begin
+      dst.evicted.(!en) <- i;
+      incr en
+    end
+  done;
+  dst.evicted_n <- !en
+
+let plan ~name select = { Policy.name; select; fast = Some (plan_step select) }
+
 let run ~trace ~policy ~capacity ?(warmup = 0) ?window ?(band = 0) () =
   let tlen = Trace.length trace in
   let cache = ref [] in
@@ -46,10 +94,7 @@ let run ~trace ~policy ~capacity ?(warmup = 0) ?window ?(band = 0) () =
     let selection =
       policy.Policy.select ~now ~cached:!cache ~arrivals ~capacity
     in
-    (match
-       Policy.validate_join_selection ~cached:!cache ~arrivals ~capacity
-         selection
-     with
+    (match validate_join_selection ~cached:!cache ~arrivals ~capacity selection with
     | Ok () -> ()
     | Error msg ->
       failwith

@@ -6,9 +6,11 @@
     excluded, window and band as given) but with none of its machinery:
     the cache is the policy's selection list, match counting is a plain
     fold per arrival, and every selection is checked with
-    {!Ssj_core.Policy.validate_join_selection} (raising [Failure] on a
-    violation).  Always calls the policy's list [select] — for a scored
-    policy a list adapter over its step. *)
+    {!validate_join_selection} (raising [Failure] on a violation).
+    Always calls the policy's list [select] — for a scored policy a list
+    adapter over its step.  {!plan} is the reference's policy shape: a
+    function returning the new cache contents, runnable on the engine
+    too. *)
 
 type result = { total_results : int; counted_results : int }
 
@@ -24,6 +26,30 @@ val count_matches :
     whose value is within [band] of [arrival]'s — a plain scan of the
     list.  The reference the engine's incremental {!Ssj_engine.Join_index}
     is tested against. *)
+
+val validate_join_selection :
+  cached:Ssj_stream.Tuple.t list ->
+  arrivals:Ssj_stream.Tuple.t list ->
+  capacity:int ->
+  Ssj_stream.Tuple.t list ->
+  (unit, string) Stdlib.result
+(** A list selection is within capacity, holds no duplicate, and only
+    cached or arriving tuples. *)
+
+val plan :
+  name:string ->
+  (now:int ->
+  cached:Ssj_stream.Tuple.t list ->
+  arrivals:Ssj_stream.Tuple.t list ->
+  capacity:int ->
+  Ssj_stream.Tuple.t list) ->
+  Ssj_core.Policy.join
+(** A plan-based policy (scripted tests, the reduced policy of
+    Theorem 1): [select] returns the new cache contents directly.  Its
+    buffer step writes the plan in the order returned, with the diff
+    against the cache: the cached positions whose uid the plan dropped,
+    and whether each arrival entered.  The step checks nothing — run it
+    through {!run} to check every selection. *)
 
 val run :
   trace:Ssj_stream.Trace.t ->
@@ -62,11 +88,6 @@ type cache_spec = {
     implementations of {!Ssj_core.Classic} and {!Ssj_core.Heeb}'s
     caching policies are written in this shape. *)
 
-val validate_cache_selection :
-  cached:int list -> value:int -> capacity:int -> int list -> (unit, string) Stdlib.result
-(** A list selection is within capacity, holds no duplicate, and only
-    cached or fetched values. *)
-
 val cache_replay :
   reference:int array ->
   ?nows:int array ->
@@ -76,8 +97,8 @@ val cache_replay :
 (** The reference replay: from an empty cache, the access at index [t]
     happening at time [nows.(t)] (default [t]), a hit being a scan of the
     spec's list.  Returns each step's hit flag and kept list; a
-    selection that fails {!validate_cache_selection} raises [Failure]
-    naming the spec and the step.  The oracle for
+    selection over capacity, with a duplicate or with a value neither
+    cached nor fetched raises [Failure] naming the spec and the step.  The oracle for
     {!Ssj_engine.Cache_sim}'s slots. *)
 
 val keep_best_spec :

@@ -40,7 +40,7 @@ let heeb ?name ~r ~s ~l ~band () =
   in
   let tr = Heeb.Tracker.create ~r ~s in
   Policy.scored ~name ~observe:(Heeb.Tracker.observe tr)
-    (fun ~now:_ ~n ~uids ~values ~scores ->
+    (fun ~now:_ ~capacity:_ ~n ~uids ~values ~scores ->
       for i = 0 to n - 1 do
         let partner = Heeb.Tracker.partner tr (uids.(i) land 1) in
         scores.(i) <- hvalue ~partner ~l ~value:values.(i) ~band

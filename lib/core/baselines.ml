@@ -172,13 +172,13 @@ let rand ~rng ?lifetime () =
   let kernel =
     match lifetime with
     | None ->
-      fun ~now:_ ~n ~uids:_ ~values:_ ~scores ->
+      fun ~now:_ ~capacity:_ ~n ~uids:_ ~values:_ ~scores ->
         for i = 0 to n - 1 do
           Ssj_prob.Rng.unit_float_into rng scores i
         done
     | Some lt ->
       let buf = ref [||] and remaining = remaining_into lt in
-      fun ~now ~n ~uids ~values ~scores ->
+      fun ~now ~capacity:_ ~n ~uids ~values ~scores ->
         let rems = remaining buf ~now ~n ~uids ~values in
         for i = 0 to n - 1 do
           if Array.unsafe_get rems i <= 0 then
@@ -193,11 +193,11 @@ let prob ?lifetime () =
   let kernel =
     match lifetime with
     | None ->
-      fun ~now:_ ~n ~uids ~values ~scores ->
+      fun ~now:_ ~capacity:_ ~n ~uids ~values ~scores ->
         History.partner_counts_into history ~n ~uids ~values ~scores
     | Some lt ->
       let buf = ref [||] and remaining = remaining_into lt in
-      fun ~now ~n ~uids ~values ~scores ->
+      fun ~now ~capacity:_ ~n ~uids ~values ~scores ->
         let rems = remaining buf ~now ~n ~uids ~values in
         History.partner_counts_into history ~n ~uids ~values ~scores;
         for i = 0 to n - 1 do
@@ -210,7 +210,7 @@ let prob ?lifetime () =
 let life ~lifetime () =
   let history = History.create () in
   let buf = ref [||] and remaining = remaining_into lifetime in
-  let kernel ~now ~n ~uids ~values ~scores =
+  let kernel ~now ~capacity:_ ~n ~uids ~values ~scores =
     let rems = remaining buf ~now ~n ~uids ~values in
     History.partner_counts_into history ~n ~uids ~values ~scores;
     for i = 0 to n - 1 do
@@ -223,7 +223,7 @@ let life ~lifetime () =
   Policy.scored ~name:"LIFE" ~observe:(History.observe history) kernel
 
 let prob_model ~partner_prob () =
-  Policy.scored ~name:"PROB-model" (fun ~now:_ ~n ~uids ~values ~scores ->
+  Policy.scored ~name:"PROB-model" (fun ~now:_ ~capacity:_ ~n ~uids ~values ~scores ->
       for i = 0 to n - 1 do
         scores.(i) <- partner_prob (Tuple.of_uid ~uid:uids.(i) ~value:values.(i))
       done)

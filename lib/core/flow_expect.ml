@@ -89,10 +89,7 @@ let build ?prev ~base ~l () =
 
 type handle = {
   mutable graph : graph option; (* the last (base, l)'s, rebuilt on change *)
-  (* Per-step scratch: the candidates (cache, then arrivals) and the
-     laws of both streams at offsets 1..l. *)
-  mutable uids : int array;
-  mutable values : int array;
+  (* Per-step scratch: the laws of both streams at offsets 1..l. *)
   mutable laws_r : Pmf.t array;
   mutable laws_s : Pmf.t array;
   (* Exact memo of Pr{X = Y} for an R law X and an S law Y, keyed by
@@ -116,8 +113,6 @@ type handle = {
 let handle () =
   {
     graph = None;
-    uids = [||];
-    values = [||];
     laws_r = [||];
     laws_s = [||];
     cell_r = [||];
@@ -125,13 +120,6 @@ let handle () =
     cell_memo = [||];
     cell_known = [||];
   }
-
-let reserve_candidates h n =
-  if Array.length h.uids < n then begin
-    let cap = max 16 (2 * n) in
-    h.uids <- Array.make cap 0;
-    h.values <- Array.make cap 0
-  end
 
 (* Writes [-. Pmf.dot x y] into [costs.(i)] for an R law [x] and an S
    law [y], through memo cell [c].  The dot is symmetric bit for bit (the
@@ -183,13 +171,13 @@ let[@inline] prob probs lo v =
   if i < 0 || i >= Array.length probs then 0.0 else Array.unsafe_get probs i
 
 (* The graph for [(base, l)] with this step's costs written in: the
-   candidates are [h.uids/h.values.(0 .. base-1)].  Each arc into slice
+   candidates are [uids/values.(0 .. base-1)].  Each arc into slice
    d (or into the sink, d = l) costs the negated expected one-step
    benefit at t0+d of the entity it carries: a determined candidate of
    side [σ] and value [v] matches with Pr{X^{partner σ}_{t0+d} = v}; the
    undetermined arrival of side [σ] at t0+j with Pr{X^σ_{t0+j} =
    X^{partner σ}_{t0+d}}. *)
-let prepare h ~r ~s ~l ~base =
+let prepare h ~r ~s ~l ~base ~uids ~values =
   let gr =
     match h.graph with
     | Some gr when gr.base = base && gr.l = l -> gr
@@ -219,7 +207,7 @@ let prepare h ~r ~s ~l ~base =
     h.cell_memo <- Array.make cells [||];
     h.cell_known <- Array.make cells Bytes.empty
   end;
-  let costs = gr.costs and uids = h.uids and values = h.values in
+  let costs = gr.costs in
   for d = 1 to l do
     let first = gr.benefit_arcs.(d - 1) in
     let law_r = laws_r.(d - 1) and law_s = laws_s.(d - 1) in
@@ -253,16 +241,12 @@ let decide ?handle:h ~r ~s ~lookahead ~cached ~arrivals ~capacity () =
   let candidates = Array.of_list (cached @ arrivals) in
   let base = Array.length candidates in
   let target = min capacity base in
-  if target = 0 then { keep = []; expected_benefit = 0.0 }
+  if target <= 0 then { keep = []; expected_benefit = 0.0 }
   else begin
     let h = match h with Some h -> h | None -> handle () in
-    reserve_candidates h base;
-    Array.iteri
-      (fun e (t : Tuple.t) ->
-        h.uids.(e) <- t.uid;
-        h.values.(e) <- t.value)
-      candidates;
-    let gr = prepare h ~r ~s ~l:lookahead ~base in
+    let uids = Array.map (fun (t : Tuple.t) -> t.uid) candidates in
+    let values = Array.map (fun (t : Tuple.t) -> t.value) candidates in
+    let gr = prepare h ~r ~s ~l:lookahead ~base ~uids ~values in
     let result = Mcmf.solve gr.g ~source ~sink ~target in
     let keep =
       List.filteri
@@ -272,29 +256,8 @@ let decide ?handle:h ~r ~s ~lookahead ~cached ~arrivals ~capacity () =
     { keep; expected_benefit = -.result.Mcmf.cost }
   end
 
-(* The kept candidates, in candidate order, from the source arcs' flows,
-   with the diff: evicted cache positions and whether each arrival
-   entered.  [dst] has room for [n0 + 2] entries. *)
-let write_kept h gr ~n0 (dst : Policy.buffer) =
-  let k = ref 0 and en = ref 0 in
-  dst.kept_r <- false;
-  dst.kept_s <- false;
-  for e = 0 to n0 + 1 do
-    if Mcmf.flow_on gr.g gr.source_arcs.(e) > 0 then begin
-      dst.uids.(!k) <- h.uids.(e);
-      dst.values.(!k) <- h.values.(e);
-      incr k;
-      if e = n0 then dst.kept_r <- true
-      else if e = n0 + 1 then dst.kept_s <- true
-    end
-    else if e < n0 then begin
-      dst.evicted.(!en) <- e;
-      incr en
-    end
-  done;
-  dst.n <- !k;
-  dst.evicted_n <- !en
-
+(* Candidates that carry flow score above the rest, each group in
+   candidate order; see the interface. *)
 let policy ?name ~r ~s ~lookahead () =
   if lookahead < 1 then invalid_arg "Flow_expect.policy: lookahead < 1";
   let r_pred = ref r and s_pred = ref s in
@@ -304,37 +267,16 @@ let policy ?name ~r ~s ~lookahead () =
     | Some n -> n
     | None -> Printf.sprintf "FLOWEXPECT(l=%d)" lookahead
   in
-  (* The step reads the cache from [src] and writes the kept set
-     straight into [dst]: no tuple lists on the way. *)
-  let fast ~(src : Policy.buffer) ~(dst : Policy.buffer) ~now:_
-      ~(r : Tuple.t) ~(s : Tuple.t) ~capacity =
+  let observe ~(r : Tuple.t) ~(s : Tuple.t) =
     r_pred := !r_pred.Predictor.observe r.value;
     s_pred := !s_pred.Predictor.observe s.value;
-    Obs.Counter.incr m_decides;
-    let n0 = src.n in
-    let base = n0 + 2 in
-    reserve_candidates h base;
-    Array.blit src.uids 0 h.uids 0 n0;
-    Array.blit src.values 0 h.values 0 n0;
-    h.uids.(n0) <- r.uid;
-    h.values.(n0) <- r.value;
-    h.uids.(n0 + 1) <- s.uid;
-    h.values.(n0 + 1) <- s.value;
-    Policy.reserve dst base;
-    let target = min capacity base in
-    if target = 0 then begin
-      for e = 0 to n0 - 1 do
-        dst.evicted.(e) <- e
-      done;
-      dst.n <- 0;
-      dst.evicted_n <- n0;
-      dst.kept_r <- false;
-      dst.kept_s <- false
-    end
-    else begin
-      let gr = prepare h ~r:!r_pred ~s:!s_pred ~l:lookahead ~base in
-      ignore (Mcmf.solve gr.g ~source ~sink ~target);
-      write_kept h gr ~n0 dst
-    end
+    Obs.Counter.incr m_decides
   in
-  Policy.of_fast ~name fast
+  Policy.scored ~name ~observe (fun ~now:_ ~capacity ~n ~uids ~values ~scores ->
+      let gr = prepare h ~r:!r_pred ~s:!s_pred ~l:lookahead ~base:n ~uids ~values in
+      ignore (Mcmf.solve gr.g ~source ~sink ~target:(min capacity n));
+      for e = 0 to n - 1 do
+        scores.(e) <-
+          (if Mcmf.flow_on gr.g gr.source_arcs.(e) > 0 then float_of_int (n - e)
+           else -.float_of_int (e + 1))
+      done)

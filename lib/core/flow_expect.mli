@@ -9,7 +9,9 @@
     (replacement, cost 0) — the compact arc layout counted in the paper's
     Appendix D.  A min-cost integral flow of value [k] picks the best
     *predetermined* replacement plan (Theorem 2); the first slice's flow
-    gives this step's decision.
+    gives this step's decision.  The online {!policy} is a
+    {!Policy.scored} kernel: the candidates that carry flow score above
+    the rest, and the shared selection keeps them.
 
     The per-step graph solve makes FlowExpect expensive, and Section 3.4
     shows it is suboptimal regardless; it serves as a yardstick. *)
@@ -59,8 +61,14 @@ val policy :
   lookahead:int ->
   unit ->
   Policy.join
-(** The online policy, a buffer step ({!Policy.of_fast}): it observes the
-    two arrivals, makes the {!decide} of the step on its own handle and
-    writes the kept candidates, in cache-then-arrivals order, with the
-    diff straight into the engine's buffer.  Predictors are passed
-    positioned before the first arrival.  [lookahead ≥ 1]. *)
+(** The online policy, a {!Policy.scored} one: its observe hook advances
+    the two predictors, and its kernel solves the step's graph for
+    [min capacity n] units on its own handle (the {!decide} of the step)
+    and scores candidate [e] of [n] as [n - e] when its source arc
+    carries flow and [-(e + 1)] when not.  The solve always carries
+    [min capacity n] units (a unit source arc and a keep chain to the
+    sink per candidate), so the shared selection keeps exactly the
+    flow's candidates, in cache-then-arrivals order, and drops the rest
+    in ascending position.  The scores are finite and distinct, so
+    FlowExpect's drops count as neither dead nor tied.  Predictors are
+    passed positioned before the first arrival.  [lookahead ≥ 1]. *)

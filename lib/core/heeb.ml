@@ -39,7 +39,7 @@ let joining ?name ~r ~s ~l ?(mode = `Direct) () =
   match mode with
   | `Direct ->
     Policy.scored ~name ~observe:(Tracker.observe tr)
-      (fun ~now:_ ~n ~uids ~values ~scores ->
+      (fun ~now:_ ~capacity:_ ~n ~uids ~values ~scores ->
         for i = 0 to n - 1 do
           Array.unsafe_set scores i
             (direct_h tr ~l ~bit:(Array.unsafe_get uids i land 1)
@@ -53,7 +53,7 @@ let joining ?name ~r ~s ~l ?(mode = `Direct) () =
        NaN doubles as the absence marker. *)
     let memo = Ssj_prob.Ftab.create ~size:128 () in
     Policy.scored ~name ~observe:(Tracker.observe tr)
-      (fun ~now ~n ~uids ~values ~scores ->
+      (fun ~now ~capacity:_ ~n ~uids ~values ~scores ->
         let shift = speed * now in
         for i = 0 to n - 1 do
           let bit = Array.unsafe_get uids i land 1 in
@@ -98,7 +98,7 @@ let joining_curves ?name ~h_r_tuples ~h_s_tuples () =
     note r;
     note s
   in
-  Policy.scored ~name ~observe (fun ~now:_ ~n ~uids ~values ~scores ->
+  Policy.scored ~name ~observe (fun ~now:_ ~capacity:_ ~n ~uids ~values ~scores ->
       for i = 0 to n - 1 do
         (* R tuples join future S arrivals: offset against S's position. *)
         let is_r = uids.(i) land 1 = 0 in
@@ -117,7 +117,7 @@ let joining_adaptive ?name ~r ~s () =
   let name = Option.value ~default:"HEEB-adaptive" name in
   let tr = Tracker.create ~r ~s in
   let lifetime = ref initial_lifetime in
-  let kernel ~now:_ ~n ~uids ~values ~scores =
+  let kernel ~now:_ ~capacity:_ ~n ~uids ~values ~scores =
     let alpha = Lfun.alpha_for_lifetime (Float.max 1.01 !lifetime) in
     let l = Lfun.exp_ ~alpha in
     for i = 0 to n - 1 do
@@ -147,13 +147,21 @@ let joining_adaptive ?name ~r ~s () =
 
 let caching_direct_h pred ~l value =
   match pred.Predictor.kernel with
-  | Some kernel ->
+  | Some (Predictor.Absolute kernel) ->
     let start =
       match pred.Predictor.last with
       | Some v -> max kernel.Markov.lo (min kernel.Markov.hi v)
       | None -> (kernel.Markov.lo + kernel.Markov.hi) / 2
     in
     Hvalue.caching_markov ~kernel ~start ~l ~value
+  | Some (Predictor.Relative kernel) ->
+    (* H(v | last) is the first passage from offset 0 to [v - last].  An
+       offset that overflows lies outside the window, where no mass
+       arrives. *)
+    let last = Option.value ~default:0 pred.Predictor.last in
+    let offset = value - last in
+    if (value >= last) <> (offset >= 0) then 0.0
+    else Hvalue.caching_markov ~kernel ~start:0 ~l ~value:offset
   | None -> Hvalue.caching_independent ~reference:pred ~l ~value
 
 (* Every HEEB caching policy: [observe] sees each reference; a hit or a

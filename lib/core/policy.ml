@@ -85,8 +85,8 @@ let reserve (b : buffer) n =
     b.evicted <- Array.make cap 0
   end
 
-(* Write [ts] as the contents of [b], in list order. *)
-let write_tuples (b : buffer) ts =
+let of_tuples ts =
+  let b = buffer () in
   let n = List.length ts in
   reserve b n;
   List.iteri
@@ -94,11 +94,7 @@ let write_tuples (b : buffer) ts =
       b.uids.(i) <- t.uid;
       b.values.(i) <- t.value)
     ts;
-  b.n <- n
-
-let of_tuples ts =
-  let b = buffer () in
-  write_tuples b ts;
+  b.n <- n;
   b
 
 let tuples (b : buffer) =
@@ -123,44 +119,6 @@ type join = {
     Tuple.t list;
   fast : fast_select option;
 }
-
-let make_join ~name select = { name; select; fast = None }
-
-(* List callers (the reference simulator, tests) step a buffer policy
-   through the same code on a buffer built from the list. *)
-let of_fast ~name (fast : fast_select) =
-  let select ~now ~cached ~arrivals ~capacity =
-    match arrivals with
-    | [ r; s ] ->
-      let dst = buffer () in
-      fast ~src:(of_tuples cached) ~dst ~now ~r ~s ~capacity;
-      tuples dst
-    | _ -> invalid_arg (name ^ ": a step takes two arrivals, R then S")
-  in
-  { name; select; fast = Some fast }
-
-(* A plan-based policy's [select] as a buffer step: the cache goes out as
-   tuples and the plan comes back in the order the policy returned it.
-   The diff is the cached positions whose uid the plan dropped; plans
-   are small (FlowExpect, scripted tests), so a list scan per cached
-   tuple is enough.  An invalid plan still yields a well-formed buffer,
-   so the engine's validator reports it. *)
-let fast_of_select select ~src ~dst ~now ~(r : Tuple.t) ~(s : Tuple.t)
-    ~capacity =
-  let kept = select ~now ~cached:(tuples src) ~arrivals:[ r; s ] ~capacity in
-  reserve dst (max (List.length kept) src.n);
-  write_tuples dst kept;
-  let mem uid = List.exists (fun (t : Tuple.t) -> t.uid = uid) kept in
-  dst.kept_r <- mem r.uid;
-  dst.kept_s <- mem s.uid;
-  let en = ref 0 in
-  for i = 0 to src.n - 1 do
-    if not (mem src.uids.(i)) then begin
-      dst.evicted.(!en) <- i;
-      incr en
-    end
-  done;
-  dst.evicted_n <- !en
 
 (* ------------------------------------------------------------------ *)
 (* Caching: stable slots, per-slot scores, one argmin                  *)
@@ -259,24 +217,6 @@ let drop_argmin tie (c : slots) =
       in
       if Array.unsafe_get scores n >= Array.unsafe_get scores w then w else n
     end
-
-let validate_join_selection ~cached ~arrivals ~capacity result =
-  let candidates = cached @ arrivals in
-  let mem t = List.exists (Tuple.equal t) candidates in
-  if List.length result > capacity then
-    Error
-      (Printf.sprintf "selection of size %d exceeds capacity %d"
-         (List.length result) capacity)
-  else if not (List.for_all mem result) then
-    Error "selection contains a tuple that is neither cached nor arriving"
-  else begin
-    let sorted = List.sort Tuple.compare result in
-    let rec dup = function
-      | a :: (b :: _ as rest) -> if Tuple.equal a b then true else dup rest
-      | [ _ ] | [] -> false
-    in
-    if dup sorted then Error "selection contains duplicates" else Ok ()
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Scored policies: one scoring kernel, one selection routine          *)
@@ -620,7 +560,12 @@ let select_prescored sel ~capacity ~n0 ~(dst : buffer) =
   dst.evicted_n <- !en
 
 type kernel =
-  now:int -> n:int -> uids:int array -> values:int array -> scores:float array ->
+  now:int ->
+  capacity:int ->
+  n:int ->
+  uids:int array ->
+  values:int array ->
+  scores:float array ->
   unit
 
 let scored ~name ?observe ?after (kernel : kernel) =
@@ -653,7 +598,7 @@ let scored ~name ?observe ?after (kernel : kernel) =
       sel.values.(n0) <- r.value;
       sel.uids.(n0 + 1) <- s.uid;
       sel.values.(n0 + 1) <- s.value;
-      kernel ~now ~n ~uids:sel.uids ~values:sel.values ~scores:sel.scores;
+      kernel ~now ~capacity ~n ~uids:sel.uids ~values:sel.values ~scores:sel.scores;
       match select_prescored sel ~capacity ~n0 ~dst with
       | () -> ()
       | exception Nan_score uid ->
@@ -662,4 +607,14 @@ let scored ~name ?observe ?after (kernel : kernel) =
     end;
     match after with Some f -> f ~now ~src ~dst | None -> ()
   in
-  of_fast ~name fast
+  (* List callers (the reference simulator, tests) step the policy
+     through the same code on a buffer built from the list. *)
+  let select ~now ~cached ~arrivals ~capacity =
+    match arrivals with
+    | [ r; s ] ->
+      let dst = buffer () in
+      fast ~src:(of_tuples cached) ~dst ~now ~r ~s ~capacity;
+      tuples dst
+    | _ -> invalid_arg (name ^ ": a step takes two arrivals, R then S")
+  in
+  { name; select; fast = Some fast }

@@ -7,7 +7,10 @@
 
     Two variants mirror the paper's two problems.  A {!join} policy sees
     the current cache contents and the new arrivals, and decides the new
-    contents (a subset of cached ∪ arrivals of size ≤ capacity).  A
+    contents (a subset of cached ∪ arrivals of size ≤ capacity).  Every
+    join policy is a {!scored} one: it scores the candidates, and one
+    shared selection routine keeps the best and writes the engine's
+    buffer, so no policy can write an invalid selection.  A
     {!cache} policy serves the caching problem (a reference stream
     against a database relation, where cache entries are database-tuple
     values): it sees the cache as stable {!slots} with per-slot scores,
@@ -66,52 +69,16 @@ type join = {
     capacity:int ->
     Ssj_stream.Tuple.t list;
   fast : fast_select option;
-      (** the buffer step; [None] for plan-based policies, which the
-          engine runs through {!fast_of_select} *)
+      (** the buffer step; {!scored} always sets it *)
 }
-(** A joining policy.  Three shapes exist:
-
-    - {e scored} ({!scored}): give each candidate a score, keep the
-      [capacity] best.  [fast] is the policy; [select] is a list adapter
-      over it for list-based callers.
-    - {e buffer} ({!of_fast}): [fast] writes the kept set and its diff
-      itself (FlowExpect); [select] is the same list adapter.
-    - {e plan-based} ({!make_join}): [select] returns the new cache
-      contents directly (scripted test policies).
-
-    [select ~now ~cached ~arrivals ~capacity] returns a subset of
-    [cached ∪ arrivals] of size ≤ [capacity]; scored and buffer policies
-    require [arrivals = [r; s]]. *)
-
-val of_fast : name:string -> fast_select -> join
-(** A buffer policy: [fast] is the engine step, and [select] runs it on a
-    buffer built from the list, requiring [arrivals = [r; s]]. *)
-
-val make_join :
-  name:string ->
-  (now:int ->
-  cached:Ssj_stream.Tuple.t list ->
-  arrivals:Ssj_stream.Tuple.t list ->
-  capacity:int ->
-  Ssj_stream.Tuple.t list) ->
-  join
-(** A plan-based policy ([fast = None]). *)
-
-val fast_of_select :
-  (now:int ->
-  cached:Ssj_stream.Tuple.t list ->
-  arrivals:Ssj_stream.Tuple.t list ->
-  capacity:int ->
-  Ssj_stream.Tuple.t list) ->
-  fast_select
-(** A plan-based policy's [select] as an engine step: the cache is
-    passed as tuples and the plan is written back in the order the
-    policy returned it, with the diff against [src]: the cached
-    positions whose uid the plan dropped, and whether each arrival
-    entered. *)
+(** A joining policy, as {!scored} builds it: [fast] is the policy, and
+    [select ~now ~cached ~arrivals ~capacity] is a list adapter over it
+    for list-based callers, requiring [arrivals = [r; s]]; it returns a
+    subset of [cached ∪ arrivals] of size ≤ [capacity]. *)
 
 type kernel =
   now:int ->
+  capacity:int ->
   n:int ->
   uids:int array ->
   values:int array ->
@@ -122,7 +89,9 @@ type kernel =
     the R arrival, then the S arrival.  One call per step, so the loop
     over candidates runs without a closure call or float boxing per
     candidate.  Stateful kernels (RAND's draws) see the candidates in
-    that order. *)
+    that order.  The step keeps [min capacity n] candidates; [capacity]
+    is always positive here, and only a kernel that decides the kept
+    set itself (FlowExpect) reads it. *)
 
 val scored :
   name:string ->
@@ -131,7 +100,7 @@ val scored :
   kernel ->
   join
 (** [scored ~name ?observe ?after kernel] is the one way to write a
-    scored policy.  Each step:
+    joining policy.  Each step:
 
     + [observe ~r ~s] sees the two arrivals (history, predictors);
     + with [capacity > 0], the candidates are copied into scratch
@@ -226,12 +195,3 @@ val drop_argmin : tie -> slots -> int
     the [n] cached slots and of the fetched value (slot [n]); the
     result is the candidate to drop, in [0 .. n].  Allocates
     nothing. *)
-
-val validate_join_selection :
-  cached:Ssj_stream.Tuple.t list ->
-  arrivals:Ssj_stream.Tuple.t list ->
-  capacity:int ->
-  Ssj_stream.Tuple.t list ->
-  (unit, string) result
-(** Simulator-side sanity check: result ⊆ candidates, no duplicates,
-    within capacity. *)

@@ -10,7 +10,7 @@ let heeb ?name ~r ~s ~alpha ~window () =
     | None -> Printf.sprintf "HEEB-W(a=%.3g,w=%d)" alpha width
   in
   Policy.scored ~name ~observe:(Heeb.Tracker.observe tr)
-    (fun ~now ~n ~uids ~values ~scores ->
+    (fun ~now ~capacity:_ ~n ~uids ~values ~scores ->
       for i = 0 to n - 1 do
         let remaining = Window.remaining_at window ~now ~arrival:(uids.(i) asr 1) in
         scores.(i) <-

@@ -41,22 +41,23 @@ let r_share (b : Policy.buffer) =
   end
 
 (* The one step loop.  The cache lives in two engine-owned buffers
-   ping-ponged each step, so the loop itself allocates nothing; a
-   plan-based policy runs through [Policy.fast_of_select].  Validation,
-   the decision log and share sampling are per-step observers of the
+   ping-ponged each step, so the loop itself allocates nothing.  The
+   decision log and share sampling are per-step observers of the
    buffers. *)
 let run_internal ~trace ~policy ~capacity ?(warmup = 0) ?window ?band
-    ?record_share ?(validate = false) ~log () =
+    ?record_share ~log () =
   let tlen = Trace.length trace in
   let decisions =
     match log with true -> Some (Array.make tlen []) | false -> None
   in
   let index = Join_index.create ?window ?band ~length:tlen () in
-  let name = policy.Policy.name in
   let step =
     match policy.Policy.fast with
     | Some fast -> fast
-    | None -> Policy.fast_of_select policy.Policy.select
+    | None ->
+      invalid_arg
+        (Printf.sprintf "Join_sim.run: policy %s has no buffer step"
+           policy.Policy.name)
   in
   let total = ref 0 and counted = ref 0 in
   let shares = ref [] in
@@ -70,14 +71,6 @@ let run_internal ~trace ~policy ~capacity ?(warmup = 0) ?window ?band
     if now >= warmup then counted := !counted + produced;
     let src_b = !src and dst_b = !dst in
     step ~src:src_b ~dst:dst_b ~now ~r:r_t ~s:s_t ~capacity;
-    if validate then begin
-      match
-        Policy.validate_join_selection ~cached:(Policy.tuples src_b)
-          ~arrivals:[ r_t; s_t ] ~capacity (Policy.tuples dst_b)
-      with
-      | Ok () -> ()
-      | Error msg -> failwith (Printf.sprintf "policy %s at t=%d: %s" name now msg)
-    end;
     (* The step's diff: at most two entries either way in the steady
        state.  Evictions are positions in the previous buffer. *)
     if dst_b.Policy.kept_r then Join_index.insert index r_t;
@@ -109,15 +102,12 @@ let run_internal ~trace ~policy ~capacity ?(warmup = 0) ?window ?band
     },
     decisions )
 
-let run ~trace ~policy ~capacity ?warmup ?window ?band ?record_share ?validate
-    () =
+let run ~trace ~policy ~capacity ?warmup ?window ?band ?record_share () =
   fst
     (run_internal ~trace ~policy ~capacity ?warmup ?window ?band ?record_share
-       ?validate ~log:false ())
+       ~log:false ())
 
 let run_logged ~trace ~policy ~capacity ?window () =
-  match
-    run_internal ~trace ~policy ~capacity ?window ~validate:true ~log:true ()
-  with
+  match run_internal ~trace ~policy ~capacity ?window ~log:true () with
   | result, Some decisions -> (result, decisions)
   | _, None -> assert false

@@ -4,6 +4,12 @@
     join against the cache contents decided at [t − 1] (same-time R–S
     matches are excluded, as the paper's benefit accounting prescribes),
     then the policy picks the new cache contents from cached ∪ arrivals.
+    The policy's buffer step writes them into one of two engine-owned
+    buffers ping-ponged each step; every policy is built by
+    {!Ssj_core.Policy.scored}, so the shared selection routine is the
+    only code that writes that buffer, and the engine trusts it
+    unchecked.  The list-scan reference {!Ssj_conform.Ref_sim} checks
+    every selection instead.
 
     With a sliding window, only cached tuples still inside the window
     produce results. *)
@@ -24,14 +30,14 @@ val run :
   ?window:Ssj_stream.Window.t ->
   ?band:int ->
   ?record_share:int ->
-  ?validate:bool ->
   unit ->
   result
 (** [warmup] defaults to 0; [band] (default 0 = equijoin) switches to band
-    semantics, matching tuples with [|v1 − v2| ≤ band]; [validate]
-    (default false) checks every step's selection against the cache and
-    the two arrivals and raises [Failure "policy <name> at t=<step>:
-    <violation>"] — used by the test suite, skipped in benchmarks. *)
+    semantics, matching tuples with [|v1 − v2| ≤ band].  Each step runs
+    the policy's buffer step ([fast]), so the selection is the shared
+    selection routine's and needs no check; a policy without one raises
+    [Invalid_argument "Join_sim.run: policy <name> has no buffer
+    step"]. *)
 
 val run_logged :
   trace:Ssj_stream.Trace.t ->
@@ -41,5 +47,5 @@ val run_logged :
   unit ->
   result * Ssj_stream.Tuple.t list array
 (** Like [run] but also returns the decision log: the cache contents
-    after each step.  Tests recount the results from it with the naive
+    after each step, unchecked.  Tests recount the results from it with the naive
     counter {!Ssj_conform.Ref_sim.count_matches}. *)

@@ -21,8 +21,8 @@
     value-identical to its input and any simulation over it is
     bit-identical to the unperturbed run.  The test suite proves this by
     QCheck over random kind lists, for each policy run both as its
-    scored step and as a plan through {!Ssj_core.Policy.fast_of_select}
-    on the one engine loop. *)
+    scored step and as a plan through {!Ssj_conform.Ref_sim.plan} on the
+    one engine loop. *)
 
 type kind =
   | Drop of { rate : float }

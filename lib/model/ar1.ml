@@ -40,4 +40,5 @@ let create ?(time = 0) ?window ~start p =
     Markov.of_ar1 ~phi0:p.phi0 ~phi1:p.phi1 ~sigma:p.sigma ~lo:(mean - window)
       ~hi:(mean + window)
   in
-  Predictor.make ~name:"ar1" ~kernel ~last:start ~time ~pmf ()
+  Predictor.make ~name:"ar1" ~kernel:(Predictor.Absolute kernel) ~last:start
+    ~time ~pmf ()

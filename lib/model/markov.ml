@@ -81,18 +81,56 @@ module Dense = struct
     done
 end
 
+(* The last kernel [first_passage] densified, per domain: a caller
+   scoring many targets on one kernel builds its dense form once. *)
+let last_dense : (kernel * Dense.t) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let dense_of k =
+  match Domain.DLS.get last_dense with
+  | Some (k', dk) when k' == k -> dk
+  | _ ->
+    let dk = Dense.of_kernel k in
+    Domain.DLS.set last_dense (Some (k, dk));
+    dk
+
 let first_passage k ~start ~target ~horizon =
   if start < k.lo || start > k.hi then
     invalid_arg "Markov.first_passage: start outside window";
   if horizon < 0 then invalid_arg "Markov.first_passage: negative horizon";
-  let dk = Dense.of_kernel k in
-  let n = dk.Dense.n in
+  let dk = dense_of k in
+  let n = dk.Dense.n and w = dk.Dense.w in
+  let rows = dk.Dense.rows and slot = dk.Dense.slot in
   let result = Array.make horizon 0.0 in
   let dist = ref (Array.make n 0.0) in
   let next = ref (Array.make n 0.0) in
   !dist.(start - k.lo) <- 1.0;
+  (* [Dense.step] restricted to the band [a .. b] of cells the walk has
+     reached: every cell outside it is 0 in both buffers, so the band's
+     rows, in ascending order, make the same sums as a sweep of the
+     whole window — a DP that costs the reach of its horizon, not the
+     window's width. *)
+  let a = ref (start - k.lo) and b = ref (start - k.lo) in
   for d = 1 to horizon do
-    Dense.step dk ~src:!dist ~dst:!next;
+    let src = !dist and dst = !next in
+    let a0 = !a and b0 = !b in
+    for i = a0 to b0 do
+      let s = Array.unsafe_get slot i in
+      if s < !a then a := s;
+      if s + w - 1 > !b then b := s + w - 1
+    done;
+    Array.fill dst !a (!b - !a + 1) 0.0;
+    for i = a0 to b0 do
+      let p = Array.unsafe_get src i in
+      if p > 0.0 then begin
+        let base = i * w and s = Array.unsafe_get slot i in
+        for j = 0 to w - 1 do
+          let c = s + j in
+          Array.unsafe_set dst c
+            (Array.unsafe_get dst c +. (p *. Array.unsafe_get rows (base + j)))
+        done
+      end
+    done;
     let tmp = !dist in
     dist := !next;
     next := tmp;

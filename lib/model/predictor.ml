@@ -1,10 +1,12 @@
+type chain = Absolute of Markov.kernel | Relative of Markov.kernel
+
 type t = {
   name : string;
   time : int;
   last : int option;
   pmf : int -> Ssj_prob.Pmf.t;
   observe : int -> t;
-  kernel : Markov.kernel option;
+  kernel : chain option;
 }
 
 let prob p ~delta v = Ssj_prob.Pmf.prob (p.pmf delta) v

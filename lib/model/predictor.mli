@@ -9,6 +9,17 @@
     policy can keep an old predictor around (e.g. for value-incremental
     computation) without copying. *)
 
+(** A Markov model's one-step transition kernel, as caching HEEB's
+    first-passage DP reads it. *)
+type chain =
+  | Absolute of Markov.kernel
+      (** states are values: the future depends on where the last value
+          lies (AR(1), which reverts to its mean) *)
+  | Relative of Markov.kernel
+      (** states are offsets from the last value, and the kernel's window
+          holds 0: a shift-invariant chain (a random walk), whose window
+          moves with the running value *)
+
 type t = {
   name : string;
   time : int;  (** current time [t0]; the next arrival occurs at [t0 + 1] *)
@@ -17,7 +28,7 @@ type t = {
       (** [pmf delta] is the conditional law of [X_{t0+delta}], [delta ≥ 1] *)
   observe : int -> t;
       (** [observe v] advances time by one step with observed value [v] *)
-  kernel : Markov.kernel option;
+  kernel : chain option;
       (** one-step transition kernel for Markov models (random walk, AR(1)),
           whose future depends on the last value; [None] for the models
           independent across time (offline, stationary, linear trend).
@@ -37,7 +48,7 @@ val advance : t -> int array -> t
 
 val make :
   name:string ->
-  ?kernel:Markov.kernel ->
+  ?kernel:chain ->
   ?last:int ->
   time:int ->
   pmf:(time:int -> last:int option -> int -> Ssj_prob.Pmf.t) ->

@@ -5,8 +5,14 @@
     [Δt] is [x_{t0} + drift·Δt + (Δt-fold convolution of Y)]; we memoise
     the convolution prefix in a shared {!Ssj_prob.Convolve.Table}. *)
 
+val window : int
+(** Half-width of the caching kernel's truncation: 400 states either side
+    of the running value. *)
+
 val create :
-  ?time:int -> ?window:int -> start:int -> drift:int -> step:Ssj_prob.Pmf.t -> unit -> Predictor.t
-(** [start] is the observed value at [time] (default time 0).  [window]
-    bounds the Markov-kernel truncation used for caching first-passage
-    queries (default 400 either side of the running value). *)
+  ?time:int -> start:int -> drift:int -> step:Ssj_prob.Pmf.t -> unit -> Predictor.t
+(** [start] is the observed value at [time] (default time 0).  The
+    predictor's kernel is {!Predictor.Relative}: the walk's one-step law
+    over offsets [-window .. window] from the running value, so caching
+    first-passage queries are truncated relative to wherever the walk
+    has gone, not to its start. *)

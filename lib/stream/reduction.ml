@@ -42,6 +42,5 @@ let transform reference =
   t
 
 let trace t = t.trace
-let encode t pair = alloc t pair
 let decode t code = Hashtbl.find t.pairs code
 let reference t = t.reference

@@ -22,11 +22,9 @@ val transform : int array -> t
 val trace : t -> Trace.t
 (** The transformed [R'], [S'] value scripts as a joining-problem trace. *)
 
-val encode : t -> int * int -> int
-(** Injective pair encoding used by this reduction instance.  Unknown pairs
-    get fresh codes (total over [value × occurrence]). *)
-
 val decode : t -> int -> int * int
-(** Inverse of [encode]; raises [Not_found] for codes never produced. *)
+(** The (value, occurrence) pair behind a code of the transformed streams
+    (an injective encoding); raises [Not_found] for codes never
+    produced. *)
 
 val reference : t -> int array

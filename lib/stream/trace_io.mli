@@ -21,7 +21,6 @@ val save : Trace.t -> filename:string -> (unit, error) result
 val to_channel : Trace.t -> out_channel -> unit
 
 val load_result : filename:string -> (Trace.t, error) result
-val of_channel_result : in_channel -> (Trace.t, error) result
 
 val header : string
 (** The expected first line: ["time,r_value,s_value"]. *)

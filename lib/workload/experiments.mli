@@ -64,9 +64,6 @@ val fig13_data : opts -> fig13_data
     entry renders, and what the conformance golden digests replay.
     Depends only on [opts.seed] and [opts.real_sizes]. *)
 
-val example_scenario : unit -> Ssj_model.Predictor.t * Ssj_model.Predictor.t
-(** The Section 3.4 scenario's stream models (exposed for tests). *)
-
 val example_3_4_numbers : unit -> Ssj_core.Flow_expect.plan * float * float
 (** The raw numbers behind the [example-3-4] entry: (FlowExpect's plan,
     optimal adaptive expected benefit, exhaustive predetermined-plan

@@ -40,11 +40,8 @@ let test_band_sim_counts () =
   let trace = Trace.of_values ~r:[| -9; 4; 5; 6; 8 |] ~s:[| 5; -1; -2; -3; -4 |] in
   let s5 = Tuple.make ~side:Tuple.S ~value:5 ~arrival:0 in
   let keep_s5 =
-    {
-      Policy.name = "keep-s5";
-      fast = None;
-      select = (fun ~now:_ ~cached:_ ~arrivals:_ ~capacity:_ -> [ s5 ]);
-    }
+    Ssj_conform.Ref_sim.plan ~name:"keep-s5"
+      (fun ~now:_ ~cached:_ ~arrivals:_ ~capacity:_ -> [ s5 ])
   in
   let run band =
     (Ssj_engine.Join_sim.run ~trace ~policy:keep_s5 ~capacity:1 ~band ())

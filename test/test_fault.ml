@@ -17,9 +17,12 @@ let tower_trace ~length ~seed =
 
 let prob_policy () = Baselines.prob ~lifetime:(Config.lifetime tower) ()
 
-let run_counted ?(strip_fast = false) ~trace ~capacity () =
+let run_counted ?(as_plan = false) ~trace ~capacity () =
   let policy = prob_policy () in
-  let policy = if strip_fast then { policy with Policy.fast = None } else policy in
+  let policy =
+    if as_plan then Ssj_conform.Ref_sim.plan ~name:policy.Policy.name policy.select
+    else policy
+  in
   (Join_sim.run ~trace ~policy ~capacity ~warmup:(4 * capacity) ())
     .Join_sim
     .counted_results
@@ -67,8 +70,8 @@ let zero_rate_sim_identity =
       let dirty = Fault.apply spec trace in
       let capacity = 8 in
       run_counted ~trace ~capacity () = run_counted ~trace:dirty ~capacity ()
-      && run_counted ~strip_fast:true ~trace ~capacity ()
-         = run_counted ~strip_fast:true ~trace:dirty ~capacity ())
+      && run_counted ~as_plan:true ~trace ~capacity ()
+         = run_counted ~as_plan:true ~trace:dirty ~capacity ())
 
 let test_drop_all () =
   let spec = { Fault.kinds = [ Fault.Drop { rate = 1.0 } ]; seed = 1 } in

@@ -162,11 +162,17 @@ let test_policy_runs_and_validates () =
   let cfg = Ssj_workload.Config.tower () in
   let r, s = Ssj_workload.Config.predictors cfg in
   let trace = Trace.generate ~r ~s ~rng:(rng 61) ~length:120 in
-  let policy = Ssj_workload.Factory.trend_flow_expect cfg ~lookahead:4 () in
+  let policy () = Ssj_workload.Factory.trend_flow_expect cfg ~lookahead:4 () in
   let result =
-    Ssj_engine.Join_sim.run ~trace ~policy ~capacity:6 ~validate:true ()
+    Ssj_engine.Join_sim.run ~trace ~policy:(policy ()) ~capacity:6 ()
   in
-  check_bool "nonzero results" true (result.Ssj_engine.Join_sim.total_results > 0)
+  check_bool "nonzero results" true (result.Ssj_engine.Join_sim.total_results > 0);
+  (* The list-scan reference checks every selection on the way. *)
+  let checked =
+    Ssj_conform.Ref_sim.run ~trace ~policy:(policy ()) ~capacity:6 ()
+  in
+  check_int "reference count" result.Ssj_engine.Join_sim.total_results
+    checked.Ssj_conform.Ref_sim.total_results
 
 let test_flow_expect_competitive_on_tower () =
   (* Sanity: FlowExpect should beat RAND on TOWER at small scale. *)
@@ -287,6 +293,67 @@ let test_walk_memo_hits () =
       cached := kept)
     decisions
 
+(* The policy scores the candidates whose source arc carries flow above
+   the rest and lets the shared selection keep [min capacity n] of them,
+   so the solve must carry exactly that many units at every step: one
+   unit source arc and a keep chain to the sink per candidate.  Checked
+   on FLOOR and TOWER at capacities 1-25 and look-aheads 1, 5 and 10,
+   and on WALK at capacities 1-30 and look-ahead 5, from an empty cache
+   until well past full: a fresh solve on the policy's cache keeps
+   [min capacity n], and the policy keeps the same uids, in candidate
+   order. *)
+let test_keeps_min_capacity_n () =
+  let steps = 30 in
+  let check_run ~label ~r ~s ~policy ~lookahead ~capacity ~seed =
+    let trace = Trace.generate ~r ~s ~rng:(rng seed) ~length:steps in
+    let _, decisions =
+      Ssj_engine.Join_sim.run_logged ~trace ~policy ~capacity ()
+    in
+    let h = Flow_expect.handle () in
+    let rp = ref r and sp = ref s and cached = ref [] in
+    Array.iteri
+      (fun t kept ->
+        let r_t, s_t = Trace.arrivals trace t in
+        rp := !rp.Predictor.observe r_t.Tuple.value;
+        sp := !sp.Predictor.observe s_t.Tuple.value;
+        let plan =
+          Flow_expect.decide ~handle:h ~r:!rp ~s:!sp ~lookahead ~cached:!cached
+            ~arrivals:[ r_t; s_t ] ~capacity ()
+        in
+        let want = min capacity (List.length !cached + 2) in
+        let uids ts = List.map (fun (t : Tuple.t) -> t.Tuple.uid) ts in
+        if List.length plan.Flow_expect.keep <> want then
+          Alcotest.failf "%s cap=%d l=%d step %d: the solve kept %d, not %d"
+            label capacity lookahead t
+            (List.length plan.Flow_expect.keep)
+            want;
+        if uids plan.Flow_expect.keep <> uids kept then
+          Alcotest.failf "%s cap=%d l=%d step %d: the policy kept other uids"
+            label capacity lookahead t;
+        cached := kept)
+      decisions
+  in
+  List.iter
+    (fun (label, cfg) ->
+      let r, s = Ssj_workload.Config.predictors cfg in
+      List.iter
+        (fun lookahead ->
+          for capacity = 1 to 25 do
+            check_run ~label ~r ~s ~lookahead ~capacity ~seed:(100 + capacity)
+              ~policy:(Ssj_workload.Factory.trend_flow_expect cfg ~lookahead ())
+          done)
+        [ 1; 5; 10 ])
+    [
+      ("FLOOR", Ssj_workload.Config.floor ());
+      ("TOWER", Ssj_workload.Config.tower ());
+    ];
+  let w = Ssj_workload.Config.walk () in
+  let r, s = Ssj_workload.Config.walk_predictors w in
+  for capacity = 1 to 30 do
+    check_run ~label:"WALK" ~r ~s ~lookahead:5 ~capacity ~seed:(200 + capacity)
+      ~policy:(Ssj_workload.Factory.walk_flow_expect w ~lookahead:5 ())
+  done
+
 let suite =
   [
     Alcotest.test_case "Section 3.4 example" `Quick test_section_3_4;
@@ -305,4 +372,6 @@ let suite =
       test_flow_expect_competitive_on_tower;
     Alcotest.test_case "WALK benefit memo hits, decisions fresh" `Quick
       test_walk_memo_hits;
+    Alcotest.test_case "FlowExpect keeps min(capacity, n) every step" `Quick
+      test_keeps_min_capacity_n;
   ]

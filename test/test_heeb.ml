@@ -11,7 +11,7 @@ let tower_trace ~length ~seed =
   Trace.generate ~r ~s ~rng:(rng seed) ~length
 
 let run_joining policy ~trace ~capacity =
-  Ssj_engine.Join_sim.run ~trace ~policy ~capacity ~validate:true ()
+  Ssj_engine.Join_sim.run ~trace ~policy ~capacity ()
 
 let heeb_with mode =
   let r, s = Ssj_workload.Config.predictors tower in
@@ -118,6 +118,33 @@ let test_heeb_caching_stationary_equals_lfu_model () =
   in
   check_int "HEEB = A0 on stationary reference" (run a0) (run heeb)
 
+(* A random walk's caching H is a first passage relative to its running
+   value, wherever the walk has gone: a reference 1000 values from the
+   walk's start scores every nearby candidate above 0 (a kernel fixed
+   at start +- 400 scored them all 0). *)
+let test_walk_caching_h_follows_the_walk () =
+  let step = Pmf.of_assoc [ (-1, 1.0); (0, 2.0); (1, 1.0) ] in
+  let walk = Random_walk.create ~start:0 ~drift:0 ~step () in
+  let heeb = Heeb.caching ~reference:walk ~l:(Lfun.exp_ ~alpha:4.0) () in
+  let scored = ref [] in
+  let probe =
+    {
+      heeb with
+      Policy.access =
+        (fun ~now ~cached ~value ~hit ~capacity ->
+          let drop = heeb.Policy.access ~now ~cached ~value ~hit ~capacity in
+          if drop <> Policy.no_drop then
+            scored := Array.to_list (Array.sub cached.Policy.scores 0 (cached.n + 1))
+              @ !scored;
+          drop);
+    }
+  in
+  ignore
+    (Ssj_engine.Cache_sim.run ~reference:[| 1000; 1001; 1002; 1000; 999 |]
+       ~policy:probe ~capacity:2 ());
+  check_int "candidates scored" 9 (List.length !scored);
+  List.iter (fun h -> check_bool "H > 0 near the walk" true (h > 0.0)) !scored
+
 let test_caching_fn_scores_full_misses_only () =
   (* A counting scorer: hits and misses with room score nothing; a full
      miss stages the scorer once and scores the m cached values and the
@@ -171,7 +198,7 @@ let joining_curves_by_eval ~h_r_tuples ~h_s_tuples =
     ~observe:(fun ~r ~s ->
       note r;
       note s)
-    (fun ~now:_ ~n ~uids ~values ~scores ->
+    (fun ~now:_ ~capacity:_ ~n ~uids ~values ~scores ->
       for i = 0 to n - 1 do
         let is_r = uids.(i) land 1 = 0 in
         scores.(i) <-
@@ -281,6 +308,8 @@ let suite =
       test_heeb_caching_offline_equals_lfd;
     Alcotest.test_case "stationary caching HEEB = A0 (Section 5.2)" `Quick
       test_heeb_caching_stationary_equals_lfu_model;
+    Alcotest.test_case "walk caching H follows the running value" `Quick
+      test_walk_caching_h_follows_the_walk;
     Alcotest.test_case "caching_fn scores on full misses only" `Quick
       test_caching_fn_scores_full_misses_only;
     Alcotest.test_case "walk curve policy" `Quick

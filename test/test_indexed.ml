@@ -120,26 +120,32 @@ let tower_trace length seed =
   let r, s = Config.predictors tower in
   Trace.generate ~r ~s ~rng:(Rng.create seed) ~length
 
-(* The scored step against the same policy run as a plan: with
-   [fast = None] the engine steps its list [select] (a list adapter over
-   the same step) through [Policy.fast_of_select], which rebuilds tuples
-   and computes the diff from the returned plan, with every selection
-   validated.  Fresh policy instances with the same seed draw
-   the same randomness, so both executions must produce identical
-   counts.  Capacity 1 keeps the candidate set at three times the
-   capacity. *)
+(* The scored step against the same policy run as a plan: wrapped in
+   [Ref_sim.plan], the engine steps its list [select] (a list adapter
+   over the same step) through the plan's step, which rebuilds tuples
+   and computes the diff from the returned plan; the list-scan
+   reference runs it too, checking every selection.  Fresh policy
+   instances with the same seed draw the same randomness, so all three
+   executions must produce identical counts.  Capacity 1 keeps the
+   candidate set at three times the capacity. *)
 let test_fast_matches_list () =
   let trace = tower_trace 400 5 in
   List.iter
     (fun (capacity, window, band) ->
       List.iter
         (fun (name, mk) ->
-          let run policy validate =
-            Join_sim.run ~trace ~policy ~capacity ~warmup:40 ?window ~band
-              ~validate ()
+          let run policy =
+            Join_sim.run ~trace ~policy ~capacity ~warmup:40 ?window ~band ()
           in
-          let fast = run (mk ()) false
-          and slow = run { (mk ()) with Policy.fast = None } true in
+          let plan () =
+            let p = mk () in
+            Ssj_conform.Ref_sim.plan ~name:p.Policy.name p.Policy.select
+          in
+          let fast = run (mk ()) and slow = run (plan ()) in
+          let listed =
+            Ssj_conform.Ref_sim.run ~trace ~policy:(mk ()) ~capacity ~warmup:40
+              ?window ~band ()
+          in
           let label =
             Printf.sprintf "%s cap=%d band=%d%s" name capacity band
               (match window with None -> "" | Some _ -> " win")
@@ -147,6 +153,8 @@ let test_fast_matches_list () =
           check_int (label ^ " total") slow.Join_sim.total_results
             fast.Join_sim.total_results;
           check_int (label ^ " counted") slow.Join_sim.counted_results
+            fast.Join_sim.counted_results;
+          check_int (label ^ " listed") listed.Ssj_conform.Ref_sim.counted_results
             fast.Join_sim.counted_results)
         (Factory.trend_policies tower ~seed:11 ()))
     [
@@ -391,7 +399,7 @@ let test_nan_score_raises () =
       let nan_uid = (List.nth (cached @ [ r; s ]) nan_at).Tuple.uid in
       (* Best-first in cache order, or a fresh draw per candidate. *)
       let policy =
-        Policy.scored ~name:"NaN-probe" (fun ~now:_ ~n ~uids ~values ~scores ->
+        Policy.scored ~name:"NaN-probe" (fun ~now:_ ~capacity:_ ~n ~uids ~values ~scores ->
             for i = 0 to n - 1 do
               scores.(i) <-
                 (if uids.(i) = nan_uid then Float.nan

@@ -74,8 +74,7 @@ let test_two_stream_degeneration () =
       .total_results
   in
   let pair_count =
-    (Ssj_engine.Join_sim.run ~trace ~policy:pair_heeb ~capacity:8
-       ~validate:true ())
+    (Ssj_engine.Join_sim.run ~trace ~policy:pair_heeb ~capacity:8 ())
       .Ssj_engine.Join_sim
       .total_results
   in
@@ -159,14 +158,14 @@ let keep_newest_multi streams_kept =
       List.filteri (fun i _ -> i < capacity) candidates)
 
 let keep_newest_pair =
-  Policy.make_join ~name:"NEWEST"
+  Ssj_conform.Ref_sim.plan ~name:"NEWEST"
     (fun ~now:_ ~cached ~arrivals ~capacity ->
       List.filteri (fun i _ -> i < capacity) (arrivals @ cached))
 
 let run_pairwise ~r ~s ~capacity ~warmup =
   (Ssj_engine.Join_sim.run
      ~trace:(Ssj_stream.Trace.of_values ~r ~s)
-     ~policy:keep_newest_pair ~capacity ~warmup ~validate:true ())
+     ~policy:keep_newest_pair ~capacity ~warmup ())
     .Ssj_engine.Join_sim
     .total_results
 

@@ -20,12 +20,12 @@ let test_keep_top_tiebreak () =
 
 let test_validate_selection () =
   let cached = [ tup Tuple.R 1 0 ] and arrivals = [ tup Tuple.S 2 1 ] in
-  let ok sel = Policy.validate_join_selection ~cached ~arrivals ~capacity:1 sel in
+  let ok sel = Ssj_conform.Ref_sim.validate_join_selection ~cached ~arrivals ~capacity:1 sel in
   check_bool "valid" true (ok [ tup Tuple.S 2 1 ] = Ok ());
   check_bool "oversize rejected" true (ok (cached @ arrivals) <> Ok ());
   check_bool "stranger rejected" true (ok [ tup Tuple.R 9 5 ] <> Ok ());
   check_bool "duplicate rejected" true
-    (Policy.validate_join_selection ~cached ~arrivals ~capacity:3
+    (Ssj_conform.Ref_sim.validate_join_selection ~cached ~arrivals ~capacity:3
        [ tup Tuple.R 1 0; tup Tuple.R 1 0 ]
     <> Ok ())
 

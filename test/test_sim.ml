@@ -7,20 +7,16 @@ let trace r s = Trace.of_values ~r:(Array.of_list r) ~s:(Array.of_list s)
 
 (* A scripted policy for deterministic simulator tests. *)
 let scripted decisions =
-  {
-    Policy.name = "scripted";
-    fast = None;
-    select =
-      (fun ~now ~cached:_ ~arrivals:_ ~capacity:_ ->
-        match List.nth_opt decisions now with Some d -> d | None -> []);
-  }
+  Ssj_conform.Ref_sim.plan ~name:"scripted"
+    (fun ~now ~cached:_ ~arrivals:_ ~capacity:_ ->
+      match List.nth_opt decisions now with Some d -> d | None -> [])
 
 let test_join_counts_basic () =
   (* Keep the S(7) tuple from t=0; R emits 7 at t=1 and t=2. *)
   let t = trace [ 0; 7; 7 ] [ 7; 1; 2 ] in
   let s7 = Tuple.make ~side:Tuple.S ~value:7 ~arrival:0 in
   let policy = scripted [ [ s7 ]; [ s7 ]; [ s7 ] ] in
-  let result = Join_sim.run ~trace:t ~policy ~capacity:1 ~validate:true () in
+  let result = Join_sim.run ~trace:t ~policy ~capacity:1 () in
   check_int "two results" 2 result.Join_sim.total_results
 
 let test_same_time_match_not_counted () =
@@ -35,7 +31,7 @@ let test_duplicate_values_both_count () =
   let s0 = Tuple.make ~side:Tuple.S ~value:9 ~arrival:0 in
   let s1 = Tuple.make ~side:Tuple.S ~value:9 ~arrival:1 in
   let policy = scripted [ [ s0 ]; [ s0; s1 ]; [] ] in
-  let result = Join_sim.run ~trace:t ~policy ~capacity:2 ~validate:true () in
+  let result = Join_sim.run ~trace:t ~policy ~capacity:2 () in
   check_int "two distinct results" 2 result.Join_sim.total_results
 
 let test_warmup_discounts () =
@@ -61,8 +57,9 @@ let test_window_blocks_expired () =
   in
   check_int "inside window" 1 result.Join_sim.total_results
 
-(* Each kind of invalid selection fails the validated run with a message
-   naming the policy, the step and the violation. *)
+(* Each kind of invalid selection fails the reference run, which checks
+   every selection, with a message naming the policy, the step and the
+   violation. *)
 let test_validation_catches_cheating () =
   let t = trace [ 1; 2 ] [ 3; 4 ] in
   let r0 = Tuple.make ~side:Tuple.R ~value:1 ~arrival:0 in
@@ -79,8 +76,8 @@ let test_validation_catches_cheating () =
   List.iter
     (fun (label, decisions, capacity, violation) ->
       match
-        Join_sim.run ~trace:t ~policy:(scripted decisions) ~capacity
-          ~validate:true ()
+        Ssj_conform.Ref_sim.run ~trace:t ~policy:(scripted decisions)
+          ~capacity ()
       with
       | _ -> Alcotest.failf "%s: expected a validation failure" label
       | exception Failure msg ->
@@ -97,6 +94,14 @@ let test_validation_catches_cheating () =
         "neither cached nor arriving" );
       ("duplicate", [ [ r0; s0 ]; [ r0; r0 ] ], 2, "duplicates");
     ]
+
+(* Every constructor gives a policy a buffer step; a record built
+   without one is refused before the first step, naming the policy. *)
+let test_refuses_no_buffer_step () =
+  let policy = { (scripted []) with Policy.name = "LISTONLY"; fast = None } in
+  Alcotest.check_raises "no buffer step"
+    (Invalid_argument "Join_sim.run: policy LISTONLY has no buffer step")
+    (fun () -> ignore (Join_sim.run ~trace:(trace [ 1 ] [ 2 ]) ~policy ~capacity:1 ()))
 
 let test_recount_agrees () =
   let cfg = Ssj_workload.Config.tower () in
@@ -335,6 +340,8 @@ let suite =
     Alcotest.test_case "sliding window blocks expired" `Quick
       test_window_blocks_expired;
     Alcotest.test_case "validation" `Quick test_validation_catches_cheating;
+    Alcotest.test_case "Join_sim refuses a policy without a buffer step" `Quick
+      test_refuses_no_buffer_step;
     Alcotest.test_case "recount agreement" `Quick test_recount_agrees;
     Alcotest.test_case "share sampling" `Quick test_share_samples;
     Alcotest.test_case "cache sim accounting" `Quick

@@ -58,7 +58,7 @@ let test_windowed_heeb_runs_under_window_semantics () =
   let trace = Trace.generate ~r ~s ~rng:(rng 81) ~length:400 in
   let heeb = Sliding.heeb ~r:(make ()) ~s:(make ()) ~alpha:7.0 ~window () in
   let run policy =
-    (Ssj_engine.Join_sim.run ~trace ~policy ~capacity:5 ~window ~validate:true ())
+    (Ssj_engine.Join_sim.run ~trace ~policy ~capacity:5 ~window ())
       .Ssj_engine.Join_sim
       .total_results
   in
@@ -83,8 +83,9 @@ let test_windowed_ecb_consistency () =
 (* --- QCheck: windowed semantics vs brute-force oracles ---------------- *)
 
 let test_qcheck_windowed_run =
-  (* Both engine paths (fast and validated list) under window semantics
-     against the naive full-rescan reference simulator. *)
+  (* Both engine paths (the buffer step, and the list select run as a
+     plan) under window semantics against the naive full-rescan
+     reference simulator. *)
   qcheck ~count:120 "windowed runs match the brute-force oracle"
     QCheck2.Gen.(
       quad
@@ -104,13 +105,16 @@ let test_qcheck_windowed_run =
       in
       List.for_all
         (fun fresh ->
-          let engine ~validate =
+          let engine policy =
             Ssj_engine.Join_sim.run
               ~trace:(Trace.of_values ~r ~s)
-              ~policy:(fresh ()) ~capacity ~warmup ~window ~band ~validate ()
+              ~policy ~capacity ~warmup ~window ~band ()
           in
-          let fast = engine ~validate:false in
-          let listed = engine ~validate:true in
+          let fast = engine (fresh ()) in
+          let listed =
+            let p = fresh () in
+            engine (Ssj_conform.Ref_sim.plan ~name:p.Policy.name p.Policy.select)
+          in
           let oracle =
             Ssj_conform.Ref_sim.run
               ~trace:(Trace.of_values ~r ~s)
