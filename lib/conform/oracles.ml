@@ -544,8 +544,9 @@ let cache_selection_violation ~seed i =
       ( Heeb.caching ~reference:(walk ()) ~l (),
         cache_spec (fun ~now:_ ~cached ~value ~hit ~capacity ->
             let kernel =
-              Markov.of_step ~step:walk_step ~drift:0 ~lo:(value - w)
-                ~hi:(value + w)
+              Markov.Dense.of_kernel
+                (Markov.of_step ~step:walk_step ~drift:0 ~lo:(value - w)
+                   ~hi:(value + w))
             in
             let score v =
               Hvalue.caching_markov ~kernel ~start:value ~l ~value:v

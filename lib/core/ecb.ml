@@ -35,7 +35,9 @@ let of_first_reference first =
 
 let caching_markov ~kernel ~start ~value ~horizon =
   if horizon < 1 then invalid_arg "Ecb.caching_markov: horizon < 1";
-  of_first_reference (Markov.first_passage kernel ~start ~target:value ~horizon)
+  of_first_reference
+    (Markov.first_passage (Markov.Dense.of_kernel kernel) ~start ~target:value
+       ~horizon)
 
 let sliding b ~remaining =
   let n = Array.length b in

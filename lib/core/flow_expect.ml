@@ -272,9 +272,16 @@ let policy ?name ~r ~s ~lookahead () =
     s_pred := !s_pred.Predictor.observe s.value;
     Obs.Counter.incr m_decides
   in
-  Policy.scored ~name ~observe (fun ~now:_ ~capacity ~n ~uids ~values ~scores ->
+  Policy.scored ~name ~observe (fun ~now ~capacity ~n ~uids ~values ~scores ->
       let gr = prepare h ~r:!r_pred ~s:!s_pred ~l:lookahead ~base:n ~uids ~values in
-      ignore (Mcmf.solve gr.g ~source ~sink ~target:(min capacity n));
+      let target = min capacity n in
+      let result = Mcmf.solve gr.g ~source ~sink ~target in
+      (* The shared selection keeps exactly [target] candidates, so a
+         solve that stopped short would fill the gap with dropped ones. *)
+      if result.Mcmf.flow <> target then
+        invalid_arg
+          (Printf.sprintf "Flow_expect.policy: %s carried %d of %d units at step %d"
+             name result.Mcmf.flow target now);
       for e = 0 to n - 1 do
         scores.(e) <-
           (if Mcmf.flow_on gr.g gr.source_arcs.(e) > 0 then float_of_int (n - e)

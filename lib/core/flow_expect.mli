@@ -69,6 +69,8 @@ val policy :
     [min capacity n] units (a unit source arc and a keep chain to the
     sink per candidate), so the shared selection keeps exactly the
     flow's candidates, in cache-then-arrivals order, and drops the rest
-    in ascending position.  The scores are finite and distinct, so
-    FlowExpect's drops count as neither dead nor tied.  Predictors are
-    passed positioned before the first arrival.  [lookahead ≥ 1]. *)
+    in ascending position; a solve that carries fewer raises
+    [Invalid_argument] naming the policy and the step.  The scores are
+    finite and distinct, so FlowExpect's drops count as neither dead nor
+    tied.  Predictors are passed positioned before the first arrival.
+    [lookahead ≥ 1]. *)

@@ -145,7 +145,8 @@ let joining_adaptive ?name ~r ~s () =
 (* Caching                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let caching_direct_h pred ~l value =
+(* [dense] gives a Markov kernel's dense form. *)
+let caching_direct_h ~dense pred ~l value =
   match pred.Predictor.kernel with
   | Some (Predictor.Absolute kernel) ->
     let start =
@@ -153,7 +154,7 @@ let caching_direct_h pred ~l value =
       | Some v -> max kernel.Markov.lo (min kernel.Markov.hi v)
       | None -> (kernel.Markov.lo + kernel.Markov.hi) / 2
     in
-    Hvalue.caching_markov ~kernel ~start ~l ~value
+    Hvalue.caching_markov ~kernel:(dense kernel) ~start ~l ~value
   | Some (Predictor.Relative kernel) ->
     (* H(v | last) is the first passage from offset 0 to [v - last].  An
        offset that overflows lies outside the window, where no mass
@@ -161,7 +162,7 @@ let caching_direct_h pred ~l value =
     let last = Option.value ~default:0 pred.Predictor.last in
     let offset = value - last in
     if (value >= last) <> (offset >= 0) then 0.0
-    else Hvalue.caching_markov ~kernel ~start:0 ~l ~value:offset
+    else Hvalue.caching_markov ~kernel:(dense kernel) ~start:0 ~l ~value:offset
   | None -> Hvalue.caching_independent ~reference:pred ~l ~value
 
 (* Every HEEB caching policy: [observe] sees each reference; a hit or a
@@ -183,6 +184,17 @@ let on_full_miss ~cname ~observe fill =
 
 let caching ?name ~reference ~l () =
   let pred = ref reference in
+  (* Every predictor a Markov reference observes into shares its kernel,
+     so the policy densifies it once, on its first full miss. *)
+  let densified = ref None in
+  let dense kernel =
+    match !densified with
+    | Some (k, dk) when k == kernel -> dk
+    | _ ->
+      let dk = Markov.Dense.of_kernel kernel in
+      densified := Some (kernel, dk);
+      dk
+  in
   let cname =
     match name with
     | Some n -> n
@@ -192,7 +204,7 @@ let caching ?name ~reference ~l () =
     ~observe:(fun value -> pred := !pred.Predictor.observe value)
     (fun ~now:_ ~value:_ (c : Policy.slots) ->
       for i = 0 to c.n do
-        c.scores.(i) <- caching_direct_h !pred ~l c.values.(i)
+        c.scores.(i) <- caching_direct_h ~dense !pred ~l c.values.(i)
       done)
 
 type fill =

@@ -20,9 +20,10 @@ val caching_independent :
     survival probability is negligible. *)
 
 val caching_markov :
-  kernel:Ssj_model.Markov.kernel -> start:int -> l:Lfun.t -> value:int -> float
+  kernel:Ssj_model.Markov.Dense.t -> start:int -> l:Lfun.t -> value:int -> float
 (** Same, with first-reference probabilities from the Markov first-passage
-    DP.  Expensive per call — policies use {!Precompute} instead; this
+    DP on the kernel's dense form (built once by the caller).  Expensive
+    per call — policies use {!Precompute} instead; this
     entry point is the reference implementation they are tested against. *)
 
 (** {2 Time-incremental updates (Section 4.4.1)} *)

@@ -63,12 +63,22 @@ module Dense = struct
       pmfs;
     { lo = k.lo; n; w; rows; slot }
 
-  (* dst ← distᵀ·K: forward propagation of a (sub-)distribution.  Same
-     source-major accumulation order as iterating each row pmf, so the
-     results match the pre-densified code bit for bit. *)
-  let step t ~src ~dst =
-    Array.fill dst 0 t.n 0.0;
-    for i = 0 to t.n - 1 do
+  (* dst ← srcᵀ·K over the band [a0 .. b0] of cells [src] may hold mass
+     in; returns [dst]'s band, which holds [a0 .. b0].  Every cell outside
+     a buffer's band is 0 (bands only grow, and a step writes [dst] only
+     within its band), so the band's rows in ascending order make the
+     same sums as a sweep of the whole window: the same source-major
+     accumulation order as iterating each row pmf, bit for bit, at the
+     cost of the chain's reach rather than the window's width. *)
+  let step t (a0, b0) ~src ~dst =
+    let a = ref a0 and b = ref b0 in
+    for i = a0 to b0 do
+      let s = Array.unsafe_get t.slot i in
+      if s < !a then a := s;
+      if s + t.w - 1 > !b then b := s + t.w - 1
+    done;
+    Array.fill dst !a (!b - !a + 1) 0.0;
+    for i = a0 to b0 do
       let p = Array.unsafe_get src i in
       if p > 0.0 then begin
         let base = i * t.w and s = Array.unsafe_get t.slot i in
@@ -78,64 +88,26 @@ module Dense = struct
             (Array.unsafe_get dst d +. (p *. Array.unsafe_get t.rows (base + j)))
         done
       end
-    done
+    done;
+    (!a, !b)
 end
 
-(* The last kernel [first_passage] densified, per domain: a caller
-   scoring many targets on one kernel builds its dense form once. *)
-let last_dense : (kernel * Dense.t) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let dense_of k =
-  match Domain.DLS.get last_dense with
-  | Some (k', dk) when k' == k -> dk
-  | _ ->
-    let dk = Dense.of_kernel k in
-    Domain.DLS.set last_dense (Some (k, dk));
-    dk
-
-let first_passage k ~start ~target ~horizon =
-  if start < k.lo || start > k.hi then
+let first_passage (dk : Dense.t) ~start ~target ~horizon =
+  if start < dk.lo || start >= dk.lo + dk.n then
     invalid_arg "Markov.first_passage: start outside window";
   if horizon < 0 then invalid_arg "Markov.first_passage: negative horizon";
-  let dk = dense_of k in
-  let n = dk.Dense.n and w = dk.Dense.w in
-  let rows = dk.Dense.rows and slot = dk.Dense.slot in
   let result = Array.make horizon 0.0 in
-  let dist = ref (Array.make n 0.0) in
-  let next = ref (Array.make n 0.0) in
-  !dist.(start - k.lo) <- 1.0;
-  (* [Dense.step] restricted to the band [a .. b] of cells the walk has
-     reached: every cell outside it is 0 in both buffers, so the band's
-     rows, in ascending order, make the same sums as a sweep of the
-     whole window — a DP that costs the reach of its horizon, not the
-     window's width. *)
-  let a = ref (start - k.lo) and b = ref (start - k.lo) in
+  let dist = ref (Array.make dk.n 0.0) in
+  let next = ref (Array.make dk.n 0.0) in
+  !dist.(start - dk.lo) <- 1.0;
+  let band = ref (start - dk.lo, start - dk.lo) in
   for d = 1 to horizon do
-    let src = !dist and dst = !next in
-    let a0 = !a and b0 = !b in
-    for i = a0 to b0 do
-      let s = Array.unsafe_get slot i in
-      if s < !a then a := s;
-      if s + w - 1 > !b then b := s + w - 1
-    done;
-    Array.fill dst !a (!b - !a + 1) 0.0;
-    for i = a0 to b0 do
-      let p = Array.unsafe_get src i in
-      if p > 0.0 then begin
-        let base = i * w and s = Array.unsafe_get slot i in
-        for j = 0 to w - 1 do
-          let c = s + j in
-          Array.unsafe_set dst c
-            (Array.unsafe_get dst c +. (p *. Array.unsafe_get rows (base + j)))
-        done
-      end
-    done;
+    band := Dense.step dk !band ~src:!dist ~dst:!next;
     let tmp = !dist in
     dist := !next;
     next := tmp;
-    if target >= k.lo && target <= k.hi then begin
-      let j = target - k.lo in
+    if target >= dk.lo && target < dk.lo + dk.n then begin
+      let j = target - dk.lo in
       result.(d - 1) <- !dist.(j);
       (* Taboo: remove mass that has hit the target. *)
       !dist.(j) <- 0.0
@@ -152,8 +124,9 @@ let marginal k ~start ~horizon =
   let dist = ref (Array.make n 0.0) in
   let next = ref (Array.make n 0.0) in
   !dist.(start - k.lo) <- 1.0;
+  let band = ref (start - k.lo, start - k.lo) in
   Array.init horizon (fun _ ->
-      Dense.step dk ~src:!dist ~dst:!next;
+      band := Dense.step dk !band ~src:!dist ~dst:!next;
       let tmp = !dist in
       dist := !next;
       next := tmp;

@@ -50,18 +50,16 @@ module Dense : sig
   }
 
   val of_kernel : kernel -> t
-
-  val step : t -> src:float array -> dst:float array -> unit
-  (** Forward propagation [dst ← srcᵀ·K] of a (sub-)distribution over
-      the window; [dst] is overwritten and must not alias [src].
-      Bit-identical to folding each state's row pmf in support order. *)
 end
 
 val first_passage :
-  kernel -> start:int -> target:int -> horizon:int -> float array
+  Dense.t -> start:int -> target:int -> horizon:int -> float array
 (** [first_passage k ~start ~target ~horizon] returns [a] with [a.(d-1)] =
     Pr{first visit of [target] happens at step [d]}, for [d = 1..horizon].
-    Requires [start] within the window. *)
+    Requires [start] within the window.  It takes the dense form so a
+    caller scoring many targets on one kernel builds it once; each step
+    sweeps only the states the chain has reached, so a query costs the
+    chain's reach over [horizon], not the window's width. *)
 
 val marginal : kernel -> start:int -> horizon:int -> float array array
 (** [marginal k ~start ~horizon] returns [m] where [m.(d-1).(j)] =

@@ -49,7 +49,10 @@ let test_caching_markov_agrees_with_independent () =
   let dist = Pmf.of_assoc [ (0, 0.55); (1, 0.45) ] in
   let kernel = { Markov.lo = 0; hi = 1; row = (fun _ -> dist) } in
   let l = Lfun.exp_ ~alpha:5.0 in
-  let via_markov = Hvalue.caching_markov ~kernel ~start:0 ~l ~value:1 in
+  let via_markov =
+    Hvalue.caching_markov ~kernel:(Markov.Dense.of_kernel kernel) ~start:0 ~l
+      ~value:1
+  in
   let via_independent =
     Hvalue.caching_independent ~reference:(Stationary.create dist) ~l ~value:1
   in

@@ -198,17 +198,21 @@ let test_first_passage_two_state () =
       row = (fun x -> Pmf.point (1 - x));
     }
   in
-  let fp1 = Markov.first_passage k ~start:0 ~target:1 ~horizon:4 in
+  let dk = Markov.Dense.of_kernel k in
+  let fp1 = Markov.first_passage dk ~start:0 ~target:1 ~horizon:4 in
   Alcotest.(check (array (float 1e-12))) "hit 1 at step 1"
     [| 1.0; 0.0; 0.0; 0.0 |] fp1;
-  let fp0 = Markov.first_passage k ~start:0 ~target:0 ~horizon:4 in
+  let fp0 = Markov.first_passage dk ~start:0 ~target:0 ~horizon:4 in
   Alcotest.(check (array (float 1e-12))) "return to 0 at step 2"
     [| 0.0; 1.0; 0.0; 0.0 |] fp0
 
 let test_first_passage_sums_to_hit_probability () =
   let step = Pmf.of_assoc [ (-1, 0.5); (1, 0.5) ] in
   let k = Markov.of_step ~step ~drift:0 ~lo:(-60) ~hi:60 in
-  let fp = Markov.first_passage k ~start:0 ~target:3 ~horizon:200 in
+  let fp =
+    Markov.first_passage (Markov.Dense.of_kernel k) ~start:0 ~target:3
+      ~horizon:200
+  in
   let total = Array.fold_left ( +. ) 0.0 fp in
   (* Symmetric walk is recurrent: hit probability tends to 1 (slowly). *)
   check_bool "substantial hit mass" true (total > 0.8);
@@ -219,7 +223,10 @@ let test_first_passage_sums_to_hit_probability () =
 let test_first_passage_vs_monte_carlo () =
   let step = Pmf.of_assoc [ (-1, 0.25); (0, 0.5); (1, 0.25) ] in
   let k = Markov.of_step ~step ~drift:0 ~lo:(-40) ~hi:40 in
-  let fp = Markov.first_passage k ~start:0 ~target:2 ~horizon:10 in
+  let fp =
+    Markov.first_passage (Markov.Dense.of_kernel k) ~start:0 ~target:2
+      ~horizon:10
+  in
   let r = rng 23 in
   let simulate () =
     let rec go pos d =

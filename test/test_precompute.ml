@@ -162,7 +162,10 @@ let test_walk_caching_curve_matches_hvalue () =
   in
   List.iter
     (fun d ->
-      let kernel = Markov.of_step ~step:coin ~drift:0 ~lo:(-300) ~hi:300 in
+      let kernel =
+        Markov.Dense.of_kernel
+          (Markov.of_step ~step:coin ~drift:0 ~lo:(-300) ~hi:300)
+      in
       let direct = Hvalue.caching_markov ~kernel ~start:0 ~l ~value:d in
       check_float ~eps:1e-6
         (Printf.sprintf "caching h1(%d)" d)
@@ -218,7 +221,7 @@ let test_ar1_caching_exact_vs_hvalue () =
   let l = Lfun.exp_ ~alpha:5.0 in
   let vx = 5 and x0 = 7 in
   let exact = Precompute.ar1_caching_exact ar1_params ~l ~vx ~x0 () in
-  let kernel = Precompute.ar1_kernel ar1_params in
+  let kernel = Markov.Dense.of_kernel (Precompute.ar1_kernel ar1_params) in
   let direct = Hvalue.caching_markov ~kernel ~start:x0 ~l ~value:vx in
   check_float ~eps:1e-6 "caching h2" direct exact
 
