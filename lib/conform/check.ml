@@ -21,26 +21,38 @@ type t = {
 let make ~name ~kind ~fast ~reference run =
   { name; kind; fast; reference; run; replay = None }
 
-(* Wrap a per-case violation function into both the [run] scan and the
-   [replay] hook: the same comparison decides the sweep, the shrinker's
-   predicate and `sjoin check --replay`.  Exceptions (e.g. a selection
-   failing validation) count as violations attributed to the case. *)
-let guarded violation case =
-  match violation case with
-  | v -> v
-  | exception exn -> Some (Printexc.to_string exn)
+let raised exn = "raised " ^ Printexc.to_string exn
 
-let of_violation ~name ~kind ~fast ~reference ~gen violation =
-  let violation = guarded violation in
-  let run ~seed ~count =
-    let rec scan i =
-      if i >= count then Pass { cases = count; note = fast ^ " == " ^ reference }
-      else
-        let case = gen ~seed i in
-        match violation case with
-        | None -> scan (i + 1)
-        | Some detail -> Fail { detail; case = Some case }
-    in
-    scan 0
+(* [case], when given, rebuilds a failing case for the shrinker. *)
+let sweep_cases ?case ~note ~count violation =
+  let fail i detail =
+    Fail
+      {
+        detail = Printf.sprintf "case %d: %s" i detail;
+        case = Option.map (fun gen -> gen i) case;
+      }
   in
-  { name; kind; fast; reference; run; replay = Some violation }
+  let rec from i =
+    if i >= count then Pass { cases = count; note }
+    else
+      match violation i with
+      | None -> from (i + 1)
+      | Some detail -> fail i detail
+      | exception exn -> fail i (raised exn)
+  in
+  from 0
+
+let sweep ~note ~count violation = sweep_cases ~note ~count violation
+
+(* The same comparison decides the sweep, the shrinker's predicate and
+   `sjoin check --replay`; an exception is a violation of its case in
+   both. *)
+let of_violation ~name ~kind ~fast ~reference ~gen violation =
+  let run ~seed ~count =
+    sweep_cases ~case:(gen ~seed) ~note:(fast ^ " == " ^ reference) ~count (fun i ->
+        violation (gen ~seed i))
+  in
+  let replay case =
+    match violation case with v -> v | exception exn -> Some (raised exn)
+  in
+  { name; kind; fast; reference; run; replay = Some replay }

@@ -33,7 +33,14 @@ val make :
   (seed:int -> count:int -> outcome) ->
   t
 (** A check whose failures carry no case ([replay = None]); replayable
-    checks come from {!of_violation}. *)
+    checks come from {!of_violation}.  A check over generated cases
+    runs them through {!sweep}. *)
+
+val sweep : note:string -> count:int -> (int -> string option) -> outcome
+(** [sweep ~note ~count violation] runs cases [0 .. count - 1] in order
+    and fails on the first whose [violation i] is [Some detail] or
+    raises, with detail ["case i: detail"] or ["case i: raised exn"]
+    and no case attached.  Otherwise [Pass { cases = count; note }]. *)
 
 val of_violation :
   name:string ->
@@ -43,8 +50,6 @@ val of_violation :
   gen:(seed:int -> int -> Case.t) ->
   (Case.t -> string option) ->
   t
-(** The common shape: generate case [i] of [seed], evaluate the
-    violation function on each, fail on the first [Some].  Exceptions
-    raised by the violation function (e.g. a selection failing
-    validation) are caught and reported as violations of that case —
-    in both [run] and [replay]. *)
+(** The replayable shape: {!sweep} over case [i] of [seed] from [gen],
+    failing with the case attached, and the same violation function as
+    the [replay] hook, where an exception reads ["raised exn"]. *)

@@ -43,7 +43,7 @@ let describe_counts fast slow =
     fast.Join_sim.total_results fast.Join_sim.counted_results
     slow.Ref_sim.total_results slow.Ref_sim.counted_results
 
-(* --- Join_sim vs list-scan reference -------------------------------- *)
+(* --- Join_sim and Join_index vs list-scan reference ------------------ *)
 
 let join_sim_violation case =
   let slow = Ref_sim.run_case case in
@@ -58,11 +58,76 @@ let join_sim_violation case =
   then None
   else Some (describe_counts fast slow)
 
+(* The index driven directly: the cache evolves by keeping each cached
+   tuple and arrival with probability 0.7 (drawn from the case's seed),
+   up to [capacity], so inserts and removals come in orders no policy
+   makes.  The index is maintained from each step's diff as the engine
+   does, and must count what a scan of the current cache counts, for
+   both arrivals of every step. *)
+let index_violation case =
+  let window = Case.window case and band = case.Case.band in
+  let steps = Case.length case in
+  let index = Join_index.create ?window ~band ~length:steps () in
+  let rng = Rng.create case.Case.seed in
+  let rec step now cache =
+    if now >= steps then None
+    else
+      let r = Tuple.make ~side:Tuple.R ~value:case.Case.r_values.(now) ~arrival:now
+      and s = Tuple.make ~side:Tuple.S ~value:case.Case.s_values.(now) ~arrival:now in
+      let disagrees (t : Tuple.t) =
+        let fast = Join_index.matches index ~now t
+        and slow = Ref_sim.count_matches ~window ~band ~now cache t in
+        if fast = slow then None
+        else
+          Some
+            (Printf.sprintf "step %d, value %d: index counts %d matches, scan %d"
+               now t.Tuple.value fast slow)
+      in
+      match List.find_map disagrees [ r; s ] with
+      | Some _ as failure -> failure
+      | None ->
+        let next =
+          List.filteri
+            (fun j _ -> j < case.Case.capacity)
+            (List.filter (fun _ -> Rng.float rng 1.0 < 0.7) (cache @ [ r; s ]))
+        in
+        let mem t l = List.exists (Tuple.equal t) l in
+        List.iter (fun t -> if not (mem t cache) then Join_index.insert index t) next;
+        List.iter
+          (fun (t : Tuple.t) ->
+            if not (mem t next) then Join_index.remove_id index ~uid:t.uid ~value:t.value)
+          cache;
+        step (now + 1) next
+  in
+  step 0 []
+
+(* Every other case a direct index evolution's shape: 5-40 steps over
+   -4..4, capacity 8, band 0-2, no window or one of width 3, 6 or 9.
+   Both comparisons run on every case. *)
+let index_case ~seed i =
+  let rng = Rng.create (seed + (7727 * i)) in
+  let steps = 5 + Rng.int rng 36 in
+  let values () = Array.init steps (fun _ -> Rng.int rng 9 - 4) in
+  let r_values = values () in
+  let s_values = values () in
+  let band = Rng.int rng 3 in
+  let window = match Rng.int rng 4 with 0 -> None | w -> Some (3 * w) in
+  let policy = List.nth Case.policy_names (Rng.int rng 4) in
+  let seed = Rng.int rng 1_000_000 in
+  { Case.r_values; s_values; capacity = 8; band; window; policy; seed }
+
 let join_sim_indexed =
   Check.of_violation ~name:"oracle:join-sim/indexed-vs-listscan"
-    ~kind:Check.Oracle ~fast:"Join_sim.run (indexed buffer step)"
-    ~reference:"Ref_sim naive list scan" ~gen:(fun ~seed i -> gen_case ~seed i)
-    join_sim_violation
+    ~kind:Check.Oracle
+    ~fast:"Join_sim.run (indexed buffer step); Join_index on a random cache \
+           evolution"
+    ~reference:"Ref_sim naive list scan"
+    ~gen:(fun ~seed i ->
+      if i mod 2 = 0 then gen_case ~seed (i / 2) else index_case ~seed (i / 2))
+    (fun case ->
+      match join_sim_violation case with
+      | None -> index_violation case
+      | failure -> failure)
 
 (* --- the selection routine vs keep_top_spec ------------------------- *)
 
@@ -100,18 +165,21 @@ let selection_work f =
       { moves = m1 - m0; bucketed = b1 > b0 })
 
 (* One scored step: the last two candidates arrive, the rest are the
-   cache.  The kept tuples must equal the spec's, best-first, and the
-   recorded diff must name exactly the dropped ones.  [work] checks
-   what the sort did. *)
+   cache.  The kept tuples must equal the spec's, best-first, through
+   the buffer step and through the list [select] of a fresh instance,
+   and the recorded diff must name exactly the dropped ones.  [work]
+   checks what the sort did. *)
 let selection_violation ~work ~capacity ~score candidates =
   let n = List.length candidates in
   let cached = List.filteri (fun j _ -> j < n - 2) candidates in
   let r = List.nth candidates (n - 2) and s = List.nth candidates (n - 1) in
   let spec = Ref_sim.keep_top_spec ~capacity ~score candidates in
-  let fast = Option.get (Baselines.prob_model ~partner_prob:score ()).Policy.fast in
+  let policy () = Baselines.prob_model ~partner_prob:score () in
+  let fast = Option.get (policy ()).Policy.fast in
   let src = Policy.of_tuples cached and dst = Policy.buffer () in
   let did = selection_work (fun () -> fast ~src ~dst ~now:0 ~r ~s ~capacity) in
   let got = Policy.tuples dst in
+  let listed = (policy ()).Policy.select ~now:0 ~cached ~arrivals:[ r; s ] ~capacity in
   let kept (t : Tuple.t) = List.exists (Tuple.equal t) spec in
   let dropped =
     List.filter_map
@@ -123,10 +191,13 @@ let selection_violation ~work ~capacity ~score candidates =
       (List.init dst.Policy.evicted_n (fun e -> dst.Policy.evicted.(e)))
   in
   let where = Printf.sprintf "(cap %d, %d cands)" capacity n in
-  if not (tuples_equal got spec) then
+  let differs path got =
     Some
-      (Printf.sprintf "kept [%s] <> spec [%s] %s" (render_selection got)
+      (Printf.sprintf "%s kept [%s] <> spec [%s] %s" path (render_selection got)
          (render_selection spec) where)
+  in
+  if not (tuples_equal got spec) then differs "step" got
+  else if not (tuples_equal listed spec) then differs "select" listed
   else if
     evicted <> dropped
     || dst.Policy.kept_r <> kept r
@@ -134,13 +205,14 @@ let selection_violation ~work ~capacity ~score candidates =
   then Some ("recorded diff disagrees with the kept set " ^ where)
   else Option.map (fun e -> e ^ " " ^ where) (work did)
 
-(* Random candidates in random order, with half the cases keeping fewer
-   than half the candidates, far below the engine's steady state of
-   [capacity + 2].  Coarse score buckets collapse many candidates onto
-   equal scores, so the tie-break decides; bucket 0 is optionally
-   dead. *)
+(* Random candidates in random order: up to 60, kept to fewer than half
+   of them, to any number up to two past them, or to 0-12 whatever
+   their number, far from the engine's steady state of [capacity + 2].
+   Coarse scores collapse many candidates onto equal scores, so the
+   tie-break decides: value buckets with bucket 0 optionally dead, or a
+   small table with one dead entry. *)
 let random_selection rng =
-  let n = 2 + Rng.int rng 40 in
+  let n = 2 + Rng.int rng 59 in
   let tuple k =
     Tuple.make
       ~side:(if Rng.bool rng then Tuple.R else Tuple.S)
@@ -149,12 +221,20 @@ let random_selection rng =
   in
   let candidates = List.init n tuple in
   let capacity =
-    if Rng.bool rng then Rng.int rng (n / 2) else Rng.int rng (n + 2)
+    match Rng.int rng 3 with
+    | 0 -> Rng.int rng (n / 2)
+    | 1 -> Rng.int rng (n + 2)
+    | _ -> Rng.int rng 13
   in
-  let modulus = 1 + Rng.int rng 4 and dead = Rng.bool rng in
-  let score (t : Tuple.t) =
-    let b = ((t.Tuple.value mod modulus) + modulus) mod modulus in
-    if dead && b = 0 then Float.neg_infinity else float_of_int b
+  let score =
+    if Rng.bool rng then
+      let table = [| Float.neg_infinity; 0.0; 0.0; 1.0; 2.5; 7.0 |] in
+      fun (t : Tuple.t) -> table.((t.Tuple.value + 4) mod 6)
+    else
+      let modulus = 1 + Rng.int rng 4 and dead = Rng.bool rng in
+      fun (t : Tuple.t) ->
+        let b = ((t.Tuple.value mod modulus) + modulus) mod modulus in
+        if dead && b = 0 then Float.neg_infinity else float_of_int b
   in
   (capacity, score, candidates)
 
@@ -251,7 +331,10 @@ let engine_selection ~shape rng =
   let n = if Rng.bool rng then 2 + Rng.int rng 63 else 65 + Rng.int rng 338 in
   let score, candidates = engine_step ~shape ~n rng in
   let capacity =
-    if Rng.int rng 4 = 0 then 1 + Rng.int rng n else max 1 (n - 2)
+    match Rng.int rng 4 with
+    | 0 -> 1 + Rng.int rng n
+    | 1 -> min n (1 + Rng.int rng 402)
+    | _ -> max 1 (n - 2)
   in
   (capacity, score, candidates)
 
@@ -308,45 +391,33 @@ let nan_violation rng =
 let keep_top_check =
   Check.make ~name:"oracle:keep-top/bounded-vs-sort" ~kind:Check.Oracle
     ~fast:"Policy.scored step (insertion from the cache order, or from a \
-           bucket pass for shuffled scores) and its diff"
+           bucket pass for shuffled scores), its diff and its list select"
     ~reference:"Ref_sim.keep_top_spec (full stable sort)"
     (fun ~seed ~count ->
       let rng = Rng.create (seed + 17) in
-      let failure = ref None in
-      let i = ref 0 in
-      while !failure = None && !i < count do
-        let selection shape (capacity, score, candidates) =
-          selection_violation ~work:(shuffled_work shape candidates) ~capacity
-            ~score candidates
-        in
-        failure :=
-          (match !i mod 4 with
+      let selection shape (capacity, score, candidates) =
+        selection_violation ~work:(shuffled_work shape candidates) ~capacity
+          ~score candidates
+      in
+      Check.sweep ~count
+        ~note:
+          "one selection routine == full stable sort (random, engine-ordered \
+           and shuffled steps; a step of more than 64 distinct shuffled scores \
+           buckets in <= 2n moves); a NaN score raises naming its uid"
+        (fun i ->
+          match i mod 4 with
           | 0 -> selection None (random_selection rng)
           | 1 -> selection (Some Engine_order) (engine_selection ~shape:Engine_order rng)
           | 2 -> (
-            let shape = Shuffled (List.nth palettes (!i / 4 mod List.length palettes)) in
+            let shape = Shuffled (List.nth palettes (i / 4 mod List.length palettes)) in
             match engine_selection ~shape rng with
             | _, score, candidates when shape = Shuffled Wide ->
               (* Kept whole, so the full order is compared. *)
               selection (Some shape) (List.length candidates, score, candidates)
             | step -> selection (Some shape) step)
-          | _ -> nan_violation rng);
-        incr i
-      done;
-      match !failure with
-      | None ->
-        Check.Pass
-          {
-            cases = count;
-            note =
-              "one selection routine == full stable sort (random, \
-               engine-ordered and shuffled steps; a step of more than 64 \
-               distinct shuffled scores buckets in <= 2n moves); a NaN \
-               score raises naming its uid";
-          }
-      | Some detail -> Check.Fail { detail; case = None })
+          | _ -> nan_violation rng))
 
-(* --- caching selection: argmin vs keep_best_spec --------------------- *)
+(* --- Cache_sim and the caching selections vs list specs -------------- *)
 
 let cache_spec keep = { Ref_sim.spec_name = "spec"; keep }
 
@@ -478,110 +549,22 @@ let hostile rng domain =
     | 1 -> max_int
     | v -> -1_000_000_000 + (v * 47_000_000) + Rng.int rng 1_000_000)
 
-(* Family 2's random walk: steps of up to 2 either way from 0, so most
-   reference paths leave the 17 values within 8 of the start (a walk of
-   60 steps spreads by ~11). *)
+(* The walk family's random walk: steps of up to 2 either way from 0, so
+   most reference paths leave the 17 values within 8 of the start (a
+   walk of 60 steps spreads by ~11). *)
 let walk_step =
   Pmf.of_assoc [ (-2, 1.0); (-1, 1.0); (0, 1.0); (1, 1.0); (2, 1.0) ]
 
-(* Case [i]: policy family [i mod 6] at capacity [i / 6 mod 5], on a
-   stationary reference over a domain that is sometimes smaller and
-   sometimes larger than the cache — or, for HEEB on a Markov reference
-   (family 2), on a random-walk path of the same length.  The law's
-   weights, and the generic scorer, take a few levels only, so equal
-   scores are common and the value tie-break decides.  The classic
-   families (3-5) also run on hostile values when [i / 6] is odd — the
-   domain relabelled to spread over +-1e9 with [min_int] and [max_int]
-   among the most drawn — and LFD on a non-monotone clock when [i / 12]
-   is odd, so both its forward cursor and its binary-search fallback are
-   compared. *)
-let cache_selection_violation ~seed i =
-  let rng = Rng.create (seed + (7907 * i)) in
-  let capacity = cache_capacities.(i / 6 mod Array.length cache_capacities) in
-  let domain = 2 + Rng.int rng 40 in
-  let law =
-    Pmf.of_assoc
-      (List.init domain (fun v -> (v, float_of_int (1 + Rng.int rng 3))))
-  in
-  let reference = Array.init (20 + Rng.int rng 100) (fun _ -> Pmf.sample law rng) in
-  let n = Array.length reference in
-  let family = i mod 6 in
-  let reference =
-    if family < 3 || i / 6 mod 2 = 0 then reference
-    else
-      let relabel = hostile rng domain in
-      Array.map (fun v -> relabel.(v)) reference
-  in
-  let nows =
-    if family < 5 || i / 12 mod 2 = 0 then Array.init n Fun.id
-    else Array.init n (fun t -> if Rng.int rng 4 = 0 then Rng.int rng n else t)
-  in
-  let model () = Stationary.create law in
-  let walk () =
-    Random_walk.create ~start:0 ~drift:0 ~step:walk_step ()
-  in
-  let reference =
-    if family = 2 then fst (Predictor.generate (walk ()) rng n) else reference
-  in
-  let l = Lfun.exp_ ~alpha:4.0 in
-  let fast, spec =
-    match family with
-    | 0 ->
-      let h ~now ~last v = float_of_int (((3 * v) + last + now) mod 4 / 2) in
-      ( Heeb.caching_fn ~h (),
-        cache_spec (fun ~now ~cached ~value ~hit ~capacity ->
-            Ref_sim.keep_best_spec ~capacity ~score:(h ~now ~last:value) ~cached
-              ~value ~hit) )
-    | 1 ->
-      ( Heeb.caching ~reference:(model ()) ~l (),
-        heeb_spec ~reference:(model ()) ~l )
-    | 2 ->
-      (* The Markov first-passage sum on a kernel of the spec's own, over
-         the values within the walk's window of the reference just made,
-         started there.  A shorter L than the other families' keeps the
-         DP's reach (2 a step over L's horizon) to ~60 values. *)
-      let w = Random_walk.window and l = Lfun.exp_ ~alpha:1.0 in
-      ( Heeb.caching ~reference:(walk ()) ~l (),
-        cache_spec (fun ~now:_ ~cached ~value ~hit ~capacity ->
-            let kernel =
-              Markov.Dense.of_kernel
-                (Markov.of_step ~step:walk_step ~drift:0 ~lo:(value - w)
-                   ~hi:(value + w))
-            in
-            let score v =
-              Hvalue.caching_markov ~kernel ~start:value ~l ~value:v
-            in
-            Ref_sim.keep_best_spec ~capacity ~score ~cached ~value ~hit) )
-    | 3 -> (Classic.lru (), lru_spec ())
-    | 4 -> (Classic.lfu (), lfu_spec ())
-    | _ -> (Classic.lfd ~reference, lfd_spec reference)
-  in
-  cache_lockstep ~reference ~nows ~capacity fast spec
+let walk () = Random_walk.create ~start:0 ~drift:0 ~step:walk_step ()
 
-let cache_selection_check =
-  Check.make ~name:"oracle:cache/argmin-vs-sort" ~kind:Check.Oracle
-    ~fast:"Heeb.caching_fn / Heeb.caching argmin, Classic one-score fold"
-    ~reference:"Ref_sim.keep_best_spec (full sort); two-call fold"
-    (fun ~seed ~count ->
-      let rec go i =
-        if i >= count then
-          Check.Pass
-            { cases = count; note = "argmin selection == full sort, per step" }
-        else
-          match cache_selection_violation ~seed i with
-          | None -> go (i + 1)
-          | Some detail ->
-            Check.Fail
-              { detail = Printf.sprintf "case %d: %s" i detail; case = None }
-      in
-      go 0)
-
-(* --- Cache_sim: stable slots vs the list loop ------------------------ *)
-
-(* Every caching policy with its list-shaped reference; [reference] is
-   the script LFD looks ahead in. *)
-let cache_policies ~seed ~reference =
-  let law = Pmf.of_assoc [ (0, 3.0); (1, 2.0); (2, 2.0); (3, 1.0) ] in
+(* Every caching policy with its list-shaped reference: the eight of
+   [Classic] and [Heeb] (HEEB on a stationary model of [law]), then
+   HEEB on a random walk, whose spec scores the Markov first-passage
+   sum on a kernel of its own over the walk's window around each
+   reference, started there.  A shorter L for the walk keeps the DP's
+   reach (2 a step over L's horizon) to ~60 values.  [reference] is the
+   script LFD looks ahead in. *)
+let cache_policies ~seed ~law ~reference =
   let l = Lfun.exp_ ~alpha:4.0 in
   (* A0 on a tie-heavy model probability that is NaN for every value
      divisible by 7: the classic rule's NaN handling is compared too. *)
@@ -603,9 +586,22 @@ let cache_policies ~seed ~reference =
         cache_spec (fun ~now ~cached ~value ~hit ~capacity ->
             Ref_sim.keep_best_spec ~capacity ~score:(h ~now ~last:value) ~cached
               ~value ~hit) ));
+    (fun () ->
+      let w = Random_walk.window and l = Lfun.exp_ ~alpha:1.0 in
+      ( Heeb.caching ~reference:(walk ()) ~l (),
+        cache_spec (fun ~now:_ ~cached ~value ~hit ~capacity ->
+            let kernel =
+              Markov.Dense.of_kernel
+                (Markov.of_step ~step:walk_step ~drift:0 ~lo:(value - w)
+                   ~hi:(value + w))
+            in
+            let score v = Hvalue.caching_markov ~kernel ~start:value ~l ~value:v in
+            Ref_sim.keep_best_spec ~capacity ~score ~cached ~value ~hit) ));
   |]
 
-let cache_policy_count = 8
+let cache_families = 9
+let lfd_family = 2
+let walk_family = 8
 
 (* A reference over [domain] values in which, half the time, the value
    just evicted is referenced again at once.  The evictions come from
@@ -625,75 +621,81 @@ let evict_then_rereference rng ~domain ~length ~capacity spec =
       cache := kept;
       value)
 
-(* Case [i]: policy [i mod 8]; reference shape [i / 8 mod 3]:
-   - 0: [cache_selection_violation]'s — a weighted stationary draw over
-     2..41 values, capacities 0, 1, 2, 7 and 25;
-   - 1: a capacity at least as large as the domain (nothing is ever
-     evicted once every value is cached);
-   - 2: every eviction's value re-referenced at once half the time
-     (LFD, whose spec needs the whole script first, cycles through
-     [capacity + 1] values instead, which re-references each value
-     evicted within [capacity] steps).
-   Shapes 0 and 2 relabel the values over +-1e9, [min_int] and
-   [max_int] included, when [i / 24] is odd. *)
-let slots_vs_list_violation ~seed i =
+type reference_shape = Stationary | Covering | Rereference | Walk
+
+(* Case [i]: policy [i mod 9] of [cache_policies]; the walk family runs
+   on a walk path, the others on reference shape [i / 9 mod 3]:
+   - [Stationary]: a weighted draw over 2..41 values from [law], the
+     law HEEB's model holds;
+   - [Covering]: a capacity at least as large as the domain (nothing is
+     ever evicted once every value is cached);
+   - [Rereference]: every eviction's value re-referenced at once half
+     the time (LFD, whose spec needs the whole script first, cycles
+     through [capacity + 1] values instead, which re-references each
+     value evicted within [capacity] steps).
+   Capacities outside [Covering] are 0, 1, 2, 7 or 25.  [Stationary]
+   and [Rereference] relabel the values over +-1e9, [min_int] and
+   [max_int] included, when [i / 27] is odd; LFD runs on a non-monotone
+   clock when [i / 54] is odd, so both its forward cursor and its
+   binary-search fallback are compared.  The law's weights, and the
+   generic scorer, take a few levels only, so equal scores are common
+   and the value tie-break decides. *)
+let cache_violation ~seed i =
   let rng = Rng.create (seed + (6007 * i)) in
-  let family = i mod cache_policy_count in
-  let shape = i / cache_policy_count mod 3 in
+  let family = i mod cache_families in
+  let shape =
+    if family = walk_family then Walk
+    else [| Stationary; Covering; Rereference |].(i / cache_families mod 3)
+  in
   let domain = 2 + Rng.int rng 40 in
   let length = 20 + Rng.int rng 120 in
   let capacity =
     match shape with
-    | 1 -> domain + Rng.int rng 3
+    | Covering -> domain + Rng.int rng 3
     | _ -> cache_capacities.(Rng.int rng (Array.length cache_capacities))
   in
+  let law =
+    Pmf.of_assoc (List.init domain (fun v -> (v, float_of_int (1 + Rng.int rng 3))))
+  in
+  let policies reference = cache_policies ~seed ~law ~reference in
   let reference =
     match shape with
-    | 0 ->
-      let law =
-        Pmf.of_assoc
-          (List.init domain (fun v -> (v, float_of_int (1 + Rng.int rng 3))))
-      in
-      Array.init length (fun _ -> Pmf.sample law rng)
-    | 1 -> Array.init length (fun _ -> Rng.int rng domain)
-    | _ when family = 2 ->
-      Array.init length (fun t -> if Rng.int rng 8 = 0 then Rng.int rng domain else t mod (capacity + 1))
-    | _ ->
-      let _, spec = (cache_policies ~seed ~reference:[||]).(family) () in
+    | Stationary -> Array.init length (fun _ -> Pmf.sample law rng)
+    | Covering -> Array.init length (fun _ -> Rng.int rng domain)
+    | Walk -> fst (Predictor.generate (walk ()) rng length)
+    | Rereference when family = lfd_family ->
+      Array.init length (fun t ->
+          if Rng.int rng 8 = 0 then Rng.int rng domain else t mod (capacity + 1))
+    | Rereference ->
+      let _, spec = (policies [||]).(family) () in
       evict_then_rereference rng ~domain ~length ~capacity spec
   in
   let reference =
-    if shape = 1 || i / 24 mod 2 = 0 then reference
-    else
+    match shape with
+    | (Stationary | Rereference) when i / 27 mod 2 = 1 ->
       let relabel = hostile rng (1 + Array.fold_left max 0 reference) in
       Array.map (fun v -> relabel.(v)) reference
+    | _ -> reference
   in
-  let fast, spec = (cache_policies ~seed ~reference).(family) () in
-  cache_lockstep ~reference ~nows:(Array.init length Fun.id) ~capacity fast spec
+  let nows =
+    if family = lfd_family && i / 54 mod 2 = 1 then
+      Array.init length (fun t -> if Rng.int rng 4 = 0 then Rng.int rng length else t)
+    else Array.init length Fun.id
+  in
+  let fast, spec = (policies reference).(family) () in
+  cache_lockstep ~reference ~nows ~capacity fast spec
 
-let cache_sim_check =
+let cache_check =
   Check.make ~name:"oracle:cache-sim/slots-vs-list" ~kind:Check.Oracle
-    ~fast:"Cache_sim stable slots + Itab hit test, every caching policy"
-    ~reference:"Ref_sim.cache_replay (list cache, List.mem hit test) on list specs"
+    ~fast:
+      "Cache_sim stable slots + Itab hit test; Classic one-score folds, \
+       Heeb.caching / caching_fn argmin"
+    ~reference:
+      "Ref_sim.cache_replay (list cache, List.mem hit test) on list specs: \
+       Ref_sim.keep_best_spec (full sort), two-call folds"
     (fun ~seed ~count ->
-      let rec go i =
-        if i >= count then
-          Check.Pass
-            { cases = count; note = "hit flags and kept sets equal, per step" }
-        else
-          match slots_vs_list_violation ~seed i with
-          | None -> go (i + 1)
-          | Some detail ->
-            Check.Fail
-              { detail = Printf.sprintf "case %d: %s" i detail; case = None }
-          | exception e ->
-            Check.Fail
-              {
-                detail = Printf.sprintf "case %d: raised %s" i (Printexc.to_string e);
-                case = None;
-              }
-      in
-      go 0)
+      Check.sweep ~count ~note:"hit flags and kept sets equal, per step"
+        (cache_violation ~seed))
 
 (* --- FlowExpect: warm handle vs fresh solves ------------------------- *)
 
@@ -737,11 +739,11 @@ let flow_expect_tower_violation ~seed rep =
         Some
           (Printf.sprintf
              "warm plan (keep [%s], benefit %.17g) <> fresh (keep [%s], \
-              benefit %.17g) at rep %d step %d"
+              benefit %.17g) at step %d"
              (render_selection warm.Flow_expect.keep)
              warm.Flow_expect.expected_benefit
              (render_selection fresh.Flow_expect.keep)
-             fresh.Flow_expect.expected_benefit rep t)
+             fresh.Flow_expect.expected_benefit t)
     else cached := warm.Flow_expect.keep;
     incr now
   done;
@@ -800,7 +802,7 @@ let flow_expect_floor_violation ~seed ~lookahead rep =
     in
     Option.get fresh_step.Policy.fast ~src:!src ~dst:expect ~now:t ~r:r_t
       ~s:s_t ~capacity:20;
-    let where = Printf.sprintf "FLOOR l=%d rep %d step %d" lookahead rep t in
+    let where = Printf.sprintf "FLOOR l=%d step %d" lookahead t in
     let plan (p : Flow_expect.plan) =
       Printf.sprintf "keep [%s], benefit %h" (render_selection p.keep)
         p.expected_benefit
@@ -831,28 +833,16 @@ let flow_expect_check =
            step on one kept graph"
     ~reference:"fresh per-step solves"
     (fun ~seed ~count ->
-      let reps = max 1 (count / 20) in
-      let failure = ref None in
-      let rep = ref 0 in
-      while !failure = None && !rep < reps do
-        failure := flow_expect_tower_violation ~seed !rep;
-        List.iter
-          (fun lookahead ->
-            if !failure = None then
-              failure := flow_expect_floor_violation ~seed ~lookahead !rep)
-          flow_expect_lookaheads;
-        incr rep
-      done;
-      match !failure with
-      | None ->
-        Check.Pass
-          {
-            cases =
-              reps
-              * (6 + (flow_expect_floor_steps * List.length flow_expect_lookaheads));
-            note = "warm-started decisions bit-equal fresh solves";
-          }
-      | Some detail -> Check.Fail { detail; case = None })
+      Check.sweep ~count:(max 1 (count / 20))
+        ~note:"warm-started decisions bit-equal fresh solves"
+        (fun rep ->
+          List.fold_left
+            (fun failure lookahead ->
+              match failure with
+              | None -> flow_expect_floor_violation ~seed ~lookahead rep
+              | Some _ -> failure)
+            (flow_expect_tower_violation ~seed rep)
+            flow_expect_lookaheads))
 
 (* --- precomputed h1 curve / h2 surface vs exact sums ----------------- *)
 
@@ -958,9 +948,9 @@ let h1_kernel_violation ~seed i =
   Option.map
     (fun j ->
       Format.asprintf
-        "case %d: step %a, alpha %.17g, drift %d, window [%d, %d]: h1(%d) \
-         kernel %h vs table %h"
-        i Pmf.pp step alpha drift lo hi (lo + j) fast.(j) reference.(j))
+        "step %a, alpha %.17g, drift %d, window [%d, %d]: h1(%d) kernel %h \
+         vs table %h"
+        Pmf.pp step alpha drift lo hi (lo + j) fast.(j) reference.(j))
     (first 0)
 
 let h1_kernel_check =
@@ -974,16 +964,8 @@ let h1_kernel_check =
     (fun ~seed ~count ->
       (* A case costs ~0.5 s on average (the reference's subnormal
          multiplies dominate), so one per 20 counted. *)
-      let cases = max 1 (count / 20) in
-      let rec go i =
-        if i >= cases then
-          Check.Pass { cases; note = "curve bits equal the table-level build" }
-        else
-          match h1_kernel_violation ~seed i with
-          | None -> go (i + 1)
-          | Some detail -> Check.Fail { detail; case = None }
-      in
-      go 0)
+      Check.sweep ~count:(max 1 (count / 20))
+        ~note:"curve bits equal the table-level build" (h1_kernel_violation ~seed))
 
 let h2_check =
   Check.make ~name:"oracle:h2/bicubic-vs-exact-columns" ~kind:Check.Oracle
@@ -1024,77 +1006,93 @@ let h2_check =
           { cases = n * n; note = "surface control nodes match exact DP" }
       | Some detail -> Check.Fail { detail; case = None })
 
-(* --- online policies bounded by OPT-offline -------------------------- *)
+(* --- OPT-offline: exhaustive search, online bound, capacity curve ----- *)
 
-let opt_bound_violation case =
-  (* OPT has no sliding-window variant; the generator never opens one. *)
-  let trace = Case.trace case in
-  let online =
-    Join_sim.run ~trace ~policy:(Case.policy case)
-      ~capacity:case.Case.capacity ~band:case.Case.band ()
+(* A trace small enough for exhaustive search: 2-8 steps over 0..2 or
+   0..4, in half the cases with each value moved to within 2 of
+   [min_int] or [max_int] one time in five each; capacity 1-2; band 0
+   in half the cases, else 1 or 2; no window. *)
+let tiny_case ~seed i =
+  let rng = Rng.create (seed + (7741 * i)) in
+  let steps = 2 + Rng.int rng 7 in
+  let top = if Rng.bool rng then 2 else 4 in
+  let extremes = Rng.bool rng in
+  let value () =
+    match Rng.int rng 5 with
+    | 3 when extremes -> min_int + Rng.int rng 3
+    | 4 when extremes -> max_int - Rng.int rng 3
+    | _ -> Rng.int rng (top + 1)
   in
-  let opt =
-    Opt_offline.max_results ~band:case.Case.band ~trace
-      ~capacity:case.Case.capacity ()
-  in
-  if online.Join_sim.total_results <= opt then None
-  else
-    Some
-      (Printf.sprintf "online %s produced %d > OPT-offline %d" case.Case.policy
-         online.Join_sim.total_results opt)
+  let r_values = Array.init steps (fun _ -> value ()) in
+  let s_values = Array.init steps (fun _ -> value ()) in
+  let capacity = 1 + Rng.int rng 2 in
+  let band = if Rng.bool rng then 0 else 1 + Rng.int rng 2 in
+  let policy = List.nth Case.policy_names (Rng.int rng 4) in
+  let seed = Rng.int rng 1_000_000 in
+  { Case.r_values; s_values; capacity; band; window = None; policy; seed }
+
+let opt_case ~seed i =
+  if i mod 2 = 0 then gen_case ~allow_window:false ~seed (i / 2)
+  else tiny_case ~seed (i / 2)
+
+let opt ?(start = 0) ?capacity case =
+  Opt_offline.max_results_from ~band:case.Case.band ~trace:(Case.trace case)
+    ~capacity:(Option.value capacity ~default:case.Case.capacity)
+    ~start ()
+
+let opt_exhaustive_check =
+  Check.of_violation ~name:"oracle:opt/exhaustive" ~kind:Check.Oracle
+    ~fast:"Opt_offline.max_results (min-cost flow)"
+    ~reference:"Ref_sim.opt_exhaustive (every selection at every step)"
+    ~gen:tiny_case
+    (fun case ->
+      let exhaustive =
+        Ref_sim.opt_exhaustive ~band:case.Case.band ~trace:(Case.trace case)
+          ~capacity:case.Case.capacity ()
+      in
+      let flow = opt case in
+      if flow = exhaustive then None
+      else Some (Printf.sprintf "OPT-offline %d <> exhaustive %d" flow exhaustive))
 
 let opt_bound_check =
   Check.of_violation ~name:"oracle:online-le-opt-offline" ~kind:Check.Oracle
     ~fast:"every online policy's total join count"
-    ~reference:"Opt_offline.max_results upper bound"
-    ~gen:(fun ~seed i -> gen_case ~allow_window:false ~seed i)
-    opt_bound_violation
+    ~reference:"Opt_offline.max_results upper bound" ~gen:opt_case
+    (fun case ->
+      let online =
+        Join_sim.run ~trace:(Case.trace case) ~policy:(Case.policy case)
+          ~capacity:case.Case.capacity ~band:case.Case.band ()
+      in
+      let bound = opt case in
+      if online.Join_sim.total_results <= bound then None
+      else
+        Some
+          (Printf.sprintf "online %s produced %d > OPT-offline %d" case.Case.policy
+             online.Join_sim.total_results bound))
 
 let opt_curve_check =
-  Check.make ~name:"oracle:opt/curve-vs-single-solves" ~kind:Check.Oracle
+  Check.of_violation ~name:"oracle:opt/curve-vs-single-solves" ~kind:Check.Oracle
     ~fast:"Opt_offline.max_results_curve (one solve, breakpoint list)"
-    ~reference:"Opt_offline.max_results_from per capacity"
-    (fun ~seed ~count ->
-      let cases = max 1 (count / 6) in
+    ~reference:"Opt_offline.max_results_from per capacity 1-5"
+    ~gen:(fun ~seed i -> opt_case ~seed:(seed + 31) i)
+    (fun case ->
+      let start = Case.length case / 4 in
       let capacities = [ 1; 2; 3; 4; 5 ] in
-      let failure = ref None in
-      let i = ref 0 in
-      while !failure = None && !i < cases do
-        let case = gen_case ~allow_window:false ~seed:(seed + 31) !i in
-        let trace = Case.trace case in
-        let start = Case.length case / 4 in
-        let curve =
-          Opt_offline.max_results_curve ~band:case.Case.band ~trace
-            ~capacities ~start ()
-        in
-        List.iter
-          (fun capacity ->
-            let single =
-              Opt_offline.max_results_from ~band:case.Case.band ~trace
-                ~capacity ~start ()
-            in
-            let from_curve =
-              match List.assoc_opt capacity curve with
-              | Some v -> v
-              | None -> min_int
-            in
-            if !failure = None && from_curve <> single then
-              failure :=
-                Some
-                  (Printf.sprintf
-                     "case %d cap %d: curve says %d, single solve %d" !i
-                     capacity from_curve single))
-          capacities;
-        incr i
-      done;
-      match !failure with
-      | None ->
-        Check.Pass
-          {
-            cases = cases * List.length capacities;
-            note = "capacity curve matches per-capacity solves";
-          }
-      | Some detail -> Check.Fail { detail; case = None })
+      let curve =
+        Opt_offline.max_results_curve ~band:case.Case.band ~trace:(Case.trace case)
+          ~capacities ~start ()
+      in
+      List.find_map
+        (fun capacity ->
+          let single = opt ~start ~capacity case in
+          match List.assoc_opt capacity curve with
+          | None -> Some (Printf.sprintf "cap %d: missing from curve" capacity)
+          | Some from_curve when from_curve = single -> None
+          | Some from_curve ->
+            Some
+              (Printf.sprintf "cap %d: curve says %d, single solve %d" capacity
+                 from_curve single))
+        capacities)
 
 (* --- FlowExpect bounded by expectimax (Section 3.4) ------------------ *)
 
@@ -1143,38 +1141,29 @@ let mcmf_check =
     ~fast:"Ssj_flow.Mcmf.solve (successive shortest paths)"
     ~reference:"Ssj_flow.Mcmf_check.min_cost_flow (BFS + cycle cancelling)"
     (fun ~seed ~count ->
-      let failure = ref None in
-      let i = ref 0 in
-      while !failure = None && !i < count do
-        let spec, target = Ssj_flow.Mcmf_check.random_graph ~seed ~index:!i in
-        let source = 0 and sink = spec.Ssj_flow.Mcmf_check.nodes - 1 in
-        let g = Ssj_flow.Mcmf.create spec.Ssj_flow.Mcmf_check.nodes in
-        Array.iter
-          (fun (src, dst, cap, cost) ->
-            ignore (Ssj_flow.Mcmf.add_arc g ~src ~dst ~cap ~cost))
-          spec.Ssj_flow.Mcmf_check.arcs;
-        let fast = Ssj_flow.Mcmf.solve g ~source ~sink ~target in
-        let slow_flow, slow_cost =
-          Ssj_flow.Mcmf_check.min_cost_flow spec ~source ~sink ~target
-        in
-        if
-          fast.Ssj_flow.Mcmf.flow <> slow_flow
-          || Float.abs (fast.Ssj_flow.Mcmf.cost -. slow_cost) > 1e-6
-        then
-          failure :=
+      Check.sweep ~count ~note:"solver agrees with independent oracle" (fun i ->
+          let spec, target = Ssj_flow.Mcmf_check.random_graph ~seed ~index:i in
+          let source = 0 and sink = spec.Ssj_flow.Mcmf_check.nodes - 1 in
+          let g = Ssj_flow.Mcmf.create spec.Ssj_flow.Mcmf_check.nodes in
+          Array.iter
+            (fun (src, dst, cap, cost) ->
+              ignore (Ssj_flow.Mcmf.add_arc g ~src ~dst ~cap ~cost))
+            spec.Ssj_flow.Mcmf_check.arcs;
+          let fast = Ssj_flow.Mcmf.solve g ~source ~sink ~target in
+          let slow_flow, slow_cost =
+            Ssj_flow.Mcmf_check.min_cost_flow spec ~source ~sink ~target
+          in
+          if
+            fast.Ssj_flow.Mcmf.flow = slow_flow
+            && Float.abs (fast.Ssj_flow.Mcmf.cost -. slow_cost) <= 1e-6
+          then None
+          else
             Some
               (Printf.sprintf
                  "graph (seed=%d, index=%d): Mcmf (flow=%d cost=%.17g) vs \
                   oracle (flow=%d cost=%.17g)"
-                 seed !i fast.Ssj_flow.Mcmf.flow fast.Ssj_flow.Mcmf.cost
-                 slow_flow slow_cost);
-        incr i
-      done;
-      match !failure with
-      | None ->
-        Check.Pass
-          { cases = count; note = "solver agrees with independent oracle" }
-      | Some detail -> Check.Fail { detail; case = None })
+                 seed i fast.Ssj_flow.Mcmf.flow fast.Ssj_flow.Mcmf.cost slow_flow
+                 slow_cost)))
 
 (* --- Mcmf re-solve vs a freshly built graph -------------------------- *)
 
@@ -1233,27 +1222,19 @@ let mcmf_resolve_check =
     ~fast:"Ssj_flow.Mcmf.solve on a kept graph after set_cost"
     ~reference:"the same arcs and costs in a freshly built graph"
     (fun ~seed ~count ->
-      let rec go i =
-        if i >= count then
-          Check.Pass
-            { cases = count; note = "two cost rewrites per graph, bit-equal" }
-        else
-          match mcmf_resolve_violation ~seed i with
-          | None -> go (i + 1)
-          | Some detail -> Check.Fail { detail; case = None }
-      in
-      go 0)
+      Check.sweep ~count ~note:"two cost rewrites per graph, bit-equal"
+        (mcmf_resolve_violation ~seed))
 
 let all =
   [
     join_sim_indexed;
     keep_top_check;
-    cache_selection_check;
-    cache_sim_check;
+    cache_check;
     flow_expect_check;
     h1_check;
     h1_kernel_check;
     h2_check;
+    opt_exhaustive_check;
     opt_bound_check;
     opt_curve_check;
     expectimax_check;

@@ -104,6 +104,43 @@ let run ~trace ~policy ~capacity ?(warmup = 0) ?window ?(band = 0) () =
   done;
   { total_results = !total; counted_results = !counted }
 
+(* Every selection at every step, memoised on (step, cache): the
+   exact optimum, on traces small enough to enumerate.  Keeping fewer
+   than [capacity] tuples never gains, so only full selections are
+   tried. *)
+let opt_exhaustive ?(band = 0) ~trace ~capacity () =
+  let rec subsets k items =
+    match items with
+    | _ when k = 0 -> [ [] ]
+    | [] -> []
+    | x :: rest -> List.map (fun sub -> x :: sub) (subsets (k - 1) rest) @ subsets k rest
+  in
+  let memo = Hashtbl.create 64 in
+  let rec best now cache =
+    if now >= Trace.length trace then 0
+    else
+      let key = (now, List.map (fun (t : Tuple.t) -> t.Tuple.uid) cache) in
+      match Hashtbl.find_opt memo key with
+      | Some v -> v
+      | None ->
+        let r, s = Trace.arrivals trace now in
+        let produced =
+          count_matches ~window:None ~band ~now cache r
+          + count_matches ~window:None ~band ~now cache s
+        in
+        (* Candidates in uid order, so each cache has one key. *)
+        let candidates = cache @ [ r; s ] in
+        let v =
+          List.fold_left
+            (fun acc kept -> max acc (best (now + 1) kept))
+            0
+            (subsets (min capacity (List.length candidates)) candidates)
+        in
+        Hashtbl.add memo key (produced + v);
+        produced + v
+  in
+  best 0 []
+
 (* Stable full sort of the scored candidates, best-first, ties to the
    newer tuple; keep the prefix. *)
 let keep_top_spec ~capacity ~score candidates =

@@ -65,6 +65,14 @@ val run_case : Case.t -> result
 (** {!run} with the case's trace, fresh policy, warm-up, window and
     band. *)
 
+val opt_exhaustive :
+  ?band:int -> trace:Ssj_stream.Trace.t -> capacity:int -> unit -> int
+(** The most join results any replacement sequence earns on [trace]:
+    every selection of [min capacity candidates] tuples at every step,
+    memoised on (step, cache), matches counted by {!count_matches}.
+    Exponential in the cache; the exact reference for
+    {!Ssj_core.Opt_offline.max_results} on traces of a few steps. *)
+
 val keep_top_spec :
   capacity:int ->
   score:(Ssj_stream.Tuple.t -> float) ->

@@ -89,9 +89,12 @@ val caching :
   Policy.cache
 (** HEEB for the caching problem, scored directly: the first-passage
     sum {!Hvalue.caching_markov} when the reference carries a Markov
-    [kernel] (random walk, AR(1)), started from the last reference
-    clamped into the kernel's window (its midpoint before any), else
-    {!Hvalue.caching_independent}.
+    [kernel], else {!Hvalue.caching_independent}.  On a [Relative]
+    kernel (random walk) [H(v)] is the first passage from offset 0 to
+    [v − last] (last = 0 before any reference), and an offset that
+    overflows scores 0.  On an [Absolute] kernel (AR(1)) the passage
+    starts from the last reference clamped into the kernel's window
+    (its midpoint before any).
 
     As a set, the cache is the [capacity] best candidates (the cache,
     plus the fetched value on a miss) by [H], ties to the larger value.

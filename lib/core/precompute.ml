@@ -173,16 +173,8 @@ let ar1_joining_h params ~l ~vx ~x0 =
   done;
   !acc
 
-let ar1_kernel params =
-  let mean = Ar1.stationary_mean params in
-  let sd = Ar1.stationary_stddev params in
-  let lo = int_of_float (Float.round (mean -. (6.0 *. sd))) in
-  let hi = int_of_float (Float.round (mean +. (6.0 *. sd))) in
-  Markov.of_ar1 ~phi0:params.Ar1.phi0 ~phi1:params.Ar1.phi1
-    ~sigma:params.Ar1.sigma ~lo ~hi
-
 let ar1_caching_exact params ~l ?(horizon = 2048) ~vx ~x0 () =
-  let kernel = ar1_kernel params in
+  let kernel = Ar1.kernel params in
   let columns = caching_columns ~kernel ~target:vx ~ls:[| l |] ~horizon () in
   let x0 = max kernel.Markov.lo (min kernel.Markov.hi x0) in
   columns.(0).(x0 - kernel.Markov.lo)
@@ -190,7 +182,7 @@ let ar1_caching_exact params ~l ?(horizon = 2048) ~vx ~x0 () =
 let ar1_caching_surfaces params ~ls ~vx_lo ~vx_hi ~x0_lo ~x0_hi ~nv ~nx
     ?(horizon = 2048) ?jobs () =
   if nv < 2 || nx < 2 then invalid_arg "Precompute.ar1_caching_surfaces: grid < 2";
-  let kernel = ar1_kernel params in
+  let kernel = Ar1.kernel params in
   let nl = Array.length ls in
   let dv = float_of_int (vx_hi - vx_lo) /. float_of_int (nv - 1) in
   let dx = float_of_int (x0_hi - x0_lo) /. float_of_int (nx - 1) in

@@ -142,7 +142,3 @@ val ar1_caching_surfaces :
     [Ssj_prob.Parallel.default_jobs ()], i.e. [SSJ_JOBS]); the result is
     bit-identical for any job count. *)
 
-val ar1_kernel : Ssj_model.Ar1.params -> Ssj_model.Markov.kernel
-(** The truncated Markov kernel used by the caching DPs (stationary mean
-    ± 6 stationary standard deviations); exposed so experiments can reuse
-    {!caching_columns} directly for exact-surface evaluation. *)

@@ -18,13 +18,14 @@ let conditional_stddev p ~delta =
 let stationary_mean p = p.phi0 /. (1.0 -. p.phi1)
 let stationary_stddev p = p.sigma /. sqrt (1.0 -. (p.phi1 *. p.phi1))
 
-let create ?(time = 0) ?window ~start p =
+let kernel p =
+  let mean = stationary_mean p and sd = stationary_stddev p in
+  Markov.of_ar1 ~phi0:p.phi0 ~phi1:p.phi1 ~sigma:p.sigma
+    ~lo:(int_of_float (Float.round (mean -. (6.0 *. sd))))
+    ~hi:(int_of_float (Float.round (mean +. (6.0 *. sd))))
+
+let create ?(time = 0) ~start p =
   validate p;
-  let window =
-    match window with
-    | Some w -> w
-    | None -> int_of_float (Float.ceil (6.0 *. stationary_stddev p)) + 1
-  in
   let pmf ~time:_ ~last delta =
     if delta < 1 then invalid_arg "Ar1.pmf: delta < 1";
     let anchor = match last with Some v -> float_of_int v | None -> float_of_int start in
@@ -35,10 +36,5 @@ let create ?(time = 0) ?window ~start p =
     Dist.discretized_normal_mu ~mu ~sigma:sd ~lo:(center - spread)
       ~hi:(center + spread)
   in
-  let mean = int_of_float (Float.round (stationary_mean p)) in
-  let kernel =
-    Markov.of_ar1 ~phi0:p.phi0 ~phi1:p.phi1 ~sigma:p.sigma ~lo:(mean - window)
-      ~hi:(mean + window)
-  in
-  Predictor.make ~name:"ar1" ~kernel:(Predictor.Absolute kernel) ~last:start
+  Predictor.make ~name:"ar1" ~kernel:(Predictor.Absolute (kernel p)) ~last:start
     ~time ~pmf ()

@@ -17,6 +17,14 @@ val conditional_stddev : params -> delta:int -> float
 val stationary_mean : params -> float
 val stationary_stddev : params -> float
 
-val create : ?time:int -> ?window:int -> start:int -> params -> Predictor.t
-(** [window] bounds the Markov kernel for caching queries; default covers
-    the stationary mean ± 6 stationary standard deviations. *)
+val kernel : params -> Markov.kernel
+(** The truncated Markov kernel of the caching DPs: the states from
+    [round (mean − 6 sd)] to [round (mean + 6 sd)], for the stationary
+    mean and standard deviation.  AR(1) is mean-reverting: from any
+    start it is drawn back towards that mean, and its stationary law
+    puts all but ~2e-9 of its mass inside this fixed window.  A random
+    walk has no such centre, so its kernel is relative instead
+    ({!Random_walk}). *)
+
+val create : ?time:int -> start:int -> params -> Predictor.t
+(** Its kernel for caching queries is {!kernel}. *)

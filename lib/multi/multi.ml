@@ -120,7 +120,7 @@ let heeb ?name ~predictors ~l ~queries () =
 
 type result = { total_results : int; counted_results : int }
 
-let run ~traces ~queries ~policy ~capacity ?(warmup = 0) ?(validate = false) () =
+let run ~traces ~queries ~policy ~capacity ?(warmup = 0) () =
   let m = Array.length traces in
   if m = 0 then invalid_arg "Multi.run: no streams";
   let tlen = Array.length traces.(0) in
@@ -159,23 +159,21 @@ let run ~traces ~queries ~policy ~capacity ?(warmup = 0) ?(validate = false) () 
     total := !total + produced;
     if now >= warmup then counted := !counted + produced;
     let selection = policy.select ~now ~cached:!cache ~arrivals ~capacity in
-    if validate then begin
-      let candidates = !cache @ arrivals in
-      if List.length selection > capacity then
-        failwith "Multi.run: selection exceeds capacity";
-      if
-        not
-          (List.for_all
-             (fun t -> List.exists (fun c -> c.uid = t.uid) candidates)
-             selection)
-      then failwith "Multi.run: selection not drawn from candidates";
-      let uids = List.sort compare (List.map (fun t -> t.uid) selection) in
-      let rec dup = function
-        | a :: (b :: _ as rest) -> a = b || dup rest
-        | [ _ ] | [] -> false
-      in
-      if dup uids then failwith "Multi.run: duplicate selection"
-    end;
+    let candidates = !cache @ arrivals in
+    if List.length selection > capacity then
+      failwith "Multi.run: selection exceeds capacity";
+    if
+      not
+        (List.for_all
+           (fun t -> List.exists (fun c -> c.uid = t.uid) candidates)
+           selection)
+    then failwith "Multi.run: selection not drawn from candidates";
+    let uids = List.sort compare (List.map (fun t -> t.uid) selection) in
+    let rec dup = function
+      | a :: (b :: _ as rest) -> a = b || dup rest
+      | [ _ ] | [] -> false
+    in
+    if dup uids then failwith "Multi.run: duplicate selection";
     cache := selection
   done;
   { total_results = !total; counted_results = !counted }

@@ -57,10 +57,11 @@ val run :
   policy:policy ->
   capacity:int ->
   ?warmup:int ->
-  ?validate:bool ->
   unit ->
   result
 (** [traces.(i).(t)] is stream [i]'s value at time [t] (equal lengths).
     Each step: every arrival joins the cache decided at the previous step
     (once per query it participates in; same-step arrival pairs excluded,
-    as in the two-stream engine), then the policy picks the new cache. *)
+    as in the two-stream engine), then the policy picks the new cache.
+    Every selection is checked: within [capacity], drawn from the cache
+    and the arrivals, no tuple twice; a violation raises [Failure]. *)

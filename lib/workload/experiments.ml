@@ -405,7 +405,7 @@ let fig15 opts out =
     Precompute.ar1_caching_surface fitted ~l ~vx_lo:lo ~vx_hi:hi ~x0_lo:lo
       ~x0_hi:hi ~nv:5 ~nx:5 ()
   in
-  let kernel = Precompute.ar1_kernel fitted in
+  let kernel = Ar1.kernel fitted in
   (* Exact evaluation grid: 7 x 7 inside the control region. *)
   let grid_n = 7 in
   let grid i = lo + ((hi - lo) * i / (grid_n - 1)) in

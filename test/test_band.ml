@@ -87,66 +87,6 @@ let test_band_int_extremes () =
     (Ssj_conform.Ref_sim.count_matches ~window:None ~band:0 ~now:1 cached
        zero)
 
-(* Band OPT vs brute force on tiny instances, some values within 2 of
-   min_int or max_int. *)
-let prop_band_opt_matches_brute =
-  qcheck ~count:80 "band OPT-offline equals exhaustive DP"
-    QCheck2.Gen.(
-      let value =
-        frequency
-          [
-            (3, int_range 0 4);
-            (1, map (fun d -> min_int + d) (int_range 0 2));
-            (1, map (fun d -> max_int - d) (int_range 0 2));
-          ]
-      in
-      let* n = int_range 2 5 in
-      let* r = list_repeat n value in
-      let* s = list_repeat n value in
-      let* band = int_range 0 2 in
-      return (r, s, band))
-    (fun (r, s, band) ->
-      let trace = Trace.of_values ~r:(Array.of_list r) ~s:(Array.of_list s) in
-      let tlen = Trace.length trace in
-      let module TS = Set.Make (Tuple) in
-      (* |a - c| <= band, saturating instead of subtracting. *)
-      let plus v = if v > max_int - band then max_int else v + band in
-      let matches cache (arr : Tuple.t) =
-        TS.fold
-          (fun (c : Tuple.t) acc ->
-            let a = arr.Tuple.value and c_v = c.Tuple.value in
-            if c.Tuple.side <> arr.Tuple.side && c_v <= plus a && a <= plus c_v
-            then acc + 1
-            else acc)
-          cache 0
-      in
-      let rec subsets k items =
-        if k = 0 then [ [] ]
-        else begin
-          match items with
-          | [] -> [ [] ]
-          | x :: rest ->
-            List.map (fun sub -> x :: sub) (subsets (k - 1) rest)
-            @ (if List.length rest >= k then subsets k rest else [])
-        end
-      in
-      let rec go now cache =
-        if now >= tlen then 0
-        else begin
-          let r_t, s_t = Trace.arrivals trace now in
-          let produced = matches cache r_t + matches cache s_t in
-          let candidates = r_t :: s_t :: TS.elements cache in
-          let best =
-            List.fold_left
-              (fun acc sel -> Stdlib.max acc (go (now + 1) (TS.of_list sel)))
-              min_int
-              (subsets (min 1 (List.length candidates)) candidates)
-          in
-          produced + best
-        end
-      in
-      Opt_offline.max_results ~band ~trace ~capacity:1 () = go 0 TS.empty)
-
 let test_band_heeb_beats_rand () =
   (* Trend workload under band-2 semantics. *)
   let cfg = Ssj_workload.Config.tower () in
@@ -180,6 +120,5 @@ let suite =
     Alcotest.test_case "band OPT-offline" `Quick test_band_opt_offline;
     Alcotest.test_case "band joins at the int extremes" `Quick
       test_band_int_extremes;
-    prop_band_opt_matches_brute;
     Alcotest.test_case "band HEEB beats RAND" `Slow test_band_heeb_beats_rand;
   ]

@@ -7,12 +7,22 @@ open Ssj_conform
 let drop_formatter =
   Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
 
+(* Oracles and laws; the golden digests run under @conformance, not
+   the quick gate.  300 cases draw at least what each tier-1 property
+   folded into a check drew: 225 non-NaN selection steps (200 before),
+   150 direct index evolutions (100), 150 tiny OPT traces for the bound,
+   the capacity law and the curve (40, 60, 60), and 300 exhaustive-DP
+   cases (230).  [oracle:h1/kernel-vs-table], at ~0.5 s a case and one
+   case per 20 counted, runs at 25. *)
 let test_registry_passes () =
-  (* Oracles + laws at a reduced case count (golden digests are
-     exercised by @conformance, not the quick gate). *)
+  let slow (c : Check.t) = c.Check.name = "oracle:h1/kernel-vs-table" in
+  let registry = Oracles.all @ Laws.all in
+  let run count checks =
+    Conform.run_checks ~seed:271 ~count ~out:drop_formatter checks
+  in
   let reports =
-    Conform.run_checks ~seed:271 ~count:25 ~out:drop_formatter
-      (Oracles.all @ Laws.all)
+    run 300 (List.filter (fun c -> not (slow c)) registry)
+    @ run 25 (List.filter slow registry)
   in
   Helpers.check_int "all registered checks ran" 19 (List.length reports);
   List.iter
@@ -24,6 +34,49 @@ let test_registry_passes () =
           (Printf.sprintf "%s failed: %s" r.Conform.check.Check.name detail))
     reports;
   Helpers.check_bool "ok reports" true (Conform.ok reports)
+
+(* A violation that raises fails its case, named, and the run goes on
+   to the next check; a replayable check's replay reports the raise
+   too. *)
+let test_raising_case_reported () =
+  let boom i = if i = 3 then failwith "boom" else None in
+  let sweep_check name violation =
+    Check.make ~name ~kind:Check.Law ~fast:"f" ~reference:"r"
+      (fun ~seed:_ ~count -> Check.sweep ~count ~note:"n" violation)
+  in
+  let reports =
+    Conform.run_checks ~count:10 ~out:drop_formatter
+      [ sweep_check "raises" boom; sweep_check "after" (fun _ -> None) ]
+  in
+  (match List.map (fun (r : Conform.report) -> r.Conform.outcome) reports with
+  | [ Check.Fail { detail; case = None }; Check.Pass { cases = 10; _ } ] ->
+    Alcotest.(check string) "detail" "case 3: raised Failure(\"boom\")" detail
+  | _ -> Alcotest.fail "expected the raising check to fail and the next to pass");
+  let case i =
+    {
+      Case.r_values = [| 0 |];
+      s_values = [| 0 |];
+      capacity = i;
+      band = 0;
+      window = None;
+      policy = "PROB";
+      seed = 0;
+    }
+  in
+  let replayable =
+    Check.of_violation ~name:"raises" ~kind:Check.Oracle ~fast:"f"
+      ~reference:"r"
+      ~gen:(fun ~seed:_ i -> case i)
+      (fun c -> boom c.Case.capacity)
+  in
+  (match replayable.Check.run ~seed:0 ~count:10 with
+  | Check.Fail { detail; case = Some c } ->
+    Alcotest.(check string) "detail" "case 3: raised Failure(\"boom\")" detail;
+    Helpers.check_int "the failing case" 3 c.Case.capacity
+  | _ -> Alcotest.fail "expected a failure carrying case 3");
+  Alcotest.(check (option string))
+    "replay" (Some "raised Failure(\"boom\")")
+    ((Option.get replayable.Check.replay) (case 3))
 
 let join_sim_check () =
   match
@@ -286,6 +339,8 @@ let suite =
   [
     Alcotest.test_case "registry passes on the honest engine" `Quick
       test_registry_passes;
+    Alcotest.test_case "a raising case is reported and the run goes on"
+      `Quick test_raising_case_reported;
     Alcotest.test_case "injected band skew: caught, shrunk, replayable"
       `Quick test_injected_skew_caught_and_shrunk;
     Alcotest.test_case "repro JSON round trip" `Quick test_repro_round_trip;

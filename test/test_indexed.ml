@@ -1,8 +1,10 @@
-(* Properties of the optimised simulation core against its reference
-   implementations: the selection routine vs full sort, the incremental
-   join index vs the naive cache scan, the buffer step vs the same
-   policy run as a plan over lists, and the parallel runner vs
-   sequential execution. *)
+(* The optimised simulation core against its reference paths: the
+   buffer step vs the same policy run as a plan over lists, the
+   parallel runner vs sequential execution, and the selection routine's
+   counted work and NaN handling.  The selection routine and the join
+   index are compared with their references by the registered oracles
+   ([oracle:keep-top/bounded-vs-sort],
+   [oracle:join-sim/indexed-vs-listscan]), which [conform] runs. *)
 
 open Ssj_prob
 open Ssj_stream
@@ -12,105 +14,6 @@ open Ssj_workload
 open Helpers
 
 let tup side value arrival = Tuple.make ~side ~value ~arrival
-let uids = List.map (fun t -> t.Tuple.uid)
-
-(* --- the selection routine vs keep_top_spec ------------------------- *)
-
-(* Scores drawn from a small table so ties are frequent; candidates get
-   distinct arrivals, so (score, newer first) is a total order and the
-   two implementations must agree exactly.  Random cases: sizes up to 60
-   against capacities up to 12 cover n <= capacity as well as candidate
-   sets many times the capacity.  Engine-shaped cases
-   ({!Ssj_conform.Oracles.engine_step}): the cache in last step's order
-   with a few entries rescored or killed, and shuffled caches over every
-   score palette (distinct, two or three values, all equal, a live range
-   that is not finite; a dead block at the end), at sizes on both sides
-   of the sort's 64-candidate switch up to 402. *)
-let score_table = [| Float.neg_infinity; 0.0; 0.0; 1.0; 2.5; 7.0 |]
-
-type keep_top_case =
-  | Random_case of int * (int * bool) list
-  | Engine_case of Ssj_conform.Oracles.step_shape * int * int * int
-
-let gen_keep_top =
-  QCheck2.Gen.(
-    oneof
-      [
-        map
-          (fun (capacity, specs) -> Random_case (capacity, specs))
-          (pair (int_range 0 12)
-             (list_size (int_range 2 60) (pair (int_range 0 5) bool)));
-        map
-          (fun (shape, n, capacity, seed) ->
-            Engine_case (shape, n, min n capacity, seed))
-          (quad
-             (oneofl
-                Ssj_conform.Oracles.(
-                  Engine_order :: List.map (fun p -> Shuffled p) palettes))
-             (oneof [ int_range 2 64; int_range 65 402 ])
-             (int_range 1 402) int);
-      ])
-
-let keep_top_agrees case =
-  let capacity, score, tuples =
-    match case with
-    | Random_case (capacity, specs) ->
-      ( capacity,
-        (fun t -> score_table.(t.Tuple.value)),
-        List.mapi
-          (fun i (s, side) -> tup (if side then Tuple.R else Tuple.S) s i)
-          specs )
-    | Engine_case (shape, n, capacity, seed) ->
-      let score, tuples =
-        Ssj_conform.Oracles.engine_step ~shape ~n (Rng.create seed)
-      in
-      (capacity, score, tuples)
-  in
-  uids (keep_top ~capacity ~score tuples)
-  = uids (Ssj_conform.Ref_sim.keep_top_spec ~capacity ~score tuples)
-
-(* --- Join_index vs Ref_sim.count_matches ---------------------------- *)
-
-(* Drive a random cache evolution (subset of cached + arrivals, capacity
-   8), maintain the index from each step's diff with [insert]/[remove_id]
-   as the engine does, and check at every step that it counts exactly
-   what a naive scan of the current cache counts. *)
-let gen_evolution =
-  QCheck2.Gen.(
-    quad (int_range 0 9999) (int_range 0 3) (int_range 0 2) (int_range 5 40))
-
-let index_agrees (seed, wcode, band, steps) =
-  let window = if wcode = 0 then None else Some (Window.create ~width:(3 * wcode)) in
-  let index = Join_index.create ?window ~band ~length:steps () in
-  let rng = Rng.create seed in
-  let cache = ref [] in
-  let ok = ref true in
-  for now = 0 to steps - 1 do
-    let r = tup Tuple.R (Rng.int rng 9 - 4) now in
-    let s = tup Tuple.S (Rng.int rng 9 - 4) now in
-    let agrees t =
-      Join_index.matches index ~now t
-      = Ssj_conform.Ref_sim.count_matches ~window ~band ~now !cache t
-    in
-    if not (agrees r && agrees s) then ok := false;
-    let next =
-      List.filteri
-        (fun i _ -> i < 8)
-        (List.filter (fun _ -> Rng.float rng 1.0 < 0.7) (!cache @ [ r; s ]))
-    in
-    List.iter
-      (fun t ->
-        if not (List.exists (Tuple.equal t) !cache) then
-          Join_index.insert index t)
-      next;
-    List.iter
-      (fun (t : Tuple.t) ->
-        if not (List.exists (Tuple.equal t) next) then
-          Join_index.remove_id index ~uid:t.uid ~value:t.value)
-      !cache;
-    cache := next
-  done;
-  !ok
 
 (* --- scored step vs the same policy run as a plan ------------------- *)
 
@@ -433,9 +336,6 @@ let test_nan_score_raises () =
 
 let suite =
   [
-    qcheck "keep_top = keep_top_spec" gen_keep_top keep_top_agrees;
-    qcheck ~count:100 "Join_index = naive cache scan" gen_evolution
-      index_agrees;
     Alcotest.test_case "fast path = list path" `Quick test_fast_matches_list;
     Alcotest.test_case "Parallel.map = Array.map" `Quick test_parallel_map;
     Alcotest.test_case "Parallel.map: raising job propagates cleanly" `Quick

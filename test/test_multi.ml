@@ -33,8 +33,7 @@ let test_counting_respects_queries () =
         if now = 0 then arrivals else cached)
   in
   let run queries =
-    (Multi.run ~traces ~queries ~policy:keep_all_first ~capacity:3
-       ~validate:true ())
+    (Multi.run ~traces ~queries ~policy:keep_all_first ~capacity:3 ())
       .Multi
       .total_results
   in
@@ -68,8 +67,7 @@ let test_two_stream_degeneration () =
     Heeb.joining ~r ~s ~l ~mode:`Direct ()
   in
   let multi_count =
-    (Multi.run ~traces ~queries:[ (0, 1) ] ~policy:multi_heeb ~capacity:8
-       ~validate:true ())
+    (Multi.run ~traces ~queries:[ (0, 1) ] ~policy:multi_heeb ~capacity:8 ())
       .Multi
       .total_results
   in
@@ -180,7 +178,7 @@ let test_three_stream_degenerate_pairwise () =
   let multi =
     Multi.run ~traces ~queries:[ (0, 1) ]
       ~policy:(keep_newest_multi [ 0; 1 ])
-      ~capacity ~warmup ~validate:true ()
+      ~capacity ~warmup ()
   in
   let pair_total = run_pairwise ~r:traces.(0) ~s:traces.(1) ~capacity ~warmup in
   check_int "m=3 with one query = two-stream engine" pair_total
@@ -208,7 +206,7 @@ let test_four_stream_disjoint_pairs () =
   let multi =
     Multi.run ~traces
       ~queries:[ (0, 1); (2, 3) ]
-      ~policy:partitioned ~capacity:(2 * per_pair) ~validate:true ()
+      ~policy:partitioned ~capacity:(2 * per_pair) ()
   in
   let pair01 = run_pairwise ~r:traces.(0) ~s:traces.(1) ~capacity:per_pair ~warmup:0
   and pair23 = run_pairwise ~r:traces.(2) ~s:traces.(3) ~capacity:per_pair ~warmup:0 in
@@ -232,7 +230,7 @@ let test_qcheck_query_additivity =
       let run queries =
         (Multi.run ~traces ~queries
            ~policy:(keep_newest_multi [ 0; 1; 2; 3 ])
-           ~capacity ~validate:true ())
+           ~capacity ())
           .Multi
           .total_results
       in

@@ -54,97 +54,6 @@ let test_warmup_start () =
   check_int "all in warmup" 0
     (Opt_offline.max_results_from ~trace:t ~capacity:1 ~start:3 ())
 
-(* Brute-force DP over all replacement sequences on tiny instances. *)
-let brute_force ~trace ~capacity =
-  let tlen = Trace.length trace in
-  let module TS = Set.Make (Tuple) in
-  let matches cache (arr : Tuple.t) =
-    TS.fold
-      (fun (c : Tuple.t) acc ->
-        if c.Tuple.side <> arr.Tuple.side && c.Tuple.value = arr.Tuple.value
-        then acc + 1
-        else acc)
-      cache 0
-  in
-  let rec subsets_of_size k items =
-    if k = 0 then [ [] ]
-    else begin
-      match items with
-      | [] -> [ [] ]
-      | x :: rest ->
-        List.map (fun s -> x :: s) (subsets_of_size (k - 1) rest)
-        @ (if List.length rest >= k then subsets_of_size k rest else [])
-    end
-  in
-  let rec go now cache =
-    if now >= tlen then 0
-    else begin
-      let r_t, s_t = Trace.arrivals trace now in
-      let produced = matches cache r_t + matches cache s_t in
-      let candidates = r_t :: s_t :: TS.elements cache in
-      let options =
-        subsets_of_size (min capacity (List.length candidates)) candidates
-      in
-      let best =
-        List.fold_left
-          (fun acc sel -> Stdlib.max acc (go (now + 1) (TS.of_list sel)))
-          min_int options
-      in
-      produced + best
-    end
-  in
-  go 0 TS.empty
-
-let gen_tiny_trace =
-  QCheck2.Gen.(
-    let* n = int_range 2 6 in
-    let* r = list_repeat n (int_range 0 2) in
-    let* s = list_repeat n (int_range 0 2) in
-    let* capacity = int_range 1 2 in
-    return (trace r s, capacity))
-
-let prop_matches_brute_force =
-  qcheck ~count:150 "OPT-offline equals exhaustive DP" gen_tiny_trace
-    (fun (t, capacity) ->
-      Opt_offline.max_results ~trace:t ~capacity ()
-      = brute_force ~trace:t ~capacity)
-
-let prop_dominates_online_policies =
-  qcheck ~count:40 "OPT-offline >= every online policy" gen_tiny_trace
-    (fun (t, capacity) ->
-      let opt = Opt_offline.max_results ~trace:t ~capacity () in
-      let policies =
-        [
-          Baselines.rand ~rng:(rng 1) ();
-          Baselines.prob ();
-        ]
-      in
-      List.for_all
-        (fun policy ->
-          let result =
-            Ssj_engine.Join_sim.run ~trace:t ~policy ~capacity ()
-          in
-          result.Ssj_engine.Join_sim.total_results <= opt)
-        policies)
-
-let prop_monotone_in_capacity =
-  qcheck ~count:60 "OPT-offline monotone in capacity" gen_tiny_trace
-    (fun (t, capacity) ->
-      Opt_offline.max_results ~trace:t ~capacity ()
-      <= Opt_offline.max_results ~trace:t ~capacity:(capacity + 1) ())
-
-let prop_curve_matches_pointwise =
-  qcheck ~count:60 "capacity curve = per-capacity solves" gen_tiny_trace
-    (fun (t, _) ->
-      let capacities = [ 1; 2; 3 ] in
-      let curve =
-        Opt_offline.max_results_curve ~trace:t ~capacities ~start:0 ()
-      in
-      List.for_all
-        (fun (c, v) ->
-          v = Opt_offline.max_results_from ~trace:t ~capacity:c ~start:0 ())
-        curve)
-
 let test_acyclic_init_agrees () =
   (* The DAG-potential initialisation must not change results. *)
   let r = rng 41 in
@@ -156,9 +65,9 @@ let test_acyclic_init_agrees () =
         (List.init n (fun _ -> Ssj_prob.Rng.int r 5))
     in
     (* max_results takes its potentials from the topological pass;
-       compare against the brute-force oracle at capacity 2. *)
+       compare against the exhaustive optimum at capacity 2. *)
     check_int "acyclic = brute force"
-      (brute_force ~trace:tr ~capacity:2)
+      (Ssj_conform.Ref_sim.opt_exhaustive ~trace:tr ~capacity:2 ())
       (Opt_offline.max_results ~trace:tr ~capacity:2 ())
   done
 
@@ -198,10 +107,6 @@ let suite =
     Alcotest.test_case "slot reuse" `Quick test_slot_reuse;
     Alcotest.test_case "eviction vs holding" `Quick test_eviction_vs_holding;
     Alcotest.test_case "warm-up accounting" `Quick test_warmup_start;
-    prop_matches_brute_force;
-    prop_dominates_online_policies;
-    prop_monotone_in_capacity;
-    prop_curve_matches_pointwise;
     Alcotest.test_case "acyclic potentials agree" `Quick
       test_acyclic_init_agrees;
     Alcotest.test_case "Belady hit counts" `Quick test_belady_hits;

@@ -221,7 +221,7 @@ let test_ar1_caching_exact_vs_hvalue () =
   let l = Lfun.exp_ ~alpha:5.0 in
   let vx = 5 and x0 = 7 in
   let exact = Precompute.ar1_caching_exact ar1_params ~l ~vx ~x0 () in
-  let kernel = Markov.Dense.of_kernel (Precompute.ar1_kernel ar1_params) in
+  let kernel = Markov.Dense.of_kernel (Ar1.kernel ar1_params) in
   let direct = Hvalue.caching_markov ~kernel ~start:x0 ~l ~value:vx in
   check_float ~eps:1e-6 "caching h2" direct exact
 
@@ -279,7 +279,7 @@ let test_batch_bit_identical_to_single () =
   (* The batched DP (shared dense kernel, C sweep, early per-target
      stopping) must reproduce single-target runs bit for bit, whatever
      the batch composition. *)
-  let kernel = Precompute.ar1_kernel ar1_params in
+  let kernel = Ar1.kernel ar1_params in
   let ls = [| Lfun.exp_ ~alpha:3.0; Lfun.exp_ ~alpha:12.0 |] in
   let targets = [| 2; 7; 4; 11 |] in
   let batched =
@@ -323,7 +323,7 @@ let test_surfaces_bit_identical_across_jobs () =
    pins the dot product's order on any host and libm. *)
 let test_real_columns_bits_pinned () =
   let params = Ssj_workload.Real.bin_params Ssj_workload.Real.paper_params in
-  let kernel = Precompute.ar1_kernel params in
+  let kernel = Ar1.kernel params in
   let lo, hi = Ssj_workload.Factory.real_surface_bounds params in
   let dv = float_of_int (hi - lo) /. 4.0 in
   let targets =
